@@ -396,11 +396,12 @@ class Simulator:
         return RoundContext(
             node_id=node,
             round_index=self._round,
-            neighbors=self.network.neighbors(node) if self.network.has_node(node) else set(),
+            neighbors=self.network.rows.get(node, ()),
             rng=self._rngs[node],
             send_fn=outbox_sink.append,
             report_memory_fn=self.metrics.record_memory,
-            report_failure_fn=lambda count=1: self.metrics.record_failure(stats, count),
+            report_failure_fn=self.metrics.record_failure,
+            stats=stats,
         )
 
     def _after_invoke(self, node: Hashable, process: NodeProcess) -> None:
@@ -431,8 +432,9 @@ class Simulator:
         """
         orphans = []
         self._not_done = {}
+        rows = self.network.rows
         for node, process in self._processes.items():
-            if not self.network.has_node(node):
+            if node not in rows:
                 orphans.append(node)
             elif not process.done:
                 self._not_done[node] = None

@@ -2,15 +2,22 @@
 
 A :class:`Network` is an undirected multigraph-free adjacency structure over
 node identifiers.  Links may be added and removed while the simulation runs
-(skip graph transformations rewire level lists), and the network remembers a
-label for each link (e.g. the skip graph level it belongs to) purely for
-introspection and metrics.
+(skip graph transformations rewire level lists), and the network remembers
+the labels of each link (e.g. the skip graph levels it belongs to) purely
+for introspection and metrics.
+
+Storage is one table ``node -> {neighbour -> label set}``.  A link's label
+set is a single object held by both endpoints' rows, so the table is
+symmetric by construction, a link lookup is two dict probes, and no
+per-link key object is ever built.  :attr:`Network.rows` exposes the table
+read-only to readers of many rows (the integrity sweep, the engine's
+per-round neighbour lookup) without a defensive copy per link.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Set, Tuple
+from types import MappingProxyType
+from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, Mapping, Set, Tuple
 
 from repro.simulation.errors import LinkError
 
@@ -20,45 +27,47 @@ NodeId = Hashable
 Edge = Tuple[NodeId, NodeId]
 
 
-def _normalize(u: NodeId, v: NodeId) -> FrozenSet[NodeId]:
-    return frozenset((u, v))
-
-
 class Network:
     """Undirected dynamic topology with labelled links."""
 
     def __init__(self) -> None:
-        self._adjacency: Dict[NodeId, Set[NodeId]] = defaultdict(set)
-        self._labels: Dict[FrozenSet[NodeId], Set[Hashable]] = defaultdict(set)
-        self._nodes: Set[NodeId] = set()
+        self._rows: Dict[NodeId, Dict[NodeId, Set[Hashable]]] = {}
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, node: NodeId) -> None:
         """Register ``node`` (idempotent)."""
-        self._nodes.add(node)
-        self._adjacency.setdefault(node, set())
+        if node not in self._rows:
+            self._rows[node] = {}
 
     def remove_node(self, node: NodeId) -> None:
         """Remove ``node`` and every link incident to it."""
-        if node not in self._nodes:
+        row = self._rows.pop(node, None)
+        if row is None:
             raise LinkError(f"node {node!r} is not part of the network")
-        for neighbor in list(self._adjacency[node]):
-            self.remove_link(node, neighbor)
-        self._nodes.discard(node)
-        self._adjacency.pop(node, None)
+        for neighbor in row:
+            del self._rows[neighbor][node]
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._nodes
+        return node in self._rows
 
     @property
     def nodes(self) -> Set[NodeId]:
-        return set(self._nodes)
+        return set(self._rows)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._rows)
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._nodes
+        return node in self._rows
+
+    @property
+    def rows(self) -> Mapping[NodeId, Mapping[NodeId, AbstractSet[Hashable]]]:
+        """Live read-only view of the link table ``node -> {neighbour -> labels}``.
+
+        For auditors that read many rows: nothing is copied, so the rows and
+        label sets reached through the view must not be mutated.
+        """
+        return MappingProxyType(self._rows)
 
     # ------------------------------------------------------------------ links
     def add_link(self, u: NodeId, v: NodeId, label: Hashable = None) -> None:
@@ -73,11 +82,18 @@ class Network:
         """
         if u == v:
             raise LinkError("self-links are not allowed")
-        self.add_node(u)
-        self.add_node(v)
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
-        self._labels[_normalize(u, v)].add(label)
+        rows = self._rows
+        row_u = rows.get(u)
+        if row_u is None:
+            row_u = rows[u] = {}
+        labels = row_u.get(v)
+        if labels is not None:
+            labels.add(label)
+            return
+        row_v = rows.get(v)
+        if row_v is None:
+            row_v = rows[v] = {}
+        row_u[v] = row_v[u] = {label}
 
     def remove_link(self, u: NodeId, v: NodeId, label: Hashable = None) -> None:
         """Remove the link (or one label of it) between ``u`` and ``v``.
@@ -89,13 +105,11 @@ class Network:
         keeping the link would let a churn rewiring bug (asking to unlink a
         level the pair is not adjacent at) go unnoticed.
         """
-        key = _normalize(u, v)
-        if v not in self._adjacency.get(u, set()):
+        row_u = self._rows.get(u)
+        labels = row_u.get(v) if row_u is not None else None
+        if labels is None:
             raise LinkError(f"no link between {u!r} and {v!r}")
-        if label is None:
-            self._labels.pop(key, None)
-        else:
-            labels = self._labels.get(key, set())
+        if label is not None:
             if label not in labels:
                 raise LinkError(
                     f"link between {u!r} and {v!r} does not carry label {label!r}"
@@ -103,43 +117,43 @@ class Network:
             labels.discard(label)
             if labels:
                 return
-            self._labels.pop(key, None)
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
+        del row_u[v]
+        del self._rows[v][u]
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
-        return v in self._adjacency.get(u, set())
+        row = self._rows.get(u)
+        return row is not None and v in row
 
     def neighbors(self, node: NodeId) -> Set[NodeId]:
-        if node not in self._nodes:
+        row = self._rows.get(node)
+        if row is None:
             raise LinkError(f"node {node!r} is not part of the network")
-        return set(self._adjacency[node])
+        return set(row)
 
     def degree(self, node: NodeId) -> int:
-        return len(self._adjacency.get(node, set()))
+        return len(self._rows.get(node, ()))
 
     def labels(self, u: NodeId, v: NodeId) -> Set[Hashable]:
-        return set(self._labels.get(_normalize(u, v), set()))
+        row = self._rows.get(u)
+        return set(row.get(v, ())) if row is not None else set()
 
     def edges(self) -> Iterator[Edge]:
-        seen: Set[FrozenSet[NodeId]] = set()
-        for u, neighbors in self._adjacency.items():
-            for v in neighbors:
-                key = _normalize(u, v)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield (u, v)
+        """Every link once, as ``(u, v)`` from the endpoint whose row comes first."""
+        visited: Set[NodeId] = set()
+        for u, row in self._rows.items():
+            for v in row:
+                if v not in visited:
+                    yield (u, v)
+            visited.add(u)
 
     def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
+        return sum(map(len, self._rows.values())) // 2
 
     # -------------------------------------------------------------- bulk ops
     def replace_links(self, node: NodeId, new_neighbors: Iterable[NodeId], label: Hashable = None) -> None:
         """Replace all links of ``node`` carrying ``label`` with new ones."""
-        for neighbor in list(self._adjacency.get(node, set())):
-            key = _normalize(node, neighbor)
-            if label in self._labels.get(key, set()):
+        for neighbor, labels in list(self._rows.get(node, {}).items()):
+            if label in labels:
                 self.remove_link(node, neighbor, label=label)
         for neighbor in new_neighbors:
             if neighbor != node:
@@ -147,9 +161,8 @@ class Network:
 
     def copy(self) -> "Network":
         clone = Network()
-        for node in self._nodes:
-            clone.add_node(node)
-        for (u, v) in self.edges():
-            for label in self.labels(u, v) or {None}:
-                clone.add_link(u, v, label=label)
+        rows = clone._rows
+        rows.update((node, {}) for node in self._rows)
+        for u, v in self.edges():
+            rows[u][v] = rows[v][u] = set(self._rows[u][v])
         return clone

@@ -41,7 +41,7 @@ crash-stop failure model.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Hashable, List, Optional, Set
+from typing import Any, Callable, Collection, Hashable, List, Optional, Set
 
 from repro.simulation.message import Message
 
@@ -55,11 +55,12 @@ class RoundContext:
         self,
         node_id: Hashable,
         round_index: int,
-        neighbors: Set[Hashable],
+        neighbors: Collection[Hashable],
         rng: random.Random,
         send_fn: Callable[[Message], None],
         report_memory_fn: Callable[[Hashable, int], None],
-        report_failure_fn: Optional[Callable[[int], None]] = None,
+        report_failure_fn: Optional[Callable[[Any, int], None]] = None,
+        stats: Any = None,
     ) -> None:
         self._node_id = node_id
         self._round_index = round_index
@@ -68,6 +69,7 @@ class RoundContext:
         self._send_fn = send_fn
         self._report_memory_fn = report_memory_fn
         self._report_failure_fn = report_failure_fn
+        self._stats = stats  # the executing round's record, for report_failure_fn
 
     @property
     def node_id(self) -> Hashable:
@@ -82,7 +84,8 @@ class RoundContext:
         return self._rng
 
     def neighbors(self) -> Set[Hashable]:
-        """Current neighbours of this node in the underlying network."""
+        """Current neighbours of this node in the underlying network (a fresh
+        snapshot of the node's live network row per call)."""
         return set(self._neighbors)
 
     def send(self, receiver: Hashable, kind: str, payload: Any = None) -> None:
@@ -96,7 +99,7 @@ class RoundContext:
     def report_failure(self, count: int = 1) -> None:
         """Declare ``count`` protocol-level requests failed this round."""
         if self._report_failure_fn is not None:
-            self._report_failure_fn(count)
+            self._report_failure_fn(self._stats, count)
 
 
 class NodeProcess:

@@ -17,14 +17,18 @@ derives each level list by filtering membership bits directly, never
 through ``_list_cache``, so a corrupted cache entry, an unsorted base
 list, or a membership vector rewritten behind the index's back each
 produce a distinct violation instead of silently steering routes astray.
+Nothing is incremental — every call recomputes every expectation — but it
+derives once: the node table is walked in ascending key order (its own
+sort, never the base list check 1 audits), so every level list comes out
+sorted, and that one derivation feeds checks 2, 3 and 5 alike.
 
 Checks performed (each yields human-readable violation strings):
 
 1. **base list** — ``keys`` strictly ascending and exactly the node set;
-2. **level lists** — every multi-node list derived from membership
-   prefixes is sorted, and walking it through :meth:`SkipGraph.neighbors`
-   (the cache-backed path routing uses) reproduces it with symmetric
-   left/right pointers (doubly-linked consistency);
+2. **level lists** — walking every multi-node derived list through
+   :meth:`SkipGraph.neighbors` (the cache-backed path routing uses)
+   reproduces it with symmetric left/right pointers (doubly-linked
+   consistency);
 3. **membership-prefix consistency** — every cached list contains exactly
    the keys whose vectors carry its prefix, and the incremental prefix
    counts (total, dummy, multi-per-level) match a from-scratch recount;
@@ -38,7 +42,10 @@ Checks performed (each yields human-readable violation strings):
    set, adjacency symmetry, links and per-level labels equal the
    expectation derived from the graph (the
    :func:`~repro.distributed.routing_protocol.skip_graph_network`
-   convention: one link per level-adjacent pair, labelled ``level<d>``).
+   convention: one link per level-adjacent pair, labelled ``level<d>``),
+   built in the network's own shape and compared row for row against
+   :attr:`Network.rows <repro.simulation.network.Network.rows>`; only
+   differing rows are taken apart link by link and sorted for the report.
 
 An empty return value means the structure is clean.  The report is capped
 (``max_violations``) so a badly corrupted 4096-node arena does not drown
@@ -47,7 +54,7 @@ the caller in output; the cap is noted in the last entry when hit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
@@ -62,43 +69,6 @@ Prefix = Tuple[int, ...]
 
 class IntegrityError(ValueError):
     """Raised by :func:`assert_skip_graph_integrity` when violations exist."""
-
-
-def _derived_lists(graph: SkipGraph) -> Dict[Tuple[int, Prefix], List[Key]]:
-    """Every level list (singletons included), from raw membership bits only."""
-    lists: Dict[Tuple[int, Prefix], List[Key]] = {}
-    for node in graph.nodes():
-        bits = node.membership.bits
-        for level in range(1, len(bits) + 1):
-            lists.setdefault((level, bits[:level]), []).append(node.key)
-    return lists
-
-
-def _expected_links(graph: SkipGraph, redundancy: int = 1) -> Dict[FrozenSet[Key], Set[str]]:
-    """Expected network links with their level labels (one per adjacency).
-
-    Mirrors the :func:`~repro.distributed.routing_protocol.skip_graph_network`
-    convention without importing it (the distributed layer sits above this
-    one): members of every list — the base list and each multi-node level
-    list — within list distance ``redundancy`` of each other are linked
-    with label ``level<d>`` (consecutive members only at the default
-    ``redundancy = 1``).
-    """
-    links: Dict[FrozenSet[Key], Set[str]] = {}
-    base = graph.keys
-    for distance in range(1, redundancy + 1):
-        for index in range(len(base) - distance):
-            links.setdefault(frozenset((base[index], base[index + distance])), set()).add("level0")
-    for (level, _prefix), members in _derived_lists(graph).items():
-        if len(members) < 2:
-            continue
-        ordered = sorted(members)
-        for distance in range(1, redundancy + 1):
-            for index in range(len(ordered) - distance):
-                links.setdefault(
-                    frozenset((ordered[index], ordered[index + distance])), set()
-                ).add(f"level{level}")
-    return links
 
 
 def verify_skip_graph_integrity(
@@ -142,12 +112,28 @@ def verify_skip_graph_integrity(
         extra = set(base) - set(nodes)
         report(f"base list / node set mismatch (missing={sorted(missing)!r}, extra={sorted(extra)!r})")
 
-    # 2. Level lists: sorted, and the cache-backed neighbour walk agrees.
-    derived = _derived_lists(graph)
-    for (level, prefix), members in sorted(derived.items()):
-        if len(members) < 2:
-            continue
-        ordered = sorted(members)
+    # The one derivation, from raw bits only: every level list (singletons
+    # included) keyed by its prefix — the level is the prefix's length —
+    # plus the dummy recount for 3b.
+    lists: Dict[Prefix, List[Key]] = {}
+    dummy_prefix_counts: Dict[Prefix, int] = {}
+    dummy_count = 0
+    for key in sorted(nodes):
+        node = nodes[key]
+        bits = node.membership.bits
+        dummy_count += node.is_dummy
+        for level in range(1, len(bits) + 1):
+            prefix = bits[:level]
+            lists.setdefault(prefix, []).append(key)
+            if node.is_dummy:
+                dummy_prefix_counts[prefix] = dummy_prefix_counts.get(prefix, 0) + 1
+    multi_lists = sorted(
+        (len(prefix), prefix, members) for prefix, members in lists.items() if len(members) >= 2
+    )
+
+    # 2. Level lists: the cache-backed neighbour walk agrees with the derivation.
+    for level, prefix, ordered in multi_lists:
+        last = len(ordered) - 1
         for index, key in enumerate(ordered):
             try:
                 left, right = graph.neighbors(key, level)
@@ -156,7 +142,7 @@ def verify_skip_graph_integrity(
                     return violations
                 continue
             want_left = ordered[index - 1] if index > 0 else None
-            want_right = ordered[index + 1] if index + 1 < len(ordered) else None
+            want_right = ordered[index + 1] if index < last else None
             if (left, right) != (want_left, want_right):
                 if not report(
                     f"level {level} list {prefix!r}: node {key!r} has neighbours "
@@ -168,33 +154,23 @@ def verify_skip_graph_integrity(
     # Merge lazy insertion buffers first: a pending key is structurally
     # present (node table, prefix counts) but not yet in its cached list.
     graph._flush_pending()
-    for (level, prefix), cached in sorted(graph._list_cache.items()):
-        expected = sorted(derived.get((level, prefix), []))
-        if list(cached) != expected:
-            if not report(
-                f"cached list (level={level}, prefix={prefix!r}) is {list(cached)!r}, "
-                f"expected {expected!r}"
-            ):
-                return violations
 
-    # 3b. Incremental indexes: recount prefixes from scratch.
-    prefix_counts: Dict[Prefix, int] = {}
-    dummy_prefix_counts: Dict[Prefix, int] = {}
-    dummy_count = 0
-    for node in nodes.values():
-        bits = node.membership.bits
-        if node.is_dummy:
-            dummy_count += 1
-        for level in range(1, len(bits) + 1):
-            prefix = bits[:level]
-            prefix_counts[prefix] = prefix_counts.get(prefix, 0) + 1
-            if node.is_dummy:
-                dummy_prefix_counts[prefix] = dummy_prefix_counts.get(prefix, 0) + 1
+    def derived(level: int, prefix: Prefix) -> List[Key]:
+        return lists.get(prefix, []) if len(prefix) == level else []
+
+    stale = [(entry, cached) for entry, cached in graph._list_cache.items() if cached != derived(*entry)]
+    for (level, prefix), cached in sorted(stale):
+        if not report(
+            f"cached list (level={level}, prefix={prefix!r}) is {list(cached)!r}, "
+            f"expected {derived(level, prefix)!r}"
+        ):
+            return violations
+
+    # 3b. Incremental indexes: a prefix's count is its derived list's length.
     multi: Dict[int, int] = {}
-    for prefix, count in prefix_counts.items():
-        if count >= 2:
-            multi[len(prefix)] = multi.get(len(prefix), 0) + 1
-    if graph._prefix_counts != prefix_counts:
+    for level, _prefix, _members in multi_lists:
+        multi[level] = multi.get(level, 0) + 1
+    if graph._prefix_counts != {prefix: len(members) for prefix, members in lists.items()}:
         report("prefix-count index does not match a from-scratch recount")
     if graph._dummy_prefix_counts != dummy_prefix_counts:
         report("dummy-prefix index does not match a from-scratch recount")
@@ -234,40 +210,59 @@ def verify_skip_graph_integrity(
 
     # 5. Network mirror: nodes, adjacency symmetry, links, level labels.
     if network is not None:
-        graph_keys = set(nodes)
-        net_nodes = set(network.nodes)
-        if graph_keys != net_nodes:
+        rows = network.rows
+        if rows.keys() != nodes.keys():
             report(
-                f"network node set mismatch (graph-only={sorted(graph_keys - net_nodes)!r}, "
-                f"network-only={sorted(net_nodes - graph_keys)!r})"
+                f"network node set mismatch (graph-only={sorted(nodes.keys() - rows.keys())!r}, "
+                f"network-only={sorted(rows.keys() - nodes.keys())!r})"
             )
-        for u in net_nodes:
-            for v in network.neighbors(u):
-                if not network.has_link(v, u):
-                    if not report(f"asymmetric adjacency: {u!r} -> {v!r} but not back"):
-                        return violations
-        expected_links = _expected_links(graph, redundancy)
-        actual_links = {frozenset(edge) for edge in network.edges()}
-        for link in sorted(
-            (link for link in expected_links if link not in actual_links),
-            key=sorted,
-        ):
-            if not report(f"missing link {sorted(link)!r}"):
+        # Expected links in the network's storage shape: members of every
+        # list within distance ``redundancy`` share one label set per link.
+        expected: Dict[Key, Dict[Key, Set[str]]] = {key: {} for key in (*nodes, *base)}
+        for level, _prefix, ordered in [(0, (), base), *multi_lists]:
+            label = f"level{level}"
+            for distance in range(1, redundancy + 1):
+                for u, v in zip(ordered, ordered[distance:]):
+                    row = expected[u]
+                    labels = row.get(v)
+                    if labels is None:
+                        row[v] = expected[v][u] = {label}
+                    else:
+                        labels.add(label)
+        # The expectation is symmetric by construction, so a network whose
+        # every row equals it is symmetric too.
+        differing = [] if rows == expected else [
+            key for key in rows.keys() | expected.keys() if rows.get(key) != expected.get(key)
+        ]
+        if differing:
+            for u, row in rows.items():
+                for v in row:
+                    if u not in rows.get(v, ()):
+                        if not report(f"asymmetric adjacency: {u!r} -> {v!r} but not back"):
+                            return violations
+        missing_links, unexpected_links, relabelled = set(), set(), {}
+        for u in differing:
+            actual_row, expected_row = rows.get(u, {}), expected.get(u, {})
+            for v in actual_row.keys() | expected_row.keys():
+                link = tuple(sorted((u, v)))
+                if v not in actual_row:
+                    missing_links.add(link)
+                elif v not in expected_row:
+                    unexpected_links.add(link)
+                elif actual_row[v] != expected_row[v]:
+                    relabelled[link] = (actual_row[v], expected_row[v])
+        for link in sorted(missing_links):
+            if not report(f"missing link {list(link)!r}"):
                 return violations
-        for link in sorted((link for link in actual_links if link not in expected_links), key=sorted):
-            if not report(f"unexpected link {sorted(link)!r}"):
+        for link in sorted(unexpected_links):
+            if not report(f"unexpected link {list(link)!r}"):
                 return violations
-        for link, labels in sorted(expected_links.items(), key=lambda item: sorted(item[0])):
-            if link not in actual_links:
-                continue
-            u, v = tuple(link)
-            actual_labels = network.labels(u, v)
-            if actual_labels != labels:
-                if not report(
-                    f"link {sorted(link)!r} carries labels {sorted(map(str, actual_labels))!r}, "
-                    f"expected {sorted(labels)!r}"
-                ):
-                    return violations
+        for link, (actual_labels, labels) in sorted(relabelled.items()):
+            if not report(
+                f"link {list(link)!r} carries labels {sorted(map(str, actual_labels))!r}, "
+                f"expected {sorted(labels)!r}"
+            ):
+                return violations
 
     return violations
 

@@ -11,8 +11,13 @@ contract needs pinning from both sides:
   built with);
 * **no false negatives** — each corruption class the checker exists for
   (a broken level-list link, an unsorted base list, a membership vector
-  rewritten behind the incremental indexes' back, and a network that
-  drifted from the graph) is seeded deliberately and must be caught.
+  rewritten behind the incremental indexes' back, each of the four
+  incremental indexes poked on its own, and a network that drifted from
+  the graph — missing, spurious, mislabelled or one-way links) is seeded
+  deliberately and must be caught.
+
+The sweep's report is additionally held, string for string, to the
+pre-rewrite verifier in ``test_integrity_differential.py``.
 """
 
 import pytest
@@ -134,6 +139,54 @@ class TestSeededCorruptionIsCaught:
         violations = verify_skip_graph_integrity(graph, network, redundancy=2)
         assert any("missing link" in violation for violation in violations)
         assert any("unexpected link" in violation for violation in violations)
+
+    def test_link_carrying_the_wrong_level_label(self):
+        graph = build_balanced_skip_graph(range(1, 33))
+        network = skip_graph_network(graph)
+        u, v = graph.keys[0], graph.keys[1]  # base-list neighbours: level0 only
+        assert network.labels(u, v) == {"level0"}
+        network.remove_link(u, v, label="level0")
+        network.add_link(u, v, label="level3")
+        violations = verify_skip_graph_integrity(graph, network)
+        assert violations == [f"link [{u}, {v}] carries labels ['level3'], expected ['level0']"]
+
+    def test_asymmetric_adjacency(self):
+        graph = build_balanced_skip_graph(range(1, 33))
+        network = skip_graph_network(graph)
+        u, v = graph.keys[0], graph.keys[1]
+        # The public API keeps both directions in step, so the one-way link
+        # has to be seeded in the row table itself.
+        del network._rows[v][u]
+        assert network.has_link(u, v) and not network.has_link(v, u)
+        violations = verify_skip_graph_integrity(graph, network)
+        assert f"asymmetric adjacency: {u!r} -> {v!r} but not back" in violations
+
+    @pytest.mark.parametrize(
+        "poke, expected",
+        [
+            (
+                lambda graph: graph._prefix_counts.__setitem__((0,), graph._prefix_counts[(0,)] + 1),
+                "prefix-count index does not match a from-scratch recount",
+            ),
+            (
+                lambda graph: graph._dummy_prefix_counts.__setitem__((0,), 1),
+                "dummy-prefix index does not match a from-scratch recount",
+            ),
+            (
+                lambda graph: setattr(graph, "_dummy_count", graph._dummy_count + 1),
+                "dummy count is 1, recount says 0",
+            ),
+            (
+                lambda graph: graph._multi_prefixes_per_level.__setitem__(1, 7),
+                "multi-prefix-per-level index does not match a from-scratch recount",
+            ),
+        ],
+        ids=["prefix-counts", "dummy-prefix-counts", "dummy-count", "multi-prefixes-per-level"],
+    )
+    def test_each_incremental_index_mismatch(self, poke, expected):
+        graph = build_balanced_skip_graph(range(1, 17))
+        poke(graph)
+        assert verify_skip_graph_integrity(graph) == [expected]
 
     def test_wrong_redundancy_is_flagged(self):
         graph = build_balanced_skip_graph(range(1, 33))

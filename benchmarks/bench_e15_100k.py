@@ -13,11 +13,13 @@ rebuilt network, batch == sequential) asserted *inside* the run:
 * **churn wave** — a second fresh 100k instance under ~20x the churn rate
   (the shape the incremental indexes exist for);
 * **equivalence replay** — one 4096-node churn schedule served twice, on
-  the incremental path and on the seed full-scan path
-  (``DSGConfig(use_reference_scans=True)``); total cost, final topology
+  the shipping kernel and on the reference kernel of
+  ``tests/reference/kernel_reference.py`` (op-by-op application, seed
+  O(n)-scan join bits, full a-balance rescans); total cost, final topology
   and dummy population must be identical;
 * **batch parity** — the same churn schedule through ``run_scenario``
-  (batched flushes) and ``play_scenario`` (per-request): identical costs;
+  (batched flushes) and ``play_scenario`` (per-request): identical costs,
+  and identical again on the reference kernel;
 * **network delta** — a 100k-node ``skip_graph_network`` carried across a
   join/leave wave by :func:`~repro.distributed.routing_protocol.apply_network_delta`,
   then compared link-for-link (labels included) against a from-scratch
@@ -41,6 +43,7 @@ import time
 from pathlib import Path
 
 from conftest import artifact_dir, publish_artifact, quick_mode
+from reference.kernel_reference import ReferenceDynamicSkipGraph
 
 from repro.analysis.artifacts import (
     AlgorithmResult,
@@ -227,8 +230,7 @@ def test_e15_100k_arena(run_once):
         incremental = DSGAdapter(keys=equiv.initial_keys, config=DSGConfig(seed=3))
         incremental_report = run_scenario(equiv, algorithm=incremental)
         reference = DSGAdapter(
-            keys=equiv.initial_keys,
-            config=DSGConfig(seed=3, use_reference_scans=True),
+            dsg=ReferenceDynamicSkipGraph(keys=equiv.initial_keys, config=DSGConfig(seed=3))
         )
         reference_report = run_scenario(equiv, algorithm=reference)
         outcome["equivalence"] = {
@@ -254,15 +256,9 @@ def test_e15_100k_arena(run_once):
             and batched.dsg.graph.membership_table() == sequential.dsg.graph.membership_table()
         )
 
-        # ---- batched adjustment kernel == reference appliers (PR 9) -----
+        # ---- bulk adjustment kernel == reference kernel, cost for cost --
         kernel_off = DSGAdapter(
-            keys=parity.initial_keys,
-            config=DSGConfig(
-                seed=2,
-                use_batched_apply=False,
-                use_plan_compaction=False,
-                use_array_lists=False,
-            ),
+            dsg=ReferenceDynamicSkipGraph(keys=parity.initial_keys, config=DSGConfig(seed=2))
         )
         kernel_off_report = run_scenario(parity, algorithm=kernel_off, keep_costs=True)
         outcome["kernel_parity"] = (

@@ -36,7 +36,7 @@ from repro.core.groups import (
     merge_groups_at_alpha,
     update_group_bases_after_transformation,
 )
-from repro.core.local_ops import LocalOp, OpRecorder, apply_ops, apply_ops_batch
+from repro.core.local_ops import LocalOp, OpRecorder
 from repro.core.priorities import compute_priorities
 from repro.core.state import DSGNodeState
 from repro.core.timestamps import TimestampContext, apply_timestamp_rules
@@ -48,7 +48,6 @@ from repro.skipgraph.build import (
     build_balanced_skip_graph,
     build_skip_graph,
     draw_membership_bits,
-    draw_membership_bits_reference,
 )
 from repro.skipgraph.routing import RoutingResult, route
 from repro.skipgraph.skipgraph import SkipGraph
@@ -82,32 +81,6 @@ class DSGConfig:
     initial_topology:
         ``"balanced"`` (default) or ``"random"`` membership vectors for the
         starting skip graph.
-    use_reference_scans:
-        Run the churn path on the seed O(n)-scan implementations
-        (:func:`~repro.skipgraph.build.draw_membership_bits_reference` for
-        join bits, a full :func:`~repro.skipgraph.balance.a_balance_violations`
-        rescan per cascade round of :meth:`DynamicSkipGraph.restore_a_balance`)
-        instead of the incremental indexes.  Slow — exists so the
-        equivalence benchmarks can replay one schedule on both paths and
-        assert identical costs, topology and dummy placement.
-    use_batched_apply:
-        Execute the planners' promote/demote/dummy-removal runs through the
-        skip graph's bulk entry points (one list splice and one prefix-index
-        pass per run) instead of op-by-op cache invalidation.  Plans, costs,
-        RNG draws and the final topology are byte-identical either way
-        (property-tested); ``False`` selects the op-by-op reference path.
-    use_plan_compaction:
-        Rewrite plans with the peephole compactor
-        (:func:`~repro.core.plan_opt.compact_plan`) before *replaying* them
-        through :meth:`DynamicSkipGraph.replay_plan`.  Never affects the
-        planners: cost accounting and recorded plans always describe the
-        original op sequence (Equation 1 is charged for the uncompacted
-        plan), only replay-style consumers execute the shorter form.
-    use_array_lists:
-        Mirror the membership bits into the flat numpy bit-matrix store
-        (:mod:`repro.skipgraph.array_store`) and let the a-balance scans run
-        vectorised over it.  Results are identical to the dict/list
-        reference path, which remains the executable specification.
     """
 
     a: int = 4
@@ -117,10 +90,6 @@ class DSGConfig:
     adjust: bool = True
     track_working_set: bool = True
     initial_topology: str = "balanced"
-    use_reference_scans: bool = False
-    use_batched_apply: bool = True
-    use_plan_compaction: bool = True
-    use_array_lists: bool = True
 
 
 @dataclass
@@ -212,6 +181,11 @@ class DynamicSkipGraph:
         self.config = config or DSGConfig()
         if self.config.a < 2:
             raise ValueError("the balance parameter a must be at least 2")
+        if self.config.initial_topology not in ("balanced", "random"):
+            raise ValueError(
+                'initial_topology must be "balanced" or "random", '
+                f"got {self.config.initial_topology!r}"
+            )
         self._rng = make_rng(self.config.seed)
         if graph is not None:
             self.graph = graph
@@ -233,9 +207,6 @@ class DynamicSkipGraph:
             state.group_base = initial_group_base(singleton_levels[key])
             self.states[key] = state
 
-        if self.config.use_array_lists:
-            self.graph.attach_array_store()
-
         self._time = 0
         self.history = CommunicationHistory(total_nodes=self.graph.real_count)
         #: Local-op plan of the most recent :meth:`add_node` / :meth:`remove_node`.
@@ -245,13 +216,11 @@ class DynamicSkipGraph:
         self._total_cost = 0
         self._total_routing_cost = 0
         #: Incremental a-balance dirty marks, fed by every recorder this
-        #: instance creates; ``None`` on the reference-scan replay path and
-        #: when a-balance is not maintained (nothing would ever consume the
-        #: marks, so feeding them would only accumulate memory).
+        #: instance creates; ``None`` when a-balance is not maintained
+        #: (nothing would ever consume the marks, so feeding them would only
+        #: accumulate memory).
         self.balance_tracker: Optional[BalanceTracker] = (
-            None
-            if self.config.use_reference_scans or not self.config.maintain_a_balance
-            else BalanceTracker()
+            BalanceTracker() if self.config.maintain_a_balance else None
         )
         #: Request-plan size distribution: ``len(result.ops) -> requests``.
         self._plan_size_hist: Dict[int, int] = {}
@@ -446,12 +415,7 @@ class DynamicSkipGraph:
         on ``result.ops``.
         """
         graph = self.graph
-        recorder = OpRecorder(
-            graph,
-            tracker=self.balance_tracker,
-            batched=self.config.use_batched_apply,
-            apply_timer=self._apply_timer,
-        )
+        recorder = self._recorder()
         result.ops = recorder.ops
         alpha = graph.common_level(u, v)
         result.alpha = alpha
@@ -589,31 +553,11 @@ class DynamicSkipGraph:
         """
         return [self.request(u, v) for u, v in requests]
 
-    def replay_plan(self, graph: SkipGraph, ops: Sequence[LocalOp]) -> None:
-        """Apply a recorded plan to ``graph`` under this instance's toggles.
-
-        The replay front door for drivers and equivalence checks: honours
-        ``config.use_batched_apply`` (bulk splices vs. op-by-op) and
-        ``config.use_plan_compaction`` (peephole-compacted vs. original
-        plan) independently, so every combination remains runnable against
-        the same recorded plans.  The final topology is identical in all
-        four modes (property-tested).
-        """
-        if self.config.use_plan_compaction:
-            from repro.core.plan_opt import compact_plan
-
-            ops = compact_plan(ops)
-        if self.config.use_batched_apply:
-            apply_ops_batch(graph, ops)
-        else:
-            apply_ops(graph, ops)
-
-    def _churn_recorder(self) -> OpRecorder:
-        """A recorder wired to this instance's tracker, batching and timer."""
+    def _recorder(self) -> OpRecorder:
+        """A recorder wired to this instance's tracker and apply timer."""
         return OpRecorder(
             self.graph,
             tracker=self.balance_tracker,
-            batched=self.config.use_batched_apply,
             apply_timer=self._apply_timer,
         )
 
@@ -628,19 +572,13 @@ class DynamicSkipGraph:
 
         Membership bits come from the indexed
         :func:`~repro.skipgraph.build.draw_membership_bits` (O(height) per
-        draw) unless ``config.use_reference_scans`` selects the seed O(n)
-        scan; both emit the identical bit stream for a given RNG.
+        draw).
         """
         self._check_keys([key])
         if self.graph.has_node(key):
             raise ValueError(f"key {key!r} already present")
-        recorder = self._churn_recorder()
-        draw = (
-            draw_membership_bits_reference
-            if self.config.use_reference_scans
-            else draw_membership_bits
-        )
-        bits = draw(self.graph, key, self._rng)
+        recorder = self._recorder()
+        bits = draw_membership_bits(self.graph, key, self._rng)
         recorder.join(key, bits, payload=payload)
         state = DSGNodeState(key=key)
         state.group_base = initial_group_base(self.graph.singleton_level(key))
@@ -658,7 +596,7 @@ class DynamicSkipGraph:
             raise KeyError(f"no node with key {key!r}")
         if self.graph.node(key).is_dummy:
             raise ValueError("dummy nodes are managed internally")
-        recorder = self._churn_recorder()
+        recorder = self._recorder()
         recorder.leave(key)
         self.states.pop(key, None)
         self.history.total_nodes = self.graph.real_count
@@ -686,8 +624,8 @@ class DynamicSkipGraph:
         Each round's violations come from :attr:`balance_tracker` — only
         the lists dirtied since the last consumption are rescanned, in the
         full-rescan order, so repairs (and their RNG draws) are identical
-        to the ``use_reference_scans`` path, which rescans the whole graph
-        every round.  A violation whose dummy key could not be placed has
+        to rescanning the whole graph every round (the tracker-less path
+        below).  A violation whose dummy key could not be placed has
         its list re-marked whole, so the next churn event retries it
         exactly like a full rescan would.  A caller-supplied ``recorder``
         that does not carry :attr:`balance_tracker` forces this call onto
@@ -696,7 +634,7 @@ class DynamicSkipGraph:
         """
         tracker = self.balance_tracker
         if recorder is None:
-            recorder = self._churn_recorder()
+            recorder = self._recorder()
         elif tracker is not None and recorder.tracker is not tracker:
             # A caller-supplied recorder bypassed this instance's tracker, so
             # the dirty marks cannot be trusted to cover the caller's ops:

@@ -60,7 +60,6 @@ __all__ = [
     "DemoteOp",
     "DummyInsertOp",
     "DummyRemoveOp",
-    "ExtendOp",
     "LocalOp",
     "NodeJoinOp",
     "NodeLeaveOp",
@@ -69,7 +68,6 @@ __all__ = [
     "apply_op",
     "apply_op_touched",
     "apply_ops",
-    "apply_ops_batch",
     "apply_ops_touched",
     "op_anchor",
     "op_from_payload",
@@ -122,35 +120,9 @@ class NodeLeaveOp(NamedTuple):
     key: Key
 
 
-class ExtendOp(NamedTuple):
-    """Assign the bits for levels ``level .. level + len(bits) - 1`` at once.
-
-    Exactly the fold of ``PromoteOp(key, level + i, bits[i])`` over ``i`` —
-    the multi-bit extension the peephole compactor
-    (:func:`repro.core.plan_opt.compact_plan`) coalesces a run of
-    consecutive promotes into.  Still O(1) words on the wire: a level plus
-    one packed ``O(log n)``-bit string.
-    """
-
-    key: Key
-    level: int
-    bits: Bits
-
-
 LocalOp = Union[
-    PromoteOp, DemoteOp, DummyInsertOp, DummyRemoveOp, NodeJoinOp, NodeLeaveOp, ExtendOp
+    PromoteOp, DemoteOp, DummyInsertOp, DummyRemoveOp, NodeJoinOp, NodeLeaveOp
 ]
-
-
-def _extend_vector(old: MembershipVector, level: int, bits: Bits) -> MembershipVector:
-    """Fold ``with_bit(level + i, bits[i])`` computed as one splice."""
-    old_bits = old.bits
-    start = level - 1
-    if len(old_bits) <= start:
-        new_bits = old_bits + (0,) * (start - len(old_bits)) + bits
-    else:
-        new_bits = old_bits[:start] + bits + old_bits[start + len(bits):]
-    return MembershipVector._from_trusted(new_bits)
 
 
 # ------------------------------------------------------------------ applier
@@ -178,12 +150,6 @@ def apply_op(graph: SkipGraph, op: LocalOp, tracker: Optional["BalanceTracker"] 
             if tracker is not None:
                 tracker.mark_rewrite(op.key, membership.bits, membership.bits[: op.length])
             graph.set_membership(op.key, membership.truncated(op.length))
-    elif type(op) is ExtendOp:
-        old = graph.membership(op.key)
-        new = _extend_vector(old, op.level, op.bits)
-        if tracker is not None:
-            tracker.mark_rewrite(op.key, old.bits, new.bits)
-        graph.set_membership(op.key, new)
     elif type(op) is DummyInsertOp:
         if tracker is not None:
             tracker.mark_insert(op.key, op.bits)
@@ -211,97 +177,6 @@ def apply_ops(graph: SkipGraph, ops: Sequence[LocalOp]) -> None:
     """
     for op in ops:
         apply_op(graph, op)
-
-
-def apply_ops_batch(
-    graph: SkipGraph,
-    ops: Sequence[LocalOp],
-    tracker: Optional["BalanceTracker"] = None,
-    compact: bool = False,
-) -> None:
-    """Replay a recorded plan with bulk structure updates.
-
-    End state (graph *and* tracker dirty marks) identical to
-    :func:`apply_ops` with the same tracker, but maximal consecutive runs of
-    same-shape ops — promotes sharing ``(level, bit)``, demotes sharing a
-    cut length, dummy removals — go through the skip graph's bulk entry
-    points (one list splice and one prefix-index pass per run) instead of
-    op-by-op cache invalidation.  The ops inside such a run all target
-    distinct keys of one split level, so they commute and the grouped
-    application is order-equivalent.  Anything that does not form a run
-    falls back to :func:`apply_op`, keeping the batched applier exactly as
-    general as the sequential one.
-
-    With ``compact=True`` the plan is first rewritten by
-    :func:`repro.core.plan_opt.compact_plan`; the final topology is
-    preserved but dirty marks of compacted-away ops are legitimately not
-    emitted, so compaction is only for consumers that need the end state.
-    """
-    if compact:
-        from repro.core.plan_opt import compact_plan
-
-        ops = compact_plan(ops)
-    total = len(ops)
-    index = 0
-    while index < total:
-        op = ops[index]
-        op_type = type(op)
-        if op_type is PromoteOp:
-            level = op.level
-            bit = op.bit
-            previous = op.key
-            end = index + 1
-            while end < total:
-                candidate = ops[end]
-                if (
-                    type(candidate) is not PromoteOp
-                    or candidate.level != level
-                    or candidate.bit != bit
-                    or not previous < candidate.key
-                ):
-                    break
-                previous = candidate.key
-                end += 1
-            if end - index > 1:
-                keys = [ops[position].key for position in range(index, end)]
-                if graph.promote_run(keys, level, bit, tracker=tracker):
-                    index = end
-                    continue
-        elif op_type is DemoteOp:
-            length = op.length
-            previous = op.key
-            end = index + 1
-            while end < total:
-                candidate = ops[end]
-                if (
-                    type(candidate) is not DemoteOp
-                    or candidate.length != length
-                    or not previous < candidate.key
-                ):
-                    break
-                previous = candidate.key
-                end += 1
-            if end - index > 1:
-                keys = [ops[position].key for position in range(index, end)]
-                if graph.demote_run(keys, length, tracker=tracker):
-                    index = end
-                    continue
-        elif op_type is DummyRemoveOp:
-            previous = op.key
-            end = index + 1
-            while end < total:
-                candidate = ops[end]
-                if type(candidate) is not DummyRemoveOp or not previous < candidate.key:
-                    break
-                previous = candidate.key
-                end += 1
-            if end - index > 1:
-                keys = [ops[position].key for position in range(index, end)]
-                graph.remove_run(keys, tracker=tracker)
-                index = end
-                continue
-        apply_op(graph, op, tracker)
-        index += 1
 
 
 # ------------------------------------------------------------- target sets
@@ -339,14 +214,12 @@ def _apply_op_touched_into(graph: SkipGraph, op: LocalOp, touched: set) -> None:
                 if neighbor is not None:
                     touched.add(neighbor)
         apply_op(graph, op)
-    elif type(op) in (PromoteOp, DemoteOp, ExtendOp):
+    elif type(op) in (PromoteOp, DemoteOp):
         old = graph.membership(op.key)
         if type(op) is PromoteOp:
             new = old.with_bit(op.level, op.bit)
-        elif type(op) is DemoteOp:
-            new = old.truncated(op.length)
         else:
-            new = _extend_vector(old, op.level, op.bits)
+            new = old.truncated(op.length)
         keep = common_prefix_length(old, new)
         for level in range(keep + 1, len(old) + 1):
             for neighbor in graph.neighbors(op.key, level):
@@ -393,28 +266,26 @@ class OpRecorder:
 
     The ``*_run`` bulk methods record exactly the per-key op sequence the
     singular methods would, so the plan (and therefore the cost accounting
-    and the wire traffic) is byte-identical either way; with ``batched``
-    recorders the *application* goes through the skip graph's bulk entry
-    points — one list splice per run instead of one cache invalidation per
-    op — falling back to per-op application whenever a bulk precondition
-    fails.  ``apply_timer``, when given, is a one-element list accumulating
-    the seconds spent inside bulk splices (the adapter's "apply" phase).
+    and the wire traffic) is byte-identical either way; the *application*
+    goes through the skip graph's bulk entry points — one list splice per
+    run instead of one cache invalidation per op — falling back to per-op
+    application whenever a bulk precondition fails.  ``apply_timer``, when
+    given, is a one-element list accumulating the seconds spent inside bulk
+    splices (the adapter's "apply" phase).
     """
 
-    __slots__ = ("graph", "ops", "tracker", "batched", "apply_timer")
+    __slots__ = ("graph", "ops", "tracker", "apply_timer")
 
     def __init__(
         self,
         graph: SkipGraph,
         ops: Optional[List[LocalOp]] = None,
         tracker: Optional["BalanceTracker"] = None,
-        batched: bool = False,
         apply_timer: Optional[List[float]] = None,
     ) -> None:
         self.graph = graph
         self.ops: List[LocalOp] = ops if ops is not None else []
         self.tracker = tracker
-        self.batched = batched
         self.apply_timer = apply_timer
 
     def _record(self, op: LocalOp) -> None:
@@ -430,7 +301,7 @@ class OpRecorder:
 
     def promote_run(self, keys: Sequence[Key], level: int, bit: int) -> None:
         """Promote every key of ``keys`` (one split sublist) to ``level``."""
-        if self.batched and len(keys) > 1:
+        if len(keys) > 1:
             began = perf_counter()
             landed = self.graph.promote_run(keys, level, bit, tracker=self.tracker)
             if self.apply_timer is not None:
@@ -445,7 +316,7 @@ class OpRecorder:
         """Truncate every key of ``keys`` (one subtree's members) to ``length``."""
         membership = self.graph.membership
         eligible = [key for key in keys if len(membership(key)) > length]
-        if self.batched and len(eligible) > 1:
+        if len(eligible) > 1:
             began = perf_counter()
             landed = self.graph.demote_run(eligible, length, tracker=self.tracker)
             if self.apply_timer is not None:
@@ -458,7 +329,7 @@ class OpRecorder:
 
     def remove_run(self, keys: Sequence[Key]) -> None:
         """Destroy every dummy in ``keys`` (ascending) in one bulk removal."""
-        if self.batched and len(keys) > 1:
+        if len(keys) > 1:
             began = perf_counter()
             self.graph.remove_run(keys, tracker=self.tracker)
             if self.apply_timer is not None:
@@ -473,7 +344,7 @@ class OpRecorder:
 
     def insert_dummy_run(self, entries: Sequence[Tuple[Key, Bits]]) -> None:
         """Insert a batch of dummies (one chain pass or one repair round)."""
-        if self.batched and len(entries) > 1:
+        if len(entries) > 1:
             ops = [DummyInsertOp(key, tuple(bits)) for key, bits in entries]
             make_vector = MembershipVector._from_trusted
             nodes = [
@@ -517,7 +388,6 @@ _OP_TAGS = {
     DummyRemoveOp: 3,
     NodeJoinOp: 4,
     NodeLeaveOp: 5,
-    ExtendOp: 6,
 }
 
 
@@ -547,9 +417,6 @@ def op_to_payload(op: LocalOp) -> dict:
     if type(op) in (DummyInsertOp, NodeJoinOp):
         length, value = _encode_bits(op.bits)
         return {"t": tag, "k": op.key, "l": length, "b": value}
-    if type(op) is ExtendOp:
-        length, value = _encode_bits(op.bits)
-        return {"t": tag, "k": op.key, "l": op.level, "n": length, "b": value}
     return {"t": tag, "k": op.key}
 
 
@@ -569,8 +436,6 @@ def op_from_payload(payload: dict) -> LocalOp:
         return NodeJoinOp(key, _decode_bits(payload["l"], payload["b"]))
     if tag == 5:
         return NodeLeaveOp(key)
-    if tag == 6:
-        return ExtendOp(key, payload["l"], _decode_bits(payload["n"], payload["b"]))
     raise ValueError(f"unknown op tag {tag!r}")
 
 

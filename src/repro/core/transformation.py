@@ -147,7 +147,7 @@ def transform(
     # involved node forgets its deeper membership bits and re-acquires them
     # level by level ("finds their new and complete membership vectors").
     # One run: the members are sorted and share their first ``alpha`` bits,
-    # so a batched recorder truncates the whole subtree in a single pass.
+    # so the recorder truncates the whole subtree in a single pass.
     recorder.demote_run(members, alpha)
 
     if set(members) == {u, v}:
@@ -267,7 +267,7 @@ def _split_recursive(
 
     # ------------------------------------------------------------ apply bits
     # Each sublist is one commuting run (distinct keys, same level, same
-    # bit): a batched recorder splices the new level list in one pass.
+    # bit): the recorder splices the new level list in one pass.
     recorder.promote_run(zero_list, level, 0)
     recorder.promote_run(one_list, level, 1)
 

@@ -44,8 +44,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.skipgraph.skipgraph import SkipGraph
 
 __all__ = [
@@ -300,12 +298,8 @@ class BalanceTracker:
         # Densely anchored lists (a transformation rewrote most of the
         # list) are cheaper — and identically — covered by one linear
         # pass; the anchored walk is for big lists with few changes
-        # (the base list after one join, say).  With the array store
-        # attached the linear pass is one vectorised gather, so it wins
-        # until the anchors are ~64x sparser than the members.
+        # (the base list after one join, say).
         dense_factor = a + 2
-        if graph._array_store is not None:
-            dense_factor = max(dense_factor, 64)
         for level, _, prefix, members, anchors in entries:
             if anchors is None or len(anchors) * dense_factor >= len(members):
                 violations.extend(_scan_whole_list(graph, level, prefix, members, a))
@@ -314,17 +308,10 @@ class BalanceTracker:
         return violations
 
 
-# Below this size the per-call numpy overhead beats the Python walk.
-_VECTOR_SCAN_MIN = 64
-
-
 def _scan_whole_list(
     graph: SkipGraph, level: int, prefix: Prefix, members: List, a: int
 ) -> List[BalanceViolation]:
     """Maximal runs longer than ``a`` in one list, left to right."""
-    store = graph._array_store
-    if store is not None and len(members) >= _VECTOR_SCAN_MIN:
-        return _scan_whole_list_array(store, level, prefix, members, a)
     node = graph.node
     violations: List[BalanceViolation] = []
     run_bit: Optional[int] = None
@@ -340,34 +327,6 @@ def _scan_whole_list(
         run_keys = [key]
     _record_run(violations, level, prefix, run_bit, run_keys, a)
     return violations
-
-
-def _scan_whole_list_array(
-    store, level: int, prefix: Prefix, members: List, a: int
-) -> List[BalanceViolation]:
-    """:func:`_scan_whole_list` over the attached array store, vectorised.
-
-    One gather pulls the whole bit column; run boundaries fall out of a
-    single shifted comparison.  Keys with no bit at ``level`` appear as
-    :data:`~repro.skipgraph.array_store.NO_BIT` and their runs are dropped,
-    exactly as the Python walk never records ``None`` runs — the reported
-    violations are identical (property-tested).
-    """
-    column = store.bit_column(members, level)
-    size = len(column)
-    boundaries = np.flatnonzero(column[1:] != column[:-1])
-    starts = np.concatenate(([0], boundaries + 1))
-    ends = np.concatenate((boundaries, [size - 1]))
-    keep = np.flatnonzero(((ends - starts + 1) > a) & (column[starts] >= 0))
-    return [
-        BalanceViolation(
-            level=level,
-            prefix=prefix,
-            bit=int(column[starts[index]]),
-            run_keys=tuple(members[starts[index] : ends[index] + 1]),
-        )
-        for index in keep
-    ]
 
 
 def _scan_anchored(

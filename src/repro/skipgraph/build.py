@@ -34,7 +34,6 @@ __all__ = [
     "build_balanced_skip_graph",
     "build_skip_graph_from_membership",
     "draw_membership_bits",
-    "draw_membership_bits_reference",
 ]
 
 
@@ -113,38 +112,14 @@ def draw_membership_bits(graph: SkipGraph, key: Key, rng: random.Random) -> List
     so one join costs O(height) index lookups instead of an O(n) scan of
     ``real_keys`` per drawn bit.  The predicate — and therefore the number
     of RNG draws and the emitted bits — is *byte-identical* to the scan
-    (kept as :func:`draw_membership_bits_reference` and property-tested
-    against it), which is what keeps every algorithm churning identically
-    across the old and new implementations.
+    (kept test-side as ``draw_membership_bits_reference`` in
+    ``tests/reference/kernel_reference.py`` and property-tested against
+    it), which is what keeps every algorithm churning identically across
+    the old and new implementations.
     """
     bits: List[int] = []
     shares = graph.shares_real_prefix
     while shares(tuple(bits), exclude=key):
-        bits.append(rng.randint(0, 1))
-    return bits
-
-
-def draw_membership_bits_reference(graph: SkipGraph, key: Key, rng: random.Random) -> List[int]:
-    """Executable specification of :func:`draw_membership_bits` (O(n) scan).
-
-    The seed implementation: the shared-prefix predicate re-scans every
-    real key per drawn bit.  Kept for the property tests and for the
-    full-scan replay path (``DSGConfig.use_reference_scans``) that the
-    incremental churn machinery is proven equivalent against.
-    """
-    bits: List[int] = []
-
-    def prefix_shared() -> bool:
-        prefix = tuple(bits)
-        for other in graph.real_keys:
-            if other == key:
-                continue
-            membership = graph.membership(other)
-            if len(membership) >= len(prefix) and membership.bits[: len(prefix)] == prefix:
-                return True
-        return False
-
-    while prefix_shared():
         bits.append(rng.randint(0, 1))
     return bits
 

@@ -32,10 +32,6 @@ Checks performed (each yields human-readable violation strings):
 3. **membership-prefix consistency** — every cached list contains exactly
    the keys whose vectors carry its prefix, and the incremental prefix
    counts (total, dummy, multi-per-level) match a from-scratch recount;
-   when an array-backed bit store is attached (``attach_array_store``),
-   its membership, row count and per-key vectors are audited against the
-   node table too — a crash/repair/rejoin cycle must leave the numpy
-   mirror in lock-step with the canonical per-node bits;
 4. **vector uniqueness** — no two real nodes share a full membership
    vector (delegates to :meth:`SkipGraph.validate`);
 5. **network symmetry** (when a network is given) — the network's node
@@ -178,29 +174,6 @@ def verify_skip_graph_integrity(
         report(f"dummy count is {graph._dummy_count}, recount says {dummy_count}")
     if graph._multi_prefixes_per_level != multi:
         report("multi-prefix-per-level index does not match a from-scratch recount")
-
-    # 3c. Array-backed bit store (PR 9): the numpy mirror must stay in
-    # lock-step with the node table through crash/repair/rejoin cycles.
-    store = graph._array_store
-    if store is not None:
-        if len(store) != len(nodes):
-            report(f"array store holds {len(store)} rows, node table holds {len(nodes)}")
-        for key in sorted(set(store._rows) - set(nodes)):
-            if not report(f"array store carries stale key {key!r} absent from the node table"):
-                return violations
-        for key in sorted(nodes):
-            if key not in store:
-                if not report(f"array store is missing key {key!r}"):
-                    return violations
-                continue
-            expected_bits = nodes[key].membership.bits
-            stored_bits = store.vector(key)
-            if stored_bits != expected_bits:
-                if not report(
-                    f"array store vector for {key!r} is {stored_bits!r}, "
-                    f"node table says {expected_bits!r}"
-                ):
-                    return violations
 
     # 4. Vector uniqueness (and the structure's own invariants).
     try:

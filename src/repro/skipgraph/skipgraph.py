@@ -151,8 +151,6 @@ class SkipGraph:
         # the hot path (membership rewrites of real nodes) never pays for it.
         self._dummy_prefix_counts: Dict[Prefix, int] = {}
         self._dummy_count = 0
-        # Optional numpy mirror of the membership bits (attach_array_store).
-        self._array_store = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -200,8 +198,6 @@ class SkipGraph:
         if node.is_dummy:
             self._dummy_count += 1
         self._register_vector(bits, dummy=node.is_dummy)
-        if self._array_store is not None:
-            self._array_store.insert(node.key, bits)
         list_cache = self._list_cache
         pending_inserts = self._pending_inserts
         pop_pos = self._pos_cache.pop
@@ -234,8 +230,6 @@ class SkipGraph:
         if node.is_dummy:
             self._dummy_count -= 1
         self._unregister_vector(bits, dummy=node.is_dummy)
-        if self._array_store is not None:
-            self._array_store.remove(key)
         list_cache = self._list_cache
         pending_inserts = self._pending_inserts
         pop_pos = self._pos_cache.pop
@@ -311,8 +305,6 @@ class SkipGraph:
         keep_prefix = common_prefix_length(old, new)
         self._unregister_vector(old.bits, start=keep_prefix + 1, dummy=node.is_dummy)
         self._register_vector(new.bits, start=keep_prefix + 1, dummy=node.is_dummy)
-        if self._array_store is not None:
-            self._array_store.rewrite(key, new.bits)
         self._invalidate_for_change(old, new, keep_prefix)
 
     def _invalidate_for_change(self, old: MembershipVector, new: MembershipVector, keep_prefix: int) -> None:
@@ -335,23 +327,6 @@ class SkipGraph:
         # (the keys live in the node table and reappear on re-derivation);
         # the base list's buffer is merged on its next read.
         self._pending_inserts.clear()
-
-    def attach_array_store(self) -> None:
-        """Mirror the membership bits into a flat numpy bit matrix.
-
-        After attaching, every membership mutation (single-op and bulk) keeps
-        the mirror in sync, and the a-balance scans gather whole bit columns
-        from it instead of probing node objects one by one.  The dict/list
-        structures remain the source of truth; detach by setting
-        ``_array_store`` back to ``None``.  Copies made with :meth:`copy`
-        never inherit the mirror.
-        """
-        from repro.skipgraph.array_store import ArrayBitStore
-
-        nodes = self._nodes
-        self._array_store = ArrayBitStore(
-            [(key, nodes[key].membership.bits) for key in self._base_list()]
-        )
 
     # ------------------------------------------------- incremental height data
     def _register_vector(self, bits: Prefix, start: int = 1, dummy: bool = False) -> None:
@@ -471,8 +446,6 @@ class SkipGraph:
         shared = MembershipVector._from_trusted(new_bits)
         for key in keys:
             nodes[key].membership = shared
-        if self._array_store is not None:
-            self._array_store.rewrite_run(keys, new_bits)
         self._register_vectors(new_bits, len(keys), start=level, dummy_count=dummy_count)
         cache_key = (level, new_bits)
         if prior_carriers == 0:
@@ -531,8 +504,6 @@ class SkipGraph:
             for (level, prefix), marked in affected.items():
                 tracker.mark_run(level, prefix, marked)
         shared = MembershipVector._from_trusted(shared_bits)
-        if self._array_store is not None:
-            self._array_store.truncate_run(keys, length)
         dummy_counts = self._dummy_prefix_counts
         for node, bits in entries:
             node.membership = shared
@@ -581,7 +552,6 @@ class SkipGraph:
             for key in keys:
                 tracker.mark_remove(self, key)
         nodes = self._nodes
-        store = self._array_store
         affected: Dict[Tuple[int, Prefix], List[Key]] = {}
         dummy_affected: Dict[Tuple[int, Prefix], int] = {}
         for key in keys:
@@ -591,8 +561,6 @@ class SkipGraph:
             bits = node.membership.bits
             if node.is_dummy:
                 self._dummy_count -= 1
-            if store is not None:
-                store.remove(key)
             for level in range(1, len(bits) + 1):
                 entry = (level, bits[:level])
                 bucket = affected.get(entry)
@@ -653,7 +621,6 @@ class SkipGraph:
             for node in new_nodes:
                 tracker.mark_insert(node.key, node.membership.bits)
         nodes = self._nodes
-        store = self._array_store
         new_keys: List[Key] = []
         by_list: Dict[Tuple[int, Prefix], List[Key]] = {}
         list_cache = self._list_cache
@@ -667,8 +634,6 @@ class SkipGraph:
             if node.is_dummy:
                 self._dummy_count += 1
             self._register_vector(bits, dummy=node.is_dummy)
-            if store is not None:
-                store.insert(key, bits)
             for level in range(1, len(bits) + 1):
                 cache_key = (level, bits[:level])
                 if cache_key in list_cache:

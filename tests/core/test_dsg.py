@@ -52,6 +52,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DynamicSkipGraph(keys=KEYS, config=DSGConfig(a=1))
 
+    def test_misspelt_initial_topology_rejected(self):
+        # "rnadom" used to fall through to the balanced construction.
+        with pytest.raises(ValueError, match="initial_topology"):
+            DynamicSkipGraph(keys=KEYS, config=DSGConfig(initial_topology="rnadom"))
+
     def test_initial_states(self, dsg):
         state = dsg.state(1)
         assert state.timestamp(0) == 0

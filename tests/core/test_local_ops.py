@@ -20,6 +20,7 @@ from repro.core.local_ops import (
     NodeLeaveOp,
     OpRecorder,
     PromoteOp,
+    _OP_TAGS,
     apply_op,
     apply_ops,
     op_anchor,
@@ -89,9 +90,17 @@ class TestOpApplication:
 
 
 class TestWireFormat:
-    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: type(op).__name__)
+    @pytest.mark.parametrize(
+        "op",
+        ALL_OPS + [pytest.param(DummyInsertOp(9, ()), id="DummyInsertOp-no-bits")],
+        ids=lambda op: type(op).__name__,
+    )
     def test_payload_roundtrip(self, op):
         assert op_from_payload(op_to_payload(op)) == op
+
+    def test_every_op_kind_has_a_tag_and_a_sample(self):
+        assert set(_OP_TAGS) == {type(op) for op in ALL_OPS}
+        assert sorted(_OP_TAGS.values()) == list(range(6))
 
     def test_bit_strings_keep_leading_zeros(self):
         op = DummyInsertOp(1.5, (0, 0, 1, 0))
@@ -104,8 +113,10 @@ class TestWireFormat:
             assert all(isinstance(key, str) and len(key) == 1 for key in payload)
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            op_from_payload({"t": 99, "k": 1})
+        # Tag 6 was the multi-bit extension op; it left the wire format.
+        for payload in ({"t": 99, "k": 1}, {"t": 6, "k": 5, "l": 7, "n": 3, "b": 0b101}):
+            with pytest.raises(ValueError, match="unknown op tag"):
+                op_from_payload(payload)
 
     def test_anchor_rules(self):
         graph = build_balanced_skip_graph(range(1, 9))

@@ -15,16 +15,19 @@ the equivalence contract that makes the replacement safe:
 """
 
 import pytest
+from reference.kernel_reference import ReferenceDynamicSkipGraph, draw_membership_bits_reference
 
 from repro.baselines.adapter import DSGAdapter
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 from repro.core.local_ops import (
     DemoteOp,
     DummyInsertOp,
+    DummyRemoveOp,
     NodeJoinOp,
     NodeLeaveOp,
     OpRecorder,
     PromoteOp,
+    _OP_TAGS,
 )
 from repro.distributed.routing_protocol import (
     apply_network_delta,
@@ -42,7 +45,7 @@ from repro.skipgraph import (
     check_a_balance,
 )
 from repro.skipgraph.balance import BalanceTracker
-from repro.skipgraph.build import draw_membership_bits, draw_membership_bits_reference
+from repro.skipgraph.build import draw_membership_bits
 from repro.workloads.scenarios import churn_scenario, run_scenario
 
 
@@ -191,8 +194,9 @@ class TestBalanceTracker:
         )
         run_scenario(scenario, algorithm=incremental)
         reference = DSGAdapter(
-            keys=scenario.initial_keys,
-            config=DSGConfig(seed=seed, a=3, use_reference_scans=True),
+            dsg=ReferenceDynamicSkipGraph(
+                keys=scenario.initial_keys, config=DSGConfig(seed=seed, a=3)
+            )
         )
         run_scenario(scenario, algorithm=reference)
         assert incremental.total_cost == reference.total_cost
@@ -268,7 +272,10 @@ class TestNetworkDelta:
             DummyInsertOp(6.5, graph.membership(6).bits[:2] + (1,)),
             NodeJoinOp(40, (0, 1, 0)),
             NodeLeaveOp(9),
+            DummyRemoveOp(6.5),
         ]
+        # The whitelist and the wire format list the same op kinds.
+        assert {type(op) for op in ops} == set(_OP_TAGS)
         for op in ops:
             patch_network(network, graph, op)
             assert networks_equal(network, skip_graph_network(graph))

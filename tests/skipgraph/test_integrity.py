@@ -204,46 +204,16 @@ class TestSeededCorruptionIsCaught:
         assert "capped" in violations[-1]
 
 
-class TestArrayStoreParity:
-    """PR 9's numpy bit mirror audited through PR 6's failure machinery:
-    the store must track the node table through crash / repair / rejoin
-    cycles, including while lazy pending-insert overlays are live."""
-
-    def test_attached_store_verifies_clean(self):
-        graph = build_balanced_skip_graph(range(1, 65))
-        graph.attach_array_store()
-        assert verify_skip_graph_integrity(graph, skip_graph_network(graph)) == []
-
-    def test_stale_store_vector_is_caught(self):
-        graph = build_balanced_skip_graph(range(1, 33))
-        graph.attach_array_store()
-        key = graph.keys[5]
-        bits = graph.membership(key).bits
-        graph._array_store.rewrite(key, tuple(1 - bit for bit in bits))
-        violations = verify_skip_graph_integrity(graph)
-        assert any("array store vector" in violation for violation in violations)
-
-    def test_missing_and_stale_store_rows_are_caught(self):
-        graph = build_balanced_skip_graph(range(1, 33))
-        graph.attach_array_store()
-        victim = graph.keys[3]
-        graph._array_store.remove(victim)
-        violations = verify_skip_graph_integrity(graph)
-        assert any("missing key" in violation for violation in violations)
-        # The opposite drift: a row that outlived its node.
-        graph2 = build_balanced_skip_graph(range(1, 33))
-        graph2.attach_array_store()
-        graph2._array_store.insert(999, (0, 1))
-        violations2 = verify_skip_graph_integrity(graph2)
-        assert any("stale key" in violation for violation in violations2)
+class TestCrashRepairRejoin:
+    """The sweep stays clean through crash / repair / rejoin cycles,
+    including while lazy pending-insert overlays are live."""
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_crash_repair_rejoin_keeps_store_in_lockstep(self, k):
+    def test_crash_repair_rejoin_verifies_clean(self, k):
         from repro.distributed import rejoin_crash_links, repair_crash_links
         from repro.skipgraph.build import draw_membership_bits
 
         graph = build_balanced_skip_graph(range(1, 49))
-        graph.attach_array_store()
         network = skip_graph_network(graph, k=k)
         rng = make_rng(30 + k)
         for _ in range(4):
@@ -259,7 +229,7 @@ class TestArrayStoreParity:
     def test_pending_overlay_survives_a_member_crash(self, monkeypatch):
         """With ``_PENDING_MIN`` forced tiny, a rejoin lands through the
         lazy insertion overlay; crashing a member while the overlay is
-        live must still repair to a clean, store-consistent structure."""
+        live must still repair to a clean structure."""
         import repro.skipgraph.skipgraph as skipgraph_module
         from repro.distributed import rejoin_crash_links, repair_crash_links
         from repro.skipgraph.build import draw_membership_bits
@@ -274,7 +244,6 @@ class TestArrayStoreParity:
 
         monkeypatch.setattr(skipgraph_module, "_merge_sorted", spying_merge)
         graph = build_balanced_skip_graph(range(1, 81, 2))
-        graph.attach_array_store()
         network = skip_graph_network(graph, k=2)
         rng = make_rng(11)
         # An even key joins as a fresh identity: with the tiny threshold the
@@ -288,4 +257,4 @@ class TestArrayStoreParity:
         network.remove_node(41)
         repair_crash_links(network, graph, 41, k=2)
         assert verify_skip_graph_integrity(graph, network, redundancy=2) == []
-        assert 10 in graph._array_store and 41 not in graph._array_store
+        assert graph.has_node(10) and not graph.has_node(41)

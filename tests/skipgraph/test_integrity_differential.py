@@ -9,7 +9,7 @@ it *reports exactly what the slow one reports*: clean iff clean, and on a
 corrupted structure the same set of violation strings at the same (capped)
 length.  Corruptions are drawn from every class the checker exists for and
 stacked up to three deep, on seed, self-adjusted and dummy-laden graphs,
-at every redundancy, with the array store attached or not.
+at every redundancy.
 """
 
 import copy
@@ -84,20 +84,6 @@ def _relabel_link(graph, network, rng):
         network.add_link(u, v, label="level99")
 
 
-def _corrupt_store_row(graph, network, rng):
-    store = graph._array_store
-    if store is None:
-        return
-    key = rng.choice(graph.keys)
-    mode = rng.randrange(3)
-    if mode == 0:
-        store.insert(10_000 + rng.randrange(100), (0, 1))
-    elif mode == 1 and key in store:
-        store.remove(key)
-    elif key in store:
-        store.rewrite(key, tuple(1 - bit for bit in store.vector(key)) or (1,))
-
-
 def _poke_index(graph, network, rng):
     mode = rng.randrange(4)
     if mode == 0:
@@ -118,7 +104,6 @@ CORRUPTIONS = [
     _drop_link,
     _add_spurious_link,
     _relabel_link,
-    _corrupt_store_row,
     _poke_index,
 ]
 
@@ -128,18 +113,15 @@ CORRUPTIONS = [
     kind=st.sampled_from(["seed", "adjusted", "dummy-laden"]),
     variant=st.integers(1, 3),
     k=st.integers(1, 3),
-    with_store=st.booleans(),
     with_network=st.booleans(),
     corruptions=st.lists(st.sampled_from(CORRUPTIONS), max_size=3),
     seed=st.integers(0, 2**16),
     cap=st.sampled_from([3, 20, 1000]),
 )
 def test_sweep_reports_what_the_reference_reports(
-    kind, variant, k, with_store, with_network, corruptions, seed, cap
+    kind, variant, k, with_network, corruptions, seed, cap
 ):
     graph = _template(kind, variant).copy()
-    if with_store:
-        graph.attach_array_store()
     network = skip_graph_network(graph, k=k)
     # Clean <=> clean (the clean sweep also fills the list caches the
     # level-link corruption needs).

@@ -1,6 +1,14 @@
 """Smoke tests for the top-level public API (`import repro`)."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
+
+PACKAGE_ROOT = Path(repro.__file__).parent
 
 
 class TestPublicAPI:
@@ -31,3 +39,40 @@ class TestPublicAPI:
 
     def test_module_docstring_mentions_paper(self):
         assert "Self-Adjusting Skip Graphs" in repro.__doc__
+
+
+#: ``[project].dependencies`` of ``pyproject.toml`` (the offline-static
+#: baseline's Kernighan-Lin bisection).
+DECLARED_DEPENDENCIES = {"networkx"}
+
+
+class TestDeclaredImportsOnly:
+    """``src/repro`` may import the standard library, itself and what
+    ``pyproject.toml`` declares — nothing a clean install would lack."""
+
+    def test_every_import_is_stdlib_repro_or_declared(self):
+        allowed = set(sys.stdlib_module_names) | {"repro"} | DECLARED_DEPENDENCIES
+        foreign = []
+        for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [
+                    f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno} imports {name}"
+                    for name in names
+                    if name.split(".")[0] not in allowed
+                ]
+        assert foreign == []
+
+    def test_import_succeeds_without_numpy(self):
+        # A fresh interpreter: this process has long since imported repro.
+        script = "import sys; sys.modules['numpy'] = None; import repro"
+        subprocess.run(
+            [sys.executable, "-c", script],
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT.parent)},
+        )

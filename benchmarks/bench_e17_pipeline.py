@@ -2,22 +2,22 @@
 
 The arena replays one disjoint-heavy request mix — hot pairs in distinct
 deepest-stride subtrees plus a sprinkle of mid-level pairs, the traffic of
-``bench_e14_distributed_dsg`` without churn — through the sequential driver
-(:class:`repro.distributed.DistributedDSG`, one request to quiescence at a
-time: the paper's model and the equivalence reference) and then through the
-pipelined driver (:class:`repro.distributed.PipelinedDSG`) at window depths
-1, 4, 8 and 16.  Steady-state repeats on distinct hot pairs have disjoint
+``bench_e14_distributed_dsg`` without churn — through the sequential
+two-phase reference driver of ``tests/reference/sequential_driver_reference.py``
+(one request to quiescence at a time: the paper's model as an executable
+specification) and then through the shipped driver
+(:class:`repro.distributed.DistributedDSG`) at window depths 1, 4, 8 and
+16.  Steady-state repeats on distinct hot pairs have disjoint
 conflict sets, so the scheduler overlaps their routes and disseminations;
 occasional deep restructures serialize behind the conflict detector.
 
 Acceptance gates (the differential harness, enforced at full scale):
 
-* **equivalence** — every pipelined run ends on the byte-identical final
-  topology, the same per-request measured distance and the same total
-  Equation 1 cost as the sequential reference;
-* **fidelity** — the window-1 pipelined run reproduces the sequential
-  round count exactly (the pipeline at depth 1 *is* the sequential
-  schedule);
+* **equivalence** — every run of the shipped driver ends on the
+  byte-identical final topology, the same per-request measured distance
+  and the same total Equation 1 cost as the sequential reference;
+* **fidelity** — the window-1 run reproduces the reference's round count
+  exactly (the shipped loop at depth 1 *is* the sequential schedule);
 * **overlap pays** — the best window serves the schedule in at least 2x
   fewer rounds than the sequential driver;
 * **conformance** — zero congestion violations and zero drops on every
@@ -42,10 +42,12 @@ from conftest import artifact_dir, publish_artifact, quick_mode
 
 from repro.analysis.artifacts import BenchmarkArtifact, PipelineResult, render_comparison
 from repro.core.dsg import DSGConfig
-from repro.distributed import DistributedDSG, PipelinedDSG
+from repro.distributed import DistributedDSG
 from repro.simulation.message import congest_budget_bits
 from repro.simulation.rng import make_rng
 from repro.workloads import RequestEvent, Scenario
+
+from reference.sequential_driver_reference import SequentialReferenceDSG
 
 if quick_mode():
     ARENA = dict(n=256, hot_pairs=8, mid_pairs=2, body=60, seed=42)
@@ -100,7 +102,7 @@ def test_e17_pipeline_arena(run_once):
 
     def arena():
         started = time.perf_counter()
-        sequential = DistributedDSG(
+        sequential = SequentialReferenceDSG(
             scenario.initial_keys, config=DSGConfig(**config), seed=seed, strict=True
         )
         seq_report = sequential.run_scenario(scenario)
@@ -114,7 +116,7 @@ def test_e17_pipeline_arena(run_once):
         runs = [("sequential", sequential, seq_report, seq_wall, True)]
         for window in WINDOWS:
             started = time.perf_counter()
-            driver = PipelinedDSG(
+            driver = DistributedDSG(
                 scenario.initial_keys,
                 config=DSGConfig(**config),
                 seed=seed,
@@ -140,12 +142,13 @@ def test_e17_pipeline_arena(run_once):
             PipelineResult(
                 name=name,
                 n=n,
-                window=getattr(report, "window", 1),
+                window=report.window,
                 requests=report.requests,
                 rounds=report.rounds,
                 sequential_rounds=seq_report.rounds,
-                max_in_flight=getattr(report, "max_in_flight", 1),
-                conflict_stalls=getattr(report, "conflict_stalls", 0),
+                # The reference never enters the window: one at a time.
+                max_in_flight=max(report.max_in_flight, 1),
+                conflict_stalls=report.conflict_stalls,
                 messages=report.messages,
                 congestion_violations=report.congestion_violations,
                 dropped_messages=report.dropped_messages,

@@ -25,13 +25,13 @@ Protocols
     The gather-sample-decide pipeline of AMF (Algorithm 2).
 ``run_distributed_dsg`` / ``DistributedDSG``
     The full self-adjusting DSG: greedy routing plus the local-op plans of
-    the kernel executed as O(log n)-bit messages, churn included
-    (:mod:`repro.distributed.dsg_protocol`).
-``run_pipelined_dsg`` / ``PipelinedDSG``
-    Conflict-aware pipelined serving: up to ``window`` requests in flight
-    at once, admitted FIFO when their read/write conflict sets
-    (:mod:`repro.distributed.pipeline`) are disjoint, equivalence-tested
-    against the sequential driver's topology and Equation-1 cost.
+    the kernel executed as O(log n)-bit messages, churn and crashes
+    included (:mod:`repro.distributed.dsg_protocol`).  One driver, one
+    serve loop: ``window=1`` (the default) is the paper's one-request-at-a-
+    time model; a deeper window keeps up to ``window`` requests in flight,
+    admitted FIFO when their read/write conflict sets
+    (:mod:`repro.distributed.pipeline`) are disjoint.  ``PipelinedDSG`` is
+    the same class under its former name.
 
 Each ``run_*`` entry point builds a fresh network and simulator; the
 matching ``install_*`` function registers a new process generation on an
@@ -78,10 +78,7 @@ from repro.distributed.dsg_protocol import (
     DistributedRequestOutcome,
     DSGProcess,
     PipelinedDSG,
-    PipelinedDSGProcess,
-    PipelinedDSGReport,
     run_distributed_dsg,
-    run_pipelined_dsg,
 )
 from repro.distributed.pipeline import AdmissionRecord, ConflictSet, PipelineWindow
 from repro.distributed.broadcast_protocol import BroadcastResult, install_broadcast, run_list_broadcast
@@ -111,8 +108,6 @@ __all__ = [
     "ConflictSet",
     "PipelineWindow",
     "PipelinedDSG",
-    "PipelinedDSGProcess",
-    "PipelinedDSGReport",
     "FailureArenaReport",
     "FailureWaveReport",
     "NeighborTable",
@@ -125,7 +120,6 @@ __all__ = [
     "make_router",
     "run_amf_protocol",
     "run_distributed_dsg",
-    "run_pipelined_dsg",
     "run_failure_arena",
     "run_list_broadcast",
     "run_routing_protocol",

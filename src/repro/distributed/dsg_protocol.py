@@ -4,29 +4,30 @@ This is the distributed execution of the local-operation kernel
 (:mod:`repro.core.local_ops`): the same restructuring plans the centralized
 :class:`~repro.core.dsg.DynamicSkipGraph` applies in one pass are carried
 out by per-node processes exchanging ``O(log n)``-bit messages over the
-skip-graph overlay, request by request:
+skip-graph overlay.  One driver (:class:`DistributedDSG`) takes every
+request through the same four steps:
 
-1. **Route** — the source's :class:`DSGProcess` forwards a ``route`` message
-   greedily towards the destination, one hop per round, exactly like the
-   multi-request router of :mod:`repro.distributed.routing_protocol`; the
-   hop count measured at the destination is the request's routing distance
-   ``d_{S_t}(σ_t)``.
-2. **Plan** — the request's local-op sequence comes from the *planner* (a
+1. **Plan** — the request's local-op sequence comes from the *planner* (a
    :class:`~repro.core.dsg.DynamicSkipGraph` over the same key population
    and seed): the per-node decisions of Algorithm 1 — priorities, AMF
    medians, group splits — whose round costs the plan already carries
    (``transformation_rounds``, the ``ρ`` term of Equation 1).
+2. **Route** — the source's :class:`DSGProcess` forwards a ``route`` message
+   greedily towards the destination, one hop per round, through the
+   forwarding core it shares with the multi-request router
+   (:class:`~repro.distributed.routing_protocol.GreedyForwarder`); the hop
+   count measured at the destination is the request's routing distance
+   ``d_{S_t}(σ_t)``.
 3. **Execute** — the source disseminates the ops as ``op`` messages, each a
    flat payload of O(1) words (:func:`~repro.core.local_ops.op_to_payload`)
    greedily routed to its anchor (:func:`~repro.core.local_ops.op_anchor`):
    a node receiving a promote/demote rewrites its own membership bits, a
    dummy receiving its destruction notice destroys itself (Section IV-F),
    and an insertion is executed by the new key's base-list predecessor.
-   Outgoing traffic is flow-controlled per link (at most one send per
-   neighbour per round, the rest queued FIFO), so the protocol is
+   Outgoing traffic is flow-controlled per link, so the protocol is
    CONGEST-conformant *by construction* — zero congestion violations.
-4. **Rewire** — once the phase quiesces, each executed op drives per-level
-   link rewiring of the live network through
+4. **Rewire** — once the last op has landed, each executed op drives
+   per-level link rewiring of the live network through
    :func:`~repro.workloads.scenarios.apply_local_op` (the same bridge churn
    replay uses), and the routing tables of the op's bounded neighbourhood
    are refreshed.
@@ -34,9 +35,8 @@ skip-graph overlay, request by request:
 Churn (:class:`~repro.workloads.scenarios.JoinEvent` /
 :class:`~repro.workloads.scenarios.LeaveEvent`) follows the PR-3 bridge
 convention: the planner's Section IV-G plan (``last_churn_ops``) is applied
-structurally between requests — joins install fresh processes via the
-``install_*`` pattern, leaves retire them — so request traffic races a
-changing membership exactly like the other protocol arenas.
+structurally in arrival order — joins install fresh processes via the
+``install_*`` pattern, leaves retire them.
 
 The keystone guarantee, proven by ``tests/distributed/test_dsg_protocol.py``
 and asserted at 4096 nodes by ``benchmarks/bench_e14_distributed_dsg.py``:
@@ -51,7 +51,7 @@ the ``c * log2 n`` bit budget.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
@@ -63,7 +63,6 @@ from repro.core.local_ops import (
     NodeJoinOp,
     NodeLeaveOp,
     PromoteOp,
-    apply_ops,
     apply_ops_touched,
     op_anchor,
     op_from_payload,
@@ -81,12 +80,13 @@ from repro.distributed.pipeline import (
     entry_record,
 )
 from repro.distributed.routing_protocol import (
+    GreedyForwarder,
     NeighborTable,
     networks_equal,
     repair_crash_links,
     skip_graph_network,
 )
-from repro.simulation import Message, NodeProcess, RoundContext, Simulator, SimulatorConfig
+from repro.simulation import Message, RoundContext, Simulator, SimulatorConfig
 from repro.simulation.errors import SimulationError
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
@@ -106,65 +106,79 @@ __all__ = [
     "DistributedDSGReport",
     "DistributedRequestOutcome",
     "PipelinedDSG",
-    "PipelinedDSGProcess",
-    "PipelinedDSGReport",
     "run_distributed_dsg",
-    "run_pipelined_dsg",
 ]
 
 
-class DSGProcess(NodeProcess):
+class DSGProcess(GreedyForwarder):
     """One DSG peer: its membership bits and per-level neighbour links.
 
     Local state is ``O(log n)`` words, as the model requires: the bit
-    vector, one (left, right) pair per level, and the flow-control queues.
-    The process is passive (``done``) unless it holds queued outgoing
-    messages; it is woken by message delivery otherwise.
+    vector, one (left, right) pair per level, and the flow-control queues
+    of the shared forwarding core.  The process is passive (``done``)
+    unless it holds queued outgoing messages; it is woken by message
+    delivery otherwise.
+
+    Every route and op payload carries its request id (one O(1) word,
+    ignored by :func:`~repro.core.local_ops.op_from_payload`) and arrivals
+    are recorded in the driver's ledgers — ``route_done[rid] = hops`` at
+    the route's destination, ``ops_done[rid] += 1`` at each op's anchor —
+    so any number of requests may be in flight without one completion
+    clobbering another.
     """
 
-    def __init__(self, key: Key, graph: SkipGraph, k: int = 1) -> None:
+    DESTINATION = "to"
+    LEVEL = "lvl"
+
+    def __init__(
+        self,
+        key: Key,
+        graph: SkipGraph,
+        route_done: Dict[int, int],
+        ops_done: Dict[int, int],
+        k: int = 1,
+    ) -> None:
         super().__init__(key)
+        # Built after the first attribute stores: the instance's attribute
+        # storage is allocated by them, and keeping it next to the object
+        # keeps the engine's per-callback sweep over all processes cheap.
         self.table = NeighborTable(graph, key, k=k)
         self.bits: Tuple[int, ...] = graph.membership(key).bits
         self.is_dummy = graph.node(key).is_dummy
-        #: Per-link FIFO flow control: receiver -> queued (kind, payload).
-        self.outgoing: Dict[Key, Deque[Tuple[str, dict]]] = {}
-        #: Ops executed at this node (it was their anchor).
-        self.executed = 0
-        #: Dummy nodes this process created next to itself.
-        self.created_dummies = 0
         #: Set when the node (a dummy) received its self-destruction notice.
         self.destroyed = False
-        #: Hop count of the last route that terminated here.
-        self.route_hops: Optional[int] = None
-        self.routes_completed = 0
-        #: Neighbours observed crashed (their link vanished at flush time).
-        self.dark: set = set()
-        #: Messages re-routed around a dark neighbour.
-        self.route_arounds = 0
-        #: Messages stranded at this node (every remaining candidate dark).
-        self.failed = 0
-        self._unreported_failures = 0
+        self._route_done = route_done
+        self._ops_done = ops_done
         self.done = True
 
     def memory_words(self) -> int:
-        queued = sum(len(bucket) for bucket in self.outgoing.values())
-        return self.table.size_words() + len(self.bits) + 5 * queued + len(self.dark) + 6
+        return self.table.size_words() + len(self.bits) + 5 * self.queued() + len(self.dark) + 6
 
-    # ------------------------------------------------------------ round hook
+    # ----------------------------------------------------------- round hooks
+    def on_start(self, ctx: RoundContext) -> None:
+        # A joiner handed a request in its initialization round sends at
+        # once, like a process that was started before the request came.
+        self.on_round(ctx, [])
+
     def on_round(self, ctx: RoundContext, inbox: List[Message]) -> None:
         for message in inbox:
             payload = message.payload
+            # Hops are counted on receipt, so a hop re-routed around a dark
+            # neighbour before it was ever sent is never counted.
+            hops = payload["hops"] + 1
             if payload["to"] == self.node_id:
-                self._arrive(message.kind, payload)
+                self._arrive(message.kind, payload, hops)
             else:
-                self._relay(message.kind, payload)
+                self._forward(message.kind, payload, hops=hops)
         self._flush(ctx)
+        self.done = not self.outgoing
 
     # ------------------------------------------------------------ initiation
-    def initiate_route(self, destination: Key) -> None:
-        """Start routing one request towards ``destination`` (driver hook)."""
-        self._relay("route", {"to": destination, "lvl": self.table.top_level, "hops": 0})
+    def initiate_route(self, destination: Key, rid: int) -> None:
+        """Start routing request ``rid`` towards ``destination`` (driver hook)."""
+        self._forward(
+            "route", {"to": destination, "rid": rid, "lvl": self.table.top_level, "hops": 0}
+        )
         self.done = not self.outgoing
 
     def initiate_ops(self, payloads: List[Tuple[Key, dict]]) -> None:
@@ -176,20 +190,18 @@ class DSGProcess(NodeProcess):
         """
         for anchor, payload in payloads:
             if anchor == self.node_id:
-                self._arrive("op", payload)
+                self._arrive("op", payload, 0)
             else:
-                self._relay("op", {**payload, "lvl": self.table.top_level, "hops": 0})
+                self._forward("op", {**payload, "lvl": self.table.top_level, "hops": 0})
         self.done = not self.outgoing
 
     # -------------------------------------------------------------- internals
-    def _arrive(self, kind: str, payload: dict) -> None:
+    def _arrive(self, kind: str, payload: dict, hops: int) -> None:
+        rid = payload["rid"]
         if kind == "route":
-            self.routes_completed += 1
-            self.route_hops = payload["hops"]
-            self.result = "reached"
+            self._route_done[rid] = hops
             return
         op = op_from_payload(payload)
-        self.executed += 1
         if type(op) is PromoteOp:
             bits = self.bits
             if len(bits) < op.level:
@@ -197,63 +209,9 @@ class DSGProcess(NodeProcess):
             self.bits = bits[: op.level - 1] + (op.bit,) + bits[op.level :]
         elif type(op) is DemoteOp:
             self.bits = self.bits[: op.length]
-        elif type(op) is DummyInsertOp:
-            self.created_dummies += 1
         elif type(op) is DummyRemoveOp:
             self.destroyed = True
-
-    def _relay(self, kind: str, payload: dict) -> None:
-        next_hop, used_level = self.table.next_hop(payload["to"], payload["lvl"], dark=self.dark)
-        if next_hop is None:
-            # A consistent crash-free topology never strands; with crashes
-            # this is a failed request (the destination itself is dark).
-            self.result = ("stuck", payload["to"])
-            self.failed += 1
-            self._unreported_failures += 1
-            return
-        updated = dict(payload)
-        updated["lvl"] = used_level
-        updated["hops"] = payload["hops"] + 1
-        bucket = self.outgoing.get(next_hop)
-        if bucket is None:
-            bucket = self.outgoing[next_hop] = deque()
-        bucket.append((kind, updated))
-
-    def _flush(self, ctx: RoundContext) -> None:
-        """Send at most one queued message per neighbour link this round.
-
-        A receiver whose link vanished (it crashed) is marked dark and its
-        queued messages re-routed through the k-redundant table — the hop
-        they never took is uncounted (``hops - 1``) before the re-relay
-        re-increments it.
-        """
-        if self.outgoing:
-            live = ctx.neighbors()
-            dark_receivers = [receiver for receiver in self.outgoing if receiver not in live]
-            while dark_receivers:
-                for receiver in dark_receivers:
-                    bucket = self.outgoing.pop(receiver)
-                    self.dark.add(receiver)
-                    for kind, payload in bucket:
-                        self.route_arounds += 1
-                        rewound = dict(payload)
-                        rewound["hops"] = payload["hops"] - 1
-                        self._relay(kind, rewound)
-                # A re-route may have queued onto another dark receiver; the
-                # dark set only grows, so this settles.
-                dark_receivers = [receiver for receiver in self.outgoing if receiver not in live]
-        drained = []
-        for receiver, bucket in self.outgoing.items():
-            kind, payload = bucket.popleft()
-            ctx.send(receiver, kind, payload)
-            if not bucket:
-                drained.append(receiver)
-        for receiver in drained:
-            del self.outgoing[receiver]
-        if self._unreported_failures:
-            ctx.report_failure(self._unreported_failures)
-            self._unreported_failures = 0
-        self.done = not self.outgoing
+        self._ops_done[rid] = self._ops_done.get(rid, 0) + 1
 
 
 @dataclass
@@ -264,7 +222,10 @@ class DistributedRequestOutcome:
     (minus the final hop), i.e. the number of intermediate nodes real
     messages crossed; ``planned_distance`` is the planner's
     ``d_{S_t}(σ_t)`` for the same request — the keystone property test
-    asserts they are equal on every request.
+    asserts they are equal on every request.  ``rounds`` is the simulator
+    rounds from the request's admission to the arrival of its last message
+    (admit → complete); at ``window=1`` that is the whole time the
+    simulator spent on it.
     """
 
     source: Key
@@ -305,6 +266,11 @@ class DistributedDSGReport:
     abandoned_plans: int = 0
     reanchored_plans: int = 0
     outcomes: List[DistributedRequestOutcome] = field(default_factory=list)
+    window: int = 1
+    max_in_flight: int = 0
+    admitted: int = 0
+    conflict_stalls: int = 0
+    admission_trace: List[AdmissionRecord] = field(default_factory=list)
 
     @property
     def matches_planner(self) -> bool:
@@ -318,10 +284,32 @@ class DistributedDSG:
     Owns the planner (a centralized :class:`~repro.core.dsg.DynamicSkipGraph`
     used for the per-request decision maths), the executed topology mirror
     (grown exclusively by applying the emitted ops), the network and the
-    per-node processes.  Requests are served sequentially — route phase,
-    then op dissemination, each run to quiescence — which is the paper's
-    one-request-at-a-time model; batching concurrent requests is a
-    ROADMAP follow-on.
+    per-node processes, and serves every event through one loop
+    (:meth:`_serve`): plan → admit → step → absorb → apply.
+
+    Planning is strictly sequential — the planner serves events in arrival
+    order, so every plan, every ``d_{S_t}`` and the whole Equation-1
+    accounting are independent of ``window``, which only sets how many
+    planned events may be *in flight* on the simulator at once.  The
+    default ``window=1`` is the paper's model (Section III): one request at
+    a time, route then transform.  At a deeper window events are admitted
+    FIFO whenever their :class:`~repro.distributed.pipeline.ConflictSet`
+    (route path reads; op-touched region plus ``l_alpha`` members as writes)
+    is disjoint from everything already in flight: routes overlap routes
+    freely, and a request's op dissemination may overlap younger routes.
+    Structural application (topology mirror, live links, routing tables,
+    process install/retire) happens only in arrival order and only at
+    dissemination-free boundaries, so no rewiring can strand an in-flight
+    message.  ``tests/distributed/test_pipeline.py`` holds every window to
+    the sequential two-phase loop kept as an executable specification in
+    ``tests/reference/sequential_driver_reference.py``: same topology,
+    per-request cost and total cost, and at ``window=1`` the same rounds.
+
+    The write sets are extracted by replaying each plan on a *shadow* copy
+    of the planner's pre-plan graph (:func:`~repro.core.local_ops.
+    apply_ops_touched`), which trails the planner by exactly one plan.  A
+    conflict set is only ever read against other in-flight entries, so at
+    ``window=1`` no shadow is kept and no write set is extracted.
     """
 
     def __init__(
@@ -331,6 +319,7 @@ class DistributedDSG:
         seed: Optional[int] = None,
         max_rounds: int = 200_000,
         strict: bool = False,
+        window: int = 1,
     ) -> None:
         self.planner = DynamicSkipGraph(keys=keys, config=config)
         #: Topology as executed: starts at S_0 and changes only via ops.
@@ -344,15 +333,23 @@ class DistributedDSG:
                 max_rounds=max_rounds,
             ),
         )
+        self.window = PipelineWindow(int(window))
+        #: Completion ledgers the processes write: rid -> hops / ops landed.
+        self._route_done: Dict[int, int] = {}
+        self._ops_done: Dict[int, int] = {}
         self.processes: Dict[Key, DSGProcess] = {}
         for key in self.topology.keys:
             self._install(key)
+        self._shadow: Optional[SkipGraph] = None
+        self._sync_shadow()
+        self._next_index = 0
+        self._max_rounds = max_rounds
+        self.admission_trace: List[AdmissionRecord] = []
         self.outcomes: List[DistributedRequestOutcome] = []
         self.joins = 0
         self.leaves = 0
         self.crashes = 0
         self.recoveries = 0
-        self.repair_ops = 0
         self.total_cost = 0
         self.total_routing = 0
         #: Keys crashed via :meth:`crash_dark` and not yet repaired.
@@ -369,150 +366,46 @@ class DistributedDSG:
 
     # ------------------------------------------------------------------ serve
     def request(self, source: Key, destination: Key) -> DistributedRequestOutcome:
-        """Serve one communication request: route, plan, execute, rewire.
-
-        A crash can land *inside* the request — the one-shot
-        ``mid_request_fault`` hook fires between the route and execute
-        phases, exactly the window where the planner's emitted plan is in
-        danger of going stale.  The driver then repairs the holes
-        structurally and either **re-anchors** the plan (every op's anchor
-        is recomputed against the post-repair topology in phase B — the
-        dark-anchor case) or **abandons** it (an op's *subject* crashed:
-        :func:`~repro.core.local_ops.stale_op_keys`, or the disseminating
-        source itself did) with explicit accounting — a stale op is never
-        applied.
-        """
-        if self.dark_keys:
-            # A request entering over open holes repairs them first — the
-            # planner must plan against the topology the messages will see.
-            self.repair_dark()
-        plan = self.planner.request(source, destination, keep_result=False)
-        first_round = self.sim.round
-
-        # Phase A: the route message crosses the pre-request topology S_t.
-        initiator = self.processes[source]
-        self.sim.schedule(self.sim.round, lambda sim: initiator.initiate_route(destination))
-        self.sim.run()
-        receiver = self.processes[destination]
-        hops = receiver.route_hops
-        receiver.route_hops = None
-        if hops is None:
-            raise SimulationError(
-                f"route ({source!r}, {destination!r}) never reached its destination"
-            )
-        measured = hops - 1
-
-        # The vulnerability window: the plan exists, nothing executed yet.
-        hook, self.mid_request_fault = self.mid_request_fault, None
-        if hook is not None:
-            hook()
-
-        ops = list(plan.ops or [])
-        transformation_rounds = plan.transformation_rounds
-        needs_reseat = False
-        if self.dark_keys:
-            dark = frozenset(self.dark_keys)
-            if not ops:
-                # Nothing in flight to salvage: boundary repair through the
-                # planner keeps both views consistent, no reseat needed.
-                self.repair_dark()
-            else:
-                self._repair_dark_structural()
-                needs_reseat = True
-                if stale_op_keys(ops, dark) or source in dark:
-                    ops = []
-                    transformation_rounds = 0
-                    self.abandoned_plans += 1
-                    # Refund the planner's charge for the transformation the
-                    # protocol never executed, so matches_planner stays
-                    # meaningful across abandons.
-                    self._planner_cost_base -= plan.transformation_rounds
-                else:
-                    self.reanchored_plans += 1
-
-        # Phase B: disseminate the (possibly re-anchored) plan, then rewire.
-        if ops:
-            payloads = []
-            for op in ops:
-                anchor = op_anchor(op, self.topology)
-                payloads.append((anchor, {"to": anchor, **op_to_payload(op)}))
-            executed_before = self._executed_total()
-            self.sim.schedule(self.sim.round, lambda sim: initiator.initiate_ops(payloads))
-            self.sim.run()
-            executed = self._executed_total() - executed_before
-            if executed != len(ops):
-                raise SimulationError(
-                    f"op dissemination lost work: {executed}/{len(ops)} ops executed"
-                )
-            self._apply_ops(ops)
-        if needs_reseat:
-            self._reseat_planner()
-
-        outcome = DistributedRequestOutcome(
-            source=source,
-            destination=destination,
-            alpha=plan.alpha,
-            measured_distance=measured,
-            planned_distance=plan.routing.distance,
-            transformation_rounds=transformation_rounds,
-            ops_executed=len(ops),
-            rounds=self.sim.round - first_round,
-        )
-        self.outcomes.append(outcome)
-        self.total_cost += outcome.cost
-        self.total_routing += measured
-        return outcome
+        """Serve one communication request: route, plan, execute, rewire."""
+        self._serve([RequestEvent(source, destination)])
+        return self.outcomes[-1]
 
     def join(self, key: Key) -> None:
         """A peer joins (Section IV-G): structural churn between requests."""
-        if key in self.sim.crashed:
-            # Reject before the planner mutates: a partial join would leave
-            # planner and topology out of sync when add_process refuses the
-            # crashed key.
-            raise SimulationError(f"key {key!r} crashed and cannot re-join")
-        self.planner.add_node(key)
-        self._apply_ops(self.planner.last_churn_ops)
-        self.joins += 1
+        self._serve([JoinEvent(key)])
 
     def leave(self, key: Key) -> None:
         """A peer departs (Section IV-G)."""
-        self.planner.remove_node(key)
-        self._apply_ops(self.planner.last_churn_ops)
-        self.leaves += 1
+        self._serve([LeaveEvent(key)])
+
+    def run_scenario(self, scenario: Scenario) -> DistributedDSGReport:
+        """Serve a whole scenario with up to ``window`` events in flight."""
+        self._serve(scenario.events)
+        return self.report()
 
     def crash(self, key: Key) -> int:
-        """Crash-stop failure of ``key``: no goodbye, then structural repair.
+        """Crash-stop failure of ``key``: :meth:`crash_dark`, then :meth:`repair_dark`.
 
-        The process dies immediately through :meth:`Simulator.crash` — its
-        ``on_retire`` hook never fires, its links go dark, and the node can
-        never re-enter — and the overlay is then repaired with the *same*
-        Section IV-G departure plan a graceful leave would execute (the
-        membership repair does not depend on the departed node's
-        cooperation; only the goodbye does).  Repair is immediate, so the
-        planner-equivalence invariants hold after every crash; the
-        deferred-repair window (routing around dark hops before any repair)
-        is exercised by the router-based failure arena
-        (:mod:`repro.distributed.failover`).
-
+        The process dies through :meth:`Simulator.crash` — no ``on_retire``
+        goodbye, links dark, no re-entry until :meth:`recover` — and the
+        overlay is repaired at once with the *same* Section IV-G departure
+        plan a graceful leave would execute (the membership repair does not
+        depend on the departed node's cooperation; only the goodbye does),
+        so the planner-equivalence invariants hold after every crash.
         Returns the number of repair ops executed (the wave's repair cost).
         """
-        self.sim.crash(key)
-        self.processes.pop(key, None)
-        self.planner.remove_node(key)
-        ops = self.planner.last_churn_ops
-        self._apply_ops(ops)
-        self.crashes += 1
-        self.repair_ops += len(ops)
-        return len(ops)
+        self.crash_dark(key)
+        return self.repair_dark()
 
     def crash_dark(self, key: Key) -> None:
         """Crash ``key`` and leave its hole *open*: links dark, no repair.
 
-        The deferred-repair counterpart of :meth:`crash`: the process dies
-        without a goodbye, but the planner and the topology mirror still
-        believe the node exists until :meth:`repair_dark` (at a boundary)
-        or the next request's entry/mid-request handling closes the hole.
-        Dummies cannot crash — they are protocol bookkeeping, not peers.
+        The process dies without a goodbye, but the planner and the
+        topology mirror still believe the node exists until
+        :meth:`repair_dark` (at a boundary), the next event served, or the
+        mid-request handling closes the hole.  Dummies cannot crash — they
+        are protocol bookkeeping, not peers.  Legal whenever nothing is in
+        flight and from the ``mid_request_fault`` hook.
         """
         if not self.topology.has_node(key) or self.topology.node(key).is_dummy:
             raise SimulationError(f"cannot crash {key!r}: not a live peer")
@@ -525,18 +418,20 @@ class DistributedDSG:
         """Planner-consistent boundary repair of every dark key.
 
         Used when no plan is in flight: each dark key departs through the
-        planner's Section IV-G machinery exactly like :meth:`crash` does,
-        so planner and topology never diverge and no reseat is needed.
-        Returns the number of repair ops executed.
+        planner's Section IV-G machinery exactly like a leave, so planner
+        and topology never diverge and no reseat is needed.  Returns the
+        number of repair ops executed.
         """
+        if not self.dark_keys:
+            return 0
         total = 0
         for key in sorted(self.dark_keys):
             self.planner.remove_node(key)
             ops = self.planner.last_churn_ops
             self._apply_ops(ops)
-            self.repair_ops += len(ops)
             total += len(ops)
         self.dark_keys.clear()
+        self._sync_shadow()
         return total
 
     def recover(self, key: Key) -> None:
@@ -548,33 +443,17 @@ class DistributedDSG:
         through the planner's Section IV-G join — new membership bits, new
         links, a new process; nothing of the old identity survives.
         """
-        if self.dark_keys:
-            self.repair_dark()
+        self.repair_dark()
         self.sim.recover(key)
         self.planner.add_node(key)
         self._apply_ops(self.planner.last_churn_ops)
         self.recoveries += 1
-
-    def run_scenario(self, scenario: Scenario) -> DistributedDSGReport:
-        """Serve a whole :class:`~repro.workloads.scenarios.Scenario`."""
-        for event in scenario.events:
-            if isinstance(event, RequestEvent):
-                self.request(event.source, event.destination)
-            elif isinstance(event, JoinEvent):
-                self.join(event.key)
-            elif isinstance(event, LeaveEvent):
-                self.leave(event.key)
-            elif isinstance(event, CrashEvent):
-                self.crash(event.key)
-            elif isinstance(event, RecoveryEvent):
-                self.recover(event.key)
-            else:  # pragma: no cover - the event union is closed
-                raise TypeError(f"unknown scenario event {event!r}")
-        return self.report()
+        self._sync_shadow()
 
     # ----------------------------------------------------------------- report
     def report(self) -> DistributedDSGReport:
         metrics = self.sim.metrics
+        window = self.window
         return DistributedDSGReport(
             requests=len(self.outcomes),
             joins=self.joins,
@@ -595,6 +474,11 @@ class DistributedDSG:
             abandoned_plans=self.abandoned_plans,
             reanchored_plans=self.reanchored_plans,
             outcomes=self.outcomes,
+            window=window.depth,
+            max_in_flight=window.max_in_flight,
+            admitted=window.admitted,
+            conflict_stalls=window.conflict_stalls,
+            admission_trace=list(self.admission_trace),
         )
 
     def topology_matches_planner(self) -> bool:
@@ -605,290 +489,54 @@ class DistributedDSG:
         """Invariant check: incrementally rewired links == rebuilt links."""
         return networks_equal(self.sim.network, skip_graph_network(self.topology))
 
-    # -------------------------------------------------------------- internals
-    def _install(self, key: Key) -> None:
-        process = DSGProcess(key, self.topology)
-        self.processes[key] = process
-        self.sim.add_process(process)
-
-    def _executed_total(self) -> int:
-        return sum(process.executed for process in self.processes.values())
-
-    def _repair_dark_structural(self) -> None:
-        """Repair dark keys *without* the planner: close links, refresh tables.
-
-        The mid-request path: a Section IV-G departure plan would itself
-        need dissemination — racing the very plan being salvaged — so the
-        holes are closed structurally
-        (:func:`~repro.distributed.routing_protocol.repair_crash_links`)
-        and the planner is reseated from the repaired topology once the
-        salvaged plan has landed (:meth:`_reseat_planner`).
-        """
-        for key in sorted(self.dark_keys):
-            affected, _ = repair_crash_links(self.sim.network, self.topology, key)
-            for neighbor in affected:
-                process = self.processes.get(neighbor)
-                if process is None or not self.topology.has_node(neighbor):
-                    continue
-                process.table = NeighborTable(self.topology, neighbor)
-            for process in self.processes.values():
-                process.dark.discard(key)
-        self.dark_keys.clear()
-
-    def _reseat_planner(self) -> None:
-        """Rebuild the planner over the executed topology after structural repair.
-
-        The mid-request path repairs topology and network behind the
-        planner's back; rather than replay that divergence into its
-        internal state, the planner is reseated on a copy of the post-plan
-        topology — the same ``S_{t+1}`` both views must agree on, so
-        :meth:`topology_matches_planner` holds immediately.  Its running
-        cost counter restarts, which the accumulated base absorbs.
-        """
-        self._planner_cost_base += self.planner.total_cost()
-        self.planner = DynamicSkipGraph(graph=self.topology.copy(), config=self.planner.config)
-
-    def _apply_ops(self, ops: List[LocalOp]) -> None:
-        """Rewire topology, network, tables and the process population."""
-        affected = set()
-        arrivals: List[Key] = []
-        for op in ops:
-            if type(op) in (DummyInsertOp, NodeJoinOp):
-                arrivals.append(op.key)
-            elif type(op) in (DummyRemoveOp, NodeLeaveOp):
-                self.processes.pop(op.key, None)  # apply_local_op retires it
-            affected |= apply_local_op(self.sim, self.topology, op)
-        for key in affected:
-            process = self.processes.get(key)
-            if process is None or not self.topology.has_node(key):
-                continue
-            process.table = NeighborTable(self.topology, key)
-            # process.bits is deliberately NOT refreshed here: a node's bit
-            # vector evolves only through the op messages it receives, so
-            # the end-of-run equality with the topology is a genuine check
-            # of the message-driven execution.
-        for key in arrivals:
-            if self.topology.has_node(key) and key not in self.processes:
-                self._install(key)
-
-
-def run_distributed_dsg(
-    scenario: Scenario,
-    config: Optional[DSGConfig] = None,
-    seed: Optional[int] = None,
-    strict: bool = False,
-) -> DistributedDSGReport:
-    """Execute ``scenario`` end to end on a fresh :class:`DistributedDSG`."""
-    driver = DistributedDSG(scenario.initial_keys, config=config, seed=seed, strict=strict)
-    return driver.run_scenario(scenario)
-
-
-# --------------------------------------------------------------- pipelining
-class PipelinedDSGProcess(DSGProcess):
-    """A :class:`DSGProcess` that reports rid-tagged completions.
-
-    The sequential driver detects phase completion globally (quiescence of
-    the whole simulator), so :class:`DSGProcess` only keeps ``route_hops``
-    of the *last* route that terminated at the node.  With several requests
-    in flight that is ambiguous, so the pipelined driver tags every route
-    and op payload with the request id and each process records arrivals in
-    driver-shared ledgers: ``route_done[rid] = hops`` at the route's
-    destination, ``ops_done[rid] += 1`` at each op's anchor.  The extra
-    ``rid`` word keeps the payload O(1) words — well inside the
-    ``c * log2 n`` bit budget the strict arenas enforce
-    (:func:`~repro.core.local_ops.op_from_payload` ignores the extra key).
-    """
-
-    def __init__(
-        self,
-        key: Key,
-        graph: SkipGraph,
-        route_done: Dict[int, int],
-        ops_done: Dict[int, int],
-        k: int = 1,
-    ) -> None:
-        super().__init__(key, graph, k=k)
-        self._route_done = route_done
-        self._ops_done = ops_done
-
-    def initiate_tagged_route(self, destination: Key, rid: int) -> None:
-        """Start one rid-tagged route towards ``destination`` (driver hook)."""
-        self._relay(
-            "route", {"to": destination, "rid": rid, "lvl": self.table.top_level, "hops": 0}
-        )
-        self.done = not self.outgoing
-
-    def _arrive(self, kind: str, payload: dict) -> None:
-        super()._arrive(kind, payload)
-        rid = payload.get("rid")
-        if rid is None:
-            return
-        if kind == "route":
-            self._route_done[rid] = payload["hops"]
-        else:
-            self._ops_done[rid] = self._ops_done.get(rid, 0) + 1
-
-
-@dataclass
-class PipelinedDSGReport(DistributedDSGReport):
-    """A :class:`DistributedDSGReport` plus the pipeline's own accounting."""
-
-    window: int = 1
-    max_in_flight: int = 0
-    admitted: int = 0
-    conflict_stalls: int = 0
-    admission_trace: List[AdmissionRecord] = field(default_factory=list)
-
-
-class PipelinedDSG(DistributedDSG):
-    """Conflict-aware pipelined serving of the self-adjusting DSG.
-
-    Planning stays strictly sequential — the embedded planner serves events
-    in arrival order, so every plan, every ``d_{S_t}`` and the whole
-    Equation-1 accounting are byte-identical to the sequential driver's by
-    construction.  What overlaps is the *execution*: up to ``window``
-    planned events are in flight on the simulator at once, admitted FIFO
-    whenever their :class:`~repro.distributed.pipeline.ConflictSet` (route
-    path reads; op-touched region plus ``l_alpha`` members as writes) is
-    disjoint from everything already in flight.  Routes overlap routes
-    freely, and a request's op dissemination may overlap younger routes;
-    structural application (topology mirror, live links, routing tables,
-    process install/retire) happens only in arrival order and only at
-    dissemination-free boundaries, so no rewiring can strand an in-flight
-    message — the differential suite (``tests/distributed/test_pipeline.py``)
-    asserts final topology, per-request routing cost and total cost equal
-    the sequential driver's on every tested schedule, and that an
-    all-conflict schedule degrades to exactly the sequential round count.
-
-    The write sets are extracted by replaying each plan on a *shadow* copy
-    of the planner's pre-plan graph (:func:`~repro.core.local_ops.
-    apply_ops_touched`), which trails the planner by exactly one plan and
-    needs no per-request graph copies.
-    """
-
-    def __init__(
-        self,
-        keys,
-        config: Optional[DSGConfig] = None,
-        seed: Optional[int] = None,
-        max_rounds: int = 200_000,
-        strict: bool = False,
-        window: int = 8,
-    ) -> None:
-        self._route_done: Dict[int, int] = {}
-        self._ops_done: Dict[int, int] = {}
-        super().__init__(keys, config=config, seed=seed, max_rounds=max_rounds, strict=strict)
-        self.window = PipelineWindow(int(window))
-        #: Pre-plan shadow of the planner's graph (see the class docstring).
-        self._shadow = self.planner.graph.copy()
-        self._planned: Deque[PipelineEntry] = deque()
-        self._next_index = 0
-        self._max_rounds = max_rounds
-        self.admission_trace: List[AdmissionRecord] = []
-
-    # ------------------------------------------------------------------ serve
-    def request(self, source: Key, destination: Key) -> DistributedRequestOutcome:
-        """Serve one request (drains the pipeline — use run_scenario to overlap)."""
-        self._serve([RequestEvent(source, destination)])
-        return self.outcomes[-1]
-
-    def join(self, key: Key) -> None:
-        self._serve([JoinEvent(key)])
-
-    def leave(self, key: Key) -> None:
-        self._serve([LeaveEvent(key)])
-
-    def crash(self, key: Key) -> int:
-        # _serve always drains, so between calls nothing is in flight and
-        # the sequential crash path applies; only the shadow needs syncing.
-        count = super().crash(key)
-        apply_ops(self._shadow, self.planner.last_churn_ops)
-        return count
-
-    def recover(self, key: Key) -> None:
-        # Recovery (and any boundary repair it triggers) may run several
-        # churn plans through the planner; re-copying is always exact and
-        # recoveries are rare enough that the copy cost is noise.
-        super().recover(key)
-        self._shadow = self.planner.graph.copy()
-
-    def crash_dark(self, key: Key) -> None:
-        raise SimulationError(
-            "PipelinedDSG serves crashes as pipeline barriers; use crash() "
-            "(the in-flight window drains first, then the sequential path runs)"
-        )
-
-    def run_scenario(self, scenario: Scenario) -> PipelinedDSGReport:
-        """Serve a whole scenario with up to ``window`` events in flight."""
-        self._serve(scenario.events)
-        return self.report()
-
-    # ----------------------------------------------------------------- report
-    def report(self) -> PipelinedDSGReport:
-        base = super().report()
-        values = {f.name: getattr(base, f.name) for f in fields(DistributedDSGReport)}
-        return PipelinedDSGReport(
-            **values,
-            window=self.window.depth,
-            max_in_flight=self.window.max_in_flight,
-            admitted=self.window.admitted,
-            conflict_stalls=self.window.conflict_stalls,
-            admission_trace=list(self.admission_trace),
-        )
-
-    # -------------------------------------------------------------- internals
-    def _install(self, key: Key) -> None:
-        process = PipelinedDSGProcess(key, self.topology, self._route_done, self._ops_done)
-        self.processes[key] = process
-        self.sim.add_process(process)
-
-    def _reseat_planner(self) -> None:
-        super()._reseat_planner()
-        self._shadow = self.planner.graph.copy()
-
+    # --------------------------------------------------------------- the loop
     def _serve(self, events) -> None:
-        """The pipeline loop: plan ahead, admit, step, absorb, apply.
+        """The one serve loop: plan ahead, admit, step, absorb, apply.
 
-        Crash and recovery events are *barriers*: planning stops at them,
-        every in-flight admission drains (or completes) cleanly, and only
-        then does the sequential crash/recover path run — so a failure can
-        land while a conflict-disjoint window is in flight without ever
-        stranding an admitted message, and ``window=1`` degrades to exactly
-        the sequential arena's behaviour.
+        Planning is pure bookkeeping on the planner (no simulator rounds);
+        it runs just past the window and stops at a *barrier* — a crash or
+        recovery event, an armed ``mid_request_fault`` hook, an open dark
+        hole.  A barrier is served only once everything older has applied
+        (open holes are settled right there, for every kind of event), and
+        nothing younger is planned until it has applied in turn, so a
+        failure never strands an admitted message and the plan repair of
+        :meth:`_repair_plan` always finds its request alone in flight.
         """
         queue: Deque = deque(events)
+        planned: Deque[PipelineEntry] = deque()
         window = self.window
-        start_round = self.sim.round
-        while queue or self._planned or window.entries:
-            if (
-                queue
-                and isinstance(queue[0], (CrashEvent, RecoveryEvent))
-                and not self._planned
-                and not window.entries
-            ):
-                event = queue.popleft()
+        deadline = self.sim.round + self._max_rounds
+        fenced = False
+        while queue or planned or window.entries:
+            if not planned and not window.entries:
+                fenced = False
+            while queue and not fenced and len(planned) <= window.depth:
+                event = queue[0]
+                if (
+                    isinstance(event, (CrashEvent, RecoveryEvent))
+                    or self.mid_request_fault is not None
+                    or self.dark_keys
+                ):
+                    if planned or window.entries:
+                        break
+                    fenced = True
+                    self.repair_dark()
+                queue.popleft()
                 if isinstance(event, CrashEvent):
                     self.crash(event.key)
-                else:
+                elif isinstance(event, RecoveryEvent):
                     self.recover(event.key)
-                continue
-            # Plan ahead just past the window (planning is pure bookkeeping
-            # on the planner/shadow — no simulator rounds are consumed).
-            while (
-                queue
-                and len(self._planned) <= window.depth
-                and not isinstance(queue[0], (CrashEvent, RecoveryEvent))
-            ):
-                self._planned.append(self._plan_event(queue.popleft()))
+                else:
+                    planned.append(self._plan_event(event))
             # FIFO admission: the oldest planned event blocks on conflict.
-            while self._planned and window.try_admit(self._planned[0]):
-                self._activate(self._planned.popleft())
+            while planned and window.try_admit(planned[0]):
+                self._activate(planned.popleft())
             if window.work_in_flight():
                 self.sim.step()
-                if self.sim.round - start_round > self._max_rounds:
+                if self.sim.round > deadline:
                     raise SimulationError(
-                        f"pipelined serve exceeded {self._max_rounds} rounds "
-                        "(an op dissemination lost work?)"
+                        f"serve exceeded {self._max_rounds} rounds "
+                        "(a route or an op dissemination lost work?)"
                     )
                 self._absorb_completions()
             self._apply_ready()
@@ -897,21 +545,23 @@ class PipelinedDSG(DistributedDSG):
         """Run the planner for one event and extract its conflict set."""
         index = self._next_index
         self._next_index += 1
+        shadow = self._shadow
         if isinstance(event, RequestEvent):
             source, destination = event.source, event.destination
-            graph = self.planner.graph
-            # The l_alpha region the transformation will restructure, read
-            # from the pre-plan graph (alpha is what _adjust computes).
-            alpha = graph.common_level(source, destination)
-            region = tuple(graph.list_of(source, alpha))
+            if shadow is not None:
+                # The l_alpha region the transformation will restructure,
+                # read from the pre-plan graph (alpha is what _adjust computes).
+                graph = self.planner.graph
+                region = tuple(graph.list_of(source, graph.common_level(source, destination)))
             plan = self.planner.request(source, destination, keep_result=False)
             ops = list(plan.ops or [])
-            touched = apply_ops_touched(self._shadow, ops)
-            if ops:
-                writes = frozenset(touched) | frozenset(region)
-            else:
-                writes = frozenset()
-            conflict = ConflictSet(reads=frozenset(plan.routing.path), writes=writes)
+            conflict = ConflictSet()
+            if shadow is not None:
+                touched = apply_ops_touched(shadow, ops)
+                conflict = ConflictSet(
+                    reads=frozenset(plan.routing.path),
+                    writes=frozenset(touched) | frozenset(region) if ops else frozenset(),
+                )
             return PipelineEntry(
                 index=index,
                 kind="request",
@@ -924,6 +574,9 @@ class PipelinedDSG(DistributedDSG):
             )
         if isinstance(event, JoinEvent):
             if event.key in self.sim.crashed:
+                # Reject before the planner mutates: a partial join would
+                # leave planner and topology out of sync when add_process
+                # refuses the crashed key.
                 raise SimulationError(f"key {event.key!r} crashed and cannot re-join")
             self.planner.add_node(event.key)
             kind = "join"
@@ -933,26 +586,24 @@ class PipelinedDSG(DistributedDSG):
         else:
             raise TypeError(f"unknown scenario event {event!r}")
         ops = list(self.planner.last_churn_ops)
-        touched = apply_ops_touched(self._shadow, ops)
-        conflict = ConflictSet(writes=frozenset(touched) | {event.key})
+        conflict = ConflictSet()
+        if shadow is not None:
+            conflict = ConflictSet(writes=frozenset(apply_ops_touched(shadow, ops)) | {event.key})
         return PipelineEntry(index=index, kind=kind, rid=index, conflict=conflict, ops=ops)
 
     def _activate(self, entry: PipelineEntry) -> None:
         """Start an admitted entry's simulator work (requests only).
 
-        Churn events consume no simulator rounds in the sequential driver
-        (Section IV-G plans are applied structurally between requests), so
-        here they complete instantly and wait in the window for their FIFO
-        application turn.
+        Section IV-G churn plans are applied structurally and consume no
+        simulator rounds, so churn entries complete instantly and wait in
+        the window for their FIFO application turn.
         """
         entry.admit_round = self.sim.round
         if entry.kind == "request":
             initiator = self.processes[entry.source]
             self.sim.schedule(
                 self.sim.round,
-                lambda sim, p=initiator, d=entry.destination, r=entry.rid: (
-                    p.initiate_tagged_route(d, r)
-                ),
+                lambda sim, p=initiator, d=entry.destination, r=entry.rid: p.initiate_route(d, r),
             )
             entry.phase = PHASE_ROUTING
         else:
@@ -963,8 +614,13 @@ class PipelinedDSG(DistributedDSG):
         """Advance in-flight entries whose simulator work finished."""
         for entry in self.window.entries:
             if entry.phase == PHASE_ROUTING and entry.rid in self._route_done:
-                hops = self._route_done.pop(entry.rid)
-                entry.measured = hops - 1
+                entry.measured = self._route_done.pop(entry.rid) - 1
+                # The vulnerability window: the plan exists, nothing executed.
+                hook, self.mid_request_fault = self.mid_request_fault, None
+                if hook is not None:
+                    hook()
+                if self.dark_keys:
+                    self._repair_plan(entry)
                 if entry.ops:
                     payloads = []
                     for op in entry.ops:
@@ -992,6 +648,36 @@ class PipelinedDSG(DistributedDSG):
                     entry.phase = PHASE_COMPLETED
                     entry.complete_round = self.sim.round
 
+    def _repair_plan(self, entry: PipelineEntry) -> None:
+        """A crash landed between ``entry``'s route and its dissemination.
+
+        The driver repairs the holes and either **re-anchors** the plan —
+        every op's anchor is computed against the post-repair topology when
+        dissemination starts (the dark-anchor case) — or **abandons** it:
+        an op's *subject* crashed (:func:`~repro.core.local_ops.
+        stale_op_keys`), or the disseminating source itself did.  A stale
+        op is never applied.  The entry is alone in flight (see
+        :meth:`_serve`), so the structural repair races nothing.
+        """
+        if not entry.ops:
+            # Nothing in flight to salvage: boundary repair through the
+            # planner keeps both views consistent, no reseat needed.
+            self.repair_dark()
+            return
+        dark = frozenset(self.dark_keys)
+        self._repair_dark_structural()
+        if stale_op_keys(entry.ops, dark) or entry.source in dark:
+            entry.repair = "abandoned"
+            entry.ops = []
+            self.abandoned_plans += 1
+            # Refund the planner's charge for the transformation the
+            # protocol never executed, so matches_planner stays meaningful
+            # across abandons.
+            self._planner_cost_base -= entry.plan.transformation_rounds
+        else:
+            entry.repair = "reanchored"
+            self.reanchored_plans += 1
+
     def _apply_ready(self) -> None:
         """Apply completed entries in arrival order, at safe boundaries.
 
@@ -1008,15 +694,18 @@ class PipelinedDSG(DistributedDSG):
                 return
             entry.apply_round = self.sim.round
             self._apply_ops(entry.ops)
+            if entry.repair is not None:
+                self._reseat_planner()
             if entry.kind == "request":
                 plan = entry.plan
+                abandoned = entry.repair == "abandoned"
                 outcome = DistributedRequestOutcome(
                     source=entry.source,
                     destination=entry.destination,
                     alpha=plan.alpha,
                     measured_distance=entry.measured,
                     planned_distance=plan.routing.distance,
-                    transformation_rounds=plan.transformation_rounds,
+                    transformation_rounds=0 if abandoned else plan.transformation_rounds,
                     ops_executed=len(entry.ops),
                     rounds=entry.complete_round - entry.admit_round,
                 )
@@ -1029,16 +718,87 @@ class PipelinedDSG(DistributedDSG):
                 self.leaves += 1
             self.admission_trace.append(entry_record(entry))
 
+    # -------------------------------------------------------------- internals
+    def _install(self, key: Key) -> None:
+        process = DSGProcess(key, self.topology, self._route_done, self._ops_done)
+        self.processes[key] = process
+        self.sim.add_process(process)
 
-def run_pipelined_dsg(
+    def _sync_shadow(self) -> None:
+        """Re-copy the conflict detector's shadow after out-of-band planner work."""
+        if self.window.depth > 1:
+            self._shadow = self.planner.graph.copy()
+
+    def _repair_dark_structural(self) -> None:
+        """Repair dark keys *without* the planner: close links, refresh tables.
+
+        The mid-request path: a Section IV-G departure plan would itself
+        need dissemination — racing the very plan being salvaged — so the
+        holes are closed structurally
+        (:func:`~repro.distributed.routing_protocol.repair_crash_links`)
+        and the planner is reseated from the repaired topology once the
+        salvaged plan has landed (:meth:`_reseat_planner`).
+        """
+        for key in sorted(self.dark_keys):
+            affected, _ = repair_crash_links(self.sim.network, self.topology, key)
+            self._refresh_tables(affected)
+            for process in self.processes.values():
+                process.dark.discard(key)
+        self.dark_keys.clear()
+
+    def _reseat_planner(self) -> None:
+        """Rebuild the planner over the executed topology after structural repair.
+
+        The mid-request path repairs topology and network behind the
+        planner's back; rather than replay that divergence into its
+        internal state, the planner is reseated on a copy of the post-plan
+        topology — the same ``S_{t+1}`` both views must agree on, so
+        :meth:`topology_matches_planner` holds immediately.  Its running
+        cost counter restarts, which the accumulated base absorbs.
+        """
+        self._planner_cost_base += self.planner.total_cost()
+        self.planner = DynamicSkipGraph(graph=self.topology.copy(), config=self.planner.config)
+        self._sync_shadow()
+
+    def _refresh_tables(self, keys) -> None:
+        for key in keys:
+            process = self.processes.get(key)
+            if process is not None and self.topology.has_node(key):
+                process.table = NeighborTable(self.topology, key)
+
+    def _apply_ops(self, ops: List[LocalOp]) -> None:
+        """Rewire topology, network, tables and the process population."""
+        affected = set()
+        arrivals: List[Key] = []
+        for op in ops:
+            if type(op) in (DummyInsertOp, NodeJoinOp):
+                arrivals.append(op.key)
+            elif type(op) in (DummyRemoveOp, NodeLeaveOp):
+                self.processes.pop(op.key, None)  # apply_local_op retires it
+            affected |= apply_local_op(self.sim, self.topology, op)
+        # process.bits is deliberately NOT refreshed: a node's bit vector
+        # evolves only through the op messages it receives, so the
+        # end-of-run equality with the topology is a genuine check of the
+        # message-driven execution.
+        self._refresh_tables(affected)
+        for key in arrivals:
+            if self.topology.has_node(key) and key not in self.processes:
+                self._install(key)
+
+
+#: The pipelined driver is the driver: ``PipelinedDSG(keys, window=16)``.
+PipelinedDSG = DistributedDSG
+
+
+def run_distributed_dsg(
     scenario: Scenario,
     config: Optional[DSGConfig] = None,
     seed: Optional[int] = None,
     strict: bool = False,
-    window: int = 8,
-) -> PipelinedDSGReport:
-    """Execute ``scenario`` end to end on a fresh :class:`PipelinedDSG`."""
-    driver = PipelinedDSG(
+    window: int = 1,
+) -> DistributedDSGReport:
+    """Execute ``scenario`` end to end on a fresh :class:`DistributedDSG`."""
+    driver = DistributedDSG(
         scenario.initial_keys, config=config, seed=seed, strict=strict, window=window
     )
     return driver.run_scenario(scenario)

@@ -1,9 +1,11 @@
 """Conflict-aware pipelining primitives for the distributed DSG.
 
-The sequential driver (:class:`repro.distributed.dsg_protocol.DistributedDSG`)
-serves one request to quiescence at a time — the paper's model, kept as the
-executable equivalence reference.  This module provides the pieces that let
-many requests be in flight at once *without changing any observable result*:
+At ``window=1`` the driver (:class:`repro.distributed.dsg_protocol.DistributedDSG`)
+serves one request at a time — the paper's model, whose two-phase loop is
+kept as the executable equivalence reference under
+``tests/reference/sequential_driver_reference.py``.  This module provides
+the pieces that let many requests be in flight at once *without changing
+any observable result* but the round count:
 
 * :class:`ConflictSet` — the touched region of one planned event.  The
   *read set* is the request's planned route path (the keys its ``route``
@@ -30,13 +32,10 @@ many requests be in flight at once *without changing any observable result*:
 * :class:`AdmissionRecord` — one line of the admission trace, the
   determinism artifact the regression tests compare across same-seed runs.
 
-The pieces that touch the simulator live next to their siblings in
-:mod:`repro.distributed.dsg_protocol`: :class:`~repro.distributed.
-dsg_protocol.PipelinedDSGProcess` (a :class:`~repro.distributed.
-dsg_protocol.DSGProcess` whose route and op arrivals are tagged with a
-request id and recorded in a driver-shared completion ledger, so
-concurrent completions cannot clobber each other) and the
-:class:`~repro.distributed.dsg_protocol.PipelinedDSG` driver that wires
+The pieces that touch the simulator live in
+:mod:`repro.distributed.dsg_protocol`: the per-node process, whose route
+and op arrivals are tagged with a request id and recorded in a
+driver-shared completion ledger, and the driver's serve loop, which wires
 this window onto the CONGEST engine.
 """
 
@@ -81,10 +80,6 @@ class ConflictSet:
             return True
         return bool(other.writes and other.writes & self.reads)
 
-    def size_words(self) -> int:
-        """Detector state for this event, in O(1)-word units."""
-        return len(self.reads) + len(self.writes)
-
 
 @dataclass
 class PipelineEntry:
@@ -106,6 +101,9 @@ class PipelineEntry:
     #: Window occupancy at admission, the entry itself included.
     admitted_in_flight: int = 0
     stalled: bool = False
+    #: ``"abandoned"`` / ``"reanchored"`` once a mid-request crash went
+    #: through the plan repair; the planner is reseated when the entry applies.
+    repair: Optional[str] = None
 
 
 class AdmissionRecord(NamedTuple):
@@ -138,9 +136,6 @@ class PipelineWindow:
         self.admitted = 0
         self.max_in_flight = 0
         self.conflict_stalls = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def try_admit(self, entry: PipelineEntry) -> bool:
         """Admit ``entry`` if there is room and no in-flight conflict.

@@ -57,6 +57,7 @@ from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
 
 __all__ = [
+    "GreedyForwarder",
     "NeighborTable",
     "RouteLedger",
     "RoutingProtocolResult",
@@ -201,7 +202,97 @@ class RouteLedger:
         return injected - self.delivered - self.failed
 
 
-class _RouterProcess(NodeProcess):
+class GreedyForwarder(NodeProcess):
+    """The forwarding core shared by the plain router and the DSG peer.
+
+    One implementation of everything a hop involves: the greedy next hop
+    through the k-redundant :class:`NeighborTable` with the node's *dark*
+    set, strand accounting when every remaining candidate is dark, the
+    per-link FIFO queue (at most one send per neighbour per round, which is
+    what makes both protocols CONGEST-conformant by construction) and the
+    flush that re-routes hops queued onto a link that has since vanished.
+    A subclass keeps its own wire format: it names the two payload words
+    the core reads (``DESTINATION``, ``LEVEL``) and carries whatever else
+    it likes beside them.
+    """
+
+    DESTINATION = "destination"
+    LEVEL = "level"
+
+    #: The node's routing table; each subclass installs its own.
+    table: NeighborTable
+
+    def __init__(self, key: Key) -> None:
+        super().__init__(key)
+        #: Per-link FIFO flow control: receiver -> queued (kind, payload).
+        self.outgoing: Dict[Key, Deque[Tuple[str, dict]]] = {}
+        #: Neighbours observed crashed (their link vanished at flush time).
+        self.dark: Set[Key] = set()
+        #: Hops re-routed around a dark neighbour (repair-cost accounting).
+        self.route_arounds = 0
+        #: Messages stranded at this node (every remaining candidate dark).
+        self.failed = 0
+        self._unreported_failures = 0
+
+    def queued(self) -> int:
+        """Messages waiting for a free round on some link."""
+        return sum(len(bucket) for bucket in self.outgoing.values())
+
+    def _forward(self, kind: str, payload: dict, **update) -> Optional[Key]:
+        """Queue ``payload`` on the greedy next hop towards its destination.
+
+        The queued copy carries the level the hop was chosen at plus any
+        ``update`` words; returns the hop, or ``None`` when the message
+        strands here.  A consistent crash-free topology never strands; with
+        crashes this is a failed request (the destination itself is dark).
+        """
+        next_hop, used_level = self.table.next_hop(
+            payload[self.DESTINATION], payload[self.LEVEL], dark=self.dark
+        )
+        if next_hop is None:
+            self.failed += 1
+            self._unreported_failures += 1
+            return None
+        bucket = self.outgoing.get(next_hop)
+        if bucket is None:
+            bucket = self.outgoing[next_hop] = deque()
+        bucket.append((kind, {**payload, self.LEVEL: used_level, **update}))
+        return next_hop
+
+    def _flush(self, ctx: RoundContext) -> None:
+        """Send at most one queued message per neighbour link this round.
+
+        Liveness is judged by local knowledge only — the node's current
+        link set (``ctx.neighbors()``), the CONGEST analogue of a failed
+        connection.  A receiver whose link vanished is marked dark and its
+        queue re-forwarded through the k-redundant table, from the level
+        the dead hop was chosen at.
+        """
+        if self.outgoing:
+            live = ctx.neighbors()
+            dark_receivers = [receiver for receiver in self.outgoing if receiver not in live]
+            while dark_receivers:
+                for receiver in dark_receivers:
+                    self.dark.add(receiver)
+                    for kind, payload in self.outgoing.pop(receiver):
+                        self.route_arounds += 1
+                        self._forward(kind, payload)
+                # A re-route may have queued onto another dark receiver; the
+                # dark set only grows, so this settles.
+                dark_receivers = [receiver for receiver in self.outgoing if receiver not in live]
+            drained = []
+            for receiver, bucket in self.outgoing.items():
+                ctx.send(receiver, *bucket.popleft())
+                if not bucket:
+                    drained.append(receiver)
+            for receiver in drained:
+                del self.outgoing[receiver]
+        if self._unreported_failures:
+            ctx.report_failure(self._unreported_failures)
+            self._unreported_failures = 0
+
+
+class _RouterProcess(GreedyForwarder):
     """Forwards ``route`` messages one greedy hop per round.
 
     Passive (``done``) unless it has requests left to initiate or queued
@@ -225,30 +316,15 @@ class _RouterProcess(NodeProcess):
         self.table = table
         self.requests: Deque[Union[Key, Tuple[Key, int]]] = deque(requests)
         self.ledger = ledger
-        #: Per-link flow control: (receiver, payload) pairs awaiting a free round.
-        self.outgoing: Deque[Tuple[Key, dict]] = deque()
         #: Routes that terminated at this node (it was their destination).
         self.completed = 0
-        #: Last forwarding decision per destination (for path reconstruction
-        #: under concurrent routes; ``result`` only keeps the latest one).
-        self.forwards: Dict[Key, Tuple[Key, int]] = {}
-        #: Neighbours observed crashed (their link vanished at flush time).
-        self.dark: Set[Key] = set()
-        #: Hops re-routed around a dark neighbour (repair-cost accounting).
-        self.route_arounds = 0
-        #: Routes stranded at this node (every remaining candidate dark).
-        self.failed = 0
-        self._unreported_failures = 0
+        #: Last hop chosen per destination (for path reconstruction under
+        #: concurrent routes).
+        self.forwards: Dict[Key, Key] = {}
         self.done = not self.requests
 
     def memory_words(self) -> int:
-        return (
-            self.table.size_words()
-            + 3
-            + len(self.requests)
-            + 2 * len(self.outgoing)
-            + len(self.dark)
-        )
+        return self.table.size_words() + 3 + len(self.requests) + 2 * self.queued() + len(self.dark)
 
     def on_start(self, ctx: RoundContext) -> None:
         self._act(ctx)
@@ -257,13 +333,10 @@ class _RouterProcess(NodeProcess):
         for message in inbox:
             if message.kind != "route":
                 continue
-            destination = message.payload["destination"]
-            if self.node_id == destination:
-                self.completed += 1
-                self.result = "reached"
-                self._record_delivered(message.payload.get("rid"))
+            if self.node_id == message.payload["destination"]:
+                self._deliver(message.payload.get("rid"))
             else:
-                self._forward(destination, message.payload["level"], rid=message.payload.get("rid"))
+                self._forward("route", message.payload)
         self._act(ctx)
 
     # One initiation per round plus at most one send per neighbour link.
@@ -272,72 +345,28 @@ class _RouterProcess(NodeProcess):
             item = self.requests.popleft()
             destination, rid = item if isinstance(item, tuple) else (item, None)
             if destination == self.node_id:
-                self.completed += 1
-                self.result = [self.node_id]
-                self._record_delivered(rid)
+                self._deliver(rid)
             else:
-                self._forward(destination, self.table.top_level, rid=rid)
+                payload = {"destination": destination, "level": self.table.top_level}
+                if rid is not None:
+                    payload["rid"] = rid
+                self._forward("route", payload)
         self._flush(ctx)
-        if self._unreported_failures:
-            ctx.report_failure(self._unreported_failures)
-            self._unreported_failures = 0
         self.done = not (self.requests or self.outgoing)
 
-    def _forward(self, destination: Key, level: int, rid: Optional[int] = None) -> None:
-        next_hop, used_level = self.table.next_hop(destination, level, dark=self.dark)
-        if next_hop is None:
-            self.result = "stuck"
-            self.failed += 1
-            self._unreported_failures += 1
-            self._record_failed(rid)
-            return
-        payload = {"destination": destination, "level": used_level}
-        if rid is not None:
-            payload["rid"] = rid
-        self.outgoing.append((next_hop, payload))
-        self.forwards[destination] = (next_hop, used_level)
-        self.result = ("forwarded", next_hop, used_level)
-
-    def _record_delivered(self, rid: Optional[int]) -> None:
+    def _deliver(self, rid: Optional[int]) -> None:
+        self.completed += 1
+        self.result = "reached"
         if rid is not None and self.ledger is not None:
             self.ledger.delivered.add(rid)
 
-    def _record_failed(self, rid: Optional[int]) -> None:
-        if rid is not None and self.ledger is not None:
-            self.ledger.failed.add(rid)
-
-    def _flush(self, ctx: RoundContext) -> None:
-        """One send per live neighbour; dark hops are re-routed on the spot.
-
-        Liveness is judged by local knowledge only — the node's current
-        link set (``ctx.neighbors()``), the CONGEST analogue of a failed
-        connection.  A queued hop whose link vanished marks the receiver
-        dark and the payload is re-forwarded through the k-redundant
-        table; the dark set only grows, so the re-route loop terminates.
-        """
-        if not self.outgoing:
-            return
-        live = ctx.neighbors()
-        used = set()
-        keep: Deque[Tuple[Key, dict]] = deque()
-        pending, self.outgoing = self.outgoing, deque()
-        while pending:
-            receiver, payload = pending.popleft()
-            if receiver not in live:
-                self.dark.add(receiver)
-                self.route_arounds += 1
-                self._forward(payload["destination"], payload["level"], rid=payload.get("rid"))
-                # The re-routed hop (if any) must face the same liveness
-                # check, so fold it back into this drain.
-                pending.extend(self.outgoing)
-                self.outgoing.clear()
-                continue
-            if receiver in used:
-                keep.append((receiver, payload))
-                continue
-            used.add(receiver)
-            ctx.send(receiver, "route", payload)
-        self.outgoing = keep
+    def _forward(self, kind: str, payload: dict, **update) -> Optional[Key]:
+        hop = super()._forward(kind, payload, **update)
+        if hop is not None:
+            self.forwards[payload["destination"]] = hop
+        elif self.ledger is not None and "rid" in payload:
+            self.ledger.failed.add(payload["rid"])
+        return hop
 
 
 def skip_graph_network(graph: SkipGraph, k: int = 1) -> Network:
@@ -635,10 +664,9 @@ def trace_route(processes: Mapping[Key, _RouterProcess], source: Key, destinatio
     current = source
     visited = {source}
     while current != destination:
-        forward = processes[current].forwards.get(destination)
-        if forward is None:
+        current = processes[current].forwards.get(destination)
+        if current is None:
             break
-        current = forward[0]
         if current in visited:  # pragma: no cover - defensive against cycles
             break
         visited.add(current)

@@ -11,7 +11,10 @@ and execute phases (``crash_dark`` fired through ``mid_request_fault``)
 must never apply a stale op — the driver repairs the hole structurally
 and either re-anchors the plan against the post-repair topology or
 abandons it with explicit accounting, and the planner-equivalence
-invariants hold again afterwards.
+invariants hold again afterwards.  PR 16 made the sequential driver the
+``window=1`` case of the one serve loop, so the failure-aware tests run at
+window 1 and 4: an armed fault hook or an open dark hole is a pipeline
+barrier at every depth.
 """
 
 import math
@@ -187,11 +190,24 @@ def _assert_consistent(driver):
     assert not verify_skip_graph_integrity(driver.topology, driver.sim.network)
 
 
-class TestFailureAwareAdjustment:
-    def _driver(self, seed=9, n=32):
+@pytest.fixture(params=[1, 4], ids=["window1", "window4"])
+def make_driver(request):
+    def make(seed=9, n=32):
         return DistributedDSG(
-            range(1, n + 1), config=DSGConfig(seed=seed), seed=seed, strict=True
+            range(1, n + 1),
+            config=DSGConfig(seed=seed),
+            seed=seed,
+            strict=True,
+            window=request.param,
         )
+
+    return make
+
+
+class TestFailureAwareAdjustment:
+    @pytest.fixture(autouse=True)
+    def _bind(self, make_driver):
+        self._driver = make_driver
 
     def test_crash_dark_defers_repair_to_the_next_request(self):
         driver = self._driver()
@@ -275,6 +291,82 @@ class TestFailureAwareAdjustment:
         driver = self._driver()
         with pytest.raises(SimulationError):
             driver.crash_dark(999)
+
+    def test_crash_of_an_unknown_key_is_rejected_before_anything_mutates(self):
+        """``crash(999)`` used to kill 999 in the engine and only then fail
+        in the planner, banning the key from ever joining."""
+        driver = self._driver()
+        with pytest.raises(SimulationError):
+            driver.crash(999)
+        assert driver.sim.crashed == frozenset() and driver.crashes == 0
+        assert not driver.dark_keys
+        _assert_consistent(driver)
+        driver.join(999)  # the key was never banned
+        assert 999 in driver.processes
+        _assert_consistent(driver)
+
+    def test_crash_of_a_dummy_is_rejected_before_anything_mutates(self):
+        """``crash(<dummy>)`` used to kill the dummy's process and links
+        before the planner refused, leaving the network off the topology."""
+        driver = self._driver(seed=23)
+        for u, v in [(1, 30), (5, 21), (9, 17), (2, 31), (12, 27), (7, 19), (3, 25)]:
+            driver.request(u, v)
+            if driver.topology.dummy_keys():
+                break
+        dummy = next(iter(driver.topology.dummy_keys()))
+        with pytest.raises(SimulationError):
+            driver.crash(dummy)
+        assert driver.sim.crashed == frozenset() and driver.crashes == 0
+        assert not driver.dark_keys
+        assert dummy in driver.processes
+        _assert_consistent(driver)
+
+    def test_a_dark_key_cannot_leave_and_its_hole_is_settled(self):
+        """``crash_dark(16); leave(16)`` used to succeed and keep 16 dark,
+        so the *next* request died repairing a node that was gone.  Every
+        event now settles open holes first: the leave finds no such peer
+        and says so at once, and the driver keeps serving."""
+        driver = self._driver()
+        driver.crash_dark(16)
+        with pytest.raises(KeyError):
+            driver.leave(16)
+        assert not driver.dark_keys and driver.leaves == 0
+        assert not driver.topology.has_node(16)
+        _assert_consistent(driver)
+        outcome = driver.request(3, 30)
+        assert outcome.measured_distance == outcome.planned_distance
+        _assert_consistent(driver)
+
+    def test_a_fault_armed_before_a_schedule_is_a_barrier(self):
+        """Multi-event variant: the hook is armed before a 6-request
+        ``run_scenario``.  It fires inside the first request, which is
+        alone in flight (nothing older, nothing younger admitted before it
+        applied); the rest of the schedule then serves normally."""
+        driver = self._driver()
+        driver.request(3, 30)
+        driver.request(3, 30)
+        driver.mid_request_fault = lambda: driver.crash_dark(16)
+        pairs = [(3, 30), (5, 28), (7, 26), (9, 24), (3, 30), (11, 22)]
+        scenario = Scenario(
+            name="armed",
+            initial_keys=list(range(1, 33)),
+            events=[RequestEvent(u, v) for u, v in pairs],
+        )
+        report = driver.run_scenario(scenario)
+        assert report.requests == 8
+        assert report.reanchored_plans == 1 and report.abandoned_plans == 0
+        assert driver.mid_request_fault is None and not driver.dark_keys
+        trace = report.admission_trace
+        assert [record.index for record in trace] == list(range(8))
+        fenced = trace[2]  # the two warm-ups came first
+        assert fenced.in_flight == 1
+        assert fenced.admit_round >= trace[1].apply_round
+        assert all(record.admit_round >= fenced.apply_round for record in trace[3:])
+        if report.window > 1:
+            assert report.max_in_flight > 1  # overlap resumed behind the barrier
+        assert report.matches_planner
+        assert report.congestion_violations == 0 and report.dropped_messages == 0
+        _assert_consistent(driver)
 
     def test_scenario_events_drive_crash_and_recovery(self):
         events = [

@@ -1,12 +1,15 @@
-"""Differential tests for conflict-aware pipelined serving.
+"""Differential tests for the distributed driver's one serve loop.
 
-The pipelined driver (:class:`repro.distributed.PipelinedDSG`) may overlap
-up to ``window`` requests on the simulator, but the sequential driver is
-the executable spec: on every tested schedule — at every conflict density —
-the pipelined execution must land on the byte-identical final topology,
-the same per-request routing cost and the same total Equation-1 cost,
-with zero congestion violations and zero drops.  The suite also proves the
-two lemmas the scheduler rests on:
+:class:`repro.distributed.DistributedDSG` may overlap up to ``window``
+requests on the simulator, but the sequential two-phase driver of
+``tests/reference/sequential_driver_reference.py`` is the executable spec:
+on every tested schedule — at every conflict density, through crashes,
+recoveries and mid-request faults — the shipped loop must land on the
+byte-identical final topology, the same per-request routing cost, the same
+total Equation-1 cost and the same messages, with zero congestion
+violations and zero drops; at ``window=1`` also on the same rounds, per
+request and in total.  The suite also proves the two lemmas the scheduler
+rests on:
 
 * **soundness** — the write sets fed to the conflict detector
   (:func:`repro.core.local_ops.apply_op_touched`) equal the affected
@@ -14,8 +17,7 @@ two lemmas the scheduler rests on:
   rewires for the same ops, and detector-disjoint plans commute under
   :func:`~repro.core.local_ops.apply_ops` (Hypothesis, random plans);
 * **liveness** — an all-conflict storm degrades to exactly the sequential
-  round count with the window draining FIFO (no deadlock, no starvation),
-  and ``window=1`` reproduces the sequential schedule round for round.
+  round count with the window draining FIFO (no deadlock, no starvation).
 
 Run alone with ``-m pipeline`` (the CI lane).
 """
@@ -29,16 +31,17 @@ from repro.core.local_ops import apply_op_touched, apply_ops, apply_ops_touched
 from repro.distributed import (
     ConflictSet,
     DistributedDSG,
-    PipelinedDSG,
     apply_network_delta,
     networks_equal,
     patch_network,
-    run_pipelined_dsg,
+    run_distributed_dsg,
     skip_graph_network,
 )
 from repro.simulation.rng import make_rng
 from repro.workloads import (
     CrashEvent,
+    JoinEvent,
+    LeaveEvent,
     RecoveryEvent,
     RequestEvent,
     Scenario,
@@ -46,20 +49,25 @@ from repro.workloads import (
     workload_scenario,
 )
 
+from reference.sequential_driver_reference import SequentialReferenceDSG
+
 pytestmark = pytest.mark.pipeline
 
 
 # ------------------------------------------------------------------ helpers
-def _sequential(scenario, config_seed, sim_seed):
-    driver = DistributedDSG(
-        scenario.initial_keys, config=DSGConfig(seed=config_seed), seed=sim_seed, strict=True
+def _sequential(scenario, config_seed, sim_seed, **config_kwargs):
+    driver = SequentialReferenceDSG(
+        scenario.initial_keys,
+        config=DSGConfig(seed=config_seed, **config_kwargs),
+        seed=sim_seed,
+        strict=True,
     )
     report = driver.run_scenario(scenario)
     return driver, report
 
 
 def _pipelined(scenario, config_seed, sim_seed, window, **config_kwargs):
-    driver = PipelinedDSG(
+    driver = DistributedDSG(
         scenario.initial_keys,
         config=DSGConfig(seed=config_seed, **config_kwargs),
         seed=sim_seed,
@@ -70,23 +78,40 @@ def _pipelined(scenario, config_seed, sim_seed, window, **config_kwargs):
     return driver, report
 
 
+def _signature(report, with_rounds):
+    return [
+        (o.source, o.destination, o.measured_distance, o.ops_executed, o.transformation_rounds)
+        + ((o.rounds,) if with_rounds else ())
+        for o in report.outcomes
+    ]
+
+
 def _assert_equivalent(seq_driver, seq_report, pipe_driver, pipe_report):
-    """The differential property: pipelined == sequential, observably."""
+    """The differential property: shipped loop == reference, observably.
+
+    At ``window=1`` the shipped loop *is* the sequential schedule, so the
+    rounds — per request and in total — must match as well.
+    """
     assert pipe_driver.topology.membership_table() == seq_driver.topology.membership_table()
     assert pipe_driver.topology_matches_planner()
     assert pipe_driver.network_matches_topology()
+    sequential = pipe_report.window == 1
     # Per-request routing cost, in arrival order.
-    assert [
-        (o.source, o.destination, o.measured_distance, o.ops_executed)
-        for o in pipe_report.outcomes
-    ] == [
-        (o.source, o.destination, o.measured_distance, o.ops_executed)
-        for o in seq_report.outcomes
-    ]
+    assert _signature(pipe_report, sequential) == _signature(seq_report, sequential)
     assert pipe_report.total_cost == seq_report.total_cost
     assert pipe_report.matches_planner
     assert pipe_report.congestion_violations == 0
     assert pipe_report.dropped_messages == 0
+    assert (pipe_report.abandoned_plans, pipe_report.reanchored_plans) == (
+        seq_report.abandoned_plans,
+        seq_report.reanchored_plans,
+    )
+    assert (pipe_report.messages, pipe_report.total_bits) == (
+        seq_report.messages,
+        seq_report.total_bits,
+    )
+    if sequential:
+        assert pipe_report.rounds == seq_report.rounds
 
 
 def _disjoint_hot_scenario(n=128, pairs=8, body=60, seed=42):
@@ -237,19 +262,11 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("window", [1, 2, 8])
     def test_all_hot_disjoint_keys(self, window):
         scenario = _disjoint_hot_scenario()
-        seq_driver = DistributedDSG(
-            scenario.initial_keys,
-            config=DSGConfig(seed=42, track_working_set=False),
-            seed=1,
-            strict=True,
-        )
-        seq_report = seq_driver.run_scenario(scenario)
+        seq_driver, seq_report = _sequential(scenario, 42, 1, track_working_set=False)
         pipe_driver, pipe_report = _pipelined(
             scenario, 42, 1, window, track_working_set=False
         )
         _assert_equivalent(seq_driver, seq_report, pipe_driver, pipe_report)
-        if window == 1:
-            assert pipe_report.rounds == seq_report.rounds
 
     @pytest.mark.parametrize("window", [1, 3, 8])
     def test_temporal_working_set(self, window):
@@ -258,8 +275,6 @@ class TestDifferentialEquivalence:
         seq_driver, seq_report = _sequential(scenario, 11, 1)
         pipe_driver, pipe_report = _pipelined(scenario, 11, 1, window)
         _assert_equivalent(seq_driver, seq_report, pipe_driver, pipe_report)
-        if window == 1:
-            assert pipe_report.rounds == seq_report.rounds
 
     @pytest.mark.parametrize("window", [1, 4])
     def test_uniform_traffic(self, window):
@@ -280,20 +295,12 @@ class TestDifferentialEquivalence:
         _assert_equivalent(seq_driver, seq_report, pipe_driver, pipe_report)
         assert pipe_report.joins == scenario.join_count
         assert pipe_report.leaves == scenario.leave_count
-        if window == 1:
-            assert pipe_report.rounds == seq_report.rounds
 
     def test_overlap_actually_happens_and_saves_rounds(self):
         """The disjoint-heavy mix pipelines: strictly fewer rounds than
         sequential and real in-flight depth, with equivalence intact."""
         scenario = _disjoint_hot_scenario()
-        seq_driver = DistributedDSG(
-            scenario.initial_keys,
-            config=DSGConfig(seed=42, track_working_set=False),
-            seed=1,
-            strict=True,
-        )
-        seq_report = seq_driver.run_scenario(scenario)
+        seq_driver, seq_report = _sequential(scenario, 42, 1, track_working_set=False)
         pipe_driver, pipe_report = _pipelined(
             scenario, 42, 1, window=8, track_working_set=False
         )
@@ -311,14 +318,17 @@ class TestDifferentialEquivalence:
         for key, process in driver.processes.items():
             assert process.bits == driver.topology.membership(key).bits, key
 
-    def test_single_call_api_matches_sequential(self):
-        """request()/join()/leave() on the pipelined driver behave exactly
-        like the sequential driver (each call drains the pipeline)."""
-        seq = DistributedDSG(range(1, 17), config=DSGConfig(seed=6), seed=1, strict=True)
-        pipe = PipelinedDSG(range(1, 17), config=DSGConfig(seed=6), seed=1, strict=True)
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_single_call_api_matches_sequential(self, window):
+        """request()/join()/leave() behave exactly like the reference at
+        any window (each call drains the pipeline)."""
+        seq = SequentialReferenceDSG(range(1, 17), config=DSGConfig(seed=6), seed=1, strict=True)
+        pipe = DistributedDSG(
+            range(1, 17), config=DSGConfig(seed=6), seed=1, strict=True, window=window
+        )
         for u, v in [(1, 16), (1, 16), (3, 12)]:
             a, b = seq.request(u, v), pipe.request(u, v)
-            assert (a.measured_distance, a.cost) == (b.measured_distance, b.cost)
+            assert (a.measured_distance, a.cost, a.rounds) == (b.measured_distance, b.cost, b.rounds)
         seq.join(100)
         pipe.join(100)
         seq.leave(9)
@@ -401,13 +411,81 @@ class TestCrashBarriers:
         second_barrier = max(trace[i].apply_round for i in (3, 4))
         assert min(trace[i].admit_round for i in (5, 6)) >= second_barrier
 
-    def test_crash_dark_is_rejected_on_the_pipelined_driver(self):
-        driver = PipelinedDSG(
-            range(1, 17), config=DSGConfig(seed=2), seed=2, strict=True, window=4
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_crash_dark_hole_is_settled_by_the_next_event(self, window):
+        """``crash_dark`` is legal at every window: the open hole fences the
+        pipeline, the first event served settles it (a join and a leave
+        included), and the run matches the reference."""
+        events = [
+            JoinEvent(100),
+            RequestEvent(3, 30),
+            LeaveEvent(9),
+            RequestEvent(5, 28),
+            RequestEvent(100, 2),
+            RequestEvent(3, 30),
+        ]
+        scenario = Scenario(name="dark-churn", initial_keys=list(range(1, 33)), events=events)
+        seq = SequentialReferenceDSG(range(1, 33), config=DSGConfig(seed=9), seed=9, strict=True)
+        pipe = DistributedDSG(
+            range(1, 33), config=DSGConfig(seed=9), seed=9, strict=True, window=window
         )
-        with pytest.raises(Exception) as excinfo:
-            driver.crash_dark(8)
-        assert "barrier" in str(excinfo.value)
+        for driver in (seq, pipe):
+            driver.crash_dark(16)
+            assert driver.dark_keys == {16}
+        seq_report = seq.run_scenario(scenario)
+        pipe_report = pipe.run_scenario(scenario)
+        assert not pipe.dark_keys and not pipe.topology.has_node(16)
+        assert pipe_report.crashes == 1 and pipe_report.joins == 1 and pipe_report.leaves == 1
+        _assert_equivalent(seq, seq_report, pipe, pipe_report)
+        # The hole's barrier: the join that settled it applied before
+        # anything younger was admitted.
+        trace = pipe_report.admission_trace
+        assert trace[0].kind == "join"
+        assert all(record.admit_round >= trace[0].apply_round for record in trace[1:])
+
+
+# ------------------------------------------------- mid-request fault barriers
+class TestFaultBarriers:
+    """An armed ``mid_request_fault`` hook fences the pipeline like a crash
+    event, so the abandon / re-anchor plan repair runs — and matches the
+    reference's independently written fault path — at every window."""
+
+    def _run(self, driver, victim, warm):
+        for _ in range(warm):
+            driver.request(3, 30)
+        driver.mid_request_fault = lambda: driver.crash_dark(victim)
+        # The fault lands inside (3, 30); the dead key serves nothing after.
+        tail = [(5, 28), (7, 26), (9, 24), (3, 30), (11, 22)]
+        pairs = [(3, 30)] + [pair for pair in tail if victim not in pair]
+        scenario = Scenario(
+            name="fault",
+            initial_keys=list(range(1, 33)),
+            events=[RequestEvent(u, v) for u, v in pairs],
+        )
+        return driver.run_scenario(scenario)
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize(
+        "victim, warm, abandoned, reanchored",
+        [
+            (16, 2, 0, 1),  # bystander dies under a warmed (local) plan: re-anchor
+            (3, 0, 1, 0),  # the disseminating source dies: abandon
+            (30, 0, 1, 0),  # an op subject dies: abandon (stale_op_keys)
+        ],
+    )
+    def test_fault_schedule_matches_reference(self, window, victim, warm, abandoned, reanchored):
+        seq = SequentialReferenceDSG(range(1, 33), config=DSGConfig(seed=9), seed=9, strict=True)
+        pipe = DistributedDSG(
+            range(1, 33), config=DSGConfig(seed=9), seed=9, strict=True, window=window
+        )
+        seq_report = self._run(seq, victim, warm)
+        pipe_report = self._run(pipe, victim, warm)
+        assert (pipe_report.abandoned_plans, pipe_report.reanchored_plans) == (
+            abandoned,
+            reanchored,
+        )
+        assert pipe.mid_request_fault is None and not pipe.dark_keys
+        _assert_equivalent(seq, seq_report, pipe, pipe_report)
 
 
 # ----------------------------------------------------- determinism regression
@@ -418,7 +496,7 @@ class TestDeterminism:
         )
 
         def run():
-            return run_pipelined_dsg(
+            return run_distributed_dsg(
                 scenario, config=DSGConfig(seed=17), seed=6, strict=True, window=4
             )
 
@@ -444,13 +522,13 @@ class TestDeterminism:
             name="half-2", initial_keys=scenario.initial_keys, events=scenario.events[split:]
         )
 
-        reused = PipelinedDSG(
+        reused = DistributedDSG(
             scenario.initial_keys, config=DSGConfig(seed=13), seed=2, strict=True, window=6
         )
         reused.run_scenario(first_half)
         reused_report = reused.run_scenario(second_half)
 
-        fresh = PipelinedDSG(
+        fresh = DistributedDSG(
             scenario.initial_keys, config=DSGConfig(seed=13), seed=2, strict=True, window=6
         )
         fresh_report = fresh.run_scenario(scenario)

@@ -41,6 +41,46 @@ class TestPublicAPI:
         assert "Self-Adjusting Skip Graphs" in repro.__doc__
 
 
+class TestDistributedExports:
+    """One distributed driver: a re-introduced fork fails tier-1 here."""
+
+    EXPORTS = {
+        "AMFProtocolResult", "AdmissionRecord", "BroadcastResult", "ConflictSet", "DSGProcess",
+        "DistributedDSG", "DistributedDSGReport", "DistributedRequestOutcome",
+        "FailureArenaReport", "FailureWaveReport", "NeighborTable", "PipelineWindow",
+        "PipelinedDSG", "RouteLedger", "RoutingProtocolResult", "SumProtocolResult", "Wave",
+        "apply_network_delta", "install_amf", "install_broadcast", "install_routing",
+        "install_sum", "make_router", "networks_equal", "patch_network", "rejoin_crash_links",
+        "repair_crash_links", "run_amf_protocol", "run_distributed_dsg", "run_failure_arena",
+        "run_list_broadcast", "run_routing_protocol", "run_sum_protocol", "segment_network",
+        "segment_waves", "skip_graph_network", "trace_route",
+    }  # fmt: skip
+
+    def test_export_list_is_the_post_merge_one(self):
+        import repro.distributed as distributed
+
+        assert set(distributed.__all__) == self.EXPORTS
+        assert len(distributed.__all__) == len(self.EXPORTS)
+        for name in distributed.__all__:
+            assert hasattr(distributed, name), name
+
+    def test_the_pipelined_driver_is_the_driver(self):
+        import inspect
+
+        import repro.distributed as distributed
+        from repro.distributed import dsg_protocol
+
+        assert distributed.PipelinedDSG is distributed.DistributedDSG
+        assert dsg_protocol.PipelinedDSG is dsg_protocol.DistributedDSG
+        for gone in ("PipelinedDSGProcess", "PipelinedDSGReport", "run_pipelined_dsg"):
+            assert not hasattr(distributed, gone) and not hasattr(dsg_protocol, gone), gone
+        # No option added: the union of the two former signatures.
+        assert list(inspect.signature(distributed.DistributedDSG).parameters) == [
+            "keys", "config", "seed", "max_rounds", "strict", "window",
+        ]  # fmt: skip
+        assert inspect.signature(distributed.DistributedDSG).parameters["window"].default == 1
+
+
 #: ``[project].dependencies`` of ``pyproject.toml`` (the offline-static
 #: baseline's Kernighan-Lin bisection).
 DECLARED_DEPENDENCIES = {"networkx"}

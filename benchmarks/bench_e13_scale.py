@@ -1,16 +1,11 @@
 """E13 scale benchmark: a 10k-node, 100k+-request scenario with churn.
 
-Three measurements:
+Two measurements:
 
 * ``test_e13_scale_scenario`` — the headline run: 10,000 nodes, >= 100,000
   requests (heavy-hitter pairs, far-pair trickle, two flash crowds, steady
-  join/leave churn) executed end to end through the batched request
-  pipeline, working-set tracking on.
-* ``test_e13_batch_identical_to_sequential`` — the batched
-  ``run_requests()`` pipeline replays a sequence with per-request Equation 1
-  costs identical to a sequential ``request()`` loop on the same seed (the
-  acceptance bar for batching: amortize the bookkeeping, never the
-  algorithm).
+  join/leave churn) executed end to end by ``run_scenario``, working-set
+  tracking on.
 * ``test_e13_routing_fastpath_speedup`` — the cached O(expected hops)
   ``route()`` against the scan-based executable specification
   ``route_reference()`` (the seed implementation) on a 10k-node graph.
@@ -27,11 +22,11 @@ import time
 
 from conftest import quick_mode
 
-from repro.core.dsg import DSGConfig, DynamicSkipGraph
+from repro.core.dsg import DSGConfig
 from repro.simulation.rng import make_rng
 from repro.skipgraph import build_balanced_skip_graph
 from repro.skipgraph.routing import route, route_reference
-from repro.workloads import generate_workload, run_scenario, scale_scenario
+from repro.workloads import run_scenario, scale_scenario
 
 if quick_mode():
     N = 512
@@ -72,21 +67,6 @@ def test_e13_scale_scenario(run_once):
         f"avg_cost={report.average_cost:.1f} max_height={report.max_height} "
         f"dummies={report.dummy_count}"
     )
-
-
-def test_e13_batch_identical_to_sequential(run_once):
-    keys = list(range(1, 257))
-    requests = generate_workload("temporal", keys, 800, seed=3, working_set_size=10)
-
-    sequential = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=5))
-    sequential_costs = [sequential.request(u, v).cost for u, v in requests]
-
-    batched = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=5))
-    outcome = run_once(batched.run_requests, requests, keep_results=False)
-
-    assert outcome.costs == sequential_costs
-    assert batched.total_cost() == sequential.total_cost()
-    assert batched.results == []  # keep_results=False retains aggregates only
 
 
 def test_e13_routing_fastpath_speedup(benchmark):

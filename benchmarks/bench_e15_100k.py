@@ -6,10 +6,10 @@ the lists each local op dirtied, and the CONGEST network is patched by
 op-driven deltas instead of full rebuilds.  This benchmark is the cap: one
 arena function exercising all three at 100,000 nodes, with the equivalence
 contracts (index == scan, dirty-repair == full-repair, delta network ==
-rebuilt network, batch == sequential) asserted *inside* the run:
+rebuilt network) asserted *inside* the run:
 
 * **scale mix** — ``scale_scenario`` at 100k nodes / >= 100k requests with
-  steady join/leave churn, served end to end through the batched pipeline;
+  steady join/leave churn, served end to end by ``run_scenario``;
 * **churn wave** — a second fresh 100k instance under ~20x the churn rate
   (the shape the incremental indexes exist for);
 * **equivalence replay** — one 4096-node churn schedule served twice, on
@@ -17,9 +17,9 @@ rebuilt network, batch == sequential) asserted *inside* the run:
   ``tests/reference/kernel_reference.py`` (op-by-op application, seed
   O(n)-scan join bits, full a-balance rescans); total cost, final topology
   and dummy population must be identical;
-* **batch parity** — the same churn schedule through ``run_scenario``
-  (batched flushes) and ``play_scenario`` (per-request): identical costs,
-  and identical again on the reference kernel;
+* **kernel parity** — a second churn schedule on both kernels with costs
+  kept: identical request by request (routing and adjustment), identical
+  final topology;
 * **network delta** — a 100k-node ``skip_graph_network`` carried across a
   join/leave wave by :func:`~repro.distributed.routing_protocol.apply_network_delta`,
   then compared link-for-link (labels included) against a from-scratch
@@ -52,7 +52,7 @@ from repro.analysis.artifacts import (
     ProtocolResult,
     render_comparison,
 )
-from repro.baselines.adapter import DSGAdapter, play_scenario
+from repro.baselines.adapter import DSGAdapter
 from repro.core.dsg import DSGConfig
 from repro.core.local_ops import NodeJoinOp, NodeLeaveOp
 from repro.distributed import (
@@ -244,27 +244,19 @@ def test_e15_100k_arena(run_once):
             "reference_seconds": reference_report.elapsed_seconds,
         }
 
-        # ---- batch == sequential cost parity over the same churn schedule
+        # ---- bulk adjustment kernel == reference kernel, cost for cost --
         started = time.perf_counter()
         parity = churn_scenario(**PARITY)
-        batched = DSGAdapter(keys=parity.initial_keys, config=DSGConfig(seed=2))
-        batched_report = run_scenario(parity, algorithm=batched, keep_costs=True)
-        sequential = DSGAdapter(keys=parity.initial_keys, config=DSGConfig(seed=2))
-        sequential_run = play_scenario(sequential, parity, keep_costs=True)
-        outcome["batch_parity"] = (
-            batched_report.costs == [cost.total for cost in sequential_run.costs]
-            and batched.dsg.graph.membership_table() == sequential.dsg.graph.membership_table()
-        )
-
-        # ---- bulk adjustment kernel == reference kernel, cost for cost --
+        shipping = DSGAdapter(keys=parity.initial_keys, config=DSGConfig(seed=2))
+        shipping_report = run_scenario(parity, algorithm=shipping, keep_costs=True)
         kernel_off = DSGAdapter(
             dsg=ReferenceDynamicSkipGraph(keys=parity.initial_keys, config=DSGConfig(seed=2))
         )
         kernel_off_report = run_scenario(parity, algorithm=kernel_off, keep_costs=True)
         outcome["kernel_parity"] = (
-            batched_report.total_cost == kernel_off_report.total_cost
-            and batched_report.costs == kernel_off_report.costs
-            and batched.dsg.graph.membership_table() == kernel_off.dsg.graph.membership_table()
+            shipping_report.total_cost == kernel_off_report.total_cost
+            and shipping_report.costs == kernel_off_report.costs
+            and shipping.dsg.graph.membership_table() == kernel_off.dsg.graph.membership_table()
         )
         outcome["parity_seconds"] = time.perf_counter() - started
 
@@ -287,7 +279,6 @@ def test_e15_100k_arena(run_once):
         "incremental_equals_full_rescan_cost": equivalence["total_cost"],
         "incremental_equals_full_rescan_topology": equivalence["topology"],
         "incremental_equals_full_rescan_dummies": equivalence["dummies"],
-        "batch_equals_sequential": outcome["batch_parity"],
         "batched_kernel_cost_equals_reference_kernel": outcome["kernel_parity"],
         "delta_network_equals_rebuild": network["equal"],
         "delta_beats_rebuild_wall_clock": (

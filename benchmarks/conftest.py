@@ -56,19 +56,21 @@ def artifact_dir():
 
 
 def publish_artifact(artifact):
-    """Write ``artifact`` to :func:`artifact_dir` and mirror it to the repo root.
+    """Write ``artifact`` to :func:`artifact_dir`; mirror full-size runs to the repo root.
 
     The perf-trajectory tooling scans the repository root for
     ``BENCH_*.json`` files, so every benchmark that produces an artifact
     publishes through this helper: the canonical copy lands in the artifact
     directory (uploaded by CI), the mirror next to ``README.md`` keeps the
-    root history populated.  Returns the canonical path.
+    root history populated.  Quick-mode runs are not mirrored — the
+    committed root files are full-size numbers, and a crash-gate pass must
+    leave ``git status`` clean.  Returns the canonical path.
     """
     from repro.analysis.artifacts import write_artifact
 
     path = write_artifact(artifact, Path(artifact_dir()))
     repo_root = Path(__file__).resolve().parent.parent
-    if path.parent.resolve() != repo_root:
+    if not quick_mode() and path.parent.resolve() != repo_root:
         shutil.copy2(path, repo_root / path.name)
     return path
 

@@ -50,7 +50,6 @@ from repro.baselines import (
     SplayNetBaseline,
     StaticSkipGraphBaseline,
     make_comparison_algorithms,
-    play_scenario,
 )
 from repro.workloads import WORKLOADS, generate_workload, run_scenario
 from repro.analysis import (
@@ -90,7 +89,6 @@ __all__ = [
     "distributed_sum",
     "generate_workload",
     "make_comparison_algorithms",
-    "play_scenario",
     "route",
     "run_experiment",
     "run_scenario",

@@ -23,22 +23,15 @@ comparators the paper positions itself against:
 
 All of them — and DSG itself, through :class:`DSGAdapter` — implement the
 :class:`ServingAlgorithm` protocol (:mod:`repro.baselines.adapter`):
-``request``/``request_batch`` for traffic, ``join``/``leave`` for
-membership churn (Section IV-G), ``serve(requests)`` returning a
-:class:`BaselineRun` for plain sequences, and O(1) streaming cost counters.
-The scenario layer (:func:`repro.workloads.scenarios.run_scenario`) and
-:func:`play_scenario` drive any of them through any event schedule
-interchangeably; see ``docs/BASELINES.md``.
+``request`` for traffic, ``join``/``leave`` for membership churn
+(Section IV-G), ``serve(requests)`` returning a :class:`BaselineRun` for
+plain sequences, and O(1) streaming cost counters.  The scenario runner
+(:func:`repro.workloads.scenarios.run_scenario`) drives any of them through
+any event schedule interchangeably; see ``docs/BASELINES.md``.
 """
 
 from repro.baselines.base import BaselineRun, RequestCost
-from repro.baselines.adapter import (
-    BatchServeOutcome,
-    DSGAdapter,
-    ServingAlgorithm,
-    make_comparison_algorithms,
-    play_scenario,
-)
+from repro.baselines.adapter import DSGAdapter, ServingAlgorithm, make_comparison_algorithms
 from repro.baselines.static_skipgraph import StaticSkipGraphBaseline
 from repro.baselines.offline_static import OfflineStaticBaseline
 from repro.baselines.splaynet import SplayNetBaseline
@@ -46,7 +39,6 @@ from repro.baselines.oracle import DirectLinkOracle
 
 __all__ = [
     "BaselineRun",
-    "BatchServeOutcome",
     "DSGAdapter",
     "DirectLinkOracle",
     "OfflineStaticBaseline",
@@ -55,5 +47,4 @@ __all__ = [
     "SplayNetBaseline",
     "StaticSkipGraphBaseline",
     "make_comparison_algorithms",
-    "play_scenario",
 ]

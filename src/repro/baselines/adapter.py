@@ -12,18 +12,13 @@ The protocol is deliberately small:
 
 ``request(u, v) -> RequestCost``
     Serve one communication request and return its Equation 1 breakdown.
-``request_batch(pairs, keep_costs) -> BatchServeOutcome``
-    Serve a churn-free stretch; the default implementation loops
-    ``request``, :class:`DSGAdapter` overrides it with the amortized
-    batched pipeline of :meth:`repro.core.dsg.DynamicSkipGraph.run_requests`.
 ``join(key)`` / ``leave(key)``
     Membership churn.  Every implementation accepts joins of fresh keys and
     leaves of current members; static structures patch their topology
     (random membership vector for the newcomer), SplayNet performs a BST
     insert/delete, DSG runs the Section IV-G operations.
 ``serve(requests, keep_costs=True) -> BaselineRun``
-    Convenience wrapper for plain (churn-free) request sequences — the
-    historical baseline API, now shared by every algorithm.
+    Convenience loop over ``request`` for plain (churn-free) sequences.
 
 Streaming accounting: every adapter carries a lifetime
 :class:`~repro.baselines.base.BaselineRun` in streaming mode
@@ -31,52 +26,24 @@ Streaming accounting: every adapter carries a lifetime
 ``total_adjustment`` / ``total_cost`` are O(1) running counters regardless
 of run length — a 100k-request benchmark run retains nothing per-request.
 
-:func:`play_scenario` drives one algorithm through one scenario via the
-per-request path and returns the retained :class:`BaselineRun` (what E9
-uses for tail/percentile analysis); the throughput-oriented batched runner
-is :func:`repro.workloads.scenarios.run_scenario`, which accepts any
-:class:`ServingAlgorithm` via its ``algorithm=`` parameter.
+The one scenario runner is :func:`repro.workloads.scenarios.run_scenario`:
+it drives any :class:`ServingAlgorithm` (``algorithm=``) through any event
+schedule, request by request, and with ``keep_costs=True`` hands the
+per-request :class:`RequestCost` list back on its report (what E9 uses for
+tail/percentile analysis).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import BaselineRun, Key, RequestCost
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 
-__all__ = [
-    "BatchServeOutcome",
-    "DSGAdapter",
-    "ServingAlgorithm",
-    "make_comparison_algorithms",
-    "play_scenario",
-]
+__all__ = ["DSGAdapter", "ServingAlgorithm", "make_comparison_algorithms"]
 
 Request = Tuple[Key, Key]
-
-
-@dataclass
-class BatchServeOutcome:
-    """Result of one :meth:`ServingAlgorithm.request_batch` call.
-
-    Attributes
-    ----------
-    served:
-        Number of requests in the batch.
-    costs:
-        Per-request Equation 1 totals, present only when the batch was
-        served with ``keep_costs=True``.
-    max_height:
-        Largest structure height observed (at batch granularity for the
-        generic loop, at request granularity for :class:`DSGAdapter`).
-    """
-
-    served: int
-    costs: Optional[List[int]]
-    max_height: int
 
 
 class ServingAlgorithm:
@@ -150,21 +117,6 @@ class ServingAlgorithm:
         self._lifetime.record(cost)
         return cost
 
-    def request_batch(self, pairs: Sequence[Request], keep_costs: bool = False) -> BatchServeOutcome:
-        """Serve a churn-free run of requests.
-
-        The generic implementation loops :meth:`request`; structures with a
-        cheaper amortized pipeline (DSG) override it.  ``max_height`` is
-        sampled once per batch here because deriving the height of a
-        pointer structure per request would dominate the serve cost.
-        """
-        costs: Optional[List[int]] = [] if keep_costs else None
-        for source, destination in pairs:
-            cost = self.request(source, destination)
-            if costs is not None:
-                costs.append(cost.total)
-        return BatchServeOutcome(served=len(pairs), costs=costs, max_height=self.height())
-
     def serve(self, requests: Iterable[Request], keep_costs: bool = True) -> BaselineRun:
         """Serve a plain request sequence and return its own run accounting.
 
@@ -207,10 +159,8 @@ class DSGAdapter(ServingAlgorithm):
     Translation is one-to-one: ``routing`` is the request's routing
     distance ``d_{S_t}``, ``adjustment`` its transformation rounds
     ``ρ(A, S_t, σ_t)`` (so ``RequestCost.total`` equals
-    ``RequestResult.cost``, Equation 1), joins/leaves map to the
-    Section IV-G node operations, and :meth:`request_batch` rides the
-    amortized :meth:`~repro.core.dsg.DynamicSkipGraph.run_requests`
-    pipeline — per-request costs identical to the sequential path.
+    ``RequestResult.cost``, Equation 1) and joins/leaves map to the
+    Section IV-G node operations.
     """
 
     name = "dsg"
@@ -234,24 +184,6 @@ class DSGAdapter(ServingAlgorithm):
             destination=destination,
             routing=result.routing_cost,
             adjustment=result.transformation_rounds,
-        )
-
-    def request_batch(self, pairs: Sequence[Request], keep_costs: bool = False) -> BatchServeOutcome:
-        outcome = self.dsg.run_requests(pairs, keep_results=False)
-        # run_requests maintains the DSG's own running counters; mirror the
-        # batch into the adapter's lifetime run so both accountings agree.
-        routing = outcome.total_routing_cost
-        adjustment = outcome.total_cost - routing - outcome.served
-        self._lifetime.record_batch(
-            requests=outcome.served,
-            total_routing=routing,
-            total_adjustment=adjustment,
-            max_routing=outcome.max_routing,
-        )
-        return BatchServeOutcome(
-            served=outcome.served,
-            costs=outcome.costs if keep_costs else None,
-            max_height=outcome.max_height,
         )
 
     def join(self, key: Key) -> None:
@@ -311,28 +243,3 @@ def make_comparison_algorithms(
         SplayNetBaseline(keys),
         StaticSkipGraphBaseline(keys, topology="random", rng=random.Random(rng.getrandbits(64))),
     ]
-
-
-def play_scenario(algorithm: ServingAlgorithm, scenario, keep_costs: bool = True) -> BaselineRun:
-    """Replay a :class:`~repro.workloads.scenarios.Scenario` per-request.
-
-    Requests go through :meth:`ServingAlgorithm.request` (full
-    :class:`RequestCost` retention when ``keep_costs``), joins and leaves
-    through :meth:`join` / :meth:`leave`.  Returns the run covering exactly
-    this scenario.  Use :func:`repro.workloads.scenarios.run_scenario` when
-    throughput matters more than per-request detail — for DSG both paths
-    produce identical per-request costs on the same seed.
-    """
-    # Imported here to keep baselines free of a package-level dependency on
-    # the workloads layer (which imports baselines.adapter).
-    from repro.workloads.scenarios import JoinEvent, RequestEvent
-
-    run = BaselineRun(name=algorithm.name, keep_costs=keep_costs)
-    for event in scenario.events:
-        if isinstance(event, RequestEvent):
-            run.record(algorithm.request(event.source, event.destination))
-        elif isinstance(event, JoinEvent):
-            algorithm.join(event.key)
-        else:
-            algorithm.leave(event.key)
-    return run

@@ -106,26 +106,6 @@ class BaselineRun:
         if self.keep_costs:
             self.costs.append(cost)
 
-    def record_batch(
-        self, requests: int, total_routing: int, total_adjustment: int, max_routing: int
-    ) -> None:
-        """Fold a pre-aggregated batch into the running counters.
-
-        Used by batch-serving pipelines (``DSGAdapter.request_batch``) whose
-        per-request breakdowns were already reduced to totals; keeps every
-        aggregate — including ``max_routing`` — consistent with what
-        :meth:`record`-ing the individual costs would have produced.
-        Per-request retention is not possible from totals, so this is only
-        valid on streaming (``keep_costs=False``) runs.
-        """
-        if self.keep_costs:
-            raise ValueError("record_batch requires a streaming (keep_costs=False) run")
-        self._requests += requests
-        self._total_routing += total_routing
-        self._total_adjustment += total_adjustment
-        if max_routing > self._max_routing:
-            self._max_routing = max_routing
-
     @property
     def requests(self) -> int:
         return self._requests

@@ -10,9 +10,10 @@ This baseline builds such a topology by recursive balanced bisection of the
 weighted communication graph: at every level, the current linked list is
 split into two equally sized sublists so that the total frequency of pairs
 separated by the split is (locally) minimised — Kernighan–Lin bisection,
-via networkx.  Balanced halves keep the height at ``ceil(log2 n) + 1``, so
-the baseline stays inside the family ``S`` of valid skip graphs (the class
-Theorem 1's lower bound quantifies over).
+via networkx (the ``baselines`` extra; imported on first use so that
+``import repro`` stays stdlib-only).  Balanced halves keep the height at
+``ceil(log2 n) + 1``, so the baseline stays inside the family ``S`` of
+valid skip graphs (the class Theorem 1's lower bound quantifies over).
 
 This is a heuristic optimum (the exact problem is NP-hard, being a
 recursive minimum-bisection), which is the standard choice for "offline
@@ -32,8 +33,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.baselines.static_skipgraph import CachedStaticGraphAlgorithm
 from repro.simulation.rng import make_rng
@@ -100,6 +99,13 @@ class OfflineStaticBaseline(CachedStaticGraphAlgorithm):
         """Split ``members`` into two balanced halves with a small cut."""
         if len(members) == 2:
             return [members[0]], [members[1]]
+        try:
+            import networkx as nx
+        except ImportError as error:
+            raise ImportError(
+                "OfflineStaticBaseline needs networkx: install the 'baselines' "
+                "extra (pip install dsg-repro[baselines])"
+            ) from error
         graph = nx.Graph()
         graph.add_nodes_from(members)
         member_set = set(members)

@@ -12,12 +12,10 @@ levels.  Joins draw a random membership vector (the classical rule,
 :func:`~repro.skipgraph.build.draw_membership_bits`); leaves remove the
 node and let the level lists close up.
 
-:class:`StaticSkipGraphBaseline` is exactly what DSG degenerates to with
-``adjust=False``: requests are routed with the standard skip graph routing
-(paper, Appendix B) over a topology that never reacts to traffic — the
-"worst-case optimised, oblivious to skew" design the paper improves on.
-Provided as a standalone class so that experiments do not need to
-instantiate the DSG machinery to measure the baseline.  The
+:class:`StaticSkipGraphBaseline` is DSG without the self-adjustment:
+requests are routed with the standard skip graph routing (paper,
+Appendix B) over a topology that never reacts to traffic — the "worst-case
+optimised, oblivious to skew" design the paper improves on.  The
 frequency-optimised variant is
 :class:`~repro.baselines.offline_static.OfflineStaticBaseline`.
 """

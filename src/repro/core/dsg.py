@@ -18,9 +18,13 @@ history.  For every communication request ``(u, v)`` it:
 6. charges the costs: ``routing distance + transformation rounds + 1``
    (Equation 1 of the paper).
 
-The class also implements node addition/removal (Section IV-G) and the
-bookkeeping needed by the experiments: per-request results, average cost,
-working-set statistics, height tracking and memory auditing.
+:meth:`DynamicSkipGraph.request` is the only way a request is served — the
+cost model is per request and nothing in Algorithm 1 amortizes across
+requests — so every runner above it (adapter, scenario runner, distributed
+planner) times and counts the same loop.  The class also implements node
+addition/removal (Section IV-G) and the bookkeeping needed by the
+experiments: per-request results, average cost, working-set statistics,
+height tracking and memory auditing.
 """
 
 from __future__ import annotations
@@ -44,15 +48,11 @@ from repro.core.transformation import transform
 from repro.core.working_set import CommunicationHistory
 from repro.simulation.rng import make_rng
 from repro.skipgraph.balance import BalanceTracker, a_balance_violations
-from repro.skipgraph.build import (
-    build_balanced_skip_graph,
-    build_skip_graph,
-    draw_membership_bits,
-)
+from repro.skipgraph.build import build_balanced_skip_graph, draw_membership_bits
 from repro.skipgraph.routing import RoutingResult, route
 from repro.skipgraph.skipgraph import SkipGraph
 
-__all__ = ["BatchOutcome", "DSGConfig", "DynamicSkipGraph", "RequestResult"]
+__all__ = ["DSGConfig", "DynamicSkipGraph", "RequestResult"]
 
 Key = Hashable
 
@@ -71,25 +71,16 @@ class DSGConfig:
         Replace AMF with an exact median (ablation; changes the cost model).
     maintain_a_balance:
         Insert dummy nodes to preserve the a-balance property (Section IV-F).
-    adjust:
-        When ``False`` requests are only routed, never transformed — the
-        instance then behaves exactly like a static skip graph (used as a
-        baseline and for ablations).
     track_working_set:
         Maintain the communication history and per-request working set
         numbers (costs O(window) per request; disable for large speed runs).
-    initial_topology:
-        ``"balanced"`` (default) or ``"random"`` membership vectors for the
-        starting skip graph.
     """
 
     a: int = 4
     seed: Optional[int] = None
     use_exact_median: bool = False
     maintain_a_balance: bool = True
-    adjust: bool = True
     track_working_set: bool = True
-    initial_topology: str = "balanced"
 
 
 @dataclass
@@ -136,41 +127,13 @@ class RequestResult:
         return math.log2(self.working_set_number)
 
 
-@dataclass
-class BatchOutcome:
-    """Aggregate result of one :meth:`DynamicSkipGraph.run_requests` call.
-
-    ``costs[i]`` is the Equation 1 cost of the ``i``-th request of the batch
-    — identical, request by request, to what a sequential
-    :meth:`DynamicSkipGraph.request` loop would have produced on the same
-    instance and seed (the batch path shares the per-request core and only
-    amortizes validation and bookkeeping around it).
-    """
-
-    served: int
-    costs: List[int]
-    total_cost: int
-    total_routing_cost: int
-    final_height: int
-    max_height: int
-    elapsed_seconds: float
-    results: Optional[List[RequestResult]] = None
-    #: Largest single-request routing distance of the batch.
-    max_routing: int = 0
-
-    @property
-    def average_cost(self) -> float:
-        return self.total_cost / self.served if self.served else 0.0
-
-    @property
-    def requests_per_second(self) -> float:
-        if self.elapsed_seconds <= 0.0:
-            return 0.0
-        return self.served / self.elapsed_seconds
-
-
 class DynamicSkipGraph:
-    """A self-adjusting skip graph driven by the DSG algorithm."""
+    """A self-adjusting skip graph driven by the DSG algorithm.
+
+    ``keys`` start from the balanced construction; any other start topology
+    is passed pre-built as ``graph`` (random membership vectors:
+    ``graph=build_skip_graph(keys, rng)``).
+    """
 
     def __init__(
         self,
@@ -181,21 +144,13 @@ class DynamicSkipGraph:
         self.config = config or DSGConfig()
         if self.config.a < 2:
             raise ValueError("the balance parameter a must be at least 2")
-        if self.config.initial_topology not in ("balanced", "random"):
-            raise ValueError(
-                'initial_topology must be "balanced" or "random", '
-                f"got {self.config.initial_topology!r}"
-            )
         self._rng = make_rng(self.config.seed)
         if graph is not None:
             self.graph = graph
         elif keys is not None:
             keys = list(keys)
             self._check_keys(keys)
-            if self.config.initial_topology == "random":
-                self.graph = build_skip_graph(keys, rng=self._rng)
-            else:
-                self.graph = build_balanced_skip_graph(keys)
+            self.graph = build_balanced_skip_graph(keys)
         else:
             raise ValueError("provide either keys or a pre-built skip graph")
         self._check_keys(self.graph.real_keys)
@@ -285,6 +240,10 @@ class DynamicSkipGraph:
     def request(self, source: Key, destination: Key, keep_result: bool = True) -> RequestResult:
         """Serve one communication request (route, then self-adjust).
 
+        This is the only way a request is served; endpoints are validated
+        here, before any state changes (a-balance dummies are in the graph
+        but are not peers, so membership means having DSG state).
+
         ``keep_result=False`` serves identically but does not append the
         :class:`RequestResult` to :attr:`results` — the streaming mode the
         adapter layer (:mod:`repro.baselines.adapter`) uses so unbounded
@@ -292,44 +251,35 @@ class DynamicSkipGraph:
         """
         if source == destination:
             raise ValueError("source and destination must differ")
-        if not self.graph.has_node(source) or not self.graph.has_node(destination):
+        if source not in self.states or destination not in self.states:
             raise KeyError(f"unknown endpoint in request ({source!r}, {destination!r})")
-        return self._serve(source, destination, keep_result=keep_result)
-
-    def _serve(self, u: Key, v: Key, keep_result: bool) -> RequestResult:
-        """The per-request core shared by :meth:`request` and :meth:`run_requests`.
-
-        Endpoints are assumed validated.  The computation (routing, working
-        set accounting, adjustment, RNG draws) is identical either way, which
-        is what guarantees batched and sequential runs produce the same
-        per-request costs on the same seed.
-        """
         self._time += 1
         t = self._time
 
         phases = self.phase_seconds
         began = time.perf_counter()
-        routing = route(self.graph, u, v)
+        routing = route(self.graph, source, destination)
         phases["route"] += time.perf_counter() - began
-        working_set = self.history.record(u, v) if self.config.track_working_set else None
+        working_set = (
+            self.history.record(source, destination) if self.config.track_working_set else None
+        )
 
         result = RequestResult(
             time=t,
-            source=u,
-            destination=v,
-            alpha=self.graph.common_level(u, v),
+            source=source,
+            destination=destination,
+            alpha=self.graph.common_level(source, destination),
             routing=routing,
             working_set_number=working_set,
         )
 
-        if self.config.adjust:
-            apply_before = self._apply_timer[0]
-            began = time.perf_counter()
-            self._adjust(result, u, v, t)
-            elapsed = time.perf_counter() - began
-            apply_delta = self._apply_timer[0] - apply_before
-            phases["apply"] += apply_delta
-            phases["plan"] += elapsed - apply_delta
+        apply_before = self._apply_timer[0]
+        began = time.perf_counter()
+        self._adjust(result, source, destination, t)
+        elapsed = time.perf_counter() - began
+        apply_delta = self._apply_timer[0] - apply_before
+        phases["apply"] += apply_delta
+        phases["plan"] += elapsed - apply_delta
 
         result.height_after = self.height()
         self._served += 1
@@ -338,73 +288,6 @@ class DynamicSkipGraph:
         if keep_result:
             self.results.append(result)
         return result
-
-    def run_requests(
-        self,
-        requests: Sequence[Tuple[Key, Key]],
-        keep_results: bool = True,
-    ) -> BatchOutcome:
-        """Serve a request batch through an amortized pipeline.
-
-        Endpoint validation is hoisted out of the loop (one membership check
-        per distinct endpoint instead of two per request) and, with
-        ``keep_results=False``, the per-request :class:`RequestResult`
-        objects are released as soon as their cost is extracted — the mode
-        large scenario runs use so that a million-request batch does not
-        accumulate result objects.  Aggregates (:meth:`total_cost`,
-        :meth:`average_cost`, the working set bound) stay exact either way
-        because they are maintained as running counters.
-
-        Per-request costs are identical to a sequential :meth:`request` loop
-        over the same sequence: both paths run :meth:`_serve`, the batch
-        pipeline only amortizes the work around it.
-        """
-        pairs = list(requests)
-        has_node = self.graph.has_node
-        validated = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError("source and destination must differ")
-            if u not in validated:
-                if not has_node(u):
-                    raise KeyError(f"unknown endpoint in request ({u!r}, {v!r})")
-                validated.add(u)
-            if v not in validated:
-                if not has_node(v):
-                    raise KeyError(f"unknown endpoint in request ({u!r}, {v!r})")
-                validated.add(v)
-
-        serve = self._serve
-        costs: List[int] = []
-        append_cost = costs.append
-        batch_cost = 0
-        batch_routing = 0
-        max_routing = 0
-        max_height = 0
-        started = time.perf_counter()
-        for u, v in pairs:
-            result = serve(u, v, keep_result=keep_results)
-            cost = result.cost
-            append_cost(cost)
-            batch_cost += cost
-            routing = result.routing.distance
-            batch_routing += routing
-            if routing > max_routing:
-                max_routing = routing
-            if result.height_after > max_height:
-                max_height = result.height_after
-        elapsed = time.perf_counter() - started
-        return BatchOutcome(
-            served=len(pairs),
-            costs=costs,
-            total_cost=batch_cost,
-            total_routing_cost=batch_routing,
-            final_height=self.height(),
-            max_height=max_height,
-            elapsed_seconds=elapsed,
-            results=self.results[-len(pairs):] if keep_results and pairs else ([] if keep_results else None),
-            max_routing=max_routing,
-        )
 
     def _adjust(self, result: RequestResult, u: Key, v: Key, t: int) -> None:
         """Steps 2-12 of Algorithm 1.
@@ -417,8 +300,7 @@ class DynamicSkipGraph:
         graph = self.graph
         recorder = self._recorder()
         result.ops = recorder.ops
-        alpha = graph.common_level(u, v)
-        result.alpha = alpha
+        alpha = result.alpha
         members_all = graph.list_of(u, alpha)
 
         # Dummy nodes destroy themselves on receiving the notification.  A
@@ -546,11 +428,7 @@ class DynamicSkipGraph:
         self._plan_size_hist[plan_size] = self._plan_size_hist.get(plan_size, 0) + 1
 
     def run_sequence(self, requests: Sequence[Tuple[Key, Key]]) -> List[RequestResult]:
-        """Serve every request of ``requests`` in order.
-
-        Sequential convenience wrapper (per-request validation, results
-        kept); use :meth:`run_requests` for large batches.
-        """
+        """Serve every request of ``requests`` in order (results kept)."""
         return [self.request(u, v) for u, v in requests]
 
     def _recorder(self) -> OpRecorder:
@@ -700,7 +578,7 @@ class DynamicSkipGraph:
         """Sum of per-request costs (Equation 1 numerator).
 
         Maintained as a running counter so it covers every request served —
-        including batches run with ``keep_results=False`` — at O(1) cost.
+        including those served with ``keep_result=False`` — at O(1) cost.
         """
         return self._total_cost
 
@@ -723,8 +601,8 @@ class DynamicSkipGraph:
     def plan_size_histogram(self) -> Dict[int, int]:
         """Distribution of request-plan sizes: ``len(ops) -> request count``.
 
-        Maintained as an O(1)-per-request running histogram (it survives
-        ``keep_results=False`` batches), so the artifact pipeline can report
+        Maintained as an O(1)-per-request running histogram (it covers
+        ``keep_result=False`` requests), so the artifact pipeline can report
         per-workload plan-size percentiles — the empirical face of the
         paper's locality claim (most requests emit tiny plans).
         """

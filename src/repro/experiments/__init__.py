@@ -3,8 +3,8 @@
 The paper has no empirical tables; the experiments regenerate its worked
 figures and empirically validate each lemma/theorem (see DESIGN.md for the
 index and EXPERIMENTS.md for recorded outcomes); E13 additionally validates
-the reproduction's own scale machinery (batched pipeline, routing fast
-path, incremental working-set counters, churn).  Every experiment returns
+the reproduction's own scale machinery (routing fast path, incremental
+working-set counters, churn).  Every experiment returns
 an :class:`ExperimentResult` holding one or more
 :class:`repro.analysis.Table` objects plus a dictionary of named boolean
 *checks* (the claims the experiment verifies).  The CLI

@@ -18,7 +18,7 @@ static skip graph and DSG stays within the same order.
 Every algorithm is driven through the unified adapter layer
 (:mod:`repro.baselines.adapter`): each workload is lifted into a
 :class:`~repro.workloads.scenarios.Scenario` and replayed, event by event,
-on all five algorithms with :func:`~repro.baselines.adapter.play_scenario`.
+on all five algorithms with :func:`~repro.workloads.scenarios.run_scenario`.
 Because the adapters also implement ``join``/``leave``, the comparison is
 churn-capable: the ``churn`` workload interleaves node joins and leaves
 with temporal-locality traffic (Section IV-G) and runs through the *same*
@@ -32,12 +32,13 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis import CostSummary, competitive_report, summarize_baseline_run
 from repro.analysis.tables import Table
-from repro.baselines import make_comparison_algorithms, play_scenario
+from repro.baselines import BaselineRun, make_comparison_algorithms
 from repro.core.working_set import working_set_bound
 from repro.experiments.base import ExperimentResult
 from repro.workloads.scenarios import (
     Scenario,
     churn_scenario,
+    run_scenario,
     scenario_requests,
     workload_scenario,
 )
@@ -141,8 +142,10 @@ def run(
         for algorithm in make_comparison_algorithms(
             scenario.initial_keys, requests, seed=seed, a=a
         ):
-            run_record = play_scenario(algorithm, scenario, keep_costs=True)
-            summaries[algorithm.name] = summarize_baseline_run(run_record)
+            served = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
+            summaries[algorithm.name] = summarize_baseline_run(
+                BaselineRun(name=algorithm.name, costs=served.costs)
+            )
 
         dsg_summary = summaries["dsg"]
         static_summary = summaries["static-random"]

@@ -1,19 +1,16 @@
 """E13 — scale and churn: the hot path at large n under live scenarios.
 
 Not a reproduction of a specific paper artefact: E13 validates that the
-*reproduction machinery itself* scales — that the optimised request pipeline
-(level-indexed routing caches, incremental working-set counters, batched
-``run_requests``) computes exactly what the reference implementations
-compute while serving workloads orders of magnitude beyond the paper's
-evaluation sizes, including node churn (Section IV-G) and drifting/flash
-traffic.
+*reproduction machinery itself* scales — that the optimised request path
+(level-indexed routing caches, incremental working-set counters) computes
+exactly what the reference implementations compute while serving workloads
+orders of magnitude beyond the paper's evaluation sizes, including node
+churn (Section IV-G) and drifting/flash traffic.  Every row is served by
+the one scenario runner (:func:`~repro.workloads.scenarios.run_scenario`),
+so the tables time the same per-request loop as every other harness.
 
 Checks
 ------
-``batch_equals_sequential``
-    :meth:`~repro.core.dsg.DynamicSkipGraph.run_requests` produces per-request
-    Equation 1 costs identical to a sequential ``request()`` loop on the same
-    seed.
 ``routing_fastpath_exact``
     The cached, early-exit :func:`~repro.skipgraph.routing.route` returns
     paths identical to the scan-based
@@ -41,9 +38,29 @@ from repro.core.working_set import working_set_number
 from repro.experiments.base import ExperimentResult
 from repro.simulation.rng import make_rng
 from repro.skipgraph.routing import route, route_reference
-from repro.workloads import churn_scenario, generate_workload, run_scenario, scale_scenario
+from repro.workloads import (
+    churn_scenario,
+    generate_workload,
+    run_scenario,
+    scale_scenario,
+    workload_scenario,
+)
 
 __all__ = ["run"]
+
+
+def _throughput_row(report) -> list:
+    """One E13a table row from a :class:`~repro.workloads.scenarios.ScenarioReport`."""
+    return [
+        report.scenario,
+        report.final_nodes,
+        report.requests,
+        round(report.elapsed_seconds, 2),
+        int(report.requests_per_second),
+        round(report.average_cost, 1),
+        report.max_height,
+        report.dummy_count,
+    ]
 
 
 def run(
@@ -70,8 +87,7 @@ def run(
         transformation-heavy (popularity keeps migrating), so it runs at
         the reduced ``zipf_n`` / ``zipf_length`` shape.
     consistency_n, consistency_length:
-        Shape of the batch-vs-sequential / fast-path / working-set
-        consistency replicas.
+        Shape of the fast-path / working-set consistency replica.
     scale_length:
         Length of the mixed scale scenario (hot pairs + far pairs + flash
         crowds + churn); defaults to ``length``.
@@ -82,25 +98,10 @@ def run(
 
     for name in workloads:
         if name == "zipf-drift":
-            wl_keys = list(range(1, zipf_n + 1))
-            requests = generate_workload(name, wl_keys, zipf_length, seed=seed)
+            scenario = workload_scenario(name, list(range(1, zipf_n + 1)), zipf_length, seed=seed)
         else:
-            wl_keys = keys
-            requests = generate_workload(name, wl_keys, length, seed=seed)
-        dsg = DynamicSkipGraph(keys=wl_keys, config=DSGConfig(seed=seed))
-        outcome = dsg.run_requests(requests, keep_results=False)
-        rows.append(
-            [
-                name,
-                len(wl_keys),
-                outcome.served,
-                round(outcome.elapsed_seconds, 2),
-                int(outcome.requests_per_second),
-                round(outcome.average_cost, 1),
-                outcome.max_height,
-                dsg.dummy_count(),
-            ]
-        )
+            scenario = workload_scenario(name, keys, length, seed=seed)
+        rows.append(_throughput_row(run_scenario(scenario, DSGConfig(seed=seed))))
 
     # Mixed scale scenario with churn.
     scenario = scale_scenario(
@@ -113,19 +114,7 @@ def run(
         crowd_size=8,
         churn_rate=0.001,
     )
-    report = run_scenario(scenario, DSGConfig(seed=seed + 2))
-    rows.append(
-        [
-            report.scenario,
-            report.final_nodes,
-            report.requests,
-            round(report.elapsed_seconds, 2),
-            int(report.requests_per_second),
-            round(report.average_cost, 1),
-            report.max_height,
-            report.dummy_count,
-        ]
-    )
+    rows.append(_throughput_row(run_scenario(scenario, DSGConfig(seed=seed + 2))))
     checks["throughput_positive"] = all(row[4] > 0 for row in rows)
 
     # Churn schedule: population accounting and a-balance maintenance.
@@ -154,18 +143,15 @@ def run(
         ]
     ]
 
-    # Consistency replicas: batched vs sequential, fast path vs reference,
-    # incremental working set vs window rescan.
+    # Consistency replica: fast path vs reference, incremental working set
+    # vs window rescan.
     rng = make_rng(seed + 5)
     replica_keys = list(range(1, consistency_n + 1))
     replica_requests = generate_workload(
         "temporal", replica_keys, consistency_length, seed=seed + 6, working_set_size=8
     )
     sequential = DynamicSkipGraph(keys=replica_keys, config=DSGConfig(seed=seed + 7))
-    sequential_costs = [sequential.request(u, v).cost for u, v in replica_requests]
-    batched = DynamicSkipGraph(keys=replica_keys, config=DSGConfig(seed=seed + 7))
-    batch_outcome = batched.run_requests(replica_requests, keep_results=False)
-    checks["batch_equals_sequential"] = batch_outcome.costs == sequential_costs
+    sequential.run_sequence(replica_requests)
 
     fastpath_ok = True
     for _ in range(200):
@@ -187,7 +173,7 @@ def run(
 
     tables = [
         Table(
-            title="E13a: throughput by workload (adjusting DSG, batched pipeline)",
+            title="E13a: throughput by workload (adjusting DSG)",
             columns=[
                 "workload",
                 "n",

@@ -30,7 +30,7 @@ entry point used by the experiments and the CLI.
 
 :mod:`repro.workloads.scenarios` lifts workloads to churn-capable *event
 schedules* (requests interleaved with node joins/leaves) executed against a
-live DSG instance through the batched request pipeline; see
+live DSG instance (or any baseline), request by request; see
 :func:`churn_scenario`, :func:`scale_scenario` and :func:`run_scenario`.
 """
 

@@ -25,17 +25,16 @@ later traffic may draw from, scenarios are generated *online* — the
 samplers track the alive set as the schedule is produced — and replayed
 deterministically.
 
-:func:`run_scenario` executes a scenario against any
-:class:`~repro.baselines.adapter.ServingAlgorithm` — by default a
-:class:`~repro.baselines.adapter.DSGAdapter` over a fresh
-:class:`~repro.core.dsg.DynamicSkipGraph` — feeding maximal request runs
-through the algorithm's batch pipeline (for DSG the amortized
-:meth:`~repro.core.dsg.DynamicSkipGraph.run_requests`, so a churn-free
-stretch pays batch prices) and returning a :class:`ScenarioReport` with the
-cost/throughput accounting.  Passing ``algorithm=`` drives a baseline
-(static skip graph, offline-static, SplayNet, oracle) through the *same*
-schedule, which is how E9 and ``benchmarks/bench_e09_comparison.py`` make
-churn-capable comparisons at scale.
+:func:`run_scenario` — the one scenario runner — executes a scenario
+against any :class:`~repro.baselines.adapter.ServingAlgorithm` (by default
+a :class:`~repro.baselines.adapter.DSGAdapter` over a fresh
+:class:`~repro.core.dsg.DynamicSkipGraph`), one
+:meth:`~repro.baselines.adapter.ServingAlgorithm.request` per request
+event, and returns a :class:`ScenarioReport` with the cost/throughput
+accounting.  Passing ``algorithm=`` drives a baseline (static skip graph,
+offline-static, SplayNet, oracle) through the *same* schedule, which is how
+E9 and ``benchmarks/bench_e09_comparison.py`` make churn-capable
+comparisons at scale.
 
 :func:`churn_scenario` builds general traffic-plus-churn schedules;
 :func:`scale_scenario` builds the 10k-node/100k-request shape used by the
@@ -61,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.adapter import DSGAdapter, ServingAlgorithm
+from repro.baselines.base import BaselineRun, RequestCost
 from repro.core.dsg import DSGConfig
 from repro.core.local_ops import (
     DummyRemoveOp,
@@ -187,7 +187,12 @@ class ScenarioReport:
     requests (a delta of the algorithm's running sum, so reports stay
     scoped when an adapter serves several scenarios) and ``dummy_count``
     the structure's current auxiliary nodes; both are 0 for algorithms
-    that do not track them (only DSG does).
+    that do not track them (only DSG does).  ``costs`` holds one
+    :class:`~repro.baselines.base.RequestCost` per request when the run
+    kept them.  ``max_height`` is display-only: the structure's height
+    sampled at the start, after every churn event and at the end — not per
+    request (the height lemma is checked per request from
+    ``RequestResult.height_after``).
     """
 
     scenario: str
@@ -204,8 +209,7 @@ class ScenarioReport:
     max_height: int
     dummy_count: int
     elapsed_seconds: float
-    batches: int
-    costs: Optional[List[int]] = None
+    costs: Optional[List[RequestCost]] = None
     algorithm: str = "dsg"
     crashes: int = 0
     recoveries: int = 0
@@ -232,94 +236,65 @@ def run_scenario(
     pre-built adapter — a baseline, or a ``DSGAdapter`` around a customised
     instance — to replay the identical schedule on a different algorithm.
 
-    Consecutive requests are flushed through the algorithm's
-    :meth:`~repro.baselines.adapter.ServingAlgorithm.request_batch`
-    pipeline (for DSG, the amortized ``run_requests`` with
-    ``keep_results=False`` — aggregates stay exact via the running
-    counters); joins and leaves call the membership operations
-    (Section IV-G for the skip-graph structures).  For DSG, per-request
-    costs are identical to a sequential ``request()`` replay of the same
-    schedule.
+    Every request event is one
+    :meth:`~repro.baselines.adapter.ServingAlgorithm.request`, recorded
+    into a run scoped to this scenario; joins and leaves call the
+    membership operations (Section IV-G for the skip-graph structures).
+    ``keep_costs=True`` returns the per-request costs on the report.
     """
     if algorithm is None:
         algorithm = DSGAdapter(keys=scenario.initial_keys, config=config)
     elif config is not None:
         raise ValueError("config applies to the default DSG algorithm only")
-    base_served = algorithm.requests_served
-    base_cost = algorithm.total_cost
-    base_routing = algorithm.total_routing
+    run = BaselineRun(name=algorithm.name, keep_costs=keep_costs)
     # working_set_bound() is a running sum over the request stream, so its
     # delta is exactly this scenario's contribution — keeping every report
     # field scoped to the scenario even when the adapter is reused.
     base_ws = algorithm.working_set_bound()
-    joins = leaves = crashes = recoveries = batches = 0
+    joins = leaves = crashes = recoveries = 0
     max_height = algorithm.height()
-    costs: Optional[List[int]] = [] if keep_costs else None
-    pending: List[Request] = []
     started = time.perf_counter()
-
-    def flush() -> None:
-        nonlocal batches, max_height
-        if not pending:
-            return
-        outcome = algorithm.request_batch(pending, keep_costs=keep_costs)
-        batches += 1
-        if outcome.max_height > max_height:
-            max_height = outcome.max_height
-        if costs is not None and outcome.costs is not None:
-            costs.extend(outcome.costs)
-        pending.clear()
-
     for event in scenario.events:
         if isinstance(event, RequestEvent):
-            pending.append((event.source, event.destination))
-        elif isinstance(event, JoinEvent):
-            flush()
+            run.record(algorithm.request(event.source, event.destination))
+            continue
+        if isinstance(event, JoinEvent):
             algorithm.join(event.key)
             joins += 1
         elif isinstance(event, CrashEvent):
             # A centralized structure has no dark window: the crash
             # degenerates to an immediate repair, i.e. a leave minus the
             # goodbye (which only the message-passing layer can observe).
-            flush()
             algorithm.leave(event.key)
             crashes += 1
         elif isinstance(event, RecoveryEvent):
             # Rejoin as a fresh identity: the crash already removed the key
             # (above), so recovery is exactly a join with new bits.
-            flush()
             algorithm.join(event.key)
             recoveries += 1
         else:
-            flush()
             algorithm.leave(event.key)
             leaves += 1
-        if not isinstance(event, RequestEvent):
-            height = algorithm.height()
-            if height > max_height:
-                max_height = height
-    flush()
+        max_height = max(max_height, algorithm.height())
     elapsed = time.perf_counter() - started
 
-    served = algorithm.requests_served - base_served
-    total_cost = algorithm.total_cost - base_cost
+    final_height = algorithm.height()
     return ScenarioReport(
         scenario=scenario.name,
         initial_nodes=len(scenario.initial_keys),
         final_nodes=algorithm.population(),
-        requests=served,
+        requests=run.requests,
         joins=joins,
         leaves=leaves,
-        total_cost=total_cost,
-        total_routing_cost=algorithm.total_routing - base_routing,
-        average_cost=total_cost / served if served else 0.0,
+        total_cost=run.total_cost,
+        total_routing_cost=run.total_routing,
+        average_cost=run.average_cost,
         working_set_bound=algorithm.working_set_bound() - base_ws,
-        final_height=algorithm.height(),
-        max_height=max_height,
+        final_height=final_height,
+        max_height=max(max_height, final_height),
         dummy_count=algorithm.dummy_count(),
         elapsed_seconds=elapsed,
-        batches=batches,
-        costs=costs,
+        costs=run.costs if keep_costs else None,
         algorithm=algorithm.name,
         crashes=crashes,
         recoveries=recoveries,

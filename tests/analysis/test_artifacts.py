@@ -1,6 +1,8 @@
 """Tests for the benchmark artifact pipeline (analysis.artifacts + CLI)."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,28 @@ class TestArtifactRoundTrip:
     def test_unknown_algorithm_lookup(self):
         with pytest.raises(KeyError):
             sample_artifact().algorithm("nope")
+
+
+class TestPublishArtifact:
+    """``benchmarks/conftest.py::publish_artifact``: only full-size runs are
+    mirrored over the committed ``BENCH_*.json`` at the repository root."""
+
+    @pytest.mark.parametrize("quick, mirrored", [("1", False), ("0", True)])
+    def test_quick_runs_do_not_touch_the_root_mirrors(self, tmp_path, monkeypatch, quick, mirrored):
+        repo_root = Path(__file__).resolve().parents[2]
+        spec = importlib.util.spec_from_file_location(
+            "bench_conftest", repo_root / "benchmarks" / "conftest.py"
+        )
+        bench_conftest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_conftest)
+        copies = []
+        monkeypatch.setattr(bench_conftest.shutil, "copy2", lambda src, dst: copies.append(dst))
+        monkeypatch.setenv("BENCH_QUICK", quick)
+        monkeypatch.setenv("BENCH_ARTIFACT_DIR", str(tmp_path))
+
+        path = bench_conftest.publish_artifact(sample_artifact())
+        assert path == tmp_path / "BENCH_e09_comparison.json" and path.exists()
+        assert copies == ([repo_root / "BENCH_e09_comparison.json"] if mirrored else [])
 
 
 class TestAlgorithmResultDerived:

@@ -13,9 +13,9 @@ Covers the two properties the adapter refactor promises:
   join/leave cache invalidations.
 
 Plus the churn-capable driving contract: all five algorithms replay the
-same churn schedule through ``play_scenario``/``run_scenario`` with
-consistent accounting, and SplayNet's single-walk serving fast path agrees
-with its reference tree helpers.
+same churn schedule — and the same crash/recovery schedule — through
+``run_scenario`` with consistent accounting, and SplayNet's single-walk
+serving fast path agrees with its reference tree helpers.
 """
 
 import pytest
@@ -31,13 +31,13 @@ from repro.baselines import (
     SplayNetBaseline,
     StaticSkipGraphBaseline,
     make_comparison_algorithms,
-    play_scenario,
 )
 from repro.core.dsg import DSGConfig
 from repro.simulation.rng import make_rng
 from repro.skipgraph.routing import route_reference
 from repro.workloads import (
     churn_scenario,
+    failure_scenario,
     generate_workload,
     run_scenario,
     scenario_requests,
@@ -118,25 +118,6 @@ class TestStreamingEqualsRetained:
         assert algo.requests_served == 120
         assert algo.total_cost == first.total_cost + second.total_cost
 
-    def test_dsg_batch_lifetime_matches_per_request_path(self):
-        requests = generate_workload("temporal", KEYS, 100, seed=7)
-        batched = DSGAdapter(keys=KEYS, config=DSGConfig(seed=2))
-        batched.request_batch(requests)
-        sequential = DSGAdapter(keys=KEYS, config=DSGConfig(seed=2))
-        for u, v in requests:
-            sequential.request(u, v)
-        # Every lifetime aggregate — including max_routing — must agree.
-        assert batched._lifetime.requests == sequential._lifetime.requests
-        assert batched._lifetime.total_routing == sequential._lifetime.total_routing
-        assert batched._lifetime.total_adjustment == sequential._lifetime.total_adjustment
-        assert batched._lifetime.max_routing == sequential._lifetime.max_routing
-        assert batched._lifetime.max_routing > 0
-
-    def test_record_batch_rejects_retained_runs(self):
-        run = BaselineRun(name="x", keep_costs=True)
-        with pytest.raises(ValueError):
-            run.record_batch(requests=1, total_routing=1, total_adjustment=0, max_routing=1)
-
 
 class TestCachedRoutingEqualsScanReference:
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -179,25 +160,31 @@ class TestChurnCapableAdapters:
         requests = scenario_requests(scenario)
         expected_population = 32 + scenario.join_count - scenario.leave_count
         for algorithm in make_comparison_algorithms(scenario.initial_keys, requests, seed=13):
-            run = play_scenario(algorithm, scenario, keep_costs=True)
-            assert run.requests == scenario.request_count
+            report = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
+            assert report.requests == scenario.request_count
             assert algorithm.population() == expected_population
-            assert run.total_cost >= run.requests  # Equation 1: >= 1 each
+            assert report.total_cost >= report.requests  # Equation 1: >= 1 each
         # churn_scenario with this seed must actually churn for the test to bite
         assert scenario.join_count > 0
 
-    def test_run_scenario_generic_matches_play_scenario_for_dsg(self):
-        scenario = churn_scenario(n=32, length=250, seed=21, base="temporal", churn_rate=0.04)
-        played = play_scenario(
-            DSGAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=5)),
-            scenario,
-            keep_costs=True,
+    def test_all_five_absorb_a_crash_and_recovery_schedule(self):
+        # A crash plays as a leave and a recovery as a join, on every
+        # algorithm (routing a RecoveryEvent to ``leave`` is a KeyError on
+        # the already-crashed key).
+        scenario = failure_scenario(
+            n=32, length=300, seed=7, crash_rate=0.03, stale_fraction=0.0,
+            recovery_fraction=0.7, recovery_delay=(4, 24),
         )
-        report = run_scenario(scenario, DSGConfig(seed=5), keep_costs=True)
-        assert report.algorithm == "dsg"
-        assert [cost.total for cost in played.costs] == report.costs
-        assert played.total_cost == report.total_cost
-        assert played.total_routing == report.total_routing_cost
+        assert scenario.crash_count > 0 and scenario.recovery_count > 0
+        requests = scenario_requests(scenario)
+        expected_population = 32 - scenario.crash_count + scenario.recovery_count
+        for algorithm in make_comparison_algorithms(scenario.initial_keys, requests, seed=7):
+            report = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
+            assert report.requests == scenario.request_count == len(report.costs)
+            assert report.crashes == scenario.crash_count
+            assert report.recoveries == scenario.recovery_count
+            assert report.joins == report.leaves == 0
+            assert report.final_nodes == algorithm.population() == expected_population
 
     def test_run_scenario_with_baseline_algorithm(self):
         scenario = churn_scenario(n=32, length=200, seed=31, base="hot-pairs", churn_rate=0.03)
@@ -205,7 +192,7 @@ class TestChurnCapableAdapters:
         report = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
         assert report.algorithm == "splaynet"
         assert report.requests == scenario.request_count
-        assert report.total_cost == sum(report.costs)
+        assert report.total_cost == sum(cost.total for cost in report.costs)
         assert report.working_set_bound == 0.0  # only DSG tracks it
         assert algorithm.is_valid_bst()
 

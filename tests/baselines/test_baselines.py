@@ -99,6 +99,13 @@ class TestOfflineStatic:
         run = baseline.serve([(1, 2), (2, 1)])
         assert run.total_routing == 0
 
+    def test_missing_networkx_names_the_extra(self, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match="baselines"):
+            OfflineStaticBaseline(KEYS, [(1, 2)], rng=make_rng(1))
+
 
 class TestSplayNet:
     def test_initial_tree_is_balanced_bst(self):

@@ -7,7 +7,8 @@ These exercise the paper's structural guarantees end-to-end:
 * repeated / clustered traffic gets short routes (Theorem 2, working set
   property),
 * a-balance is maintained up to the documented 2a slack,
-* static mode (adjust=False) leaves the topology untouched,
+* bad endpoints (a-balance dummies included) are rejected before any state
+  changes,
 * node addition/removal works (Section IV-G).
 """
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 from repro.skipgraph.balance import a_balance_violations
+from repro.skipgraph.build import build_skip_graph
 
 N = 32
 KEYS = range(1, N + 1)
@@ -34,8 +36,11 @@ class TestConstruction:
         assert dsg.n == N
 
     def test_random_initial_topology(self):
-        instance = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=2, initial_topology="random"))
+        graph = build_skip_graph(KEYS, rng=random.Random(2))
+        instance = DynamicSkipGraph(graph=graph, config=DSGConfig(seed=2))
         assert instance.n == N
+        instance.request(3, 29)
+        assert instance.are_adjacent(3, 29)
         instance.graph.validate()
 
     def test_requires_positive_integer_keys(self):
@@ -52,11 +57,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DynamicSkipGraph(keys=KEYS, config=DSGConfig(a=1))
 
-    def test_misspelt_initial_topology_rejected(self):
-        # "rnadom" used to fall through to the balanced construction.
-        with pytest.raises(ValueError, match="initial_topology"):
-            DynamicSkipGraph(keys=KEYS, config=DSGConfig(initial_topology="rnadom"))
-
     def test_initial_states(self, dsg):
         state = dsg.state(1)
         assert state.timestamp(0) == 0
@@ -72,6 +72,52 @@ class TestRequestBasics:
     def test_unknown_endpoint_rejected(self, dsg):
         with pytest.raises(KeyError):
             dsg.request(1, 999)
+
+    @pytest.mark.parametrize("dummy_is_source", [True, False])
+    def test_dummy_endpoint_rejected_before_any_state_changes(self, dummy_is_source):
+        # A-balance dummies are in the graph but are not peers: such a
+        # request used to pass the boundary, advance the clock and the
+        # working-set history, destroy l_alpha's dummies and only then die
+        # inside the adjustment with a bare KeyError.
+        instance = DynamicSkipGraph(keys=range(1, 65), config=DSGConfig(seed=13))
+        rng = random.Random(2)
+        for _ in range(5):
+            instance.request(*rng.sample(range(1, 65), 2))
+        dummy = instance.graph.dummy_keys()[1]
+        pair = (dummy, 1) if dummy_is_source else (1, dummy)
+
+        def observed():
+            return (
+                instance.time,
+                instance.requests_served(),
+                len(instance.history.requests),
+                instance.working_set_bound(),
+                instance.graph.membership_table(),
+            )
+
+        before = observed()
+        with pytest.raises(KeyError, match="unknown endpoint"):
+            instance.request(*pair)
+        assert observed() == before
+
+    def test_keep_result_false_preserves_aggregates(self):
+        rng = random.Random(12)
+        requests = [tuple(rng.sample(list(KEYS), 2)) for _ in range(40)]
+        kept = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=33))
+        kept.run_sequence(requests)
+        streamed = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=33))
+        for u, v in requests[:25]:
+            streamed.request(u, v, keep_result=False)
+        assert streamed.results == []
+        for u, v in requests[25:]:
+            streamed.request(u, v)
+        assert len(streamed.results) == 15
+        assert streamed.requests_served() == len(requests)
+        assert streamed.total_cost() == kept.total_cost()
+        assert streamed.total_routing_cost() == kept.total_routing_cost()
+        assert streamed.average_cost() == pytest.approx(kept.average_cost())
+        assert streamed.working_set_bound() == pytest.approx(kept.working_set_bound())
+        assert streamed.graph.membership_table() == kept.graph.membership_table()
 
     def test_request_returns_cost_breakdown(self, dsg):
         result = dsg.request(3, 29)
@@ -169,22 +215,6 @@ class TestWorkingSetBehaviour:
         instance = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=1, track_working_set=False))
         result = instance.request(1, 2)
         assert result.working_set_number is None
-
-
-class TestStaticMode:
-    def test_no_adjustment_when_disabled(self):
-        instance = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=1, adjust=False))
-        before = instance.graph.membership_table()
-        result = instance.request(3, 29)
-        assert instance.graph.membership_table() == before
-        assert result.transformation_rounds == 0
-        assert result.cost == result.routing_cost + 1
-
-    def test_static_mode_never_builds_direct_links(self):
-        instance = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=1, adjust=False))
-        instance.request(1, 20)
-        distance_after = instance.routing_distance(1, 20)
-        assert distance_after == instance.results[0].routing_cost
 
 
 class TestABalanceAndDummies:
@@ -309,65 +339,3 @@ class TestMemoryAudit:
         words = dsg.memory_words_per_node()
         height = dsg.height()
         assert all(count <= 3 * (height + 1) + 2 for count in words.values())
-
-
-class TestBatchedRequests:
-    """run_requests: amortized pipeline, identical per-request outcomes."""
-
-    def _requests(self, count=60, seed=9):
-        rng = random.Random(seed)
-        return [tuple(rng.sample(list(KEYS), 2)) for _ in range(count)]
-
-    def test_batch_costs_identical_to_sequential_loop(self):
-        requests = self._requests()
-        sequential = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=31))
-        sequential_costs = [sequential.request(u, v).cost for u, v in requests]
-        batched = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=31))
-        outcome = batched.run_requests(requests)
-        assert outcome.costs == sequential_costs
-        assert outcome.total_cost == sequential.total_cost()
-        assert batched.graph.membership_table() == sequential.graph.membership_table()
-
-    def test_keep_results_false_preserves_aggregates(self):
-        requests = self._requests(40, seed=12)
-        kept = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=33))
-        kept.run_requests(requests)
-        dropped = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=33))
-        outcome = dropped.run_requests(requests, keep_results=False)
-        assert dropped.results == []
-        assert outcome.results is None
-        assert dropped.requests_served() == len(requests)
-        assert dropped.total_cost() == kept.total_cost()
-        assert dropped.total_routing_cost() == kept.total_routing_cost()
-        assert dropped.average_cost() == pytest.approx(kept.average_cost())
-        assert dropped.working_set_bound() == pytest.approx(kept.working_set_bound())
-
-    def test_batch_outcome_aggregates(self):
-        requests = self._requests(25, seed=5)
-        dsg = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=35))
-        outcome = dsg.run_requests(requests)
-        assert outcome.served == len(requests)
-        assert outcome.total_cost == sum(outcome.costs)
-        assert outcome.final_height == dsg.height()
-        assert outcome.max_height >= outcome.final_height
-        assert outcome.results is not None and len(outcome.results) == len(requests)
-        assert outcome.requests_per_second > 0
-        assert outcome.average_cost == pytest.approx(outcome.total_cost / outcome.served)
-
-    def test_batch_validation_rejects_bad_requests(self):
-        dsg = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=37))
-        with pytest.raises(ValueError):
-            dsg.run_requests([(1, 1)])
-        with pytest.raises(KeyError):
-            dsg.run_requests([(1, 999)])
-        assert dsg.requests_served() == 0  # validation happens before serving
-
-    def test_mixing_batched_and_sequential_keeps_counters(self):
-        requests = self._requests(30, seed=21)
-        dsg = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=39))
-        dsg.run_requests(requests[:15], keep_results=False)
-        for u, v in requests[15:]:
-            dsg.request(u, v)
-        assert dsg.requests_served() == 30
-        assert len(dsg.results) == 15
-        assert dsg.total_cost() > 0

@@ -1,6 +1,8 @@
 """Smoke tests for the top-level public API (`import repro`)."""
 
 import ast
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -65,8 +67,6 @@ class TestDistributedExports:
             assert hasattr(distributed, name), name
 
     def test_the_pipelined_driver_is_the_driver(self):
-        import inspect
-
         import repro.distributed as distributed
         from repro.distributed import dsg_protocol
 
@@ -81,38 +81,88 @@ class TestDistributedExports:
         assert inspect.signature(distributed.DistributedDSG).parameters["window"].default == 1
 
 
-#: ``[project].dependencies`` of ``pyproject.toml`` (the offline-static
-#: baseline's Kernighan-Lin bisection).
-DECLARED_DEPENDENCIES = {"networkx"}
+class TestCentralFrontEnd:
+    """One way to serve a request stream: a re-introduced fork fails tier-1 here."""
+
+    def test_dsg_config_is_five_fields(self):
+        assert [f.name for f in dataclasses.fields(repro.DSGConfig)] == [
+            "a", "seed", "use_exact_median", "maintain_a_balance", "track_working_set",
+        ]  # fmt: skip
+
+    def test_no_batch_serving_entry_points(self):
+        from repro.baselines import BaselineRun
+
+        for gone in ("run_requests", "_serve"):
+            assert not hasattr(repro.DynamicSkipGraph, gone), gone
+        assert not hasattr(repro.ServingAlgorithm, "request_batch")
+        assert not hasattr(BaselineRun, "record_batch")
+
+    def test_export_lists_have_no_second_runner(self):
+        import repro.baselines as baselines
+
+        assert set(baselines.__all__) == {
+            "BaselineRun", "DSGAdapter", "DirectLinkOracle", "OfflineStaticBaseline",
+            "RequestCost", "ServingAlgorithm", "SplayNetBaseline", "StaticSkipGraphBaseline",
+            "make_comparison_algorithms",
+        }  # fmt: skip
+        for gone in ("BatchServeOutcome", "play_scenario"):
+            assert gone not in repro.__all__ and not hasattr(repro, gone), gone
+            assert not hasattr(baselines, gone), gone
+
+    def test_run_scenario_signature_is_unchanged(self):
+        assert list(inspect.signature(repro.run_scenario).parameters) == [
+            "scenario", "config", "keep_costs", "algorithm",
+        ]  # fmt: skip
+
+
+#: The only third-party import in ``src/repro`` and the only place it may
+#: appear — inside a function of the offline-static baseline (the
+#: ``baselines`` extra of ``pyproject.toml``), never at module level.
+FUNCTION_LEVEL_IMPORTS = {("baselines/offline_static.py", "networkx")}
 
 
 class TestDeclaredImportsOnly:
-    """``src/repro`` may import the standard library, itself and what
-    ``pyproject.toml`` declares — nothing a clean install would lack."""
+    """``import repro`` is stdlib-only: every module-level import in
+    ``src/repro`` is the standard library or ``repro`` itself."""
 
     def test_every_import_is_stdlib_repro_or_declared(self):
-        allowed = set(sys.stdlib_module_names) | {"repro"} | DECLARED_DEPENDENCIES
+        allowed = set(sys.stdlib_module_names) | {"repro"}
         foreign = []
         for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            relative = path.relative_to(PACKAGE_ROOT).as_posix()
+            tree = ast.parse(path.read_text(), filename=str(path))
+            inside_function = {
+                id(node)
+                for function in ast.walk(tree)
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(function)
+            }
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
                     names = [node.module]
                 else:
                     continue
-                foreign += [
-                    f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno} imports {name}"
-                    for name in names
-                    if name.split(".")[0] not in allowed
-                ]
+                for name in names:
+                    root = name.split(".")[0]
+                    lazy = id(node) in inside_function and (relative, root) in FUNCTION_LEVEL_IMPORTS
+                    if root not in allowed and not lazy:
+                        foreign.append(f"{relative}:{node.lineno} imports {name}")
         assert foreign == []
 
-    def test_import_succeeds_without_numpy(self):
+    @staticmethod
+    def _import_repro_without(module):
         # A fresh interpreter: this process has long since imported repro.
-        script = "import sys; sys.modules['numpy'] = None; import repro"
+        script = f"import sys; sys.modules[{module!r}] = None; import repro"
         subprocess.run(
             [sys.executable, "-c", script],
             check=True,
             env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT.parent)},
         )
+
+    def test_import_succeeds_without_numpy(self):
+        self._import_repro_without("numpy")
+
+    def test_import_succeeds_without_networkx(self):
+        self._import_repro_without("networkx")

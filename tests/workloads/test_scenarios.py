@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.baselines import DSGAdapter
 from repro.core.dsg import DSGConfig
 from repro.workloads import (
+    CrashEvent,
     JoinEvent,
     LeaveEvent,
+    RecoveryEvent,
     RequestEvent,
     Scenario,
     churn_scenario,
@@ -52,28 +55,42 @@ class TestChurnScenario:
         assert report.joins == scenario.join_count
         assert report.leaves == scenario.leave_count
         assert report.final_nodes == report.initial_nodes + report.joins - report.leaves
+        assert report.algorithm == "dsg"
         assert len(report.costs) == report.requests
-        assert report.total_cost == sum(report.costs)
+        assert report.total_cost == sum(cost.total for cost in report.costs)
+        assert report.total_routing_cost == sum(cost.routing for cost in report.costs)
         assert report.average_cost == pytest.approx(report.total_cost / report.requests)
         assert report.elapsed_seconds > 0
-        assert report.batches >= 1
+        assert report.max_height >= report.final_height
 
-    def test_batched_replay_matches_sequential_replay(self):
+    def test_runner_matches_a_hand_loop_over_the_dsg(self):
+        # The runner's specification: run_scenario == dsg.request /
+        # add_node / remove_node called by hand, crash as a leave and
+        # recovery as a join included.
         from repro.core.dsg import DynamicSkipGraph
 
         scenario = churn_scenario(n=32, length=250, seed=11, base="temporal", churn_rate=0.06)
-        report = run_scenario(scenario, DSGConfig(seed=13), keep_costs=True)
+        touched = {key for event in scenario.events for key in vars(event).values()}
+        victim = next(key for key in scenario.initial_keys if key not in touched)
+        scenario.events.insert(80, CrashEvent(victim))
+        scenario.events.insert(160, RecoveryEvent(victim))
+        adapter = DSGAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=13))
+        report = run_scenario(scenario, algorithm=adapter, keep_costs=True)
 
         dsg = DynamicSkipGraph(keys=scenario.initial_keys, config=DSGConfig(seed=13))
-        sequential_costs = []
+        by_hand = []
         for event in scenario.events:
             if isinstance(event, RequestEvent):
-                sequential_costs.append(dsg.request(event.source, event.destination).cost)
-            elif isinstance(event, JoinEvent):
+                by_hand.append(dsg.request(event.source, event.destination))
+            elif isinstance(event, (JoinEvent, RecoveryEvent)):
                 dsg.add_node(event.key)
             else:
                 dsg.remove_node(event.key)
-        assert report.costs == sequential_costs
+        assert (report.crashes, report.recoveries) == (1, 1)
+        assert [cost.total for cost in report.costs] == [result.cost for result in by_hand]
+        assert [cost.routing for cost in report.costs] == [r.routing_cost for r in by_hand]
+        assert report.total_cost == dsg.total_cost()
+        assert adapter.dsg.graph.membership_table() == dsg.graph.membership_table()
 
 
 class TestScaleScenario:

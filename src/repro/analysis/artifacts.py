@@ -30,19 +30,10 @@ can archive them and humans can diff them across commits:
   more artifacts (what ``dsg-experiments compare`` prints).
 
 The JSON schema is flat and versioned (``schema_version``); artifacts are
-self-describing so the ``compare`` CLI needs nothing but the files.
-Version 2 added the ``protocols`` section, version 3 the ``plan_sizes``
-section, version 4 the ``failures`` section (:class:`FailureResult`, the
-crash-stop arena rows of ``bench_e16_failures``), version 5 the
-``pipelines`` section (:class:`PipelineResult`, the conflict-aware
-pipelined-serving rows of ``bench_e17_pipeline``), version 6 the optional
-per-algorithm ``phases`` breakdown (wall-clock seconds spent routing,
-planning, applying plans and repairing indexes — the batched-kernel
-profile), version 7 the recovery / mid-wave failure counters on
-``failures`` rows (``recoveries``, ``mid_wave_crashes``, ``retried``,
-``retried_delivered``, ``rejoin_links``) with the conservation law
-widened to ``delivered + failed + retried_delivered == requests``; older
-files load as artifacts without the newer rows / counters.
+self-describing so the ``compare`` CLI needs nothing but the files.  Every
+committed ``BENCH_*.json`` is at the current version and the reader accepts
+no other: an artifact from another version is regenerated by re-running
+its benchmark, not converted on load.
 """
 
 from __future__ import annotations
@@ -94,7 +85,7 @@ class AlgorithmResult:
         Optional wall-clock breakdown of ``wall_seconds`` by serving phase
         (``route`` / ``plan`` / ``apply`` / ``repair`` for DSG — see
         :attr:`repro.core.dsg.DynamicSkipGraph.phase_seconds`).  Empty for
-        algorithms that do not report one and for pre-v6 artifacts.
+        algorithms that do not report one.
     """
 
     name: str
@@ -251,8 +242,8 @@ class FailureResult:
         requests counted as ``failed_requests`` (stale destinations
         stranding at a hole's edge, or retries exhausted).
         ``delivered + failed + retried_delivered == requests`` for a
-        conserving run (schema v7 widened the law to absorb mid-wave
-        in-flight casualties that a later retry delivered).
+        conserving run (the last term absorbs mid-wave in-flight casualties
+        that a later retry delivered).
     route_arounds:
         Hops re-forwarded through a k-redundant table because the primary
         neighbour was dark.
@@ -272,12 +263,12 @@ class FailureResult:
         Wall-clock simulation time for this arena alone.
     recoveries, rejoin_links:
         Crashed keys that rejoined as fresh identities, and the links
-        added splicing them back into every level list (v7).
+        added splicing them back into every level list.
     mid_wave_crashes:
-        Crashes fired while requests were in flight (v7).
+        Crashes fired while requests were in flight.
     retried, retried_delivered:
         In-flight casualties re-injected after the repair wave, and how
-        many of those eventually reached their destination (v7).
+        many of those eventually reached their destination.
     """
 
     name: str
@@ -443,28 +434,23 @@ def write_artifact(artifact: BenchmarkArtifact, directory: Union[str, Path]) -> 
 def load_artifact(path: Union[str, Path]) -> BenchmarkArtifact:
     """Read one ``BENCH_*.json`` file back into a :class:`BenchmarkArtifact`."""
     data = json.loads(Path(path).read_text())
-    version = data.get("schema_version", 0)
-    if version > SCHEMA_VERSION:
+    version = data.get("schema_version")
+    if version != SCHEMA_VERSION:
         raise ValueError(
-            f"artifact {path} has schema version {version}; this reader supports <= {SCHEMA_VERSION}"
+            f"artifact {path} has schema version {version}; this reader reads version "
+            f"{SCHEMA_VERSION} only — re-run benchmark {data.get('benchmark')!r} to regenerate it"
         )
-    algorithms = [AlgorithmResult(**entry) for entry in data.get("algorithms", [])]
-    protocols = [ProtocolResult(**entry) for entry in data.get("protocols", [])]
-    plan_sizes = [PlanSizeStats(**entry) for entry in data.get("plan_sizes", [])]
-    failures = [FailureResult(**entry) for entry in data.get("failures", [])]
-    pipelines = [PipelineResult(**entry) for entry in data.get("pipelines", [])]
     return BenchmarkArtifact(
         benchmark=data["benchmark"],
-        config=data.get("config", {}),
-        wall_seconds=data.get("wall_seconds", 0.0),
-        working_set_bound=data.get("working_set_bound"),
-        algorithms=algorithms,
-        protocols=protocols,
-        plan_sizes=plan_sizes,
-        failures=failures,
-        pipelines=pipelines,
-        checks=data.get("checks", {}),
-        schema_version=version,
+        config=data["config"],
+        wall_seconds=data["wall_seconds"],
+        working_set_bound=data["working_set_bound"],
+        algorithms=[AlgorithmResult(**entry) for entry in data["algorithms"]],
+        protocols=[ProtocolResult(**entry) for entry in data["protocols"]],
+        plan_sizes=[PlanSizeStats(**entry) for entry in data["plan_sizes"]],
+        failures=[FailureResult(**entry) for entry in data["failures"]],
+        pipelines=[PipelineResult(**entry) for entry in data["pipelines"]],
+        checks=data["checks"],
     )
 
 

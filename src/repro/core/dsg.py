@@ -25,6 +25,12 @@ planner) times and counts the same loop.  The class also implements node
 addition/removal (Section IV-G) and the bookkeeping needed by the
 experiments: per-request results, average cost, working-set statistics,
 height tracking and memory auditing.
+
+The front end threads no kernel state: the a-balance dirty marks belong to
+the graph (it attaches a :class:`~repro.skipgraph.balance.BalanceTracker`
+as ``graph.tracker`` when a-balance is maintained, and the graph's own
+mutators feed it), and the time spent in bulk splices belongs to each
+plan's :class:`~repro.core.local_ops.OpRecorder` (``apply_seconds``).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from repro.core.local_ops import LocalOp, OpRecorder
 from repro.core.priorities import compute_priorities
 from repro.core.state import DSGNodeState
 from repro.core.timestamps import TimestampContext, apply_timestamp_rules
-from repro.core.transformation import transform
+from repro.core.transformation import _pick_dummy_key, transform
 from repro.core.working_set import CommunicationHistory
 from repro.simulation.rng import make_rng
 from repro.skipgraph.balance import BalanceTracker, a_balance_violations
@@ -170,28 +176,23 @@ class DynamicSkipGraph:
         self._served = 0
         self._total_cost = 0
         self._total_routing_cost = 0
-        #: Incremental a-balance dirty marks, fed by every recorder this
-        #: instance creates; ``None`` when a-balance is not maintained
-        #: (nothing would ever consume the marks, so feeding them would only
-        #: accumulate memory).
-        self.balance_tracker: Optional[BalanceTracker] = (
-            BalanceTracker() if self.config.maintain_a_balance else None
-        )
+        # The graph marks its own dirty lists once a tracker is attached;
+        # without a-balance maintenance nothing would ever consume the marks
+        # (feeding them would only accumulate memory), so none is attached.
+        self.graph.tracker = BalanceTracker() if self.config.maintain_a_balance else None
         #: Request-plan size distribution: ``len(result.ops) -> requests``.
         self._plan_size_hist: Dict[int, int] = {}
         #: Wall-clock per serving phase: routing, planning maths, bulk plan
-        #: application, and churn-path a-balance repair.  "plan" is the
-        #: adjustment time not spent inside bulk splices, so the four keys
-        #: (plus build/overhead outside them) decompose the serving time.
+        #: application, and churn-path a-balance repair.  "apply" is what
+        #: the request's recorder spent inside bulk splices and "plan" the
+        #: rest of the adjustment, so the four keys (plus build/overhead
+        #: outside them) decompose the serving time.
         self.phase_seconds: Dict[str, float] = {
             "route": 0.0,
             "plan": 0.0,
             "apply": 0.0,
             "repair": 0.0,
         }
-        # One-element accumulator threaded through every recorder: seconds
-        # spent inside the skip graph's bulk entry points (the apply phase).
-        self._apply_timer: List[float] = [0.0]
 
     # ------------------------------------------------------------------ misc
     @staticmethod
@@ -273,13 +274,10 @@ class DynamicSkipGraph:
             working_set_number=working_set,
         )
 
-        apply_before = self._apply_timer[0]
         began = time.perf_counter()
-        self._adjust(result, source, destination, t)
-        elapsed = time.perf_counter() - began
-        apply_delta = self._apply_timer[0] - apply_before
-        phases["apply"] += apply_delta
-        phases["plan"] += elapsed - apply_delta
+        apply_seconds = self._adjust(result, source, destination, t)
+        phases["plan"] += time.perf_counter() - began - apply_seconds
+        phases["apply"] += apply_seconds
 
         result.height_after = self.height()
         self._served += 1
@@ -289,8 +287,8 @@ class DynamicSkipGraph:
             self.results.append(result)
         return result
 
-    def _adjust(self, result: RequestResult, u: Key, v: Key, t: int) -> None:
-        """Steps 2-12 of Algorithm 1.
+    def _adjust(self, result: RequestResult, u: Key, v: Key, t: int) -> float:
+        """Steps 2-12 of Algorithm 1; returns the seconds spent in bulk splices.
 
         Structurally this is a *planner* over the local-op kernel: every
         mutation flows through one :class:`~repro.core.local_ops.OpRecorder`
@@ -426,18 +424,15 @@ class DynamicSkipGraph:
         result.dummies_added = len(outcome.dummies_added)
         plan_size = len(recorder.ops)
         self._plan_size_hist[plan_size] = self._plan_size_hist.get(plan_size, 0) + 1
+        return recorder.apply_seconds
 
     def run_sequence(self, requests: Sequence[Tuple[Key, Key]]) -> List[RequestResult]:
         """Serve every request of ``requests`` in order (results kept)."""
         return [self.request(u, v) for u, v in requests]
 
     def _recorder(self) -> OpRecorder:
-        """A recorder wired to this instance's tracker and apply timer."""
-        return OpRecorder(
-            self.graph,
-            tracker=self.balance_tracker,
-            apply_timer=self._apply_timer,
-        )
+        """The recorder one plan of this instance is emitted through."""
+        return OpRecorder(self.graph)
 
     # ------------------------------------------------------------ node churn
     def add_node(self, key: Key, payload=None) -> None:
@@ -499,27 +494,22 @@ class DynamicSkipGraph:
         next scan round picks up.  This keeps the number of scan rounds
         proportional to the cascade depth instead of the dummy count.
 
-        Each round's violations come from :attr:`balance_tracker` — only
-        the lists dirtied since the last consumption are rescanned, in the
-        full-rescan order, so repairs (and their RNG draws) are identical
-        to rescanning the whole graph every round (the tracker-less path
-        below).  A violation whose dummy key could not be placed has
-        its list re-marked whole, so the next churn event retries it
-        exactly like a full rescan would.  A caller-supplied ``recorder``
-        that does not carry :attr:`balance_tracker` forces this call onto
-        full rescans (its ops never produced dirty marks) and invalidates
-        the tracker for the calls that follow.
+        Each round's violations come from the graph's own tracker
+        (:attr:`SkipGraph.tracker <repro.skipgraph.skipgraph.SkipGraph.tracker>`)
+        — only the lists dirtied since the last consumption are rescanned,
+        in the full-rescan order, so repairs (and their RNG draws) are
+        identical to rescanning the whole graph every round (what a graph
+        without a tracker gets).  A violation whose dummy key could not be
+        placed has its list re-marked whole, so the next churn event
+        retries it exactly like a full rescan would.  The graph feeds the
+        tracker from its own mutators, so no recorder over :attr:`graph`
+        can bypass the marks; one over a *different* graph is rejected.
         """
-        tracker = self.balance_tracker
         if recorder is None:
             recorder = self._recorder()
-        elif tracker is not None and recorder.tracker is not tracker:
-            # A caller-supplied recorder bypassed this instance's tracker, so
-            # the dirty marks cannot be trusted to cover the caller's ops:
-            # run this call on full rescans (the pre-tracker contract) and
-            # invalidate the tracker so later incremental calls start fresh.
-            tracker.mark_all()
-            tracker = None
+        elif recorder.graph is not self.graph:
+            raise ValueError("the recorder must write to this instance's graph")
+        tracker = self.graph.tracker
         inserted = 0
         for _ in range(2 * len(self.graph) + 1):
             if tracker is None:
@@ -538,7 +528,7 @@ class DynamicSkipGraph:
             for violation in violations:
                 run = violation.run_keys
                 lower, upper = run[self.config.a - 1], run[self.config.a]
-                dummy_key = self._dummy_key_between(lower, upper, claimed)
+                dummy_key = _pick_dummy_key(self.graph, lower, upper, self._rng, claimed)
                 if dummy_key is None:
                     if tracker is not None:
                         tracker.mark_list(violation.level, violation.prefix)
@@ -551,23 +541,6 @@ class DynamicSkipGraph:
             if not pending:
                 break
         return inserted
-
-    def _dummy_key_between(self, lower: Key, upper: Key, claimed: frozenset = frozenset()) -> Optional[Key]:
-        try:
-            low, high = float(lower), float(upper)
-        except (TypeError, ValueError):
-            return None
-        if not low < high:
-            return None
-        for _ in range(16):
-            candidate = low + (high - low) * (0.25 + 0.5 * self._rng.random())
-            if (
-                candidate not in (low, high)
-                and candidate not in claimed
-                and not self.graph.has_node(candidate)
-            ):
-                return candidate
-        return None
 
     # --------------------------------------------------------------- analysis
     def requests_served(self) -> int:

@@ -26,7 +26,9 @@ Every structural mutation of the repository flows through this vocabulary:
   :class:`OpRecorder`, which applies each op to the
   :class:`~repro.skipgraph.skipgraph.SkipGraph` *as it is emitted* (the
   planning maths reads the graph mid-plan, so application must be eager) and
-  keeps the emitted sequence as the plan;
+  keeps the emitted sequence as the plan (plus the wall clock its bulk
+  splices took — the only other thing a recorder holds; the a-balance dirty
+  marks are emitted by the graph's own mutators, not by this module);
 * :func:`apply_ops` **replays** a recorded plan onto another graph — the
   applier the property tests use to prove a plan is self-contained
   (replaying ``result.ops`` on a copy of ``S_t`` reproduces ``S_{t+1}``)
@@ -47,14 +49,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from time import perf_counter
-from typing import TYPE_CHECKING, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.skipgraph.membership import MembershipVector, common_prefix_length
 from repro.skipgraph.node import SkipGraphNode
 from repro.skipgraph.skipgraph import SkipGraph
-
-if TYPE_CHECKING:  # import-free at runtime: balance.py must stay core-agnostic
-    from repro.skipgraph.balance import BalanceTracker
 
 __all__ = [
     "DemoteOp",
@@ -126,43 +125,28 @@ LocalOp = Union[
 
 
 # ------------------------------------------------------------------ applier
-def apply_op(graph: SkipGraph, op: LocalOp, tracker: Optional["BalanceTracker"] = None) -> None:
+def apply_op(graph: SkipGraph, op: LocalOp) -> None:
     """Apply one local op to ``graph`` (caches are patched incrementally).
 
     The semantics intentionally mirror what the planners do inline through
     :class:`OpRecorder`, so replaying a recorded sequence on a copy of the
-    pre-plan graph reproduces the post-plan graph exactly.
-
-    ``tracker`` (a :class:`~repro.skipgraph.balance.BalanceTracker`) is
-    notified *before* the mutation — the dirty marks for a departure need
-    the pre-departure membership vector — which is how the incremental
-    a-balance machinery on the churn path learns which lists an op touched.
+    pre-plan graph reproduces the post-plan graph exactly.  The a-balance
+    dirty marks are the graph's own business (:attr:`SkipGraph.tracker
+    <repro.skipgraph.skipgraph.SkipGraph.tracker>`): its mutators emit them.
     """
     if type(op) is PromoteOp:
-        old = graph.membership(op.key)
-        new = old.with_bit(op.level, op.bit)
-        if tracker is not None:
-            tracker.mark_rewrite(op.key, old.bits, new.bits)
-        graph.set_membership(op.key, new)
+        graph.set_membership(op.key, graph.membership(op.key).with_bit(op.level, op.bit))
     elif type(op) is DemoteOp:
         membership = graph.membership(op.key)
         if len(membership) > op.length:
-            if tracker is not None:
-                tracker.mark_rewrite(op.key, membership.bits, membership.bits[: op.length])
             graph.set_membership(op.key, membership.truncated(op.length))
     elif type(op) is DummyInsertOp:
-        if tracker is not None:
-            tracker.mark_insert(op.key, op.bits)
         graph.add_node(
             SkipGraphNode(key=op.key, membership=MembershipVector(op.bits), is_dummy=True)
         )
     elif type(op) is NodeJoinOp:
-        if tracker is not None:
-            tracker.mark_insert(op.key, op.bits)
         graph.add_node(SkipGraphNode(key=op.key, membership=MembershipVector(op.bits)))
     elif type(op) is DummyRemoveOp or type(op) is NodeLeaveOp:
-        if tracker is not None:
-            tracker.mark_remove(graph, op.key)
         graph.remove_node(op.key)
     else:
         raise TypeError(f"unknown local op {op!r}")
@@ -260,36 +244,26 @@ class OpRecorder:
     :attr:`ops` — making "the plan" a byproduct of the existing computation
     at O(1) extra work per mutation, with cost accounting untouched.
 
-    An attached ``tracker`` (see :func:`apply_op`) receives every op before
-    it lands, feeding the incremental a-balance dirty marks; the DSG front
-    end threads its per-instance tracker through every recorder it creates.
-
     The ``*_run`` bulk methods record exactly the per-key op sequence the
     singular methods would, so the plan (and therefore the cost accounting
     and the wire traffic) is byte-identical either way; the *application*
     goes through the skip graph's bulk entry points — one list splice per
     run instead of one cache invalidation per op — falling back to per-op
-    application whenever a bulk precondition fails.  ``apply_timer``, when
-    given, is a one-element list accumulating the seconds spent inside bulk
-    splices (the adapter's "apply" phase).
+    application whenever a bulk precondition fails.  :attr:`apply_seconds`
+    accumulates the wall clock spent inside those bulk splices (the
+    "apply" phase of :attr:`DynamicSkipGraph.phase_seconds
+    <repro.core.dsg.DynamicSkipGraph.phase_seconds>`).
     """
 
-    __slots__ = ("graph", "ops", "tracker", "apply_timer")
+    __slots__ = ("graph", "ops", "apply_seconds")
 
-    def __init__(
-        self,
-        graph: SkipGraph,
-        ops: Optional[List[LocalOp]] = None,
-        tracker: Optional["BalanceTracker"] = None,
-        apply_timer: Optional[List[float]] = None,
-    ) -> None:
+    def __init__(self, graph: SkipGraph, ops: Optional[List[LocalOp]] = None) -> None:
         self.graph = graph
         self.ops: List[LocalOp] = ops if ops is not None else []
-        self.tracker = tracker
-        self.apply_timer = apply_timer
+        self.apply_seconds = 0.0
 
     def _record(self, op: LocalOp) -> None:
-        apply_op(self.graph, op, self.tracker)
+        apply_op(self.graph, op)
         self.ops.append(op)
 
     def promote(self, key: Key, level: int, bit: int) -> None:
@@ -303,9 +277,8 @@ class OpRecorder:
         """Promote every key of ``keys`` (one split sublist) to ``level``."""
         if len(keys) > 1:
             began = perf_counter()
-            landed = self.graph.promote_run(keys, level, bit, tracker=self.tracker)
-            if self.apply_timer is not None:
-                self.apply_timer[0] += perf_counter() - began
+            landed = self.graph.promote_run(keys, level, bit)
+            self.apply_seconds += perf_counter() - began
             if landed:
                 self.ops.extend(PromoteOp(key, level, bit) for key in keys)
                 return
@@ -318,9 +291,8 @@ class OpRecorder:
         eligible = [key for key in keys if len(membership(key)) > length]
         if len(eligible) > 1:
             began = perf_counter()
-            landed = self.graph.demote_run(eligible, length, tracker=self.tracker)
-            if self.apply_timer is not None:
-                self.apply_timer[0] += perf_counter() - began
+            landed = self.graph.demote_run(eligible, length)
+            self.apply_seconds += perf_counter() - began
             if landed:
                 self.ops.extend(DemoteOp(key, length) for key in eligible)
                 return
@@ -331,9 +303,8 @@ class OpRecorder:
         """Destroy every dummy in ``keys`` (ascending) in one bulk removal."""
         if len(keys) > 1:
             began = perf_counter()
-            self.graph.remove_run(keys, tracker=self.tracker)
-            if self.apply_timer is not None:
-                self.apply_timer[0] += perf_counter() - began
+            self.graph.remove_run(keys)
+            self.apply_seconds += perf_counter() - began
             self.ops.extend(DummyRemoveOp(key) for key in keys)
             return
         for key in keys:
@@ -352,9 +323,8 @@ class OpRecorder:
                 for op in ops
             ]
             began = perf_counter()
-            self.graph.insert_run(nodes, tracker=self.tracker)
-            if self.apply_timer is not None:
-                self.apply_timer[0] += perf_counter() - began
+            self.graph.insert_run(nodes)
+            self.apply_seconds += perf_counter() - began
             self.ops.extend(ops)
             return
         for key, bits in entries:
@@ -367,13 +337,10 @@ class OpRecorder:
         # The only op applied by hand: ``payload`` rides on the node object
         # but not on the (wire-format) op, so apply_op cannot attach it.
         bits = tuple(bits)
-        op = NodeJoinOp(key, bits)
-        if self.tracker is not None:
-            self.tracker.mark_insert(key, bits)
         self.graph.add_node(
             SkipGraphNode(key=key, membership=MembershipVector(bits), payload=payload)
         )
-        self.ops.append(op)
+        self.ops.append(NodeJoinOp(key, bits))
 
     def leave(self, key: Key) -> None:
         self._record(NodeLeaveOp(key))

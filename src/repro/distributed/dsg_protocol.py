@@ -501,12 +501,20 @@ class DistributedDSG:
         nothing younger is planned until it has applied in turn, so a
         failure never strands an admitted message and the plan repair of
         :meth:`_repair_plan` always finds its request alone in flight.
+
+        An event the planner rejects (unknown or equal endpoints, a join of
+        a present or crashed key, a leave of an absent one) ends the run:
+        the planner has already moved past every event planned before it,
+        so those are served to completion first and the rejection is raised
+        once nothing is in flight.  The events before the rejected one are
+        served; it and everything after it are not.
         """
         queue: Deque = deque(events)
         planned: Deque[PipelineEntry] = deque()
         window = self.window
         deadline = self.sim.round + self._max_rounds
         fenced = False
+        rejection: Optional[Exception] = None
         while queue or planned or window.entries:
             if not planned and not window.entries:
                 fenced = False
@@ -527,7 +535,11 @@ class DistributedDSG:
                 elif isinstance(event, RecoveryEvent):
                     self.recover(event.key)
                 else:
-                    planned.append(self._plan_event(event))
+                    try:
+                        planned.append(self._plan_event(event))
+                    except (KeyError, ValueError, TypeError, SimulationError) as error:
+                        rejection = error
+                        queue.clear()
             # FIFO admission: the oldest planned event blocks on conflict.
             while planned and window.try_admit(planned[0]):
                 self._activate(planned.popleft())
@@ -540,6 +552,8 @@ class DistributedDSG:
                     )
                 self._absorb_completions()
             self._apply_ready()
+        if rejection is not None:
+            raise rejection
 
     def _plan_event(self, event) -> PipelineEntry:
         """Run the planner for one event and extract its conflict set."""

@@ -120,7 +120,6 @@ class NeighborTable:
             raise ValueError(f"redundancy k must be >= 1, got {k}")
         self.key = key
         self.k = k
-        self.levels: Dict[int, Tuple[Optional[Key], Optional[Key]]] = {}
         #: level -> (nearest-first left candidates, nearest-first right candidates)
         self.candidates: Dict[int, Tuple[List[Key], List[Key]]] = {}
         top = graph.singleton_level(key)
@@ -135,10 +134,6 @@ class NeighborTable:
                 lefts = members[max(0, index - k) : index][::-1]
                 rights = members[index + 1 : index + 1 + k]
             self.candidates[level] = (lefts, rights)
-            self.levels[level] = (
-                lefts[0] if lefts else None,
-                rights[0] if rights else None,
-            )
         self.top_level = top
 
     def size_words(self) -> int:

@@ -41,7 +41,7 @@ from repro.simulation.errors import (
     SimulationError,
 )
 from repro.simulation.message import Message, payload_size_bits
-from repro.simulation.metrics import LinkUsage, MetricsCollector, RoundStats
+from repro.simulation.metrics import MetricsCollector, RoundStats
 from repro.simulation.network import Network
 from repro.simulation.node_process import NodeProcess, RoundContext
 from repro.simulation.engine import Simulator, SimulatorConfig
@@ -50,7 +50,6 @@ from repro.simulation.rng import make_rng, spawn_rng
 __all__ = [
     "CongestionError",
     "LinkError",
-    "LinkUsage",
     "Message",
     "MessageSizeError",
     "MetricsCollector",

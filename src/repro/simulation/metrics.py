@@ -28,9 +28,9 @@ checkpoint so each execution gets its own numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List
 
-__all__ = ["MetricsCollector", "RoundStats", "LinkUsage"]
+__all__ = ["MetricsCollector", "RoundStats"]
 
 
 @dataclass
@@ -44,15 +44,6 @@ class RoundStats:
     congestion_violations: int = 0
     dropped_messages: int = 0
     failed_requests: int = 0
-
-
-@dataclass
-class LinkUsage:
-    """Usage of a directed link within a single round."""
-
-    sender: Hashable
-    receiver: Hashable
-    messages: int
 
 
 @dataclass
@@ -120,18 +111,6 @@ class MetricsCollector:
         if not self.peak_memory_words:
             return 0
         return max(self.peak_memory_words.values())
-
-    def messages_in_round(self, round_index: int) -> int:
-        if 0 <= round_index < len(self.per_round):
-            return self.per_round[round_index].messages
-        return 0
-
-    def busiest_round(self) -> Tuple[int, int]:
-        """Return ``(round_index, messages)`` of the round with most traffic."""
-        if not self.per_round:
-            return (0, 0)
-        stats = max(self.per_round, key=lambda s: s.messages)
-        return (stats.round_index, stats.messages)
 
     def summary(self) -> Dict[str, int]:
         """Plain-dict summary used by the experiment harness."""

@@ -14,9 +14,10 @@ Two detection paths are provided:
 * :func:`a_balance_violations` — the full O(total bits) rescan, one pass per
   level over the keys that still carry a bit at that level (the executable
   specification, also used by :func:`check_a_balance` and the E10 audit);
-* :class:`BalanceTracker` — the incremental tracker on the churn path: the
-  local-op kernel (:mod:`repro.core.local_ops`) reports every structural
-  change *before* it is applied, the tracker converts it into per-list dirty
+* :class:`BalanceTracker` — the incremental tracker on the churn path: a
+  :class:`~repro.skipgraph.skipgraph.SkipGraph` it is attached to
+  (``graph.tracker``) reports every structural change from its own seven
+  mutators *before* applying it, the tracker converts it into per-list dirty
   marks — ``(level, prefix)`` plus the key positions whose neighbourhood
   changed — and :meth:`BalanceTracker.violations` rescans only the dirtied
   lists (walking just the runs around each marked position) instead of the
@@ -169,31 +170,27 @@ class BalanceTracker:
     key still bisects to its old position in the (key-ordered) list, so one
     mark scheme covers insertions, departures and bit rewrites alike.
 
-    Feeding happens through the ``mark_*`` primitives, which the local-op
-    kernel (:func:`repro.core.local_ops.apply_op` with a ``tracker``, and
-    therefore every ``OpRecorder`` mutation) calls *before* applying each
-    op — the marks for a departure need the pre-departure membership
-    vector.  Marking costs O(1) dictionary work per affected level and
-    never touches the level lists themselves, so the request hot path only
-    pays for the lists it already rewrites.
+    Feeding happens through the ``mark_*`` primitives, which the skip graph
+    the tracker is attached to calls from inside its mutators (single-key
+    and bulk alike) *before* each write — the marks for a departure need
+    the pre-departure membership vector — so no caller can mutate the
+    structure without the tracker hearing of it.  Marking costs O(1)
+    dictionary work per affected level and never touches the level lists
+    themselves, so the request hot path only pays for the lists it already
+    rewrites.
     """
 
     __slots__ = ("_all_dirty", "_dirty")
 
     def __init__(self) -> None:
-        #: Everything is dirty until the first consumption: a fresh graph
-        #: (or one assembled outside the kernel) may hold violations in
-        #: lists no op ever touched, so the first scan is a full rescan.
+        #: Everything is dirty until the first consumption: the graph was
+        #: built before the tracker was attached and may hold violations in
+        #: lists no later write touches, so the first scan is a full rescan.
         self._all_dirty = True
         #: (level, prefix) -> anchor key set, or None for "whole list".
         self._dirty: Dict[DirtyList, Optional[Set]] = {}
 
     # ------------------------------------------------------------- marking
-    def mark_all(self) -> None:
-        """Invalidate everything (the next consumption is a full rescan)."""
-        self._all_dirty = True
-        self._dirty.clear()
-
     def mark_list(self, level: int, prefix: Prefix) -> None:
         """Mark one whole list dirty (used when a repair could not land)."""
         if self._all_dirty:
@@ -274,9 +271,9 @@ class BalanceTracker:
 
         Consumes the marks: scanned lists become clean (a caller that fails
         to repair a reported violation must re-mark its list).  The first
-        call after construction or :meth:`mark_all` performs one full
-        rescan; every later call walks only dirty lists — and within an
-        anchored list, only the runs around each marked position.
+        call after construction performs one full rescan; every later call
+        walks only dirty lists — and within an anchored list, only the runs
+        around each marked position.
         """
         if a < 1:
             raise ValueError("a must be a positive integer")

@@ -37,15 +37,26 @@ Scaling machinery (the request hot path relies on all four):
   This is what lets :func:`~repro.skipgraph.build.draw_membership_bits`
   answer "does any other real node share this prefix?" in O(1) per drawn
   bit instead of scanning ``real_keys`` — the join rule at 100k nodes.
+
+The structure also owns its a-balance bookkeeping: when a
+:class:`~repro.skipgraph.balance.BalanceTracker` is attached as
+:attr:`SkipGraph.tracker`, each of the seven mutators (``add_node``,
+``remove_node``, ``set_membership`` and the four ``*_run`` bulk entry
+points) marks the lists it is about to rewrite, before the write — so
+"which lists changed" is a fact about the structure, not a courtesy of
+whoever mutates it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.skipgraph.membership import MembershipVector, common_prefix_length
 from repro.skipgraph.node import Key, SkipGraphNode
+
+if TYPE_CHECKING:  # balance.py imports this module
+    from repro.skipgraph.balance import BalanceTracker
 
 __all__ = ["SkipGraph"]
 
@@ -129,6 +140,9 @@ class SkipGraph:
     """A skip graph over totally ordered keys."""
 
     def __init__(self, nodes: Optional[Iterable[SkipGraphNode]] = None) -> None:
+        #: Incremental a-balance dirty marks, fed by every mutator below;
+        #: ``None`` (the default, never copied) when nobody consumes them.
+        self.tracker: Optional["BalanceTracker"] = None
         self._nodes: Dict[Key, SkipGraphNode] = {}
         self._sorted_keys: List[Key] = []
         # Lazy insertion buffers for long lists (see _PENDING_MIN): sorted
@@ -189,12 +203,14 @@ class SkipGraph:
         """
         if node.key in self._nodes:
             raise ValueError(f"duplicate key {node.key!r}")
+        bits = node.membership.bits
+        if self.tracker is not None:
+            self.tracker.mark_insert(node.key, bits)
         self._nodes[node.key] = node
         if len(self._sorted_keys) >= _PENDING_MIN:
             insort(self._base_pending, node.key)
         else:
             insort(self._sorted_keys, node.key)
-        bits = node.membership.bits
         if node.is_dummy:
             self._dummy_count += 1
         self._register_vector(bits, dummy=node.is_dummy)
@@ -220,9 +236,12 @@ class SkipGraph:
 
         Cached lists are patched in place, mirroring :meth:`add_node`.
         """
-        node = self._nodes.pop(key, None)
+        node = self._nodes.get(key)
         if node is None:
             raise KeyError(f"no node with key {key!r}")
+        if self.tracker is not None:
+            self.tracker.mark_remove(self, key)  # needs the pre-departure vector
+        del self._nodes[key]
         base = self._base_list()
         index = bisect_left(base, key)
         del base[index]
@@ -301,6 +320,8 @@ class SkipGraph:
         node = self._nodes[key]
         old = node.membership
         new = MembershipVector(membership) if not isinstance(membership, MembershipVector) else membership
+        if self.tracker is not None:
+            self.tracker.mark_rewrite(key, old.bits, new.bits)
         node.membership = new
         keep_prefix = common_prefix_length(old, new)
         self._unregister_vector(old.bits, start=keep_prefix + 1, dummy=node.is_dummy)
@@ -319,14 +340,6 @@ class SkipGraph:
                     pop_list(cache_key, None)
                     pop_pos(cache_key, None)
                     pop_pending(cache_key, None)
-
-    def invalidate_cache(self) -> None:
-        self._list_cache.clear()
-        self._pos_cache.clear()
-        # Pending insertions for evicted lists are dropped with their lists
-        # (the keys live in the node table and reappear on re-derivation);
-        # the base list's buffer is merged on its next read.
-        self._pending_inserts.clear()
 
     # ------------------------------------------------- incremental height data
     def _register_vector(self, bits: Prefix, start: int = 1, dummy: bool = False) -> None:
@@ -401,7 +414,7 @@ class SkipGraph:
                 prefix = bits[:level]
                 dummy_counts[prefix] = dummy_counts.get(prefix, 0) + dummy_count
 
-    def promote_run(self, keys, level: int, bit: int, tracker=None) -> bool:
+    def promote_run(self, keys, level: int, bit: int) -> bool:
         """Append ``bit`` at ``level`` for every key of ``keys`` in one splice.
 
         The transformation's split loop promotes a whole 0- or 1-sublist at
@@ -414,7 +427,7 @@ class SkipGraph:
         instead of invalidating it ``len(keys)`` times.
 
         Returns ``False`` (graph untouched) when the precondition does not
-        hold, so callers can fall back to per-op application.  ``tracker``
+        hold, so callers can fall back to per-op application.  The tracker
         receives the same dirty marks the per-op path would emit, before
         the mutation.
         """
@@ -439,6 +452,7 @@ class SkipGraph:
             if node.is_dummy:
                 dummy_count += 1
         new_bits = parent_bits + (bit,)
+        tracker = self.tracker
         if tracker is not None:
             tracker.mark_run(level - 1, parent_bits, keys)
             tracker.mark_run(level, new_bits, keys)
@@ -458,7 +472,7 @@ class SkipGraph:
         self._pending_inserts.pop(cache_key, None)
         return True
 
-    def demote_run(self, keys, length: int, tracker=None) -> bool:
+    def demote_run(self, keys, length: int) -> bool:
         """Truncate every key of ``keys`` to ``length`` bits in one pass.
 
         The keys must ascend, share their first ``length`` bits (they come
@@ -499,6 +513,7 @@ class SkipGraph:
                     affected[entry] = [key]
                 else:
                     bucket.append(key)
+        tracker = self.tracker
         if tracker is not None:
             tracker.mark_run(length, shared_bits, keys)
             for (level, prefix), marked in affected.items():
@@ -538,16 +553,17 @@ class SkipGraph:
             pop_pending((level, prefix), None)
         return True
 
-    def remove_run(self, keys, tracker=None) -> None:
+    def remove_run(self, keys) -> None:
         """Remove every node in ``keys`` (the bulk form of :meth:`remove_node`).
 
         End state identical to removing one by one; the prefix-index and
         cache bookkeeping is aggregated per distinct prefix — the dummies a
         transformation clears share their deep prefixes almost entirely, so
         the dictionary traffic collapses from O(keys * depth) to roughly
-        O(distinct prefixes).  ``tracker`` marks are emitted for every key
+        O(distinct prefixes).  The tracker's marks are emitted for every key
         before any node is removed (marks need pre-departure vectors).
         """
+        tracker = self.tracker
         if tracker is not None:
             for key in keys:
                 tracker.mark_remove(self, key)
@@ -604,7 +620,7 @@ class SkipGraph:
                 _delete_sorted(cached, removed)
                 pop_pos((level, prefix), None)
 
-    def insert_run(self, new_nodes, tracker=None) -> None:
+    def insert_run(self, new_nodes) -> None:
         """Insert every node of ``new_nodes`` (the bulk form of :meth:`add_node`).
 
         End state identical to adding one by one.  The base list and each
@@ -612,11 +628,12 @@ class SkipGraph:
         ``insort`` memmove per node — the win that matters when a repair
         round lands hundreds of dummies into a six-figure base list.
         Membership vectors may differ between the nodes; keys need not be
-        ordered but must be fresh and distinct.  ``tracker`` receives the
+        ordered but must be fresh and distinct.  The tracker receives the
         same ``mark_insert`` calls the per-op path would emit.
         """
         if not new_nodes:
             return
+        tracker = self.tracker
         if tracker is not None:
             for node in new_nodes:
                 tracker.mark_insert(node.key, node.membership.bits)

@@ -76,11 +76,21 @@ class TestArtifactRoundTrip:
         names = [artifact.benchmark for artifact in load_artifacts(tmp_path)]
         assert names == ["alpha", "zeta"]
 
-    def test_newer_schema_rejected(self, tmp_path):
-        path = tmp_path / "BENCH_future.json"
-        path.write_text(json.dumps({"benchmark": "future", "schema_version": 999}))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("version", [999, SCHEMA_VERSION - 1, None])
+    def test_any_other_schema_version_is_rejected(self, tmp_path, version):
+        path = write_artifact(sample_artifact(), tmp_path)
+        data = json.loads(path.read_text())
+        data["schema_version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"re-run benchmark '{data['benchmark']}'"):
             load_artifact(path)
+
+    def test_every_committed_artifact_is_at_the_current_schema(self):
+        root = Path(__file__).resolve().parents[2]
+        committed = sorted(root.glob("BENCH_*.json"))
+        assert committed
+        for path in committed:
+            assert load_artifact(path).schema_version == SCHEMA_VERSION
 
     def test_unknown_algorithm_lookup(self):
         with pytest.raises(KeyError):
@@ -198,16 +208,6 @@ class TestProtocolArtifacts:
         with pytest.raises(KeyError):
             loaded.protocol("missing")
 
-    def test_schema_v1_files_load_without_protocols(self, tmp_path):
-        path = write_artifact(sample_artifact(), tmp_path)
-        data = json.loads(path.read_text())
-        data["schema_version"] = 1
-        del data["protocols"]
-        path.write_text(json.dumps(data))
-        loaded = load_artifact(path)
-        assert loaded.protocols == []
-        assert loaded.algorithm("dsg").requests == 2000
-
     def test_render_includes_protocol_table(self):
         report = render_comparison([protocol_artifact()])
         assert "| protocol | n | rounds |" in report
@@ -247,16 +247,6 @@ class TestPlanSizeArtifacts:
         row = loaded.plan_sizes[0]
         assert row.workload == "churn"
         assert row.requests == 10 and row.p90_ops == 4 and row.empty_fraction == 0.5
-
-    def test_schema_v2_files_load_without_plan_sizes(self, tmp_path):
-        path = write_artifact(protocol_artifact(), tmp_path)
-        data = json.loads(path.read_text())
-        data["schema_version"] = 2
-        del data["plan_sizes"]
-        path.write_text(json.dumps(data))
-        loaded = load_artifact(path)
-        assert loaded.plan_sizes == []
-        assert loaded.protocol("routing").rounds == 205
 
     def test_render_includes_plan_size_table(self):
         artifact = protocol_artifact()
@@ -313,16 +303,6 @@ class TestPipelineArtifacts:
         )
         assert empty.speedup == 0.0 and empty.rounds_per_request == 0.0
 
-    def test_schema_v4_files_load_without_pipelines(self, tmp_path):
-        path = write_artifact(protocol_artifact(), tmp_path)
-        data = json.loads(path.read_text())
-        data["schema_version"] = 4
-        del data["pipelines"]
-        path.write_text(json.dumps(data))
-        loaded = load_artifact(path)
-        assert loaded.pipelines == []
-        assert loaded.protocol("routing").rounds == 205
-
     def test_render_includes_pipeline_table(self):
         report = render_comparison([pipeline_artifact()])
         assert "| pipeline | n | window | requests | rounds |" in report
@@ -352,17 +332,6 @@ class TestPhaseArtifacts:
         }
         # Algorithms without instrumentation round-trip an empty mapping.
         assert loaded.algorithm("static-random").phases == {}
-
-    def test_schema_v5_files_load_without_phases(self, tmp_path):
-        path = write_artifact(sample_artifact(), tmp_path)
-        data = json.loads(path.read_text())
-        data["schema_version"] = 5
-        for entry in data["algorithms"]:
-            del entry["phases"]
-        path.write_text(json.dumps(data))
-        loaded = load_artifact(path)
-        assert loaded.algorithm("dsg").phases == {}
-        assert loaded.algorithm("dsg").requests == 2000
 
     def test_render_includes_phase_table(self):
         report = render_comparison([phased_artifact()])

@@ -57,11 +57,12 @@ def index_state(graph: SkipGraph):
     )
 
 
-def fresh_tracker() -> BalanceTracker:
-    """A tracker past its initial everything-dirty state, so marks record."""
-    tracker = BalanceTracker()
-    tracker._all_dirty = False
-    return tracker
+def tracked(graph: SkipGraph) -> SkipGraph:
+    """``graph`` with a tracker past its initial everything-dirty state
+    attached, so every mark its mutators emit from here on is recorded."""
+    graph.tracker = BalanceTracker()
+    graph.tracker._all_dirty = False
+    return graph
 
 
 def tracker_state(tracker: BalanceTracker):
@@ -91,21 +92,18 @@ class TestBulkEntryPoints:
             for key, bits, dummy in newcomers
         ]
 
-        one_by_one = initial.copy()
-        loop_tracker = fresh_tracker()
+        one_by_one = tracked(initial.copy())
         for node in nodes:
-            loop_tracker.mark_insert(node.key, node.membership.bits)
             one_by_one.add_node(
                 SkipGraphNode(key=node.key, membership=node.membership, is_dummy=node.is_dummy)
             )
 
-        bulk = initial.copy()
-        bulk_tracker = fresh_tracker()
-        bulk.insert_run(nodes, tracker=bulk_tracker)
+        bulk = tracked(initial.copy())
+        bulk.insert_run(nodes)
 
         assert graph_state(bulk) == graph_state(one_by_one)
         assert index_state(bulk) == index_state(one_by_one)
-        assert tracker_state(bulk_tracker) == tracker_state(loop_tracker)
+        assert tracker_state(bulk.tracker) == tracker_state(one_by_one.tracker)
 
 
 def _graph_with_dummies():
@@ -156,7 +154,7 @@ class TestRecorderRuns:
         assert bulk.ops == by_op.ops
         assert graph_state(bulk.graph) == graph_state(by_op.graph)
         assert index_state(bulk.graph) == index_state(by_op.graph)
-        assert tracker_state(bulk.tracker) == tracker_state(by_op.tracker)
+        assert tracker_state(bulk.graph.tracker) == tracker_state(by_op.graph.tracker)
         # These are mid-transformation graphs (a subtree cut to one bit), so
         # check 4 — no two real nodes share a full vector — rightly fires;
         # every structural check (lists, links, indexes) must stay clean.
@@ -169,8 +167,8 @@ class TestRecorderRuns:
     @pytest.mark.parametrize("name", sorted(RECORDER_RUNS))
     def test_run_equals_op_by_op_recorder(self, name):
         make_graph, run = RECORDER_RUNS[name]
-        bulk = OpRecorder(make_graph(), tracker=fresh_tracker())
-        by_op = OpByOpRecorder(make_graph(), tracker=fresh_tracker())
+        bulk = OpRecorder(tracked(make_graph()))
+        by_op = OpByOpRecorder(tracked(make_graph()))
         run(bulk)
         run(by_op)
         assert len(bulk.ops) > 1
@@ -196,11 +194,11 @@ class TestRecorderRuns:
             return verdicts[-1]
 
         monkeypatch.setattr(SkipGraph, name, spying)
-        bulk = OpRecorder(make_graph(), tracker=fresh_tracker())
+        bulk = OpRecorder(tracked(make_graph()))
         assert {bulk.graph.membership(key).bits[:1] for key in (1, 2, 3, 4)} == {(0,), (1,)}
         run(bulk)
         assert verdicts == [False]
-        by_op = OpByOpRecorder(make_graph(), tracker=fresh_tracker())
+        by_op = OpByOpRecorder(tracked(make_graph()))
         run(by_op)
         assert len(bulk.ops) > 1
         self._assert_same_outcome(bulk, by_op)
@@ -224,7 +222,7 @@ def serve_in_lockstep(a, n, seed, words):
             u = real[pick % len(real)]
             others = [key for key in real if key != u]
             v = others[(pick // len(real)) % len(others)]
-            tracker = copy.deepcopy(shipping.balance_tracker)
+            before.tracker = copy.deepcopy(shipping.graph.tracker)
             got, want = shipping.request(u, v), reference.request(u, v)
             assert (got.cost, got.routing_cost, got.transformation_rounds) == (
                 want.cost,
@@ -236,8 +234,8 @@ def serve_in_lockstep(a, n, seed, words):
             # No repair runs inside a request, so the marks only accumulate:
             # the tracker must hold exactly what an op-by-op replay emits.
             for op in ops:
-                apply_op(before, op, tracker)
-            assert tracker_state(shipping.balance_tracker) == tracker_state(tracker)
+                apply_op(before, op)
+            assert tracker_state(shipping.graph.tracker) == tracker_state(before.tracker)
         else:
             if kind < 7 or len(real) <= 4:
                 shipping.add_node(next_key)
@@ -263,8 +261,8 @@ def serve_in_lockstep(a, n, seed, words):
 def _splice_drops_a_key(real_promote_run):
     """The bulk promote installs its run as the new level list minus one key."""
 
-    def promote_run(self, keys, level, bit, tracker=None):
-        landed = real_promote_run(self, keys, level, bit, tracker=tracker)
+    def promote_run(self, keys, level, bit):
+        landed = real_promote_run(self, keys, level, bit)
         if landed and len(keys) > 2:
             self._list_cache[(level, self.membership(keys[0]).bits)].pop()
         return landed
@@ -275,8 +273,12 @@ def _splice_drops_a_key(real_promote_run):
 def _splice_forgets_its_marks(real_promote_run):
     """The bulk promote lands correctly but reports nothing to the tracker."""
 
-    def promote_run(self, keys, level, bit, tracker=None):
-        return real_promote_run(self, keys, level, bit, tracker=None)
+    def promote_run(self, keys, level, bit):
+        tracker, self.tracker = self.tracker, None
+        try:
+            return real_promote_run(self, keys, level, bit)
+        finally:
+            self.tracker = tracker
 
     return promote_run
 

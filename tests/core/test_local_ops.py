@@ -246,18 +246,6 @@ class TestTransformationEdgeCases:
         apply_ops(shadow, result.ops)
         assert shadow.membership_table() == dsg.graph.membership_table()
 
-    def test_dummy_key_exhaustion_in_restore_a_balance(self, monkeypatch):
-        """_dummy_key_between returning None makes restore_a_balance stop
-        (no progress) instead of looping, and the churn plan stays clean."""
-        monkeypatch.setattr(
-            DynamicSkipGraph, "_dummy_key_between", lambda self, lower, upper: None
-        )
-        dsg = DynamicSkipGraph(keys=range(1, 33), config=DSGConfig(seed=4, a=2))
-        dsg.remove_node(16)
-        assert not any(type(op) is DummyInsertOp for op in dsg.last_churn_ops)
-        inserted = dsg.restore_a_balance()
-        assert inserted == 0
-
     def test_remove_node_in_another_nodes_working_set(self):
         """Removing a peer that an earlier request put in the history: the
         working-set accounting and later plans keep working."""

@@ -28,6 +28,7 @@ from repro.simulation.message import congest_budget_bits
 from repro.skipgraph import verify_skip_graph_integrity
 from repro.workloads import (
     CrashEvent,
+    LeaveEvent,
     RecoveryEvent,
     RequestEvent,
     Scenario,
@@ -202,6 +203,32 @@ def make_driver(request):
         )
 
     return make
+
+
+class TestRejectedEvent:
+    """The planner mutates as it plans and the loop plans ahead of the
+    window, so a rejected event must not strand the plans made before it:
+    they are served, then the rejection propagates."""
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(RequestEvent(7, 7), ValueError), (LeaveEvent(999), KeyError)],
+        ids=["equal-endpoints", "absent-leaver"],
+    )
+    def test_events_planned_before_a_rejected_one_are_still_served(self, make_driver, bad, error):
+        driver = make_driver(seed=1, n=64)
+        driver.request(3, 42)
+        schedule = [RequestEvent(5, 60), bad, RequestEvent(9, 33)]
+        with pytest.raises(error):
+            driver.run_scenario(Scenario("bad", [], schedule))
+        # (5, 60) was served; the rejected event and (9, 33) were not.
+        assert [(o.source, o.destination) for o in driver.outcomes] == [(3, 42), (5, 60)]
+        assert len(driver.outcomes) == driver.planner.requests_served()
+        _assert_consistent(driver)
+        assert driver.report().matches_planner
+        outcome = driver.request(5, 60)
+        assert outcome.measured_distance == outcome.planned_distance == 0
+        _assert_consistent(driver)
 
 
 class TestFailureAwareAdjustment:

@@ -11,7 +11,7 @@ The executable specifications the shipping kernel is held to, kept out of
   invalidation at a time;
 * :class:`ReferenceDynamicSkipGraph` — a
   :class:`~repro.core.dsg.DynamicSkipGraph` served on both of the above plus
-  full a-balance rescans (``balance_tracker = None``).
+  full a-balance rescans (``graph.tracker = None``).
 
 The reference instance is reached from the outside: it subclasses the
 front end and rebinds the ``repro.core.dsg`` module name the join path
@@ -87,10 +87,10 @@ class ReferenceDynamicSkipGraph(DynamicSkipGraph):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.balance_tracker = None
+        self.graph.tracker = None
 
     def _recorder(self) -> OpByOpRecorder:
-        return OpByOpRecorder(self.graph, apply_timer=self._apply_timer)
+        return OpByOpRecorder(self.graph)
 
     def add_node(self, key: Key, payload=None) -> None:
         with mock.patch.object(dsg_module, "draw_membership_bits", draw_membership_bits_reference):

@@ -170,7 +170,8 @@ class TestBalanceTracker:
         # First consumption is the full rescan; from a consumed (clean or
         # known) state, dirty marks must cover every later violation.
         assert tracker.violations(graph, a) == a_balance_violations(graph, a)
-        recorder = OpRecorder(graph, tracker=tracker)
+        graph.tracker = tracker
+        recorder = OpRecorder(graph)
         next_key = 1000
         for _ in range(5):
             next_key = _random_kernel_ops(graph, recorder, rng, count=12, next_key=next_key)
@@ -283,35 +284,97 @@ class TestNetworkDelta:
             patch_network(network, graph, object())
 
 
-class TestRestoreWithForeignRecorder:
-    def test_foreign_recorder_falls_back_to_full_rescan(self):
-        """Ops recorded outside the instance's tracker must still be repaired.
+def _dsg_past_its_first_scan():
+    """64 keys, default ``a = 4``, one join: the tracker has left its
+    all-dirty state, so only marked lists are rescanned from here on."""
+    dsg = DynamicSkipGraph(keys=range(1, 65), config=DSGConfig(seed=1))
+    dsg.add_node(100)
+    assert check_a_balance(dsg.graph, 4)
+    return dsg
 
-        The docstring contract of ``restore_a_balance`` lets callers chain
-        their own churn plan: a recorder without the DSG's tracker produced
-        no dirty marks, so the call must fall back to full rescans instead
-        of trusting the (stale) incremental state.
-        """
+
+def _crowd_one_list_behind_the_dsgs_back(dsg):
+    """Six direct ``graph.add_node`` calls into one level-1 list: two runs > 4."""
+    bits = dsg.graph.membership(64).bits[:1] + (0,)
+    for key in range(200, 206):
+        dsg.graph.add_node(SkipGraphNode(key, MembershipVector(bits)))
+    assert len(a_balance_violations(dsg.graph, 4)) == 2
+
+
+# No write to a DSG's graph is invisible to the next repair: the marks are
+# emitted by the ``SkipGraph`` mutators, not by whoever calls them.
+def test_direct_graph_mutation_is_seen_by_the_next_repair():
+    dsg = _dsg_past_its_first_scan()
+    _crowd_one_list_behind_the_dsgs_back(dsg)
+    assert dsg.restore_a_balance() == 2
+    assert check_a_balance(dsg.graph, 4)
+
+
+def test_direct_set_membership_is_seen_by_the_next_repair():
+    dsg = _dsg_past_its_first_scan()
+    for key in range(1, 12):  # eleven base-list neighbours, one first bit
+        old = dsg.graph.membership(key).bits
+        dsg.graph.set_membership(key, MembershipVector((0,) + old[1:]))
+    assert not check_a_balance(dsg.graph, 4)
+    assert dsg.restore_a_balance() > 0
+    assert check_a_balance(dsg.graph, 4)
+
+
+def test_direct_remove_node_is_seen_by_the_next_repair():
+    dsg = _dsg_past_its_first_scan()
+    for key in range(2, 14, 2):  # the survivors 1, 3, ..., 13 share a first bit
+        dsg.graph.remove_node(key)
+        dsg.states.pop(key)
+    assert not check_a_balance(dsg.graph, 4)
+    assert dsg.restore_a_balance() > 0
+    assert check_a_balance(dsg.graph, 4)
+
+
+class TestStructureOwnsItsMarks:
+    """The recorder side of the same contract: any recorder over the DSG's
+    graph is tracked, and a failed repair is retried from the marks."""
+
+    def test_a_caller_supplied_recorder_is_tracked_like_any_other(self):
+        """The docstring contract of ``restore_a_balance`` lets callers chain
+        their own churn plan through a recorder they built themselves."""
         dsg = DynamicSkipGraph(keys=range(1, 65), config=DSGConfig(seed=1, a=2))
         dsg.add_node(100)  # consume the initial all-dirty state
         assert check_a_balance(dsg.graph, 2)
-        foreign = OpRecorder(dsg.graph)  # deliberately tracker-less
+        own = OpRecorder(dsg.graph)
         victim = dsg.graph.real_keys[10]
         dsg.states.pop(victim, None)
-        foreign.leave(victim)
-        dsg.restore_a_balance(foreign)
+        own.leave(victim)
+        dsg.restore_a_balance(own)
         assert check_a_balance(dsg.graph, 2)
-        # The tracker was invalidated, so the next incremental churn event
-        # starts from a full rescan and stays exact.
         dsg.add_node(101)
         assert check_a_balance(dsg.graph, 2)
+
+    def test_a_recorder_over_another_graph_is_rejected(self):
+        dsg = _dsg_past_its_first_scan()
+        with pytest.raises(ValueError):
+            dsg.restore_a_balance(OpRecorder(dsg.graph.copy()))
+
+    def test_an_unplaceable_dummy_is_retried_by_the_next_repair(self, monkeypatch):
+        """A violation whose dummy key could not be drawn re-marks its list,
+        so the next call finds it again without a full rescan."""
+        import repro.core.dsg as dsg_module
+
+        dsg = _dsg_past_its_first_scan()
+        _crowd_one_list_behind_the_dsgs_back(dsg)
+        with monkeypatch.context() as patched:
+            patched.setattr(dsg_module, "_pick_dummy_key", lambda *args, **kwargs: None)
+            assert dsg.restore_a_balance() == 0  # no progress: stops, does not loop
+        assert len(a_balance_violations(dsg.graph, 4)) == 2
+        assert dsg.restore_a_balance() == 2
+        assert check_a_balance(dsg.graph, 4)
 
     def test_no_tracker_when_balance_not_maintained(self):
         free = DynamicSkipGraph(
             keys=range(1, 33), config=DSGConfig(seed=1, maintain_a_balance=False)
         )
-        assert free.balance_tracker is None
+        assert free.graph.tracker is None
         free.request(3, 17)
         free.add_node(50)
         maintained = DynamicSkipGraph(keys=range(1, 33), config=DSGConfig(seed=1))
-        assert maintained.balance_tracker is not None
+        assert maintained.graph.tracker is not None
+        assert maintained.graph.copy().tracker is None  # marks are never copied

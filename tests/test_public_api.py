@@ -115,6 +115,34 @@ class TestCentralFrontEnd:
         ]  # fmt: skip
 
 
+class TestKernelSurface:
+    """Kernel state has one owner each (dirty marks: the ``SkipGraph``; apply
+    time: the ``OpRecorder``; a transformation's invariants: one object), so
+    nothing threads it through a signature: a re-grown parameter fails here."""
+
+    def test_nothing_threads_a_tracker_or_a_timer(self):
+        from repro.core.local_ops import OpRecorder, apply_op
+
+        assert list(inspect.signature(apply_op).parameters) == ["graph", "op"]
+        assert list(inspect.signature(OpRecorder.__init__).parameters) == ["self", "graph", "ops"]
+        assert inspect.signature(OpRecorder.__init__).parameters["ops"].default is None
+        for name in ("promote_run", "demote_run", "remove_run", "insert_run"):
+            assert "tracker" not in inspect.signature(getattr(repro.SkipGraph, name)).parameters, name
+        assert repro.SkipGraph().tracker is None
+
+    def test_transform_keeps_its_signature_and_drops_its_unread_outputs(self):
+        import repro.core.transformation as transformation
+
+        assert list(inspect.signature(transformation.transform).parameters) == [
+            "graph", "states", "members", "priorities", "u", "v", "alpha", "t", "a", "rng",
+            "use_exact_median", "maintain_a_balance", "recorder",
+        ]  # fmt: skip
+        fields = {f.name for f in dataclasses.fields(transformation.TransformationOutcome)}
+        assert not fields & {"steps", "ops"}
+        assert "SplitStep" not in transformation.__all__
+        assert not hasattr(transformation, "SplitStep")
+
+
 #: The only third-party import in ``src/repro`` and the only place it may
 #: appear — inside a function of the offline-static baseline (the
 #: ``baselines`` extra of ``pyproject.toml``), never at module level.

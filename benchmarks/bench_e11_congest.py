@@ -7,7 +7,7 @@ Two measurements:
 * ``test_e11_congest_arena`` — the headline scale run: a **4096-node** skip
   graph driven by the same churn schedules that drive the DSG comparisons
   (``churn_scenario`` replayed through
-  :func:`repro.workloads.replay_scenario`), with the message-passing
+  :func:`repro.distributed.replay_scenario`), with the message-passing
   protocols executing *while* members join and leave:
 
   - **routing** — a batch of greedy route requests racing a live churn
@@ -53,6 +53,7 @@ from repro.distributed import (
     install_broadcast,
     install_routing,
     make_router,
+    replay_scenario,
     run_amf_protocol,
     run_sum_protocol,
     skip_graph_network,
@@ -63,7 +64,7 @@ from repro.simulation.message import congest_budget_bits
 from repro.simulation.rng import make_rng
 from repro.skipgraph import build_balanced_skip_graph
 from repro.skiplist import BalancedSkipList
-from repro.workloads import JoinEvent, LeaveEvent, Scenario, churn_scenario, replay_scenario
+from repro.workloads import JoinEvent, LeaveEvent, Scenario, churn_scenario
 
 PARAMS = experiment_params("E11", sizes=(32, 64, 128))
 CRITICAL_CHECKS = ['all_messages_within_congest_budget', 'node_memory_logarithmic']

@@ -60,6 +60,7 @@ from repro.distributed import (
     install_routing,
     make_router,
     networks_equal,
+    replay_scenario,
     skip_graph_network,
 )
 from repro.simulation import Simulator, SimulatorConfig
@@ -70,7 +71,6 @@ from repro.skipgraph.build import draw_membership_bits
 from repro.workloads import (
     LeaveEvent,
     churn_scenario,
-    replay_scenario,
     run_scenario,
     scale_scenario,
 )

@@ -298,10 +298,6 @@ class FailureResult:
     def conserved(self) -> bool:
         return self.delivered + self.failed + self.retried_delivered == self.requests
 
-    @property
-    def delivery_fraction(self) -> float:
-        return self.delivered / self.requests if self.requests else 0.0
-
 
 @dataclass
 class PipelineResult:

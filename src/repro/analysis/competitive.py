@@ -40,11 +40,6 @@ class CompetitiveReport:
         """Whether routing is within a (generous) constant of the bound."""
         return self.routing_ratio <= 8.0
 
-    @property
-    def cost_within_log_factor(self) -> bool:
-        """Whether total cost is within ``O(log n)`` of the bound (Theorem 5)."""
-        return self.cost_ratio <= 16.0 * max(self.log_n, 1.0)
-
 
 def competitive_report(
     summary: CostSummary,

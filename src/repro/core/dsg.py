@@ -125,13 +125,6 @@ class RequestResult:
         """``d_{S_t}(σ_t) + ρ(A, S_t, σ_t) + 1`` (Equation 1)."""
         return self.routing_cost + self.transformation_rounds + 1
 
-    @property
-    def log_working_set(self) -> float:
-        """``log2`` of the working set number (0 when untracked)."""
-        if not self.working_set_number or self.working_set_number < 1:
-            return 0.0
-        return math.log2(self.working_set_number)
-
 
 class DynamicSkipGraph:
     """A self-adjusting skip graph driven by the DSG algorithm.

@@ -34,8 +34,10 @@ Every structural mutation of the repository flows through this vocabulary:
   (replaying ``result.ops`` on a copy of ``S_t`` reproduces ``S_{t+1}``)
   and the distributed protocol
   (:mod:`repro.distributed.dsg_protocol`) executes op by op;
-* the simulation bridge (:func:`repro.workloads.scenarios.apply_local_op`)
-  turns each op into per-level link rewiring of a live CONGEST network.
+* the simulation bridge (:func:`repro.distributed.bridge.apply_local_op`)
+  turns each op into per-level link rewiring of a live CONGEST network;
+  :func:`op_levels` is the one function that knows *which* levels — the
+  touched-set extractors here and the link writer there both walk it.
 
 Ops are plain tuples of ``O(1)`` words — a key, a level, a bit, or a short
 bit string — so a single op always fits in an ``O(log n)``-bit CONGEST
@@ -70,6 +72,7 @@ __all__ = [
     "apply_ops_touched",
     "op_anchor",
     "op_from_payload",
+    "op_levels",
     "op_to_payload",
     "stale_op_keys",
 ]
@@ -164,73 +167,68 @@ def apply_ops(graph: SkipGraph, ops: Sequence[LocalOp]) -> None:
 
 
 # ------------------------------------------------------------- target sets
-def apply_op_touched(graph: SkipGraph, op: LocalOp) -> set:
-    """Apply one op and return the keys whose links it rewires.
+def op_levels(graph: SkipGraph, op: LocalOp) -> Tuple[Optional[Bits], Optional[Bits], range, range]:
+    """The level lists ``op`` moves its key between, read *before* the op runs.
 
-    The returned set is the op's *bounded neighbourhood* — the same set
-    :func:`repro.distributed.routing_protocol.patch_network` reports as
-    affected when it rewires a live network for the op (property-tested
-    equal): the op's own key plus every list neighbour spliced against or
-    closed over, at every level the op reaches.  Because the splice flanks
-    of an insertion only exist after the node lands in its lists, the op is
-    applied as part of the extraction; drivers that need the touched region
-    of a plan *before* executing it on the real structure replay the plan
-    against a shadow copy of the pre-plan graph (the pipelined scheduler's
-    conflict detector does exactly that).
+    Returns ``(old bits, new bits, levels left, levels entered)``: an
+    insertion (``old`` is ``None``) enters levels ``0..len(bits)``, a
+    departure (``new`` is ``None``) leaves them, and a membership rewrite
+    leaves ``keep+1..len(old)`` and enters ``keep+1..len(new)``, where
+    ``keep`` is the prefix the two vectors share; the list at level ``l`` is
+    the one the first ``l`` bits of the respective vector name.  The one
+    place that knows an op's levels: the touched sets below and the live
+    link writer (:func:`repro.distributed.routing_protocol.patch_network`)
+    both walk this tuple.  An unknown op is a :class:`TypeError`.
     """
-    touched: set = set()
-    _apply_op_touched_into(graph, op, touched)
-    return touched
-
-
-def _apply_op_touched_into(graph: SkipGraph, op: LocalOp, touched: set) -> None:
-    """Apply ``op`` and add its touched keys to the shared ``touched`` set."""
-    touched.add(op.key)
-    if type(op) in (DummyInsertOp, NodeJoinOp):
-        apply_op(graph, op)
-        for level in range(len(op.bits) + 1):
-            for neighbor in graph.neighbors(op.key, level):
-                if neighbor is not None:
-                    touched.add(neighbor)
-    elif type(op) in (DummyRemoveOp, NodeLeaveOp):
-        for level in range(len(graph.membership(op.key)) + 1):
-            for neighbor in graph.neighbors(op.key, level):
-                if neighbor is not None:
-                    touched.add(neighbor)
-        apply_op(graph, op)
-    elif type(op) in (PromoteOp, DemoteOp):
+    kind = type(op)
+    if kind in (DummyInsertOp, NodeJoinOp):
+        return None, op.bits, range(0), range(len(op.bits) + 1)
+    if kind in (DummyRemoveOp, NodeLeaveOp):
+        old = graph.membership(op.key).bits
+        return old, None, range(len(old) + 1), range(0)
+    if kind in (PromoteOp, DemoteOp):
         old = graph.membership(op.key)
-        if type(op) is PromoteOp:
-            new = old.with_bit(op.level, op.bit)
-        else:
-            new = old.truncated(op.length)
+        new = old.with_bit(op.level, op.bit) if kind is PromoteOp else old.truncated(op.length)
         keep = common_prefix_length(old, new)
-        for level in range(keep + 1, len(old) + 1):
-            for neighbor in graph.neighbors(op.key, level):
-                if neighbor is not None:
-                    touched.add(neighbor)
-        apply_op(graph, op)
-        for level in range(keep + 1, len(new) + 1):
-            for neighbor in graph.neighbors(op.key, level):
-                if neighbor is not None:
-                    touched.add(neighbor)
-    else:
-        raise TypeError(f"unknown local op {op!r}")
+        return old.bits, new.bits, range(keep + 1, len(old) + 1), range(keep + 1, len(new) + 1)
+    raise TypeError(f"unknown local op {op!r}")
 
 
 def apply_ops_touched(graph: SkipGraph, ops: Sequence[LocalOp]) -> set:
-    """Replay a plan onto ``graph`` and return the union of touched keys.
+    """Replay a plan onto ``graph`` and return the keys whose links it rewires.
 
-    The bulk form of :func:`apply_op_touched` — the write-set extractor the
-    pipelined distributed driver feeds its conflict detector with.  One
-    shared accumulator collects every op's neighbourhood directly; the
-    per-op set materialisation and union this replaces showed up on level-0
-    transformations, whose plans run to ``n * height`` ops.
+    The write-set extractor the pipelined distributed driver feeds its
+    conflict detector with.  Each op contributes its *bounded neighbourhood*
+    — the same set :func:`repro.distributed.routing_protocol.patch_network`
+    reports as affected when it rewires a live network for the op (both
+    walk :func:`op_levels`; property-tested equal): the op's own key plus
+    every list neighbour closed over at the levels it leaves (read before
+    the op) or spliced against at the levels it enters (read after it).
+    Because those flanks only exist once the node has landed, the plan is
+    applied as part of the extraction; drivers that need the touched region
+    *before* executing a plan on the real structure replay it against a
+    shadow copy of the pre-plan graph (the conflict detector does exactly
+    that).  One accumulator serves the whole plan: level-0 transformations
+    run to ``n * height`` ops.
     """
     touched: set = set()
+    neighbors = graph.neighbors
     for op in ops:
-        _apply_op_touched_into(graph, op, touched)
+        _, _, left, entered = op_levels(graph, op)
+        key = op.key
+        touched.add(key)
+        for level in left:
+            touched.update(neighbors(key, level))
+        apply_op(graph, op)
+        for level in entered:
+            touched.update(neighbors(key, level))
+    touched.discard(None)  # a list end has no neighbour on that side
     return touched
+
+
+def apply_op_touched(graph: SkipGraph, op: LocalOp) -> set:
+    """Apply one op and return the keys whose links it rewires (see :func:`apply_ops_touched`)."""
+    return apply_ops_touched(graph, (op,))
 
 
 # ----------------------------------------------------------------- recorder

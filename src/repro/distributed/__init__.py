@@ -38,7 +38,7 @@ matching ``install_*`` function registers a new process generation on an
 *existing* engine instead (retire the previous one first), which is how
 the churn arena (``benchmarks/bench_e11_congest.py``) restarts protocols
 across membership changes replayed by
-:func:`repro.workloads.scenarios.replay_scenario` — and how the lifecycle
+:func:`repro.distributed.bridge.replay_scenario` — and how the lifecycle
 property tests show a post-churn rerun on a reused engine reproduces a
 fresh simulator.
 
@@ -64,6 +64,15 @@ from repro.distributed.routing_protocol import (
     run_routing_protocol,
     skip_graph_network,
     trace_route,
+)
+from repro.distributed.bridge import (
+    ScenarioReplay,
+    apply_crash,
+    apply_join,
+    apply_local_op,
+    apply_recovery,
+    repair_crashes,
+    replay_scenario,
 )
 from repro.distributed.failover import (
     FailureArenaReport,
@@ -93,7 +102,14 @@ from repro.distributed.amf_protocol import AMFProtocolResult, install_amf, run_a
 __all__ = [
     "AMFProtocolResult",
     "BroadcastResult",
+    "ScenarioReplay",
+    "apply_crash",
+    "apply_join",
+    "apply_local_op",
     "apply_network_delta",
+    "apply_recovery",
+    "repair_crashes",
+    "replay_scenario",
     "networks_equal",
     "patch_network",
     "rejoin_crash_links",

@@ -28,7 +28,7 @@ request through the same four steps:
    CONGEST-conformant *by construction* — zero congestion violations.
 4. **Rewire** — once the last op has landed, each executed op drives
    per-level link rewiring of the live network through
-   :func:`~repro.workloads.scenarios.apply_local_op` (the same bridge churn
+   :func:`~repro.distributed.bridge.apply_local_op` (the same bridge churn
    replay uses), and the routing tables of the op's bounded neighbourhood
    are refreshed.
 
@@ -69,6 +69,7 @@ from repro.core.local_ops import (
     op_to_payload,
     stale_op_keys,
 )
+from repro.distributed.bridge import apply_local_op
 from repro.distributed.pipeline import (
     PHASE_COMPLETED,
     PHASE_DISSEMINATING,
@@ -97,7 +98,6 @@ from repro.workloads.scenarios import (
     RecoveryEvent,
     RequestEvent,
     Scenario,
-    apply_local_op,
 )
 
 __all__ = [

@@ -21,7 +21,7 @@ sequence of **waves**, each of which is the full crash-stop lifecycle:
    while a request to a crashed key strands at the hole's edge and is
    counted as a ``failed_request`` (never a drop, never an exception).
 3. **repair wave** — :func:`repair_crashes
-   <repro.workloads.scenarios.repair_crashes>` excises the crashed keys
+   <repro.distributed.bridge.repair_crashes>` excises the crashed keys
    from the graph and closes every level list up over them under
    redundancy ``k`` (restoring ``network == skip_graph_network(graph, k)``
    exactly), and the surviving routers whose neighbourhood changed get
@@ -38,7 +38,7 @@ Two extensions lift the original safety rails:
   entries: the engine's re-entry ban is lifted
   (:meth:`~repro.simulation.Simulator.recover`) and the key rejoins *as a
   fresh identity* through the kernel's join path
-  (:func:`~repro.workloads.scenarios.apply_recovery` — new membership
+  (:func:`~repro.distributed.bridge.apply_recovery` — new membership
   bits, :func:`~repro.distributed.routing_protocol.rejoin_crash_links`
   rewiring), gets a fresh router process and serves the wave's traffic
   like any survivor.  Every router forgets the key from its dark set —
@@ -71,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.distributed.bridge import apply_crash, apply_recovery, repair_crashes
 from repro.distributed.routing_protocol import (
     NeighborTable,
     RouteLedger,
@@ -89,9 +90,6 @@ from repro.workloads.scenarios import (
     RecoveryEvent,
     RequestEvent,
     Scenario,
-    apply_crash,
-    apply_recovery,
-    repair_crashes,
 )
 
 __all__ = [
@@ -326,6 +324,27 @@ def run_failure_arena(
         # recovery replaced moved their count into the retired accumulator.
         return retired_route_arounds + sum(router.route_arounds for router in routers.values())
 
+    def refresh_tables(affected, forget: Sequence[Key] = ()) -> int:
+        """Fresh tables for the live routers among ``affected``; how many."""
+        refreshed = 0
+        for key in affected:
+            router = routers.get(key)
+            if router is None or key in sim.crashed:
+                continue
+            router.table = NeighborTable(graph, key, k=k)
+            router.dark.difference_update(forget)
+            refreshed += 1
+        return refreshed
+
+    def schedule_injection(round_index: int, entries: Sequence[Tuple[Key, Key, int]]) -> None:
+        def inject(s: Simulator) -> None:
+            for source, destination, rid in entries:
+                router = routers[source]
+                router.requests.append((destination, rid))
+                router.done = False
+
+        sim.schedule(round_index, inject)
+
     waves: List[FailureWaveReport] = []
     for index, wave in enumerate(segment_waves(scenario)):
         base_route_arounds = route_around_total()
@@ -343,12 +362,7 @@ def run_failure_arena(
             router = make_router(graph, key, k=k, ledger=ledger)
             routers[key] = router
             sim.add_process(router)
-            for neighbor in affected:
-                peer = routers.get(neighbor)
-                if peer is None or neighbor in sim.crashed:
-                    continue
-                peer.table = NeighborTable(graph, neighbor, k=k)
-                tables_refreshed += 1
+            tables_refreshed += refresh_tables(affected)
             # The identity that crashed is gone for good; the fresh one is
             # live everywhere, not just where links changed.
             for peer in routers.values():
@@ -371,16 +385,8 @@ def run_failure_arena(
             nonlocal cursor
             if not batch:
                 return
-            entries = list(batch)
+            schedule_injection(cursor, list(batch))
             batch.clear()
-
-            def inject(s: Simulator, entries=entries) -> None:
-                for source, destination, rid in entries:
-                    router = routers[source]
-                    router.requests.append((destination, rid))
-                    router.done = False
-
-            sim.schedule(cursor, inject)
             cursor += 1
 
         def schedule_mid_crash(key: Key) -> None:
@@ -416,13 +422,7 @@ def run_failure_arena(
         crash_keys = wave.crash_keys
         if crash_keys:
             affected, repair_links = repair_crashes(sim, graph, crash_keys, k=k)
-            for key in affected:
-                router = routers.get(key)
-                if router is None or key in sim.crashed:
-                    continue
-                router.table = NeighborTable(graph, key, k=k)
-                router.dark.difference_update(crash_keys)
-                tables_refreshed += 1
+            tables_refreshed += refresh_tables(affected, forget=crash_keys)
 
         # Bounded retry with backoff: rids with no terminal outcome were
         # lost in flight to a mid-wave crash; re-inject them over the
@@ -443,14 +443,7 @@ def run_failure_arena(
             if not resend:
                 break
             retried += len(resend)
-
-            def reinject(s: Simulator, entries=tuple(resend)) -> None:
-                for source, destination, rid in entries:
-                    router = routers[source]
-                    router.requests.append((destination, rid))
-                    router.done = False
-
-            sim.schedule(sim.round + max(0, retry_backoff), reinject)
+            schedule_injection(sim.round + max(0, retry_backoff), resend)
             sim.run()
             lost = ledger.unresolved(injected_rids)
         ledger.failed.update(lost)

@@ -21,7 +21,7 @@ Two entry points:
 * :func:`install_routing` — register router processes on an *existing*
   simulator (reusing its network and metrics), which is how the churn
   arena restarts routing generations across membership changes and how
-  :func:`~repro.workloads.scenarios.replay_scenario` joiners get processes.
+  :func:`~repro.distributed.bridge.replay_scenario` joiners get processes.
 
 Network maintenance is *op driven*: :func:`skip_graph_network` builds the
 link structure once from a topology snapshot, and :func:`patch_network` /
@@ -31,7 +31,11 @@ as per-level link rewiring — the invariant
 ``network == skip_graph_network(graph)`` (links *and* level labels) holds
 after every op, so protocol installs and churn replays never rebuild the
 network from scratch (at 100k nodes a rebuild is millions of link
-insertions; a churn op patches a bounded neighbourhood).
+insertions; a churn op patches a bounded neighbourhood).  A live overlay
+has exactly one link writer, :func:`_rewire`, which handles every op kind
+at any redundancy ``k``: :func:`patch_network` is its ``k = 1`` form and
+the crash pair :func:`repair_crash_links` / :func:`rejoin_crash_links` is
+its leave / join at the arena's ``k``.
 """
 
 from __future__ import annotations
@@ -41,18 +45,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.local_ops import (
-    DemoteOp,
-    DummyInsertOp,
-    DummyRemoveOp,
-    LocalOp,
-    NodeJoinOp,
-    NodeLeaveOp,
-    PromoteOp,
-    apply_op,
-)
+from repro.core.local_ops import LocalOp, NodeJoinOp, NodeLeaveOp, apply_op, op_levels
 from repro.simulation import Message, Network, NodeProcess, RoundContext, Simulator, SimulatorConfig
-from repro.skipgraph.membership import common_prefix_length
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
 
@@ -125,15 +119,9 @@ class NeighborTable:
         top = graph.singleton_level(key)
         bits = graph.membership(key).bits
         for level in range(0, top + 1):
-            if level > len(bits):
-                lefts: List[Key] = []
-                rights: List[Key] = []
-            else:
-                members = graph.list_at(level, bits[:level] if level else ())
-                index = bisect_left(members, key)
-                lefts = members[max(0, index - k) : index][::-1]
-                rights = members[index + 1 : index + 1 + k]
-            self.candidates[level] = (lefts, rights)
+            # The singleton level may lie one past the vector: no list there.
+            in_list = level <= len(bits)
+            self.candidates[level] = _nearest(graph, key, level, bits, k) if in_list else ([], [])
         self.top_level = top
 
     def size_words(self) -> int:
@@ -369,15 +357,12 @@ def skip_graph_network(graph: SkipGraph, k: int = 1) -> Network:
 
     Every level at which a pair is adjacent is recorded as a label on the
     (single physical) link, so churn rewiring can retract adjacency one
-    level at a time (:func:`repro.workloads.scenarios.replay_scenario`).
+    level at a time (:func:`repro.distributed.bridge.replay_scenario`).
 
     ``k > 1`` builds the *k-redundant* overlay of the failure arena: every
     pair within list distance ``k`` of each other (per level) is linked,
     with the same ``level<d>`` label, so a route can physically step to
-    the next-nearest list member when its primary neighbour crashes.  The
-    incremental maintenance in :func:`patch_network` assumes the default
-    ``k = 1`` convention; a k-redundant network under *crash* churn is
-    maintained by :func:`repair_crash_links` instead.
+    the next-nearest list member when its primary neighbour crashes.
     """
     if k < 1:
         raise ValueError(f"redundancy k must be >= 1, got {k}")
@@ -397,47 +382,109 @@ def skip_graph_network(graph: SkipGraph, k: int = 1) -> Network:
     return network
 
 
+def _nearest(
+    graph: SkipGraph, key: Key, level: int, bits: Tuple[int, ...], k: int
+) -> Tuple[List[Key], List[Key]]:
+    """``key``'s ``k`` nearest members per side, nearest first, in the list ``bits`` name at ``level``."""
+    members = graph.list_at(level, bits[:level])
+    index = bisect_left(members, key)
+    return members[max(0, index - k) : index][::-1], members[index + 1 : index + 1 + k]
+
+
+def _link(network: Network, u: Key, v: Key, label: str) -> int:
+    """Give the pair ``label`` unless it carries it; the number of labels added."""
+    if label in network.labels(u, v):
+        return 0
+    network.add_link(u, v, label=label)
+    return 1
+
+
+def _close_list(network: Network, label: str, lefts: List[Key], rights: List[Key], k: int) -> int:
+    """Close a list up over a member that left it; returns the labels added.
+
+    ``lefts`` / ``rights`` are its former flanks: the pair ``i`` and ``j``
+    places out now sits ``i + j + 1`` apart, and every pair within ``k``
+    carries the label.  Leaving only shrinks distances: no pair loses one.
+    """
+    added = 0
+    for i, left in enumerate(lefts):
+        for right in rights[: k - i]:
+            added += _link(network, left, right, label)
+    return added
+
+
+def _open_list(network: Network, key: Key, label: str, lefts: List[Key], rights: List[Key], k: int) -> int:
+    """Open a list around ``key``, which just entered it; returns the labels added.
+
+    ``key`` links to its flanks, and a flanking pair that sat exactly ``k``
+    apart (``i + j + 1 == k``) sits ``k + 1`` apart now and loses the label.
+    Entering only grows survivor distances: no survivor pair gains one.
+    """
+    added = sum(_link(network, key, neighbor, label) for neighbor in lefts + rights)
+    for i, left in enumerate(lefts):
+        if k - 1 - i < len(rights):
+            network.remove_link(left, rights[k - 1 - i], label=label)
+    return added
+
+
+def _rewire(network: Network, graph: SkipGraph, op: LocalOp, k: int) -> Tuple[Set[Key], int]:
+    """Apply ``op`` to ``graph`` and rewire ``network`` to match, at redundancy ``k``.
+
+    The one writer of a live overlay's links: it restores
+    ``network == skip_graph_network(graph, k)`` (links *and* level labels)
+    for every op kind.  Every list the key leaves
+    (:func:`~repro.core.local_ops.op_levels`) is closed up over it — a key
+    that stays in the overlay retracts its own links there first — and
+    every list it enters is opened around it.  A departing key's node may
+    already be gone from ``network`` (a crash removed it), and its flanks
+    may name crashed keys the graph mirror still holds — links to those are
+    dropped again when their own departure is rewired.
+
+    Returns ``(affected, links added)``: the op's key plus every flank at
+    every level touched, and the number of level labels actually added.
+    """
+    old, new, left, entered = op_levels(graph, op)
+    key = op.key
+    flanks = [(level, *_nearest(graph, key, level, old, k)) for level in left]
+    apply_op(graph, op)
+    if new is None:
+        if network.has_node(key):
+            network.remove_node(key)
+    elif old is None:
+        network.add_node(key)
+    affected: Set[Key] = {key}
+    links_added = 0
+    for level, lefts, rights in flanks:
+        label = f"level{level}"
+        affected.update(lefts, rights)
+        if new is not None:
+            for neighbor in lefts + rights:
+                network.remove_link(key, neighbor, label=label)
+        links_added += _close_list(network, label, lefts, rights, k)
+    for level in entered:
+        lefts, rights = _nearest(graph, key, level, new, k)
+        affected.update(lefts, rights)
+        links_added += _open_list(network, key, f"level{level}", lefts, rights, k)
+    return affected, links_added
+
+
 def repair_crash_links(network: Network, graph: SkipGraph, key: Key, k: int = 1) -> Tuple[Set[Key], int]:
     """Close every list up over crashed ``key`` under redundancy ``k``.
 
     ``graph`` is the topology mirror that still contains the crashed node
     (the crash removed it from the *network* only — the structural repair
-    is exactly this call); the node is removed from the graph and every
-    level list is re-closed so that ``network == skip_graph_network(graph, k)``
-    holds again: pairs whose in-list distance dropped to ``<= k`` when the
-    hole closed gain the level's link.  Removal can only shrink distances,
-    so no existing link ever needs retraction.
+    is exactly this call); the node leaves the graph as a
+    :class:`~repro.core.local_ops.NodeLeaveOp` and every level list is
+    re-closed so that ``network == skip_graph_network(graph, k)`` holds
+    again: pairs whose in-list distance dropped to ``<= k`` when the hole
+    closed gain the level's link.
 
     Returns ``(affected keys, links added)`` — the keys whose
     :class:`NeighborTable` must be refreshed, and the repair cost the
     failure arena charges for the wave.
     """
-    bits = graph.membership(key).bits
-    holes = []  # (level, nearest-first lefts, nearest-first rights)
-    for level in range(0, len(bits) + 1):
-        members = graph.list_at(level, bits[:level])
-        index = bisect_left(members, key)
-        if index >= len(members) or members[index] != key:
-            continue
-        lefts = members[max(0, index - k) : index][::-1]
-        rights = members[index + 1 : index + 1 + k]
-        holes.append((level, lefts, rights))
-    apply_op(graph, NodeLeaveOp(key))
-    if network.has_node(key):
-        network.remove_node(key)
-    affected: Set[Key] = set()
-    links_added = 0
-    for level, lefts, rights in holes:
-        label = f"level{level}"
-        affected.update(lefts)
-        affected.update(rights)
-        for i, left in enumerate(lefts):
-            for j, right in enumerate(rights):
-                if i + j + 1 > k:
-                    break
-                if label not in network.labels(left, right):
-                    network.add_link(left, right, label=label)
-                    links_added += 1
+    affected, links_added = _rewire(network, graph, NodeLeaveOp(key), k)
+    affected.discard(key)
     return affected, links_added
 
 
@@ -455,52 +502,15 @@ def rejoin_crash_links(
     ``network == skip_graph_network(graph, k)`` holds again: the key links
     to its ``k`` nearest list members per side per level, and a survivor
     pair whose in-list distance grew past ``k`` when the key landed between
-    them loses that level's label.  Insertion can only grow survivor
-    distances, so no survivor-to-survivor link ever needs *adding*.
+    them loses that level's label.
 
     Returns ``(affected survivor keys, links added)`` — the keys whose
     :class:`NeighborTable` must be refreshed, and the rejoin cost the
     failure arena charges for the wave.
     """
-    apply_op(graph, NodeJoinOp(key, tuple(bits)))
-    network.add_node(key)
-    affected: Set[Key] = set()
-    links_added = 0
-    for level in range(0, len(bits) + 1):
-        members = graph.list_at(level, tuple(bits[:level]))
-        index = bisect_left(members, key)
-        lefts = members[max(0, index - k) : index][::-1]
-        rights = members[index + 1 : index + 1 + k]
-        label = f"level{level}"
-        for neighbor in lefts + rights:
-            affected.add(neighbor)
-            if label not in network.labels(key, neighbor):
-                network.add_link(key, neighbor, label=label)
-                links_added += 1
-        for i, left in enumerate(lefts):
-            for j, right in enumerate(rights):
-                # The pair sat i + j + 1 apart before the key landed between
-                # them (so it held the label) and sits i + j + 2 apart now;
-                # retract exactly when the distance crossed the k threshold.
-                if i + j + 1 <= k and i + j + 2 > k:
-                    network.remove_link(left, right, label=label)
+    affected, links_added = _rewire(network, graph, NodeJoinOp(key, tuple(bits)), k)
+    affected.discard(key)
     return affected, links_added
-
-
-def _splice_into_level(network: Network, graph: SkipGraph, key: Key, level: int, affected: Set[Key]) -> None:
-    """Wire ``key`` into its (already updated) list at ``level``.
-
-    The new node links to its left/right list neighbours and the pair it
-    landed between loses its adjacency label at that level — the
-    :func:`skip_graph_network` convention.
-    """
-    left, right = graph.neighbors(key, level)
-    if left is not None and right is not None:
-        network.remove_link(left, right, label=f"level{level}")
-    for neighbor in (left, right):
-        if neighbor is not None:
-            network.add_link(key, neighbor, label=f"level{level}")
-            affected.add(neighbor)
 
 
 def patch_network(network: Network, graph: SkipGraph, op: LocalOp) -> Set[Key]:
@@ -525,58 +535,14 @@ def patch_network(network: Network, graph: SkipGraph, op: LocalOp) -> Set[Key]:
       splices it into the lists the new vector reaches.
 
     Returns the set of keys whose links changed (the op's bounded
-    neighbourhood) — what a driver must refresh routing tables for.  This
-    is the op-driven alternative to rebuilding with
-    :func:`skip_graph_network`: O(affected levels) link mutations per op
-    instead of an O(n * height) reconstruction, property-tested equal to
-    the rebuild after every op.
+    neighbourhood, ``op.key`` included) — what a driver must refresh
+    routing tables for.  This is the op-driven alternative to rebuilding
+    with :func:`skip_graph_network`: O(affected levels) link mutations per
+    op instead of an O(n * height) reconstruction, property-tested equal to
+    the rebuild after every op.  An unknown op is a :class:`TypeError`
+    raised before anything is touched.
     """
-    if not isinstance(
-        op, (NodeJoinOp, DummyInsertOp, NodeLeaveOp, DummyRemoveOp, PromoteOp, DemoteOp)
-    ):
-        raise TypeError(f"unknown local op {op!r}")
-    affected: Set[Key] = {op.key}
-    if isinstance(op, (NodeJoinOp, DummyInsertOp)):
-        apply_op(graph, op)
-        network.add_node(op.key)
-        for level in range(len(op.bits) + 1):
-            _splice_into_level(network, graph, op.key, level, affected)
-    elif isinstance(op, (NodeLeaveOp, DummyRemoveOp)):
-        closures = []
-        for level in range(len(graph.membership(op.key)) + 1):
-            left, right = graph.neighbors(op.key, level)
-            for neighbor in (left, right):
-                if neighbor is not None:
-                    affected.add(neighbor)
-            if left is not None and right is not None:
-                closures.append((level, left, right))
-        apply_op(graph, op)
-        if network.has_node(op.key):
-            network.remove_node(op.key)
-        for level, left, right in closures:
-            network.add_link(left, right, label=f"level{level}")
-    elif isinstance(op, (PromoteOp, DemoteOp)):
-        old = graph.membership(op.key)
-        if isinstance(op, PromoteOp):
-            new = old.with_bit(op.level, op.bit)
-        else:
-            new = old.truncated(op.length)
-        keep = common_prefix_length(old, new)
-        closures = []
-        for level in range(keep + 1, len(old) + 1):
-            left, right = graph.neighbors(op.key, level)
-            closures.append((level, left, right))
-        apply_op(graph, op)
-        for level, left, right in closures:
-            for neighbor in (left, right):
-                if neighbor is not None:
-                    network.remove_link(op.key, neighbor, label=f"level{level}")
-                    affected.add(neighbor)
-            if left is not None and right is not None:
-                network.add_link(left, right, label=f"level{level}")
-        for level in range(keep + 1, len(new) + 1):
-            _splice_into_level(network, graph, op.key, level, affected)
-    return affected
+    return _rewire(network, graph, op, 1)[0]
 
 
 def apply_network_delta(network: Network, graph: SkipGraph, ops: Iterable[LocalOp]) -> Set[Key]:
@@ -641,7 +607,7 @@ def make_router(
     """A router process for ``key`` with a fresh table snapshot of ``graph``.
 
     The process factory churn arenas hand to
-    :func:`~repro.workloads.scenarios.replay_scenario` so joining nodes can
+    :func:`~repro.distributed.bridge.replay_scenario` so joining nodes can
     route as soon as their initialization round has run.
     """
     return _RouterProcess(key, NeighborTable(graph, key, k=k), requests, ledger=ledger)

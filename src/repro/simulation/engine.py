@@ -59,7 +59,7 @@ Churn and other externally driven events are injected with
 the very start of that round, before deliveries, and may mutate the network
 (add/remove nodes and links) and register new processes.  This is the
 engine-level counterpart of the workload-level scenario schedules in
-:mod:`repro.workloads.scenarios`: :func:`~repro.workloads.scenarios.replay_scenario`
+:mod:`repro.workloads.scenarios`: :func:`repro.distributed.bridge.replay_scenario`
 translates a :class:`~repro.workloads.scenarios.Scenario`'s join/leave
 events into these callbacks plus skip-graph link rewiring.
 

@@ -16,8 +16,3 @@ class CongestionError(SimulationError):
 
 class MessageSizeError(SimulationError):
     """A message exceeded the configured maximum size in bits."""
-
-
-class ProtocolError(SimulationError):
-    """A protocol-level invariant was violated (unexpected message, bad
-    state transition, etc.)."""

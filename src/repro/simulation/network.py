@@ -17,7 +17,7 @@ per-round neighbour lookup) without a defensive copy per link.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, Mapping, Set, Tuple
+from typing import AbstractSet, Dict, Hashable, Iterator, Mapping, Set, Tuple
 
 from repro.simulation.errors import LinkError
 
@@ -148,16 +148,6 @@ class Network:
 
     def edge_count(self) -> int:
         return sum(map(len, self._rows.values())) // 2
-
-    # -------------------------------------------------------------- bulk ops
-    def replace_links(self, node: NodeId, new_neighbors: Iterable[NodeId], label: Hashable = None) -> None:
-        """Replace all links of ``node`` carrying ``label`` with new ones."""
-        for neighbor, labels in list(self._rows.get(node, {}).items()):
-            if label in labels:
-                self.remove_link(node, neighbor, label=label)
-        for neighbor in new_neighbors:
-            if neighbor != node:
-                self.add_link(node, neighbor, label=label)
 
     def copy(self) -> "Network":
         clone = Network()

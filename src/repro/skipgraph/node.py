@@ -48,18 +48,8 @@ class SkipGraphNode:
             self.membership = MembershipVector(self.membership)
 
     # ------------------------------------------------------------------ bits
-    def list_prefix(self, level: int) -> MembershipVector:
-        """Prefix identifying the linked list of this node at ``level``."""
-        return self.membership.prefix(level)
-
     def bit(self, level: int) -> int:
         return self.membership.bit(level)
-
-    def set_bit(self, level: int, bit: int) -> None:
-        self.membership = self.membership.with_bit(level, bit)
-
-    def truncate_membership(self, length: int) -> None:
-        self.membership = self.membership.truncated(length)
 
     # -------------------------------------------------------------- protocol
     def __lt__(self, other: "SkipGraphNode") -> bool:

@@ -88,10 +88,6 @@ class RoutingResult:
     def rounds(self) -> int:
         return self.hops
 
-    @property
-    def max_level_used(self) -> int:
-        return max(self.hop_levels, default=0)
-
 
 def route(graph: SkipGraph, source: Key, destination: Key) -> RoutingResult:
     """Route from ``source`` to ``destination`` with the standard algorithm.

@@ -828,12 +828,6 @@ class SkipGraph:
         right = members[index + 1] if index + 1 < len(members) else None
         return left, right
 
-    def right_neighbor(self, key: Key, level: int) -> Optional[Key]:
-        return self.neighbors(key, level)[1]
-
-    def left_neighbor(self, key: Key, level: int) -> Optional[Key]:
-        return self.neighbors(key, level)[0]
-
     def are_adjacent(self, u: Key, v: Key, level: int) -> bool:
         """Whether ``u`` and ``v`` sit next to each other in a list at ``level``.
 

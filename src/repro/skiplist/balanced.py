@@ -103,9 +103,8 @@ class BalancedSkipList:
         """One level of promotion with the deterministic support repair.
 
         Returns the promoted nodes, their positions within ``lower`` and the
-        largest gap between consecutive promoted nodes (tail included) — the
-        same value :meth:`_max_gap` derives, tracked for free during the
-        sweep.  One coin flip is drawn per candidate regardless of the
+        largest gap between consecutive promoted nodes (tail included),
+        tracked for free during the sweep.  One coin flip is drawn per candidate regardless of the
         outcome, keeping the RNG stream identical to the reference sweep.
         """
         promoted = [lower[0]]
@@ -128,16 +127,6 @@ class BalancedSkipList:
         if gap > max_gap:  # the unpromoted tail counts toward the gap bound
             max_gap = gap
         return promoted, positions, max_gap
-
-    @staticmethod
-    def _max_gap(lower: Sequence[Any], upper: Sequence[Any]) -> int:
-        positions = {item: index for index, item in enumerate(lower)}
-        gaps = []
-        upper_positions = [positions[item] for item in upper]
-        for left, right in zip(upper_positions, upper_positions[1:]):
-            gaps.append(right - left)
-        gaps.append(len(lower) - 1 - upper_positions[-1])
-        return max(gaps) if gaps else 0
 
     # -------------------------------------------------------------- structure
     @property

@@ -32,6 +32,9 @@ entry point used by the experiments and the CLI.
 schedules* (requests interleaved with node joins/leaves) executed against a
 live DSG instance (or any baseline), request by request; see
 :func:`churn_scenario`, :func:`scale_scenario` and :func:`run_scenario`.
+Replaying a schedule on a live CONGEST simulator is the message-passing
+layer's job (:func:`repro.distributed.bridge.replay_scenario`); nothing
+here imports it.
 """
 
 from repro.workloads.sequences import (
@@ -54,16 +57,9 @@ from repro.workloads.scenarios import (
     RecoveryEvent,
     RequestEvent,
     Scenario,
-    ScenarioReplay,
     ScenarioReport,
-    apply_crash,
-    apply_join,
-    apply_leave,
-    apply_recovery,
     churn_scenario,
     failure_scenario,
-    repair_crashes,
-    replay_scenario,
     run_scenario,
     scale_scenario,
     scenario_requests,
@@ -84,18 +80,11 @@ __all__ = [
     "RecoveryEvent",
     "RequestEvent",
     "Scenario",
-    "ScenarioReplay",
     "ScenarioReport",
     "WORKLOADS",
     "adversarial_for_static",
-    "apply_crash",
-    "apply_join",
-    "apply_leave",
-    "apply_recovery",
     "churn_scenario",
     "failure_scenario",
-    "repair_crashes",
-    "replay_scenario",
     "community_traffic",
     "fig2_access_pattern",
     "fig3_communication_graph",

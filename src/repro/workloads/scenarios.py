@@ -43,13 +43,10 @@ placed with key-space locality, a trickle of far "cross" pairs that force
 deep transformations, periodic flash crowds around hotspots, and steady
 background churn.
 
-Scenarios also replay against the *message-passing* side of the repository:
-:func:`replay_scenario` translates a scenario's join/leave events into
-:meth:`~repro.simulation.Simulator.schedule` callbacks that rewire the
-skip-graph links of a live CONGEST simulator (and start/retire the affected
-processes), so the same 4096-node churn schedules that drive
-``bench_e09_comparison`` also drive the distributed protocols in
-:mod:`repro.distributed` — that bridge is what ``bench_e11_congest`` runs.
+This module is the schedule side only — event types, :class:`Scenario`,
+:func:`run_scenario` and three generators — and imports nothing from the
+message-passing layers.  The same schedules replay against a live CONGEST
+simulator through :func:`repro.distributed.bridge.replay_scenario`.
 """
 
 from __future__ import annotations
@@ -57,22 +54,13 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.adapter import DSGAdapter, ServingAlgorithm
 from repro.baselines.base import BaselineRun, RequestCost
 from repro.core.dsg import DSGConfig
-from repro.core.local_ops import (
-    DummyRemoveOp,
-    LocalOp,
-    NodeJoinOp,
-    NodeLeaveOp,
-)
-from repro.simulation import NodeProcess, Simulator
 from repro.simulation.rng import make_rng
-from repro.skipgraph.build import draw_membership_bits
 from repro.skipgraph.node import Key
-from repro.skipgraph.skipgraph import SkipGraph
 
 __all__ = [
     "CrashEvent",
@@ -81,17 +69,9 @@ __all__ = [
     "RecoveryEvent",
     "RequestEvent",
     "Scenario",
-    "ScenarioReplay",
     "ScenarioReport",
-    "apply_crash",
-    "apply_join",
-    "apply_leave",
-    "apply_local_op",
-    "apply_recovery",
     "churn_scenario",
     "failure_scenario",
-    "repair_crashes",
-    "replay_scenario",
     "run_scenario",
     "scale_scenario",
     "scenario_requests",
@@ -336,254 +316,6 @@ def workload_scenario(
         initial_keys=list(keys),
         events=[RequestEvent(u, v) for u, v in requests],
         params={"workload": name, "n": len(keys), "length": length, "seed": seed, **kwargs},
-    )
-
-
-# ------------------------------------------------------- simulation bridge
-def apply_local_op(sim: Simulator, graph: SkipGraph, op: LocalOp) -> set:
-    """Execute one local op against a live simulator: graph + per-level links.
-
-    ``graph`` is the topology mirror the simulator's network was built from
-    (:func:`~repro.distributed.routing_protocol.skip_graph_network`).  The
-    link rewiring itself lives in the op-driven delta builder next to the
-    network convention it maintains —
-    :func:`~repro.distributed.routing_protocol.patch_network` — which keeps
-    ``network == skip_graph_network(graph)`` (links and labels) true after
-    every op; this bridge adds the *process* side of a departure
-    (:class:`~repro.core.local_ops.NodeLeaveOp` /
-    :class:`~repro.core.local_ops.DummyRemoveOp`): the departed node's
-    process, if one is live, is retired from the simulator.
-
-    Returns the set of keys whose links changed (the op's bounded
-    neighbourhood) — what a driver must refresh routing tables for.
-    """
-    # Imported lazily: repro.distributed.dsg_protocol imports this module at
-    # load time, so a module-level import back into repro.distributed would
-    # be circular.
-    from repro.distributed.routing_protocol import patch_network
-
-    affected = patch_network(sim.network, graph, op)
-    if isinstance(op, (NodeLeaveOp, DummyRemoveOp)) and op.key in sim.processes:
-        sim.retire(op.key)
-    return affected
-
-
-def apply_join(sim: Simulator, graph: SkipGraph, key: Key, rng) -> None:
-    """Join ``key`` into ``graph`` and rewire ``sim``'s network accordingly.
-
-    Membership bits are drawn with the classical join rule
-    (:func:`~repro.skipgraph.build.draw_membership_bits`, the same stream
-    discipline the DSG/baseline adapters use) and the join is executed as a
-    :class:`~repro.core.local_ops.NodeJoinOp` through
-    :func:`apply_local_op` — the same kernel path every other structural
-    change takes.
-    """
-    bits = draw_membership_bits(graph, key, rng)
-    apply_local_op(sim, graph, NodeJoinOp(key, tuple(bits)))
-
-
-def apply_leave(sim: Simulator, graph: SkipGraph, key: Key) -> None:
-    """Remove ``key`` from ``graph``, rewire ``sim``'s network, retire its process.
-
-    Executed as a :class:`~repro.core.local_ops.NodeLeaveOp` through
-    :func:`apply_local_op`: the departed node's left/right list neighbours
-    become adjacent at every level it occupied (links close up over it,
-    Section IV-G); messages still in flight towards the node are dropped
-    and recorded by the engine, never raised.
-    """
-    apply_local_op(sim, graph, NodeLeaveOp(key))
-
-
-def apply_crash(sim: Simulator, graph: SkipGraph, key: Key) -> None:
-    """Crash ``key`` on the simulator; the ``graph`` mirror keeps the node.
-
-    This is the *failure* half of the crash/leave distinction: the engine's
-    :meth:`~repro.simulation.Simulator.crash` kills the process without its
-    ``on_retire`` goodbye, darkens its links and bans re-entry — but the
-    skip-graph mirror is deliberately left untouched.  Until a repair wave
-    runs (:func:`repair_crashes`), the graph still *believes* the node
-    exists, which is exactly the dark window the surviving routers must
-    route around; the graph/network views legitimately diverge during it,
-    so run the integrity sweep only after repair.
-    """
-    sim.crash(key)
-
-
-def apply_recovery(sim: Simulator, graph: SkipGraph, key: Key, rng, k: int = 1) -> Tuple[set, int]:
-    """Recover crashed ``key`` as a *fresh identity* and splice it back in.
-
-    Lifts the engine's re-entry ban (:meth:`~repro.simulation.Simulator.recover`),
-    draws *new* membership bits with the classical join rule
-    (:func:`~repro.skipgraph.build.draw_membership_bits` — the same stream
-    discipline :func:`apply_join` uses; the old identity's bits are gone
-    with its tables) and rewires graph + network through
-    :func:`~repro.distributed.routing_protocol.rejoin_crash_links`.
-
-    The crash's hole must already be closed — run :func:`repair_crashes`
-    for the key before recovering it; a recovery is a join, and joining a
-    graph that still contains the key is a kernel error.  Returns
-    ``(affected survivor keys, links added)`` — survivors whose routing
-    tables must be refreshed, and the rejoin cost.
-    """
-    # Lazy for the same circularity reason as apply_local_op.
-    from repro.distributed.routing_protocol import rejoin_crash_links
-
-    sim.recover(key)
-    bits = draw_membership_bits(graph, key, rng)
-    return rejoin_crash_links(sim.network, graph, key, tuple(bits), k=k)
-
-
-def repair_crashes(
-    sim: Simulator,
-    graph: SkipGraph,
-    keys: Sequence[Key],
-    k: int = 1,
-) -> Tuple[set, int]:
-    """Excise crashed ``keys`` from the graph and close the network over them.
-
-    Runs :func:`~repro.distributed.routing_protocol.repair_crash_links` for
-    each crashed key in order: the key leaves the graph through the local-op
-    kernel and the survivors within list distance ``k`` of the hole are
-    relinked, restoring ``network == skip_graph_network(graph, k)`` exactly.
-    Returns the union of surviving keys whose link neighbourhood changed
-    (the set a driver must refresh routing tables for) and the total number
-    of links added.
-    """
-    # Lazy for the same circularity reason as apply_local_op.
-    from repro.distributed.routing_protocol import repair_crash_links
-
-    affected: set = set()
-    links_added = 0
-    for key in keys:
-        touched, added = repair_crash_links(sim.network, graph, key, k=k)
-        affected.update(touched)
-        links_added += added
-    # A later repair in the same wave may have excised a key an earlier
-    # repair reported as affected; only survivors need table refreshes.
-    affected.difference_update(keys)
-    return affected, links_added
-
-
-@dataclass
-class ScenarioReplay:
-    """What :func:`replay_scenario` scheduled onto the simulator."""
-
-    scenario: str
-    joins: int
-    leaves: int
-    requests: int
-    first_round: int
-    last_round: int
-    crashes: int = 0
-    recoveries: int = 0
-
-
-def replay_scenario(
-    sim: Simulator,
-    scenario: Scenario,
-    process_factory: Optional[Callable[[Key], Optional[NodeProcess]]] = None,
-    graph: Optional[SkipGraph] = None,
-    start_round: Optional[int] = None,
-    spacing: int = 1,
-    on_request: Optional[Callable[[Simulator, RequestEvent], None]] = None,
-    seed: Optional[int] = None,
-) -> ScenarioReplay:
-    """Schedule ``scenario``'s events as churn callbacks on a live simulator.
-
-    This is the bridge between the workload layer and the message-passing
-    arena: the same :func:`churn_scenario` / :func:`scale_scenario`
-    schedules that drive the DSG front end replay against the
-    :mod:`repro.distributed` protocols unchanged.  Events are assigned
-    consecutive rounds (``spacing`` apart, starting at ``start_round``,
-    default: the simulator's next round) and injected through
-    :meth:`~repro.simulation.Simulator.schedule`:
-
-    * :class:`JoinEvent` — :func:`apply_join` rewires ``graph`` and the
-      network; ``process_factory(key)`` (if given) builds the joiner's
-      process, registered so it receives ``on_start`` in its join round.
-    * :class:`LeaveEvent` — :func:`apply_leave` rewires and retires.
-    * :class:`CrashEvent` — :func:`apply_crash` kills the process crash-stop
-      (no rewiring: the dark window lasts until the caller runs
-      :func:`repair_crashes`).
-    * :class:`RecoveryEvent` — :func:`apply_recovery` rejoins the key as a
-      fresh identity (new bits from the replay's rng stream) and registers
-      its process via ``process_factory`` like a join.  The caller must
-      have repaired the key's crash before its recovery round fires.
-    * :class:`RequestEvent` — handed to ``on_request(sim, event)`` when
-      provided (e.g. to enqueue a routing request on the source process);
-      skipped otherwise (no round consumed).
-
-    ``graph`` must be the skip-graph topology mirror the simulator's
-    network was built from (:func:`~repro.distributed.routing_protocol.skip_graph_network`);
-    it is required when the scenario contains churn.  The run does not
-    quiesce before the last scheduled event, so a protocol running on the
-    simulator experiences the whole churn schedule.
-    """
-    has_churn = any(not isinstance(event, RequestEvent) for event in scenario.events)
-    if has_churn and graph is None:
-        raise ValueError("replaying a scenario with churn requires the skip graph mirror")
-    rng = make_rng(seed if seed is not None else scenario.params.get("seed"))
-    cursor = sim.round if start_round is None else max(start_round, sim.round)
-    first = cursor
-    joins = leaves = crashes = recoveries = requests = 0
-    scheduled_any = False
-    for event in scenario.events:
-        if isinstance(event, RequestEvent):
-            if on_request is None:
-                continue
-            requests += 1
-
-            def request_callback(s: Simulator, event=event) -> None:
-                on_request(s, event)
-
-            sim.schedule(cursor, request_callback)
-        elif isinstance(event, JoinEvent):
-            joins += 1
-
-            def join_callback(s: Simulator, key=event.key) -> None:
-                apply_join(s, graph, key, rng)
-                if process_factory is not None:
-                    process = process_factory(key)
-                    if process is not None:
-                        s.add_process(process)
-
-            sim.schedule(cursor, join_callback)
-        elif isinstance(event, CrashEvent):
-            crashes += 1
-
-            def crash_callback(s: Simulator, key=event.key) -> None:
-                apply_crash(s, graph, key)
-
-            sim.schedule(cursor, crash_callback)
-        elif isinstance(event, RecoveryEvent):
-            recoveries += 1
-
-            def recovery_callback(s: Simulator, key=event.key) -> None:
-                apply_recovery(s, graph, key, rng)
-                if process_factory is not None:
-                    process = process_factory(key)
-                    if process is not None:
-                        s.add_process(process)
-
-            sim.schedule(cursor, recovery_callback)
-        else:
-            leaves += 1
-
-            def leave_callback(s: Simulator, key=event.key) -> None:
-                apply_leave(s, graph, key)
-
-            sim.schedule(cursor, leave_callback)
-        scheduled_any = True
-        cursor += spacing
-    return ScenarioReplay(
-        scenario=scenario.name,
-        joins=joins,
-        leaves=leaves,
-        requests=requests,
-        first_round=first,
-        last_round=cursor - spacing if scheduled_any else first,
-        crashes=crashes,
-        recoveries=recoveries,
     )
 
 

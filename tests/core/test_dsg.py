@@ -339,3 +339,16 @@ class TestMemoryAudit:
         words = dsg.memory_words_per_node()
         height = dsg.height()
         assert all(count <= 3 * (height + 1) + 2 for count in words.values())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a surviving level-alpha dummy keyed between the pair")
+def test_served_pair_is_directly_linked_seven_key_case():
+    """Section III's model: a served pair is directly linked afterwards.
+
+    The fifth request finds a dummy left by the fourth keyed between 1 and
+    7 in their only common list.  Strict: the fix must delete the marker.
+    """
+    instance = DynamicSkipGraph(keys=range(1, 8), config=DSGConfig(seed=0))
+    for u, v in [(2, 6), (2, 3), (2, 4), (2, 5), (1, 7)]:
+        instance.request(u, v)
+        assert instance.are_adjacent(u, v), (u, v)

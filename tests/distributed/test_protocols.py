@@ -5,7 +5,10 @@ import math
 import pytest
 
 from repro.core.amf import approximate_median
+from repro.core.local_ops import NodeLeaveOp
 from repro.distributed import (
+    apply_join,
+    apply_local_op,
     install_amf,
     install_routing,
     install_sum,
@@ -24,7 +27,6 @@ from repro.simulation.message import WORD_BITS
 from repro.simulation.rng import make_rng
 from repro.skipgraph import build_balanced_skip_graph, route
 from repro.skiplist import BalancedSkipList
-from repro.workloads import apply_join, apply_leave
 
 
 def congest_budget(n: int, words: int = 8) -> int:
@@ -143,8 +145,8 @@ class TestChurnSafeRestarts:
     KEYS = range(1, 33)
 
     def _churn(self, sim, graph, rng):
-        apply_leave(sim, graph, 7)
-        apply_leave(sim, graph, 20)
+        apply_local_op(sim, graph, NodeLeaveOp(7))
+        apply_local_op(sim, graph, NodeLeaveOp(20))
         apply_join(sim, graph, 100, rng)
         apply_join(sim, graph, 101, rng)
 

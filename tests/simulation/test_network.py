@@ -98,14 +98,6 @@ class TestLinks:
         assert triangle.edge_count() == 3
         assert len(list(triangle.edges())) == 3
 
-    def test_replace_links(self):
-        net = Network()
-        net.add_link(1, 2, label="L")
-        net.add_link(1, 3, label="L")
-        net.add_node(4)
-        net.replace_links(1, [4], label="L")
-        assert net.neighbors(1) == {4}
-
     def test_copy_is_independent(self, triangle):
         clone = triangle.copy()
         clone.remove_link(1, 2)
@@ -127,7 +119,6 @@ _operation = st.one_of(
     st.tuples(st.just("add_link"), _node, _node, _label),
     st.tuples(st.just("remove_link"), _node, _node, _label),
     st.tuples(st.just("remove_node"), _node),
-    st.tuples(st.just("replace_links"), _node, st.lists(_node, max_size=3), _label),
     st.tuples(st.just("copy")),
 )
 
@@ -161,14 +152,6 @@ class _NaiveNetwork:
             raise LinkError
         self.nodes.discard(node)
         self.triples = {(link, label) for link, label in self.triples if node not in link}
-
-    def replace_links(self, node, new_neighbors, label):
-        for neighbor in NODES:
-            if label in self.labels(node, neighbor):
-                self.remove_link(node, neighbor, label)
-        for neighbor in new_neighbors:
-            if neighbor != node:
-                self.add_link(node, neighbor, label)
 
     def neighbors(self, node):
         return {other for link, _ in self.triples if node in link for other in link if other != node}

@@ -11,10 +11,13 @@ the equivalence contract that makes the replacement safe:
   dirty-list repair drives churn to the same topology and dummy population
   as full-rescan repair;
 * a network carried by :func:`~repro.distributed.routing_protocol.patch_network`
-  equals a from-scratch ``skip_graph_network`` rebuild after every op.
+  equals a from-scratch ``skip_graph_network`` rebuild after every op — and
+  so does one carried by the link writer underneath it at redundancy 2 and 3.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference.kernel_reference import ReferenceDynamicSkipGraph, draw_membership_bits_reference
 
 from repro.baselines.adapter import DSGAdapter
@@ -28,8 +31,10 @@ from repro.core.local_ops import (
     OpRecorder,
     PromoteOp,
     _OP_TAGS,
+    apply_op,
 )
 from repro.distributed.routing_protocol import (
+    _rewire,
     apply_network_delta,
     networks_equal,
     patch_network,
@@ -46,6 +51,7 @@ from repro.skipgraph import (
 )
 from repro.skipgraph.balance import BalanceTracker
 from repro.skipgraph.build import draw_membership_bits
+from repro.skipgraph.integrity import verify_skip_graph_integrity
 from repro.workloads.scenarios import churn_scenario, run_scenario
 
 
@@ -282,6 +288,40 @@ class TestNetworkDelta:
             assert networks_equal(network, skip_graph_network(graph))
         with pytest.raises(TypeError):
             patch_network(network, graph, object())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_link_writer_equals_rebuild_for_every_op_kind_at_every_redundancy(self, data):
+        """Random sequences over all six op kinds, k in {1, 2, 3}: after every
+        op the rewired network is the rebuild and the integrity sweep is
+        clean (promote/demote at k > 1 has no other cover)."""
+        k = data.draw(st.sampled_from([1, 2, 3]), label="k")
+        graph = build_balanced_skip_graph(range(1, 13))
+        network = skip_graph_network(graph, k)
+        bit_strings = st.lists(st.integers(0, 1), max_size=4).map(tuple)
+        new_keys = st.floats(0, 13, allow_nan=False).filter(lambda key: not graph.has_node(key))
+        for _ in range(data.draw(st.integers(1, 20), label="ops")):
+            kind = data.draw(st.sampled_from(sorted(_OP_TAGS, key=_OP_TAGS.get)))
+            key = data.draw(st.sampled_from(graph.keys))
+            length = len(graph.membership(key))
+            if kind is PromoteOp:
+                op = PromoteOp(key, data.draw(st.integers(1, length + 1)), data.draw(st.integers(0, 1)))
+            elif kind is DemoteOp:
+                op = DemoteOp(key, data.draw(st.integers(0, length)))
+            elif kind in (DummyInsertOp, NodeJoinOp):
+                op = kind(data.draw(new_keys), data.draw(bit_strings))
+            elif graph.node(key).is_dummy == (kind is DummyRemoveOp) and len(graph) > 3:
+                op = kind(key)  # a leave takes a real key, a dummy removal a dummy
+            else:
+                continue
+            shadow = graph.copy()
+            apply_op(shadow, op)
+            if not shadow.is_valid():
+                continue  # two real nodes would share a full vector
+            affected, _ = _rewire(network, graph, op, k)
+            assert op.key in affected
+            assert networks_equal(network, skip_graph_network(graph, k))
+            assert verify_skip_graph_integrity(graph, network, redundancy=k) == []
 
 
 def _dsg_past_its_first_scan():

@@ -50,12 +50,14 @@ class TestDistributedExports:
         "AMFProtocolResult", "AdmissionRecord", "BroadcastResult", "ConflictSet", "DSGProcess",
         "DistributedDSG", "DistributedDSGReport", "DistributedRequestOutcome",
         "FailureArenaReport", "FailureWaveReport", "NeighborTable", "PipelineWindow",
-        "PipelinedDSG", "RouteLedger", "RoutingProtocolResult", "SumProtocolResult", "Wave",
-        "apply_network_delta", "install_amf", "install_broadcast", "install_routing",
-        "install_sum", "make_router", "networks_equal", "patch_network", "rejoin_crash_links",
-        "repair_crash_links", "run_amf_protocol", "run_distributed_dsg", "run_failure_arena",
-        "run_list_broadcast", "run_routing_protocol", "run_sum_protocol", "segment_network",
-        "segment_waves", "skip_graph_network", "trace_route",
+        "PipelinedDSG", "RouteLedger", "RoutingProtocolResult", "ScenarioReplay",
+        "SumProtocolResult", "Wave", "apply_crash", "apply_join", "apply_local_op",
+        "apply_network_delta", "apply_recovery", "install_amf", "install_broadcast",
+        "install_routing", "install_sum", "make_router", "networks_equal", "patch_network",
+        "rejoin_crash_links", "repair_crash_links", "repair_crashes", "replay_scenario",
+        "run_amf_protocol", "run_distributed_dsg", "run_failure_arena", "run_list_broadcast",
+        "run_routing_protocol", "run_sum_protocol", "segment_network", "segment_waves",
+        "skip_graph_network", "trace_route",
     }  # fmt: skip
 
     def test_export_list_is_the_post_merge_one(self):
@@ -79,6 +81,47 @@ class TestDistributedExports:
             "keys", "config", "seed", "max_rounds", "strict", "window",
         ]  # fmt: skip
         assert inspect.signature(distributed.DistributedDSG).parameters["window"].default == 1
+
+
+class TestWorkloadsLayering:
+    """The simulator bridge lives beside the link writer in ``repro.distributed``;
+    ``repro.workloads`` is schedules only and imports nothing from above it."""
+
+    FORBIDDEN_MODULES = ("repro.distributed", "repro.core.local_ops")
+    FORBIDDEN_NAMES = {"Simulator", "NodeProcess"}
+
+    def test_workloads_import_nothing_from_the_message_passing_side(self):
+        offenders = []
+        for path in sorted((PACKAGE_ROOT / "workloads").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    modules, names = [alias.name for alias in node.names], []
+                elif isinstance(node, ast.ImportFrom):
+                    modules, names = [node.module or ""], [alias.name for alias in node.names]
+                else:
+                    continue
+                modules += [f"{module}.{name}" for module in modules for name in names]
+                if any(module.startswith(self.FORBIDDEN_MODULES) for module in modules) or (
+                    self.FORBIDDEN_NAMES & set(names)
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    def test_the_bridge_left_no_re_export_behind(self):
+        import repro.workloads as workloads
+        from repro.workloads import scenarios
+
+        for gone in (
+            "replay_scenario", "apply_join", "apply_leave", "apply_crash", "apply_recovery",
+            "repair_crashes", "ScenarioReplay",
+        ):  # fmt: skip
+            assert gone not in workloads.__all__ and not hasattr(workloads, gone), gone
+            assert not hasattr(scenarios, gone), gone
+
+    def test_patch_network_grew_no_redundancy_parameter(self):
+        from repro.distributed import patch_network
+
+        assert list(inspect.signature(patch_network).parameters) == ["network", "graph", "op"]
 
 
 class TestCentralFrontEnd:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import DSGAdapter
 from repro.core.dsg import DSGConfig
+from repro.distributed import replay_scenario
 from repro.workloads import (
     CrashEvent,
     JoinEvent,
@@ -12,7 +13,6 @@ from repro.workloads import (
     RequestEvent,
     Scenario,
     churn_scenario,
-    replay_scenario,
     run_scenario,
     scale_scenario,
 )

@@ -31,8 +31,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Collection, List, Mapping, Optional, Sequence, Tuple
 
 from repro.simulation.rng import make_rng
 from repro.skiplist.balanced import BalancedSkipList
@@ -45,6 +46,7 @@ __all__ = ["AMFResult", "approximate_median", "exact_median", "rank_interval"]
 # Plain tuples, not objects: one transformation allocates them by the
 # hundred thousand.
 _value_of_entry = itemgetter(0)
+_weight_of_entry = itemgetter(1)
 
 
 @dataclass
@@ -121,82 +123,73 @@ def approximate_median(
     The iteration order of ``values`` is taken as the linked-list order (for
     DSG this is key order within the linked list).  ``diagnostics=False``
     skips the exact rank interval of the result (two O(n) scans used only by
-    the Lemma 1 experiments); ``rank_low``/``rank_high`` are then 0.  The
-    median, round count and skip list are unaffected.
+    the Lemma 1 experiments) on both the exact and the skip-list path;
+    ``rank_low``/``rank_high`` are then 0.  The median, round count and skip
+    list are unaffected.
     """
-    if isinstance(values, Mapping):
-        items: List[Any] = list(values.keys())
-        value_of: Mapping[Any, float] = values if isinstance(values, dict) else dict(values)
+    if type(values) is dict:  # the planner's form: skip the ABC probe
+        items: Collection[Any] = values.keys()
+        all_values: List[Any] = list(values.values())
+    elif isinstance(values, Mapping):
+        items = list(values.keys())
+        all_values = [values[item] for item in items]
     else:
-        items = [item for item, _ in values]
+        # Later duplicates of an item override earlier ones, as in a dict.
         value_of = {item: value for item, value in values}
-    if not items:
+        items = [item for item, _ in values]
+        all_values = [value_of[item] for item in items]
+    n = len(all_values)
+    if not n:
         raise ValueError("AMF needs at least one value")
     if a < 2:
         raise ValueError("the balance parameter a must be at least 2")
 
-    n = len(items)
-
     # Small lists: the paper's construction assumes n > a; below that the
     # nodes simply gather all values along the list and take the median.
     if n <= a:
-        all_values = [value_of[item] for item in items]
         median = exact_median(all_values)
-        low, high = rank_interval(all_values, median)
-        return AMFResult(
-            median=median, rounds=n, n=n, skiplist=None, exact=True, rank_low=low, rank_high=high
-        )
+        low, high = rank_interval(all_values, median) if diagnostics else (0, 0)
+        return AMFResult(median, n, n, None, True, low, high)
 
     rng = rng or make_rng()
-    skiplist = BalancedSkipList(items, a=a, rng=rng)
+    skiplist = BalancedSkipList(items, a=a, rng=rng)  # copies the keys in order
     rounds = skiplist.construction_rounds
+    height = skiplist.height
 
-    h = skiplist.height - 1  # paper's h: the top (singleton) level index
+    h = height - 1  # paper's h: the top (singleton) level index
     sample_size = max(2, a * max(h, 1))
     base = max(a / 2, 1.5)
+    # At least 2: log(max(h, 2)) over log(base >= 1.5) is positive.
     sampling_start = math.ceil(math.log(max(h, 2), base)) + 1
 
-    # entries held by each node, starting with its own value at the base.
-    held: Dict[Any, List[Tuple[float, int]]] = {item: [(value_of[item], 0)] for item in items}
-
-    for level in range(skiplist.height - 1):
-        segments = skiplist.segments(level)
-        next_held: Dict[Any, List[Tuple[float, int]]] = {}
+    # ``held`` lists the entries each node of the current level holds, aligned
+    # with the level's nodes.  At the base every node holds exactly its own
+    # value, so a segment's gather is one slice of the base entries and
+    # forwards one value per node besides the owner.
+    base_entries = list(zip(all_values, repeat(0)))
+    bounds = skiplist.segment_bounds(0)
+    held = [base_entries[start:end] for start, end in bounds]
+    # Pipelined forwarding along a segment: one hop per round plus one round
+    # per value crossing the busiest (first) link.
+    rounds += 2 * (max(end - start for start, end in bounds) - 1)
+    for level in range(1, height - 1):
+        sample = level + 1 >= sampling_start
+        next_held: List[List[Tuple[Any, int]]] = []
         level_rounds = 0
-        for owner, members in segments:
-            gathered: List[Tuple[float, int]] = []
-            forwarded_values = 0
-            for member in members:
-                entries = held.get(member, [])
-                gathered.extend(entries)
-                if member != owner:
-                    forwarded_values += len(entries)
-            # Pipelined forwarding along the segment: one hop per round plus
-            # one round per value crossing the busiest (first) link.
-            level_rounds = max(level_rounds, (len(members) - 1) + forwarded_values)
-            if level + 1 >= sampling_start:
-                gathered = _sample(gathered, sample_size)
-            next_held[owner] = gathered
+        for start, end in skiplist.segment_bounds(level):
+            gathered = list(chain.from_iterable(held[start:end]))
+            segment_rounds = (end - start - 1) + len(gathered) - len(held[start])
+            if segment_rounds > level_rounds:
+                level_rounds = segment_rounds
+            next_held.append(_sample(gathered, sample_size) if sample else gathered)
         rounds += level_rounds
         held = next_held
 
-    root_entries = held[skiplist.root]
-    median, rank_estimate = _pick_median(root_entries)
+    median, rank_estimate = _pick_median(held[0])  # what the root gathered
     rounds += skiplist.broadcast_rounds()
 
-    if diagnostics:
-        low, high = rank_interval([value_of[item] for item in items], median)
-    else:
-        low = high = 0
-    return AMFResult(
-        median=median,
-        rounds=rounds,
-        n=n,
-        skiplist=skiplist,
-        exact=False,
-        rank_low=low,
-        rank_high=high,
-    )
+    low, high = rank_interval(all_values, median) if diagnostics else (0, 0)
+    return AMFResult(median, rounds, n, skiplist, False, low, high)
 
 
 def _sample(entries: List[Tuple[float, int]], sample_size: int) -> List[Tuple[float, int]]:
@@ -215,9 +208,9 @@ def _sample(entries: List[Tuple[float, int]], sample_size: int) -> List[Tuple[fl
     previous_index = -1
     for index in kept_indices:
         value, weight_below = ordered[index]
-        extra = 0
-        for _, discarded_weight in ordered[previous_index + 1 : index]:
-            extra += 1 + discarded_weight
+        # Each discarded entry carries itself plus the mass folded into it.
+        discarded = ordered[previous_index + 1 : index]
+        extra = len(discarded) + sum(map(_weight_of_entry, discarded))
         kept.append((value, weight_below + extra))
         previous_index = index
     # Any trailing discarded values (there are none because the last index is
@@ -228,7 +221,7 @@ def _sample(entries: List[Tuple[float, int]], sample_size: int) -> List[Tuple[fl
 def _pick_median(entries: List[Tuple[float, int]]) -> Tuple[float, float]:
     """Pick the entry whose accounted rank is closest to the middle."""
     ordered = sorted(entries, key=_value_of_entry)
-    total_mass = len(ordered) + sum(weight for _, weight in ordered)
+    total_mass = len(ordered) + sum(map(_weight_of_entry, ordered))
     target = total_mass / 2
     best_value = ordered[0][0]
     best_rank = 0.0

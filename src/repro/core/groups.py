@@ -59,9 +59,8 @@ def merge_groups_at_alpha(
 
 
 def find_straddled_group(
-    states: Mapping[Key, DSGNodeState],
     members: Sequence[Key],
-    level: int,
+    groups: Sequence[Key],
     median: float,
     t: int,
     exclude: Tuple[Key, Key],
@@ -71,8 +70,9 @@ def find_straddled_group(
     Case 2 of the transformation (Section IV-C): when the approximate median
     ``M`` is negative there may exist a group ``g_s`` whose priority band
     ``(-(G+1)*t, -G*t]`` contains ``M`` (equation 2); splitting by direct
-    priority comparison would tear that group apart.  The group is unique
-    because distinct groups occupy disjoint bands.
+    priority comparison would tear that group apart.  ``groups[i]`` is
+    ``members[i]``'s group-id at the level of the list being split; the
+    members in ``exclude`` (the communicating pair) never belong to ``g_s``.
 
     Returns the members of ``g_s`` within ``members`` (in the given order),
     or ``None`` when no group straddles the median.
@@ -80,78 +80,78 @@ def find_straddled_group(
     if median >= 0:
         return None
     u, v = exclude
-    candidates: Dict[Key, List[Key]] = {}
-    for key in members:
-        if key in (u, v):
+    # Bands are disjoint, so at most one group straddles the median: each
+    # distinct group-id is tested once, and after the hit only equality with
+    # it is checked.
+    straddled: Optional[int] = None
+    missed = set()
+    found: List[Key] = []
+    for key, group in zip(members, groups):
+        if key == u or key == v:
             continue
-        state = states[key]
-        group = state.group_ids.get(level, state.uid)
-        if not isinstance(group, bool) and isinstance(group, int) and group > 0:
+        if type(group) is not int and (isinstance(group, bool) or not isinstance(group, int)):
+            continue  # only positive integer group-ids have a band
+        if group <= 0:
+            continue
+        if group != straddled:
+            if straddled is not None or group in missed:
+                continue
             low, high = priority_band(group, t)
-            if low <= median < high:
-                candidates.setdefault(group, []).append(key)
-    if not candidates:
-        return None
-    # Bands are disjoint, so at most one group can straddle the median.
-    group = next(iter(candidates))
-    return candidates[group]
+            if not low <= median < high:
+                missed.add(group)
+                continue
+            straddled = group
+        found.append(key)
+    return found or None
 
 
 def assign_group_ids_after_split(
-    states: Mapping[Key, DSGNodeState],
-    zero_list: Sequence[Key],
-    one_list: Sequence[Key],
+    member_states: Sequence[DSGNodeState],
+    parent_groups: Sequence[Key],
+    to_one: Sequence[bool],
     level: int,
-    parent_level: int,
-    u: Key,
-    v: Key,
+    pair_side: Optional[bool] = None,
+    pair_uid: Optional[int] = None,
 ) -> List[Key]:
     """Reassign level-``level`` group-ids after one split (Section IV-D).
 
-    * every node whose new list contains both ``u`` and ``v`` sets its
-      group-id to ``u``'s numeric identifier;
-    * every (old, level ``parent_level``) group that is split between the
-      two new lists gives the part that moved to the 1-subgraph a fresh
-      group-id: the numeric identifier of that part's left-most member;
+    The split list's members are given in key order as three aligned
+    sequences: their states, their group-ids at the parent level and whether
+    each moved to the 1-subgraph.
+
+    * every (old, parent-level) group that is split between the two new
+      lists gives the part that moved to the 1-subgraph a fresh group-id:
+      the numeric identifier of that part's left-most member;
+    * every node whose new list contains both ``u`` and ``v`` — the side
+      ``pair_side`` (``None`` when no new list holds both) — sets its
+      group-id to ``u``'s numeric identifier ``pair_uid``;
     * groups that moved intact keep their existing level-``level`` group-ids
       (their internal sub-group structure is preserved, as the analysis of
       Lemma 2 requires).
 
-    Returns the list of old group-ids that were split by this assignment
-    (used by timestamp rule T5 and the group-base updates).
+    Returns the old group-ids that were split by this assignment (used by
+    timestamp rule T5 and the group-base updates).
     """
-    zero_set = set(zero_list)
-    one_set = set(one_list)
+    # Per old group: the state of its left-most member on the 1-side, and
+    # whether any member stayed on the 0-side.
+    leftmost_one: Dict[Key, DSGNodeState] = {}
+    in_zero = set()
+    for state, group, moved in zip(member_states, parent_groups, to_one):
+        if not moved:
+            in_zero.add(group)
+        elif group not in leftmost_one:
+            leftmost_one[group] = state
+    split_groups = [group for group in leftmost_one if group in in_zero]
 
-    # Old groups by their parent-level group-id.
-    old_groups: Dict[Key, List[Key]] = {}
-    for key_list in (zero_list, one_list):
-        for key in key_list:
-            state = states[key]
-            gid = state.group_ids.get(parent_level, state.uid)
-            bucket = old_groups.get(gid)
-            if bucket is None:
-                old_groups[gid] = [key]
-            else:
-                bucket.append(key)
-
-    split_groups: List[Key] = []
-    for group_id, group_members in old_groups.items():
-        in_zero = [key for key in group_members if key in zero_set]
-        in_one = [key for key in group_members if key in one_set]
-        if in_zero and in_one:
-            split_groups.append(group_id)
-            # The 1-subgraph part adopts the identifier of its left-most node.
-            new_id = states[min(in_one)].uid
-            for key in in_one:
-                states[key].set_group_id(level, new_id)
-
-    if u in zero_set and v in zero_set:
-        for key in zero_list:
-            states[key].set_group_id(level, states[u].uid)
-    elif u in one_set and v in one_set:  # pragma: no cover - u,v always move to 0
-        for key in one_list:
-            states[key].set_group_id(level, states[u].uid)
+    if split_groups:
+        new_ids = {group: leftmost_one[group].uid for group in split_groups}
+        for state, group, moved in zip(member_states, parent_groups, to_one):
+            if moved and group in new_ids:
+                state.group_ids[level] = new_ids[group]
+    if pair_side is not None:
+        for state, moved in zip(member_states, to_one):
+            if moved == pair_side:
+                state.group_ids[level] = pair_uid
     return split_groups
 
 

@@ -50,6 +50,7 @@ creates it; every other op is executed by the node it names).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 from time import perf_counter
 from typing import Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -232,6 +233,12 @@ def apply_op_touched(graph: SkipGraph, op: LocalOp) -> set:
 
 
 # ----------------------------------------------------------------- recorder
+#: ``_new_op(PromoteOp, (key, level, bit))`` is ``PromoteOp(key, level, bit)``
+#: without the named tuple's Python-level ``__new__``: the bulk paths below
+#: emit one op per key of a run, a few hundred thousand per second.
+_new_op = tuple.__new__
+
+
 class OpRecorder:
     """Applies local ops to a graph eagerly while recording the sequence.
 
@@ -272,16 +279,24 @@ class OpRecorder:
             self._record(DemoteOp(key, length))
 
     def promote_run(self, keys: Sequence[Key], level: int, bit: int) -> None:
-        """Promote every key of ``keys`` (one split sublist) to ``level``."""
+        """Promote every key of ``keys`` (one split sublist) to ``level``.
+
+        A singleton (or a run the bulk splice declines) is one
+        :meth:`SkipGraph.set_membership <repro.skipgraph.skipgraph.SkipGraph.set_membership>`
+        per key — exactly what :func:`apply_op` does for a
+        :class:`PromoteOp`, without the dispatch.
+        """
+        graph = self.graph
         if len(keys) > 1:
             began = perf_counter()
-            landed = self.graph.promote_run(keys, level, bit)
+            landed = graph.promote_run(keys, level, bit)
             self.apply_seconds += perf_counter() - began
             if landed:
-                self.ops.extend(PromoteOp(key, level, bit) for key in keys)
+                self.ops.extend(map(_new_op, repeat(PromoteOp), zip(keys, repeat(level), repeat(bit))))
                 return
         for key in keys:
-            self._record(PromoteOp(key, level, bit))
+            graph.set_membership(key, graph.membership(key).with_bit(level, bit))
+            self.ops.append(_new_op(PromoteOp, (key, level, bit)))
 
     def demote_run(self, keys: Sequence[Key], length: int) -> None:
         """Truncate every key of ``keys`` (one subtree's members) to ``length``."""
@@ -292,7 +307,7 @@ class OpRecorder:
             landed = self.graph.demote_run(eligible, length)
             self.apply_seconds += perf_counter() - began
             if landed:
-                self.ops.extend(DemoteOp(key, length) for key in eligible)
+                self.ops.extend(map(_new_op, repeat(DemoteOp), zip(eligible, repeat(length))))
                 return
         for key in eligible:
             self._record(DemoteOp(key, length))

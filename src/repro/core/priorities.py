@@ -25,7 +25,7 @@ split logic relies on.
 Group identifiers must be positive integers (the paper requires non-negative
 identifiers; we additionally exclude 0 so that the band of group 0 cannot
 collide with the non-negative priorities of the merged group — see
-DESIGN.md, "Simplifications").
+docs/DEVIATIONS.md, row 5).
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class DSGNodeState:
     from — and uncorrelated with — the routing ``key``: rule P3 orders
     non-communicating nodes by group-id, so a group-id that followed key
     order would make every split key-contiguous and flood the structure with
-    dummy nodes (see DESIGN.md, "Simplifications").
+    dummy nodes (see docs/DEVIATIONS.md, row 5).
     """
 
     key: Key

@@ -17,16 +17,18 @@ the transformation did, bundled in :class:`TimestampContext`:
 * the snapshot of all timestamps before the request (several rules refer to
   the *old* values).
 
-Two definitional ambiguities in the paper are resolved as follows and noted
-in DESIGN.md: the "longest common postfix" of two membership vectors is
-interpreted as the longest common *prefix* (the quantity that determines the
-highest shared linked list, which is what the surrounding text uses it for),
-and rule T1's downward loop runs to ``min(B_u, B_v)`` (rule T6 zeroes
-anything below the group-base afterwards, so this choice is conservative).
+Two definitional ambiguities in the paper are resolved as follows (rows 6
+and 7 of docs/DEVIATIONS.md): the "longest common postfix" of two membership
+vectors is interpreted as the longest common *prefix* (the quantity that
+determines the highest shared linked list, which is what the surrounding
+text uses it for), and rule T1's downward loop runs to ``min(B_u, B_v)``
+(rule T6 zeroes anything below the group-base afterwards, so this choice is
+conservative).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, List, Mapping, Sequence, Set
 
@@ -96,59 +98,75 @@ def _rule_t1(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
         state_v.set_timestamp(level, merged)
 
 
-def _nearest_communicating_node(ctx: TimestampContext, key: Key) -> Key:
-    """The communicating node (u or v) closest to ``key`` in ``S_t``."""
-    membership = ctx.old_membership[key]
-    lcp_u = common_prefix_length(membership, ctx.old_membership[ctx.u])
-    lcp_v = common_prefix_length(membership, ctx.old_membership[ctx.v])
-    return ctx.u if lcp_u >= lcp_v else ctx.v
-
-
 def _rule_t2(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
-    """T2: refresh timestamps of nodes that stay in the merged group."""
-    uid_u = states[ctx.u].uid
+    """T2: refresh timestamps of nodes that stay in the merged group.
+
+    ``c'`` is the common prefix of a node with its nearest communicating node
+    in ``S_t``.  ``u`` and ``v`` part after their first ``split`` bits, and a
+    node can agree with at most one of them on the next bit; that one is the
+    nearest (on a tie both prefixes are equal), so one prefix per node is
+    computed — and only for a node that received a median at a level where
+    it belongs to the merged group.
+    """
+    u, v, alpha, t = ctx.u, ctx.v, ctx.alpha, ctx.t
+    uid_u = states[u].uid
+    old_membership = ctx.old_membership
+    old_u = old_membership[u]
+    old_v = old_membership[v]
+    split = common_prefix_length(old_u, old_v)
     for key in ctx.members:
-        if key in (ctx.u, ctx.v):
+        if key == u or key == v:
+            continue
+        medians = ctx.received_medians.get(key)
+        if not medians:
             continue
         state = states[key]
-        nearest = _nearest_communicating_node(ctx, key)
-        c_prime = common_prefix_length(ctx.old_membership[key], ctx.old_membership[nearest])
-        medians = ctx.received_medians.get(key, {})
-        for level in sorted(medians):
-            if level < ctx.alpha:
-                continue
-            if state.group_ids.get(level, state.uid) != uid_u:
-                continue
+        group_ids = state.group_ids
+        uid = state.uid
+        levels = [level for level in sorted(medians) if level >= alpha and group_ids.get(level, uid) == uid_u]
+        if not levels:
+            continue
+        membership = old_membership[key]
+        nearest = old_v if len(membership) > split < len(old_v) and membership[split] == old_v[split] else old_u
+        c_prime = common_prefix_length(membership, nearest)
+        stamps = ctx.old_timestamps.get(key, {})
+        older = [stamps.get(c, 0) for c in range(alpha, max(alpha, c_prime))]
+        timestamps = state.timestamps
+        for level in levels:
             median = medians[level]
-            if median == float("inf"):
+            if median == math.inf:
                 # The split was decided by the communicating pair's infinite
                 # priority alone; the relevant "time" for rule T2 is then the
                 # request's own timestamp.
-                median = ctx.t
-            chosen = None
-            for c in range(ctx.alpha, max(ctx.alpha, c_prime)):
-                if _old_timestamp(ctx, key, c) > median:
-                    chosen = _old_timestamp(ctx, key, c)
+                median = t
+            for stamp in older:
+                if stamp > median:
                     break
-            state.set_timestamp(level + 1, int(chosen if chosen is not None else max(median, 0)))
+            else:
+                stamp = max(median, 0)
+            timestamps[level + 1] = int(stamp)
 
 
 def _rule_t3(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
     """T3: nodes separated from the pair inherit the timestamp of the old depth."""
+    u, v = ctx.u, ctx.v
+    endpoints = ((u, ctx.old_group_u), (v, ctx.old_group_v))
+    old_membership = ctx.old_membership
+    new_membership = ctx.new_membership
     for key in ctx.members:
-        if key in (ctx.u, ctx.v):
+        if key == u or key == v:
             continue
         old_group = ctx.old_group_ids_alpha.get(key)
-        for endpoint, endpoint_group in ((ctx.u, ctx.old_group_u), (ctx.v, ctx.old_group_v)):
+        for endpoint, endpoint_group in endpoints:
             if old_group != endpoint_group:
                 continue
-            c_prime = common_prefix_length(ctx.old_membership[key], ctx.old_membership[endpoint])
-            c_double = common_prefix_length(ctx.new_membership[key], ctx.new_membership[endpoint])
+            c_prime = common_prefix_length(old_membership[key], old_membership[endpoint])
+            c_double = common_prefix_length(new_membership[key], new_membership[endpoint])
             if c_prime - 1 > c_double + 1:
-                state = states[key]
-                anchor = state.timestamp(c_prime)
+                timestamps = states[key].timestamps
+                anchor = timestamps.get(c_prime, 0)
                 for level in range(c_double + 1, c_prime):
-                    state.set_timestamp(level, anchor)
+                    timestamps[level] = anchor
 
 
 def _rule_t4(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
@@ -171,19 +189,22 @@ def _rule_t4(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
 
 def _rule_t5(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
     """T5: members of a split group backfill a zero timestamp one level down."""
+    floor = max(ctx.alpha, 1)
     for key in ctx.members:
-        state = states[key]
-        for level in sorted(ctx.split_levels.get(key, [])):
-            if level < ctx.alpha or level < 1:
-                continue
-            if state.timestamp(level - 1) == 0:
-                state.set_timestamp(level - 1, state.timestamp(level))
+        split_levels = ctx.split_levels.get(key)
+        if not split_levels:
+            continue
+        timestamps = states[key].timestamps
+        for level in sorted(split_levels):
+            if level >= floor and timestamps.get(level - 1, 0) == 0:
+                timestamps[level - 1] = timestamps.get(level, 0)
 
 
 def _rule_t6(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
     """T6: zero every timestamp below the node's group-base."""
     for key in ctx.members:
         state = states[key]
+        timestamps = state.timestamps
         for level in range(0, state.group_base):
-            if state.timestamp(level) != 0:
-                state.set_timestamp(level, 0)
+            if timestamps.get(level, 0) != 0:
+                timestamps[level] = 0

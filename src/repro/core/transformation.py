@@ -39,11 +39,14 @@ pre-request graph reproduces the post-request graph, which is how the
 distributed protocol (:mod:`repro.distributed.dsg_protocol`) executes the
 same transformation as O(log n)-bit messages.
 
-One request's invariants (graph, states, priorities, the pair, ``t``,
-``a``, the RNG, the outcome and the recorder) are bound once on a
-:class:`_Transformation`; its :meth:`~_Transformation.split` recursion
-carries only what changes from one split to the next — ``(members,
-level)``.
+One request's invariants (graph, priorities, the pair and ``u``'s
+identifier, ``t``, ``a``, the RNG, the outcome and the recorder) are bound
+once on a :class:`_Transformation`; its :meth:`~_Transformation.split`
+recursion carries only what changes from one split to the next — the
+list's members, its level, the members' states and whether the pair is in
+it.  A split is one pass over its members' state, then passes over plain
+per-member lists (the order triples, the parent-level group-ids and the
+``to_one`` flags); nothing downstream of that pass looks a member up again.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, MutableMapping, Optional, Sequence, Set, Tuple
+from itertools import compress
+from operator import not_
+from typing import Dict, Hashable, List, MutableMapping, Optional, Sequence, Set, Tuple
 
 from repro.core.amf import AMFResult, approximate_median, exact_median
 from repro.core.groups import assign_group_ids_after_split, find_straddled_group
@@ -140,11 +145,13 @@ def transform(
     recorder.demote_run(members, alpha)
 
     transformation = _Transformation(
-        graph=graph, states=states, priorities=priorities, u=u, v=v, t=t, a=a, rng=rng,
+        graph=graph, priorities=priorities, u=u, v=v, uid_u=states[u].uid, t=t, a=a, rng=rng,
         use_exact_median=use_exact_median, maintain_a_balance=maintain_a_balance,
         outcome=outcome, recorder=recorder,
     )
-    outcome.rounds = transformation.split(members, alpha + 1)
+    if len(members) > 1:
+        member_states = [states[key] for key in members]
+        outcome.rounds = transformation.split(members, alpha + 1, member_states, u in members and v in members)
     return outcome
 
 
@@ -154,10 +161,10 @@ class _Transformation:
     """One request's transformation: its invariants, bound once."""
 
     graph: SkipGraph
-    states: MutableMapping[Key, DSGNodeState]
     priorities: MutableMapping[Key, float]
     u: Key
     v: Key
+    uid_u: int
     t: int
     a: int
     rng: random.Random
@@ -166,77 +173,95 @@ class _Transformation:
     outcome: TransformationOutcome
     recorder: OpRecorder
 
-    def split(self, members: List[Key], level: int) -> int:
-        """Split ``members`` (a linked list at ``level - 1``) and recurse.
+    def split(
+        self, members: List[Key], level: int, member_states: List[DSGNodeState], contains_pair: bool
+    ) -> int:
+        """Split ``members`` (a linked list at ``level - 1``, in key order) and recurse.
 
-        Returns the critical-path rounds of this branch.
+        ``member_states`` is aligned with ``members``; ``contains_pair`` says
+        whether both ``u`` and ``v`` are in the list.  Every member's state is
+        read once, into lists aligned with ``members`` — rule P4 runs in the
+        same pass — and the assignment is one ``to_one`` flag per member that
+        the group-id reassignment, the chain check and the split-level marks
+        consume.  Returns the critical-path rounds of this branch.
         """
-        if len(members) < 2:
-            return 0
-
+        size = len(members)
         u = self.u
         v = self.v
-        states = self.states
         priorities = self.priorities
         outcome = self.outcome
-        recorder = self.recorder
-        contains_pair = u in members and v in members
+        parent = level - 1
+
+        # Priorities are totally ordered as (priority, finer group-id, key)
+        # triples: ties in raw priority (common when rule T2 stamped a whole
+        # group with the same value) are broken first by the node's group-id
+        # at the level being assigned — so members of the same finer group
+        # stay contiguous in the order and are only separated when the median
+        # falls inside their block — and finally by key so the order is
+        # total.  This keeps the skip graph height bounded (Lemma 5) while
+        # preserving the group cohesion the working set property relies on
+        # (docs/DEVIATIONS.md, row 1).  A list a split produced without the pair
+        # first recomputes its priorities with rule P4 (see
+        # recompute_priority_p4) from the group-ids that split just wrote.
+        recompute = not contains_pair and parent > outcome.alpha
+        t = self.t
+        parent_groups: List[Key] = []
+        order: List[Tuple[float, int, Key]] = []
+        for key, state in zip(members, member_states):
+            group_ids = state.group_ids
+            uid = state.uid
+            group = group_ids.get(parent, uid)
+            parent_groups.append(group)
+            if recompute:
+                if type(group) is not int or group <= 0:
+                    _require_positive_identifier(group)
+                priority = float(-(group * t) + state.timestamps.get(level, 0))
+                priorities[key] = priority
+            else:
+                priority = priorities[key]
+            group = group_ids.get(level, uid)
+            if type(group) is not int:  # bool / non-int ids rank as 0
+                group = group if isinstance(group, int) and not isinstance(group, bool) else 0
+            order.append((priority, group, key))
 
         # ------------------------------------------------------------ median
-        if contains_pair and set(members) == {u, v}:
+        if contains_pair and size == 2:
             amf_result: Optional[AMFResult] = None
             step_rounds = 1
-            zero_list, one_list = [u], [v]
-            outcome.d_prime = level - 1
+            to_one = [key == v for key in members]
+            outcome.d_prime = parent
         else:
-            # Priorities are totally ordered as (priority, finer group-id, key)
-            # triples: ties in raw priority (common when rule T2 stamped a whole
-            # group with the same value) are broken first by the node's group-id
-            # at the level being assigned — so members of the same finer group
-            # stay contiguous in the order and are only separated when the median
-            # falls inside their block — and finally by key so the order is
-            # total.  This keeps the skip graph height bounded (Lemma 5) while
-            # preserving the group cohesion the working set property relies on
-            # (see DESIGN.md, "Simplifications").
-            ordered_values = {}
-            for key in members:
-                state = states[key]
-                group = state.group_ids.get(level, state.uid)
-                if type(group) is not int:  # bool / non-int ids take the slow path
-                    group = _group_rank(state, level)
-                ordered_values[key] = (priorities[key], group, key)
             if self.use_exact_median:
-                median_pair = exact_median(list(ordered_values.values()))
+                median_pair = exact_median(order)
                 amf_result = None
-                step_rounds = 2 * max(1, math.ceil(math.log2(len(members))))
+                step_rounds = 2 * max(1, math.ceil(math.log2(size)))
             else:
                 # Rank diagnostics (Lemma 1 instrumentation) are skipped on the
                 # serving path: two O(n) scans per split that nothing reads.
                 amf_result = approximate_median(
-                    ordered_values, a=self.a, rng=self.rng, diagnostics=False
+                    dict(zip(members, order)), a=self.a, rng=self.rng, diagnostics=False
                 )
                 median_pair = amf_result.median
                 step_rounds = amf_result.rounds
                 outcome.amf_calls += 1
             median = median_pair[0]
-
             received_medians = outcome.received_medians
-            parent_level = level - 1
             for key in members:
-                per_key = received_medians.get(key)
-                if per_key is None:
-                    received_medians[key] = {parent_level: median}
-                else:
-                    per_key[parent_level] = median
+                received_medians[key][parent] = median
 
-            zero_list, one_list, extra_rounds = self._assign(
-                members, ordered_values, median_pair, level, amf_result
+            to_one, extra_rounds = self._assign(
+                members, member_states, order, parent_groups, median_pair, level, amf_result
             )
             step_rounds += extra_rounds
 
         # ------------------------------------------------------------ apply bits
         # Each sublist is one commuting run (distinct keys, same level, same
-        # bit): the recorder splices the new level list in one pass.
+        # bit), in key order because ``members`` is: the recorder splices
+        # the new level list in one pass.
+        to_zero = list(map(not_, to_one))
+        zero_list = list(compress(members, to_zero))
+        one_list = list(compress(members, to_one))
+        recorder = self.recorder
         recorder.promote_run(zero_list, level, 0)
         recorder.promote_run(one_list, level, 1)
 
@@ -244,103 +269,94 @@ class _Transformation:
         # to the a-balance property (Section IV-C).
         step_rounds += self.a
 
+        # The side holding both u and v (None when the split separates them
+        # or they are not in this list).
+        pair_side: Optional[bool] = None
+        if contains_pair:
+            side_u = bool(to_one[members.index(u)])
+            if side_u == bool(to_one[members.index(v)]):
+                pair_side = side_u
+        uid_u = self.uid_u
+
         # ------------------------------------------------------------ group ids
         split_group_ids = assign_group_ids_after_split(
-            states=states,
-            zero_list=zero_list,
-            one_list=one_list,
-            level=level,
-            parent_level=level - 1,
-            u=u,
-            v=v,
+            member_states, parent_groups, to_one, level, pair_side=pair_side, pair_uid=uid_u
         )
         if split_group_ids:
             # New group-id broadcast over the balanced skip list (Section IV-D).
             step_rounds += (
                 amf_result.skiplist.broadcast_rounds()
                 if amf_result is not None and amf_result.skiplist is not None
-                else max(1, math.ceil(math.log2(len(members))))
+                else max(1, math.ceil(math.log2(size)))
             )
-            split_parent_groups = set(split_group_ids)
-            parent = level - 1
-            uid_u = states[u].uid
-            for key in members:
-                state = states[key]
-                gid = state.group_ids.get(parent, state.uid)
-                if gid in split_parent_groups or (contains_pair and gid == uid_u):
-                    outcome.split_levels.setdefault(key, []).append(parent)
+            marked = set(split_group_ids)
+            if contains_pair:
+                marked.add(uid_u)
+            split_levels = outcome.split_levels
+            for key, group in zip(members, parent_groups):
+                if group in marked:
+                    split_levels.setdefault(key, []).append(parent)
 
         # ------------------------------------------------------------ dummies
+        zero_is_pair = pair_side is False and len(zero_list) == 2
         if self.maintain_a_balance:
-            dummies = self._break_chains(members, zero_list, one_list, level)
+            dummies = self._break_chains(members, to_one, level, zero_is_pair)
             if dummies:
                 step_rounds += CHAIN_CHECK_ROUNDS + DUMMY_PLACEMENT_ROUNDS
             else:
                 step_rounds += CHAIN_CHECK_ROUNDS
             outcome.dummies_added.extend(dummies)
 
-        if set(zero_list) == {u, v}:
+        if zero_is_pair:
             outcome.d_prime = level
         if level > outcome.deepest_level:
             outcome.deepest_level = level
         outcome.total_work_rounds += step_rounds
 
-        # ------------------------------------------------------------ P4 + recurse
+        # ------------------------------------------------------------ recurse
         child_rounds = 0
-        for child in (zero_list, one_list):
-            if len(child) < 2:
-                continue
-            child_has_pair = u in child and v in child
-            if not child_has_pair:
-                # Rule P4 inlined (see recompute_priority_p4): one dict probe per
-                # member on the hottest loop of the recursion.
-                t = self.t
-                next_level = level + 1
-                for key in child:
-                    state = states[key]
-                    group = state.group_ids.get(level, state.uid)
-                    if type(group) is not int or group <= 0:
-                        _require_positive_identifier(group)
-                    priorities[key] = float(-(group * t) + state.timestamps.get(next_level, 0))
-            child_rounds = max(child_rounds, self.split(child, level + 1))
+        for child, side, selected in ((zero_list, False, to_zero), (one_list, True, to_one)):
+            if len(child) > 1:
+                rounds = self.split(
+                    child, level + 1, list(compress(member_states, selected)), side == pair_side
+                )
+                if rounds > child_rounds:
+                    child_rounds = rounds
         return step_rounds + child_rounds
 
     # ----------------------------------------------------------------------- assignment
     def _assign(
         self,
         members: List[Key],
-        order: Mapping[Key, Tuple[float, int, Key]],
+        member_states: List[DSGNodeState],
+        order: List[Tuple[float, int, Key]],
+        parent_groups: List[Key],
         median_pair: Tuple[float, int, Key],
         level: int,
         amf_result: Optional[AMFResult],
-    ) -> Tuple[List[Key], List[Key], int]:
-        """Decide which members move to the 0- and 1-subgraph.
+    ) -> Tuple[List[bool], int]:
+        """Decide which members move to the 1-subgraph (the rest move to the 0-subgraph).
 
-        ``order`` maps every member to its ``(priority, group, key)`` triple
-        and ``median_pair`` is the approximate median of those triples; the
-        numeric median (used by the Case 2 band test) is ``median_pair[0]``.
+        ``order[i]`` is ``members[i]``'s ``(priority, group, key)`` triple,
+        ``parent_groups[i]`` its group-id at the parent level, and
+        ``median_pair`` the approximate median of the triples; the numeric
+        median (used by the Case 2 band test) is ``median_pair[0]``.
 
-        Returns ``(zero_list, one_list, extra_rounds)``.
+        Returns ``(to_one, extra_rounds)`` with one flag per member.
         """
         u = self.u
         v = self.v
-        states = self.states
         median = median_pair[0]
         if median >= 0:
-            zero, one = _split_by_order(members, order, median_pair, u, v)
+            to_one = _split_by_order(members, order, median_pair, u, v)
             # Case 1 records the is-dominating-group flags for this level.
-            for key in zero:
-                states[key].set_dominating(level, True)
-            for key in one:
-                states[key].set_dominating(level, False)
-            return zero, one, 0
+            for state, moved in zip(member_states, to_one):
+                state.dominating[level] = not moved
+            return to_one, 0
 
-        straddled = find_straddled_group(
-            states=states, members=members, level=level - 1, median=median, t=self.t, exclude=(u, v)
-        )
+        straddled = find_straddled_group(members, parent_groups, median, self.t, exclude=(u, v))
         if straddled is None:
-            zero, one = _split_by_order(members, order, median_pair, u, v)
-            return zero, one, 0
+            return _split_by_order(members, order, median_pair, u, v), 0
 
         # Case 2 proper: the distributed counts |g_s|, |L_low|, |L_high| cost one
         # aggregation over the balanced skip list built by AMF (Appendix D).
@@ -350,39 +366,36 @@ class _Transformation:
         size_list = len(members)
 
         if size_gs * 3 > 2 * size_list:  # |g_s| > 2/3 |l_d|
-            one = [key for key in members if key in gs and states[key].is_dominating(level)]
-            one_set = set(one)
-            zero = [key for key in members if key not in one_set]
-            if not one:
+            to_one = [
+                key in gs and state.dominating.get(level, False)
+                for key, state in zip(members, member_states)
+            ]
+            if True not in to_one:
                 # No member of g_s carries a dominating flag (the group was never
                 # formed by a positive median).  Fall back to halving the group
                 # so the height bound of Lemma 5 still holds.
-                zero, one = _fallback_split(members, gs)
-            return sorted(zero), sorted(one), extra_rounds
+                to_one = _fallback_split(members, gs)
+            return to_one, extra_rounds
 
         if size_gs * 3 < size_list:  # |g_s| < 1/3 |l_d|
-            low_count = sum(1 for key in members if order[key] < median_pair)
-            high_count = size_list - low_count
-            zero = [key for key in members if key not in gs and order[key] >= median_pair]
-            one = [key for key in members if key not in gs and order[key] < median_pair]
-            if high_count < low_count:
-                zero.extend(straddled)
-            else:
-                one.extend(straddled)
-            return sorted(zero), sorted(one), extra_rounds
+            # Outside g_s the direct comparison decides; g_s moves wholesale
+            # to the side the comparison (over the whole list) leaves lighter,
+            # ties to the 1-subgraph.
+            below = [value < median_pair for value in order]
+            low_count = below.count(True)
+            gs_to_one = size_list - low_count >= low_count
+            return [gs_to_one if key in gs else low for key, low in zip(members, below)], extra_rounds
 
-        # 1/3 |l_d| <= |g_s| <= 2/3 |l_d|
-        one = list(straddled)
-        zero = [key for key in members if key not in gs]
-        return sorted(zero), sorted(one), extra_rounds
+        # 1/3 |l_d| <= |g_s| <= 2/3 |l_d|: g_s moves wholesale to the 1-subgraph.
+        return [key in gs for key in members], extra_rounds
 
     # ----------------------------------------------------------------------- dummies
     def _break_chains(
         self,
         members: List[Key],
-        zero_list: List[Key],
-        one_list: List[Key],
+        to_one: List[bool],
         level: int,
+        zero_is_pair: bool,
     ) -> List[Key]:
         """Insert dummy nodes to break runs longer than ``a`` (Section IV-F).
 
@@ -400,13 +413,21 @@ class _Transformation:
         The run detection walks the *actual* parent list — real members with
         their freshly assigned bits plus any dummy node already living in that
         list (whose bit, or absence of one, also affects the runs).
+        ``zero_is_pair`` says the 0-sublist is exactly ``{u, v}``.
         """
         graph = self.graph
         a = self.a
-        u = self.u
-        v = self.v
-        zero_set = set(zero_list)
-        one_set = set(one_list)
+        parent_bits = graph.membership(members[0]).bits[: level - 1]
+        ordered = graph.list_at(level - 1, parent_bits)
+        if len(ordered) <= a:
+            return []  # no run longer than ``a`` fits: no check, no draw
+        if len(ordered) == len(members):
+            # No other node lives in the parent list, so its runs are the
+            # runs of ``to_one``: without one longer than ``a``, nothing to do.
+            flags = bytes(to_one)
+            if bytes(a + 1) not in flags and b"\x01" * (a + 1) not in flags:
+                return []
+        side = dict(zip(members, to_one))
         dummies: List[Key] = []
         # The placements are collected and landed in one batch at the end of the
         # pass: ``ordered`` is a snapshot, a dummy never changes another node's
@@ -414,22 +435,17 @@ class _Transformation:
         # already claimed — so the batch is byte-identical (ops, RNG stream,
         # dirty marks) to inserting at each detection point.
         pending: List[Tuple[Key, Tuple[int, ...]]] = []
-        parent_prefix = graph.membership(members[0]).prefix(level - 1)
-        ordered = graph.list_members(level - 1, parent_prefix) if level >= 1 else sorted(members)
         run_bit: Optional[int] = None
         run_length = 0
         for index, key in enumerate(ordered):
-            if key in zero_set:
-                bit: Optional[int] = 0
-            elif key in one_set:
-                bit = 1
-            else:
-                membership = graph.membership(key)
-                bit = membership.bit(level) if len(membership) >= level else None
-            if bit is None:
-                run_bit = None
-                run_length = 0
-                continue
+            bit = side.get(key)
+            if bit is None:  # a node that is not being split here (a dummy)
+                bits = graph.membership(key).bits
+                bit = bits[level - 1] if len(bits) >= level else None
+                if bit is None:
+                    run_bit = None
+                    run_length = 0
+                    continue
             if bit == run_bit:
                 run_length += 1
             else:
@@ -437,102 +453,90 @@ class _Transformation:
                 run_length = 1
             if run_length > a:
                 previous_key = ordered[index - 1]
-                sibling_bit = 1 - bit
-                if sibling_bit == 0 and set(zero_list) == {u, v}:
+                if bit and zero_is_pair:
                     # The dummy would join the size-two sublist that realises the
                     # pair's direct link; if its key could land between u and v
                     # it would deny them that link, so the chain is left alone
-                    # here (documented deviation, see DESIGN.md).
+                    # here (docs/DEVIATIONS.md, row 4).
+                    u, v = self.u, self.v
                     low_uv, high_uv = (u, v) if u < v else (v, u)
                     if not (key <= low_uv or previous_key >= high_uv):
                         continue
                 dummy_key = _pick_dummy_key(graph, previous_key, key, self.rng, taken=dummies)
                 if dummy_key is None:
                     continue
-                prefix = graph.membership(previous_key).prefix(level - 1)
-                pending.append((dummy_key, prefix.bits + (1 - bit,)))
+                pending.append((dummy_key, parent_bits + (1 - bit,)))
                 dummies.append(dummy_key)
                 run_length = 1
         self.recorder.insert_dummy_run(pending)
         return dummies
 
 
-def _group_rank(state: DSGNodeState, level: int) -> int:
-    """Secondary sort component: the node's group-id at ``level``.
-
-    Group-ids are positive integers uncorrelated with key order, so using
-    them as a tie-break keeps members of the same (finer) group adjacent in
-    the priority order without biasing which side of the median they land on.
-    """
-    group = state.group_ids.get(level, state.uid)
-    if isinstance(group, bool) or not isinstance(group, int):
-        return 0
-    return group
-
-
 def _split_by_order(
     members: List[Key],
-    order: Mapping[Key, Tuple[float, int, Key]],
+    order: List[Tuple[float, int, Key]],
     median_pair: Tuple[float, int, Key],
     u: Key,
     v: Key,
-) -> Tuple[List[Key], List[Key]]:
-    """Direct comparison split with a progress guarantee.
+) -> List[bool]:
+    """Direct comparison split with a progress guarantee; one ``to_one`` flag per member.
 
     The paper's rule sends ``P(x) >= M`` to the 0-subgraph and the rest to
     the 1-subgraph; with the (priority, key) order the comparison is strict
     enough that both sides are non-empty except when the approximate median
     happens to be the minimum, in which case the member holding it is
-    demoted (progress guarantee).
+    demoted (progress guarantee, docs/DEVIATIONS.md row 2).
     """
-    zero = [key for key in members if order[key] >= median_pair]
-    one = [key for key in members if order[key] < median_pair]
-    if not one:
-        demote = [key for key in members if order[key] == median_pair and key not in (u, v)]
-        if demote:
-            demote_set = set(demote)
-            zero = [key for key in members if key not in demote_set]
-            one = demote
-        else:
-            # Everyone is a communicating node or strictly above the median;
-            # the caller handles the {u, v} pair case before reaching here.
-            keep = [key for key in members if key in (u, v)]
-            rest = [key for key in members if key not in (u, v)]
-            half = len(rest) // 2
-            zero = keep + rest[:half]
-            one = rest[half:]
-    elif not zero:
+    to_one = [value < median_pair for value in order]
+    if True not in to_one:
+        demote = [value == median_pair and key != u and key != v for key, value in zip(members, order)]
+        if True in demote:
+            return demote
+        # Everyone is a communicating node or strictly above the median; the
+        # caller handles the {u, v} pair case before reaching here.  The
+        # upper half of the other members moves to the 1-subgraph.
+        rest = len(members) - (u in members) - (v in members)
+        cut = rest // 2
+        to_one = []
+        for key in members:
+            if key == u or key == v:
+                to_one.append(False)
+            else:
+                to_one.append(cut <= 0)
+                cut -= 1
+        return to_one
+    if False not in to_one:
         # Degenerate case for P4-only lists (no communicating member).
-        promote = [key for key in members if order[key] == median_pair]
-        promote_set = set(promote)
-        zero = promote
-        one = [key for key in members if key not in promote_set]
-        if not one:
+        to_one = [value != median_pair for value in order]
+        if True not in to_one:
             half = max(1, len(members) // 2)
-            zero, one = members[:half], members[half:]
-    return sorted(zero), sorted(one)
+            to_one = [index >= half for index in range(len(members))]
+    return to_one
 
 
-def _fallback_split(members: List[Key], gs: Set[Key]) -> Tuple[List[Key], List[Key]]:
-    """Split a dominating group with no usable dominating flags (see ``_assign``)."""
-    gs_members = [key for key in members if key in gs]
-    others = [key for key in members if key not in gs]
-    half = max(1, len(gs_members) // 2)
-    zero = others + gs_members[:half]
-    one = gs_members[half:]
-    if not one:
-        last = gs_members[-1]
-        one = [last]
-        zero = [key for key in members if key != last]
-    return zero, one
+def _fallback_split(members: List[Key], gs: Set[Key]) -> List[bool]:
+    """Split a dominating group with no usable dominating flags (docs/DEVIATIONS.md row 3).
+
+    The upper half of ``g_s`` (at least its last member) moves to the
+    1-subgraph; everyone else stays in the 0-subgraph.
+    """
+    cut = min(max(1, len(gs) // 2), len(gs) - 1)
+    to_one = []
+    for key in members:
+        if key in gs:
+            to_one.append(cut <= 0)
+            cut -= 1
+        else:
+            to_one.append(False)
+    return to_one
 
 
 def _count_rounds(amf_result: Optional[AMFResult], members: Sequence[Key]) -> int:
     """Rounds to compute |g_s|, |L_low|, |L_high| with the AMF skip list."""
     if amf_result is not None and amf_result.skiplist is not None:
-        ones = {key: 1.0 for key in amf_result.skiplist.levels[0]}
-        return distributed_sum(amf_result.skiplist, ones).rounds
-    return max(1, math.ceil(math.log2(max(2, len(members)))))
+        skiplist = amf_result.skiplist
+        return distributed_sum(skiplist, dict.fromkeys(skiplist.levels[0], 1.0)).rounds
+    return max(1, (max(2, len(members)) - 1).bit_length())  # ceil(log2(|l_d|)), at least 1
 
 
 def _pick_dummy_key(

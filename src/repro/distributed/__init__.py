@@ -47,7 +47,7 @@ The aggregation protocols communicate over the balanced skip list's
 In a real deployment those exchanges are relayed over at most ``2a``
 consecutive level links; the relay cost is part of the structural
 accounting, while the message-level version uses a direct logical link per
-segment for clarity.  This simplification is documented in DESIGN.md.
+segment for clarity.  This simplification is row 8 of docs/DEVIATIONS.md.
 """
 
 from repro.distributed.routing_protocol import (

@@ -1,8 +1,8 @@
 """Experiment harness: one module per reproduced figure/claim (E1-E13).
 
 The paper has no empirical tables; the experiments regenerate its worked
-figures and empirically validate each lemma/theorem (see DESIGN.md for the
-index and EXPERIMENTS.md for recorded outcomes); E13 additionally validates
+figures and empirically validate each lemma/theorem (see docs/EXPERIMENTS.md
+for the index and the recorded outcomes); E13 additionally validates
 the reproduction's own scale machinery (routing fast path, incremental
 working-set counters, churn).  Every experiment returns
 an :class:`ExperimentResult` holding one or more

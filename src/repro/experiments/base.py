@@ -17,7 +17,7 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        Identifier from the DESIGN.md index (e.g. ``"E5"``).
+        Identifier from the docs/EXPERIMENTS.md index (e.g. ``"E5"``).
     title:
         Human-readable description (which paper artefact is regenerated).
     tables:

@@ -70,7 +70,7 @@ def run(
     result.checks["structural_rounds_sublinear"] = growth <= 0.75 * linear_growth
     # The structural accounting streams values one word per round (CONGEST),
     # so the observed rounds grow like a * log^2 n rather than the idealised
-    # log n; check against the polylog envelope (see EXPERIMENTS.md).
+    # log n; check against the polylog envelope (see docs/EXPERIMENTS.md).
     result.checks["structural_rounds_polylog"] = all(
         rounds <= 4 * a * (math.log2(size) ** 2) for size, rounds in structural_points
     )

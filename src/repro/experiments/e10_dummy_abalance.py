@@ -6,9 +6,12 @@ Tracks, over a long DSG run and for several values of the balance parameter
 * the number of live dummy nodes (the paper bounds the number of *useful*
   dummies by ``n/a``; stale dummies awaiting lazy cleanup add a small
   constant factor),
-* the residual a-balance violations and the worst observed run length
-  (the reproduction guarantees runs never exceed ``2a`` — see DESIGN.md for
-  the documented deviation),
+* the residual a-balance violations and the worst observed run length,
+  checked against ``2a + 2`` at this experiment's size.  That is not a
+  bound at scale: request transformations leave longer residual runs, and
+  the measurement spine's ``skipgraph.balance.max_residual_run`` reads 13
+  on ``central-aligned`` and 12 on ``central-temporal`` at ``a = 4``
+  (ROADMAP item 4b),
 * the same run with maintenance disabled, as the ablation.
 """
 

@@ -1,4 +1,4 @@
-"""Registry of all experiments (DESIGN.md index E1-E12, plus E13 scale)."""
+"""Registry of all experiments (the docs/EXPERIMENTS.md index, E1-E13)."""
 
 from __future__ import annotations
 

@@ -320,26 +320,32 @@ class SkipGraph:
         node = self._nodes[key]
         old = node.membership
         new = MembershipVector(membership) if not isinstance(membership, MembershipVector) else membership
+        old_bits = old.bits
+        new_bits = new.bits
         if self.tracker is not None:
-            self.tracker.mark_rewrite(key, old.bits, new.bits)
+            self.tracker.mark_rewrite(key, old_bits, new_bits)
         node.membership = new
+        if len(new_bits) == len(old_bits) + 1 and new_bits[:-1] == old_bits:
+            # The transformation's one-bit append: the node enters one list
+            # (the one ``new_bits`` names) and leaves none.
+            self._register_vector(new_bits, start=len(new_bits), dummy=node.is_dummy)
+            cache_key = (len(new_bits), new_bits)
+            self._list_cache.pop(cache_key, None)
+            self._pos_cache.pop(cache_key, None)
+            self._pending_inserts.pop(cache_key, None)
+            return
         keep_prefix = common_prefix_length(old, new)
-        self._unregister_vector(old.bits, start=keep_prefix + 1, dummy=node.is_dummy)
-        self._register_vector(new.bits, start=keep_prefix + 1, dummy=node.is_dummy)
-        self._invalidate_for_change(old, new, keep_prefix)
-
-    def _invalidate_for_change(self, old: MembershipVector, new: MembershipVector, keep_prefix: int) -> None:
-        longest = max(len(old), len(new))
+        self._unregister_vector(old_bits, start=keep_prefix + 1, dummy=node.is_dummy)
+        self._register_vector(new_bits, start=keep_prefix + 1, dummy=node.is_dummy)
         pop_list = self._list_cache.pop
         pop_pos = self._pos_cache.pop
         pop_pending = self._pending_inserts.pop
-        for level in range(keep_prefix + 1, longest + 1):
-            for vector in (old, new):
-                if len(vector) >= level:
-                    cache_key = (level, vector.bits[:level])
-                    pop_list(cache_key, None)
-                    pop_pos(cache_key, None)
-                    pop_pending(cache_key, None)
+        for bits in (old_bits, new_bits):
+            for level in range(keep_prefix + 1, len(bits) + 1):
+                cache_key = (level, bits[:level])
+                pop_list(cache_key, None)
+                pop_pos(cache_key, None)
+                pop_pending(cache_key, None)
 
     # ------------------------------------------------- incremental height data
     def _register_vector(self, bits: Prefix, start: int = 1, dummy: bool = False) -> None:
@@ -437,14 +443,20 @@ class SkipGraph:
         first = nodes.get(keys[0])
         if first is None:
             return False
-        parent_bits = first.membership.bits
+        parent = first.membership
+        parent_bits = parent.bits
         if len(parent_bits) != level - 1:
             return False
         dummy_count = 0
         previous = None
         for key in keys:
             node = nodes.get(key)
-            if node is None or node.membership.bits != parent_bits:
+            if node is None:
+                return False
+            # The previous split (or the subtree's demote) usually gave the
+            # whole run one shared vector object: identity settles it.
+            membership = node.membership
+            if membership is not parent and membership.bits != parent_bits:
                 return False
             if previous is not None and not previous < key:
                 return False
@@ -504,15 +516,27 @@ class SkipGraph:
                 return False
             previous = key
             entries.append((node, bits))
-        affected: Dict[Tuple[int, Prefix], List[Key]] = {}
+        # Bucket the keys by abandoned list.  The walk tracks each prefix as
+        # an int (a leading 1, then the bits) grown by one bit per level, so it
+        # neither slices nor hashes a tuple per key and level; a bucket's
+        # prefix tuple is sliced once, off its first carrier's vector.
+        shared_code = 1
+        for bit in shared_bits:
+            shared_code = 2 * shared_code + bit
+        buckets: Dict[int, Tuple[Prefix, List[Key]]] = {}
         for (node, bits), key in zip(entries, keys):
-            for level in range(length + 1, len(bits) + 1):
-                entry = (level, bits[:level])
-                bucket = affected.get(entry)
+            code = shared_code
+            for depth in range(length, len(bits)):
+                code = 2 * code + bits[depth]
+                bucket = buckets.get(code)
                 if bucket is None:
-                    affected[entry] = [key]
+                    buckets[code] = (bits, [key])
                 else:
-                    bucket.append(key)
+                    bucket[1].append(key)
+        affected: Dict[Tuple[int, Prefix], List[Key]] = {}
+        for code, (bits, abandoned) in buckets.items():
+            level = code.bit_length() - 1
+            affected[(level, bits[:level])] = abandoned
         tracker = self.tracker
         if tracker is not None:
             tracker.mark_run(length, shared_bits, keys)
@@ -639,26 +663,35 @@ class SkipGraph:
                 tracker.mark_insert(node.key, node.membership.bits)
         nodes = self._nodes
         new_keys: List[Key] = []
-        by_list: Dict[Tuple[int, Prefix], List[Key]] = {}
-        list_cache = self._list_cache
+        # The prefix index and the cached lists are updated once per distinct
+        # vector: a chain pass lands its dummies with two vectors at most.
+        by_vector: Dict[Tuple[Prefix, bool], List[Key]] = {}
         for node in new_nodes:
             key = node.key
             if key in nodes:
                 raise ValueError(f"duplicate key {key!r}")
             nodes[key] = node
             new_keys.append(key)
-            bits = node.membership.bits
-            if node.is_dummy:
-                self._dummy_count += 1
-            self._register_vector(bits, dummy=node.is_dummy)
+            vector = (node.membership.bits, node.is_dummy)
+            carriers = by_vector.get(vector)
+            if carriers is None:
+                by_vector[vector] = [key]
+            else:
+                carriers.append(key)
+        by_list: Dict[Tuple[int, Prefix], List[Key]] = {}
+        list_cache = self._list_cache
+        for (bits, dummy), carriers in by_vector.items():
+            if dummy:
+                self._dummy_count += len(carriers)
+            self._register_vectors(bits, len(carriers), dummy_count=len(carriers) if dummy else 0)
             for level in range(1, len(bits) + 1):
                 cache_key = (level, bits[:level])
                 if cache_key in list_cache:
                     bucket = by_list.get(cache_key)
                     if bucket is None:
-                        by_list[cache_key] = [key]
+                        by_list[cache_key] = list(carriers)
                     else:
-                        bucket.append(key)
+                        bucket.extend(carriers)
         new_keys.sort()
         if len(self._sorted_keys) >= _PENDING_MIN:
             _merge_sorted(self._base_pending, new_keys)

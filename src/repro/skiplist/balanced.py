@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.simulation.rng import make_rng
@@ -47,6 +48,7 @@ class SupportBounds:
     maximum: int
 
     @classmethod
+    @lru_cache(maxsize=None)  # one immutable value per ``a``; AMF builds a list per split
     def for_parameter(cls, a: int) -> "SupportBounds":
         return cls(minimum=max(1, math.ceil(a / 2)), maximum=2 * a)
 
@@ -81,10 +83,10 @@ class BalancedSkipList:
         self.bounds = SupportBounds.for_parameter(a)
         self._rng = rng or make_rng()
         self.levels: List[List[Any]] = [list(items)]
-        # Per constructed level: positions of the promoted nodes within the
-        # level below, and the largest gap (reused by segments() and
-        # broadcast_rounds() instead of re-deriving them per call).
-        self._promoted_positions: List[List[int]] = []
+        # Per constructed level: the slice bounds of its segments and the
+        # largest gap (reused by segment_bounds() and broadcast_rounds()
+        # instead of re-deriving them per call).
+        self._segment_bounds: List[List[Tuple[int, int]]] = []
         self._level_gaps: List[int] = []
         self.construction_rounds = 0
         self._construct()
@@ -93,22 +95,25 @@ class BalancedSkipList:
     def _construct(self) -> None:
         while len(self.levels[-1]) > 1:
             lower = self.levels[-1]
-            upper, positions, max_gap = self._promote(lower)
+            upper, bounds, max_gap = self._promote(lower)
             self.construction_rounds += 1 + max_gap + self.REPAIR_ROUNDS_PER_LEVEL
             self.levels.append(upper)
-            self._promoted_positions.append(positions)
+            self._segment_bounds.append(bounds)
             self._level_gaps.append(max_gap)
 
-    def _promote(self, lower: Sequence[Any]) -> Tuple[List[Any], List[int], int]:
+    def _promote(self, lower: Sequence[Any]) -> Tuple[List[Any], List[Tuple[int, int]], int]:
         """One level of promotion with the deterministic support repair.
 
-        Returns the promoted nodes, their positions within ``lower`` and the
-        largest gap between consecutive promoted nodes (tail included),
-        tracked for free during the sweep.  One coin flip is drawn per candidate regardless of the
-        outcome, keeping the RNG stream identical to the reference sweep.
+        Returns the promoted nodes, the ``(start, end)`` bounds of the
+        segment each of them owns within ``lower`` and the largest gap
+        between consecutive promoted nodes (tail included), tracked for free
+        during the sweep.  One coin flip is drawn per candidate regardless
+        of the outcome, keeping the RNG stream identical to the reference
+        sweep.
         """
         promoted = [lower[0]]
-        positions = [0]
+        bounds = []
+        start = 0  # position of the previous promoted node
         gap = 0  # lower-level nodes since the previous promoted node
         max_gap = 0
         rng_random = self._rng.random
@@ -120,13 +125,15 @@ class BalancedSkipList:
             wants_promotion = rng_random() < threshold
             if gap >= bound_max or (wants_promotion and gap >= bound_min):
                 promoted.append(item)
-                positions.append(positions[-1] + gap)
+                bounds.append((start, start + gap))
+                start += gap
                 if gap > max_gap:
                     max_gap = gap
                 gap = 0
+        bounds.append((start, len(lower)))
         if gap > max_gap:  # the unpromoted tail counts toward the gap bound
             max_gap = gap
-        return promoted, positions, max_gap
+        return promoted, bounds, max_gap
 
     # -------------------------------------------------------------- structure
     @property
@@ -164,6 +171,19 @@ class BalancedSkipList:
             counts.append(right - left)
         return counts
 
+    def segment_bounds(self, level: int) -> List[Tuple[int, int]]:
+        """:meth:`segments` as ``(start, end)`` slice bounds into ``levels[level]``.
+
+        Segment ``i`` is owned by the ``i``-th node of ``levels[level + 1]``.
+        The bounds are recorded at construction (the returned list is live:
+        do not mutate it), so an aggregation over the skip list (AMF's
+        gather, the distributed sum) can slice a list of per-node values
+        aligned with the level instead of keying them by node.
+        """
+        if level + 1 >= len(self.levels):
+            return [(0, len(self.levels[level]))]
+        return self._segment_bounds[level]
+
     def segments(self, level: int) -> List[Tuple[Any, List[Any]]]:
         """Partition of level ``level`` by its nearest *left* promoted node.
 
@@ -174,14 +194,7 @@ class BalancedSkipList:
         gathered by that promoted node in AMF's forwarding step.
         """
         lower = self.levels[level]
-        if level + 1 >= self.height:
-            return [(lower[0], list(lower))]
-        # The promoted nodes' positions were recorded at construction; each
-        # segment is one slice of the lower level (first promoted node is
-        # always lower[0], so the slices cover the whole level).
-        positions = self._promoted_positions[level]
-        ends = positions[1:] + [len(lower)]
-        return [(lower[start], lower[start:end]) for start, end in zip(positions, ends)]
+        return [(lower[start], lower[start:end]) for start, end in self.segment_bounds(level)]
 
     def is_support_bounded(self, ignore_tail: bool = True) -> bool:
         """Check the ``a/2 <= support <= 2a`` invariant on every level.
@@ -213,7 +226,7 @@ class BalancedSkipList:
         segment; the longest chain dominates.
         """
         per_level_gap = self._level_gaps
-        return (self.height - 1) + (max(per_level_gap) if per_level_gap else 0)
+        return (len(self.levels) - 1) + (max(per_level_gap) if per_level_gap else 0)
 
     def convergecast_rounds(self) -> int:
         """Rounds for all base values to reach the root (one word per value)."""

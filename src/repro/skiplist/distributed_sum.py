@@ -16,7 +16,7 @@ group-ids after a split (Section IV-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, List, Mapping
 
 from repro.skiplist.balanced import BalancedSkipList
 
@@ -50,28 +50,24 @@ def distributed_sum(skiplist: BalancedSkipList, values: Mapping[Any, float],
         to all base nodes are included, as in the paper's description.
     """
     base = skiplist.levels[0]
-    missing = [item for item in base if item not in values]
-    if missing:
-        raise ValueError(f"missing values for items: {missing[:5]!r}")
-
-    # Per-level aggregation: each promoted node sums its segment.
-    current: Dict[Any, float] = {item: float(values[item]) for item in base}
+    try:
+        # Per-level aggregation over lists aligned with each level: every
+        # promoted node sums one slice of the level below.
+        current: List[float] = [float(values[item]) for item in base]
+    except KeyError:
+        missing = [item for item in base if item not in values]
+        raise ValueError(f"missing values for items: {missing[:5]!r}") from None
     rounds = 0
-    last_partials: Dict[Any, float] = dict(current)
+    partials, partials_level = current, 0
     for level in range(skiplist.height - 1):
-        last_partials = dict(current)
-        segments = skiplist.segments(level)
-        next_values: Dict[Any, float] = {}
-        longest = 0
-        for owner, members in segments:
-            next_values[owner] = sum(current[item] for item in members)
-            longest = max(longest, len(members))
+        partials, partials_level = current, level
+        bounds = skiplist.segment_bounds(level)
+        current = [sum(partials[start:end]) for start, end in bounds]
         # Values travel along the segment one hop per round (pipelined sums):
         # the longest segment dominates the level's round count.
-        rounds += longest
-        current = next_values
+        rounds += max(end - start for start, end in bounds)
 
-    total = current[skiplist.root]
+    total = current[0]  # the root's sum
     if include_broadcast:
         rounds += skiplist.broadcast_rounds()
-    return SumResult(total=total, rounds=rounds, partials=last_partials)
+    return SumResult(total=total, rounds=rounds, partials=dict(zip(skiplist.levels[partials_level], partials)))

@@ -44,6 +44,19 @@ class TestSmallLists:
             approximate_median({1: 1.0, 2: 2.0}, a=1)
 
 
+class TestDiagnosticsFlag:
+    @pytest.mark.parametrize("n", [3, 40], ids=["exact-path", "skip-list-path"])
+    def test_rank_fields_follow_the_flag_on_both_paths(self, n):
+        values = {key: float((key * 7) % 5) for key in range(1, n + 1)}
+        on = approximate_median(values, a=4, rng=make_rng(1), diagnostics=True)
+        off = approximate_median(values, a=4, rng=make_rng(1), diagnostics=False)
+        assert on.exact == off.exact == (n <= 4)
+        assert (on.rank_low, on.rank_high) == rank_interval(list(values.values()), on.median)
+        assert on.rank_low >= 1
+        assert (off.rank_low, off.rank_high) == (0, 0)
+        assert (off.median, off.rounds, off.n) == (on.median, on.rounds, on.n)
+
+
 class TestLemma1:
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("a", [3, 4, 8])

@@ -24,6 +24,10 @@ def make_states(keys):
     return {key: DSGNodeState(key=key) for key in keys}
 
 
+def groups_at(states, members, level):
+    return [states[key].group_id(level) for key in members]
+
+
 class TestDSGNodeState:
     def test_defaults(self):
         state = DSGNodeState(key=5)
@@ -149,39 +153,67 @@ class TestGroups:
         states[4].set_group_id(1, shared)
         states[3].set_group_id(1, shared)
         median = -(shared * t) + 1  # inside the band [-G*t, -(G-1)*t)
-        found = find_straddled_group(states, [1, 2, 3, 4, 5], level=1, median=median, t=t, exclude=(1, 2))
-        assert set(found) == {3, 4}
+        members = [1, 2, 3, 4, 5]
+        found = find_straddled_group(members, groups_at(states, members, 1), median=median, t=t, exclude=(1, 2))
+        assert found == [3, 4]
+
+    def test_find_straddled_group_never_returns_the_pair(self):
+        states = make_states([1, 2, 3])
+        t = 10
+        shared = states[1].uid
+        for key in (1, 2, 3):
+            states[key].set_group_id(0, shared)
+        median = -(shared * t)
+        assert find_straddled_group([1, 2, 3], groups_at(states, [1, 2, 3], 0), median, t, exclude=(1, 2)) == [3]
+        assert find_straddled_group([1, 2], groups_at(states, [1, 2], 0), median, t, exclude=(1, 2)) is None
 
     def test_find_straddled_group_none_for_positive_median(self):
         states = make_states([1, 2, 3])
-        assert find_straddled_group(states, [1, 2, 3], level=0, median=5.0, t=10, exclude=(1, 2)) is None
+        groups = groups_at(states, [1, 2, 3], 0)
+        assert find_straddled_group([1, 2, 3], groups, median=5.0, t=10, exclude=(1, 2)) is None
 
     def test_find_straddled_group_none_when_no_band_matches(self):
         states = make_states([1, 2, 3])
         t = 10
         median = -0.5  # above every band of positive group ids
-        assert find_straddled_group(states, [1, 2, 3], level=0, median=median, t=t, exclude=(1, 2)) is None
+        groups = groups_at(states, [1, 2, 3], 0)
+        assert find_straddled_group([1, 2, 3], groups, median=median, t=t, exclude=(1, 2)) is None
 
     def test_assign_group_ids_after_split_uv_list(self):
         states = make_states([1, 2, 3, 4])
+        members = [1, 2, 3, 4]
         split = assign_group_ids_after_split(
-            states, zero_list=[1, 2, 3], one_list=[4], level=1, parent_level=0, u=1, v=2
+            [states[k] for k in members], groups_at(states, members, 0), [False, False, False, True],
+            level=1, pair_side=False, pair_uid=states[1].uid,
         )
         assert all(states[k].group_id(1) == states[1].uid for k in (1, 2, 3))
         # Node 4 was a singleton group, so nothing was split.
-        assert states[4].uid not in split or split == []
+        assert split == []
+        assert 1 not in states[4].group_ids
 
     def test_assign_group_ids_split_group_gets_leftmost_uid(self):
         states = make_states([1, 2, 3, 4, 5, 6])
         shared = 999
         for key in (3, 4, 5, 6):
             states[key].set_group_id(0, shared)
+        members = [1, 2, 3, 4, 5, 6]
         split = assign_group_ids_after_split(
-            states, zero_list=[1, 2, 3, 4], one_list=[5, 6], level=1, parent_level=0, u=1, v=2
+            [states[k] for k in members], groups_at(states, members, 0),
+            [False, False, False, False, True, True], level=1, pair_side=False, pair_uid=states[1].uid,
         )
-        assert shared in split
+        assert split == [shared]
         assert states[5].group_id(1) == states[5].uid
         assert states[6].group_id(1) == states[5].uid
+        assert all(states[k].group_id(1) == states[1].uid for k in (1, 2, 3, 4))
+
+    def test_assign_group_ids_separated_pair_adopts_nothing(self):
+        states = make_states([1, 2, 3])
+        members = [1, 2, 3]
+        split = assign_group_ids_after_split(
+            [states[k] for k in members], groups_at(states, members, 0), [False, True, False], level=1,
+        )
+        assert split == []
+        assert all(1 not in states[k].group_ids for k in members)
 
     def test_glower_update_noop_when_groups_agree(self):
         states = make_states([1, 2, 3])

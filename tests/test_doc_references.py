@@ -1,0 +1,38 @@
+"""Every document a module under ``src/`` points its reader to exists.
+
+Docstrings and comments send the reader to the repository's documents by
+name (``docs/DEVIATIONS.md``, ``docs/EXPERIMENTS.md``, ``SNIPPETS.md``).  A
+name with a directory is resolved from the repository root; a bare name must
+be a document at the root or under ``docs/``.  Only the documents' own
+naming (an upper-case stem) counts: ``comparison.md`` in a command-line
+example names an output file, not a reference.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[A-Z][A-Z0-9_-]*\.md)\b")
+
+
+def _resolves(name: str) -> bool:
+    if "/" in name:
+        return (ROOT / name).is_file()
+    return (ROOT / name).is_file() or (ROOT / "docs" / name).is_file()
+
+
+def test_every_markdown_document_named_under_src_exists():
+    missing = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            for name in REFERENCE.findall(line):
+                if not _resolves(name):
+                    missing.append(f"{path.relative_to(ROOT)}:{number}: {name}")
+    assert not missing, "documents named but not in the repository:\n" + "\n".join(missing)
+
+
+def test_the_pattern_sees_bare_and_directory_names():
+    assert REFERENCE.findall("see DESIGN.md and docs/DEVIATIONS.md, not comparison.md") == [
+        "DESIGN.md",
+        "docs/DEVIATIONS.md",
+    ]

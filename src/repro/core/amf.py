@@ -159,7 +159,8 @@ def approximate_median(
     h = height - 1  # paper's h: the top (singleton) level index
     sample_size = max(2, a * max(h, 1))
     base = max(a / 2, 1.5)
-    # At least 2: log(max(h, 2)) over log(base >= 1.5) is positive.
+    # At least 2 (the log of max(h, 2) to a base of at least 1.5 is
+    # positive), so the base level below is never sampled.
     sampling_start = math.ceil(math.log(max(h, 2), base)) + 1
 
     # ``held`` lists the entries each node of the current level holds, aligned

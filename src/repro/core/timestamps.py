@@ -102,8 +102,8 @@ def _rule_t2(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
     """T2: refresh timestamps of nodes that stay in the merged group.
 
     ``c'`` is the common prefix of a node with its nearest communicating node
-    in ``S_t``.  ``u`` and ``v`` part after their first ``split`` bits, and a
-    node can agree with at most one of them on the next bit; that one is the
+    in ``S_t``.  ``u`` and ``v`` share their first ``shared`` bits, and a node
+    can agree with at most one of them on the next bit; that one is the
     nearest (on a tie both prefixes are equal), so one prefix per node is
     computed — and only for a node that received a median at a level where
     it belongs to the merged group.
@@ -113,7 +113,7 @@ def _rule_t2(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
     old_membership = ctx.old_membership
     old_u = old_membership[u]
     old_v = old_membership[v]
-    split = common_prefix_length(old_u, old_v)
+    shared = common_prefix_length(old_u, old_v)
     for key in ctx.members:
         if key == u or key == v:
             continue
@@ -127,7 +127,7 @@ def _rule_t2(states: Mapping[Key, DSGNodeState], ctx: TimestampContext) -> None:
         if not levels:
             continue
         membership = old_membership[key]
-        nearest = old_v if len(membership) > split < len(old_v) and membership[split] == old_v[split] else old_u
+        nearest = old_v if len(membership) > shared < len(old_v) and membership[shared] == old_v[shared] else old_u
         c_prime = common_prefix_length(membership, nearest)
         stamps = ctx.old_timestamps.get(key, {})
         older = [stamps.get(c, 0) for c in range(alpha, max(alpha, c_prime))]

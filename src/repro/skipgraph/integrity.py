@@ -28,7 +28,12 @@ Checks performed (each yields human-readable violation strings):
 2. **level lists** — walking every multi-node derived list through
    :meth:`SkipGraph.neighbors` (the cache-backed path routing uses)
    reproduces it with symmetric left/right pointers (doubly-linked
-   consistency);
+   consistency).  The walk is decided once per list first, on the two
+   structures ``neighbors`` reads: the cached members
+   (``_members_internal``) and their position map (``_positions``).  If
+   the members are the derived list and each member's position is its
+   index, every ``neighbors`` answer is right, so the list is clean; any
+   other outcome, an exception included, walks that list node by node;
 3. **membership-prefix consistency** — every cached list contains exactly
    the keys whose vectors carry its prefix, and the incremental prefix
    counts (total, dummy, multi-per-level) match a from-scratch recount;
@@ -38,19 +43,32 @@ Checks performed (each yields human-readable violation strings):
    set, adjacency symmetry, links and per-level labels equal the
    expectation derived from the graph (the
    :func:`~repro.distributed.routing_protocol.skip_graph_network`
-   convention: one link per level-adjacent pair, labelled ``level<d>``),
-   built in the network's own shape and compared row for row against
-   :attr:`Network.rows <repro.simulation.network.Network.rows>`; only
-   differing rows are taken apart link by link and sorted for the report.
+   convention: one link per level-adjacent pair, labelled ``level<d>``).
+   "Clean" is decided by counting, without building the expectation.  Let
+   E be the expected directed triples ``(u, v, "level<d>")`` and A the
+   triples :attr:`Network.rows <repro.simulation.network.Network.rows>`
+   holds.  Every triple of E is probed in ``rows[u][v]``, in both
+   directions (a label present on one side only is damage too), so
+   E ⊆ A; if also |A| = |E|, no row holds an empty label set and the node
+   sets agree, then ``rows`` equals the expected table.  (|E| is twice the
+   link count only when check 1 passed, so a dirty base list skips the
+   count.)  Otherwise the expectation is built in the network's own shape
+   and compared row for row; only differing rows are taken apart link by
+   link and sorted for the report.
 
-An empty return value means the structure is clean.  The report is capped
-(``max_violations``) so a badly corrupted 4096-node arena does not drown
-the caller in output; the cap is noted in the last entry when hit.
+The report path is the same whether or not a fast decision ran first, so
+the sweep returns the same violation strings in the same order.  An empty
+return value means the structure is clean.  The report is capped
+(``max_violations``, at least 1) so a badly corrupted 4096-node arena does
+not drown the caller in output; the cap is noted in the last entry when
+hit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from itertools import chain, repeat
+from operator import contains
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
@@ -67,6 +85,35 @@ class IntegrityError(ValueError):
     """Raised by :func:`assert_skip_graph_integrity` when violations exist."""
 
 
+def _rows_match(
+    rows: Mapping[Key, Dict[Key, AbstractSet[str]]],
+    pairs: Dict[int, Tuple[List[Key], List[Key]]],
+) -> bool:
+    """Whether ``rows`` is exactly the link table ``pairs`` describes.
+
+    ``pairs[level]`` holds a level's links as two aligned endpoint columns.
+    The caller guarantees the rows' node set is the columns' node set and
+    that a level's links join distinct keys, each pair once, so the
+    expected directed triples ``(u, v, "level<d>")`` number twice the
+    links.  Every one of them is probed in ``rows[u][v]``, in both
+    directions; if all are present, the rows hold no empty label set and
+    their labels add up to the same count, the rows carry nothing else —
+    so they equal the expected table.
+    """
+    row_of = rows.__getitem__
+    absent = repeat(())
+    expected_triples = 0
+    for level, (us, vs) in pairs.items():
+        label = repeat(f"level{level}")
+        expected_triples += 2 * len(us)
+        if not all(map(contains, map(dict.get, map(row_of, us), vs, absent), label)):
+            return False
+        if not all(map(contains, map(dict.get, map(row_of, vs), us, absent), label)):
+            return False
+    sizes = list(map(len, chain.from_iterable(map(dict.values, rows.values()))))
+    return 0 not in sizes and sum(sizes) == expected_triples
+
+
 def verify_skip_graph_integrity(
     graph: SkipGraph,
     network: Optional["Network"] = None,  # noqa: F821 - forward ref, see import below
@@ -81,8 +128,14 @@ def verify_skip_graph_integrity(
     caller is responsible for only passing a network that is *supposed*
     to mirror the graph — during a deferred-repair window the two
     legitimately diverge and the check should be run after the repair
-    wave.
+    wave.  ``max_violations`` and ``redundancy`` below 1 raise
+    ``ValueError``: the first would hide every violation, the second would
+    flag every correct link.
     """
+    if max_violations < 1:
+        raise ValueError(f"max_violations must be at least 1, got {max_violations!r}")
+    if redundancy < 1:
+        raise ValueError(f"redundancy must be at least 1, got {redundancy!r}")
     violations: List[str] = []
 
     def report(message: str) -> bool:
@@ -107,6 +160,7 @@ def verify_skip_graph_integrity(
         missing = set(nodes) - set(base)
         extra = set(base) - set(nodes)
         report(f"base list / node set mismatch (missing={sorted(missing)!r}, extra={sorted(extra)!r})")
+    base_clean = not violations
 
     # The one derivation, from raw bits only: every level list (singletons
     # included) keyed by its prefix — the level is the prefix's length —
@@ -128,7 +182,16 @@ def verify_skip_graph_integrity(
     )
 
     # 2. Level lists: the cache-backed neighbour walk agrees with the derivation.
+    # A list whose cached members and position map are exactly the derived
+    # list and its indexes would pass the walk; only the others are walked.
     for level, prefix, ordered in multi_lists:
+        try:
+            members = graph._members_internal(level, prefix)
+            positions = graph._positions(level, prefix, members)
+            if members == ordered and list(map(positions.get, ordered)) == list(range(len(ordered))):
+                continue
+        except Exception:  # the walk below reports it node by node
+            pass
         last = len(ordered) - 1
         for index, key in enumerate(ordered):
             try:
@@ -182,61 +245,71 @@ def verify_skip_graph_integrity(
         report(f"graph.validate(): {exc}")
 
     # 5. Network mirror: nodes, adjacency symmetry, links, level labels.
-    if network is not None:
-        rows = network.rows
-        if rows.keys() != nodes.keys():
-            report(
-                f"network node set mismatch (graph-only={sorted(nodes.keys() - rows.keys())!r}, "
-                f"network-only={sorted(rows.keys() - nodes.keys())!r})"
-            )
-        # Expected links in the network's storage shape: members of every
-        # list within distance ``redundancy`` share one label set per link.
-        expected: Dict[Key, Dict[Key, Set[str]]] = {key: {} for key in (*nodes, *base)}
-        for level, _prefix, ordered in [(0, (), base), *multi_lists]:
-            label = f"level{level}"
-            for distance in range(1, redundancy + 1):
-                for u, v in zip(ordered, ordered[distance:]):
-                    row = expected[u]
-                    labels = row.get(v)
-                    if labels is None:
-                        row[v] = expected[v][u] = {label}
-                    else:
-                        labels.add(label)
-        # The expectation is symmetric by construction, so a network whose
-        # every row equals it is symmetric too.
-        differing = [] if rows == expected else [
-            key for key in rows.keys() | expected.keys() if rows.get(key) != expected.get(key)
-        ]
-        if differing:
-            for u, row in rows.items():
-                for v in row:
-                    if u not in rows.get(v, ()):
-                        if not report(f"asymmetric adjacency: {u!r} -> {v!r} but not back"):
-                            return violations
-        missing_links, unexpected_links, relabelled = set(), set(), {}
-        for u in differing:
-            actual_row, expected_row = rows.get(u, {}), expected.get(u, {})
-            for v in actual_row.keys() | expected_row.keys():
-                link = tuple(sorted((u, v)))
-                if v not in actual_row:
-                    missing_links.add(link)
-                elif v not in expected_row:
-                    unexpected_links.add(link)
-                elif actual_row[v] != expected_row[v]:
-                    relabelled[link] = (actual_row[v], expected_row[v])
-        for link in sorted(missing_links):
-            if not report(f"missing link {list(link)!r}"):
-                return violations
-        for link in sorted(unexpected_links):
-            if not report(f"unexpected link {list(link)!r}"):
-                return violations
-        for link, (actual_labels, labels) in sorted(relabelled.items()):
-            if not report(
-                f"link {list(link)!r} carries labels {sorted(map(str, actual_labels))!r}, "
-                f"expected {sorted(labels)!r}"
-            ):
-                return violations
-
+    if network is None:
+        return violations
+    rows = network.rows
+    nodes_agree = rows.keys() == nodes.keys()
+    if not nodes_agree:
+        report(
+            f"network node set mismatch (graph-only={sorted(nodes.keys() - rows.keys())!r}, "
+            f"network-only={sorted(rows.keys() - nodes.keys())!r})"
+        )
+    # Every list within distance ``redundancy``, gathered per level as the
+    # two endpoint columns of its links: ``us[i]`` and ``vs[i]`` are linked.
+    pairs: Dict[int, Tuple[List[Key], List[Key]]] = {}
+    for level, _prefix, ordered in [(0, (), base), *multi_lists]:
+        us, vs = pairs.setdefault(level, ([], []))
+        for distance in range(1, redundancy + 1):
+            us += ordered[:-distance]
+            vs += ordered[distance:]
+    if nodes_agree and base_clean and _rows_match(rows, pairs):
+        return violations
+    # Something differs: build the expected links in the network's storage
+    # shape (one label set shared by a link's two rows) and take it apart.
+    expected: Dict[Key, Dict[Key, Set[str]]] = {key: {} for key in (*nodes, *base)}
+    for level, (us, vs) in pairs.items():
+        label = f"level{level}"
+        for u, v in zip(us, vs):
+            row = expected[u]
+            labels = row.get(v)
+            if labels is None:
+                row[v] = expected[v][u] = {label}
+            else:
+                labels.add(label)
+    # The expectation is symmetric by construction, so a network whose
+    # every row equals it is symmetric too.
+    differing = [] if rows == expected else [
+        key for key in rows.keys() | expected.keys() if rows.get(key) != expected.get(key)
+    ]
+    if differing:
+        for u, row in rows.items():
+            for v in row:
+                if u not in rows.get(v, ()):
+                    if not report(f"asymmetric adjacency: {u!r} -> {v!r} but not back"):
+                        return violations
+    missing_links, unexpected_links, relabelled = set(), set(), {}
+    for u in differing:
+        actual_row, expected_row = rows.get(u, {}), expected.get(u, {})
+        for v in actual_row.keys() | expected_row.keys():
+            link = tuple(sorted((u, v)))
+            if v not in actual_row:
+                missing_links.add(link)
+            elif v not in expected_row:
+                unexpected_links.add(link)
+            elif actual_row[v] != expected_row[v]:
+                relabelled[link] = (actual_row[v], expected_row[v])
+    for link in sorted(missing_links):
+        if not report(f"missing link {list(link)!r}"):
+            return violations
+    for link in sorted(unexpected_links):
+        if not report(f"unexpected link {list(link)!r}"):
+            return violations
+    for link, (actual_labels, labels) in sorted(relabelled.items()):
+        if not report(
+            f"link {list(link)!r} carries labels {sorted(map(str, actual_labels))!r}, "
+            f"expected {sorted(labels)!r}"
+        ):
+            return violations
     return violations
 
 

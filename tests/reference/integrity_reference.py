@@ -3,11 +3,19 @@
 The PR-6/PR-10 implementation of
 :func:`repro.skipgraph.integrity.verify_skip_graph_integrity`, moved here
 unchanged when the production sweep was rewritten as a single derivation
-pass with row-wise network comparison.  It re-derives the level lists per
-check, keys links by ``frozenset`` and reads the network through its public
-per-link API only — slow, and obviously correct.  The differential test in
-``tests/skipgraph/test_integrity_differential.py`` holds the production
-sweep to this one's violation report on clean and corrupted structures.
+pass.  It re-derives the level lists per check, walks every list through
+``SkipGraph.neighbors`` node by node, keys links by ``frozenset`` and
+reads the network through its public per-link API only — slow, and
+obviously correct.  The production sweep decides "clean" per list from
+the cached members and position map, and per level by counting the
+network's label triples, and falls back to node-by-node and link-by-link
+reporting only where that fails.  The differential test in
+``tests/skipgraph/test_integrity_differential.py`` holds it to this
+one's violation report on clean and corrupted structures.
+
+One blind spot: ``network.labels(u, v)`` reads one row per link, so a
+label present in one direction only goes unseen here (production
+reports it; ``tests/skipgraph/test_integrity.py`` pins those strings).
 """
 
 from __future__ import annotations

@@ -10,14 +10,17 @@ contract needs pinning from both sides:
   without their mirrored network (at every redundancy the network was
   built with);
 * **no false negatives** — each corruption class the checker exists for
-  (a broken level-list link, an unsorted base list, a membership vector
-  rewritten behind the incremental indexes' back, each of the four
-  incremental indexes poked on its own, and a network that drifted from
-  the graph — missing, spurious, mislabelled or one-way links) is seeded
-  deliberately and must be caught.
+  (a broken level-list link, a stale position map, an unsorted base list,
+  a membership vector rewritten behind the incremental indexes' back, each
+  of the four incremental indexes poked on its own, and a network that
+  drifted from the graph — missing, spurious, mislabelled or one-way
+  links, and labels present in one direction only) is seeded deliberately
+  and must be caught.
 
 The sweep's report is additionally held, string for string, to the
-pre-rewrite verifier in ``test_integrity_differential.py``.
+pre-rewrite verifier in ``test_integrity_differential.py``; the arguments
+are range-checked; and at the arena's shape a clean sweep is pinned to
+call ``SkipGraph.neighbors`` not at all.
 """
 
 import pytest
@@ -188,6 +191,17 @@ class TestSeededCorruptionIsCaught:
         poke(graph)
         assert verify_skip_graph_integrity(graph) == [expected]
 
+    def test_stale_position_map(self):
+        graph = build_balanced_skip_graph(range(1, 33))
+        assert verify_skip_graph_integrity(graph) == []  # fills the position maps
+        # The cached list is intact; only its key -> index map went stale.
+        positions = graph._pos_cache[(1, (0,))]
+        positions[1], positions[3] = positions[3], positions[1]
+        assert verify_skip_graph_integrity(graph) == [
+            "level 1 list (0,): node 1 has neighbours (1, 5), expected (None, 3)",
+            "level 1 list (0,): node 3 has neighbours (None, 3), expected (1, 5)",
+        ]
+
     def test_wrong_redundancy_is_flagged(self):
         graph = build_balanced_skip_graph(range(1, 33))
         network = skip_graph_network(graph, k=2)
@@ -202,6 +216,70 @@ class TestSeededCorruptionIsCaught:
         violations = verify_skip_graph_integrity(graph, network, max_violations=5)
         assert len(violations) == 6  # 5 violations + the cap notice
         assert "capped" in violations[-1]
+
+
+class TestArgumentsAreChecked:
+    """A cap below 1 would record nothing and a redundancy below 1 would
+    flag every correct link, so both are refused before any work."""
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_report_cap_below_one_is_rejected(self, cap):
+        graph = build_balanced_skip_graph(range(1, 33))
+        network = skip_graph_network(graph, k=2)
+        network.remove_link(1, 2)
+        with pytest.raises(ValueError, match="max_violations"):
+            verify_skip_graph_integrity(graph, network, max_violations=cap, redundancy=2)
+        with pytest.raises(ValueError, match="max_violations"):
+            assert_skip_graph_integrity(graph, network, max_violations=cap, redundancy=2)
+
+    @pytest.mark.parametrize("redundancy", [0, -1])
+    def test_redundancy_below_one_is_rejected(self, redundancy):
+        graph = build_balanced_skip_graph(range(1, 33))
+        network = skip_graph_network(graph)
+        with pytest.raises(ValueError, match="redundancy"):
+            verify_skip_graph_integrity(graph, network, redundancy=redundancy)
+        with pytest.raises(ValueError, match="redundancy"):
+            assert_skip_graph_integrity(graph, redundancy=redundancy)
+
+
+class TestOneWayLabelDamage:
+    """A label present in one direction of a link only.
+
+    ``Network``'s own API keeps one label set per link, shared by both
+    rows, so this damage has to be seeded in the row table; the sweep must
+    still see it from either side.  The reference verifier reads one row
+    per link and reports ``[]`` for all three, so production's strings are
+    pinned here instead of in the differential test.
+    """
+
+    @staticmethod
+    def _network():
+        graph = build_balanced_skip_graph(range(1, 33))
+        network = skip_graph_network(graph, k=2)
+        assert network.rows[1][2] == {"level0"}
+        assert network.rows[1][3] == {"level0", "level1"}
+        return graph, network
+
+    def test_label_replaced_on_one_side(self):
+        graph, network = self._network()
+        network._rows[2][1] = {"level7"}
+        assert verify_skip_graph_integrity(graph, network, redundancy=2) == [
+            "link [1, 2] carries labels ['level7'], expected ['level0']"
+        ]
+
+    def test_label_added_on_one_side(self):
+        graph, network = self._network()
+        network._rows[2][1] = network._rows[2][1] | {"level7"}
+        assert verify_skip_graph_integrity(graph, network, redundancy=2) == [
+            "link [1, 2] carries labels ['level0', 'level7'], expected ['level0']"
+        ]
+
+    def test_label_dropped_on_one_side(self):
+        graph, network = self._network()
+        network._rows[3][1] = network._rows[3][1] - {"level1"}
+        assert verify_skip_graph_integrity(graph, network, redundancy=2) == [
+            "link [1, 3] carries labels ['level0'], expected ['level0', 'level1']"
+        ]
 
 
 class TestCrashRepairRejoin:
@@ -258,3 +336,70 @@ class TestCrashRepairRejoin:
         repair_crash_links(network, graph, 41, k=2)
         assert verify_skip_graph_integrity(graph, network, redundancy=2) == []
         assert graph.has_node(10) and not graph.has_node(41)
+
+
+class TestSweepMechanism:
+    """At the arena's shape (2 048 nodes, k = 3) a clean sweep settles each
+    level list from its cached members and position map, without one
+    :meth:`SkipGraph.neighbors` call; a damaged list is walked node by node
+    and no other list is."""
+
+    @pytest.fixture(scope="class")
+    def swept(self):
+        import repro.distributed.failover as failover
+        from repro.distributed import run_failure_arena
+        from repro.workloads import failure_scenario
+
+        scenario = failure_scenario(
+            n=2048, length=600, seed=11, mode="independent", crash_rate=0.005,
+            recovery_fraction=0.6, mid_wave_fraction=0.004, adjacent_crash_limit=2,
+        )
+        graph = build_balanced_skip_graph(scenario.initial_keys)
+        swept = []
+        verify = failover.verify_skip_graph_integrity
+
+        def recording_verify(graph, network, **kwargs):
+            swept.append(network)
+            return verify(graph, network, **kwargs)
+
+        failover.verify_skip_graph_integrity = recording_verify
+        try:
+            report = run_failure_arena(scenario, k=3, seed=0, graph=graph)
+        finally:
+            failover.verify_skip_graph_integrity = verify
+        assert report.integrity_clean and swept
+        return graph, swept[-1]
+
+    @staticmethod
+    def _count_neighbors(monkeypatch):
+        from repro.skipgraph import SkipGraph
+
+        calls = []
+        neighbors = SkipGraph.neighbors
+
+        def counting_neighbors(self, key, level):
+            calls.append((key, level))
+            return neighbors(self, key, level)
+
+        monkeypatch.setattr(SkipGraph, "neighbors", counting_neighbors)
+        return calls
+
+    def test_clean_sweep_calls_neighbors_zero_times(self, swept, monkeypatch):
+        graph, network = swept
+        graph = graph.copy()
+        assert len(graph) > 2000 and graph.height() >= 10
+        calls = self._count_neighbors(monkeypatch)
+        assert verify_skip_graph_integrity(graph, network, redundancy=3) == []
+        assert calls == []
+
+    def test_swapped_list_is_the_only_one_walked(self, swept, monkeypatch):
+        graph, network = swept
+        graph = graph.copy()
+        assert verify_skip_graph_integrity(graph, network, redundancy=3) == []
+        level, prefix = 2, (1, 0)
+        members = graph.list_at(level, prefix)
+        ordered = list(members)
+        members[3], members[4] = members[4], members[3]
+        calls = self._count_neighbors(monkeypatch)
+        assert verify_skip_graph_integrity(graph, network, redundancy=3) != []
+        assert calls == [(key, level) for key in ordered]

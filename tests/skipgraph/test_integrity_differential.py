@@ -1,15 +1,19 @@
 """Differential test: the single-pass integrity sweep against its oracle.
 
 ``tests/reference/integrity_reference.py`` is the verifier as it stood
-before the sweep was rewritten (level lists derived per check, links keyed
-by ``frozenset``, the network read link by link).  The production sweep
-derives once and compares the network row-wise, descending to per-link
-diffing only for rows that differ — so the property worth pinning is that
-it *reports exactly what the slow one reports*: clean iff clean, and on a
-corrupted structure the same set of violation strings at the same (capped)
-length.  Corruptions are drawn from every class the checker exists for and
-stacked up to three deep, on seed, self-adjusted and dummy-laden graphs,
-at every redundancy.
+before the sweep was rewritten (level lists derived per check, every list
+walked through ``neighbors``, links keyed by ``frozenset``, the network
+read link by link).  The production sweep derives once, decides each
+level list clean from its cached members and position map, and decides
+the network clean by counting its label triples, descending to per-node
+walks and per-link diffing only where that decision fails — so the
+property worth pinning is that it *reports exactly what the slow one
+reports*: clean iff clean, and on a corrupted structure the same set of
+violation strings at the same (capped) length.  Corruptions are drawn
+from every class the checker exists for — including a stale position map
+behind an intact cached list and an emptied label set, the two the fast
+decisions must not miss — and stacked up to three deep, on seed,
+self-adjusted and dummy-laden graphs, at every redundancy.
 """
 
 import copy
@@ -49,6 +53,15 @@ def _break_level_link(graph, network, rng):
     graph._pos_cache.clear()
 
 
+def _stale_position_map(graph, network, rng):
+    # The cached list stays intact; its key -> index map goes stale.
+    entries = [entry for entry, members in graph._list_cache.items() if len(members) >= 2]
+    entry = rng.choice(sorted(entries))
+    positions = graph._positions(*entry, graph._list_cache[entry])
+    first, second = rng.sample(sorted(positions), 2)
+    positions[first], positions[second] = positions[second], positions[first]
+
+
 def _unsort_base_list(graph, network, rng):
     base = graph._sorted_keys
     index = rng.randrange(len(base) - 1)
@@ -84,6 +97,11 @@ def _relabel_link(graph, network, rng):
         network.add_link(u, v, label="level99")
 
 
+def _empty_label_set(graph, network, rng):
+    u, v = rng.choice(sorted(network.edges()))
+    network._rows[u][v] = network._rows[v][u] = set()
+
+
 def _poke_index(graph, network, rng):
     mode = rng.randrange(4)
     if mode == 0:
@@ -99,11 +117,13 @@ def _poke_index(graph, network, rng):
 
 CORRUPTIONS = [
     _break_level_link,
+    _stale_position_map,
     _unsort_base_list,
     _rewrite_membership,
     _drop_link,
     _add_spurious_link,
     _relabel_link,
+    _empty_label_set,
     _poke_index,
 ]
 

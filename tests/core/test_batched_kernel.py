@@ -23,6 +23,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.derived_state_reference import derived_state, derived_state_from_scratch
 from reference.kernel_reference import OpByOpRecorder, ReferenceDynamicSkipGraph
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
@@ -104,6 +105,8 @@ class TestBulkEntryPoints:
         assert graph_state(bulk) == graph_state(one_by_one)
         assert index_state(bulk) == index_state(one_by_one)
         assert tracker_state(bulk.tracker) == tracker_state(one_by_one.tracker)
+        for graph in (bulk, one_by_one):
+            assert derived_state(graph) == derived_state_from_scratch(graph)
 
 
 def _graph_with_dummies():
@@ -155,6 +158,8 @@ class TestRecorderRuns:
         assert graph_state(bulk.graph) == graph_state(by_op.graph)
         assert index_state(bulk.graph) == index_state(by_op.graph)
         assert tracker_state(bulk.graph.tracker) == tracker_state(by_op.graph.tracker)
+        for graph in (bulk.graph, by_op.graph):
+            assert derived_state(graph) == derived_state_from_scratch(graph)
         # These are mid-transformation graphs (a subtree cut to one bit), so
         # check 4 — no two real nodes share a full vector — rightly fires;
         # every structural check (lists, links, indexes) must stay clean.
@@ -252,6 +257,8 @@ def serve_in_lockstep(a, n, seed, words):
         assert graph_state(before) == graph_state(shipping.graph)
         assert index_state(before) == index_state(shipping.graph)
         assert shipping.graph.membership_table() == reference.graph.membership_table()
+        for graph in (shipping.graph, reference.graph):
+            assert derived_state(graph) == derived_state_from_scratch(graph)
         assert shipping.dummy_count() == reference.dummy_count()
         assert shipping._rng.getstate() == reference._rng.getstate()
         assert verify_skip_graph_integrity(shipping.graph) == []

@@ -18,6 +18,7 @@ the equivalence contract that makes the replacement safe:
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.derived_state_reference import derived_state, derived_state_from_scratch
 from reference.kernel_reference import ReferenceDynamicSkipGraph, draw_membership_bits_reference
 
 from repro.baselines.adapter import DSGAdapter
@@ -181,6 +182,7 @@ class TestBalanceTracker:
         next_key = 1000
         for _ in range(5):
             next_key = _random_kernel_ops(graph, recorder, rng, count=12, next_key=next_key)
+            assert derived_state(graph) == derived_state_from_scratch(graph)
             reported = tracker.violations(graph, a)
             assert reported == a_balance_violations(graph, a)
             # Consuming transfers responsibility: a violation left unrepaired

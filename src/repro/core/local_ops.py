@@ -205,7 +205,7 @@ def apply_ops_touched(graph: SkipGraph, ops: Sequence[LocalOp]) -> set:
     walk :func:`op_levels`; property-tested equal): the op's own key plus
     every list neighbour closed over at the levels it leaves (read before
     the op) or spliced against at the levels it enters (read after it).
-    Because those flanks only exist once the node has landed, the plan is
+    Because those flanks only exist once the node is in place, the plan is
     applied as part of the extraction; drivers that need the touched region
     *before* executing a plan on the real structure replay it against a
     shadow copy of the pre-plan graph (the conflict detector does exactly
@@ -253,8 +253,8 @@ class OpRecorder:
     singular methods would, so the plan (and therefore the cost accounting
     and the wire traffic) is byte-identical either way; the *application*
     goes through the skip graph's bulk entry points — one list splice per
-    run instead of one cache invalidation per op — falling back to per-op
-    application whenever a bulk precondition fails.  :attr:`apply_seconds`
+    run instead of one cache invalidation per op — which raise, graph
+    untouched, when a run breaks their precondition.  :attr:`apply_seconds`
     accumulates the wall clock spent inside those bulk splices (the
     "apply" phase of :attr:`DynamicSkipGraph.phase_seconds
     <repro.core.dsg.DynamicSkipGraph.phase_seconds>`).
@@ -281,19 +281,18 @@ class OpRecorder:
     def promote_run(self, keys: Sequence[Key], level: int, bit: int) -> None:
         """Promote every key of ``keys`` (one split sublist) to ``level``.
 
-        A singleton (or a run the bulk splice declines) is one
+        A singleton is one
         :meth:`SkipGraph.set_membership <repro.skipgraph.skipgraph.SkipGraph.set_membership>`
-        per key — exactly what :func:`apply_op` does for a
-        :class:`PromoteOp`, without the dispatch.
+        — exactly what :func:`apply_op` does for a :class:`PromoteOp`,
+        without the dispatch.
         """
         graph = self.graph
         if len(keys) > 1:
             began = perf_counter()
-            landed = graph.promote_run(keys, level, bit)
+            graph.promote_run(keys, level, bit)
             self.apply_seconds += perf_counter() - began
-            if landed:
-                self.ops.extend(map(_new_op, repeat(PromoteOp), zip(keys, repeat(level), repeat(bit))))
-                return
+            self.ops.extend(map(_new_op, repeat(PromoteOp), zip(keys, repeat(level), repeat(bit))))
+            return
         for key in keys:
             graph.set_membership(key, graph.membership(key).with_bit(level, bit))
             self.ops.append(_new_op(PromoteOp, (key, level, bit)))
@@ -304,11 +303,10 @@ class OpRecorder:
         eligible = [key for key in keys if len(membership(key)) > length]
         if len(eligible) > 1:
             began = perf_counter()
-            landed = self.graph.demote_run(eligible, length)
+            self.graph.demote_run(eligible, length)
             self.apply_seconds += perf_counter() - began
-            if landed:
-                self.ops.extend(map(_new_op, repeat(DemoteOp), zip(eligible, repeat(length))))
-                return
+            self.ops.extend(map(_new_op, repeat(DemoteOp), zip(eligible, repeat(length))))
+            return
         for key in eligible:
             self._record(DemoteOp(key, length))
 

@@ -38,13 +38,21 @@ Scaling machinery (the request hot path relies on all four):
   answer "does any other real node share this prefix?" in O(1) per drawn
   bit instead of scanning ``real_keys`` — the join rule at 100k nodes.
 
+Each derived index has one writer, shared by the seven mutators
+(``add_node``, ``remove_node``, ``set_membership`` and the four ``*_run``
+bulk entry points): ``_count`` writes the prefix, multi-prefix and
+dummy-prefix counts; ``_insert_keys`` / ``_delete_keys`` patch the base list
+and the cached lists, and own the lazy-buffer rule (``_PENDING_MIN``);
+``_evict`` drops a cached list together with its position map and pending
+buffer.  A mutator checks its whole input before its first write and
+raises on bad input, so a failed call leaves the graph as it was.
+
 The structure also owns its a-balance bookkeeping: when a
 :class:`~repro.skipgraph.balance.BalanceTracker` is attached as
-:attr:`SkipGraph.tracker`, each of the seven mutators (``add_node``,
-``remove_node``, ``set_membership`` and the four ``*_run`` bulk entry
-points) marks the lists it is about to rewrite, before the write — so
-"which lists changed" is a fact about the structure, not a courtesy of
-whoever mutates it.
+:attr:`SkipGraph.tracker`, each of the seven mutators marks the lists it
+is about to rewrite, after its checks and before the write — so "which
+lists changed" is a fact about the structure, not a courtesy of whoever
+mutates it.
 """
 
 from __future__ import annotations
@@ -186,9 +194,8 @@ class SkipGraph:
     def _flush_pending(self) -> None:
         """Merge every outstanding lazy insertion buffer (integrity hook)."""
         self._base_list()
-        if self._pending_inserts:
-            for cache_key in list(self._pending_inserts):
-                self._flush_list(cache_key, self._list_cache[cache_key])
+        for cache_key in list(self._pending_inserts):
+            self._flush_list(cache_key, self._list_cache[cache_key])
 
     # ------------------------------------------------------------- population
     def add_node(self, node: SkipGraphNode) -> None:
@@ -201,35 +208,16 @@ class SkipGraph:
         patched cheaply (an insertion shifts every later index) and are
         rebuilt lazily.
         """
-        if node.key in self._nodes:
-            raise ValueError(f"duplicate key {node.key!r}")
+        key = node.key
+        if key in self._nodes:
+            raise ValueError(f"duplicate key {key!r}")
         bits = node.membership.bits
         if self.tracker is not None:
-            self.tracker.mark_insert(node.key, bits)
-        self._nodes[node.key] = node
-        if len(self._sorted_keys) >= _PENDING_MIN:
-            insort(self._base_pending, node.key)
-        else:
-            insort(self._sorted_keys, node.key)
-        if node.is_dummy:
-            self._dummy_count += 1
-        self._register_vector(bits, dummy=node.is_dummy)
-        list_cache = self._list_cache
-        pending_inserts = self._pending_inserts
-        pop_pos = self._pos_cache.pop
-        for level in range(1, len(bits) + 1):
-            cache_key = (level, bits[:level])
-            cached = list_cache.get(cache_key)
-            if cached is not None:
-                if len(cached) >= _PENDING_MIN:
-                    bucket = pending_inserts.get(cache_key)
-                    if bucket is None:
-                        pending_inserts[cache_key] = [node.key]
-                    else:
-                        insort(bucket, node.key)
-                else:
-                    insort(cached, node.key)
-                pop_pos(cache_key, None)
+            self.tracker.mark_insert(key, bits)
+        self._nodes[key] = node
+        self._dummy_count += node.is_dummy
+        self._count(bits, 1, 1, node.is_dummy)
+        self._insert_keys(bits, [key])
 
     def remove_node(self, key: Key) -> SkipGraphNode:
         """Remove and return the node with ``key``.
@@ -242,26 +230,10 @@ class SkipGraph:
         if self.tracker is not None:
             self.tracker.mark_remove(self, key)  # needs the pre-departure vector
         del self._nodes[key]
-        base = self._base_list()
-        index = bisect_left(base, key)
-        del base[index]
         bits = node.membership.bits
-        if node.is_dummy:
-            self._dummy_count -= 1
-        self._unregister_vector(bits, dummy=node.is_dummy)
-        list_cache = self._list_cache
-        pending_inserts = self._pending_inserts
-        pop_pos = self._pos_cache.pop
-        for level in range(1, len(bits) + 1):
-            cache_key = (level, bits[:level])
-            cached = list_cache.get(cache_key)
-            if cached is not None:
-                if pending_inserts:
-                    self._flush_list(cache_key, cached)
-                member_index = bisect_left(cached, key)
-                if member_index < len(cached) and cached[member_index] == key:
-                    del cached[member_index]
-                pop_pos(cache_key, None)
+        self._dummy_count -= node.is_dummy
+        self._count(bits, 1, -1, -node.is_dummy)
+        self._delete_keys(bits, [key])
         return node
 
     def node(self, key: Key) -> SkipGraphNode:
@@ -325,102 +297,129 @@ class SkipGraph:
         if self.tracker is not None:
             self.tracker.mark_rewrite(key, old_bits, new_bits)
         node.membership = new
+        dummy = node.is_dummy
         if len(new_bits) == len(old_bits) + 1 and new_bits[:-1] == old_bits:
             # The transformation's one-bit append: the node enters one list
             # (the one ``new_bits`` names) and leaves none.
-            self._register_vector(new_bits, start=len(new_bits), dummy=node.is_dummy)
-            cache_key = (len(new_bits), new_bits)
-            self._list_cache.pop(cache_key, None)
-            self._pos_cache.pop(cache_key, None)
-            self._pending_inserts.pop(cache_key, None)
+            self._count(new_bits, len(new_bits), 1, dummy)
+            self._evict((len(new_bits), new_bits))
             return
-        keep_prefix = common_prefix_length(old, new)
-        self._unregister_vector(old_bits, start=keep_prefix + 1, dummy=node.is_dummy)
-        self._register_vector(new_bits, start=keep_prefix + 1, dummy=node.is_dummy)
-        pop_list = self._list_cache.pop
-        pop_pos = self._pos_cache.pop
-        pop_pending = self._pending_inserts.pop
+        keep = common_prefix_length(old, new)
+        self._count(old_bits, keep + 1, -1, -dummy)
+        self._count(new_bits, keep + 1, 1, dummy)
         for bits in (old_bits, new_bits):
-            for level in range(keep_prefix + 1, len(bits) + 1):
-                cache_key = (level, bits[:level])
-                pop_list(cache_key, None)
-                pop_pos(cache_key, None)
-                pop_pending(cache_key, None)
+            for level in range(keep + 1, len(bits) + 1):
+                self._evict((level, bits[:level]))
 
-    # ------------------------------------------------- incremental height data
-    def _register_vector(self, bits: Prefix, start: int = 1, dummy: bool = False) -> None:
-        """Count the prefixes of ``bits`` from length ``start`` upward.
+    # ------------------------------------------------ derived-index writers
+    def _count(self, bits: Prefix, start: int, carriers: int, dummies: int = 0) -> None:
+        """Add ``carriers`` carriers, ``dummies`` of them dummies, to every
+        prefix of ``bits`` from length ``start`` up (negative: remove them).
 
-        ``start`` lets :meth:`set_membership` skip the prefix shared between
-        the old and the new vector, whose counts are unchanged — the
-        transformation's one-bit appends then cost O(1) here instead of
-        O(depth).  ``dummy`` carriers are additionally counted in the
-        dummy-prefix index so :meth:`real_prefix_count` stays exact.
+        The one writer of the three prefix indexes: the carrier count per
+        prefix, the count per level of prefixes with two or more carriers
+        (behind :meth:`height`) and the dummy-carrier count per prefix
+        (behind :meth:`real_prefix_count`).  ``start`` lets a rewrite skip
+        the prefix its old and new vector share, whose counts do not change,
+        so a one-bit append costs one prefix instead of the whole depth.
         """
-        counts = self._prefix_counts
-        multi = self._multi_prefixes_per_level
-        for level in range(start, len(bits) + 1):
-            prefix = bits[:level]
-            count = counts.get(prefix, 0) + 1
-            counts[prefix] = count
-            if count == 2:
-                multi[level] = multi.get(level, 0) + 1
-        if dummy:
-            dummy_counts = self._dummy_prefix_counts
+        if carriers:
+            counts = self._prefix_counts
+            multi = self._multi_prefixes_per_level
             for level in range(start, len(bits) + 1):
                 prefix = bits[:level]
-                dummy_counts[prefix] = dummy_counts.get(prefix, 0) + 1
-
-    def _unregister_vector(self, bits: Prefix, start: int = 1, dummy: bool = False) -> None:
-        counts = self._prefix_counts
-        multi = self._multi_prefixes_per_level
-        for level in range(start, len(bits) + 1):
-            prefix = bits[:level]
-            count = counts[prefix] - 1
-            if count:
-                counts[prefix] = count
-            else:
-                del counts[prefix]
-            if count == 1:
-                remaining = multi[level] - 1
-                if remaining:
-                    multi[level] = remaining
+                old = counts.get(prefix, 0)
+                new = old + carriers
+                if new:
+                    counts[prefix] = new
                 else:
-                    del multi[level]
-        if dummy:
+                    del counts[prefix]
+                if (old >= 2) != (new >= 2):
+                    lists = multi.get(level, 0) + (1 if new >= 2 else -1)
+                    if lists:
+                        multi[level] = lists
+                    else:
+                        del multi[level]
+        if dummies:
             dummy_counts = self._dummy_prefix_counts
             for level in range(start, len(bits) + 1):
                 prefix = bits[:level]
-                remaining = dummy_counts[prefix] - 1
+                remaining = dummy_counts.get(prefix, 0) + dummies
                 if remaining:
                     dummy_counts[prefix] = remaining
                 else:
                     del dummy_counts[prefix]
 
-    # ------------------------------------------------------------ bulk kernel
-    def _register_vectors(self, bits: Prefix, count: int, start: int = 1, dummy_count: int = 0) -> None:
-        """Count ``count`` new carriers of every prefix of ``bits`` at once.
+    def _evict(self, cache_key: Tuple[int, Prefix]) -> None:
+        """Drop the cached list at ``cache_key`` with its position map and
+        pending buffer; the next read derives it again from its parent."""
+        self._list_cache.pop(cache_key, None)
+        self._pos_cache.pop(cache_key, None)
+        self._pending_inserts.pop(cache_key, None)
 
-        The bulk form of :meth:`_register_vector`: one dictionary update per
-        prefix instead of one per carrier, with the multi-prefix transition
-        taken when the carrier count crosses two in either direction of the
-        batch.
+    def _insert_keys(self, bits: Prefix, keys: List[Key], start: int = 0) -> None:
+        """Merge the sorted ``keys`` into the list of every prefix of
+        ``bits`` from length ``start`` up (the empty prefix: the base list).
+
+        A list above the base list is patched only when cached, and loses
+        its position map.  A list of ``_PENDING_MIN`` keys or more takes the
+        keys into its pending buffer instead, merged on the next read.
         """
-        counts = self._prefix_counts
-        multi = self._multi_prefixes_per_level
-        for level in range(start, len(bits) + 1):
-            prefix = bits[:level]
-            old = counts.get(prefix, 0)
-            counts[prefix] = old + count
-            if old < 2 <= old + count:
-                multi[level] = multi.get(level, 0) + 1
-        if dummy_count:
-            dummy_counts = self._dummy_prefix_counts
-            for level in range(start, len(bits) + 1):
-                prefix = bits[:level]
-                dummy_counts[prefix] = dummy_counts.get(prefix, 0) + dummy_count
+        if not start:
+            base = self._sorted_keys
+            _merge_sorted(base if len(base) < _PENDING_MIN else self._base_pending, keys)
+        list_cache = self._list_cache
+        pop_positions = self._pos_cache.pop
+        for level in range(max(start, 1), len(bits) + 1):
+            cache_key = (level, bits[:level])
+            cached = list_cache.get(cache_key)
+            if cached is not None:
+                pop_positions(cache_key, None)
+                if len(cached) < _PENDING_MIN:
+                    _merge_sorted(cached, keys)
+                else:
+                    _merge_sorted(self._pending_inserts.setdefault(cache_key, []), keys)
 
-    def promote_run(self, keys, level: int, bit: int) -> bool:
+    def _delete_keys(self, bits: Prefix, keys: Iterable[Key], start: int = 0) -> None:
+        """Delete ``keys`` from the list of every prefix of ``bits`` from
+        length ``start`` up, flushing its pending buffer first (the same
+        lists as :meth:`_insert_keys`)."""
+        if not start:
+            _delete_sorted(self._base_list(), keys)
+        list_cache = self._list_cache
+        pop_positions = self._pos_cache.pop
+        for level in range(max(start, 1), len(bits) + 1):
+            cache_key = (level, bits[:level])
+            cached = list_cache.get(cache_key)
+            if cached is not None:
+                if self._pending_inserts:
+                    self._flush_list(cache_key, cached)
+                _delete_sorted(cached, keys)
+                pop_positions(cache_key, None)
+
+    def _count_run(self, run: List[SkipGraphNode], sign: int) -> Dict[Tuple[int, Prefix], List[Key]]:
+        """Count the nodes of ``run`` in (``sign`` 1) or out (-1) and group
+        their keys by the lists above the base list that they belong to.
+
+        The prefix indexes are written once per distinct vector, not once
+        per node: a chain pass lands its dummies with two vectors at most,
+        and the dummies a notification destroys share most of their bits.
+        """
+        by_vector: Dict[Tuple[Prefix, bool], List[Key]] = {}
+        for node in run:
+            by_vector.setdefault((node.membership.bits, node.is_dummy), []).append(node.key)
+        by_list: Dict[Tuple[int, Prefix], List[Key]] = {}
+        for (bits, dummy), carriers in by_vector.items():
+            count = sign * len(carriers)
+            dummies = count if dummy else 0
+            self._dummy_count += dummies
+            self._count(bits, 1, count, dummies)
+            for level in range(1, len(bits) + 1):
+                by_list.setdefault((level, bits[:level]), []).extend(carriers)
+        return by_list
+
+    # ------------------------------------------------------------ bulk kernel
+    def promote_run(self, keys, level: int, bit: int) -> None:
         """Append ``bit`` at ``level`` for every key of ``keys`` in one splice.
 
         The transformation's split loop promotes a whole 0- or 1-sublist at
@@ -432,34 +431,28 @@ class SkipGraph:
         the run directly as the cached list at ``(level, new prefix)``
         instead of invalidating it ``len(keys)`` times.
 
-        Returns ``False`` (graph untouched) when the precondition does not
-        hold, so callers can fall back to per-op application.  The tracker
-        receives the same dirty marks the per-op path would emit, before
-        the mutation.
+        A broken precondition raises ``ValueError`` before any mark or
+        write.  The tracker receives the same dirty marks the per-op path
+        would emit, before the mutation.
         """
         if not keys:
-            return True
+            return
         nodes = self._nodes
         first = nodes.get(keys[0])
-        if first is None:
-            return False
+        if first is None or len(first.membership.bits) != level - 1:
+            raise ValueError(f"promote_run: key {keys[0]!r} is absent or not {level - 1} bits long")
         parent = first.membership
         parent_bits = parent.bits
-        if len(parent_bits) != level - 1:
-            return False
         dummy_count = 0
         previous = None
         for key in keys:
             node = nodes.get(key)
-            if node is None:
-                return False
             # The previous split (or the subtree's demote) usually gave the
             # whole run one shared vector object: identity settles it.
-            membership = node.membership
-            if membership is not parent and membership.bits != parent_bits:
-                return False
+            if node is None or (node.membership is not parent and node.membership.bits != parent_bits):
+                raise ValueError(f"promote_run: key {key!r} does not share the run's parent vector")
             if previous is not None and not previous < key:
-                return False
+                raise ValueError(f"promote_run: keys must ascend, got {key!r} after {previous!r}")
             previous = key
             if node.is_dummy:
                 dummy_count += 1
@@ -468,52 +461,46 @@ class SkipGraph:
         if tracker is not None:
             tracker.mark_run(level - 1, parent_bits, keys)
             tracker.mark_run(level, new_bits, keys)
-        prior_carriers = self._prefix_counts.get(new_bits, 0)
+        fresh = new_bits not in self._prefix_counts
         shared = MembershipVector._from_trusted(new_bits)
         for key in keys:
             nodes[key].membership = shared
-        self._register_vectors(new_bits, len(keys), start=level, dummy_count=dummy_count)
+        self._count(new_bits, level, len(keys), dummy_count)
         cache_key = (level, new_bits)
-        if prior_carriers == 0:
+        self._evict(cache_key)
+        if fresh:
             # The run is the complete new list: install it rather than
             # forcing the next read to re-derive it from the parent list.
             self._list_cache[cache_key] = list(keys)
-        else:
-            self._list_cache.pop(cache_key, None)
-        self._pos_cache.pop(cache_key, None)
-        self._pending_inserts.pop(cache_key, None)
-        return True
 
-    def demote_run(self, keys, length: int) -> bool:
+    def demote_run(self, keys, length: int) -> None:
         """Truncate every key of ``keys`` to ``length`` bits in one pass.
 
         The keys must ascend, share their first ``length`` bits (they come
         from one list of the subtree being rebuilt) and all be longer than
-        ``length``.  Prefix-count updates and cache evictions are aggregated
-        per distinct abandoned prefix — the subtree below the cut is a trie,
-        so the distinct prefixes number far fewer than the per-key total.
-
-        Returns ``False`` (graph untouched) when a precondition fails.
+        ``length``; a broken precondition raises ``ValueError`` before any
+        mark or write.  Prefix-count updates and cache evictions are
+        aggregated per distinct abandoned prefix — the subtree below the cut
+        is a trie, so the distinct prefixes number far fewer than the
+        per-key total.
         """
         if not keys:
-            return True
+            return
         nodes = self._nodes
         shared_bits: Optional[Prefix] = None
         entries = []
         previous = None
         for key in keys:
             node = nodes.get(key)
-            if node is None:
-                return False
-            bits = node.membership.bits
+            bits = node.membership.bits if node is not None else ()
             if len(bits) <= length:
-                return False
+                raise ValueError(f"demote_run: key {key!r} is absent or has no bit past {length}")
             if shared_bits is None:
                 shared_bits = bits[:length]
             elif bits[:length] != shared_bits:
-                return False
+                raise ValueError(f"demote_run: key {key!r} does not share the run's first {length} bits")
             if previous is not None and not previous < key:
-                return False
+                raise ValueError(f"demote_run: keys must ascend, got {key!r} after {previous!r}")
             previous = key
             entries.append((node, bits))
         # Bucket the keys by abandoned list.  The walk tracks each prefix as
@@ -543,106 +530,44 @@ class SkipGraph:
             for (level, prefix), marked in affected.items():
                 tracker.mark_run(level, prefix, marked)
         shared = MembershipVector._from_trusted(shared_bits)
-        dummy_counts = self._dummy_prefix_counts
         for node, bits in entries:
             node.membership = shared
             if node.is_dummy:
-                for level in range(length + 1, len(bits) + 1):
-                    prefix = bits[:level]
-                    remaining = dummy_counts[prefix] - 1
-                    if remaining:
-                        dummy_counts[prefix] = remaining
-                    else:
-                        del dummy_counts[prefix]
-        counts = self._prefix_counts
-        multi = self._multi_prefixes_per_level
-        pop_list = self._list_cache.pop
-        pop_pos = self._pos_cache.pop
-        pop_pending = self._pending_inserts.pop
+                self._count(bits, length + 1, 0, -1)
         for (level, prefix), abandoned in affected.items():
-            old = counts[prefix]
-            new = old - len(abandoned)
-            if new:
-                counts[prefix] = new
-            else:
-                del counts[prefix]
-            if old >= 2 > new:
-                remaining = multi[level] - 1
-                if remaining:
-                    multi[level] = remaining
-                else:
-                    del multi[level]
-            pop_list((level, prefix), None)
-            pop_pos((level, prefix), None)
-            pop_pending((level, prefix), None)
-        return True
+            self._count(prefix, level, -len(abandoned))
+            self._evict((level, prefix))
 
     def remove_run(self, keys) -> None:
         """Remove every node in ``keys`` (the bulk form of :meth:`remove_node`).
 
         End state identical to removing one by one; the prefix-index and
-        cache bookkeeping is aggregated per distinct prefix — the dummies a
-        transformation clears share their deep prefixes almost entirely, so
+        cache bookkeeping is aggregated per distinct vector and per list, so
         the dictionary traffic collapses from O(keys * depth) to roughly
-        O(distinct prefixes).  The tracker's marks are emitted for every key
-        before any node is removed (marks need pre-departure vectors).
+        O(distinct prefixes).  An absent key, or a key named twice, raises
+        ``KeyError`` before any mark or write.  The tracker's marks are
+        emitted for every key before any node is removed (marks need
+        pre-departure vectors).
         """
+        nodes = self._nodes
+        run: List[SkipGraphNode] = []
+        named = set()
+        for key in keys:
+            node = nodes.get(key)
+            if node is None or key in named:
+                raise KeyError(f"no node with key {key!r}")
+            named.add(key)
+            run.append(node)
         tracker = self.tracker
         if tracker is not None:
             for key in keys:
                 tracker.mark_remove(self, key)
-        nodes = self._nodes
-        affected: Dict[Tuple[int, Prefix], List[Key]] = {}
-        dummy_affected: Dict[Tuple[int, Prefix], int] = {}
         for key in keys:
-            node = nodes.pop(key, None)
-            if node is None:
-                raise KeyError(f"no node with key {key!r}")
-            bits = node.membership.bits
-            if node.is_dummy:
-                self._dummy_count -= 1
-            for level in range(1, len(bits) + 1):
-                entry = (level, bits[:level])
-                bucket = affected.get(entry)
-                if bucket is None:
-                    affected[entry] = [key]
-                else:
-                    bucket.append(key)
-                if node.is_dummy:
-                    dummy_affected[entry] = dummy_affected.get(entry, 0) + 1
-        _delete_sorted(self._base_list(), list(keys))
-        counts = self._prefix_counts
-        multi = self._multi_prefixes_per_level
-        dummy_counts = self._dummy_prefix_counts
-        list_cache = self._list_cache
-        pending_inserts = self._pending_inserts
-        pop_pos = self._pos_cache.pop
-        for (level, prefix), removed in affected.items():
-            old = counts[prefix]
-            new = old - len(removed)
-            if new:
-                counts[prefix] = new
-            else:
-                del counts[prefix]
-            if old >= 2 > new:
-                remaining = multi[level] - 1
-                if remaining:
-                    multi[level] = remaining
-                else:
-                    del multi[level]
-            dummies_gone = dummy_affected.get((level, prefix), 0)
-            if dummies_gone:
-                remaining = dummy_counts[prefix] - dummies_gone
-                if remaining:
-                    dummy_counts[prefix] = remaining
-                else:
-                    del dummy_counts[prefix]
-            cached = list_cache.get((level, prefix))
-            if cached is not None:
-                if pending_inserts:
-                    self._flush_list((level, prefix), cached)
-                _delete_sorted(cached, removed)
-                pop_pos((level, prefix), None)
+            del nodes[key]
+        by_list = self._count_run(run, -1)
+        self._delete_keys((), keys)
+        for (level, prefix), removed in by_list.items():
+            self._delete_keys(prefix, removed, level)
 
     def insert_run(self, new_nodes) -> None:
         """Insert every node of ``new_nodes`` (the bulk form of :meth:`add_node`).
@@ -652,65 +577,27 @@ class SkipGraph:
         ``insort`` memmove per node — the win that matters when a repair
         round lands hundreds of dummies into a six-figure base list.
         Membership vectors may differ between the nodes; keys need not be
-        ordered but must be fresh and distinct.  The tracker receives the
-        same ``mark_insert`` calls the per-op path would emit.
+        ordered but must be fresh and distinct, or ``ValueError`` is raised
+        before any mark or write.  The tracker receives the same
+        ``mark_insert`` calls the per-op path would emit.
         """
-        if not new_nodes:
-            return
+        nodes = self._nodes
+        fresh = set()
+        for node in new_nodes:
+            if node.key in nodes or node.key in fresh:
+                raise ValueError(f"duplicate key {node.key!r}")
+            fresh.add(node.key)
         tracker = self.tracker
         if tracker is not None:
             for node in new_nodes:
                 tracker.mark_insert(node.key, node.membership.bits)
-        nodes = self._nodes
-        new_keys: List[Key] = []
-        # The prefix index and the cached lists are updated once per distinct
-        # vector: a chain pass lands its dummies with two vectors at most.
-        by_vector: Dict[Tuple[Prefix, bool], List[Key]] = {}
         for node in new_nodes:
-            key = node.key
-            if key in nodes:
-                raise ValueError(f"duplicate key {key!r}")
-            nodes[key] = node
-            new_keys.append(key)
-            vector = (node.membership.bits, node.is_dummy)
-            carriers = by_vector.get(vector)
-            if carriers is None:
-                by_vector[vector] = [key]
-            else:
-                carriers.append(key)
-        by_list: Dict[Tuple[int, Prefix], List[Key]] = {}
-        list_cache = self._list_cache
-        for (bits, dummy), carriers in by_vector.items():
-            if dummy:
-                self._dummy_count += len(carriers)
-            self._register_vectors(bits, len(carriers), dummy_count=len(carriers) if dummy else 0)
-            for level in range(1, len(bits) + 1):
-                cache_key = (level, bits[:level])
-                if cache_key in list_cache:
-                    bucket = by_list.get(cache_key)
-                    if bucket is None:
-                        by_list[cache_key] = list(carriers)
-                    else:
-                        bucket.extend(carriers)
-        new_keys.sort()
-        if len(self._sorted_keys) >= _PENDING_MIN:
-            _merge_sorted(self._base_pending, new_keys)
-        else:
-            _merge_sorted(self._sorted_keys, new_keys)
-        pending_inserts = self._pending_inserts
-        pop_pos = self._pos_cache.pop
-        for cache_key, added in by_list.items():
+            nodes[node.key] = node
+        by_list = self._count_run(new_nodes, 1)
+        self._insert_keys((), sorted(fresh))
+        for (level, prefix), added in by_list.items():
             added.sort()
-            cached = list_cache[cache_key]
-            if len(cached) >= _PENDING_MIN:
-                bucket = pending_inserts.get(cache_key)
-                if bucket is None:
-                    pending_inserts[cache_key] = added
-                else:
-                    _merge_sorted(bucket, added)
-            else:
-                _merge_sorted(cached, added)
-            pop_pos(cache_key, None)
+            self._insert_keys(prefix, added, level)
 
     # ------------------------------------------------------ real-prefix index
     def real_prefix_count(self, prefix: Prefix) -> int:

@@ -5,7 +5,8 @@ Three layers of equivalence, all against the executable reference in
 
 * **bulk entry points**: ``insert_run`` must equal a loop of ``add_node``
   — memberships, level lists, the incremental prefix indexes, and the
-  a-balance dirty marks;
+  a-balance dirty marks — and a bulk call on a bad batch or a broken run
+  raises with the graph, its indexes and its marks untouched;
 * **end to end**: the shipping :class:`~repro.core.dsg.DynamicSkipGraph`
   and the reference one (op-by-op application, scan-based join bits, full
   a-balance rescans) served in lock-step over mixed request/join/leave
@@ -15,6 +16,11 @@ Three layers of equivalence, all against the executable reference in
   sweep clean after every event — byte-identical semantics, only the wall
   clock may differ;
 * **sorted-list kernel**: the three merge/delete regimes.
+
+Both kernels share the graph's own index writers, so wherever two graphs
+are compared, each is also held to a from-scratch recount of every
+derived index from its node map
+(``tests/reference/derived_state_reference.py``).
 """
 
 import copy
@@ -34,6 +40,8 @@ from repro.skipgraph.integrity import verify_skip_graph_integrity
 from repro.skipgraph.node import SkipGraphNode
 from repro.skipgraph.membership import MembershipVector
 from repro.skipgraph.skipgraph import SkipGraph, _delete_sorted, _merge_sorted
+
+pytestmark = pytest.mark.kernel
 
 
 def graph_state(graph):
@@ -70,7 +78,47 @@ def tracker_state(tracker: BalanceTracker):
     return (tracker._all_dirty, tracker._dirty)
 
 
+def assert_untouched(graph, untouched):
+    """``graph`` is in ``untouched``'s state: topology, indexes and marks."""
+    assert graph_state(graph) == graph_state(untouched)
+    assert index_state(graph) == index_state(untouched)
+    assert tracker_state(graph.tracker) == tracker_state(untouched.tracker)
+    assert derived_state(graph) == derived_state_from_scratch(graph)
+
+
 class TestBulkEntryPoints:
+    def test_insert_run_with_one_taken_key_raises_before_any_write(self):
+        graph = tracked(build_balanced_skip_graph(range(1, 33)))
+        untouched = tracked(build_balanced_skip_graph(range(1, 33)))
+        batch = [
+            SkipGraphNode(key=100, membership=MembershipVector((0, 1))),
+            SkipGraphNode(key=5, membership=MembershipVector((1,))),
+        ]
+        with pytest.raises(ValueError, match="duplicate key 5"):
+            graph.insert_run(batch)
+        assert not graph.has_node(100)
+        assert_untouched(graph, untouched)
+
+    def test_insert_run_naming_one_key_twice_raises_before_any_write(self):
+        graph = tracked(build_balanced_skip_graph(range(1, 33)))
+        untouched = tracked(build_balanced_skip_graph(range(1, 33)))
+        batch = [
+            SkipGraphNode(key=100, membership=MembershipVector((0, 1))),
+            SkipGraphNode(key=100, membership=MembershipVector((1,))),
+        ]
+        with pytest.raises(ValueError, match="duplicate key 100"):
+            graph.insert_run(batch)
+        assert_untouched(graph, untouched)
+
+    @pytest.mark.parametrize("keys", [[3, 999], [3, 4, 3]], ids=["absent", "twice"])
+    def test_remove_run_with_one_bad_key_raises_before_any_write(self, keys):
+        graph = tracked(build_balanced_skip_graph(range(1, 33)))
+        untouched = tracked(build_balanced_skip_graph(range(1, 33)))
+        with pytest.raises(KeyError):
+            graph.remove_run(keys)
+        assert graph.neighbors(4, 0) == (3, 5)
+        assert_untouched(graph, untouched)
+
     @given(
         st.sets(st.integers(min_value=1, max_value=400), min_size=2, max_size=30),
         st.lists(
@@ -189,24 +237,15 @@ class TestRecorderRuns:
         ],
         ids=["promote-descending", "promote-two-parents", "demote-two-parents"],
     )
-    def test_a_declined_run_lands_through_the_per_op_fallback(self, monkeypatch, name, run):
+    def test_a_broken_run_raises_before_any_write(self, name, run):
         make_graph = RECORDER_RUNS[name][0]
-        verdicts = []
-        real = getattr(SkipGraph, name)
-
-        def spying(self, *args, **kwargs):
-            verdicts.append(real(self, *args, **kwargs))
-            return verdicts[-1]
-
-        monkeypatch.setattr(SkipGraph, name, spying)
+        untouched = tracked(make_graph())
         bulk = OpRecorder(tracked(make_graph()))
         assert {bulk.graph.membership(key).bits[:1] for key in (1, 2, 3, 4)} == {(0,), (1,)}
-        run(bulk)
-        assert verdicts == [False]
-        by_op = OpByOpRecorder(tracked(make_graph()))
-        run(by_op)
-        assert len(bulk.ops) > 1
-        self._assert_same_outcome(bulk, by_op)
+        with pytest.raises(ValueError, match=name):
+            run(bulk)
+        assert bulk.ops == []
+        assert_untouched(bulk.graph, untouched)
 
 
 def serve_in_lockstep(a, n, seed, words):
@@ -269,10 +308,9 @@ def _splice_drops_a_key(real_promote_run):
     """The bulk promote installs its run as the new level list minus one key."""
 
     def promote_run(self, keys, level, bit):
-        landed = real_promote_run(self, keys, level, bit)
-        if landed and len(keys) > 2:
+        real_promote_run(self, keys, level, bit)
+        if len(keys) > 2:
             self._list_cache[(level, self.membership(keys[0]).bits)].pop()
-        return landed
 
     return promote_run
 
@@ -283,7 +321,7 @@ def _splice_forgets_its_marks(real_promote_run):
     def promote_run(self, keys, level, bit):
         tracker, self.tracker = self.tracker, None
         try:
-            return real_promote_run(self, keys, level, bit)
+            real_promote_run(self, keys, level, bit)
         finally:
             self.tracker = tracker
 

@@ -55,6 +55,8 @@ from repro.skipgraph.build import draw_membership_bits
 from repro.skipgraph.integrity import verify_skip_graph_integrity
 from repro.workloads.scenarios import churn_scenario, run_scenario
 
+pytestmark = pytest.mark.kernel
+
 
 def _with_dummies(graph, rng, count=6):
     """Insert ``count`` dummy nodes between random neighbours."""

@@ -12,10 +12,11 @@ contract needs pinning from both sides:
 * **no false negatives** — each corruption class the checker exists for
   (a broken level-list link, a stale position map, an unsorted base list,
   a membership vector rewritten behind the incremental indexes' back, each
-  of the four incremental indexes poked on its own, and a network that
-  drifted from the graph — missing, spurious, mislabelled or one-way
-  links, and labels present in one direction only) is seeded deliberately
-  and must be caught.
+  of the four incremental indexes poked on its own, a node map and base
+  list that disagree on a key, and a network that drifted from the graph
+  — missing, spurious, mislabelled or one-way links, and labels present in
+  one direction only) is seeded deliberately and must be caught, reported
+  rather than raised.
 
 The sweep's report is additionally held, string for string, to the
 pre-rewrite verifier in ``test_integrity_differential.py``; the arguments
@@ -216,6 +217,32 @@ class TestSeededCorruptionIsCaught:
         violations = verify_skip_graph_integrity(graph, network, max_violations=5)
         assert len(violations) == 6  # 5 violations + the cap notice
         assert "capped" in violations[-1]
+
+
+class TestNodeMapBaseListSplit:
+    """The node map and the base list disagree on a key — the two shapes a
+    bulk splice that stopped half way would leave.  The split is reported,
+    and the checks that look one structure up by the other are skipped."""
+
+    def test_a_node_the_base_list_lacks_is_reported(self):
+        graph = build_balanced_skip_graph(range(1, 33))
+        graph._nodes[100] = SkipGraphNode(key=100, membership=MembershipVector((0, 1)))
+        assert verify_skip_graph_integrity(graph) == [
+            "base list / node set mismatch (missing=[100], extra=[])",
+            "prefix-count index does not match a from-scratch recount",
+        ]
+
+    def test_a_key_the_node_map_lacks_is_reported_not_raised(self):
+        graph = build_balanced_skip_graph(range(1, 33))
+        graph.list_at(1, (0,))  # a cached list still holding the key
+        del graph._nodes[3]
+        assert verify_skip_graph_integrity(graph) == [
+            "base list / node set mismatch (missing=[], extra=[3])",
+            "cached list (level=1, prefix=(0,)) is "
+            f"{[key for key in range(1, 33, 2)]!r}, expected {[key for key in range(1, 33, 2) if key != 3]!r}",
+            "prefix-count index does not match a from-scratch recount",
+            "multi-prefix-per-level index does not match a from-scratch recount",
+        ]
 
 
 class TestArgumentsAreChecked:

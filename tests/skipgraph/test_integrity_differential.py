@@ -12,7 +12,8 @@ reports*: clean iff clean, and on a corrupted structure the same set of
 violation strings at the same (capped) length.  Corruptions are drawn
 from every class the checker exists for — including a stale position map
 behind an intact cached list and an emptied label set, the two the fast
-decisions must not miss — and stacked up to three deep, on seed,
+decisions must not miss, and a node map split from the base list, which
+both must report without raising — and stacked up to three deep, on seed,
 self-adjusted and dummy-laden graphs, at every redundancy.
 """
 
@@ -69,11 +70,21 @@ def _unsort_base_list(graph, network, rng):
 
 
 def _rewrite_membership(graph, network, rng):
-    node = graph.node(rng.choice(graph.keys))
+    node = graph.node(rng.choice(sorted(graph._nodes)))
     bits = list(node.membership.bits) or [0]
     flip = rng.randrange(len(bits))
     bits[flip] = 1 - bits[flip]
     node.membership = MembershipVector(tuple(bits))
+
+
+def _split_node_map_from_base_list(graph, network, rng):
+    # One key in the node map or in the base list only: the two shapes a
+    # bulk splice that stopped half way would leave behind.
+    key = rng.choice(sorted(graph._nodes.keys() & set(graph.keys)))
+    if rng.random() < 0.5:
+        graph._base_list().remove(key)
+    else:
+        del graph._nodes[key]
 
 
 def _drop_link(graph, network, rng):
@@ -120,6 +131,7 @@ CORRUPTIONS = [
     _stale_position_map,
     _unsort_base_list,
     _rewrite_membership,
+    _split_node_map_from_base_list,
     _drop_link,
     _add_spurious_link,
     _relabel_link,

@@ -30,7 +30,7 @@ from repro.skipgraph import (
     route,
     tree_view,
 )
-from repro.skiplist import BalancedSkipList, SkipList, distributed_sum
+from repro.skiplist import BalancedSkipList, distributed_sum
 from repro.core import (
     AMFResult,
     CommunicationHistory,
@@ -77,7 +77,6 @@ __all__ = [
     "ServingAlgorithm",
     "SkipGraph",
     "SkipGraphNode",
-    "SkipList",
     "SplayNetBaseline",
     "StaticSkipGraphBaseline",
     "WORKLOADS",

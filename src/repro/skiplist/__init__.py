@@ -10,9 +10,6 @@ for several auxiliary computations:
 
 This subpackage provides:
 
-``SkipList``
-    A classic probabilistic skip list (search structure), used by tests,
-    examples and as a reference for expected search-path lengths.
 ``BalancedSkipList``
     The AMF construction: the left-most node is promoted with probability 1,
     every other node with probability ``1/a``, and the levels are locally
@@ -23,13 +20,11 @@ This subpackage provides:
     The Appendix D aggregation over a balanced skip list.
 """
 
-from repro.skiplist.skiplist import SkipList
 from repro.skiplist.balanced import BalancedSkipList, SupportBounds
 from repro.skiplist.distributed_sum import SumResult, distributed_sum
 
 __all__ = [
     "BalancedSkipList",
-    "SkipList",
     "SumResult",
     "SupportBounds",
     "distributed_sum",

@@ -71,7 +71,6 @@ from repro.workloads.paper_examples import (
     fig4_membership_s8,
     fig4_setup,
 )
-from repro.workloads.traces import load_trace, save_trace
 
 __all__ = [
     "CrashEvent",
@@ -93,10 +92,8 @@ __all__ = [
     "flash_crowd",
     "generate_workload",
     "hot_pairs",
-    "load_trace",
     "repeated_pair",
     "run_scenario",
-    "save_trace",
     "scale_scenario",
     "scenario_requests",
     "temporal_locality",

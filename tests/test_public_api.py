@@ -186,6 +186,22 @@ class TestKernelSurface:
         assert not hasattr(transformation, "SplitStep")
 
 
+class TestRetiredSurface:
+    """Surface nothing in ``src/``, ``benchmarks/`` or ``examples/`` used was
+    deleted with its tests: re-adding it fails here."""
+
+    def test_classic_skip_list_and_trace_io_are_gone(self):
+        import repro.skiplist as skiplist
+        import repro.workloads as workloads
+
+        for module in (repro, skiplist):
+            assert "SkipList" not in module.__all__ and not hasattr(module, "SkipList")
+        for gone in ("save_trace", "load_trace"):
+            assert gone not in workloads.__all__ and not hasattr(workloads, gone), gone
+        assert not (PACKAGE_ROOT / "skiplist" / "skiplist.py").exists()
+        assert not (PACKAGE_ROOT / "workloads" / "traces.py").exists()
+
+
 #: The only third-party import in ``src/repro`` and the only place it may
 #: appear — inside a function of the offline-static baseline (the
 #: ``baselines`` extra of ``pyproject.toml``), never at module level.

@@ -1,4 +1,4 @@
-"""Tests for workload generators, paper examples and trace IO."""
+"""Tests for workload generators and paper examples."""
 
 import collections
 
@@ -12,8 +12,6 @@ from repro.workloads import (
     fig4_membership_s8,
     fig4_setup,
     generate_workload,
-    load_trace,
-    save_trace,
 )
 from repro.workloads.paper_examples import FIG4_KEYS
 
@@ -161,27 +159,3 @@ class TestPaperExamples:
         assert dsg.state(K["U"]).timestamp(result.d_prime) == 8
         assert dsg.state(K["V"]).timestamp(result.d_prime) == 8
 
-
-class TestTraces:
-    def test_roundtrip(self, tmp_path):
-        requests = generate_workload("uniform", KEYS, 30, seed=8)
-        path = tmp_path / "trace.csv"
-        save_trace(requests, path)
-        assert load_trace(path) == requests
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        assert load_trace(path) == []
-
-    def test_string_keys_roundtrip(self, tmp_path):
-        requests = [("a", "b"), ("b", "c")]
-        path = tmp_path / "strings.csv"
-        save_trace(requests, path)
-        assert load_trace(path) == requests
-
-    def test_float_keys_roundtrip(self, tmp_path):
-        requests = [(1.5, 2), (2, 1.5)]
-        path = tmp_path / "floats.csv"
-        save_trace(requests, path)
-        assert load_trace(path) == requests

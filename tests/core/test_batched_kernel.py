@@ -119,6 +119,33 @@ class TestBulkEntryPoints:
         assert graph.neighbors(4, 0) == (3, 5)
         assert_untouched(graph, untouched)
 
+    @pytest.mark.parametrize("tail, length", [([999], 1), ([], 5)], ids=["absent", "at-full-length"])
+    def test_demote_run_with_a_key_it_cannot_cut_raises_before_any_write(self, tail, length):
+        # OpRecorder.demote_run drops keys no longer than the cut before the
+        # call, so these preconditions are the graph's own to enforce.
+        graph = tracked(build_balanced_skip_graph(range(1, 33)))
+        untouched = tracked(build_balanced_skip_graph(range(1, 33)))
+        assert {len(graph.membership(key).bits) for key in graph.keys} == {5}
+        with pytest.raises(ValueError, match="is absent or has no bit past"):
+            graph.demote_run(_keys_under(graph, 1) + tail, length)
+        assert_untouched(graph, untouched)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda graph: graph.insert_run([]),
+            lambda graph: graph.remove_run([]),
+            lambda graph: graph.promote_run([], 1, 0),
+            lambda graph: graph.demote_run([], 0),
+        ],
+        ids=["insert_run", "remove_run", "promote_run", "demote_run"],
+    )
+    def test_an_empty_run_is_a_no_op(self, call):
+        graph = tracked(build_balanced_skip_graph(range(1, 33)))
+        untouched = tracked(build_balanced_skip_graph(range(1, 33)))
+        call(graph)
+        assert_untouched(graph, untouched)
+
     @given(
         st.sets(st.integers(min_value=1, max_value=400), min_size=2, max_size=30),
         st.lists(
@@ -234,8 +261,26 @@ class TestRecorderRuns:
             ("promote_run", lambda r: r.promote_run(_keys_under(r.graph, 0)[::-1], 2, 1)),
             ("promote_run", lambda r: r.promote_run([1, 2, 3, 4], 2, 1)),
             ("demote_run", lambda r: r.demote_run([1, 2, 3, 4], 1)),
+            # An absent key first or last; a run one bit too deep; a key twice.
+            ("promote_run", lambda r: r.promote_run([999] + _keys_under(r.graph, 0), 2, 1)),
+            ("promote_run", lambda r: r.promote_run(_keys_under(r.graph, 0) + [999], 2, 1)),
+            ("promote_run", lambda r: r.promote_run(_keys_under(r.graph, 0), 3, 1)),
+            ("promote_run", lambda r: r.promote_run(_keys_under(r.graph, 0)[:1] * 2, 2, 1)),
+            # Descending keys; a key twice.
+            ("demote_run", lambda r: r.demote_run(_keys_under(r.graph, 1)[::-1], 1)),
+            ("demote_run", lambda r: r.demote_run(_keys_under(r.graph, 1)[:1] * 2, 1)),
         ],
-        ids=["promote-descending", "promote-two-parents", "demote-two-parents"],
+        ids=[
+            "promote-descending",
+            "promote-two-parents",
+            "demote-two-parents",
+            "promote-absent-first",
+            "promote-absent-last",
+            "promote-too-deep",
+            "promote-twice",
+            "demote-descending",
+            "demote-twice",
+        ],
     )
     def test_a_broken_run_raises_before_any_write(self, name, run):
         make_graph = RECORDER_RUNS[name][0]

@@ -80,28 +80,29 @@ def test_e09_scale_comparison(run_once):
         return [run_scenario(scenario, algorithm=algorithm) for algorithm in algorithms]
 
     reports = run_once(comparison)
-    by_name = {report.algorithm: report for report in reports}
+    by_name = {report.costs.name: report for report in reports}
     ws_bound = by_name["dsg"].working_set_bound
     assert ws_bound > 0
     phases_by_name = {algorithm.name: algorithm.phase_seconds() for algorithm in algorithms}
 
     results = []
     for report in reports:
-        assert report.requests == scenario.request_count
+        costs = report.costs
+        assert costs.requests == scenario.request_count
         assert report.joins == scenario.join_count and report.leaves == scenario.leave_count
         results.append(
             AlgorithmResult(
-                name=report.algorithm,
-                requests=report.requests,
-                total_routing=report.total_routing_cost,
-                total_adjustment=report.total_cost - report.total_routing_cost - report.requests,
-                total_cost=report.total_cost,
+                name=costs.name,
+                requests=costs.requests,
+                total_routing=costs.total_routing,
+                total_adjustment=costs.total_adjustment,
+                total_cost=costs.total_cost,
                 wall_seconds=report.elapsed_seconds,
-                ws_bound_ratio=report.total_routing_cost / ws_bound,
+                ws_bound_ratio=costs.total_routing / ws_bound,
                 final_height=report.final_height,
                 joins=report.joins,
                 leaves=report.leaves,
-                phases=phases_by_name.get(report.algorithm, {}),
+                phases=phases_by_name.get(costs.name, {}),
             )
         )
 
@@ -111,9 +112,9 @@ def test_e09_scale_comparison(run_once):
     checks = {
         "all_five_algorithms_served_full_schedule": len(reports) == 5,
         "dsg_routing_beats_static_on_scale_mix": (
-            dsg.total_routing_cost < static.total_routing_cost
+            dsg.costs.total_routing < static.costs.total_routing
         ),
-        "oracle_is_the_cost_floor": oracle.total_cost == oracle.requests,
+        "oracle_is_the_cost_floor": oracle.costs.total_cost == oracle.costs.requests,
         "churn_absorbed_by_every_algorithm": all(
             report.final_nodes == report.initial_nodes + report.joins - report.leaves
             for report in reports
@@ -144,11 +145,12 @@ def test_e09_scale_comparison(run_once):
 
     print()
     print(report_md)
-    for report in sorted(reports, key=lambda r: r.average_cost):
+    for report in sorted(reports, key=lambda r: r.costs.average_cost):
+        costs = report.costs
         print(
-            f"[e09-scale] {report.algorithm:<18} requests={report.requests} "
-            f"avg_routing={report.total_routing_cost / report.requests:.3f} "
-            f"avg_cost={report.average_cost:.2f} "
+            f"[e09-scale] {costs.name:<18} requests={costs.requests} "
+            f"avg_routing={costs.average_routing:.3f} "
+            f"avg_cost={costs.average_cost:.2f} "
             f"elapsed={report.elapsed_seconds:.1f}s "
             f"throughput={report.requests_per_second:.0f} req/s"
         )

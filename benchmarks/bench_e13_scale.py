@@ -55,16 +55,16 @@ def test_e13_scale_scenario(run_once):
     )
     assert scenario.request_count >= MIN_SERVED
     report = run_once(run_scenario, scenario, DSGConfig(seed=1))
-    assert report.requests >= MIN_SERVED
+    assert report.costs.requests >= MIN_SERVED
     assert report.final_nodes == report.initial_nodes + report.joins - report.leaves
     assert report.joins > 0 and report.leaves > 0
-    assert report.average_cost > 0
+    assert report.costs.average_cost > 0
     print(
-        f"\n[e13-scale] n={report.initial_nodes} requests={report.requests} "
+        f"\n[e13-scale] n={report.initial_nodes} requests={report.costs.requests} "
         f"joins={report.joins} leaves={report.leaves} "
         f"elapsed={report.elapsed_seconds:.1f}s "
         f"throughput={report.requests_per_second:.0f} req/s "
-        f"avg_cost={report.average_cost:.1f} max_height={report.max_height} "
+        f"avg_cost={report.costs.average_cost:.1f} max_height={report.max_height} "
         f"dummies={report.dummy_count}"
     )
 

@@ -100,13 +100,13 @@ else:
 def _dsg_row(name, report, phases=None):
     return AlgorithmResult(
         name=name,
-        requests=report.requests,
-        total_routing=report.total_routing_cost,
-        total_adjustment=report.total_cost - report.total_routing_cost - report.requests,
-        total_cost=report.total_cost,
+        requests=report.costs.requests,
+        total_routing=report.costs.total_routing,
+        total_adjustment=report.costs.total_adjustment,
+        total_cost=report.costs.total_cost,
         wall_seconds=report.elapsed_seconds,
         ws_bound_ratio=(
-            report.total_routing_cost / report.working_set_bound
+            report.costs.total_routing / report.working_set_bound
             if report.working_set_bound else None
         ),
         final_height=report.final_height,
@@ -234,7 +234,7 @@ def test_e15_100k_arena(run_once):
         )
         reference_report = run_scenario(equiv, algorithm=reference)
         outcome["equivalence"] = {
-            "total_cost": incremental_report.total_cost == reference_report.total_cost,
+            "total_cost": incremental_report.costs.total_cost == reference_report.costs.total_cost,
             "topology": (
                 incremental.dsg.graph.membership_table()
                 == reference.dsg.graph.membership_table()
@@ -254,8 +254,8 @@ def test_e15_100k_arena(run_once):
         )
         kernel_off_report = run_scenario(parity, algorithm=kernel_off, keep_costs=True)
         outcome["kernel_parity"] = (
-            shipping_report.total_cost == kernel_off_report.total_cost
-            and shipping_report.costs == kernel_off_report.costs
+            shipping_report.costs.total_cost == kernel_off_report.costs.total_cost
+            and shipping_report.costs.costs == kernel_off_report.costs.costs
             and shipping.dsg.graph.membership_table() == kernel_off.dsg.graph.membership_table()
         )
         outcome["parity_seconds"] = time.perf_counter() - started
@@ -271,7 +271,7 @@ def test_e15_100k_arena(run_once):
     network = outcome["network"]
     equivalence = outcome["equivalence"]
     checks = {
-        "scale_mix_served_full_schedule": reports["scale-mix"].requests >= MIN_REQUESTS,
+        "scale_mix_served_full_schedule": reports["scale-mix"].costs.requests >= MIN_REQUESTS,
         "churn_absorbed_by_both_workloads": all(
             report.final_nodes == report.initial_nodes + report.joins - report.leaves
             for report in reports.values()
@@ -322,11 +322,11 @@ def test_e15_100k_arena(run_once):
     print(report_md)
     for name, report in reports.items():
         print(
-            f"[e15-100k] {name:<12} n={report.initial_nodes} requests={report.requests} "
+            f"[e15-100k] {name:<12} n={report.initial_nodes} requests={report.costs.requests} "
             f"joins={report.joins} leaves={report.leaves} "
             f"elapsed={report.elapsed_seconds:.1f}s "
             f"throughput={report.requests_per_second:.0f} req/s "
-            f"avg_cost={report.average_cost:.1f} dummies={report.dummy_count}"
+            f"avg_cost={report.costs.average_cost:.1f} dummies={report.dummy_count}"
         )
     print(
         f"[e15-100k] equivalence replay: incremental "

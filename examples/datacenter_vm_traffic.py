@@ -26,13 +26,11 @@ Run with::
 import os
 
 from repro import (
+    DSGAdapter,
     DSGConfig,
-    DynamicSkipGraph,
     OfflineStaticBaseline,
     StaticSkipGraphBaseline,
     generate_workload,
-    summarize_baseline_run,
-    summarize_dsg_run,
 )
 from repro.analysis.tables import Table
 from repro.core.working_set import working_set_bound
@@ -52,30 +50,29 @@ def main() -> None:
         intra_probability=0.95,
     )
 
-    dsg = DynamicSkipGraph(keys=vms, config=DSGConfig(seed=7))
-    dsg.run_sequence(trace)
-    dsg_summary = summarize_dsg_run(dsg, name="DSG (online)")
+    adapter = DSGAdapter(keys=vms, config=DSGConfig(seed=7), name="DSG (online)")
+    dsg_run = adapter.serve(trace)
 
     static = StaticSkipGraphBaseline(vms, topology="random", rng=make_rng(7))
-    static_summary = summarize_baseline_run(static.serve(trace))
+    static_run = static.serve(trace)
 
     offline = OfflineStaticBaseline(vms, trace, rng=make_rng(7))
-    offline_summary = summarize_baseline_run(offline.serve(trace))
+    offline_run = offline.serve(trace)
 
     table = Table(
         title=f"VM-to-VM overlay routing cost ({len(trace)} requests, {communities} application groups)",
         columns=["overlay", "avg routing", "steady-state avg", "worst routing"],
     )
-    for summary in (static_summary, offline_summary, dsg_summary):
-        table.add_row(summary.name, summary.average_routing, summary.routing_tail(0.5), summary.max_routing)
+    for run in (static_run, offline_run, dsg_run):
+        table.add_row(run.name, run.average_routing, run.routing_tail(0.5), run.max_routing)
     table.add_note(f"working set bound per request: {working_set_bound(trace, len(vms)) / len(trace):.2f}")
     table.add_note(
-        f"DSG adjustment overhead: {dsg_summary.average_adjustment:.1f} rounds per request "
-        f"(height stayed at {dsg.height()}, {dsg.dummy_count()} dummy nodes)"
+        f"DSG adjustment overhead: {dsg_run.average_adjustment:.1f} rounds per request "
+        f"(height stayed at {adapter.height()}, {adapter.dummy_count()} dummy nodes)"
     )
     print(table.render())
 
-    speedup = static_summary.average_routing / max(dsg_summary.routing_tail(0.5), 1e-9)
+    speedup = static_run.average_routing / max(dsg_run.routing_tail(0.5), 1e-9)
     print(f"\nsteady-state routing speed-up of DSG over the oblivious overlay: {speedup:.1f}x")
 
 

@@ -16,14 +16,7 @@ Run with::
 
 import os
 
-from repro import (
-    DSGConfig,
-    DynamicSkipGraph,
-    SplayNetBaseline,
-    generate_workload,
-    summarize_baseline_run,
-    summarize_dsg_run,
-)
+from repro import DSGAdapter, DSGConfig, SplayNetBaseline, generate_workload
 from repro.analysis.tables import Table
 
 
@@ -35,12 +28,13 @@ def main() -> None:
     peers = list(range(1, peer_count + 1))
     trace = generate_workload("zipf", peers, length=length, seed=11, exponent=1.3)
 
-    dsg = DynamicSkipGraph(keys=peers, config=DSGConfig(seed=11))
+    adapter = DSGAdapter(keys=peers, config=DSGConfig(seed=11))
+    dsg = adapter.dsg
     splaynet = SplayNetBaseline(peers)
 
     # Serve the first half of the trace.
     half = len(trace) // 2
-    dsg.run_sequence(trace[:half])
+    dsg_run = adapter.serve(trace[:half])
     splay_run_first = splaynet.serve(trace[:half])
 
     # Churn: a batch of peers leaves, the same number joins (Section IV-G).
@@ -48,9 +42,9 @@ def main() -> None:
     leaving = peers[4::8][:departures]
     joining = list(range(200, 200 + len(leaving)))
     for peer in leaving:
-        dsg.remove_node(peer)
+        adapter.leave(peer)
     for peer in joining:
-        dsg.add_node(peer)
+        adapter.join(peer)
     print(f"after churn: {dsg.n} peers, height {dsg.height()}, structure valid: {dsg.graph.is_valid()}")
 
     # Serve the second half, remapping requests that touch departed peers.
@@ -62,18 +56,16 @@ def main() -> None:
         v = replacements.get(v, v)
         if u in alive and v in alive and u != v:
             remapped.append((u, v))
-    dsg.run_sequence(remapped)
-
-    dsg_summary = summarize_dsg_run(dsg, name="DSG")
-    splay_summary = summarize_baseline_run(splay_run_first)
+    for u, v in remapped:
+        dsg_run.record(adapter.request(u, v))
 
     table = Table(
         title="P2P lookups under Zipf popularity (with churn for DSG)",
         columns=["overlay", "requests", "avg routing", "steady-state avg"],
     )
-    table.add_row("DSG", dsg_summary.requests, dsg_summary.average_routing, dsg_summary.routing_tail(0.4))
-    table.add_row("SplayNet (first half, no churn)", splay_summary.requests,
-                  splay_summary.average_routing, splay_summary.routing_tail(0.4))
+    table.add_row("DSG", dsg_run.requests, dsg_run.average_routing, dsg_run.routing_tail(0.4))
+    table.add_row("SplayNet (first half, no churn)", splay_run_first.requests,
+                  splay_run_first.average_routing, splay_run_first.routing_tail(0.4))
     table.add_note("SplayNet has no node join/leave procedure, so it only serves the pre-churn half.")
     print(table.render())
 

@@ -51,7 +51,7 @@ def main() -> None:
     print("\nafter the cluster kept communicating, intra-cluster distances are:")
     for (u, v), distance in distances.items():
         print(f"  d({u:>2}, {v:>2}) = {distance}")
-    print(f"\naverage cost per request so far (Eq. 1): {dsg.average_cost():.1f} rounds")
+    print(f"\naverage cost per request so far (Eq. 1): {dsg.costs.average_cost:.1f} rounds")
     print(f"working set bound WS(sigma) of the history: {dsg.working_set_bound():.1f}")
     print(f"skip graph height is still {dsg.height()} (O(log n))")
 

@@ -34,6 +34,7 @@ from repro.skiplist import BalancedSkipList, distributed_sum
 from repro.core import (
     AMFResult,
     CommunicationHistory,
+    CostLedger,
     DSGConfig,
     DSGNodeState,
     DynamicSkipGraph,
@@ -52,11 +53,7 @@ from repro.baselines import (
     make_comparison_algorithms,
 )
 from repro.workloads import WORKLOADS, generate_workload, run_scenario
-from repro.analysis import (
-    competitive_report,
-    summarize_baseline_run,
-    summarize_dsg_run,
-)
+from repro.analysis import competitive_report
 from repro.experiments import EXPERIMENTS, run_experiment
 
 __version__ = "1.0.0"
@@ -65,6 +62,7 @@ __all__ = [
     "AMFResult",
     "BalancedSkipList",
     "CommunicationHistory",
+    "CostLedger",
     "DSGAdapter",
     "DSGConfig",
     "DSGNodeState",
@@ -91,8 +89,6 @@ __all__ = [
     "route",
     "run_experiment",
     "run_scenario",
-    "summarize_baseline_run",
-    "summarize_dsg_run",
     "tree_view",
     "working_set_bound",
     "working_set_number",

@@ -1,11 +1,10 @@
-"""Cost bookkeeping, competitive ratios and result rendering.
+"""Competitive ratios, statistics and result rendering.
 
 The experiments (E1-E12) produce structured results; this subpackage turns
 them into the numbers the paper's claims are stated in:
 
-* per-sequence average / amortized cost (Equation 1),
-* the working set bound ``WS(σ)`` and competitive ratios against it
-  (Theorems 1, 4, 5),
+* the working set bound ``WS(σ)`` and the competitive ratios of a run's
+  :class:`~repro.core.costs.CostLedger` against it (Theorems 1, 4, 5),
 * summary statistics (means, percentiles, log-fit slopes for the
   ``O(log n)`` scaling claims),
 * plain-text tables and CSV export used by the benchmark harness and the
@@ -15,7 +14,6 @@ them into the numbers the paper's claims are stated in:
   subcommand renders from them (:mod:`repro.analysis.artifacts`).
 """
 
-from repro.analysis.costs import CostSummary, summarize_baseline_run, summarize_dsg_run
 from repro.analysis.competitive import CompetitiveReport, competitive_report
 from repro.analysis.statistics import describe, log2_fit_slope, percentile
 from repro.analysis.tables import Table, render_table, to_csv
@@ -34,7 +32,6 @@ __all__ = [
     "AlgorithmResult",
     "BenchmarkArtifact",
     "CompetitiveReport",
-    "CostSummary",
     "FailureResult",
     "PlanSizeStats",
     "Table",
@@ -46,8 +43,6 @@ __all__ = [
     "percentile",
     "render_comparison",
     "render_table",
-    "summarize_baseline_run",
-    "summarize_dsg_run",
     "to_csv",
     "write_artifact",
 ]

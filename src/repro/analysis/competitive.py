@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence, Tuple
 
-from repro.analysis.costs import CostSummary
+from repro.core.costs import CostLedger
 from repro.core.working_set import working_set_bound
 
 __all__ = ["CompetitiveReport", "competitive_report"]
@@ -42,21 +42,21 @@ class CompetitiveReport:
 
 
 def competitive_report(
-    summary: CostSummary,
+    ledger: CostLedger,
     requests: Sequence[Request],
     total_nodes: int,
     precomputed_bound: Optional[float] = None,
 ) -> CompetitiveReport:
-    """Build a :class:`CompetitiveReport` for ``summary`` over ``requests``."""
+    """Build a :class:`CompetitiveReport` for ``ledger`` over ``requests``."""
     bound = precomputed_bound if precomputed_bound is not None else working_set_bound(requests, total_nodes)
     bound = max(bound, 1e-9)
     return CompetitiveReport(
-        name=summary.name,
-        requests=summary.requests,
+        name=ledger.name,
+        requests=ledger.requests,
         working_set_bound=bound,
-        total_routing=summary.total_routing,
-        total_cost=summary.total_cost,
-        routing_ratio=summary.total_routing / bound,
-        cost_ratio=summary.total_cost / bound,
+        total_routing=ledger.total_routing,
+        total_cost=ledger.total_cost,
+        routing_ratio=ledger.total_routing / bound,
+        cost_ratio=ledger.total_cost / bound,
         log_n=math.log2(max(total_nodes, 2)),
     )

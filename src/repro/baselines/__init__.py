@@ -24,13 +24,13 @@ comparators the paper positions itself against:
 All of them — and DSG itself, through :class:`DSGAdapter` — implement the
 :class:`ServingAlgorithm` protocol (:mod:`repro.baselines.adapter`):
 ``request`` for traffic, ``join``/``leave`` for membership churn
-(Section IV-G), ``serve(requests)`` returning a :class:`BaselineRun` for
-plain sequences, and O(1) streaming cost counters.  The scenario runner
+(Section IV-G), ``serve(requests)`` returning a
+:class:`~repro.core.costs.CostLedger` for plain sequences, and O(1)
+streaming cost counters.  The scenario runner
 (:func:`repro.workloads.scenarios.run_scenario`) drives any of them through
 any event schedule interchangeably; see ``docs/BASELINES.md``.
 """
 
-from repro.baselines.base import BaselineRun, RequestCost
 from repro.baselines.adapter import DSGAdapter, ServingAlgorithm, make_comparison_algorithms
 from repro.baselines.static_skipgraph import StaticSkipGraphBaseline
 from repro.baselines.offline_static import OfflineStaticBaseline
@@ -38,11 +38,9 @@ from repro.baselines.splaynet import SplayNetBaseline
 from repro.baselines.oracle import DirectLinkOracle
 
 __all__ = [
-    "BaselineRun",
     "DSGAdapter",
     "DirectLinkOracle",
     "OfflineStaticBaseline",
-    "RequestCost",
     "ServingAlgorithm",
     "SplayNetBaseline",
     "StaticSkipGraphBaseline",

@@ -17,20 +17,20 @@ The protocol is deliberately small:
     leaves of current members; static structures patch their topology
     (random membership vector for the newcomer), SplayNet performs a BST
     insert/delete, DSG runs the Section IV-G operations.
-``serve(requests, keep_costs=True) -> BaselineRun``
+``serve(requests, keep_costs=True) -> CostLedger``
     Convenience loop over ``request`` for plain (churn-free) sequences.
 
 Streaming accounting: every adapter carries a lifetime
-:class:`~repro.baselines.base.BaselineRun` in streaming mode
+:class:`~repro.core.costs.CostLedger` in streaming mode
 (``keep_costs=False``), so ``requests_served`` / ``total_routing`` /
 ``total_adjustment`` / ``total_cost`` are O(1) running counters regardless
 of run length — a 100k-request benchmark run retains nothing per-request.
 
 The one scenario runner is :func:`repro.workloads.scenarios.run_scenario`:
 it drives any :class:`ServingAlgorithm` (``algorithm=``) through any event
-schedule, request by request, and with ``keep_costs=True`` hands the
-per-request :class:`RequestCost` list back on its report (what E9 uses for
-tail/percentile analysis).
+schedule, request by request, and hands the run's own ledger back on its
+report (``report.costs``; with ``keep_costs=True`` it retains the
+per-request :class:`RequestCost` list E9 uses for tail analysis).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.baselines.base import BaselineRun, Key, RequestCost
+from repro.core.costs import CostLedger, Key, RequestCost
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 
 __all__ = ["DSGAdapter", "ServingAlgorithm", "make_comparison_algorithms"]
@@ -61,7 +61,7 @@ class ServingAlgorithm:
     def __init__(self, name: Optional[str] = None) -> None:
         if name is not None:
             self.name = name
-        self._lifetime = BaselineRun(name=self.name, keep_costs=False)
+        self._lifetime = CostLedger(name=self.name, keep_costs=False)
 
     # ------------------------------------------------------------- protocol
     def _request(self, source: Key, destination: Key) -> RequestCost:
@@ -117,15 +117,15 @@ class ServingAlgorithm:
         self._lifetime.record(cost)
         return cost
 
-    def serve(self, requests: Iterable[Request], keep_costs: bool = True) -> BaselineRun:
-        """Serve a plain request sequence and return its own run accounting.
+    def serve(self, requests: Iterable[Request], keep_costs: bool = True) -> CostLedger:
+        """Serve a plain request sequence and return its own ledger.
 
-        The returned :class:`BaselineRun` covers exactly this call (the
+        The returned :class:`CostLedger` covers exactly this call (the
         lifetime counters keep accumulating across calls); pass
         ``keep_costs=False`` to stream arbitrarily long sequences through
         O(1) aggregates.
         """
-        run = BaselineRun(name=self.name, keep_costs=keep_costs)
+        run = CostLedger(name=self.name, keep_costs=keep_costs)
         for source, destination in requests:
             run.record(self.request(source, destination))
         return run
@@ -147,10 +147,6 @@ class ServingAlgorithm:
     def total_cost(self) -> int:
         return self._lifetime.total_cost
 
-    @property
-    def average_cost(self) -> float:
-        return self._lifetime.average_cost
-
 
 class DSGAdapter(ServingAlgorithm):
     """Drive a :class:`~repro.core.dsg.DynamicSkipGraph` through the
@@ -160,7 +156,9 @@ class DSGAdapter(ServingAlgorithm):
     distance ``d_{S_t}``, ``adjustment`` its transformation rounds
     ``ρ(A, S_t, σ_t)`` (so ``RequestCost.total`` equals
     ``RequestResult.cost``, Equation 1) and joins/leaves map to the
-    Section IV-G node operations.
+    Section IV-G node operations.  The adapter's lifetime ledger and the
+    DSG's own (``dsg.costs``) are fed independently, so their agreement is
+    a check, not an identity.
     """
 
     name = "dsg"

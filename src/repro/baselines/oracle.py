@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Set
 
 from repro.baselines.adapter import ServingAlgorithm
-from repro.baselines.base import RequestCost
+from repro.core.costs import RequestCost
 from repro.skipgraph.node import Key
 
 __all__ = ["DirectLinkOracle"]

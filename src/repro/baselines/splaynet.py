@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines.adapter import ServingAlgorithm
-from repro.baselines.base import RequestCost
+from repro.core.costs import RequestCost
 from repro.skipgraph.node import Key
 
 __all__ = ["SplayNetBaseline"]

@@ -26,7 +26,7 @@ import random
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.baselines.adapter import ServingAlgorithm
-from repro.baselines.base import RequestCost
+from repro.core.costs import RequestCost
 from repro.simulation.rng import make_rng
 from repro.skipgraph.build import build_balanced_skip_graph, build_skip_graph, draw_membership_bits
 from repro.skipgraph.membership import MembershipVector

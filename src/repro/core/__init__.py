@@ -21,12 +21,16 @@ Modules
     The level-by-level topology transformation (Section IV-C: Case 1,
     Case 2 with the 1/3-2/3 split rules) and dummy-node placement
     (Section IV-F).
+``costs``
+    Equation-1 accounting: :class:`RequestCost` per request and the one
+    :class:`CostLedger` every layer adds totals up in.
 ``dsg``
     The :class:`DynamicSkipGraph` front end (Algorithm 1): route, transform,
     account costs.
 """
 
 from repro.core.amf import AMFResult, approximate_median, exact_median, rank_interval
+from repro.core.costs import CostLedger, RequestCost
 from repro.core.working_set import (
     CommunicationHistory,
     working_set_bound,
@@ -38,9 +42,11 @@ from repro.core.dsg import DSGConfig, DynamicSkipGraph, RequestResult
 __all__ = [
     "AMFResult",
     "CommunicationHistory",
+    "CostLedger",
     "DSGConfig",
     "DSGNodeState",
     "DynamicSkipGraph",
+    "RequestCost",
     "RequestResult",
     "approximate_median",
     "exact_median",

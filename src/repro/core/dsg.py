@@ -16,14 +16,15 @@ history.  For every communication request ``(u, v)`` it:
    ``v`` in a linked list of size two;
 5. updates group-bases and applies timestamp rules T1-T6;
 6. charges the costs: ``routing distance + transformation rounds + 1``
-   (Equation 1 of the paper).
+   (Equation 1 of the paper), recorded in the instance's
+   :class:`~repro.core.costs.CostLedger` (:attr:`DynamicSkipGraph.costs`).
 
 :meth:`DynamicSkipGraph.request` is the only way a request is served — the
 cost model is per request and nothing in Algorithm 1 amortizes across
 requests — so every runner above it (adapter, scenario runner, distributed
 planner) times and counts the same loop.  The class also implements node
 addition/removal (Section IV-G) and the bookkeeping needed by the
-experiments: per-request results, average cost, working-set statistics,
+experiments: per-request results, working-set statistics,
 height tracking and memory auditing.
 
 The front end threads no kernel state: the a-balance dirty marks belong to
@@ -40,6 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.costs import CostLedger, RequestCost
 from repro.core.groups import (
     glower_update,
     initial_group_base,
@@ -166,9 +168,8 @@ class DynamicSkipGraph:
         #: Local-op plan of the most recent :meth:`add_node` / :meth:`remove_node`.
         self.last_churn_ops: List[LocalOp] = []
         self.results: List[RequestResult] = []
-        self._served = 0
-        self._total_cost = 0
-        self._total_routing_cost = 0
+        #: Equation-1 totals of every request served, kept or not.
+        self.costs = CostLedger("dsg", keep_costs=False)
         # The graph marks its own dirty lists once a tracker is attached;
         # without a-balance maintenance nothing would ever consume the marks
         # (feeding them would only accumulate memory), so none is attached.
@@ -241,7 +242,8 @@ class DynamicSkipGraph:
         ``keep_result=False`` serves identically but does not append the
         :class:`RequestResult` to :attr:`results` — the streaming mode the
         adapter layer (:mod:`repro.baselines.adapter`) uses so unbounded
-        request streams only grow the O(1) running counters.
+        request streams only grow the O(1) running counters of
+        :attr:`costs`.
         """
         if source == destination:
             raise ValueError("source and destination must differ")
@@ -273,9 +275,9 @@ class DynamicSkipGraph:
         phases["apply"] += apply_seconds
 
         result.height_after = self.height()
-        self._served += 1
-        self._total_cost += result.cost
-        self._total_routing_cost += result.routing.distance
+        self.costs.record(
+            RequestCost(source, destination, routing.distance, result.transformation_rounds)
+        )
         if keep_result:
             self.results.append(result)
         return result
@@ -536,26 +538,9 @@ class DynamicSkipGraph:
         return inserted
 
     # --------------------------------------------------------------- analysis
-    def requests_served(self) -> int:
-        """Number of requests served so far (kept or not)."""
-        return self._served
-
     def total_cost(self) -> int:
-        """Sum of per-request costs (Equation 1 numerator).
-
-        Maintained as a running counter so it covers every request served —
-        including those served with ``keep_result=False`` — at O(1) cost.
-        """
-        return self._total_cost
-
-    def average_cost(self) -> float:
-        """Average cost per request served so far (Equation 1)."""
-        if not self._served:
-            return 0.0
-        return self._total_cost / self._served
-
-    def total_routing_cost(self) -> int:
-        return self._total_routing_cost
+        """Equation-1 cost of every request served so far (``costs.total_cost``)."""
+        return self.costs.total_cost
 
     def working_set_bound(self) -> float:
         """``WS(σ)`` of the sequence served so far (Theorem 1 lower bound)."""

@@ -54,6 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.core.costs import CostLedger, RequestCost
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 from repro.core.local_ops import (
     DemoteOp,
@@ -350,8 +351,8 @@ class DistributedDSG:
         self.leaves = 0
         self.crashes = 0
         self.recoveries = 0
-        self.total_cost = 0
-        self.total_routing = 0
+        #: Equation-1 totals of the applied requests, at the measured distance.
+        self.costs = CostLedger("distributed-dsg", keep_costs=False)
         #: Keys crashed via :meth:`crash_dark` and not yet repaired.
         self.dark_keys: set = set()
         self.abandoned_plans = 0
@@ -455,12 +456,12 @@ class DistributedDSG:
         metrics = self.sim.metrics
         window = self.window
         return DistributedDSGReport(
-            requests=len(self.outcomes),
+            requests=self.costs.requests,
             joins=self.joins,
             leaves=self.leaves,
-            total_cost=self.total_cost,
+            total_cost=self.costs.total_cost,
             planner_total_cost=self._planner_cost_base + self.planner.total_cost(),
-            total_routing=self.total_routing,
+            total_routing=self.costs.total_routing,
             rounds=metrics.rounds,
             messages=metrics.total_messages,
             total_bits=metrics.total_bits,
@@ -724,8 +725,14 @@ class DistributedDSG:
                     rounds=entry.complete_round - entry.admit_round,
                 )
                 self.outcomes.append(outcome)
-                self.total_cost += outcome.cost
-                self.total_routing += entry.measured
+                self.costs.record(
+                    RequestCost(
+                        entry.source,
+                        entry.destination,
+                        entry.measured,
+                        outcome.transformation_rounds,
+                    )
+                )
             elif entry.kind == "join":
                 self.joins += 1
             else:

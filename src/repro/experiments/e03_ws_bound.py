@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.analysis import summarize_baseline_run, summarize_dsg_run
 from repro.analysis.tables import Table
 from repro.baselines import StaticSkipGraphBaseline
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
@@ -75,8 +74,8 @@ def run(n: int = 64, length: int = 150, seed: Optional[int] = 7) -> ExperimentRe
         dsg.run_sequence(requests)
         static = StaticSkipGraphBaseline(keys, topology="balanced")
         static_run = static.serve(requests)
-        dsg_total = summarize_dsg_run(dsg).total_routing + len(requests)
-        static_total = summarize_baseline_run(static_run).total_routing + len(requests)
+        dsg_total = dsg.costs.total_routing + len(requests)
+        static_total = static_run.total_routing + len(requests)
         ratio = dsg_total / max(bound, 1e-9)
         if name == "uniform":
             uniform_ratio = ratio

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import CostSummary, competitive_report, summarize_baseline_run
+from repro.analysis import competitive_report
 from repro.analysis.tables import Table
-from repro.baselines import BaselineRun, make_comparison_algorithms
+from repro.baselines import make_comparison_algorithms
+from repro.core.costs import CostLedger
 from repro.core.working_set import working_set_bound
 from repro.experiments.base import ExperimentResult
 from repro.workloads.scenarios import (
@@ -138,41 +139,39 @@ def run(
         requests = scenario_requests(scenario)
         bound = working_set_bound(requests, n)
 
-        summaries: Dict[str, CostSummary] = {}
-        for algorithm in make_comparison_algorithms(
-            scenario.initial_keys, requests, seed=seed, a=a
-        ):
-            served = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
-            summaries[algorithm.name] = summarize_baseline_run(
-                BaselineRun(name=algorithm.name, costs=served.costs)
+        ledgers: Dict[str, CostLedger] = {
+            algorithm.name: run_scenario(scenario, algorithm=algorithm, keep_costs=True).costs
+            for algorithm in make_comparison_algorithms(
+                scenario.initial_keys, requests, seed=seed, a=a
             )
+        }
 
-        dsg_summary = summaries["dsg"]
-        static_summary = summaries["static-random"]
-        report = competitive_report(dsg_summary, requests, n, precomputed_bound=bound)
+        dsg_ledger = ledgers["dsg"]
+        static_ledger = ledgers["static-random"]
+        report = competitive_report(dsg_ledger, requests, n, precomputed_bound=bound)
 
         routing_table.add_row(
             name,
             bound / len(requests) if requests else 0.0,
-            summaries["oracle-direct-link"].average_routing,
-            dsg_summary.average_routing,
-            dsg_summary.routing_tail(0.5),
-            summaries["offline-static"].average_routing,
-            summaries["splaynet"].average_routing,
-            static_summary.average_routing,
+            ledgers["oracle-direct-link"].average_routing,
+            dsg_ledger.average_routing,
+            dsg_ledger.routing_tail(0.5),
+            ledgers["offline-static"].average_routing,
+            ledgers["splaynet"].average_routing,
+            static_ledger.average_routing,
         )
         cost_table.add_row(
             name,
-            dsg_summary.average_cost,
-            summaries["splaynet"].average_cost,
-            static_summary.average_cost,
+            dsg_ledger.average_cost,
+            ledgers["splaynet"].average_cost,
+            static_ledger.average_cost,
             report.routing_ratio,
         )
         churn_table.add_row(name, len(requests), scenario.join_count, scenario.leave_count)
 
         if name in SKEW_WORKLOADS:
             # Steady-state DSG routing should beat the oblivious static graph.
-            skewed_wins &= dsg_summary.routing_tail(0.5) <= static_summary.average_routing
+            skewed_wins &= dsg_ledger.routing_tail(0.5) <= static_ledger.average_routing
         ratios_ok &= report.routing_within_constant or name == "uniform"
 
     result.tables.append(routing_table)

@@ -4,10 +4,12 @@ Runs the message-level protocols (routing, list broadcast, distributed sum,
 AMF) on growing instances and records:
 
 * the maximum message size in bits versus a ``c * log2 n`` budget,
-* per-link per-round congestion violations (must be zero),
-* the peak protocol state per node in words,
-* the DSG per-node state in words versus ``O(height)`` (the structural
-  engine's memory audit).
+* per-link per-round congestion violations (must be zero) and drops,
+* the DSG per-node state (:class:`~repro.core.state.DSGNodeState` words,
+  after a temporal workload) versus ``3 * (height + 1) + 2``.
+
+The memory audit covers DSG's own state only; the protocols' per-node
+state is not measured here.
 """
 
 from __future__ import annotations

@@ -54,10 +54,10 @@ def _throughput_row(report) -> list:
     return [
         report.scenario,
         report.final_nodes,
-        report.requests,
+        report.costs.requests,
         round(report.elapsed_seconds, 2),
         int(report.requests_per_second),
-        round(report.average_cost, 1),
+        round(report.costs.average_cost, 1),
         report.max_height,
         report.dummy_count,
     ]
@@ -129,7 +129,7 @@ def run(
     checks["churn_scenario_completes"] = (
         churn_report.final_nodes
         == churn_report.initial_nodes + churn_report.joins - churn_report.leaves
-        and churn_report.requests == churn.request_count
+        and churn_report.costs.requests == churn.request_count
     )
     churn_rows = [
         [
@@ -139,7 +139,7 @@ def run(
             churn_report.joins,
             churn_report.leaves,
             int(churn_report.requests_per_second),
-            round(churn_report.average_cost, 1),
+            round(churn_report.costs.average_cost, 1),
         ]
     ]
 

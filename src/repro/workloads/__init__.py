@@ -16,9 +16,6 @@ E3, E8, E9) sweeps:
   communication graph, the paper's VM-migration motivation),
 * ``repeated-pair`` — a single pair repeated (the best case for any
   self-adjusting design, worst case relative advantage for static),
-* ``adversarial-static`` — pairs chosen to be far apart in the *static*
-  topology (max-distance pairs), showing the gap between worst-case static
-  routing and self-adjusted routing,
 * ``zipf-drift`` — Zipf skew whose popularity ranking drifts over time
   (trending content / migrating hotspots),
 * ``flash-crowd`` — background traffic punctuated by phases in which a
@@ -39,7 +36,6 @@ here imports it.
 
 from repro.workloads.sequences import (
     WORKLOADS,
-    adversarial_for_static,
     community_traffic,
     flash_crowd,
     generate_workload,
@@ -81,7 +77,6 @@ __all__ = [
     "Scenario",
     "ScenarioReport",
     "WORKLOADS",
-    "adversarial_for_static",
     "churn_scenario",
     "failure_scenario",
     "community_traffic",

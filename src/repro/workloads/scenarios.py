@@ -30,9 +30,10 @@ against any :class:`~repro.baselines.adapter.ServingAlgorithm` (by default
 a :class:`~repro.baselines.adapter.DSGAdapter` over a fresh
 :class:`~repro.core.dsg.DynamicSkipGraph`), one
 :meth:`~repro.baselines.adapter.ServingAlgorithm.request` per request
-event, and returns a :class:`ScenarioReport` with the cost/throughput
-accounting.  Passing ``algorithm=`` drives a baseline (static skip graph,
-offline-static, SplayNet, oracle) through the *same* schedule, which is how
+event, and returns a :class:`ScenarioReport` carrying the run's
+:class:`~repro.core.costs.CostLedger` and its throughput.  Passing
+``algorithm=`` drives a baseline (static skip graph, offline-static,
+SplayNet, oracle) through the *same* schedule, which is how
 E9 and ``benchmarks/bench_e09_comparison.py`` make churn-capable
 comparisons at scale.
 
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.adapter import DSGAdapter, ServingAlgorithm
-from repro.baselines.base import BaselineRun, RequestCost
+from repro.core.costs import CostLedger
 from repro.core.dsg import DSGConfig
 from repro.simulation.rng import make_rng
 from repro.skipgraph.node import Key
@@ -161,36 +162,32 @@ class Scenario:
 class ScenarioReport:
     """Outcome of one :func:`run_scenario` execution.
 
-    ``algorithm`` names the :class:`~repro.baselines.adapter.ServingAlgorithm`
-    that served the schedule (``"dsg"`` for the default adapter).
-    ``working_set_bound`` is the bound accumulated over *this scenario's*
-    requests (a delta of the algorithm's running sum, so reports stay
-    scoped when an adapter serves several scenarios) and ``dummy_count``
-    the structure's current auxiliary nodes; both are 0 for algorithms
-    that do not track them (only DSG does).  ``costs`` holds one
-    :class:`~repro.baselines.base.RequestCost` per request when the run
-    kept them.  ``max_height`` is display-only: the structure's height
-    sampled at the start, after every churn event and at the end — not per
-    request (the height lemma is checked per request from
-    ``RequestResult.height_after``).
+    ``costs`` is the run's own :class:`~repro.core.costs.CostLedger`, scoped
+    to this scenario and named after the
+    :class:`~repro.baselines.adapter.ServingAlgorithm` that served it
+    (``"dsg"`` for the default adapter); it retains one
+    :class:`~repro.core.costs.RequestCost` per request when the run kept
+    them.  ``working_set_bound`` is the bound accumulated over *this
+    scenario's* requests (a delta of the algorithm's running sum, so reports
+    stay scoped when an adapter serves several scenarios) and
+    ``dummy_count`` the structure's current auxiliary nodes; both are 0 for
+    algorithms that do not track them (only DSG does).  ``max_height`` is
+    display-only: the structure's height sampled at the start, after every
+    churn event and at the end — not per request (the height lemma is
+    checked per request from ``RequestResult.height_after``).
     """
 
     scenario: str
+    costs: CostLedger
     initial_nodes: int
     final_nodes: int
-    requests: int
     joins: int
     leaves: int
-    total_cost: int
-    total_routing_cost: int
-    average_cost: float
     working_set_bound: float
     final_height: int
     max_height: int
     dummy_count: int
     elapsed_seconds: float
-    costs: Optional[List[RequestCost]] = None
-    algorithm: str = "dsg"
     crashes: int = 0
     recoveries: int = 0
 
@@ -198,7 +195,7 @@ class ScenarioReport:
     def requests_per_second(self) -> float:
         if self.elapsed_seconds <= 0.0:
             return 0.0
-        return self.requests / self.elapsed_seconds
+        return self.costs.requests / self.elapsed_seconds
 
 
 # --------------------------------------------------------------------- runner
@@ -220,13 +217,13 @@ def run_scenario(
     :meth:`~repro.baselines.adapter.ServingAlgorithm.request`, recorded
     into a run scoped to this scenario; joins and leaves call the
     membership operations (Section IV-G for the skip-graph structures).
-    ``keep_costs=True`` returns the per-request costs on the report.
+    ``keep_costs=True`` retains the per-request costs in ``report.costs``.
     """
     if algorithm is None:
         algorithm = DSGAdapter(keys=scenario.initial_keys, config=config)
     elif config is not None:
         raise ValueError("config applies to the default DSG algorithm only")
-    run = BaselineRun(name=algorithm.name, keep_costs=keep_costs)
+    run = CostLedger(name=algorithm.name, keep_costs=keep_costs)
     # working_set_bound() is a running sum over the request stream, so its
     # delta is exactly this scenario's contribution — keeping every report
     # field scoped to the scenario even when the adapter is reused.
@@ -261,21 +258,16 @@ def run_scenario(
     final_height = algorithm.height()
     return ScenarioReport(
         scenario=scenario.name,
+        costs=run,
         initial_nodes=len(scenario.initial_keys),
         final_nodes=algorithm.population(),
-        requests=run.requests,
         joins=joins,
         leaves=leaves,
-        total_cost=run.total_cost,
-        total_routing_cost=run.total_routing,
-        average_cost=run.average_cost,
         working_set_bound=algorithm.working_set_bound() - base_ws,
         final_height=final_height,
         max_height=max(max_height, final_height),
         dummy_count=algorithm.dummy_count(),
         elapsed_seconds=elapsed,
-        costs=run.costs if keep_costs else None,
-        algorithm=algorithm.name,
         crashes=crashes,
         recoveries=recoveries,
     )

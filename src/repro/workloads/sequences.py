@@ -23,7 +23,6 @@ from repro.skipgraph.node import Key
 
 __all__ = [
     "WORKLOADS",
-    "adversarial_for_static",
     "community_traffic",
     "flash_crowd",
     "generate_workload",
@@ -272,51 +271,6 @@ def community_traffic(
     return requests
 
 
-def adversarial_for_static(
-    keys: Sequence[Key],
-    length: int,
-    seed: Optional[int] = None,
-    graph=None,
-) -> List[Request]:
-    """Pairs that are far apart in a *static* balanced skip graph.
-
-    A sample of up to 24 keys is scored by their pairwise routing distance
-    in ``graph`` (a balanced skip graph over ``keys`` is built when omitted)
-    and requests are drawn uniformly from the worst decile of pairs — the
-    traffic that maximises static routing cost while a self-adjusting
-    structure quickly makes the repeating pairs adjacent.
-
-    Parameters
-    ----------
-    keys:
-        Key population (at least four distinct keys).
-    length:
-        Number of requests to generate.
-    seed:
-        RNG seed (drives the sampling and the draws).
-    graph:
-        Optional pre-built skip graph to score the pairs against.
-    """
-    rng = make_rng(seed)
-    keys = sorted(set(keys))
-    if len(keys) < 4:
-        raise ValueError("need at least four keys")
-    if graph is None:
-        from repro.skipgraph.build import build_balanced_skip_graph
-
-        graph = build_balanced_skip_graph(keys)
-    from repro.skipgraph.routing import route as sg_route
-
-    sample = rng.sample(keys, min(len(keys), 24))
-    scored = []
-    for i, u in enumerate(sample):
-        for v in sample[i + 1 :]:
-            scored.append((sg_route(graph, u, v).distance, (u, v)))
-    scored.sort(reverse=True)
-    worst = [pair for _, pair in scored[: max(4, len(scored) // 8)]]
-    return [worst[rng.randrange(len(worst))] for _ in range(length)]
-
-
 def zipf_with_drift(
     keys: Sequence[Key],
     length: int,
@@ -461,7 +415,6 @@ WORKLOADS: Dict[str, Callable[..., List[Request]]] = {
     "zipf-drift": zipf_with_drift,
     "temporal": temporal_locality,
     "community": community_traffic,
-    "adversarial-static": adversarial_for_static,
     "flash-crowd": flash_crowd,
 }
 

@@ -1,70 +1,31 @@
-"""Tests for cost summaries, competitive reports, statistics and tables."""
+"""Tests for competitive reports, statistics and tables."""
 
 import math
 
 import pytest
 
 from repro.analysis import (
-    CostSummary,
     Table,
     competitive_report,
     describe,
     log2_fit_slope,
     percentile,
     render_table,
-    summarize_baseline_run,
-    summarize_dsg_run,
     to_csv,
 )
-from repro.baselines import DirectLinkOracle, StaticSkipGraphBaseline
+from repro.baselines import DirectLinkOracle
+from repro.core.costs import CostLedger, RequestCost
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 from repro.workloads import generate_workload
 
 KEYS = list(range(1, 33))
 
 
-class TestCostSummaries:
-    def test_summarize_dsg_run(self):
-        dsg = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=1))
-        requests = generate_workload("hot-pairs", KEYS, 40, seed=1)
-        dsg.run_sequence(requests)
-        summary = summarize_dsg_run(dsg)
-        assert summary.requests == 40
-        assert summary.total_cost == dsg.total_cost()
-        assert summary.average_cost == pytest.approx(dsg.average_cost())
-        assert summary.max_routing == max(summary.routing_series)
-
-    def test_summarize_baseline_run(self):
-        baseline = StaticSkipGraphBaseline(KEYS, topology="balanced")
-        run = baseline.serve(generate_workload("uniform", KEYS, 25, seed=2))
-        summary = summarize_baseline_run(run)
-        assert summary.requests == 25
-        assert summary.total_adjustment == 0
-        assert summary.total_cost == run.total_cost
-
-    def test_routing_tail(self):
-        summary = CostSummary(
-            name="x", requests=4, total_routing=10, total_adjustment=0,
-            average_routing=2.5, average_adjustment=0, average_cost=3.5,
-            max_routing=4, routing_series=[4, 4, 1, 1],
-        )
-        assert summary.routing_tail(0.5) == 1.0
-        assert summary.routing_tail(1.0) == 2.5
-
-    def test_empty_tail(self):
-        summary = CostSummary(
-            name="x", requests=0, total_routing=0, total_adjustment=0,
-            average_routing=0, average_adjustment=0, average_cost=0,
-            max_routing=0, routing_series=[],
-        )
-        assert summary.routing_tail() == 0.0
-
-
 class TestCompetitive:
     def test_oracle_is_below_every_bound(self):
         requests = generate_workload("repeated-pair", KEYS, 50, seed=3)
         run = DirectLinkOracle().serve(requests)
-        report = competitive_report(summarize_baseline_run(run), requests, len(KEYS))
+        report = competitive_report(run, requests, len(KEYS))
         assert report.routing_ratio <= 1.0
         assert report.working_set_bound > 0
 
@@ -72,17 +33,14 @@ class TestCompetitive:
         dsg = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=5))
         requests = generate_workload("temporal", KEYS, 150, seed=5, working_set_size=6)
         dsg.run_sequence(requests)
-        report = competitive_report(summarize_dsg_run(dsg), requests, len(KEYS))
+        report = competitive_report(dsg.costs, requests, len(KEYS))
         assert report.routing_within_constant
         assert report.log_n == pytest.approx(5.0)
 
     def test_precomputed_bound_is_used(self):
-        summary = CostSummary(
-            name="x", requests=1, total_routing=10, total_adjustment=0,
-            average_routing=10, average_adjustment=0, average_cost=11,
-            max_routing=10, routing_series=[10],
-        )
-        report = competitive_report(summary, [(1, 2)], 32, precomputed_bound=5.0)
+        ledger = CostLedger(name="x")
+        ledger.record(RequestCost(1, 2, routing=10))
+        report = competitive_report(ledger, [(1, 2)], 32, precomputed_bound=5.0)
         assert report.routing_ratio == pytest.approx(2.0)
 
 

@@ -4,9 +4,9 @@ Covers the two properties the adapter refactor promises:
 
 * **Streaming == retained.** Every aggregate a streaming
   (``keep_costs=False``) run reports equals the sum over the retained
-  per-request costs of an identical retained run — for the raw
-  :class:`BaselineRun` counters (hypothesis property) and for every
-  algorithm end to end.
+  per-request costs of an identical retained run, for every algorithm end
+  to end (the raw :class:`~repro.core.costs.CostLedger` property lives in
+  ``tests/core/test_costs.py``).
 * **Cache == scan.** The static baselines' cached per-pair routing
   distances equal the scan-based executable specification
   (``route_reference``) on randomized graphs, including across
@@ -19,15 +19,11 @@ serving fast path agrees with its reference tree helpers.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import (
-    BaselineRun,
     DSGAdapter,
     DirectLinkOracle,
     OfflineStaticBaseline,
-    RequestCost,
     SplayNetBaseline,
     StaticSkipGraphBaseline,
     make_comparison_algorithms,
@@ -44,51 +40,6 @@ from repro.workloads import (
 )
 
 KEYS = list(range(1, 33))
-
-cost_lists = st.lists(
-    st.builds(
-        RequestCost,
-        source=st.integers(1, 50),
-        destination=st.integers(1, 50),
-        routing=st.integers(0, 40),
-        adjustment=st.integers(0, 25),
-    ),
-    max_size=60,
-)
-
-
-class TestBaselineRunStreaming:
-    @given(costs=cost_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_streaming_counters_equal_retained_sums(self, costs):
-        retained = BaselineRun(name="r", keep_costs=True)
-        streaming = BaselineRun(name="s", keep_costs=False)
-        for cost in costs:
-            retained.record(cost)
-            streaming.record(cost)
-
-        assert retained.costs == costs
-        assert streaming.costs == []
-        # The retained list is the ground truth; both counter sets must match it.
-        for run in (retained, streaming):
-            assert run.requests == len(costs)
-            assert run.total_routing == sum(c.routing for c in costs)
-            assert run.total_adjustment == sum(c.adjustment for c in costs)
-            assert run.total_cost == sum(c.total for c in costs)
-            assert run.max_routing == max((c.routing for c in costs), default=0)
-
-    @given(costs=cost_lists)
-    @settings(max_examples=30, deadline=None)
-    def test_prefilled_cost_list_seeds_counters(self, costs):
-        run = BaselineRun(name="x", costs=list(costs))
-        assert run.requests == len(costs)
-        assert run.total_cost == sum(c.total for c in costs)
-
-    def test_empty_streaming_run(self):
-        run = BaselineRun(name="x", keep_costs=False)
-        assert run.average_cost == 0.0
-        assert run.routing_series() == []
-
 
 def build_algorithms(requests, seed=11):
     return make_comparison_algorithms(KEYS, requests, seed=seed)
@@ -161,9 +112,9 @@ class TestChurnCapableAdapters:
         expected_population = 32 + scenario.join_count - scenario.leave_count
         for algorithm in make_comparison_algorithms(scenario.initial_keys, requests, seed=13):
             report = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
-            assert report.requests == scenario.request_count
+            assert report.costs.requests == scenario.request_count
             assert algorithm.population() == expected_population
-            assert report.total_cost >= report.requests  # Equation 1: >= 1 each
+            assert report.costs.total_cost >= report.costs.requests  # Equation 1: >= 1 each
         # churn_scenario with this seed must actually churn for the test to bite
         assert scenario.join_count > 0
 
@@ -180,7 +131,7 @@ class TestChurnCapableAdapters:
         expected_population = 32 - scenario.crash_count + scenario.recovery_count
         for algorithm in make_comparison_algorithms(scenario.initial_keys, requests, seed=7):
             report = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
-            assert report.requests == scenario.request_count == len(report.costs)
+            assert report.costs.requests == scenario.request_count == len(report.costs.costs)
             assert report.crashes == scenario.crash_count
             assert report.recoveries == scenario.recovery_count
             assert report.joins == report.leaves == 0
@@ -190,9 +141,9 @@ class TestChurnCapableAdapters:
         scenario = churn_scenario(n=32, length=200, seed=31, base="hot-pairs", churn_rate=0.03)
         algorithm = SplayNetBaseline(scenario.initial_keys)
         report = run_scenario(scenario, algorithm=algorithm, keep_costs=True)
-        assert report.algorithm == "splaynet"
-        assert report.requests == scenario.request_count
-        assert report.total_cost == sum(cost.total for cost in report.costs)
+        assert report.costs.name == "splaynet"
+        assert report.costs.requests == scenario.request_count
+        assert report.costs.total_cost == sum(cost.total for cost in report.costs.costs)
         assert report.working_set_bound == 0.0  # only DSG tracks it
         assert algorithm.is_valid_bst()
 
@@ -213,7 +164,7 @@ class TestChurnCapableAdapters:
         assert report_one.working_set_bound > 0
         assert report_two.working_set_bound > 0
         assert report_one.working_set_bound + report_two.working_set_bound == pytest.approx(lifetime_bound)
-        assert report_two.requests == second.request_count
+        assert report_two.costs.requests == second.request_count
 
     def test_oracle_tracks_population(self):
         oracle = DirectLinkOracle(KEYS)

@@ -6,13 +6,12 @@ import random
 import pytest
 
 from repro.baselines import (
-    BaselineRun,
     DirectLinkOracle,
     OfflineStaticBaseline,
-    RequestCost,
     SplayNetBaseline,
     StaticSkipGraphBaseline,
 )
+from repro.core.costs import CostLedger, RequestCost
 from repro.simulation.rng import make_rng
 from repro.workloads import generate_workload
 
@@ -25,7 +24,7 @@ class TestRequestCostAndRun:
         assert cost.total == 15
 
     def test_run_aggregates(self):
-        run = BaselineRun(name="x")
+        run = CostLedger(name="x")
         run.record(RequestCost(1, 2, routing=3))
         run.record(RequestCost(2, 3, routing=5, adjustment=2))
         assert run.requests == 2
@@ -33,10 +32,10 @@ class TestRequestCostAndRun:
         assert run.total_adjustment == 2
         assert run.total_cost == 8 + 2 + 2
         assert run.average_routing == 4.0
-        assert run.routing_series() == [3, 5]
+        assert [cost.routing for cost in run.costs] == [3, 5]
 
     def test_empty_run_averages_are_zero(self):
-        run = BaselineRun(name="x")
+        run = CostLedger(name="x")
         assert run.average_cost == 0.0
         assert run.average_routing == 0.0
 

@@ -89,7 +89,7 @@ class TestRequestBasics:
         def observed():
             return (
                 instance.time,
-                instance.requests_served(),
+                instance.costs.requests,
                 len(instance.history.requests),
                 instance.working_set_bound(),
                 instance.graph.membership_table(),
@@ -112,10 +112,9 @@ class TestRequestBasics:
         for u, v in requests[25:]:
             streamed.request(u, v)
         assert len(streamed.results) == 15
-        assert streamed.requests_served() == len(requests)
+        assert streamed.costs.requests == len(requests)
         assert streamed.total_cost() == kept.total_cost()
-        assert streamed.total_routing_cost() == kept.total_routing_cost()
-        assert streamed.average_cost() == pytest.approx(kept.average_cost())
+        assert streamed.costs == kept.costs
         assert streamed.working_set_bound() == pytest.approx(kept.working_set_bound())
         assert streamed.graph.membership_table() == kept.graph.membership_table()
 
@@ -156,7 +155,7 @@ class TestRequestBasics:
         dsg.request(3, 4)
         assert len(dsg.results) == 2
         assert dsg.total_cost() == sum(r.cost for r in dsg.results)
-        assert dsg.average_cost() == pytest.approx(dsg.total_cost() / 2)
+        assert dsg.costs.average_cost == pytest.approx(dsg.total_cost() / 2)
 
     def test_run_sequence(self, dsg):
         results = dsg.run_sequence([(1, 2), (2, 3), (1, 2)])

@@ -223,7 +223,7 @@ class TestRejectedEvent:
             driver.run_scenario(Scenario("bad", [], schedule))
         # (5, 60) was served; the rejected event and (9, 33) were not.
         assert [(o.source, o.destination) for o in driver.outcomes] == [(3, 42), (5, 60)]
-        assert len(driver.outcomes) == driver.planner.requests_served()
+        assert len(driver.outcomes) == driver.planner.costs.requests
         _assert_consistent(driver)
         assert driver.report().matches_planner
         outcome = driver.request(5, 60)

@@ -25,6 +25,7 @@ windows on everything but rounds.
 
 from __future__ import annotations
 
+from repro.core.costs import RequestCost
 from repro.core.local_ops import op_anchor, op_to_payload, stale_op_keys
 from repro.distributed import DistributedDSG, DistributedRequestOutcome
 from repro.simulation.errors import SimulationError
@@ -138,5 +139,4 @@ class SequentialReferenceDSG(DistributedDSG):
             rounds=self.sim.round - first_round,
         )
         self.outcomes.append(outcome)
-        self.total_cost += outcome.cost
-        self.total_routing += measured
+        self.costs.record(RequestCost(source, destination, measured, transformation_rounds))

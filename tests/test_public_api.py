@@ -133,20 +133,17 @@ class TestCentralFrontEnd:
         ]  # fmt: skip
 
     def test_no_batch_serving_entry_points(self):
-        from repro.baselines import BaselineRun
-
         for gone in ("run_requests", "_serve"):
             assert not hasattr(repro.DynamicSkipGraph, gone), gone
         assert not hasattr(repro.ServingAlgorithm, "request_batch")
-        assert not hasattr(BaselineRun, "record_batch")
+        assert not hasattr(repro.CostLedger, "record_batch")
 
     def test_export_lists_have_no_second_runner(self):
         import repro.baselines as baselines
 
         assert set(baselines.__all__) == {
-            "BaselineRun", "DSGAdapter", "DirectLinkOracle", "OfflineStaticBaseline",
-            "RequestCost", "ServingAlgorithm", "SplayNetBaseline", "StaticSkipGraphBaseline",
-            "make_comparison_algorithms",
+            "DSGAdapter", "DirectLinkOracle", "OfflineStaticBaseline", "ServingAlgorithm",
+            "SplayNetBaseline", "StaticSkipGraphBaseline", "make_comparison_algorithms",
         }  # fmt: skip
         for gone in ("BatchServeOutcome", "play_scenario"):
             assert gone not in repro.__all__ and not hasattr(repro, gone), gone
@@ -200,6 +197,34 @@ class TestRetiredSurface:
             assert gone not in workloads.__all__ and not hasattr(workloads, gone), gone
         assert not (PACKAGE_ROOT / "skiplist" / "skiplist.py").exists()
         assert not (PACKAGE_ROOT / "workloads" / "traces.py").exists()
+
+    def test_adversarial_static_workload_is_gone(self):
+        import repro.workloads as workloads
+        from repro.workloads import sequences
+
+        assert "adversarial-static" not in workloads.WORKLOADS
+        for module in (workloads, sequences):
+            assert "adversarial_for_static" not in module.__all__
+            assert not hasattr(module, "adversarial_for_static")
+
+    def test_one_cost_ledger(self):
+        import repro.analysis as analysis
+        import repro.baselines as baselines
+        from repro.baselines.adapter import ServingAlgorithm
+        from repro.distributed import DistributedDSG
+
+        for gone in ("CostSummary", "summarize_dsg_run", "summarize_baseline_run"):
+            assert gone not in repro.__all__ and not hasattr(repro, gone), gone
+            assert gone not in analysis.__all__ and not hasattr(analysis, gone), gone
+        assert not hasattr(baselines, "BaselineRun")
+        assert not (PACKAGE_ROOT / "analysis" / "costs.py").exists()
+        assert not (PACKAGE_ROOT / "baselines" / "base.py").exists()
+        for gone in ("requests_served", "average_cost", "total_routing_cost"):
+            assert not hasattr(repro.DynamicSkipGraph, gone), gone
+        assert not hasattr(ServingAlgorithm, "average_cost")
+        driver = DistributedDSG(range(1, 9))
+        assert not hasattr(driver, "total_cost") and not hasattr(driver, "total_routing")
+        assert isinstance(driver.costs, repro.CostLedger)
 
 
 #: The only third-party import in ``src/repro`` and the only place it may

@@ -51,15 +51,16 @@ class TestChurnScenario:
     def test_run_scenario_accounting(self):
         scenario = churn_scenario(n=48, length=400, seed=3, base="temporal", churn_rate=0.04)
         report = run_scenario(scenario, DSGConfig(seed=5), keep_costs=True)
-        assert report.requests == scenario.request_count
+        costs = report.costs
+        assert costs.requests == scenario.request_count
         assert report.joins == scenario.join_count
         assert report.leaves == scenario.leave_count
         assert report.final_nodes == report.initial_nodes + report.joins - report.leaves
-        assert report.algorithm == "dsg"
-        assert len(report.costs) == report.requests
-        assert report.total_cost == sum(cost.total for cost in report.costs)
-        assert report.total_routing_cost == sum(cost.routing for cost in report.costs)
-        assert report.average_cost == pytest.approx(report.total_cost / report.requests)
+        assert costs.name == "dsg"
+        assert len(costs.costs) == costs.requests
+        assert costs.total_cost == sum(cost.total for cost in costs.costs)
+        assert costs.total_routing == sum(cost.routing for cost in costs.costs)
+        assert costs.average_cost == pytest.approx(costs.total_cost / costs.requests)
         assert report.elapsed_seconds > 0
         assert report.max_height >= report.final_height
 
@@ -87,9 +88,9 @@ class TestChurnScenario:
             else:
                 dsg.remove_node(event.key)
         assert (report.crashes, report.recoveries) == (1, 1)
-        assert [cost.total for cost in report.costs] == [result.cost for result in by_hand]
-        assert [cost.routing for cost in report.costs] == [r.routing_cost for r in by_hand]
-        assert report.total_cost == dsg.total_cost()
+        assert [cost.total for cost in report.costs.costs] == [result.cost for result in by_hand]
+        assert [cost.routing for cost in report.costs.costs] == [r.routing_cost for r in by_hand]
+        assert report.costs.total_cost == dsg.total_cost()
         assert adapter.dsg.graph.membership_table() == dsg.graph.membership_table()
 
 
@@ -125,7 +126,7 @@ class TestScaleScenario:
             flash_count=1, crowd_size=6, churn_rate=0.005,
         )
         report = run_scenario(scenario, DSGConfig(seed=7))
-        assert report.requests == scenario.request_count
+        assert report.costs.requests == scenario.request_count
         assert report.requests_per_second > 0
         assert report.final_nodes == report.initial_nodes + report.joins - report.leaves
 

@@ -89,14 +89,6 @@ class TestGenerators:
             peers[v].add(u)
         assert max(len(p) for p in peers.values()) <= 16
 
-    def test_adversarial_pairs_are_far_apart_statically(self):
-        from repro.baselines import StaticSkipGraphBaseline
-
-        requests = generate_workload("adversarial-static", KEYS, 100, seed=7)
-        baseline = StaticSkipGraphBaseline(KEYS, topology="balanced")
-        average = sum(baseline.routing_cost(u, v) for u, v in set(requests)) / len(set(requests))
-        assert average >= 3
-
 
 class TestPaperExamples:
     def test_fig2_working_set_number_is_5(self):

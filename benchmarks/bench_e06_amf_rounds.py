@@ -8,8 +8,8 @@ Two measurements:
   **4096 nodes** (feasible since the engine's active set follows the
   streaming frontier instead of invoking every process each round),
   asserting the O(log n)-flavour growth on the protocol itself and writing
-  a ``BENCH_e06_amf_rounds.json`` artifact with per-size protocol rows
-  (rounds, messages, bits, violations, drops).
+  a ``BENCH_e06_amf_rounds.json`` artifact with one ``protocol`` row per
+  size (rounds, messages, bits, violations, drops).
 
 Under ``BENCH_QUICK=1`` both shrink to CI smoke shapes.
 """
@@ -17,13 +17,9 @@ Under ``BENCH_QUICK=1`` both shrink to CI smoke shapes.
 import time
 from pathlib import Path
 
-from conftest import artifact_dir, experiment_params, publish_artifact, quick_mode
+from conftest import artifact_dir, experiment_params, protocol_row, publish_artifact, quick_mode
 
-from repro.analysis.artifacts import (
-    BenchmarkArtifact,
-    ProtocolResult,
-    render_comparison,
-)
+from repro.analysis.artifacts import BenchmarkArtifact, render_comparison
 from repro.distributed import run_amf_protocol
 from repro.experiments import run_experiment
 from repro.simulation.message import congest_budget_bits
@@ -53,17 +49,8 @@ def test_e06_protocol_scale(run_once):
             values = {i: float(rng.random()) for i in range(n)}
             started = time.perf_counter()
             result = run_amf_protocol(values, a=4, seed=SCALE_SEED + n)
-            budget = congest_budget_bits(n)
-            rows.append(ProtocolResult(
-                name="amf",
-                n=n,
-                rounds=result.rounds,
-                messages=result.messages,
-                total_bits=result.total_bits,
-                max_message_bits=result.max_message_bits,
-                budget_bits=budget,
-                congestion_violations=result.congestion_violations,
-                dropped_messages=result.dropped_messages,
+            rows.append(protocol_row(
+                "amf", n, congest_budget_bits(n), result,
                 wall_seconds=time.perf_counter() - started,
             ))
             assert result.satisfies_lemma1(list(values.values()), a=4)
@@ -71,20 +58,22 @@ def test_e06_protocol_scale(run_once):
 
     rows = run_once(sweep)
 
-    growth = rows[-1].rounds / max(rows[0].rounds, 1)
+    growth = rows[-1]["rounds"] / max(rows[0]["rounds"], 1)
     linear_growth = SCALE_SIZES[-1] / SCALE_SIZES[0]
     checks = {
         "protocol_rounds_sublinear_at_scale": growth <= 0.75 * linear_growth,
-        "zero_congestion_violations": all(row.congestion_violations == 0 for row in rows),
-        "all_messages_within_budget": all(row.within_budget for row in rows),
-        "no_drops_without_churn": all(row.dropped_messages == 0 for row in rows),
+        "zero_congestion_violations": all(row["congestion_violations"] == 0 for row in rows),
+        "all_messages_within_budget": all(
+            row["max_message_bits"] <= row["budget_bits"] for row in rows
+        ),
+        "no_drops_without_churn": all(row["dropped_messages"] == 0 for row in rows),
     }
 
     artifact = BenchmarkArtifact(
         benchmark="e06_amf_rounds",
         config={"sizes": list(SCALE_SIZES), "a": 4, "seed": SCALE_SEED, "quick": quick_mode()},
-        wall_seconds=sum(row.wall_seconds for row in rows),
-        protocols=rows,
+        wall_seconds=sum(row["wall_seconds"] for row in rows),
+        rows=rows,
         checks=checks,
     )
     out_dir = Path(artifact_dir())
@@ -94,9 +83,6 @@ def test_e06_protocol_scale(run_once):
 
     print()
     print(report_md)
-    for row in rows:
-        print(f"[e06-scale] n={row.n:<5} rounds={row.rounds:<5} messages={row.messages:<7} "
-              f"max_bits={row.max_message_bits} elapsed={row.wall_seconds:.2f}s")
     print(f"[e06-scale] artifact={json_path}")
 
     assert json_path.exists()

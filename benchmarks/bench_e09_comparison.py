@@ -24,14 +24,9 @@ Run with::
 
 from pathlib import Path
 
-from conftest import artifact_dir, experiment_params, publish_artifact, quick_mode
+from conftest import artifact_dir, experiment_params, ledger_row, publish_artifact, quick_mode
 
-from repro.analysis.artifacts import (
-    AlgorithmResult,
-    BenchmarkArtifact,
-    PlanSizeStats,
-    render_comparison,
-)
+from repro.analysis.artifacts import BenchmarkArtifact, plan_size_fields, render_comparison
 from repro.baselines import make_comparison_algorithms
 from repro.core.dsg import DSGConfig
 from repro.experiments import run_experiment
@@ -83,28 +78,16 @@ def test_e09_scale_comparison(run_once):
     by_name = {report.costs.name: report for report in reports}
     ws_bound = by_name["dsg"].working_set_bound
     assert ws_bound > 0
-    phases_by_name = {algorithm.name: algorithm.phase_seconds() for algorithm in algorithms}
-
-    results = []
     for report in reports:
-        costs = report.costs
-        assert costs.requests == scenario.request_count
+        assert report.costs.requests == scenario.request_count
         assert report.joins == scenario.join_count and report.leaves == scenario.leave_count
-        results.append(
-            AlgorithmResult(
-                name=costs.name,
-                requests=costs.requests,
-                total_routing=costs.total_routing,
-                total_adjustment=costs.total_adjustment,
-                total_cost=costs.total_cost,
-                wall_seconds=report.elapsed_seconds,
-                ws_bound_ratio=costs.total_routing / ws_bound,
-                final_height=report.final_height,
-                joins=report.joins,
-                leaves=report.leaves,
-                phases=phases_by_name.get(costs.name, {}),
-            )
+    # Cheapest algorithm first: the winner reads first.
+    rows = [
+        ledger_row(algorithm.name, report, ws_bound, algorithm.phase_seconds())
+        for algorithm, report in sorted(
+            zip(algorithms, reports), key=lambda pair: pair[1].costs.average_cost
         )
+    ]
 
     dsg = by_name["dsg"]
     static = by_name["static-random"]
@@ -124,17 +107,16 @@ def test_e09_scale_comparison(run_once):
     # Plan-size distribution (DSG only): the per-request local-op plans the
     # kernel emitted while serving this schedule — the locality claim row.
     dsg_algorithm = next(algorithm for algorithm in algorithms if algorithm.name == "dsg")
-    plan_rows = [
-        PlanSizeStats.from_histogram("scale-mix", dsg_algorithm.plan_size_histogram())
-    ]
+    rows.append({
+        "kind": "plan-size", "name": "scale-mix",
+        **plan_size_fields(dsg_algorithm.plan_size_histogram()),
+    })
 
     artifact = BenchmarkArtifact(
         benchmark="e09_comparison",
-        config=dict(SCENARIO_PARAMS, quick=quick_mode()),
+        config=dict(SCENARIO_PARAMS, quick=quick_mode(), working_set_bound=ws_bound),
         wall_seconds=sum(report.elapsed_seconds for report in reports),
-        working_set_bound=ws_bound,
-        algorithms=results,
-        plan_sizes=plan_rows,
+        rows=rows,
         checks=checks,
     )
     out_dir = Path(artifact_dir())
@@ -145,15 +127,6 @@ def test_e09_scale_comparison(run_once):
 
     print()
     print(report_md)
-    for report in sorted(reports, key=lambda r: r.costs.average_cost):
-        costs = report.costs
-        print(
-            f"[e09-scale] {costs.name:<18} requests={costs.requests} "
-            f"avg_routing={costs.average_routing:.3f} "
-            f"avg_cost={costs.average_cost:.2f} "
-            f"elapsed={report.elapsed_seconds:.1f}s "
-            f"throughput={report.requests_per_second:.0f} req/s"
-        )
     print(f"[e09-scale] artifact={json_path} report={md_path}")
 
     assert json_path.exists() and md_path.exists()

@@ -26,8 +26,8 @@ Two measurements:
 
   Every protocol must stay CONGEST-conformant: **zero congestion
   violations** and every message within the ``c * log2 n`` bit budget.
-  The run writes a structured ``BENCH_e11_congest.json`` artifact (schema
-  v2 ``protocols`` rows: rounds, messages, bits, violations, drops, churn)
+  The run writes a structured ``BENCH_e11_congest.json`` artifact
+  (``protocol`` rows: rounds, messages, bits, violations, drops, churn)
   plus a markdown report into ``benchmarks/artifacts/`` (override with
   ``BENCH_ARTIFACT_DIR``).
 
@@ -42,13 +42,9 @@ Run with::
 import time
 from pathlib import Path
 
-from conftest import artifact_dir, experiment_params, publish_artifact, quick_mode
+from conftest import artifact_dir, experiment_params, protocol_row, publish_artifact, quick_mode
 
-from repro.analysis.artifacts import (
-    BenchmarkArtifact,
-    ProtocolResult,
-    render_comparison,
-)
+from repro.analysis.artifacts import BenchmarkArtifact, render_comparison
 from repro.distributed import (
     install_broadcast,
     install_routing,
@@ -114,23 +110,6 @@ def _shielded_churn(keys, length, seed, protected, next_key=None, joins=True):
                     events=events, params=scenario.params)
 
 
-def _protocol_row(name, n, window, budget, joins=0, leaves=0, wall=0.0):
-    return ProtocolResult(
-        name=name,
-        n=n,
-        rounds=window["rounds"],
-        messages=window["messages"],
-        total_bits=window["bits"],
-        max_message_bits=window["max_message_bits"],
-        budget_bits=budget,
-        congestion_violations=window["congestion_violations"],
-        dropped_messages=window["dropped_messages"],
-        joins=joins,
-        leaves=leaves,
-        wall_seconds=wall,
-    )
-
-
 def test_e11_congest_arena(run_once):
     n, churn_length, seed = ARENA["n"], ARENA["churn_length"], ARENA["seed"]
     budget = budget_bits(n)
@@ -168,10 +147,10 @@ def test_e11_congest_arena(run_once):
         simulator.run()
         window = simulator.metrics.window(checkpoint)
         completed = sum(process.completed for process in simulator.processes.values())
-        protocols.append(_protocol_row(
-            "routing", n, window, budget,
+        protocols.append(protocol_row(
+            "routing", n, budget, window,
             joins=replay.joins, leaves=replay.leaves,
-            wall=time.perf_counter() - started,
+            wall_seconds=time.perf_counter() - started,
         ))
 
         # --- broadcast under leave-only churn (same engine, next generation)
@@ -193,10 +172,10 @@ def test_e11_congest_arena(run_once):
         simulator.run()
         window = simulator.metrics.window(checkpoint)
         coverage = sum(1 for process in broadcast_processes.values() if process.received)
-        protocols.append(_protocol_row(
-            "broadcast", len(members), window, budget,
+        protocols.append(protocol_row(
+            "broadcast", len(members), budget, window,
             joins=broadcast_replay.joins, leaves=broadcast_replay.leaves,
-            wall=time.perf_counter() - started,
+            wall_seconds=time.perf_counter() - started,
         ))
 
         # --- sum / AMF convergecasts at full scale ------------------------
@@ -204,12 +183,8 @@ def test_e11_congest_arena(run_once):
         skiplist = BalancedSkipList(items, a=4, rng=make_rng(seed))
         started = time.perf_counter()
         sum_result = run_sum_protocol(skiplist, {item: 1.0 for item in items}, seed=seed)
-        protocols.append(ProtocolResult(
-            name="sum", n=n, rounds=sum_result.rounds, messages=sum_result.messages,
-            total_bits=sum_result.total_bits, max_message_bits=sum_result.max_message_bits,
-            budget_bits=budget, congestion_violations=sum_result.congestion_violations,
-            dropped_messages=sum_result.dropped_messages,
-            wall_seconds=time.perf_counter() - started,
+        protocols.append(protocol_row(
+            "sum", n, budget, sum_result, wall_seconds=time.perf_counter() - started,
         ))
         assert sum_result.total == float(n) and sum_result.received_by_all
 
@@ -217,12 +192,8 @@ def test_e11_congest_arena(run_once):
         values = {i: float(value_rng.random()) for i in items}
         started = time.perf_counter()
         amf = run_amf_protocol(values, a=4, seed=seed)
-        protocols.append(ProtocolResult(
-            name="amf", n=n, rounds=amf.rounds, messages=amf.messages,
-            total_bits=amf.total_bits, max_message_bits=amf.max_message_bits,
-            budget_bits=budget, congestion_violations=amf.congestion_violations,
-            dropped_messages=amf.dropped_messages,
-            wall_seconds=time.perf_counter() - started,
+        protocols.append(protocol_row(
+            "amf", n, budget, amf, wall_seconds=time.perf_counter() - started,
         ))
         assert amf.satisfies_lemma1(list(values.values()), a=4)
 
@@ -230,27 +201,29 @@ def test_e11_congest_arena(run_once):
 
     protocols, completed, coverage = run_once(arena)
 
-    by_name = {p.name: p for p in protocols}
+    by_name = {p["name"]: p for p in protocols}
     checks = {
-        "zero_congestion_violations": all(p.congestion_violations == 0 for p in protocols),
-        "all_messages_within_budget": all(p.within_budget for p in protocols),
+        "zero_congestion_violations": all(p["congestion_violations"] == 0 for p in protocols),
+        "all_messages_within_budget": all(
+            p["max_message_bits"] <= p["budget_bits"] for p in protocols
+        ),
         "churn_applied_to_message_protocols": (
-            by_name["routing"].joins > 0
-            and by_name["routing"].leaves > 0
-            and by_name["broadcast"].leaves > 0
+            by_name["routing"]["joins"] > 0
+            and by_name["routing"]["leaves"] > 0
+            and by_name["broadcast"]["leaves"] > 0
         ),
         "routes_completed_under_churn": completed >= 1,
         "broadcast_made_progress_under_churn": coverage >= 2,
         "aggregations_lossless_without_churn": all(
-            p.dropped_messages == 0 for p in protocols if p.name in ("sum", "amf")
+            by_name[name]["dropped_messages"] == 0 for name in ("sum", "amf")
         ),
     }
 
     artifact = BenchmarkArtifact(
         benchmark="e11_congest",
         config=dict(ARENA, quick=quick_mode(), budget_bits=budget),
-        wall_seconds=sum(p.wall_seconds for p in protocols),
-        protocols=protocols,
+        wall_seconds=sum(p["wall_seconds"] for p in protocols),
+        rows=protocols,
         checks=checks,
     )
     out_dir = Path(artifact_dir())

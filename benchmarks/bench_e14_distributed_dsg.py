@@ -29,8 +29,8 @@ Acceptance gates (the keystone guarantee of the kernel refactor):
   (and its incrementally rewired network) is identical to the centralized
   structure.
 
-The run writes a schema-v2 ``BENCH_e14_distributed_dsg.json`` artifact
-(``protocols`` rows) plus a markdown report into ``benchmarks/artifacts/``,
+The run writes a ``BENCH_e14_distributed_dsg.json`` artifact (one
+``protocol`` row) plus a markdown report into ``benchmarks/artifacts/``,
 mirrored to the repository root for the perf-trajectory tooling.
 
 Under ``BENCH_QUICK=1`` the arena shrinks to a 256-node smoke shape.
@@ -43,9 +43,9 @@ Run with::
 import time
 from pathlib import Path
 
-from conftest import artifact_dir, publish_artifact, quick_mode
+from conftest import artifact_dir, protocol_row, publish_artifact, quick_mode
 
-from repro.analysis.artifacts import BenchmarkArtifact, ProtocolResult, render_comparison
+from repro.analysis.artifacts import BenchmarkArtifact, render_comparison
 from repro.core.dsg import DSGConfig
 from repro.distributed import DistributedDSG
 from repro.simulation.message import congest_budget_bits
@@ -150,19 +150,8 @@ def test_e14_distributed_dsg_arena(run_once):
         "churn_applied": report.joins > 0 and report.leaves > 0,
     }
 
-    row = ProtocolResult(
-        name="dsg",
-        n=n,
-        rounds=report.rounds,
-        messages=report.messages,
-        total_bits=report.total_bits,
-        max_message_bits=report.max_message_bits,
-        budget_bits=budget,
-        congestion_violations=report.congestion_violations,
-        dropped_messages=report.dropped_messages,
-        joins=report.joins,
-        leaves=report.leaves,
-        wall_seconds=wall,
+    row = protocol_row(
+        "dsg", n, budget, report, joins=report.joins, leaves=report.leaves, wall_seconds=wall,
     )
     artifact = BenchmarkArtifact(
         benchmark="e14_distributed_dsg",
@@ -175,7 +164,7 @@ def test_e14_distributed_dsg_arena(run_once):
             avg_cost=round(report.total_cost / max(1, report.requests), 3),
         ),
         wall_seconds=wall,
-        protocols=[row],
+        rows=[row],
         checks=checks,
     )
     json_path = publish_artifact(artifact)

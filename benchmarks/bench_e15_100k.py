@@ -29,8 +29,8 @@ rebuilt network) asserted *inside* the run:
   route requests racing a replayed churn schedule over the delta-patched
   links: zero congestion violations.
 
-The run writes ``BENCH_e15_100k.json`` (schema v3: algorithm rows, a
-routing protocol row, per-workload plan-size distributions) plus a
+The run writes ``BENCH_e15_100k.json`` (``algorithm`` rows, a routing
+``protocol`` row, per-workload ``plan-size`` distributions) plus a
 markdown report via ``publish_artifact``.  Under ``BENCH_QUICK=1`` every
 shape shrinks so CI can gate on completion.
 
@@ -42,16 +42,10 @@ Run with::
 import time
 from pathlib import Path
 
-from conftest import artifact_dir, publish_artifact, quick_mode
+from conftest import artifact_dir, ledger_row, protocol_row, publish_artifact, quick_mode
 from reference.kernel_reference import ReferenceDynamicSkipGraph
 
-from repro.analysis.artifacts import (
-    AlgorithmResult,
-    BenchmarkArtifact,
-    PlanSizeStats,
-    ProtocolResult,
-    render_comparison,
-)
+from repro.analysis.artifacts import BenchmarkArtifact, plan_size_fields, render_comparison
 from repro.baselines.adapter import DSGAdapter
 from repro.core.dsg import DSGConfig
 from repro.core.local_ops import NodeJoinOp, NodeLeaveOp
@@ -97,31 +91,12 @@ else:
     REPLAY = dict(n=4_096, churn_length=400, route_pairs=16, seed=42)
 
 
-def _dsg_row(name, report, phases=None):
-    return AlgorithmResult(
-        name=name,
-        requests=report.costs.requests,
-        total_routing=report.costs.total_routing,
-        total_adjustment=report.costs.total_adjustment,
-        total_cost=report.costs.total_cost,
-        wall_seconds=report.elapsed_seconds,
-        ws_bound_ratio=(
-            report.costs.total_routing / report.working_set_bound
-            if report.working_set_bound else None
-        ),
-        final_height=report.final_height,
-        joins=report.joins,
-        leaves=report.leaves,
-        phases=dict(phases) if phases else {},
-    )
-
-
 def _serve_workload(name, scenario):
     adapter = DSGAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=1))
     report = run_scenario(scenario, algorithm=adapter)
-    row = _dsg_row(name, report, phases=adapter.phase_seconds())
-    plans = PlanSizeStats.from_histogram(name, adapter.plan_size_histogram())
-    return adapter, report, row, plans
+    row = ledger_row(name, report, report.working_set_bound, adapter.phase_seconds())
+    plans = {"kind": "plan-size", "name": name, **plan_size_fields(adapter.plan_size_histogram())}
+    return report, row, plans
 
 
 def _network_delta_phase(seed):
@@ -190,20 +165,9 @@ def _routing_under_churn(seed):
     simulator.run()
     wall = time.perf_counter() - started
     completed = sum(process.completed for process in simulator.processes.values())
-    metrics = simulator.metrics
-    row = ProtocolResult(
-        name="routing",
-        n=n,
-        rounds=metrics.rounds,
-        messages=metrics.total_messages,
-        total_bits=metrics.total_bits,
-        max_message_bits=metrics.max_message_bits,
-        budget_bits=congest_budget_bits(n),
-        congestion_violations=metrics.congestion_violations,
-        dropped_messages=metrics.dropped_messages,
-        joins=replay.joins,
-        leaves=replay.leaves,
-        wall_seconds=wall,
+    row = protocol_row(
+        "routing", n, congest_budget_bits(n), simulator.metrics.summary(),
+        joins=replay.joins, leaves=replay.leaves, wall_seconds=wall,
     )
     return row, completed
 
@@ -216,11 +180,11 @@ def test_e15_100k_arena(run_once):
         scale = scale_scenario(**SCALE)
         assert scale.request_count >= MIN_REQUESTS
         assert scale.join_count > 0 and scale.leave_count > 0
-        _, scale_report, scale_row, scale_plans = _serve_workload("scale-mix", scale)
+        scale_report, scale_row, scale_plans = _serve_workload("scale-mix", scale)
 
         wave = scale_scenario(**WAVE)
         assert wave.join_count + wave.leave_count > 0
-        _, wave_report, wave_row, wave_plans = _serve_workload("churn-wave", wave)
+        wave_report, wave_row, wave_plans = _serve_workload("churn-wave", wave)
         outcome["reports"] = {"scale-mix": scale_report, "churn-wave": wave_report}
         outcome["rows"] = [scale_row, wave_row]
         outcome["plans"] = [scale_plans, wave_plans]
@@ -270,6 +234,7 @@ def test_e15_100k_arena(run_once):
     reports = outcome["reports"]
     network = outcome["network"]
     equivalence = outcome["equivalence"]
+    routing = outcome["routing"]
     checks = {
         "scale_mix_served_full_schedule": reports["scale-mix"].costs.requests >= MIN_REQUESTS,
         "churn_absorbed_by_both_workloads": all(
@@ -284,10 +249,8 @@ def test_e15_100k_arena(run_once):
         "delta_beats_rebuild_wall_clock": (
             quick_mode() or network["delta_seconds"] < network["rebuild_seconds"]
         ),
-        "routing_zero_congestion_violations": (
-            outcome["routing"].congestion_violations == 0
-        ),
-        "routing_within_bit_budget": outcome["routing"].within_budget,
+        "routing_zero_congestion_violations": routing["congestion_violations"] == 0,
+        "routing_within_bit_budget": routing["max_message_bits"] <= routing["budget_bits"],
         "routes_completed_under_churn": outcome["routes_completed"] >= 1,
     }
 
@@ -299,17 +262,15 @@ def test_e15_100k_arena(run_once):
             network_build_seconds=round(network["build_seconds"], 3),
             network_delta_seconds=round(network["delta_seconds"], 3),
             network_rebuild_seconds=round(network["rebuild_seconds"], 3),
+            working_set_bound=reports["scale-mix"].working_set_bound,
         ),
         wall_seconds=sum(report.elapsed_seconds for report in reports.values())
         + equivalence["incremental_seconds"]
         + equivalence["reference_seconds"]
         + outcome["parity_seconds"]
         + network["delta_seconds"]
-        + outcome["routing"].wall_seconds,
-        working_set_bound=reports["scale-mix"].working_set_bound,
-        algorithms=outcome["rows"],
-        protocols=[outcome["routing"]],
-        plan_sizes=outcome["plans"],
+        + routing["wall_seconds"],
+        rows=outcome["rows"] + [routing] + outcome["plans"],
         checks=checks,
     )
     out_dir = Path(artifact_dir())

@@ -45,8 +45,8 @@ Acceptance gates:
   rejoins (``recoveries > 0``, ``rejoin_links > 0``) and the mid-wave
   shape fired in-flight crashes (``mid_wave_crashes > 0``).
 
-The run writes a schema-v7 ``BENCH_e16_failures.json`` artifact
-(``failures`` rows with the v7 recovery / retry counters) plus a markdown
+The run writes a ``BENCH_e16_failures.json`` artifact (one ``failure`` row
+per shape, recovery and retry counters included) plus a markdown
 report into ``benchmarks/artifacts/``, mirrored to the repository root
 for the perf-trajectory tooling.
 
@@ -62,7 +62,7 @@ from pathlib import Path
 
 from conftest import artifact_dir, publish_artifact, quick_mode
 
-from repro.analysis.artifacts import BenchmarkArtifact, FailureResult, render_comparison
+from repro.analysis.artifacts import BenchmarkArtifact, render_comparison
 from repro.distributed import run_failure_arena
 from repro.simulation.message import congest_budget_bits
 from repro.workloads import CrashEvent, RecoveryEvent, RequestEvent, failure_scenario
@@ -86,6 +86,13 @@ else:
         midwave=dict(mode="independent", crash_rate=0.004, mid_wave_fraction=0.02),
     )
 STALE_FRACTION = 0.05
+#: The ``FailureArenaReport`` totals each ``failure`` row records.
+FAILURE_FIELDS = (
+    "crashes", "mid_wave_crashes", "recoveries", "requests", "delivered", "failed",
+    "retried", "retried_delivered", "route_arounds", "repair_links", "rejoin_links",
+    "tables_refreshed", "rounds", "messages", "congestion_violations",
+    "dropped_messages", "integrity_clean",
+)
 
 
 def _stale_requests(scenario) -> int:
@@ -195,39 +202,18 @@ def test_e16_failure_arena(run_once):
             )
         checks[f"{name}_within_bit_budget"] = report.max_message_bits <= budget
         checks[f"{name}_failures_exercised"] = report.crashes > 0 and report.repair_links > 0
-        rows.append(
-            FailureResult(
-                name=name,
-                n=n,
-                k=k,
-                waves=len(report.waves),
-                crashes=report.crashes,
-                requests=report.requests,
-                delivered=report.delivered,
-                failed=report.failed,
-                route_arounds=report.route_arounds,
-                repair_links=report.repair_links,
-                tables_refreshed=report.tables_refreshed,
-                rounds=report.rounds,
-                messages=report.messages,
-                congestion_violations=report.congestion_violations,
-                dropped_messages=report.dropped_messages,
-                integrity_clean=report.integrity_clean,
-                wall_seconds=wall,
-                recoveries=report.recoveries,
-                mid_wave_crashes=report.mid_wave_crashes,
-                retried=report.retried,
-                retried_delivered=report.retried_delivered,
-                rejoin_links=report.rejoin_links,
-            )
-        )
+        rows.append({
+            "kind": "failure", "name": name, "n": n, "k": k, "waves": len(report.waves),
+            **{field: getattr(report, field) for field in FAILURE_FIELDS},
+            "wall_seconds": wall,
+        })
 
     total_wall = sum(wall for _, wall in reports.values())
     artifact = BenchmarkArtifact(
         benchmark="e16_failures",
         config=dict(ARENA, stale_fraction=STALE_FRACTION, quick=quick_mode(), budget_bits=budget),
         wall_seconds=total_wall,
-        failures=rows,
+        rows=rows,
         checks=checks,
     )
     json_path = publish_artifact(artifact)
@@ -237,15 +223,6 @@ def test_e16_failure_arena(run_once):
 
     print()
     print(report_md)
-    for row in rows:
-        print(
-            f"[e16-{row.name}] n={row.n} k={row.k} waves={row.waves} crashes={row.crashes} "
-            f"mid={row.mid_wave_crashes} recov={row.recoveries} "
-            f"delivered={row.delivered}/{row.requests} failed={row.failed} "
-            f"retried={row.retried}({row.retried_delivered}) "
-            f"route_arounds={row.route_arounds} repair_links={row.repair_links} "
-            f"rejoin_links={row.rejoin_links} wall={row.wall_seconds:.1f}s"
-        )
     print(f"[e16] artifact={json_path} report={md_path}")
 
     assert json_path.exists() and md_path.exists()

@@ -24,8 +24,9 @@ Acceptance gates (the differential harness, enforced at full scale):
   run (strict mode raises at the offending round), every message within
   the ``c * log2 n`` CONGEST budget.
 
-The run writes a schema-v5 ``BENCH_e17_pipeline.json`` artifact
-(``pipelines`` rows, the sequential reference included) plus a markdown
+The run writes a ``BENCH_e17_pipeline.json`` artifact (``pipeline`` rows,
+the sequential reference included, with rounds per request and the
+speedup over it) plus a markdown
 report into ``benchmarks/artifacts/``, mirrored to the repository root.
 
 Under ``BENCH_QUICK=1`` the arena shrinks to a 256-node smoke shape.
@@ -40,7 +41,7 @@ from pathlib import Path
 
 from conftest import artifact_dir, publish_artifact, quick_mode
 
-from repro.analysis.artifacts import BenchmarkArtifact, PipelineResult, render_comparison
+from repro.analysis.artifacts import BenchmarkArtifact, render_comparison
 from repro.core.dsg import DSGConfig
 from repro.distributed import DistributedDSG
 from repro.simulation.message import congest_budget_bits
@@ -138,42 +139,43 @@ def test_e17_pipeline_arena(run_once):
 
     rows = []
     for name, driver, report, wall, matches in runs:
-        rows.append(
-            PipelineResult(
-                name=name,
-                n=n,
-                window=report.window,
-                requests=report.requests,
-                rounds=report.rounds,
-                sequential_rounds=seq_report.rounds,
-                # The reference never enters the window: one at a time.
-                max_in_flight=max(report.max_in_flight, 1),
-                conflict_stalls=report.conflict_stalls,
-                messages=report.messages,
-                congestion_violations=report.congestion_violations,
-                dropped_messages=report.dropped_messages,
-                total_cost=report.total_cost,
-                matches_sequential=matches,
-                wall_seconds=wall,
-            )
-        )
+        rows.append({
+            "kind": "pipeline",
+            "name": name,
+            "n": n,
+            "window": report.window,
+            "requests": report.requests,
+            "rounds": report.rounds,
+            "rounds_per_request": report.rounds / report.requests,
+            "sequential_rounds": seq_report.rounds,
+            "speedup": seq_report.rounds / report.rounds,
+            # The reference never enters the window: one at a time.
+            "max_in_flight": max(report.max_in_flight, 1),
+            "conflict_stalls": report.conflict_stalls,
+            "messages": report.messages,
+            "congestion_violations": report.congestion_violations,
+            "dropped_messages": report.dropped_messages,
+            "total_cost": report.total_cost,
+            "matches_sequential": matches,
+            "wall_seconds": wall,
+        })
 
-    window_one = next(row for row in rows if row.name == "window-1")
-    best = max(row.speedup for row in rows if row.name.startswith("window-"))
+    window_one = next(row for row in rows if row["name"] == "window-1")
+    best = max(row["speedup"] for row in rows if row["name"].startswith("window-"))
     checks = {
-        "zero_congestion_violations": all(r.congestion_violations == 0 for r in rows),
-        "zero_message_drops": all(r.dropped_messages == 0 for r in rows),
+        "zero_congestion_violations": all(r["congestion_violations"] == 0 for r in rows),
+        "zero_message_drops": all(r["dropped_messages"] == 0 for r in rows),
         "all_messages_within_budget": all(
             report.max_message_bits <= budget for _, _, report, _, _ in runs
         ),
-        "pipelined_matches_sequential": all(r.matches_sequential for r in rows),
+        "pipelined_matches_sequential": all(r["matches_sequential"] for r in rows),
         "total_cost_matches_centralized": all(
             report.matches_planner for _, _, report, _, _ in runs
         ),
         "topology_matches_centralized": all(
             driver.topology_matches_planner() for _, driver, _, _, _ in runs
         ),
-        "window_one_reproduces_sequential_rounds": window_one.rounds == seq_report.rounds,
+        "window_one_reproduces_sequential_rounds": window_one["rounds"] == seq_report.rounds,
         "best_window_at_least_2x_fewer_rounds": best >= 2.0,
     }
 
@@ -189,7 +191,7 @@ def test_e17_pipeline_arena(run_once):
             best_speedup=round(best, 3),
         ),
         wall_seconds=sum(wall for _, _, _, wall, _ in runs),
-        pipelines=rows,
+        rows=rows,
         checks=checks,
     )
     json_path = publish_artifact(artifact)
@@ -202,7 +204,7 @@ def test_e17_pipeline_arena(run_once):
     print(
         f"[e17-arena] n={n} requests={seq_report.requests} "
         f"sequential_rounds={seq_report.rounds} best_speedup={best:.2f}x "
-        f"max_in_flight={max(r.max_in_flight for r in rows)}"
+        f"max_in_flight={max(r['max_in_flight'] for r in rows)}"
     )
     print(f"[e17-arena] artifact={json_path} report={md_path}")
 

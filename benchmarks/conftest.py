@@ -12,6 +12,11 @@ scenario benches shrink their populations accordingly.  CI uses this as a
 crash gate: every benchmark script must *run to completion* (checks
 included) under quick parameters on every push, while the full-size runs
 remain an on-demand/manual job.
+
+Artifacts (``BENCH_*.json``, :mod:`repro.analysis.artifacts`) hold plain
+dict rows; the two row shapes several benchmarks share are built here:
+:func:`ledger_row` (a scenario run's Equation-1 ledger) and
+:func:`protocol_row` (one CONGEST run's traffic).
 """
 
 import os
@@ -73,6 +78,57 @@ def publish_artifact(artifact):
     if not quick_mode() and path.parent.resolve() != repo_root:
         shutil.copy2(path, repo_root / path.name)
     return path
+
+
+def ledger_row(name, report, working_set_bound, phases):
+    """An ``algorithm`` row: one :class:`~repro.workloads.ScenarioReport`'s ledger.
+
+    Equation 1 summed and per request, throughput, routing over Theorem 1's
+    ``WS(σ)`` (``None`` without a bound), height and churn; ``phases`` (a
+    ``phase_seconds()`` mapping, empty for uninstrumented algorithms) adds
+    one ``<phase>_s`` column each plus the share of wall time they account for.
+    """
+    costs = report.costs
+    row = {
+        "kind": "algorithm",
+        "name": name,
+        "requests": costs.requests,
+        "total_routing": costs.total_routing,
+        "total_adjustment": costs.total_adjustment,
+        "total_cost": costs.total_cost,
+        "average_routing": costs.average_routing,
+        "average_adjustment": costs.average_adjustment,
+        "average_cost": costs.average_cost,
+        "requests_per_s": report.requests_per_second,
+        "ws_bound_ratio": costs.total_routing / working_set_bound if working_set_bound else None,
+        "final_height": report.final_height,
+        "joins": report.joins,
+        "leaves": report.leaves,
+        "wall_seconds": report.elapsed_seconds,
+    }
+    if phases:
+        row.update((f"{phase}_s", seconds) for phase, seconds in phases.items())
+        row["phase_share"] = sum(phases.values()) / report.elapsed_seconds
+    return row
+
+
+TRAFFIC = ("rounds", "messages", "total_bits", "max_message_bits",
+           "congestion_violations", "dropped_messages")
+
+
+def protocol_row(name, n, budget_bits, traffic, joins=0, leaves=0, wall_seconds=0.0):
+    """A ``protocol`` row: one CONGEST run's traffic against its bit budget.
+
+    ``traffic`` is the run's result or report (anything with the
+    :data:`TRAFFIC` attributes) or a simulator counter dict
+    (``MetricsCollector.summary()`` / ``.window()``, which call the bit
+    total ``bits``); ``joins`` / ``leaves`` count the churn replayed under it.
+    """
+    counters = dict(traffic if isinstance(traffic, dict) else vars(traffic))
+    counters.setdefault("total_bits", counters.get("bits"))
+    return {"kind": "protocol", "name": name, "n": n,
+            **{key: counters[key] for key in TRAFFIC}, "budget_bits": budget_bits,
+            "joins": joins, "leaves": leaves, "wall_seconds": wall_seconds}
 
 
 @pytest.fixture

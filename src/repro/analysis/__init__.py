@@ -9,8 +9,8 @@ them into the numbers the paper's claims are stated in:
   ``O(log n)`` scaling claims),
 * plain-text tables and CSV export used by the benchmark harness and the
   CLI,
-* benchmark artifacts: structured ``BENCH_*.json`` files and the
-  cross-algorithm markdown comparison the ``dsg-experiments compare``
+* benchmark artifacts: structured ``BENCH_*.json`` files of plain result
+  rows and the markdown comparison the ``dsg-experiments compare``
   subcommand renders from them (:mod:`repro.analysis.artifacts`).
 """
 
@@ -18,22 +18,17 @@ from repro.analysis.competitive import CompetitiveReport, competitive_report
 from repro.analysis.statistics import describe, log2_fit_slope, percentile
 from repro.analysis.tables import Table, render_table, to_csv
 from repro.analysis.artifacts import (
-    AlgorithmResult,
     BenchmarkArtifact,
-    FailureResult,
-    PlanSizeStats,
     load_artifact,
     load_artifacts,
+    plan_size_fields,
     render_comparison,
     write_artifact,
 )
 
 __all__ = [
-    "AlgorithmResult",
     "BenchmarkArtifact",
     "CompetitiveReport",
-    "FailureResult",
-    "PlanSizeStats",
     "Table",
     "competitive_report",
     "describe",
@@ -41,6 +36,7 @@ __all__ = [
     "load_artifacts",
     "log2_fit_slope",
     "percentile",
+    "plan_size_fields",
     "render_comparison",
     "render_table",
     "to_csv",

@@ -105,8 +105,8 @@ class ServingAlgorithm:
 
         DSG reports ``route`` / ``plan`` / ``apply`` / ``repair`` seconds
         (:attr:`repro.core.dsg.DynamicSkipGraph.phase_seconds`); algorithms
-        without instrumentation report an empty mapping, which the artifact
-        pipeline records as-is.
+        without instrumentation report an empty mapping, which adds no
+        phase columns to their artifact row.
         """
         return {}
 

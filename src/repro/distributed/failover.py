@@ -62,8 +62,8 @@ round.  Requests are conserved by construction —
 wave, and message drops appear only in waves that crash mid-flight.
 
 ``benchmarks/bench_e16_failures.py`` runs this arena at 4096 nodes and
-publishes the delivered/failed/repair-cost accounting as a schema-v7
-artifact.
+publishes the delivered/failed/repair-cost accounting as one ``failure``
+artifact row per failure shape.
 """
 
 from __future__ import annotations

@@ -157,7 +157,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.directory.is_dir():
             print(f"no such artifact directory: {args.directory}", file=sys.stderr)
             return 1
-        report = render_comparison(load_artifacts(args.directory))
+        try:
+            artifacts = load_artifacts(args.directory)
+        except ValueError as error:
+            print(error, file=sys.stderr)
+            return 1
+        report = render_comparison(artifacts)
         print(report)
         if args.output is not None:
             args.output.parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ Tracks, over a long DSG run and for several values of the balance parameter
   bound at scale: request transformations leave longer residual runs, and
   the measurement spine's ``skipgraph.balance.max_residual_run`` reads 13
   on ``central-aligned`` and 12 on ``central-temporal`` at ``a = 4``
-  (ROADMAP item 4b),
+  (ROADMAP item 6b),
 * the same run with maintenance disabled, as the ablation.
 """
 

@@ -3,56 +3,52 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.artifacts import (
     SCHEMA_VERSION,
-    AlgorithmResult,
     BenchmarkArtifact,
-    PipelineResult,
-    PlanSizeStats,
-    ProtocolResult,
     load_artifact,
     load_artifacts,
+    plan_size_fields,
     render_comparison,
     write_artifact,
 )
+from repro.core.costs import CostLedger, RequestCost
 from repro.experiments.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def sample_artifact():
     return BenchmarkArtifact(
         benchmark="e09_comparison",
-        config={"n": 256, "length": 2000, "seed": 42},
+        config={"n": 256, "length": 2000, "seed": 42, "working_set_bound": 2400.0},
         wall_seconds=12.5,
-        working_set_bound=2400.0,
-        algorithms=[
-            AlgorithmResult(
-                name="dsg",
-                requests=2000,
-                total_routing=600,
-                total_adjustment=56000,
-                total_cost=58600,
-                wall_seconds=10.0,
-                ws_bound_ratio=0.25,
-                final_height=11,
-                joins=4,
-                leaves=2,
-            ),
-            AlgorithmResult(
-                name="static-random",
-                requests=2000,
-                total_routing=12800,
-                total_adjustment=0,
-                total_cost=14800,
-                wall_seconds=0.5,
-                ws_bound_ratio=5.33,
-                final_height=19,
-            ),
+        rows=[
+            {"kind": "algorithm", "name": "static-random", "requests": 2000,
+             "average_cost": 7.4, "ws_bound_ratio": 5.33, "final_height": 19},
+            {"kind": "algorithm", "name": "dsg", "requests": 2000,
+             "average_cost": 29.3, "ws_bound_ratio": 0.25, "final_height": 11,
+             "plan_s": 6.0, "phase_share": 0.95},
+            {"kind": "plan-size", "name": "scale-mix", **plan_size_fields({0: 3, 2: 1})},
+            {"kind": "algorithm", "name": "oracle", "requests": 2000,
+             "average_cost": 1.0, "ws_bound_ratio": None, "final_height": 1},
         ],
         checks={"dsg_routing_beats_static_on_scale_mix": True},
     )
+
+
+def bench_conftest():
+    """``benchmarks/conftest.py``, imported by path (it is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestArtifactRoundTrip:
@@ -62,8 +58,25 @@ class TestArtifactRoundTrip:
         assert path.name == "BENCH_e09_comparison.json"
         loaded = load_artifact(path)
         assert loaded == artifact
-        assert loaded.algorithm("dsg").average_cost == pytest.approx(29.3)
+        assert loaded.schema_version == SCHEMA_VERSION
         assert loaded.all_checks_passed
+
+    def test_defaults_round_trip(self, tmp_path):
+        artifact = BenchmarkArtifact(benchmark="bare")
+        assert load_artifact(write_artifact(artifact, tmp_path)) == artifact
+
+    def test_row_keys_keep_their_order(self, tmp_path):
+        loaded = load_artifact(write_artifact(sample_artifact(), tmp_path))
+        assert list(loaded.rows[1]) == [
+            "kind", "name", "requests", "average_cost", "ws_bound_ratio", "final_height",
+            "plan_s", "phase_share",
+        ]
+
+    def test_non_json_value_raises_at_write(self, tmp_path):
+        artifact = BenchmarkArtifact(benchmark="b", config={"x": {1, 2}})
+        with pytest.raises(TypeError):
+            write_artifact(artifact, tmp_path)
+        assert not (tmp_path / "BENCH_b.json").exists()
 
     def test_filename_is_sanitised(self, tmp_path):
         artifact = BenchmarkArtifact(benchmark="weird name/with:chars")
@@ -86,15 +99,17 @@ class TestArtifactRoundTrip:
             load_artifact(path)
 
     def test_every_committed_artifact_is_at_the_current_schema(self):
-        root = Path(__file__).resolve().parents[2]
-        committed = sorted(root.glob("BENCH_*.json"))
+        committed = sorted(REPO_ROOT.glob("BENCH_*.json"))
         assert committed
         for path in committed:
-            assert load_artifact(path).schema_version == SCHEMA_VERSION
+            artifact = load_artifact(path)
+            assert artifact.schema_version == SCHEMA_VERSION
+            assert all("kind" in row and "name" in row for row in artifact.rows)
 
-    def test_unknown_algorithm_lookup(self):
-        with pytest.raises(KeyError):
-            sample_artifact().algorithm("nope")
+    def test_every_committed_artifact_passes_its_checks(self):
+        for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+            artifact = load_artifact(path)
+            assert artifact.checks and artifact.all_checks_passed, path.name
 
 
 class TestPublishArtifact:
@@ -103,36 +118,81 @@ class TestPublishArtifact:
 
     @pytest.mark.parametrize("quick, mirrored", [("1", False), ("0", True)])
     def test_quick_runs_do_not_touch_the_root_mirrors(self, tmp_path, monkeypatch, quick, mirrored):
-        repo_root = Path(__file__).resolve().parents[2]
-        spec = importlib.util.spec_from_file_location(
-            "bench_conftest", repo_root / "benchmarks" / "conftest.py"
-        )
-        bench_conftest = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_conftest)
+        conftest = bench_conftest()
         copies = []
-        monkeypatch.setattr(bench_conftest.shutil, "copy2", lambda src, dst: copies.append(dst))
+        monkeypatch.setattr(conftest.shutil, "copy2", lambda src, dst: copies.append(dst))
         monkeypatch.setenv("BENCH_QUICK", quick)
         monkeypatch.setenv("BENCH_ARTIFACT_DIR", str(tmp_path))
 
-        path = bench_conftest.publish_artifact(sample_artifact())
+        path = conftest.publish_artifact(sample_artifact())
         assert path == tmp_path / "BENCH_e09_comparison.json" and path.exists()
-        assert copies == ([repo_root / "BENCH_e09_comparison.json"] if mirrored else [])
+        assert copies == ([REPO_ROOT / "BENCH_e09_comparison.json"] if mirrored else [])
 
 
-class TestAlgorithmResultDerived:
-    def test_averages_and_throughput(self):
-        result = sample_artifact().algorithm("static-random")
-        assert result.average_routing == pytest.approx(6.4)
-        assert result.average_cost == pytest.approx(7.4)
-        assert result.requests_per_second == pytest.approx(4000.0)
+def scenario_report(routing, adjustment, elapsed, requests=4):
+    costs = CostLedger(name="dsg", keep_costs=False)
+    for index in range(requests):
+        costs.record(RequestCost(source=0, destination=1,
+                                 routing=routing[index], adjustment=adjustment[index]))
+    return SimpleNamespace(costs=costs, elapsed_seconds=elapsed, final_height=5,
+                           joins=2, leaves=1,
+                           requests_per_second=requests / elapsed if elapsed else 0.0)
 
-    def test_empty_run_is_safe(self):
-        result = AlgorithmResult(
-            name="x", requests=0, total_routing=0, total_adjustment=0,
-            total_cost=0, wall_seconds=0.0,
+
+class TestSharedBenchRows:
+    """The row builders ``benchmarks/conftest.py`` shares between benches."""
+
+    def test_ledger_row_averages_throughput_and_phases(self):
+        report = scenario_report([1, 2, 3, 6], [10, 0, 0, 10], elapsed=2.0)
+        row = bench_conftest().ledger_row(
+            "scale-mix", report, working_set_bound=24.0, phases={"route": 0.5, "plan": 1.0}
         )
-        assert result.average_cost == 0.0
-        assert result.requests_per_second == 0.0
+        assert row["kind"] == "algorithm" and row["name"] == "scale-mix"
+        assert (row["total_routing"], row["total_adjustment"], row["total_cost"]) == (12, 20, 36)
+        assert row["average_routing"] == 3.0 and row["average_adjustment"] == 5.0
+        assert row["average_cost"] == 9.0
+        assert row["requests_per_s"] == 2.0
+        assert row["ws_bound_ratio"] == 0.5
+        assert (row["route_s"], row["plan_s"], row["phase_share"]) == (0.5, 1.0, 0.75)
+
+    def test_ledger_row_of_an_empty_run_is_safe(self):
+        report = scenario_report([], [], elapsed=0.0, requests=0)
+        row = bench_conftest().ledger_row("idle", report, working_set_bound=0.0, phases={})
+        assert row["average_cost"] == 0.0 and row["requests_per_s"] == 0.0
+        assert row["ws_bound_ratio"] is None
+        assert "phase_share" not in row
+
+    def test_protocol_row_reads_results_and_counter_dicts_alike(self):
+        conftest = bench_conftest()
+        counters = dict(rounds=205, messages=89, bits=23000, max_message_bits=264,
+                        congestion_violations=0, dropped_messages=1)
+        result = SimpleNamespace(total_bits=23000, **{
+            key: value for key, value in counters.items() if key != "bits"
+        })
+        from_dict = conftest.protocol_row("routing", 4096, 3072, counters, joins=103, leaves=102)
+        from_result = conftest.protocol_row("routing", 4096, 3072, result, joins=103, leaves=102)
+        assert from_dict == from_result
+        assert from_dict["total_bits"] == 23000 and from_dict["budget_bits"] == 3072
+        assert "bits" not in from_dict and "bits" in counters
+
+
+class TestPlanSizeFields:
+    @pytest.mark.parametrize("histogram, expected", [
+        ({0: 60, 4: 30, 18: 9, 5000: 1},
+         dict(requests=100, mean_ops=(4 * 30 + 18 * 9 + 5000) / 100, p50_ops=0, p90_ops=4,
+              p99_ops=18, max_ops=5000, empty_fraction=0.6)),
+        ({0: 5, 4: 5},
+         dict(requests=10, mean_ops=2.0, p50_ops=0, p90_ops=4, p99_ops=4, max_ops=4,
+              empty_fraction=0.5)),
+        ({4: 5936},
+         dict(requests=5936, mean_ops=4.0, p50_ops=4, p90_ops=4, p99_ops=4, max_ops=4,
+              empty_fraction=0.0)),
+        ({},
+         dict(requests=0, mean_ops=0.0, p50_ops=0, p90_ops=0, p99_ops=0, max_ops=0,
+              empty_fraction=0.0)),
+    ], ids=["skewed", "two-buckets", "one-bucket", "empty"])
+    def test_percentiles(self, histogram, expected):
+        assert plan_size_fields(histogram) == expected
 
 
 class TestRenderComparison:
@@ -140,11 +200,36 @@ class TestRenderComparison:
         report = render_comparison([sample_artifact()])
         assert report.startswith("# Benchmark comparison")
         assert "## e09_comparison" in report
-        assert "working set bound WS(σ): 2400.0" in report
-        assert "| dsg |" in report and "| static-random |" in report
+        assert "working_set_bound=2400.0" in report
         assert "[PASS] dsg_routing_beats_static_on_scale_mix" in report
-        # Cheapest algorithm (static here) is listed before the pricier one.
+
+    def test_one_table_per_kind_in_first_seen_order(self):
+        report = render_comparison([sample_artifact()])
+        assert report.count("| algorithm |") == 1 and report.count("| plan-size |") == 1
+        assert report.index("| algorithm |") < report.index("| plan-size |")
+        # The later ``algorithm`` row joins the first table, in the bench's order.
         assert report.index("| static-random |") < report.index("| dsg |")
+        assert report.index("| dsg |") < report.index("| oracle |") < report.index("| plan-size |")
+
+    def test_columns_in_first_seen_key_order_and_cells(self):
+        lines = render_comparison([sample_artifact()]).splitlines()
+        assert (
+            "| algorithm | requests | average_cost | ws_bound_ratio | final_height "
+            "| plan_s | phase_share |" in lines
+        )
+        # Floats print three decimals; a missing column and ``None`` print ``-``.
+        assert "| static-random | 2000 | 7.400 | 5.330 | 19 | - | - |" in lines
+        assert "| dsg | 2000 | 29.300 | 0.250 | 11 | 6.000 | 0.950 |" in lines
+        assert "| oracle | 2000 | 1.000 | - | 1 | - | - |" in lines
+        assert "| scale-mix | 4 | 0.500 | 0 | 2 | 2 | 2 | 0.750 |" in lines
+
+    def test_booleans_render_as_yes_no(self):
+        artifact = BenchmarkArtifact(benchmark="b", rows=[
+            {"kind": "pipeline", "name": "window-8", "matches_sequential": True},
+            {"kind": "pipeline", "name": "window-16", "matches_sequential": False},
+        ])
+        report = render_comparison([artifact])
+        assert "| window-8 | yes |" in report and "| window-16 | no |" in report
 
     def test_empty_directory_renders_placeholder(self):
         assert "No BENCH_*.json artifacts" in render_comparison([])
@@ -162,10 +247,28 @@ class TestCompareCLI:
         assert main(["compare", str(tmp_path), "--output", str(output)]) == 0
         printed = capsys.readouterr().out
         assert "## e09_comparison" in printed
-        assert output.read_text() == printed.rstrip("\n") + "\n" or output.exists()
+        assert output.read_text() == render_comparison([sample_artifact()])
+
+    def test_compare_renders_the_committed_artifacts(self, tmp_path, capsys):
+        output = tmp_path / "report.md"
+        assert main(["compare", str(REPO_ROOT), "--output", str(output)]) == 0
+        report = output.read_text()
+        for path in REPO_ROOT.glob("BENCH_*.json"):
+            assert f"## {path.stem[len('BENCH_'):]}" in report
+        assert "[FAIL]" not in report
 
     def test_compare_missing_directory_fails(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "missing")]) == 1
+
+    def test_compare_stale_artifact_fails_cleanly(self, tmp_path, capsys):
+        path = write_artifact(sample_artifact(), tmp_path)
+        data = json.loads(path.read_text())
+        data["schema_version"] = SCHEMA_VERSION - 1
+        path.write_text(json.dumps(data))
+        assert main(["compare", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "re-run benchmark 'e09_comparison'" in captured.err
+        assert captured.out == ""
 
     def test_run_artifact_dir_writes_experiment_artifact(self, tmp_path, capsys):
         assert main(["run", "E4", "--artifact-dir", str(tmp_path)]) == 0
@@ -173,173 +276,3 @@ class TestCompareCLI:
         assert artifact.benchmark == "E4"
         assert artifact.all_checks_passed
         assert artifact.config.get("quick") is False
-
-
-def protocol_artifact():
-    return BenchmarkArtifact(
-        benchmark="e11_congest",
-        config={"n": 4096, "seed": 42},
-        wall_seconds=3.1,
-        protocols=[
-            ProtocolResult(
-                name="routing", n=4096, rounds=205, messages=89, total_bits=23000,
-                max_message_bits=264, budget_bits=3072, congestion_violations=0,
-                dropped_messages=1, joins=103, leaves=102, wall_seconds=1.2,
-            ),
-            ProtocolResult(
-                name="amf", n=4096, rounds=139, messages=18914, total_bits=1_500_000,
-                max_message_bits=136, budget_bits=3072, congestion_violations=0,
-            ),
-        ],
-        checks={"zero_congestion_violations": True},
-    )
-
-
-class TestProtocolArtifacts:
-    def test_round_trip_preserves_protocol_rows(self, tmp_path):
-        path = write_artifact(protocol_artifact(), tmp_path)
-        loaded = load_artifact(path)
-        assert loaded.schema_version == SCHEMA_VERSION
-        routing = loaded.protocol("routing")
-        assert routing.rounds == 205
-        assert routing.dropped_messages == 1
-        assert routing.joins == 103 and routing.leaves == 102
-        assert routing.conformant and routing.within_budget
-        with pytest.raises(KeyError):
-            loaded.protocol("missing")
-
-    def test_render_includes_protocol_table(self):
-        report = render_comparison([protocol_artifact()])
-        assert "| protocol | n | rounds |" in report
-        assert "| routing | 4096 | 205 |" in report
-        assert "+103/-102" in report
-
-    def test_nonconformant_protocol_flagged(self):
-        row = ProtocolResult(
-            name="bad", n=8, rounds=1, messages=1, total_bits=9999,
-            max_message_bits=9999, budget_bits=96, congestion_violations=2,
-        )
-        assert not row.within_budget
-        assert not row.conformant
-
-
-class TestPlanSizeArtifacts:
-    def test_from_histogram_percentiles(self):
-        stats = PlanSizeStats.from_histogram("scale-mix", {0: 60, 4: 30, 18: 9, 5000: 1})
-        assert stats.requests == 100
-        assert stats.p50_ops == 0
-        assert stats.p90_ops == 4
-        assert stats.p99_ops == 18
-        assert stats.max_ops == 5000
-        assert stats.empty_fraction == 0.6
-        assert stats.mean_ops == (4 * 30 + 18 * 9 + 5000) / 100
-
-    def test_from_empty_histogram(self):
-        stats = PlanSizeStats.from_histogram("idle", {})
-        assert stats.requests == 0 and stats.max_ops == 0 and stats.empty_fraction == 0.0
-
-    def test_round_trip_preserves_plan_size_rows(self, tmp_path):
-        artifact = protocol_artifact()
-        artifact.plan_sizes = [PlanSizeStats.from_histogram("churn", {0: 5, 4: 5})]
-        path = write_artifact(artifact, tmp_path)
-        loaded = load_artifact(path)
-        assert len(loaded.plan_sizes) == 1
-        row = loaded.plan_sizes[0]
-        assert row.workload == "churn"
-        assert row.requests == 10 and row.p90_ops == 4 and row.empty_fraction == 0.5
-
-    def test_render_includes_plan_size_table(self):
-        artifact = protocol_artifact()
-        artifact.plan_sizes = [PlanSizeStats.from_histogram("scale-mix", {0: 3, 2: 1})]
-        report = render_comparison([artifact])
-        assert "| plan sizes (workload) | requests |" in report
-        assert "| scale-mix | 4 |" in report
-        assert "75.0%" in report
-
-
-def pipeline_artifact():
-    return BenchmarkArtifact(
-        benchmark="e17_pipeline",
-        config={"n": 4096, "seed": 42},
-        wall_seconds=9.0,
-        pipelines=[
-            PipelineResult(
-                name="sequential", n=4096, window=1, requests=200, rounds=3000,
-                sequential_rounds=3000, max_in_flight=1, conflict_stalls=0,
-                messages=52000, congestion_violations=0, total_cost=4100,
-                wall_seconds=4.0,
-            ),
-            PipelineResult(
-                name="window-8", n=4096, window=8, requests=200, rounds=1000,
-                sequential_rounds=3000, max_in_flight=8, conflict_stalls=12,
-                messages=52000, congestion_violations=0, dropped_messages=0,
-                total_cost=4100, matches_sequential=True, wall_seconds=3.5,
-            ),
-        ],
-        checks={"pipelined_matches_sequential": True},
-    )
-
-
-class TestPipelineArtifacts:
-    def test_round_trip_preserves_pipeline_rows(self, tmp_path):
-        path = write_artifact(pipeline_artifact(), tmp_path)
-        loaded = load_artifact(path)
-        assert loaded.schema_version == SCHEMA_VERSION
-        row = loaded.pipeline("window-8")
-        assert row.window == 8
-        assert row.rounds == 1000 and row.sequential_rounds == 3000
-        assert row.max_in_flight == 8 and row.conflict_stalls == 12
-        assert row.matches_sequential
-        with pytest.raises(KeyError):
-            loaded.pipeline("missing")
-
-    def test_speedup_and_rounds_per_request(self):
-        row = pipeline_artifact().pipeline("window-8")
-        assert row.speedup == pytest.approx(3.0)
-        assert row.rounds_per_request == pytest.approx(5.0)
-        empty = PipelineResult(
-            name="idle", n=8, window=4, requests=0, rounds=0, sequential_rounds=0,
-            max_in_flight=0, conflict_stalls=0, messages=0, congestion_violations=0,
-        )
-        assert empty.speedup == 0.0 and empty.rounds_per_request == 0.0
-
-    def test_render_includes_pipeline_table(self):
-        report = render_comparison([pipeline_artifact()])
-        assert "| pipeline | n | window | requests | rounds |" in report
-        assert "| window-8 | 4096 | 8 | 200 | 1000 | 5.0 | 3.00x | 8 | 12 | 0 | 0 | yes |" in report
-
-    def test_divergent_row_flagged(self):
-        artifact = pipeline_artifact()
-        artifact.pipelines[1].matches_sequential = False
-        assert "| NO |" in render_comparison([artifact])
-
-
-def phased_artifact():
-    artifact = sample_artifact()
-    artifact.algorithms[0].phases = {
-        "route": 0.4, "plan": 6.0, "apply": 2.1, "repair": 1.0,
-    }
-    return artifact
-
-
-class TestPhaseArtifacts:
-    def test_round_trip_preserves_phase_rows(self, tmp_path):
-        path = write_artifact(phased_artifact(), tmp_path)
-        loaded = load_artifact(path)
-        assert loaded.schema_version == SCHEMA_VERSION
-        assert loaded.algorithm("dsg").phases == {
-            "route": 0.4, "plan": 6.0, "apply": 2.1, "repair": 1.0,
-        }
-        # Algorithms without instrumentation round-trip an empty mapping.
-        assert loaded.algorithm("static-random").phases == {}
-
-    def test_render_includes_phase_table(self):
-        report = render_comparison([phased_artifact()])
-        assert "| phase breakdown | route s | plan s | apply s | repair s | accounted |" in report
-        assert "| dsg | 0.4 | 6.0 | 2.1 | 1.0 | 9.5 (95%) |" in report
-        # The uninstrumented algorithm contributes no phase row.
-        assert report.count("| static-random |") == 1
-
-    def test_render_without_phases_omits_table(self):
-        report = render_comparison([sample_artifact()])
-        assert "phase breakdown" not in report

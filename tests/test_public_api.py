@@ -226,6 +226,18 @@ class TestRetiredSurface:
         assert not hasattr(driver, "total_cost") and not hasattr(driver, "total_routing")
         assert isinstance(driver.costs, repro.CostLedger)
 
+    def test_one_artifact_row_schema(self):
+        import repro.analysis as analysis
+        from repro.analysis import artifacts
+
+        for gone in ("AlgorithmResult", "ProtocolResult", "FailureResult", "PipelineResult",
+                     "PlanSizeStats"):
+            assert gone not in analysis.__all__ and not hasattr(analysis, gone), gone
+            assert not hasattr(artifacts, gone), gone
+        artifact = artifacts.BenchmarkArtifact(benchmark="b")
+        for gone in ("algorithm", "protocol", "failure", "pipeline", "working_set_bound"):
+            assert not hasattr(artifact, gone), gone
+
 
 #: The only third-party import in ``src/repro`` and the only place it may
 #: appear — inside a function of the offline-static baseline (the

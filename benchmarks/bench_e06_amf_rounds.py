@@ -50,7 +50,7 @@ def test_e06_protocol_scale(run_once):
             started = time.perf_counter()
             result = run_amf_protocol(values, a=4, seed=SCALE_SEED + n)
             rows.append(protocol_row(
-                "amf", n, congest_budget_bits(n), result,
+                "amf", n, congest_budget_bits(n), result.metrics,
                 wall_seconds=time.perf_counter() - started,
             ))
             assert result.satisfies_lemma1(list(values.values()), a=4)

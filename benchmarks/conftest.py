@@ -119,13 +119,12 @@ TRAFFIC = ("rounds", "messages", "total_bits", "max_message_bits",
 def protocol_row(name, n, budget_bits, traffic, joins=0, leaves=0, wall_seconds=0.0):
     """A ``protocol`` row: one CONGEST run's traffic against its bit budget.
 
-    ``traffic`` is the run's result or report (anything with the
-    :data:`TRAFFIC` attributes) or a simulator counter dict
-    (``MetricsCollector.summary()`` / ``.window()``, which call the bit
-    total ``bits``); ``joins`` / ``leaves`` count the churn replayed under it.
+    ``traffic`` carries the :data:`TRAFFIC` counters under their one set of
+    names: a run's ``MetricsCollector`` (``result.metrics``), a report, or
+    a counter dict (``MetricsCollector.summary()`` / ``.window()``);
+    ``joins`` / ``leaves`` count the churn replayed under it.
     """
-    counters = dict(traffic if isinstance(traffic, dict) else vars(traffic))
-    counters.setdefault("total_bits", counters.get("bits"))
+    counters = traffic if isinstance(traffic, dict) else vars(traffic)
     return {"kind": "protocol", "name": name, "n": n,
             **{key: counters[key] for key in TRAFFIC}, "budget_bits": budget_bits,
             "joins": joins, "leaves": leaves, "wall_seconds": wall_seconds}

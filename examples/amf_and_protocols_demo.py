@@ -52,24 +52,22 @@ def main() -> None:
 
     # --- message-level protocols ----------------------------------------------
     graph = build_balanced_skip_graph(range(1, n + 1))
-    routing = run_routing_protocol(graph, 1, n, seed=4)
-    broadcast = run_list_broadcast(list(range(1, n + 1)), initiator=1, seed=4)
-    sum_protocol = run_sum_protocol(skiplist, values, seed=4)
-    amf_protocol = run_amf_protocol(values, a=a, seed=4)
+    runs = (
+        ("skip graph routing", run_routing_protocol(graph, 1, n, seed=4)),
+        ("list broadcast", run_list_broadcast(list(range(1, n + 1)), initiator=1, seed=4)),
+        ("distributed sum", run_sum_protocol(skiplist, values, seed=4)),
+        ("AMF", run_amf_protocol(values, a=a, seed=4)),
+    )
 
     budget_bits = 8 * 32 * math.ceil(math.log2(n))
     table = Table(
         title=f"Message-level protocols on the CONGEST simulator (n={n})",
         columns=["protocol", "rounds", "messages", "max message bits", "budget bits", "congestion violations"],
     )
-    table.add_row("skip graph routing", routing.rounds, routing.messages,
-                  routing.max_message_bits, budget_bits, routing.congestion_violations)
-    table.add_row("list broadcast", broadcast.rounds, broadcast.messages,
-                  broadcast.max_message_bits, budget_bits, broadcast.congestion_violations)
-    table.add_row("distributed sum", sum_protocol.rounds, sum_protocol.messages,
-                  sum_protocol.max_message_bits, budget_bits, sum_protocol.congestion_violations)
-    table.add_row("AMF", amf_protocol.rounds, amf_protocol.messages,
-                  amf_protocol.max_message_bits, budget_bits, amf_protocol.congestion_violations)
+    for name, result in runs:
+        metrics = result.metrics
+        table.add_row(name, metrics.rounds, metrics.messages, metrics.max_message_bits,
+                      budget_bits, metrics.congestion_violations)
     print()
     print(table.render())
 

@@ -38,7 +38,7 @@ from typing import Any, Collection, List, Mapping, Optional, Sequence, Tuple
 from repro.simulation.rng import make_rng
 from repro.skiplist.balanced import BalancedSkipList
 
-__all__ = ["AMFResult", "approximate_median", "exact_median", "rank_interval"]
+__all__ = ["AMFResult", "approximate_median", "exact_median", "rank_interval", "sampling_plan"]
 
 # Values travelling up the skip list are ``(value, weight_below)`` pairs:
 # the surviving value plus the count of discarded values known to be
@@ -155,13 +155,7 @@ def approximate_median(
     skiplist = BalancedSkipList(items, a=a, rng=rng)  # copies the keys in order
     rounds = skiplist.construction_rounds
     height = skiplist.height
-
-    h = height - 1  # paper's h: the top (singleton) level index
-    sample_size = max(2, a * max(h, 1))
-    base = max(a / 2, 1.5)
-    # At least 2 (the log of max(h, 2) to a base of at least 1.5 is
-    # positive), so the base level below is never sampled.
-    sampling_start = math.ceil(math.log(max(h, 2), base)) + 1
+    sample_size, sampling_start = sampling_plan(height, a)
 
     # ``held`` lists the entries each node of the current level holds, aligned
     # with the level's nodes.  At the base every node holds exactly its own
@@ -191,6 +185,20 @@ def approximate_median(
 
     low, high = rank_interval(all_values, median) if diagnostics else (0, 0)
     return AMFResult(median, rounds, n, skiplist, False, low, high)
+
+
+def sampling_plan(height: int, a: int) -> Tuple[int, int]:
+    """``(sample_size, sampling_start)`` for a skip list of ``height`` levels.
+
+    The paper's ``h`` is the top (singleton) level index, ``height - 1``;
+    values are sampled down to ``a * h`` of them from level
+    ``ceil(log_{a/2} h) + 1`` upward.  The start is at least 2 (the log of
+    ``max(h, 2)`` to a base of at least 1.5 is positive), so the base level
+    is never sampled.
+    """
+    h = height - 1
+    base = max(a / 2, 1.5)
+    return max(2, a * max(h, 1)), math.ceil(math.log(max(h, 2), base)) + 1
 
 
 def _sample(entries: List[Tuple[float, int]], sample_size: int) -> List[Tuple[float, int]]:

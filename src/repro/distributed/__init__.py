@@ -33,14 +33,19 @@ Protocols
     (:mod:`repro.distributed.pipeline`) are disjoint.  ``PipelinedDSG`` is
     the same class under its former name.
 
-Each ``run_*`` entry point builds a fresh network and simulator; the
-matching ``install_*`` function registers a new process generation on an
-*existing* engine instead (retire the previous one first), which is how
-the churn arena (``benchmarks/bench_e11_congest.py``) restarts protocols
-across membership changes replayed by
-:func:`repro.distributed.bridge.replay_scenario` — and how the lifecycle
-property tests show a post-churn rerun on a reused engine reproduces a
-fresh simulator.
+Each ``run_*`` entry point builds a fresh network and simulator and
+returns the protocol's outcome (a path, the members reached, a total, a
+median) with the run's ``metrics``: the engine's
+:class:`~repro.simulation.MetricsCollector`, whose counters (``rounds``,
+``messages``, ``total_bits``, ...) carry the same names in its
+``summary()`` and ``window()`` dicts.  The matching ``install_*`` function
+registers a new process generation on an *existing* engine instead
+(retire the previous one first), which is how the churn arena
+(``benchmarks/bench_e11_congest.py``) restarts protocols across membership
+changes replayed by :func:`repro.distributed.bridge.replay_scenario` — and
+how the lifecycle property tests show a post-churn rerun on a reused
+engine reproduces a fresh simulator.  An ``install_*`` call checks its
+input before it registers any process.
 
 The aggregation protocols communicate over the balanced skip list's
 *segment* links (each node talks to the promoted node owning its segment).

@@ -3,11 +3,20 @@
 Every node starts with its own value.  Values travel towards the root one
 per message per round (CONGEST): a node streams its current entries to its
 parent, ends with a ``flush`` marker, and a parent only starts streaming
-upward after every child has flushed.  From the sampling level onward a
-parent sorts what it received, keeps a uniform sample of ``a * h`` entries
-and folds the discarded mass into rank weights, exactly as the structural
-implementation in :mod:`repro.core.amf` does.  The root picks the entry
-whose accounted rank is closest to the middle and broadcasts it back down.
+upward after every child has flushed.  A node whose top level ``T`` has
+``T + 1 >= sampling_start`` then sorts what it received, keeps a uniform
+sample of ``a * h`` entries and folds the discarded mass into rank weights.
+The root picks the entry whose accounted rank is closest to the middle and
+broadcasts it back down.  The sampling plan, the sampler and the pick are
+:mod:`repro.core.amf`'s own (:func:`~repro.core.amf.sampling_plan`,
+``_sample``, ``_pick_median``), but the schedule is not the structural
+gather's: a node samples once, after all its children flushed, where the
+structural gather samples again at every level, and it starts one level
+lower.  The two therefore pick different medians on most inputs; both
+satisfy Lemma 1 (row 9 of docs/DEVIATIONS.md).
+
+:func:`run_amf_protocol` returns the median, ``n`` and the run's
+``metrics`` (the engine's :class:`~repro.simulation.MetricsCollector`).
 
 Each ``entry`` message carries a value and a weight (two words); ``flush``
 and ``median`` carry one word — all well within the CONGEST budget, which
@@ -23,13 +32,15 @@ protocol measurable at benchmark scale (E6/E11 arenas).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
+from repro.core.amf import _pick_median, _sample, rank_interval, sampling_plan
+from repro.distributed.sum_protocol import _require_values, segment_network, segment_tree
 from repro.simulation import Message, NodeProcess, RoundContext, Simulator, SimulatorConfig
+from repro.simulation.metrics import MetricsCollector
+from repro.simulation.rng import make_rng
 from repro.skiplist.balanced import BalancedSkipList
-from repro.distributed.sum_protocol import segment_tree
 
 __all__ = ["AMFProtocolResult", "install_amf", "run_amf_protocol"]
 
@@ -39,42 +50,16 @@ Entry = Tuple[float, int]  # (value, weight of discarded values at or below it)
 
 @dataclass
 class AMFProtocolResult:
-    """Outcome of one message-level AMF execution."""
+    """Outcome of one message-level AMF execution; ``metrics`` holds the run's traffic."""
 
     median: float
-    rounds: int
-    messages: int
-    max_message_bits: int
-    congestion_violations: int
     n: int
-    dropped_messages: int = 0
-    total_bits: int = 0
-
-    def rank_interval(self, values: List[float]) -> Tuple[int, int]:
-        below = sum(1 for value in values if value < self.median)
-        not_above = sum(1 for value in values if value <= self.median)
-        return below + 1, max(not_above, below + 1)
+    metrics: MetricsCollector
 
     def satisfies_lemma1(self, values: List[float], a: int) -> bool:
-        low, high = self.rank_interval(values)
+        low, high = rank_interval(values, self.median)
         slack = self.n / (2 * a)
         return not (high < self.n / 2 - slack or low > self.n / 2 + slack)
-
-
-def _sample(entries: List[Entry], sample_size: int) -> List[Entry]:
-    ordered = sorted(entries)
-    if len(ordered) <= sample_size:
-        return ordered
-    last = len(ordered) - 1
-    kept_indices = sorted({round(i * last / (sample_size - 1)) for i in range(sample_size)})
-    kept: List[Entry] = []
-    previous = -1
-    for index in kept_indices:
-        value, weight = ordered[index]
-        extra = sum(1 + w for _, w in ordered[previous + 1 : index])
-        kept.append((value, weight + extra))
-        previous = index
-    return kept
 
 
 class _AMFProcess(NodeProcess):
@@ -109,12 +94,16 @@ class _AMFProcess(NodeProcess):
         if self.pending or self.streaming:
             return
         self.streaming = True
-        entries = _sample(self.entries, self.sample_size) if self.sample else sorted(self.entries)
+        # Sorted by (value, weight), here and again at the root (the folded
+        # weights can reorder equal values): the core helpers sort by value
+        # alone, stably, so they keep this order among equal values.
+        entries = sorted(self.entries)
+        if self.sample:
+            entries = _sample(entries, self.sample_size)
         if self.parent is None:
-            self.median = _pick_median(entries)
-            self.result = self.median
+            self.median = self.result = _pick_median(sorted(entries))[0]
         else:
-            self.outbox = list(entries)
+            self.outbox = entries
 
     def _stream_one(self, ctx: RoundContext) -> None:
         if self.parent is None or not self.streaming or self.flushed:
@@ -166,22 +155,6 @@ class _AMFProcess(NodeProcess):
         self._refresh_done()
 
 
-def _pick_median(entries: List[Entry]) -> float:
-    ordered = sorted(entries)
-    total = sum(1 + weight for _, weight in ordered)
-    target = total / 2
-    best_value = ordered[0][0]
-    best_distance = math.inf
-    cumulative = 0
-    for value, weight in ordered:
-        cumulative += weight + 1
-        distance = abs(cumulative - target)
-        if distance < best_distance:
-            best_distance = distance
-            best_value = value
-    return best_value
-
-
 def install_amf(
     simulator: Simulator,
     skiplist: BalancedSkipList,
@@ -194,26 +167,13 @@ def install_amf(
     (:func:`repro.distributed.sum_protocol.segment_network`); on a reused
     engine, retire the previous generation first.
     """
-    items = list(skiplist.levels[0])
-    h = skiplist.height - 1
-    sample_size = max(2, a * max(h, 1))
-    base = max(a / 2, 1.5)
-    sampling_start = math.ceil(math.log(max(h, 2), base)) + 1
-
-    parents = segment_tree(skiplist)
-    children: Dict[Key, List[Key]] = {item: [] for item in items}
-    depth: Dict[Key, int] = {}
-    for level in range(skiplist.height):
-        for item in skiplist.levels[level]:
-            depth[item] = level
-    for child, parent in parents.items():
-        if parent is not None:
-            children[parent].append(child)
-
+    _require_values(skiplist, values)
+    sample_size, sampling_start = sampling_plan(skiplist.height, a)
+    parents, children, top = segment_tree(skiplist)
     processes: Dict[Key, _AMFProcess] = {}
-    for item in items:
+    for item in skiplist.levels[0]:
         # A node samples when it aggregates at or above the sampling level.
-        aggregates_at = depth.get(item, 0) + 1
+        aggregates_at = top[item] + 1
         process = _AMFProcess(
             key=item,
             value=values[item],
@@ -236,11 +196,6 @@ def run_amf_protocol(
     items = list(values.keys())
     if len(items) < 2:
         raise ValueError("the protocol needs at least two values")
-    if a < 2:
-        raise ValueError("the balance parameter a must be at least 2")
-
-    from repro.distributed.sum_protocol import segment_network
-    from repro.simulation.rng import make_rng
 
     skiplist = BalancedSkipList(items, a=a, rng=make_rng(seed))
     network = segment_network(skiplist)
@@ -252,13 +207,4 @@ def run_amf_protocol(
     metrics = simulator.run()
 
     median = processes[skiplist.root].median
-    return AMFProtocolResult(
-        median=float(median if median is not None else 0.0),
-        rounds=metrics.rounds,
-        messages=metrics.total_messages,
-        max_message_bits=metrics.max_message_bits,
-        congestion_violations=metrics.congestion_violations,
-        n=len(items),
-        dropped_messages=metrics.dropped_messages,
-        total_bits=metrics.total_bits,
-    )
+    return AMFProtocolResult(float(median if median is not None else 0.0), len(items), metrics)

@@ -463,7 +463,7 @@ class DistributedDSG:
             planner_total_cost=self._planner_cost_base + self.planner.total_cost(),
             total_routing=self.costs.total_routing,
             rounds=metrics.rounds,
-            messages=metrics.total_messages,
+            messages=metrics.messages,
             total_bits=metrics.total_bits,
             max_message_bits=metrics.max_message_bits,
             congestion_violations=metrics.congestion_violations,

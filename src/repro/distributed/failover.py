@@ -478,7 +478,7 @@ def run_failure_arena(
         k=k,
         waves=waves,
         rounds=metrics.rounds,
-        messages=metrics.total_messages,
+        messages=metrics.messages,
         total_bits=metrics.total_bits,
         max_message_bits=metrics.max_message_bits,
         congestion_violations=metrics.congestion_violations,

@@ -16,12 +16,15 @@ CONGEST-conformant by construction instead of relying on luck.
 Two entry points:
 
 * :func:`run_routing_protocol` — the classic one-shot measurement: fresh
-  network, fresh simulator, one (source, destination) pair, path
-  reconstruction.
+  network, fresh simulator, one (source, destination) pair; it returns
+  the reconstructed path and the run's ``metrics`` (the engine's
+  :class:`~repro.simulation.MetricsCollector`).
 * :func:`install_routing` — register router processes on an *existing*
   simulator (reusing its network and metrics), which is how the churn
   arena restarts routing generations across membership changes and how
   :func:`~repro.distributed.bridge.replay_scenario` joiners get processes.
+  A request whose source is not in the graph is rejected before any
+  router is registered.
 
 Network maintenance is *op driven*: :func:`skip_graph_network` builds the
 link structure once from a topology snapshot, and :func:`patch_network` /
@@ -47,6 +50,7 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.core.local_ops import LocalOp, NodeJoinOp, NodeLeaveOp, apply_op, op_levels
 from repro.simulation import Message, Network, NodeProcess, RoundContext, Simulator, SimulatorConfig
+from repro.simulation.metrics import MetricsCollector
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
 
@@ -70,17 +74,12 @@ __all__ = [
 
 @dataclass
 class RoutingProtocolResult:
-    """Outcome of one message-level routing execution."""
+    """Outcome of one message-level routing execution; ``metrics`` holds the run's traffic."""
 
     source: Key
     destination: Key
     path: List[Key]
-    rounds: int
-    messages: int
-    max_message_bits: int
-    congestion_violations: int
-    dropped_messages: int = 0
-    total_bits: int = 0
+    metrics: MetricsCollector
 
     @property
     def distance(self) -> int:
@@ -587,6 +586,9 @@ def install_routing(
     generation first (``simulator.retire_all()``).
     """
     requests = requests or {}
+    unknown = [key for key in requests if key not in graph]
+    if unknown:
+        raise ValueError(f"requests from keys not in the graph: {unknown[:5]!r}")
     processes: Dict[Key, _RouterProcess] = {}
     for key in graph.keys:
         process = _RouterProcess(
@@ -642,14 +644,4 @@ def run_routing_protocol(graph: SkipGraph, source: Key, destination: Key,
     simulator = Simulator(network, SimulatorConfig(seed=seed, max_rounds=10 * len(graph) + 20))
     processes = install_routing(simulator, graph, {source: [destination]})
     metrics = simulator.run()
-    return RoutingProtocolResult(
-        source=source,
-        destination=destination,
-        path=trace_route(processes, source, destination),
-        rounds=metrics.rounds,
-        messages=metrics.total_messages,
-        max_message_bits=metrics.max_message_bits,
-        congestion_violations=metrics.congestion_violations,
-        dropped_messages=metrics.dropped_messages,
-        total_bits=metrics.total_bits,
-    )
+    return RoutingProtocolResult(source, destination, trace_route(processes, source, destination), metrics)

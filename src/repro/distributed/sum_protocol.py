@@ -13,14 +13,22 @@ the start and acts only when partials or the total arrive, so the engine's
 active set stays proportional to the messages in flight rather than the
 population — the convergecast over 4096 leaves costs O(n) process
 invocations total, not O(n * rounds).
+
+:func:`segment_tree` computes the tree once (parents, children and each
+node's top level) for both this protocol and the message-level AMF;
+:func:`install_sum` rejects a value map that misses an item before it
+registers any process.  :func:`run_sum_protocol` returns the total,
+whether every node received it, and the run's ``metrics`` (the engine's
+:class:`~repro.simulation.MetricsCollector`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.simulation import Message, Network, NodeProcess, RoundContext, Simulator, SimulatorConfig
+from repro.simulation.metrics import MetricsCollector
 from repro.skiplist.balanced import BalancedSkipList
 
 __all__ = ["SumProtocolResult", "install_sum", "run_sum_protocol", "segment_tree"]
@@ -30,34 +38,43 @@ Key = Hashable
 
 @dataclass
 class SumProtocolResult:
-    """Outcome of one aggregation."""
+    """Outcome of one aggregation; ``metrics`` holds the run's traffic."""
 
     total: float
-    rounds: int
-    messages: int
-    max_message_bits: int
-    congestion_violations: int
     received_by_all: bool
-    dropped_messages: int = 0
-    total_bits: int = 0
+    metrics: MetricsCollector
 
 
-def segment_tree(skiplist: BalancedSkipList) -> Dict[Key, Optional[Key]]:
-    """Parent pointers of the aggregation tree induced by the skip list.
+def segment_tree(
+    skiplist: BalancedSkipList,
+) -> Tuple[Dict[Key, Optional[Key]], Dict[Key, List[Key]], Dict[Key, int]]:
+    """Parent, children and top level of every item in the aggregation tree.
 
     A node's parent is the owner of its segment at the highest level the
-    node itself reaches; the root (left-most node) has parent ``None``.
-    The tree has depth ``height - 1`` and fan-in at most ``2a``.
+    node itself reaches (its top level); the root (left-most node) has
+    parent ``None`` and tops the skip list.  Children are listed in list
+    order.  The tree has depth ``height - 1`` and fan-in at most ``2a``.
     """
-    parents: Dict[Key, Optional[Key]] = {item: None for item in skiplist.levels[0]}
+    base = skiplist.levels[0]
+    parents: Dict[Key, Optional[Key]] = dict.fromkeys(base)
+    children: Dict[Key, List[Key]] = {item: [] for item in base}
+    top = {skiplist.root: skiplist.height - 1}
     for level in range(skiplist.height - 1):
         promoted_next = set(skiplist.levels[level + 1])
         for owner, members in skiplist.segments(level):
             for member in members:
                 if member not in promoted_next:
                     parents[member] = owner
-    parents[skiplist.root] = None
-    return parents
+                    children[owner].append(member)
+                    top[member] = level
+    return parents, children, top
+
+
+def _require_values(skiplist: BalancedSkipList, values: Mapping[Key, float]) -> None:
+    """Raise before any process is registered if an item has no value."""
+    missing = [item for item in skiplist.levels[0] if item not in values]
+    if missing:
+        raise ValueError(f"missing values for items: {missing[:5]!r}")
 
 
 class _SumProcess(NodeProcess):
@@ -116,17 +133,10 @@ def install_sum(
     of :func:`segment_tree` (label ``"segment"``); on a reused engine,
     retire the previous generation first.
     """
-    base = skiplist.levels[0]
-    missing = [item for item in base if item not in values]
-    if missing:
-        raise ValueError(f"missing values for items: {missing[:5]!r}")
-    parents = segment_tree(skiplist)
-    children: Dict[Key, List[Key]] = {item: [] for item in base}
-    for child, parent in parents.items():
-        if parent is not None:
-            children[parent].append(child)
+    _require_values(skiplist, values)
+    parents, children, _ = segment_tree(skiplist)
     processes: Dict[Key, _SumProcess] = {}
-    for item in base:
+    for item in skiplist.levels[0]:
         process = _SumProcess(item, values[item], parents[item], children[item])
         processes[item] = process
         simulator.add_process(process)
@@ -138,7 +148,8 @@ def segment_network(skiplist: BalancedSkipList) -> Network:
     network = Network()
     for item in skiplist.levels[0]:
         network.add_node(item)
-    for child, parent in segment_tree(skiplist).items():
+    parents, _, _ = segment_tree(skiplist)
+    for child, parent in parents.items():
         if parent is not None:
             network.add_link(child, parent, label="segment")
     return network
@@ -158,14 +169,8 @@ def run_sum_protocol(
     metrics = simulator.run()
 
     root_total = processes[skiplist.root].total
-    received_by_all = all(process.total == root_total for process in processes.values())
     return SumProtocolResult(
         total=float(root_total if root_total is not None else 0.0),
-        rounds=metrics.rounds,
-        messages=metrics.total_messages,
-        max_message_bits=metrics.max_message_bits,
-        congestion_violations=metrics.congestion_violations,
-        received_by_all=received_by_all,
-        dropped_messages=metrics.dropped_messages,
-        total_bits=metrics.total_bits,
+        received_by_all=all(process.total == root_total for process in processes.values()),
+        metrics=metrics,
     )

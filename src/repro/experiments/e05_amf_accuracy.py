@@ -66,7 +66,7 @@ def run(
     )
     comparison.add_row("structural", structural.median, structural.rounds, structural.satisfies_lemma1(a))
     comparison.add_row(
-        "message-level", protocol.median, protocol.rounds,
+        "message-level", protocol.median, protocol.metrics.rounds,
         protocol.satisfies_lemma1(list(values.values()), a),
     )
     result.tables.append(comparison)

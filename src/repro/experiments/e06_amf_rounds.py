@@ -56,7 +56,7 @@ def run(
             structural_rounds.append(amf.rounds)
             heights.append(amf.skiplist.height if amf.skiplist else 1)
             if trial == 0 and n <= protocol_limit:
-                protocol_rounds.append(run_amf_protocol(values, a=a, seed=trial + n).rounds)
+                protocol_rounds.append(run_amf_protocol(values, a=a, seed=trial + n).metrics.rounds)
         structural_mean = sum(structural_rounds) / len(structural_rounds)
         protocol_mean = sum(protocol_rounds) / len(protocol_rounds) if protocol_rounds else None
         table.add_row(n, sum(heights) / len(heights), structural_mean, protocol_mean)

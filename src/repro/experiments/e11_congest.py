@@ -50,33 +50,23 @@ def run(sizes: Sequence[int] = (32, 64, 128), a: int = 4, seed: Optional[int] = 
     no_drops = True
     for n in sizes:
         budget = _budget_bits(n)
-        graph = build_balanced_skip_graph(range(1, n + 1))
-        routing = run_routing_protocol(graph, 1, n, seed=seed)
-        table.add_row("routing", n, routing.max_message_bits, budget,
-                      routing.congestion_violations, routing.dropped_messages)
-        all_ok &= routing.max_message_bits <= budget and routing.congestion_violations == 0
-        no_drops &= routing.dropped_messages == 0
-
-        broadcast = run_list_broadcast(list(range(1, n + 1)), initiator=1, seed=seed)
-        table.add_row("broadcast", n, broadcast.max_message_bits, budget,
-                      broadcast.congestion_violations, broadcast.dropped_messages)
-        all_ok &= broadcast.max_message_bits <= budget and broadcast.congestion_violations == 0
-        no_drops &= broadcast.dropped_messages == 0
-
-        skiplist = BalancedSkipList(list(range(1, n + 1)), a=a, rng=make_rng(seed))
-        sum_result = run_sum_protocol(skiplist, {i: 1.0 for i in range(1, n + 1)}, seed=seed)
-        table.add_row("distributed sum", n, sum_result.max_message_bits, budget,
-                      sum_result.congestion_violations, sum_result.dropped_messages)
-        all_ok &= sum_result.max_message_bits <= budget and sum_result.congestion_violations == 0
-        no_drops &= sum_result.dropped_messages == 0
-
+        keys = list(range(1, n + 1))
         rng = make_rng(seed)
-        values = {i: float(rng.random()) for i in range(1, n + 1)}
-        amf = run_amf_protocol(values, a=a, seed=seed)
-        table.add_row("AMF", n, amf.max_message_bits, budget,
-                      amf.congestion_violations, amf.dropped_messages)
-        all_ok &= amf.max_message_bits <= budget and amf.congestion_violations == 0
-        no_drops &= amf.dropped_messages == 0
+        values = {i: float(rng.random()) for i in keys}
+        runs = (
+            ("routing", run_routing_protocol(build_balanced_skip_graph(keys), 1, n, seed=seed)),
+            ("broadcast", run_list_broadcast(keys, initiator=1, seed=seed)),
+            ("distributed sum", run_sum_protocol(
+                BalancedSkipList(keys, a=a, rng=make_rng(seed)), dict.fromkeys(keys, 1.0), seed=seed
+            )),
+            ("AMF", run_amf_protocol(values, a=a, seed=seed)),
+        )
+        for name, run_result in runs:
+            metrics = run_result.metrics
+            table.add_row(name, n, metrics.max_message_bits, budget,
+                          metrics.congestion_violations, metrics.dropped_messages)
+            all_ok &= metrics.max_message_bits <= budget and metrics.congestion_violations == 0
+            no_drops &= metrics.dropped_messages == 0
     result.tables.append(table)
     result.checks["all_messages_within_congest_budget"] = all_ok
     # Drops are counted separately from violations; on these churn-free

@@ -50,7 +50,7 @@ def run(sizes: Sequence[int] = (64, 256, 1024), n: int = 48, length: int = 150,
         protocol_rounds = None
         if size <= 512:
             protocol = run_sum_protocol(skiplist, values, seed=seed)
-            protocol_rounds = protocol.rounds
+            protocol_rounds = protocol.metrics.rounds
             exact &= protocol.total == sum(values.values())
         exact_everywhere &= exact
         points.append((size, structural.rounds))

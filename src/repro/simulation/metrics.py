@@ -51,7 +51,7 @@ class MetricsCollector:
     """Accumulates counters across a simulation run."""
 
     rounds: int = 0
-    total_messages: int = 0
+    messages: int = 0
     total_bits: int = 0
     max_message_bits: int = 0
     congestion_violations: int = 0
@@ -70,7 +70,7 @@ class MetricsCollector:
         stats.messages += 1
         stats.bits += size_bits
         stats.max_message_bits = max(stats.max_message_bits, size_bits)
-        self.total_messages += 1
+        self.messages += 1
         self.total_bits += size_bits
         self.max_message_bits = max(self.max_message_bits, size_bits)
 
@@ -113,11 +113,11 @@ class MetricsCollector:
         return max(self.peak_memory_words.values())
 
     def summary(self) -> Dict[str, int]:
-        """Plain-dict summary used by the experiment harness."""
+        """Plain-dict summary, keyed by the collector's attribute names."""
         return {
             "rounds": self.rounds,
-            "messages": self.total_messages,
-            "bits": self.total_bits,
+            "messages": self.messages,
+            "total_bits": self.total_bits,
             "max_message_bits": self.max_message_bits,
             "congestion_violations": self.congestion_violations,
             "dropped_messages": self.dropped_messages,
@@ -137,7 +137,7 @@ class MetricsCollector:
         return {
             "rounds": len(rounds),
             "messages": sum(stats.messages for stats in rounds),
-            "bits": sum(stats.bits for stats in rounds),
+            "total_bits": sum(stats.bits for stats in rounds),
             "max_message_bits": max((stats.max_message_bits for stats in rounds), default=0),
             "congestion_violations": sum(stats.congestion_violations for stats in rounds),
             "dropped_messages": sum(stats.dropped_messages for stats in rounds),

@@ -18,6 +18,7 @@ from repro.analysis.artifacts import (
 )
 from repro.core.costs import CostLedger, RequestCost
 from repro.experiments.cli import main
+from repro.simulation import MetricsCollector
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -164,16 +165,12 @@ class TestSharedBenchRows:
 
     def test_protocol_row_reads_results_and_counter_dicts_alike(self):
         conftest = bench_conftest()
-        counters = dict(rounds=205, messages=89, bits=23000, max_message_bits=264,
-                        congestion_violations=0, dropped_messages=1)
-        result = SimpleNamespace(total_bits=23000, **{
-            key: value for key, value in counters.items() if key != "bits"
-        })
-        from_dict = conftest.protocol_row("routing", 4096, 3072, counters, joins=103, leaves=102)
-        from_result = conftest.protocol_row("routing", 4096, 3072, result, joins=103, leaves=102)
+        metrics = MetricsCollector(rounds=205, messages=89, total_bits=23000, max_message_bits=264,
+                                   congestion_violations=0, dropped_messages=1)
+        from_dict = conftest.protocol_row("routing", 4096, 3072, metrics.summary(), joins=103, leaves=102)
+        from_result = conftest.protocol_row("routing", 4096, 3072, metrics, joins=103, leaves=102)
         assert from_dict == from_result
         assert from_dict["total_bits"] == 23000 and from_dict["budget_bits"] == 3072
-        assert "bits" not in from_dict and "bits" in counters
 
 
 class TestPlanSizeFields:

@@ -52,21 +52,18 @@ PINNED = {
     "reused-engine": "658c775336a42e49a4c825105bc62174c688e0238b2b809a7f6613a4e1eddf23",
 }
 
-#: The six traffic counters, by their names on a run's result.
+#: The six traffic counters, by their names on ``MetricsCollector``.
 TRAFFIC = ("rounds", "messages", "total_bits", "max_message_bits",
            "congestion_violations", "dropped_messages")
-#: The same six counters, by their keys in ``MetricsCollector.window()``.
-WINDOW = ("rounds", "messages", "bits", "max_message_bits",
-          "congestion_violations", "dropped_messages")
 
 
 def _traffic(result) -> tuple:
-    return tuple(getattr(result, name) for name in TRAFFIC)
+    return tuple(getattr(result.metrics, name) for name in TRAFFIC)
 
 
 def _window(sim: Simulator, checkpoint: int) -> tuple:
     counters = sim.metrics.window(checkpoint)
-    return tuple(counters[name] for name in WINDOW)
+    return tuple(counters[name] for name in TRAFFIC)
 
 
 def _amf_values(n: int, seed: int, tied: bool) -> dict:

@@ -29,6 +29,9 @@ from repro.skipgraph import build_balanced_skip_graph, route
 from repro.skiplist import BalancedSkipList
 
 
+pytestmark = pytest.mark.protocols
+
+
 def congest_budget(n: int, words: int = 8) -> int:
     """A generous c * log2(n) message-size budget in bits."""
     return words * WORD_BITS * max(1, math.ceil(math.log2(max(n, 2))))
@@ -46,13 +49,13 @@ class TestRoutingProtocol:
     def test_rounds_equal_hops(self):
         graph = build_balanced_skip_graph(range(1, 65))
         protocol = run_routing_protocol(graph, 1, 64, seed=2)
-        assert protocol.rounds == protocol.hops
+        assert protocol.metrics.rounds == protocol.hops
 
     def test_congest_conformance(self):
         graph = build_balanced_skip_graph(range(1, 65))
-        protocol = run_routing_protocol(graph, 3, 62, seed=3)
-        assert protocol.congestion_violations == 0
-        assert protocol.max_message_bits <= congest_budget(64)
+        metrics = run_routing_protocol(graph, 3, 62, seed=3).metrics
+        assert metrics.congestion_violations == 0
+        assert metrics.max_message_bits <= congest_budget(64)
 
     def test_self_route(self):
         graph = build_balanced_skip_graph(range(1, 9))
@@ -75,6 +78,14 @@ class TestRoutingProtocol:
             assert processes[destination].result == "reached"
 
 
+    def test_request_from_an_unknown_source_rejected_before_any_router(self):
+        graph = build_balanced_skip_graph(range(1, 9))
+        sim = Simulator(skip_graph_network(graph))
+        with pytest.raises(ValueError, match="99"):
+            install_routing(sim, graph, {99: [3], 2: [5]})
+        assert sim.processes == {}
+
+
 class TestBroadcastProtocol:
     def test_everyone_reached(self):
         members = list(range(1, 41))
@@ -84,16 +95,16 @@ class TestBroadcastProtocol:
     def test_rounds_bounded_by_list_span(self):
         members = list(range(1, 41))
         result = run_list_broadcast(members, initiator=1)
-        assert result.rounds <= len(members) + 2
+        assert result.metrics.rounds <= len(members) + 2
 
     def test_initiator_must_be_member(self):
         with pytest.raises(ValueError):
             run_list_broadcast([1, 2, 3], initiator=9)
 
     def test_congest_conformance(self):
-        result = run_list_broadcast(list(range(1, 60)), initiator=30)
-        assert result.congestion_violations == 0
-        assert result.max_message_bits <= congest_budget(60)
+        metrics = run_list_broadcast(list(range(1, 60)), initiator=30).metrics
+        assert metrics.congestion_violations == 0
+        assert metrics.max_message_bits <= congest_budget(60)
 
     def test_single_member_list(self):
         result = run_list_broadcast([5], initiator=5)
@@ -103,12 +114,19 @@ class TestBroadcastProtocol:
 class TestSumProtocol:
     def test_segment_tree_structure(self):
         skiplist = BalancedSkipList(list(range(50)), a=4, rng=make_rng(1))
-        parents = segment_tree(skiplist)
+        parents, children, top = segment_tree(skiplist)
         assert parents[skiplist.root] is None
         # Every non-root node has a parent that appears earlier in list order.
         for child, parent in parents.items():
             if parent is not None:
                 assert parent < child or parent == skiplist.root
+        # Children invert the parent pointers, in list order.
+        assert children == {item: [c for c, p in parents.items() if p == item] for item in parents}
+        # A node's top level is the highest level of the skip list it is on.
+        assert top == {
+            item: max(level for level, members in enumerate(skiplist.levels) if item in members)
+            for item in parents
+        }
 
     def test_total_is_exact(self):
         items = list(range(1, 81))
@@ -126,11 +144,11 @@ class TestSumProtocol:
     def test_congest_conformance_and_rounds(self):
         items = list(range(1, 200))
         skiplist = BalancedSkipList(items, a=4, rng=make_rng(4))
-        result = run_sum_protocol(skiplist, {item: 1.0 for item in items}, seed=4)
-        assert result.congestion_violations == 0
-        assert result.max_message_bits <= congest_budget(len(items))
+        metrics = run_sum_protocol(skiplist, {item: 1.0 for item in items}, seed=4).metrics
+        assert metrics.congestion_violations == 0
+        assert metrics.max_message_bits <= congest_budget(len(items))
         # Convergecast + broadcast over a tree of logarithmic depth.
-        assert result.rounds <= 6 * skiplist.height + 10
+        assert metrics.rounds <= 6 * skiplist.height + 10
 
 
 def _window_of(sim, checkpoint):
@@ -250,12 +268,23 @@ class TestChurnSafeRestarts:
 
 class TestAMFProtocol:
     def test_matches_structural_amf_quality(self):
+        """Same skip list, different sampling schedule (DEVIATIONS row 9):
+        the two pick different medians, both within Lemma 1."""
         rng = make_rng(5)
         values = {i: float(rng.randrange(1000)) for i in range(1, 129)}
         protocol = run_amf_protocol(values, a=4, seed=5)
         assert protocol.satisfies_lemma1(list(values.values()), a=4)
         structural = approximate_median(values, a=4, rng=make_rng(5))
         assert structural.satisfies_lemma1(4)
+        assert (protocol.median, structural.median) == (476.0, 413.0)
+
+    def test_missing_value_rejected_before_any_process(self):
+        items = list(range(1, 21))
+        skiplist = BalancedSkipList(items, a=4, rng=make_rng(1))
+        sim = Simulator(segment_network(skiplist))
+        with pytest.raises(ValueError, match="missing values for items: \\[20\\]"):
+            install_amf(sim, skiplist, {item: float(item) for item in items[:-1]}, a=4)
+        assert sim.processes == {}
 
     def test_small_input_rejected(self):
         with pytest.raises(ValueError):
@@ -266,16 +295,16 @@ class TestAMFProtocol:
     def test_congest_conformance(self):
         rng = make_rng(6)
         values = {i: float(rng.random()) for i in range(1, 200)}
-        protocol = run_amf_protocol(values, a=4, seed=6)
-        assert protocol.congestion_violations == 0
-        assert protocol.max_message_bits <= congest_budget(len(values))
+        metrics = run_amf_protocol(values, a=4, seed=6).metrics
+        assert metrics.congestion_violations == 0
+        assert metrics.max_message_bits <= congest_budget(len(values))
 
     def test_rounds_scale_gently_with_n(self):
         rounds = {}
         for n in (64, 256):
             rng = make_rng(n)
             values = {i: float(rng.random()) for i in range(n)}
-            rounds[n] = run_amf_protocol(values, a=4, seed=n).rounds
+            rounds[n] = run_amf_protocol(values, a=4, seed=n).metrics.rounds
         assert rounds[256] <= rounds[64] * 4
 
     def test_median_is_an_input_value(self):

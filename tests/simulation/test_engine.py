@@ -87,7 +87,7 @@ class TestTokenPassing:
         assert sim.process(n - 1).result == 0
         # one hop per round: the token crosses n-1 links in n-1 rounds
         assert metrics.rounds == n - 1
-        assert metrics.total_messages == n - 1
+        assert metrics.messages == n - 1
 
     def test_metrics_summary_keys(self):
         n = 3
@@ -97,7 +97,7 @@ class TestTokenPassing:
         for i in range(1, n):
             sim.add_process(TokenForwarder(i, n))
         summary = sim.run().summary()
-        for key in ("rounds", "messages", "bits", "max_message_bits", "congestion_violations"):
+        for key in ("rounds", "messages", "total_bits", "max_message_bits", "congestion_violations"):
             assert key in summary
         assert summary["congestion_violations"] == 0
 

@@ -42,25 +42,27 @@ Run with::
 import time
 from pathlib import Path
 
-from conftest import artifact_dir, experiment_params, protocol_row, publish_artifact, quick_mode
+from conftest import (
+    artifact_dir,
+    experiment_params,
+    protocol_row,
+    publish_artifact,
+    quick_mode,
+    routing_under_churn,
+    shielded_churn,
+)
 
 from repro.analysis.artifacts import BenchmarkArtifact, render_comparison
 from repro.distributed import (
     install_broadcast,
-    install_routing,
-    make_router,
     replay_scenario,
     run_amf_protocol,
     run_sum_protocol,
-    skip_graph_network,
 )
 from repro.experiments import run_experiment
-from repro.simulation import Simulator, SimulatorConfig
 from repro.simulation.message import congest_budget_bits
 from repro.simulation.rng import make_rng
-from repro.skipgraph import build_balanced_skip_graph
 from repro.skiplist import BalancedSkipList
-from repro.workloads import JoinEvent, LeaveEvent, Scenario, churn_scenario
 
 PARAMS = experiment_params("E11", sizes=(32, 64, 128))
 CRITICAL_CHECKS = ['all_messages_within_congest_budget', 'node_memory_logarithmic']
@@ -82,84 +84,24 @@ def test_e11_experiment(run_once):
     assert result.all_passed, [name for name, ok in result.checks.items() if not ok]
 
 
-def _shielded_churn(keys, length, seed, protected, next_key=None, joins=True):
-    """A churn schedule over ``keys`` whose leave events avoid ``protected``.
-
-    ``next_key`` is the high-water mark for fresh join keys (pass it when
-    chaining waves so a second wave cannot re-issue a departed joiner's
-    key); ``joins=False`` drops join events entirely (the broadcast phase
-    measures departure resilience only).
-    """
-    scenario = churn_scenario(length=length, seed=seed, churn_rate=0.5,
-                              initial_keys=keys, next_key=next_key)
-    population = set(keys)
-    events = []
-    for event in scenario.events:
-        if isinstance(event, JoinEvent):
-            if not joins:
-                continue
-        elif isinstance(event, LeaveEvent):
-            if event.key in protected:
-                continue
-            # Without joins, a leave of a key that only joined in the
-            # unfiltered schedule would target a node that never existed.
-            if not joins and event.key not in population:
-                continue
-        events.append(event)
-    return Scenario(name=scenario.name, initial_keys=scenario.initial_keys,
-                    events=events, params=scenario.params)
-
-
 def test_e11_congest_arena(run_once):
     n, churn_length, seed = ARENA["n"], ARENA["churn_length"], ARENA["seed"]
     budget = budget_bits(n)
 
     def arena():
-        protocols = []
-        graph = build_balanced_skip_graph(range(1, n + 1))
-        network = skip_graph_network(graph)
-        simulator = Simulator(
-            network,
-            SimulatorConfig(seed=seed, strict_congest=False, strict_links=False,
-                            max_rounds=50_000),
-        )
-
         # --- routing under churn -----------------------------------------
-        rng = make_rng(seed)
-        pairs = []
-        while len(pairs) < ARENA["route_pairs"]:
-            source, destination = rng.sample(range(1, n + 1), 2)
-            pairs.append((source, destination))
-        requests = {}
-        for source, destination in pairs:
-            requests.setdefault(source, []).append(destination)
-        protected = {key for pair in pairs for key in pair}
-        scenario = _shielded_churn(list(range(1, n + 1)), churn_length, seed, protected)
-
-        started = time.perf_counter()
-        install_routing(simulator, graph, requests)
-        replay = replay_scenario(
-            simulator, scenario,
-            process_factory=lambda key: make_router(graph, key),
-            graph=graph,
+        routing, completed, simulator, graph = routing_under_churn(
+            n, churn_length, ARENA["route_pairs"], seed
         )
-        checkpoint = simulator.round
-        simulator.run()
-        window = simulator.metrics.window(checkpoint)
-        completed = sum(process.completed for process in simulator.processes.values())
-        protocols.append(protocol_row(
-            "routing", n, budget, window,
-            joins=replay.joins, leaves=replay.leaves,
-            wall_seconds=time.perf_counter() - started,
-        ))
+        protocols = [routing]
 
         # --- broadcast under leave-only churn (same engine, next generation)
         simulator.retire_all()
         members = graph.keys  # the base list after the first churn wave
         initiator = members[len(members) // 2]
         # High-water mark: the first wave issued keys up to n + its joins.
-        next_key = max(max(members), n + replay.joins) + 1
-        broadcast_scenario = _shielded_churn(
+        next_key = max(max(members), n + routing["joins"]) + 1
+        broadcast_scenario = shielded_churn(
             members, churn_length, seed + 1, {initiator},
             next_key=next_key, joins=False,
         )

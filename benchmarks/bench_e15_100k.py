@@ -42,32 +42,18 @@ Run with::
 import time
 from pathlib import Path
 
-from conftest import artifact_dir, ledger_row, protocol_row, publish_artifact, quick_mode
+from conftest import artifact_dir, ledger_row, publish_artifact, quick_mode, routing_under_churn
 from reference.kernel_reference import ReferenceDynamicSkipGraph
 
 from repro.analysis.artifacts import BenchmarkArtifact, plan_size_fields, render_comparison
 from repro.baselines.adapter import DSGAdapter
 from repro.core.dsg import DSGConfig
 from repro.core.local_ops import NodeJoinOp, NodeLeaveOp
-from repro.distributed import (
-    apply_network_delta,
-    install_routing,
-    make_router,
-    networks_equal,
-    replay_scenario,
-    skip_graph_network,
-)
-from repro.simulation import Simulator, SimulatorConfig
-from repro.simulation.message import congest_budget_bits
+from repro.distributed import apply_network_delta, networks_equal, skip_graph_network
 from repro.simulation.rng import make_rng
 from repro.skipgraph import build_balanced_skip_graph
 from repro.skipgraph.build import draw_membership_bits
-from repro.workloads import (
-    LeaveEvent,
-    churn_scenario,
-    run_scenario,
-    scale_scenario,
-)
+from repro.workloads import churn_scenario, run_scenario, scale_scenario
 
 if quick_mode():
     SCALE = dict(n=512, length=3_000, seed=42, hot_pair_count=16, cross_pair_count=2,
@@ -133,45 +119,6 @@ def _network_delta_phase(seed):
     }
 
 
-def _routing_under_churn(seed):
-    """A live router generation racing a churn replay over delta-patched links."""
-    n, churn_length = REPLAY["n"], REPLAY["churn_length"]
-    graph = build_balanced_skip_graph(range(1, n + 1))
-    simulator = Simulator(
-        skip_graph_network(graph),
-        SimulatorConfig(seed=seed, strict_congest=False, strict_links=False,
-                        max_rounds=50_000),
-    )
-    rng = make_rng(seed)
-    pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(REPLAY["route_pairs"])]
-    requests = {}
-    for source, destination in pairs:
-        requests.setdefault(source, []).append(destination)
-    protected = {key for pair in pairs for key in pair}
-    raw = churn_scenario(length=churn_length, seed=seed, churn_rate=0.5,
-                         initial_keys=list(range(1, n + 1)))
-    raw.events = [
-        event for event in raw.events
-        if not (isinstance(event, LeaveEvent) and event.key in protected)
-    ]
-
-    started = time.perf_counter()
-    install_routing(simulator, graph, requests)
-    replay = replay_scenario(
-        simulator, raw,
-        process_factory=lambda key: make_router(graph, key),
-        graph=graph,
-    )
-    simulator.run()
-    wall = time.perf_counter() - started
-    completed = sum(process.completed for process in simulator.processes.values())
-    row = protocol_row(
-        "routing", n, congest_budget_bits(n), simulator.metrics.summary(),
-        joins=replay.joins, leaves=replay.leaves, wall_seconds=wall,
-    )
-    return row, completed
-
-
 def test_e15_100k_arena(run_once):
     def arena():
         outcome = {}
@@ -226,7 +173,7 @@ def test_e15_100k_arena(run_once):
 
         # ---- op-driven network deltas at 100k + routing under churn -----
         outcome["network"] = _network_delta_phase(SCALE["seed"])
-        outcome["routing"], outcome["routes_completed"] = _routing_under_churn(REPLAY["seed"])
+        outcome["routing"], outcome["routes_completed"], _, _ = routing_under_churn(**REPLAY)
         return outcome
 
     outcome = run_once(arena)

@@ -16,11 +16,13 @@ remain an on-demand/manual job.
 Artifacts (``BENCH_*.json``, :mod:`repro.analysis.artifacts`) hold plain
 dict rows; the two row shapes several benchmarks share are built here:
 :func:`ledger_row` (a scenario run's Equation-1 ledger) and
-:func:`protocol_row` (one CONGEST run's traffic).
+:func:`protocol_row` (one CONGEST run's traffic).  So is the one arena two
+benchmarks share, :func:`routing_under_churn` (e11 and e15).
 """
 
 import os
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +130,80 @@ def protocol_row(name, n, budget_bits, traffic, joins=0, leaves=0, wall_seconds=
     return {"kind": "protocol", "name": name, "n": n,
             **{key: counters[key] for key in TRAFFIC}, "budget_bits": budget_bits,
             "joins": joins, "leaves": leaves, "wall_seconds": wall_seconds}
+
+
+def shielded_churn(keys, length, seed, protected, next_key=None, joins=True):
+    """A churn schedule over ``keys`` whose leave events avoid ``protected``.
+
+    ``next_key`` is the high-water mark for fresh join keys (pass it when
+    chaining waves so a second wave cannot re-issue a departed joiner's
+    key); ``joins=False`` drops join events entirely (a broadcast phase
+    measures departure resilience only).
+    """
+    from repro.workloads import JoinEvent, LeaveEvent, Scenario, churn_scenario
+
+    scenario = churn_scenario(length=length, seed=seed, churn_rate=0.5,
+                              initial_keys=keys, next_key=next_key)
+    population = set(keys)
+    events = []
+    for event in scenario.events:
+        if isinstance(event, JoinEvent):
+            if not joins:
+                continue
+        elif isinstance(event, LeaveEvent):
+            if event.key in protected:
+                continue
+            # Without joins, a leave of a key that only joined in the
+            # unfiltered schedule would target a node that never existed.
+            if not joins and event.key not in population:
+                continue
+        events.append(event)
+    return Scenario(name=scenario.name, initial_keys=scenario.initial_keys,
+                    events=events, params=scenario.params)
+
+
+def routing_under_churn(n, churn_length, route_pairs, seed):
+    """A router generation racing a replayed churn schedule on a fresh engine.
+
+    ``route_pairs`` random (source, destination) pairs over keys ``1..n``
+    are routed on a lenient simulator while a :func:`shielded_churn`
+    schedule (its leaves spare every endpoint) joins and removes members
+    under the messages in flight; joiners get routers.  Returns the
+    ``routing`` :func:`protocol_row`, the number of routes completed, and
+    the simulator and skip-graph mirror, for a next generation on the same
+    engine.
+    """
+    from repro.distributed import install_routing, make_router, replay_scenario, skip_graph_network
+    from repro.simulation import Simulator, SimulatorConfig
+    from repro.simulation.message import congest_budget_bits
+    from repro.simulation.rng import make_rng
+    from repro.skipgraph import build_balanced_skip_graph
+
+    keys = list(range(1, n + 1))
+    graph = build_balanced_skip_graph(keys)
+    simulator = Simulator(
+        skip_graph_network(graph), SimulatorConfig(seed=seed, strict=False, max_rounds=50_000)
+    )
+    rng = make_rng(seed)
+    pairs = [tuple(rng.sample(keys, 2)) for _ in range(route_pairs)]
+    requests = {}
+    for source, destination in pairs:
+        requests.setdefault(source, []).append(destination)
+    scenario = shielded_churn(keys, churn_length, seed, {key for pair in pairs for key in pair})
+
+    started = time.perf_counter()
+    install_routing(simulator, graph, requests)
+    replay = replay_scenario(
+        simulator, scenario, process_factory=lambda key: make_router(graph, key), graph=graph
+    )
+    simulator.run()
+    wall = time.perf_counter() - started
+    completed = sum(process.completed for process in simulator.processes.values())
+    row = protocol_row(
+        "routing", n, congest_budget_bits(n), simulator.metrics.summary(),
+        joins=replay.joins, leaves=replay.leaves, wall_seconds=wall,
+    )
+    return row, completed, simulator, graph
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ Protocols
     Convergecast + broadcast over the balanced skip list (Appendix D).
 ``run_amf_protocol``
     The gather-sample-decide pipeline of AMF (Algorithm 2).
-``run_distributed_dsg`` / ``DistributedDSG``
+``DistributedDSG``
     The full self-adjusting DSG: greedy routing plus the local-op plans of
     the kernel executed as O(log n)-bit messages, churn and crashes
     included (:mod:`repro.distributed.dsg_protocol`).  One driver, one
@@ -92,7 +92,6 @@ from repro.distributed.dsg_protocol import (
     DistributedRequestOutcome,
     DSGProcess,
     PipelinedDSG,
-    run_distributed_dsg,
 )
 from repro.distributed.pipeline import AdmissionRecord, ConflictSet, PipelineWindow
 from repro.distributed.broadcast_protocol import BroadcastResult, install_broadcast, run_list_broadcast
@@ -140,7 +139,6 @@ __all__ = [
     "install_sum",
     "make_router",
     "run_amf_protocol",
-    "run_distributed_dsg",
     "run_failure_arena",
     "run_list_broadcast",
     "run_routing_protocol",

@@ -5,8 +5,10 @@ The link writer (:mod:`repro.distributed.routing_protocol`) keeps a
 — processes retired, crashed, recovered and registered — for one local op
 (:func:`apply_local_op`), one membership event (:func:`apply_join`,
 :func:`apply_crash`, :func:`repair_crashes`, :func:`apply_recovery`) or a
-whole :class:`~repro.workloads.scenarios.Scenario` (:func:`replay_scenario`,
-what ``bench_e11_congest`` runs under the routing and broadcast protocols).
+whole join/leave :class:`~repro.workloads.scenarios.Scenario`
+(:func:`replay_scenario`, what ``bench_e11_congest`` and ``bench_e15_100k``
+run under the routing and broadcast protocols; crash/recovery schedules
+run through :func:`~repro.distributed.failover.run_failure_arena`).
 The link functions are reached through the ``routing_protocol`` module
 object at call time, so a tracer that rebinds them there sees every call.
 """
@@ -105,12 +107,17 @@ def apply_recovery(sim: Simulator, graph: SkipGraph, key: Key, rng, k: int = 1) 
     :func:`~repro.distributed.routing_protocol.rejoin_crash_links`.
 
     The crash's hole must already be closed — run :func:`repair_crashes`
-    for the key before recovering it; a recovery is a join, and joining a
-    graph that still contains the key is a kernel error.  Returns
+    for the key before recovering it.  A key that is not crashed, or is
+    still in ``graph``, is rejected before the ban is lifted, so the
+    engine, the graph and the network are left as they were.  Returns
     ``(affected survivor keys, links added)`` — survivors whose routing
     tables must be refreshed, and the rejoin cost.
     """
-    sim.recover(key)
+    if key in sim.crashed and key in graph:
+        raise ValueError(
+            f"crashed key {key!r} is still in the graph; repair its crash before recovering it"
+        )
+    sim.recover(key)  # raises unless the key is crashed
     bits = draw_membership_bits(graph, key, rng)
     return routing_protocol.rejoin_crash_links(sim.network, graph, key, tuple(bits), k=k)
 
@@ -145,16 +152,10 @@ def repair_crashes(
 
 @dataclass
 class ScenarioReplay:
-    """What :func:`replay_scenario` scheduled onto the simulator."""
+    """How many membership events :func:`replay_scenario` scheduled."""
 
-    scenario: str
     joins: int
     leaves: int
-    requests: int
-    first_round: int
-    last_round: int
-    crashes: int = 0
-    recoveries: int = 0
 
 
 def replay_scenario(
@@ -162,88 +163,59 @@ def replay_scenario(
     scenario: Scenario,
     process_factory: Optional[Callable[[Key], Optional[NodeProcess]]] = None,
     graph: Optional[SkipGraph] = None,
-    start_round: Optional[int] = None,
-    spacing: int = 1,
-    on_request: Optional[Callable[[Simulator, RequestEvent], None]] = None,
-    seed: Optional[int] = None,
 ) -> ScenarioReplay:
-    """Schedule ``scenario``'s events as churn callbacks on a live simulator.
+    """Schedule ``scenario``'s join/leave events as churn callbacks on a live simulator.
 
     This is the bridge between the workload layer and the message-passing
     arena: the same :func:`~repro.workloads.scenarios.churn_scenario` /
     :func:`~repro.workloads.scenarios.scale_scenario` schedules that drive
     the DSG front end replay against the :mod:`repro.distributed` protocols
-    unchanged.  Events (:mod:`repro.workloads.scenarios`) are assigned
-    consecutive rounds (``spacing`` apart, starting at ``start_round``,
-    default: the simulator's next round) and injected through
+    unchanged.  Membership events are assigned consecutive rounds, starting
+    at the simulator's next round, and injected through
     :meth:`~repro.simulation.Simulator.schedule`:
 
-    * ``JoinEvent`` — :func:`apply_join` rewires ``graph`` and the network;
+    * ``JoinEvent`` — :func:`apply_join` rewires ``graph`` and the network
+      with bits drawn from a stream seeded by ``scenario.params["seed"]``;
       ``process_factory(key)`` (if given) builds the joiner's process,
       registered so it receives ``on_start`` in its join round.
     * ``LeaveEvent`` — a :class:`~repro.core.local_ops.NodeLeaveOp` through
       :func:`apply_local_op`: the departed node's left/right list
       neighbours become adjacent at every level it occupied (links close up
       over it, Section IV-G) and its process is retired.
-    * ``CrashEvent`` — :func:`apply_crash` kills the process crash-stop
-      (no rewiring: the dark window lasts until the caller runs
-      :func:`repair_crashes`).
-    * ``RecoveryEvent`` — :func:`apply_recovery` rejoins the key as a
-      fresh identity (new bits from the replay's rng stream) and registers
-      its process via ``process_factory`` like a join.  The caller must
-      have repaired the key's crash before its recovery round fires.
-    * ``RequestEvent`` — handed to ``on_request(sim, event)`` when
-      provided (e.g. to enqueue a routing request on the source process);
-      skipped otherwise (no round consumed).
+    * ``RequestEvent`` — skipped (no round consumed); the caller hands
+      requests to its own processes.
 
-    ``graph`` must be the skip-graph topology mirror the simulator's
-    network was built from (:func:`~repro.distributed.routing_protocol.skip_graph_network`);
+    A ``CrashEvent`` or ``RecoveryEvent`` raises :class:`ValueError` before
+    anything is scheduled: crash-stop schedules run wave by wave through
+    :func:`~repro.distributed.failover.run_failure_arena`.  ``graph`` must
+    be the skip-graph topology mirror the simulator's network was built
+    from (:func:`~repro.distributed.routing_protocol.skip_graph_network`);
     it is required when the scenario contains churn.  The run does not
     quiesce before the last scheduled event, so a protocol running on the
     simulator experiences the whole churn schedule.
     """
-    has_churn = any(not isinstance(event, RequestEvent) for event in scenario.events)
-    if has_churn and graph is None:
+    churn = [event for event in scenario.events if not isinstance(event, RequestEvent)]
+    for event in churn:
+        if isinstance(event, (CrashEvent, RecoveryEvent)):
+            raise ValueError(
+                f"replay_scenario schedules joins and leaves only; crash/recovery "
+                f"schedules run through run_failure_arena, got {event!r}"
+            )
+    if churn and graph is None:
         raise ValueError("replaying a scenario with churn requires the skip graph mirror")
-    rng = make_rng(seed if seed is not None else scenario.params.get("seed"))
-    cursor = sim.round if start_round is None else max(start_round, sim.round)
-    first = cursor
-    joins = leaves = crashes = recoveries = requests = 0
-    scheduled_any = False
+    rng = make_rng(scenario.params.get("seed"))
+    first = sim.round
+    joins = leaves = 0
 
-    def register_arrival(s: Simulator, key: Key) -> None:
-        process = process_factory(key) if process_factory is not None else None
-        if process is not None:
-            s.add_process(process)
-
-    for event in scenario.events:
-        if isinstance(event, RequestEvent):
-            if on_request is None:
-                continue
-            requests += 1
-
-            def callback(s: Simulator, event=event) -> None:
-                on_request(s, event)
-
-        elif isinstance(event, JoinEvent):
+    for offset, event in enumerate(churn):
+        if isinstance(event, JoinEvent):
             joins += 1
 
             def callback(s: Simulator, key=event.key) -> None:
                 apply_join(s, graph, key, rng)
-                register_arrival(s, key)
-
-        elif isinstance(event, CrashEvent):
-            crashes += 1
-
-            def callback(s: Simulator, key=event.key) -> None:
-                apply_crash(s, graph, key)
-
-        elif isinstance(event, RecoveryEvent):
-            recoveries += 1
-
-            def callback(s: Simulator, key=event.key) -> None:
-                apply_recovery(s, graph, key, rng)
-                register_arrival(s, key)
+                process = process_factory(key) if process_factory is not None else None
+                if process is not None:
+                    s.add_process(process)
 
         else:
             leaves += 1
@@ -251,16 +223,5 @@ def replay_scenario(
             def callback(s: Simulator, key=event.key) -> None:
                 apply_local_op(s, graph, NodeLeaveOp(key))
 
-        sim.schedule(cursor, callback)
-        scheduled_any = True
-        cursor += spacing
-    return ScenarioReplay(
-        scenario=scenario.name,
-        joins=joins,
-        leaves=leaves,
-        requests=requests,
-        first_round=first,
-        last_round=cursor - spacing if scheduled_any else first,
-        crashes=crashes,
-        recoveries=recoveries,
-    )
+        sim.schedule(first + offset, callback)
+    return ScenarioReplay(joins=joins, leaves=leaves)

@@ -107,7 +107,6 @@ __all__ = [
     "DistributedDSGReport",
     "DistributedRequestOutcome",
     "PipelinedDSG",
-    "run_distributed_dsg",
 ]
 
 
@@ -137,13 +136,12 @@ class DSGProcess(GreedyForwarder):
         graph: SkipGraph,
         route_done: Dict[int, int],
         ops_done: Dict[int, int],
-        k: int = 1,
     ) -> None:
         super().__init__(key)
         # Built after the first attribute stores: the instance's attribute
         # storage is allocated by them, and keeping it next to the object
         # keeps the engine's per-callback sweep over all processes cheap.
-        self.table = NeighborTable(graph, key, k=k)
+        self.table = NeighborTable(graph, key)
         self.bits: Tuple[int, ...] = graph.membership(key).bits
         self.is_dummy = graph.node(key).is_dummy
         #: Set when the node (a dummy) received its self-destruction notice.
@@ -327,12 +325,7 @@ class DistributedDSG:
         self.topology = self.planner.graph.copy()
         self.sim = Simulator(
             skip_graph_network(self.topology),
-            SimulatorConfig(
-                seed=seed,
-                strict_congest=strict,
-                strict_links=strict,
-                max_rounds=max_rounds,
-            ),
+            SimulatorConfig(seed=seed, strict=strict, max_rounds=max_rounds),
         )
         self.window = PipelineWindow(int(window))
         #: Completion ledgers the processes write: rid -> hops / ops landed.
@@ -809,17 +802,3 @@ class DistributedDSG:
 
 #: The pipelined driver is the driver: ``PipelinedDSG(keys, window=16)``.
 PipelinedDSG = DistributedDSG
-
-
-def run_distributed_dsg(
-    scenario: Scenario,
-    config: Optional[DSGConfig] = None,
-    seed: Optional[int] = None,
-    strict: bool = False,
-    window: int = 1,
-) -> DistributedDSGReport:
-    """Execute ``scenario`` end to end on a fresh :class:`DistributedDSG`."""
-    driver = DistributedDSG(
-        scenario.initial_keys, config=config, seed=seed, strict=strict, window=window
-    )
-    return driver.run_scenario(scenario)

@@ -50,16 +50,16 @@ Two extensions lift the original safety rails:
   request id recorded in a shared
   :class:`~repro.distributed.routing_protocol.RouteLedger`, a rid with no
   terminal outcome after quiescence is exactly such an in-flight
-  casualty.  The arena retries those after the repair wave (bounded by
-  ``max_retries``, ``retry_backoff`` rounds apart) and only counts a
-  request failed when its destination is genuinely gone.
+  casualty.  The arena retries those after the repair wave (at most
+  :data:`MAX_RETRIES` passes, :data:`RETRY_BACKOFF` rounds apart) and only
+  counts a request failed when its destination is genuinely gone.
 
 Flow control gates every send on the current link set, so the arena runs
-with ``strict_congest`` *and* ``strict_links`` both on even under mid-wave
-crashes: a congestion violation or an illegal send raises at the offending
-round.  Requests are conserved by construction —
-``delivered + failed + retried-then-delivered == injected`` holds per
-wave, and message drops appear only in waves that crash mid-flight.
+the engine in strict mode even under mid-wave crashes: a congestion
+violation or an illegal send raises at the offending round.  Requests are
+conserved by construction — ``delivered + failed + retried-then-delivered
+== injected`` holds per wave, and message drops appear only in waves that
+crash mid-flight.
 
 ``benchmarks/bench_e16_failures.py`` runs this arena at 4096 nodes and
 publishes the delivered/failed/repair-cost accounting as one ``failure``
@@ -99,6 +99,15 @@ __all__ = [
     "run_failure_arena",
     "segment_waves",
 ]
+
+#: Requests injected per round; they interleave freely once in flight.
+STAGGER = 32
+#: Round budget of each ``Simulator.run`` call the arena makes.
+MAX_ROUNDS = 1_000_000
+#: Re-injection passes for requests lost in flight to a mid-wave crash.
+MAX_RETRIES = 2
+#: Rounds between the end of a pass and the next re-injection.
+RETRY_BACKOFF = 4
 
 
 @dataclass
@@ -280,36 +289,27 @@ def run_failure_arena(
     scenario: Scenario,
     k: int = 2,
     seed: Optional[int] = None,
-    stagger: int = 32,
     graph: Optional[SkipGraph] = None,
-    max_rounds: int = 1_000_000,
-    max_retries: int = 2,
-    retry_backoff: int = 4,
 ) -> FailureArenaReport:
     """Execute a failure schedule wave by wave on a fresh CONGEST engine.
 
     ``k`` is the redundancy the network is built with and the tables route
-    around with; ``stagger`` bounds how many requests are injected per
-    round (they still interleave freely once in flight).  ``graph``
-    defaults to the balanced start topology over the scenario's initial
-    keys.  Both strict modes are on: the arena proves its claims by
-    *raising* on a congestion violation or an illegal send, not by
-    counting them after the fact.
+    around with; at most :data:`STAGGER` requests are injected per round.
+    ``graph`` defaults to the balanced start topology over the scenario's
+    initial keys.  The engine runs in strict mode: the arena proves its
+    claims by *raising* on a congestion violation or an illegal send, not
+    by counting them after the fact.
 
     A request lost in flight to a mid-wave crash (rid with no terminal
     outcome after quiescence) is re-injected after the repair wave — up to
-    ``max_retries`` passes, ``retry_backoff`` rounds before each — and
-    counted ``retried_delivered`` on success; only requests whose
-    destination is genuinely gone end up ``failed``.  ``max_retries=0``
-    counts every in-flight loss failed outright.
+    :data:`MAX_RETRIES` passes, :data:`RETRY_BACKOFF` rounds before each —
+    and counted ``retried_delivered`` on success; only requests whose
+    destination is genuinely gone end up ``failed``.
     """
     if graph is None:
         graph = build_balanced_skip_graph(scenario.initial_keys)
     network = skip_graph_network(graph, k=k)
-    sim = Simulator(
-        network,
-        SimulatorConfig(seed=seed, strict_congest=True, strict_links=True, max_rounds=max_rounds),
-    )
+    sim = Simulator(network, SimulatorConfig(seed=seed, strict=True, max_rounds=MAX_ROUNDS))
     ledger = RouteLedger()
     routers = install_routing(sim, graph, k=k, ledger=ledger)
     sim.run()  # start the (idle) population so waves begin from quiescence
@@ -406,7 +406,7 @@ def run_failure_arena(
             next_rid += 1
             injected[rid] = (source, destination)
             batch.append((source, destination, rid))
-            if len(batch) >= max(1, stagger):
+            if len(batch) >= STAGGER:
                 flush_batch()
         for offset in sorted(mid_by_offset):
             for key in mid_by_offset[offset]:
@@ -430,7 +430,7 @@ def run_failure_arena(
         retried = 0
         lost = ledger.unresolved(injected_rids)
         first_pass_lost = set(lost)
-        for _ in range(max_retries):
+        for _ in range(MAX_RETRIES):
             if not lost:
                 break
             resend: List[Tuple[Key, Key, int]] = []
@@ -443,7 +443,7 @@ def run_failure_arena(
             if not resend:
                 break
             retried += len(resend)
-            schedule_injection(sim.round + max(0, retry_backoff), resend)
+            schedule_injection(sim.round + RETRY_BACKOFF, resend)
             sim.run()
             lost = ledger.unresolved(injected_rids)
         ledger.failed.update(lost)

@@ -589,13 +589,10 @@ def install_routing(
     unknown = [key for key in requests if key not in graph]
     if unknown:
         raise ValueError(f"requests from keys not in the graph: {unknown[:5]!r}")
-    processes: Dict[Key, _RouterProcess] = {}
-    for key in graph.keys:
-        process = _RouterProcess(
-            key, NeighborTable(graph, key, k=k), requests.get(key, ()), ledger=ledger
-        )
-        processes[key] = process
-        simulator.add_process(process)
+    processes = {
+        key: make_router(graph, key, requests.get(key, ()), k=k, ledger=ledger) for key in graph.keys
+    }
+    simulator.add_processes(processes.values())
     return processes
 
 
@@ -608,9 +605,11 @@ def make_router(
 ) -> _RouterProcess:
     """A router process for ``key`` with a fresh table snapshot of ``graph``.
 
-    The process factory churn arenas hand to
-    :func:`~repro.distributed.bridge.replay_scenario` so joining nodes can
-    route as soon as their initialization round has run.
+    The one place a router is built: :func:`install_routing` builds every
+    router of a generation with it, and churn arenas hand it to
+    :func:`~repro.distributed.bridge.replay_scenario` as the process
+    factory so joining nodes can route as soon as their initialization
+    round has run.
     """
     return _RouterProcess(key, NeighborTable(graph, key, k=k), requests, ledger=ledger)
 

@@ -18,7 +18,7 @@ The engine repeatedly executes *rounds*.  In each round:
 
 Messages may only travel over links present in the :class:`Network` at
 *send time*: sending to a non-neighbour raises :class:`LinkError` (strict
-links) or drops the message with a recorded drop (lenient links).  A link
+mode) or drops the message with a recorded drop (lenient mode).  A link
 that disappears while a message is in flight — churn removed it between
 send and delivery — is never an error: the send was legal, so the message
 is dropped and counted in ``dropped_messages`` in both modes.  Drops are
@@ -32,11 +32,15 @@ population costs nothing while a single token walks across it.
 
 Process lifecycle (churn):
 
-* **join** — :meth:`Simulator.add_process` after the run has started queues
-  the process for :meth:`~NodeProcess.on_start` at the beginning of the
-  next executed round (its initialization round), so joiners injected by
-  :meth:`Simulator.schedule` callbacks are started exactly like the initial
-  population.
+* **start** — every registered process is queued for
+  :meth:`~NodeProcess.on_start`, and one helper starts the queue.  The
+  initial population, and a fresh generation installed on a quiesced
+  engine, start between rounds (sends delivered in the next executed
+  round).
+* **join** — a process registered while the run is under way (typically
+  from a :meth:`Simulator.schedule` callback) starts at the beginning of
+  the next executed round, its initialization round, with sends delivered
+  the round after.
 * **retire** — :meth:`Simulator.retire` removes a process from the live
   set (its ``result`` stays readable through :meth:`results`).  Removing a
   node from the network retires its process automatically at the next
@@ -64,12 +68,11 @@ translates a :class:`~repro.workloads.scenarios.Scenario`'s join/leave
 events into these callbacks plus skip-graph link rewiring.
 
 The engine stops when every live process reports ``done``, no messages are
-in flight and no scheduled events or pending starts remain, or when the
-round budget is exceeded (which raises ``SimulationError`` unless
-``allow_timeout`` is set).  :meth:`Simulator.run` may be called again after
-quiescence — installing fresh processes (after retiring the previous ones)
-replays another protocol on the same engine and network, which is how the
-churn arenas rerun protocols across membership changes.
+in flight and no scheduled events or pending starts remain; exceeding the
+round budget raises ``SimulationError``.  :meth:`Simulator.run` may be
+called again after quiescence — installing fresh processes (after retiring
+the previous ones) replays another protocol on the same engine and network,
+which is how the churn arenas rerun protocols across membership changes.
 """
 
 from __future__ import annotations
@@ -99,12 +102,10 @@ class SimulatorConfig:
         Round budget per :meth:`Simulator.run` call (safety net against
         livelock).  On a reused engine the budget applies to each call, not
         to the engine's absolute round counter.
-    strict_congest:
-        If ``True`` a CONGEST violation raises; otherwise excess messages are
-        deferred FIFO and counted.
-    strict_links:
-        If ``True`` sending over a missing link raises at send time;
-        otherwise the message is dropped and counted as a drop.  Links
+    strict:
+        If ``True`` a CONGEST violation and a send over a missing link both
+        raise; otherwise excess messages are deferred FIFO and counted, and
+        a send over a missing link is dropped and counted as a drop.  Links
         removed *after* a legal send drop the in-flight message in both
         modes (recorded, never raised).
     max_message_bits:
@@ -112,17 +113,12 @@ class SimulatorConfig:
         still recorded so experiments can audit them afterwards).
     seed:
         Seed for the per-node RNGs.
-    allow_timeout:
-        If ``True`` exhausting the round budget ends the run quietly instead
-        of raising.
     """
 
     max_rounds: int = 100_000
-    strict_congest: bool = True
-    strict_links: bool = True
+    strict: bool = True
     max_message_bits: Optional[int] = None
     seed: Optional[int] = None
-    allow_timeout: bool = False
 
 
 class Simulator:
@@ -144,7 +140,7 @@ class Simulator:
         # Ordered set of processes that are not done (the self-driven half of
         # the active set; the other half is this round's delivery receivers).
         self._not_done: Dict[Hashable, None] = {}
-        # Processes added after the run started, awaiting their on_start.
+        # Registered processes awaiting their on_start, in registration order.
         self._pending_start: List[Hashable] = []
         # Crash-stop failures: nodes killed by crash() can never re-enter.
         self._crashed: set = set()
@@ -175,8 +171,7 @@ class Simulator:
         self._rngs[node] = spawn_rng(self._root_rng, label=repr(node))
         if not process.done:
             self._not_done[node] = None
-        if self._started:
-            self._pending_start.append(node)
+        self._pending_start.append(node)
 
     def add_processes(self, processes: Iterable[NodeProcess]) -> None:
         for process in processes:
@@ -306,18 +301,14 @@ class Simulator:
         """
         budget = max_rounds if max_rounds is not None else self.config.max_rounds
         limit = self._round + budget
-        if not self._started:
-            self._start_processes()
-        elif self._pending_start and not self._pending and not self._deferred:
-            # A fresh protocol generation installed on a quiesced engine:
-            # start it exactly like an initial population (on_start outside
-            # the rounds, sends delivered in the next executed round), so a
-            # rerun reproduces a fresh simulator round for round.
-            self._start_pending_processes()
+        if not self._started or (self._pending_start and not self._in_flight()):
+            # The initial population, or a fresh protocol generation installed
+            # on a quiesced engine: on_start outside the rounds, sends
+            # delivered in the next executed round, so a rerun reproduces a
+            # fresh simulator round for round.
+            self._start_between_rounds()
         while not self._quiescent():
             if self._round >= limit:
-                if self.config.allow_timeout:
-                    break
                 raise SimulationError(
                     f"simulation did not terminate within {budget} rounds "
                     f"({self._in_flight()} messages in flight)"
@@ -328,7 +319,7 @@ class Simulator:
     def step(self) -> None:
         """Execute exactly one synchronous round."""
         if not self._started:
-            self._start_processes()
+            self._start_between_rounds()
         # Drain in a loop so a callback scheduling another event for the
         # *current* round still gets it executed this round.
         pending = self._scheduled.pop(self._round, [])
@@ -354,16 +345,10 @@ class Simulator:
         # A starter is never invoked twice in its first round — deliveries
         # addressed to it were already dropped by `_plan_deliveries` (they
         # were sent before the process existed).
-        started_now = set()
+        started_now = ()
         if self._pending_start:
             starters, self._pending_start = self._pending_start, []
-            for node in starters:
-                process = self._processes.get(node)
-                if process is None:  # retired before it ever started
-                    continue
-                process.on_start(self._context(node, outbox_sink, stats))
-                started_now.add(node)
-                self._after_invoke(node, process)
+            started_now = self._start(starters, outbox_sink, stats)
 
         for node in self._active_nodes(deliveries):
             if node in started_now:
@@ -399,7 +384,6 @@ class Simulator:
             neighbors=self.network.rows.get(node, ()),
             rng=self._rngs[node],
             send_fn=outbox_sink.append,
-            report_memory_fn=self.metrics.record_memory,
             report_failure_fn=self.metrics.record_failure,
             stats=stats,
         )
@@ -441,25 +425,29 @@ class Simulator:
         for node in orphans:
             self.retire(node)
 
-    def _start_processes(self) -> None:
-        outbox_sink: List[Message] = []
-        self._started = True
-        for node, process in list(self._processes.items()):
-            process.on_start(self._context(node, outbox_sink))
-            self._after_invoke(node, process)
-        self._pending.extend(self._validate_outbox(outbox_sink, None))
+    def _start(self, nodes: List[Hashable], outbox: List[Message], stats: Optional[RoundStats]) -> set:
+        """Run ``on_start`` for every still-registered process among ``nodes``.
 
-    def _start_pending_processes(self) -> None:
-        """Start queued processes outside a round (rerun on a quiesced engine)."""
-        outbox_sink: List[Message] = []
-        starters, self._pending_start = self._pending_start, []
-        for node in starters:
+        ``stats`` is the executing round's record for a start inside a round
+        (a churn joiner's initialization round) and ``None`` for a start
+        between rounds.  Returns the nodes started.
+        """
+        started = set()
+        for node in nodes:
             process = self._processes.get(node)
-            if process is None:
+            if process is None:  # retired before it ever started
                 continue
-            process.on_start(self._context(node, outbox_sink))
+            process.on_start(self._context(node, outbox, stats))
+            started.add(node)
             self._after_invoke(node, process)
-        self._pending.extend(self._validate_outbox(outbox_sink, None))
+        return started
+
+    def _start_between_rounds(self) -> None:
+        outbox: List[Message] = []
+        self._started = True
+        starters, self._pending_start = self._pending_start, []
+        self._start(starters, outbox, None)
+        self._pending.extend(self._validate_outbox(outbox, None))
 
     def _validate_outbox(self, outbox: List[Message], stats: Optional[RoundStats]) -> List[Message]:
         """Send-time validation: message size and link existence.
@@ -478,7 +466,7 @@ class Simulator:
                     f"(limit {self.config.max_message_bits})"
                 )
             if not self.network.has_link(message.sender, message.receiver):
-                if self.config.strict_links:
+                if self.config.strict:
                     raise LinkError(
                         f"message {message.kind!r}: no link "
                         f"{message.sender!r} -> {message.receiver!r}"
@@ -525,7 +513,7 @@ class Simulator:
                 continue
             key = (sender, receiver)
             if key in used_links:
-                if self.config.strict_congest:
+                if self.config.strict:
                     raise CongestionError(
                         f"more than one message on link {sender!r} -> {receiver!r} "
                         f"in round {self._round}"

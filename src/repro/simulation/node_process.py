@@ -10,14 +10,15 @@ the previous round and calls :meth:`NodeProcess.on_round` with a
 * ``ctx.round`` --- the current round index,
 * ``ctx.neighbors()`` --- the node's current neighbours in the network,
 * ``ctx.rng`` --- a node-local deterministic RNG,
-* ``ctx.report_memory(words)`` --- report the node's current state size so
-  that the ``O(log n)``-memory claim can be audited (experiment E11),
 * ``ctx.report_failure()`` --- declare one protocol-level request failed
   (counted as ``failed_requests``, distinct from per-message drops; used by
   the crash-stop failure arena when a route runs out of live hops).
 
 Processes signal completion by setting :attr:`NodeProcess.done`; the
 simulator stops when every process is done and no message is in flight.
+The ``O(log n)``-memory claim (experiment E11) is audited through
+:meth:`NodeProcess.memory_words`, which the engine reads after every
+invocation.
 
 ``done`` doubles as the *activity* flag: the engine only invokes a done
 process when its inbox is non-empty, so message-driven processes should
@@ -58,7 +59,6 @@ class RoundContext:
         neighbors: Collection[Hashable],
         rng: random.Random,
         send_fn: Callable[[Message], None],
-        report_memory_fn: Callable[[Hashable, int], None],
         report_failure_fn: Optional[Callable[[Any, int], None]] = None,
         stats: Any = None,
     ) -> None:
@@ -67,7 +67,6 @@ class RoundContext:
         self._neighbors = neighbors
         self._rng = rng
         self._send_fn = send_fn
-        self._report_memory_fn = report_memory_fn
         self._report_failure_fn = report_failure_fn
         self._stats = stats  # the executing round's record, for report_failure_fn
 
@@ -91,10 +90,6 @@ class RoundContext:
     def send(self, receiver: Hashable, kind: str, payload: Any = None) -> None:
         """Enqueue a message for delivery at the beginning of the next round."""
         self._send_fn(Message(sender=self._node_id, receiver=receiver, kind=kind, payload=payload))
-
-    def report_memory(self, words: int) -> None:
-        """Report the current size of the node's protocol state in words."""
-        self._report_memory_fn(self._node_id, words)
 
     def report_failure(self, count: int = 1) -> None:
         """Declare ``count`` protocol-level requests failed this round."""
@@ -134,8 +129,8 @@ class NodeProcess:
     def memory_words(self) -> Optional[int]:
         """Return the node state size in words, or ``None`` if not tracked.
 
-        Subclasses that want automatic per-round memory auditing override
-        this; the simulator calls it after every round.
+        Subclasses that want per-round memory auditing override this; the
+        simulator calls it after every ``on_start`` and ``on_round``.
         """
         return None
 

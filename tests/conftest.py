@@ -5,7 +5,7 @@ run, so a red tier-1 is reproducible from the log alone and never depends
 on what a git-ignored ``.hypothesis/`` directory happens to hold.  The
 per-file ``settings(max_examples=..., deadline=...)`` objects are created
 after this profile is loaded and inherit it.  The random-search budget
-belongs to the ``-m fuzz`` lane (ROADMAP item 5), not here.
+belongs to the ``-m fuzz`` lane (ROADMAP item 7), not here.
 """
 
 from hypothesis import settings

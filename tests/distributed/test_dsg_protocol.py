@@ -22,7 +22,7 @@ import math
 import pytest
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
-from repro.distributed import DistributedDSG, run_distributed_dsg, skip_graph_network
+from repro.distributed import DistributedDSG, skip_graph_network
 from repro.simulation.engine import SimulationError
 from repro.simulation.message import congest_budget_bits
 from repro.skipgraph import verify_skip_graph_integrity
@@ -114,7 +114,8 @@ class TestCongestConformance:
         scenario = churn_scenario(
             n=32, length=60, seed=13, churn_rate=0.1, base="temporal", working_set_size=6
         )
-        report = run_distributed_dsg(scenario, config=DSGConfig(seed=13), seed=4, strict=False)
+        driver = DistributedDSG(scenario.initial_keys, config=DSGConfig(seed=13), seed=4, strict=False)
+        report = driver.run_scenario(scenario)
         assert report.congestion_violations == 0
         assert report.dropped_messages == 0
         assert report.max_message_bits <= congest_budget_bits(32)

@@ -35,7 +35,7 @@ from repro.core.local_ops import (
     op_to_payload,
 )
 from repro.distributed import DSGProcess, install_routing, skip_graph_network
-from repro.distributed.routing_protocol import GreedyForwarder, RouteLedger, make_router
+from repro.distributed.routing_protocol import GreedyForwarder, NeighborTable, RouteLedger, make_router
 from repro.simulation import Simulator, SimulatorConfig
 from repro.simulation.rng import make_rng
 from repro.skipgraph import build_skip_graph
@@ -55,7 +55,7 @@ def _recording_simulator(graph, k, seed):
     ``(round, sender, receiver, message)``."""
     sim = Simulator(
         skip_graph_network(graph, k=k),
-        SimulatorConfig(seed=seed, strict_congest=True, strict_links=True, max_rounds=10_000),
+        SimulatorConfig(seed=seed, strict=True, max_rounds=10_000),
     )
     sends = []
     validate = sim._validate_outbox
@@ -117,7 +117,9 @@ def test_both_wire_formats_share_one_forwarding_core(k, seed):
     # --- the DSG peer ----------------------------------------------------------
     dsg_sim, dsg_sends = _recording_simulator(graph, k, seed)
     route_done, ops_done = {}, {}
-    peers = {key: DSGProcess(key, graph, route_done, ops_done, k=k) for key in graph.keys}
+    peers = {key: DSGProcess(key, graph, route_done, ops_done) for key in graph.keys}
+    for key, peer in peers.items():  # the peer on the router's k-redundant table
+        peer.table = NeighborTable(graph, key, k=k)
     dsg_sim.add_processes(peers.values())
     dsg_sim.run()
     assert dsg_sim.round == base

@@ -34,7 +34,6 @@ from repro.distributed import (
     apply_network_delta,
     networks_equal,
     patch_network,
-    run_distributed_dsg,
     skip_graph_network,
 )
 from repro.simulation.rng import make_rng
@@ -496,9 +495,10 @@ class TestDeterminism:
         )
 
         def run():
-            return run_distributed_dsg(
-                scenario, config=DSGConfig(seed=17), seed=6, strict=True, window=4
+            driver = DistributedDSG(
+                scenario.initial_keys, config=DSGConfig(seed=17), seed=6, strict=True, window=4
             )
+            return driver.run_scenario(scenario)
 
         first, second = run(), run()
         assert first.rounds == second.rounds

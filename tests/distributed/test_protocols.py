@@ -252,7 +252,7 @@ class TestChurnSafeRestarts:
         graph = build_balanced_skip_graph(self.KEYS)
         sim = Simulator(
             skip_graph_network(graph),
-            SimulatorConfig(seed=9, strict_links=False, max_rounds=1_000),
+            SimulatorConfig(seed=9, strict=False, max_rounds=1_000),
         )
         install_routing(sim, graph)
 

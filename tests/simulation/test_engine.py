@@ -17,6 +17,8 @@ from repro.simulation import (
 )
 from repro.simulation.errors import SimulationError
 
+pytestmark = pytest.mark.engine
+
 
 def line_network(n: int) -> Network:
     net = Network()
@@ -106,7 +108,7 @@ class TestCongestEnforcement:
     def test_strict_mode_raises_on_double_send(self):
         net = Network()
         net.add_link(0, 1)
-        sim = Simulator(net, SimulatorConfig(strict_congest=True))
+        sim = Simulator(net, SimulatorConfig(strict=True))
         sim.add_process(Chatterbox(0))
         sim.add_process(Sink(1))
         with pytest.raises(CongestionError):
@@ -115,7 +117,7 @@ class TestCongestEnforcement:
     def test_lenient_mode_defers_and_counts(self):
         net = Network()
         net.add_link(0, 1)
-        sim = Simulator(net, SimulatorConfig(strict_congest=False))
+        sim = Simulator(net, SimulatorConfig(strict=False))
         sim.add_process(Chatterbox(0))
         sink = Sink(1)
         sim.add_process(sink)
@@ -136,7 +138,7 @@ class TestCongestEnforcement:
             def on_round(self, ctx, inbox):
                 self.done = True
 
-        sim = Simulator(net, SimulatorConfig(strict_links=True))
+        sim = Simulator(net, SimulatorConfig(strict=True))
         sim.add_process(Bad(0))
         sim.add_process(Sink(1))
         with pytest.raises(LinkError):
@@ -155,7 +157,7 @@ class TestCongestEnforcement:
             def on_round(self, ctx, inbox):
                 self.done = True
 
-        sim = Simulator(net, SimulatorConfig(strict_links=False))
+        sim = Simulator(net, SimulatorConfig(strict=False))
         sim.add_process(Bad(0))
         sink = Sink(1)
         sim.add_process(sink)
@@ -217,22 +219,6 @@ class TestEngineLifecycle:
         sim.add_process(Restless(1))
         with pytest.raises(SimulationError):
             sim.run()
-
-    def test_timeout_allowed_when_configured(self):
-        net = line_network(2)
-
-        class Restless(NodeProcess):
-            def on_start(self, ctx):
-                ctx.send(1 - self.node_id, "ping")
-
-            def on_round(self, ctx, inbox):
-                ctx.send(1 - self.node_id, "ping")
-
-        sim = Simulator(net, SimulatorConfig(max_rounds=5, allow_timeout=True))
-        sim.add_process(Restless(0))
-        sim.add_process(Restless(1))
-        metrics = sim.run()
-        assert metrics.rounds <= 6
 
     def test_memory_reporting(self):
         net = line_network(2)
@@ -408,7 +394,7 @@ class TestChurnLifecycle:
 
         net = Network()
         net.add_link(0, 1)
-        sim = Simulator(net, SimulatorConfig(strict_links=True, max_rounds=10))
+        sim = Simulator(net, SimulatorConfig(strict=True, max_rounds=10))
         sim.add_process(Sender(0))
         sink = Sink(1)
         sim.add_process(sink)
@@ -433,7 +419,7 @@ class TestChurnLifecycle:
             def on_round(self, ctx, inbox):
                 self.done = True
 
-        sim = Simulator(net, SimulatorConfig(strict_congest=False, strict_links=False))
+        sim = Simulator(net, SimulatorConfig(strict=False))
         sim.add_process(Both(0))
         sim.add_process(Sink(1))
         sim.add_process(Sink(2))
@@ -470,7 +456,7 @@ class TestChurnLifecycle:
 
         net = Network()
         net.add_link(0, 1)
-        sim = Simulator(net, SimulatorConfig(strict_congest=False, max_rounds=50))
+        sim = Simulator(net, SimulatorConfig(strict=False, max_rounds=50))
         sim.add_process(Burst(0, bursts=4))
         sink = Sink(1)
         sim.add_process(sink)
@@ -659,7 +645,7 @@ class TestScheduledEvents:
 
         network = Network()
         network.add_node("a")
-        sim = Simulator(network, SimulatorConfig(max_rounds=10, allow_timeout=True))
+        sim = Simulator(network, SimulatorConfig(max_rounds=10))
         sim.step()
         sim.step()
         with pytest.raises(SimulationError):

@@ -5,8 +5,8 @@ churn API; these tests pin the semantics that distinguish it from a
 graceful :meth:`~repro.simulation.Simulator.retire`:
 
 * a crash mid-route turns the in-flight message into a counted
-  ``dropped_messages`` entry — never a :class:`LinkError`, even with
-  strict links on;
+  ``dropped_messages`` entry — never a :class:`LinkError`, even in
+  strict mode;
 * crashed nodes are permanently banned from re-entry, and a crash is
   exactly-once;
 * the ``on_retire`` goodbye fires for graceful departures only — in
@@ -34,7 +34,7 @@ from repro.simulation import (
 )
 from repro.simulation.errors import SimulationError
 
-pytestmark = pytest.mark.failure
+pytestmark = [pytest.mark.failure, pytest.mark.engine]
 
 
 def line_network(n: int) -> Network:
@@ -78,10 +78,10 @@ class TokenForwarder(NodeProcess):
 class TestCrashSemantics:
     def test_crash_mid_route_is_a_counted_drop_not_a_link_error(self):
         """The token is in flight towards node 2 when node 2 crashes: the
-        message drops and is recorded; strict links never raise (the send
+        message drops and is recorded; strict mode never raises (the send
         was legal when it happened)."""
         n = 4
-        sim = Simulator(line_network(n), SimulatorConfig(seed=1, strict_links=True))
+        sim = Simulator(line_network(n), SimulatorConfig(seed=1, strict=True))
         procs = [TokenForwarder(i, n, start=(i == 0)) for i in range(n)]
         sim.add_processes(procs)
         # Round 0 delivers 0 -> 1; node 1 sends 1 -> 2; crash node 2 at the

@@ -5,6 +5,8 @@ import pytest
 from repro.simulation import Message, payload_size_bits
 from repro.simulation.message import WORD_BITS
 
+pytestmark = pytest.mark.engine
+
 
 class TestPayloadSizeBits:
     def test_none_costs_one_word(self):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.simulation import Network
 from repro.simulation.errors import LinkError
 
+pytestmark = pytest.mark.engine
+
 
 @pytest.fixture
 def triangle():

@@ -1,6 +1,10 @@
 """Tests for the deterministic RNG helpers."""
 
+import pytest
+
 from repro.simulation.rng import DEFAULT_SEED, make_rng, spawn_rng
+
+pytestmark = pytest.mark.engine
 
 
 class TestMakeRng:

@@ -55,7 +55,7 @@ class TestDistributedExports:
         "apply_network_delta", "apply_recovery", "install_amf", "install_broadcast",
         "install_routing", "install_sum", "make_router", "networks_equal", "patch_network",
         "rejoin_crash_links", "repair_crash_links", "repair_crashes", "replay_scenario",
-        "run_amf_protocol", "run_distributed_dsg", "run_failure_arena", "run_list_broadcast",
+        "run_amf_protocol", "run_failure_arena", "run_list_broadcast",
         "run_routing_protocol", "run_sum_protocol", "segment_network", "segment_waves",
         "skip_graph_network", "trace_route",
     }  # fmt: skip
@@ -237,6 +237,35 @@ class TestRetiredSurface:
         artifact = artifacts.BenchmarkArtifact(benchmark="b")
         for gone in ("algorithm", "protocol", "failure", "pipeline", "working_set_bound"):
             assert not hasattr(artifact, gone), gone
+
+    def test_one_start_path_and_four_engine_options(self):
+        from repro.simulation import RoundContext, Simulator, SimulatorConfig
+
+        assert [f.name for f in dataclasses.fields(SimulatorConfig)] == [
+            "max_rounds", "strict", "max_message_bits", "seed",
+        ]  # fmt: skip
+        for gone in ("_start_processes", "_start_pending_processes"):
+            assert not hasattr(Simulator, gone), gone
+        assert not hasattr(RoundContext, "report_memory")
+        assert "report_memory_fn" not in inspect.signature(RoundContext).parameters
+
+    def test_drivers_keep_only_the_options_callers_set(self):
+        import repro.distributed as distributed
+        from repro.distributed import bridge, dsg_protocol, failover
+
+        assert list(inspect.signature(bridge.replay_scenario).parameters) == [
+            "sim", "scenario", "process_factory", "graph",
+        ]  # fmt: skip
+        assert [f.name for f in dataclasses.fields(bridge.ScenarioReplay)] == ["joins", "leaves"]
+        assert list(inspect.signature(failover.run_failure_arena).parameters) == [
+            "scenario", "k", "seed", "graph",
+        ]  # fmt: skip
+        constants = (failover.STAGGER, failover.MAX_ROUNDS, failover.MAX_RETRIES, failover.RETRY_BACKOFF)
+        assert constants == (32, 1_000_000, 2, 4)
+        assert "k" not in inspect.signature(dsg_protocol.DSGProcess).parameters
+        assert "run_distributed_dsg" not in distributed.__all__
+        for module in (distributed, dsg_protocol):
+            assert not hasattr(module, "run_distributed_dsg")
 
 
 #: The only third-party import in ``src/repro`` and the only place it may

@@ -131,8 +131,9 @@ class TestScaleScenario:
         assert report.final_nodes == report.initial_nodes + report.joins - report.leaves
 
 
+@pytest.mark.engine
 class TestReplayScenario:
-    """The bridge from scenario schedules to the CONGEST simulator."""
+    """The bridge from join/leave schedules to the CONGEST simulator."""
 
     def _arena(self, n=32, seed=5):
         from repro.distributed import skip_graph_network
@@ -143,8 +144,7 @@ class TestReplayScenario:
         network = skip_graph_network(graph)
         simulator = Simulator(
             network,
-            SimulatorConfig(seed=seed, strict_links=False, strict_congest=False,
-                            max_rounds=10_000),
+            SimulatorConfig(seed=seed, strict=False, max_rounds=10_000),
         )
         return graph, simulator
 
@@ -189,9 +189,10 @@ class TestReplayScenario:
             name="one-join", initial_keys=list(range(1, 33)),
             events=[JoinEvent(40)], params={"seed": 3},
         )
-        replay = replay_scenario(simulator, scenario, process_factory=Recorder, graph=graph)
+        first = simulator.round
+        replay_scenario(simulator, scenario, process_factory=Recorder, graph=graph)
         simulator.run()
-        assert started == [(40, replay.first_round)]
+        assert started == [(40, first)]
         assert 40 in simulator.processes
 
     def test_leaving_node_process_is_retired(self):
@@ -209,20 +210,19 @@ class TestReplayScenario:
         assert 5 in simulator.retired
         assert not simulator.network.has_node(5)
 
-    def test_requests_need_a_handler_and_churn_needs_a_graph(self):
+    def test_requests_are_skipped_and_churn_needs_a_graph(self):
         graph, simulator = self._arena()
-        seen = []
         scenario = Scenario(
             name="requests", initial_keys=list(range(1, 33)),
-            events=[RequestEvent(1, 2), RequestEvent(3, 4)], params={},
+            events=[RequestEvent(1, 2), JoinEvent(40), RequestEvent(3, 4), LeaveEvent(5)],
+            params={"seed": 3},
         )
-        replay = replay_scenario(
-            simulator, scenario,
-            on_request=lambda sim, event: seen.append((event.source, event.destination)),
-        )
+        replay = replay_scenario(simulator, scenario, graph=graph)
+        assert (replay.joins, replay.leaves) == (1, 1)
         simulator.run()
-        assert seen == [(1, 2), (3, 4)]
-        assert replay.requests == 2
+        # One round per membership event; requests consume none.
+        assert simulator.round == 2
+        assert simulator.network.has_node(40) and not simulator.network.has_node(5)
 
         churny = Scenario(
             name="churny", initial_keys=list(range(1, 33)),
@@ -230,6 +230,22 @@ class TestReplayScenario:
         )
         with pytest.raises(ValueError):
             replay_scenario(simulator, churny)  # no graph mirror given
+
+    @pytest.mark.parametrize("failure", [CrashEvent(5), RecoveryEvent(5)], ids=["crash", "recovery"])
+    def test_crash_and_recovery_events_raise_before_anything_is_scheduled(self, failure):
+        """Crash-stop schedules belong to the failure arena: the replay
+        rejects them up front, so not even the join ahead of them lands."""
+        graph, simulator = self._arena()
+        scenario = Scenario(
+            name="failure", initial_keys=list(range(1, 33)),
+            events=[JoinEvent(40), failure, RequestEvent(1, 2)], params={"seed": 3},
+        )
+        with pytest.raises(ValueError, match="run_failure_arena"):
+            replay_scenario(simulator, scenario, graph=graph)
+        simulator.run()
+        assert simulator.round == 0
+        assert 40 not in graph and not simulator.network.has_node(40)
+        assert 5 not in simulator.crashed and simulator.network.has_node(5)
 
     def test_second_wave_joins_do_not_collide_with_first_wave(self):
         first = churn_scenario(n=32, length=60, seed=1, churn_rate=0.5)

@@ -117,7 +117,7 @@ class DSGProcess(GreedyForwarder):
     vector, one (left, right) pair per level, and the flow-control queues
     of the shared forwarding core.  The process is passive (``done``)
     unless it holds queued outgoing messages; it is woken by message
-    delivery otherwise.
+    delivery, or by the driver's ``Simulator.wake`` with a route or plan.
 
     Every route and op payload carries its request id (one O(1) word,
     ignored by :func:`~repro.core.local_ops.op_from_payload`) and arrivals
@@ -138,9 +138,6 @@ class DSGProcess(GreedyForwarder):
         ops_done: Dict[int, int],
     ) -> None:
         super().__init__(key)
-        # Built after the first attribute stores: the instance's attribute
-        # storage is allocated by them, and keeping it next to the object
-        # keeps the engine's per-callback sweep over all processes cheap.
         self.table = NeighborTable(graph, key)
         self.bits: Tuple[int, ...] = graph.membership(key).bits
         self.is_dummy = graph.node(key).is_dummy
@@ -284,7 +281,9 @@ class DistributedDSG:
     used for the per-request decision maths), the executed topology mirror
     (grown exclusively by applying the emitted ops), the network and the
     per-node processes, and serves every event through one loop
-    (:meth:`_serve`): plan → admit → step → absorb → apply.
+    (:meth:`_serve`): plan → admit → step → absorb → apply.  A route, and
+    later its op plan, is handed to the initiating process directly, and
+    :meth:`~repro.simulation.Simulator.wake` puts it in the next round.
 
     Planning is strictly sequential — the planner serves events in arrival
     order, so every plan, every ``d_{S_t}`` and the whole Equation-1
@@ -334,6 +333,7 @@ class DistributedDSG:
         self.processes: Dict[Key, DSGProcess] = {}
         for key in self.topology.keys:
             self._install(key)
+        self.sim.run()  # start the idle population: wake() needs a started engine
         self._shadow: Optional[SkipGraph] = None
         self._sync_shadow()
         self._next_index = 0
@@ -608,11 +608,8 @@ class DistributedDSG:
         """
         entry.admit_round = self.sim.round
         if entry.kind == "request":
-            initiator = self.processes[entry.source]
-            self.sim.schedule(
-                self.sim.round,
-                lambda sim, p=initiator, d=entry.destination, r=entry.rid: p.initiate_route(d, r),
-            )
+            self.processes[entry.source].initiate_route(entry.destination, entry.rid)
+            self.sim.wake(entry.source)
             entry.phase = PHASE_ROUTING
         else:
             entry.phase = PHASE_COMPLETED
@@ -636,11 +633,8 @@ class DistributedDSG:
                         payloads.append(
                             (anchor, {"to": anchor, "rid": entry.rid, **op_to_payload(op)})
                         )
-                    initiator = self.processes[entry.source]
-                    self.sim.schedule(
-                        self.sim.round,
-                        lambda sim, p=initiator, pl=payloads: p.initiate_ops(pl),
-                    )
+                    self.processes[entry.source].initiate_ops(payloads)
+                    self.sim.wake(entry.source)
                     entry.phase = PHASE_DISSEMINATING
                 else:
                     entry.phase = PHASE_COMPLETED

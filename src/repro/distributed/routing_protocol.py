@@ -122,10 +122,12 @@ class NeighborTable:
             in_list = level <= len(bits)
             self.candidates[level] = _nearest(graph, key, level, bits, k) if in_list else ([], [])
         self.top_level = top
+        # A table is replaced, never mutated: its audited size is fixed here.
+        self._words = sum(len(lefts) + len(rights) for lefts, rights in self.candidates.values())
 
     def size_words(self) -> int:
         """Table size in words (for the per-node memory audit)."""
-        return sum(len(lefts) + len(rights) for lefts, rights in self.candidates.values())
+        return self._words
 
     def next_hop(
         self,

@@ -28,7 +28,10 @@ accounted separately from CONGEST violations so that conformance checks
 Hot path: the engine maintains an *active set* — processes that are not
 ``done`` plus the receivers of this round's deliveries — instead of
 scanning every registered process each round.  A quiescent 4096-node
-population costs nothing while a single token walks across it.
+population costs nothing while a single token walks across it.  Work
+handed to a process between rounds goes through :meth:`Simulator.wake`
+(O(1)); a round that runs :meth:`Simulator.schedule` callbacks sweeps
+every process, so callbacks are for churn, not for handing out work.
 
 Process lifecycle (churn):
 
@@ -255,6 +258,20 @@ class Simulator:
 
     def process(self, node: Hashable) -> NodeProcess:
         return self._processes[node]
+
+    def wake(self, node: Hashable) -> None:
+        """Invoke ``node``'s process next round unless it is ``done``: the O(1)
+        way to hand a live process work between rounds.  Raises for a node
+        with no live process, and before the first start, whose ``on_start``
+        would act on the work one round early.
+        """
+        if not self._started:
+            raise SimulationError(f"cannot wake {node!r} before the engine has started")
+        process = self._processes.get(node)
+        if process is None:
+            raise SimulationError(f"node {node!r} has no live process to wake")
+        if not process.done:
+            self._not_done[node] = None
 
     def schedule(self, round_index: int, callback: Callable[["Simulator"], None]) -> None:
         """Register ``callback`` to run at the start of round ``round_index``.

@@ -24,8 +24,9 @@ invocation.
 process when its inbox is non-empty, so message-driven processes should
 stay ``done = True`` while passively waiting (they are woken by delivery)
 and set ``done = False`` only while they have self-driven work pending —
-e.g. an outbox they stream one entry per round from.  Keeping waiters
-passive is what lets the engine's active-set hot path skip them entirely.
+e.g. an outbox they stream one entry per round from; a driver handing
+them such work between rounds calls ``Simulator.wake(node)``.  Keeping
+waiters passive is what lets the engine's active-set hot path skip them.
 
 Lifecycle under churn: a process registered after the run started (a join
 injected by ``Simulator.schedule``) receives :meth:`NodeProcess.on_start`

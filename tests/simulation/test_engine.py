@@ -676,3 +676,92 @@ class TestScheduledEvents:
         sim.schedule(2, outer)
         sim.run()  # must quiesce; the inner event fires in the same round
         assert fired == [("outer", 2), ("inner", 2)]
+
+
+class Streamer(NodeProcess):
+    """Sends its queued items right, one per round, and relays arrivals;
+    the last node of the line records ``(round, item)`` per arrival."""
+
+    def __init__(self, node_id, n):
+        super().__init__(node_id)
+        self.n = n
+        self.queue: List[str] = []
+        self.result = []
+        self.done = True
+
+    def give(self, items):
+        """Driver hook: hand the process self-driven work between rounds."""
+        self.queue.extend(items)
+        self.done = not self.queue
+
+    def on_round(self, ctx, inbox):
+        for message in inbox:
+            if self.node_id == self.n - 1:
+                self.result.append((ctx.round, message.payload))
+            else:
+                self.queue.append(message.payload)
+        if self.queue:
+            ctx.send(self.node_id + 1, "item", self.queue.pop(0))
+        self.done = not self.queue
+
+
+class TestWake:
+    """Simulator.wake: handing a live process work between rounds."""
+
+    def _streamers(self, n=6):
+        sim = Simulator(line_network(n), SimulatorConfig(seed=2))
+        processes = [Streamer(i, n) for i in range(n)]
+        sim.add_processes(processes)
+        return sim, processes
+
+    def test_wake_matches_a_same_round_callback(self):
+        """The same work handed by ``wake`` or by a ``schedule(sim.round, ...)``
+        callback gives the same rounds, traffic and results."""
+
+        def run(handoff):
+            sim, processes = self._streamers()
+            sim.run()
+
+            def give(node, items):
+                if handoff == "wake":
+                    processes[node].give(items)
+                    sim.wake(node)
+                else:
+                    sim.schedule(sim.round, lambda s: processes[node].give(items))
+
+            give(0, ["a", "b", "c"])
+            sim.step()
+            sim.step()
+            give(2, ["d", "e"])  # node 2 is also relaying "a" this round
+            give(3, ["f"])
+            sim.run()
+            give(1, ["g"])  # on a quiesced engine
+            sim.run()
+            return sim.metrics.per_round, sim.results()
+
+        per_round, results = run("wake")
+        assert (per_round, results) == run("schedule")
+        assert sorted(item for _, item in results[5]) == list("abcdefg")
+
+    def test_wake_before_the_first_start_raises(self):
+        sim, processes = self._streamers()
+        processes[0].give(["a"])
+        with pytest.raises(SimulationError, match="before the engine has started"):
+            sim.wake(0)
+
+    def test_wake_of_a_node_without_a_live_process_raises(self):
+        sim, _ = self._streamers()
+        sim.run()
+        sim.retire(4)
+        sim.crash(5)
+        for node in ("unknown", 4, 5):
+            with pytest.raises(SimulationError, match="no live process"):
+                sim.wake(node)
+
+    def test_waking_a_done_process_leaves_the_run_quiescent(self):
+        sim, _ = self._streamers()
+        sim.run()
+        before = (sim.round, len(sim.metrics.per_round))
+        sim.wake(0)
+        sim.run()
+        assert (sim.round, len(sim.metrics.per_round)) == before

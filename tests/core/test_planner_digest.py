@@ -42,6 +42,11 @@ PINNED = {
     "churn": "a61c8dce0e188a0f08d12fe2053241de8d634cc8c789c1a7b016237b1cbbb5b2",
     "exact-median": "e7e2b88e05a63b7623c0e7f3b524a4fe3347585eff0eca6c79417e6c79ad67a0",
     "no-a-balance": "c327089a4b5441dbe8313884432ee44097e30537dbbacd8cf1cd3e461b2e406e",
+    "churn-from-start-a2": "34078a1ac7a72bc73879c7879f89b0f9abc0d172a93d111c6b939f1c71879da7",
+    "churn-from-start-a3": "0470647e04e58017123a595ccfc246aa0edb7de1965aa465ae8aa58dc6a64549",
+    "residual-then-churn": "afebe562a164e4a04b9ead188640dedd531bab77f8baeb305360de27cdc6214f",
+    "random-start-churn": "f4f95db90de5e505fe282e433c8bf749c6140c3f6f92db2098cff41033731e21",
+    "requests-then-churn": "db764861a1cac279d972014785e00c9dbdec7c502a7f0d675bc4fe6ec93a2a00",
 }
 
 
@@ -80,6 +85,60 @@ def _churn():
     return dsg, events
 
 
+def _churn_events(live, count, seed):
+    """``count`` events over ``live`` (mutated), a join or a leave in two of
+    five, the first one a join: the first a-balance repair runs at event 0."""
+    rng = random.Random(seed)
+    next_key = max(live) + 1
+    events = []
+    for index in range(count):
+        draw = 0.0 if index == 0 else rng.random()
+        if draw < 0.2:
+            events.append(("join", next_key))
+            live.append(next_key)
+            next_key += 1
+        elif draw < 0.4 and len(live) > 16:
+            events.append(("leave", live.pop(rng.randrange(len(live)))))
+        else:
+            u, v = rng.sample(live[:24], 2)
+            events.append(("request", u, v))
+    return events
+
+
+def _churn_from_start(a: int):
+    """A balanced start whose first event is a join."""
+    live = list(range(1, 65))
+    dsg = DynamicSkipGraph(keys=live, config=DSGConfig(a=a, seed=30 + a))
+    return dsg, _churn_events(live, 60, seed=40 + a)
+
+
+def _residual_then_churn():
+    """Requests across the whole key range leave runs longer than ``a`` behind
+    (the transformation does not repair every list) before the first join."""
+    live = list(range(1, 129))
+    dsg = DynamicSkipGraph(keys=live, config=DSGConfig(a=2, seed=5))
+    rng = random.Random(6)
+    events = [("request", rng.randrange(1, 17), rng.randrange(113, 129)) for _ in range(12)]
+    return dsg, events + _churn_events(live, 30, seed=7)
+
+
+def _random_start_churn():
+    """A random start topology, which holds violations before any event."""
+    live = list(range(1, 65))
+    graph = build_skip_graph(live, random.Random(8))
+    dsg = DynamicSkipGraph(graph=graph, config=DSGConfig(a=3, seed=9))
+    return dsg, _churn_events(live, 40, seed=10)
+
+
+def _requests_then_churn():
+    """A request-only stretch whose changes touch many more (list, key) pairs
+    than the graph holds, then churn."""
+    live = list(range(1, 65))
+    requests = temporal_locality(live, 60, seed=11, working_set_size=12, drift_probability=0.1)
+    dsg = DynamicSkipGraph(keys=live, config=DSGConfig(a=3, seed=12))
+    return dsg, [("request", u, v) for u, v in requests] + _churn_events(live, 30, seed=13)
+
+
 SCHEDULES = {
     "temporal-a2": lambda: _temporal(2),
     "temporal-a3": lambda: _temporal(3),
@@ -88,6 +147,11 @@ SCHEDULES = {
     "churn": _churn,
     "exact-median": lambda: _temporal(4, use_exact_median=True),
     "no-a-balance": lambda: _temporal(4, maintain_a_balance=False),
+    "churn-from-start-a2": lambda: _churn_from_start(2),
+    "churn-from-start-a3": lambda: _churn_from_start(3),
+    "residual-then-churn": _residual_then_churn,
+    "random-start-churn": _random_start_churn,
+    "requests-then-churn": _requests_then_churn,
 }
 
 

@@ -173,7 +173,10 @@ class DynamicSkipGraph:
         # The graph marks its own dirty lists once a tracker is attached;
         # without a-balance maintenance nothing would ever consume the marks
         # (feeding them would only accumulate memory), so none is attached.
-        self.graph.tracker = BalanceTracker() if self.config.maintain_a_balance else None
+        # The balanced build holds no violation, so its tracker starts clean;
+        # a caller's graph may, so that one starts all-dirty.
+        balanced = self.graph if graph is None else None
+        self.graph.tracker = BalanceTracker(balanced) if self.config.maintain_a_balance else None
         #: Request-plan size distribution: ``len(result.ops) -> requests``.
         self._plan_size_hist: Dict[int, int] = {}
         #: Wall-clock per serving phase: routing, planning maths, bulk plan

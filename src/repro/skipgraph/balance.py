@@ -30,13 +30,15 @@ rewrite, insertion) or next to one (a departure merging its two flanking
 runs; an insertion splitting an over-long run into a still-over-long tail),
 so every violating run either contains a marked position or is adjacent to
 one — and the anchored walk inspects exactly those runs.  Lists whose
-violations could not be repaired are re-marked *whole*, and a tracker
-starts with everything dirty (the first consumption is one full rescan), so
-the incremental path reports the same violations in the same canonical
-order (level, then list by first member key, then runs left to right) as
-the full rescan — which is what keeps dummy placement, and therefore the
-RNG stream and the final topology, byte-identical between the two paths
-(property-tested, and asserted at scale by ``benchmarks/bench_e15_100k.py``).
+violations could not be repaired are re-marked *whole*, and a tracker is
+all-dirty (its next consumption is one full rescan) when it starts over a
+graph not known to be balanced or once its marks outgrow what a full
+rescan reads, so the incremental path reports the same violations in the
+same canonical order (level, then list by first member key, then runs
+left to right) as the full rescan — which is what keeps dummy placement,
+and therefore the RNG stream and the final topology, byte-identical
+between the two paths (property-tested, and asserted at scale by
+``benchmarks/bench_e15_100k.py``).
 """
 
 from __future__ import annotations
@@ -165,10 +167,10 @@ class BalanceTracker:
 
     The tracker holds, per dirtied ``(level, prefix)`` list, the set of
     *anchor keys* whose neighbourhood changed since the last consumption —
-    or ``None`` when the whole list must be rescanned (initial state,
-    unrepairable violations).  Anchors are key *values*: a departed node's
-    key still bisects to its old position in the (key-ordered) list, so one
-    mark scheme covers insertions, departures and bit rewrites alike.
+    or ``None`` when the whole list must be rescanned (unrepairable
+    violations).  Anchors are key *values*: a departed node's key still
+    bisects to its old position in the (key-ordered) list, so one mark
+    scheme covers insertions, departures and bit rewrites alike.
 
     Feeding happens through the ``mark_*`` primitives, which the skip graph
     the tracker is attached to calls from inside its mutators (single-key
@@ -178,17 +180,23 @@ class BalanceTracker:
     dictionary work per affected level and never touches the level lists
     themselves, so the request hot path only pays for the lists it already
     rewrites.
+
+    A tracker given ``balanced`` (a graph known to hold no violation, as
+    :func:`~repro.skipgraph.build.build_balanced_skip_graph` builds) starts
+    clean; otherwise it starts *all-dirty* — the first consumption is one
+    full rescan.  Past ``len(graph) * graph.height()`` anchors (what a full
+    rescan reads, as of the last consumption) it drops its marks and goes
+    all-dirty again, so memory stays bounded when nothing consumes them.
     """
 
-    __slots__ = ("_all_dirty", "_dirty")
+    __slots__ = ("_all_dirty", "_dirty", "_held", "_budget")
 
-    def __init__(self) -> None:
-        #: Everything is dirty until the first consumption: the graph was
-        #: built before the tracker was attached and may hold violations in
-        #: lists no later write touches, so the first scan is a full rescan.
-        self._all_dirty = True
+    def __init__(self, balanced: Optional[SkipGraph] = None) -> None:
+        self._all_dirty = balanced is None
         #: (level, prefix) -> anchor key set, or None for "whole list".
         self._dirty: Dict[DirtyList, Optional[Set]] = {}
+        self._held = 0  # anchors added since the last consumption
+        self._budget = 0 if balanced is None else len(balanced) * balanced.height()
 
     # ------------------------------------------------------------- marking
     def mark_list(self, level: int, prefix: Prefix) -> None:
@@ -207,8 +215,13 @@ class BalanceTracker:
             return  # whole list already dirty
         if anchors is False:
             self._dirty[entry] = {key}
+        elif key in anchors:
+            return
         else:
             anchors.add(key)
+        self._held += 1
+        if self._held > self._budget:
+            self._all_dirty, self._dirty = True, {}
 
     def mark_run(self, level: int, prefix: Prefix, keys: Iterable) -> None:
         """Mark a whole run of keys in one list (bulk :meth:`mark_anchor`).
@@ -224,9 +237,12 @@ class BalanceTracker:
         if anchors is None:
             return  # whole list already dirty
         if anchors is False:
-            self._dirty[entry] = set(keys)
-        else:
-            anchors.update(keys)
+            anchors = self._dirty[entry] = set()
+        held = len(anchors)
+        anchors.update(keys)
+        self._held += len(anchors) - held
+        if self._held > self._budget:
+            self._all_dirty, self._dirty = True, {}
 
     def mark_insert(self, key, bits: Prefix) -> None:
         """Marks for a node insertion (join or dummy) with vector ``bits``."""
@@ -270,23 +286,27 @@ class BalanceTracker:
         """Violations in the dirtied lists, in the full-rescan order.
 
         Consumes the marks: scanned lists become clean (a caller that fails
-        to repair a reported violation must re-mark its list).  The first
-        call after construction performs one full rescan; every later call
-        walks only dirty lists — and within an anchored list, only the runs
-        around each marked position.
+        to repair a reported violation must re-mark its list).  An all-dirty
+        tracker performs one full rescan; otherwise only dirty lists longer
+        than ``a`` are read — their sizes come from the graph's prefix-count
+        index, so a short list is skipped before it is materialised — and
+        within an anchored list, only the runs around each marked position.
         """
         if a < 1:
             raise ValueError("a must be a positive integer")
+        self._held = 0
+        self._budget = len(graph) * graph.height()
         if self._all_dirty:
             self._all_dirty = False
             self._dirty.clear()
             return a_balance_violations(graph, a)
         dirty, self._dirty = self._dirty, {}
+        sizes = graph._prefix_counts  # list sizes, bar the base list's
         entries = []
         for (level, prefix), anchors in dirty.items():
-            members = graph.list_at(level, prefix)
-            if len(members) <= a:
+            if (sizes.get(prefix, 0) if level else len(graph)) <= a:
                 continue  # a run longer than a cannot fit
+            members = graph.list_at(level, prefix)
             entries.append((level, members[0], prefix, members, anchors))
         # Full-rescan order: level by level, lists by first member key (the
         # first appearance of the prefix in the key-ordered node walk).
@@ -337,43 +357,20 @@ def _scan_anchored(
     """Runs around each anchored position that exceed ``a``, left to right.
 
     For every anchor key: locate its position by bisection (departed keys
-    still bisect to their old spot), then inspect the maximal run at that
-    position plus the runs immediately flanking it — the only runs a change
-    at the position can have grown, merged or split (see the class
-    docstring's invariant).  Each walk costs O(run length); anchors are
-    processed in position order so anchors falling inside an already-walked
-    run are skipped outright.
+    still bisect to their old spot), read the bits at that position and its
+    two neighbours once, and walk outward from the ends of that window only
+    — recording the maximal runs covering the positions to its left and
+    itself, and the run to its right when the run at the position ends
+    there: the only runs a change at the position can have grown, merged or
+    split (see the class docstring's invariant).  Each walk costs O(run
+    length); anchors are processed in position order so anchors falling
+    inside an already-walked run are skipped outright.
     """
     # Direct node-map access: this is the churn-path inner loop, and the
     # per-position bit probe must not pay a method call per step.
     nodes = graph._nodes
     size = len(members)
-
-    def bit_at(index: int) -> Optional[int]:
-        bits = nodes[members[index]].membership.bits
-        return bits[level] if len(bits) > level else None
-
-    def run_span(index: int) -> Tuple[int, int, Optional[int]]:
-        bit = bit_at(index)
-        if bit is None:
-            return index, index, None
-        start = index
-        while start > 0 and bit_at(start - 1) == bit:
-            start -= 1
-        end = index
-        while end + 1 < size and bit_at(end + 1) == bit:
-            end += 1
-        return start, end, bit
-
-    found: Dict[int, BalanceViolation] = {}
-
-    def record(start: int, end: int, bit: Optional[int]) -> int:
-        if bit is not None and end - start + 1 > a and start not in found:
-            found[start] = BalanceViolation(
-                level=level, prefix=prefix, bit=bit, run_keys=tuple(members[start : end + 1])
-            )
-        return end
-
+    found: Dict[int, Tuple[int, int]] = {}  # run start -> (run end, bit)
     # A change at position i can only have grown, merged or split the runs
     # covering positions i-1, i and i+1 (for a departed key, bisection
     # points at its old right neighbour, so the flanking runs that may have
@@ -384,12 +381,48 @@ def _scan_anchored(
     for index in sorted({bisect_left(members, anchor) for anchor in anchors}):
         if index < last_run_end:
             continue
+        # None: off the list, or a vector that stops below the next level.
+        left = middle = right = None
         if index > 0:
-            record(*run_span(index - 1))
+            bits = nodes[members[index - 1]].membership.bits
+            if len(bits) > level:
+                left = bits[level]
         if index < size:
-            start, end, bit = run_span(index)
-            record(start, end, bit)
-            last_run_end = end
-            if end == index and index + 1 < size:
-                record(*run_span(index + 1))
-    return [found[start] for start in sorted(found)]
+            bits = nodes[members[index]].membership.bits
+            if len(bits) > level:
+                middle = bits[level]
+            if index + 1 < size:
+                bits = nodes[members[index + 1]].membership.bits
+                if len(bits) > level:
+                    right = bits[level]
+        start = index - 1
+        if left is not None:  # walk left from index - 2
+            while start > 0:
+                bits = nodes[members[start - 1]].membership.bits
+                if len(bits) <= level or bits[level] != left:
+                    break
+                start -= 1
+        end = index + 1
+        if right is not None:  # walk right from index + 2
+            while end + 1 < size:
+                bits = nodes[members[end + 1]].membership.bits
+                if len(bits) <= level or bits[level] != right:
+                    break
+                end += 1
+        joins_left = middle is not None and middle == left
+        joins_right = middle is not None and middle == right
+        if left is not None and not joins_left and index - start > a:
+            found[start] = (index - 1, left)
+        if index < size:
+            run_start = start if joins_left else index
+            last_run_end = end if joins_right else index
+            if middle is not None and last_run_end - run_start >= a:
+                found[run_start] = (last_run_end, middle)
+            if right is not None and not joins_right and end - index > a:
+                found[index + 1] = (end, right)
+    if not found:
+        return []
+    return [
+        BalanceViolation(level=level, prefix=prefix, bit=bit, run_keys=tuple(members[start : end + 1]))
+        for start, (end, bit) in sorted(found.items())
+    ]

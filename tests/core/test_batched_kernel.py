@@ -67,10 +67,9 @@ def index_state(graph: SkipGraph):
 
 
 def tracked(graph: SkipGraph) -> SkipGraph:
-    """``graph`` with a tracker past its initial everything-dirty state
-    attached, so every mark its mutators emit from here on is recorded."""
-    graph.tracker = BalanceTracker()
-    graph.tracker._all_dirty = False
+    """``graph`` with a tracker attached that starts clean, so every mark its
+    mutators emit from here on is recorded."""
+    graph.tracker = BalanceTracker(graph)
     return graph
 
 
@@ -299,8 +298,8 @@ def serve_in_lockstep(a, n, seed, words):
     keys = list(range(1, n + 1))
     shipping = DynamicSkipGraph(keys=keys, config=DSGConfig(a=a, seed=seed))
     reference = ReferenceDynamicSkipGraph(keys=keys, config=DSGConfig(a=a, seed=seed))
-    # Consume the tracker's initial everything-dirty state, so the dirty
-    # marks of the very first plan are already recorded and compared.
+    # The balanced start needs no repair; the shipping tracker starts clean,
+    # so the dirty marks of the very first plan are recorded and compared.
     assert shipping.restore_a_balance() == reference.restore_a_balance()
     next_key = n + 1
     for word in words:

@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
+from repro.skipgraph.balance import a_balance_violations
 from repro.skipgraph.build import build_skip_graph
 from repro.workloads.sequences import temporal_locality, uniform_pairs
 
@@ -234,6 +235,24 @@ def test_planner_output_matches_the_pinned_digest(name):
         if got != want:
             pytest.fail(f"{name}: event {index} {events[index]!r} is the first whose record differs")
     pytest.fail(f"{name}: every event matches; the final state (topology, node states or RNG) differs")
+
+
+def test_the_tracker_schedules_reach_the_paths_they_pin():
+    """Residual runs exist before the first join, the random start holds
+    violations, and the request stretch outgrows the tracker's mark budget
+    (it goes all-dirty, so the first churn repair is a full rescan)."""
+    dsg, events = _residual_then_churn()
+    for event in events[:12]:
+        _event_record(dsg, event)
+    assert events[12][0] == "join" and a_balance_violations(dsg.graph, 2)
+    dsg, _ = _random_start_churn()
+    assert a_balance_violations(dsg.graph, 3)
+    dsg, events = _requests_then_churn()
+    went_all_dirty = False
+    for event in events[:60]:
+        _event_record(dsg, event)
+        went_all_dirty |= dsg.graph.tracker._all_dirty
+    assert went_all_dirty and events[60][0] == "join"
 
 
 if __name__ == "__main__":  # re-record: python tests/core/test_planner_digest.py

@@ -54,6 +54,7 @@ from repro.skipgraph.balance import BalanceTracker
 from repro.skipgraph.build import draw_membership_bits
 from repro.skipgraph.integrity import verify_skip_graph_integrity
 from repro.workloads.scenarios import churn_scenario, run_scenario
+from repro.workloads.sequences import temporal_locality
 
 pytestmark = pytest.mark.kernel
 
@@ -197,6 +198,36 @@ class TestBalanceTracker:
         tracker = BalanceTracker()
         assert tracker.violations(graph, 2) == a_balance_violations(graph, 2)
 
+    def test_the_balanced_build_holds_no_violation_at_a_equal_1(self):
+        """What lets a tracker start clean over the balanced build: no two
+        consecutive members of any list share the next-level bit."""
+        for n in range(1, 301):
+            assert a_balance_violations(build_balanced_skip_graph(range(n)), 1) == [], n
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clean_tracker_reports_exactly_the_full_rescan_violations(self, seed):
+        """No first full scan: started clean over the balanced build, the
+        tracker equals the full rescan after every wave of random kernel
+        ops — including the long wave whose marks outgrow the budget and
+        send it all-dirty."""
+        rng = make_rng(seed)
+        graph = build_balanced_skip_graph(range(1, 40 + seed))
+        tracker = BalanceTracker(graph)
+        graph.tracker = tracker
+        a = 2 + seed % 3
+        assert not tracker._all_dirty
+        recorder = OpRecorder(graph)
+        next_key = 1000
+        flipped = []
+        for count in (12, 12, 300, 12, 12):
+            next_key = _random_kernel_ops(graph, recorder, rng, count=count, next_key=next_key)
+            flipped.append(tracker._all_dirty)
+            reported = tracker.violations(graph, a)
+            assert reported == a_balance_violations(graph, a)
+            for violation in reported:
+                tracker.mark_list(violation.level, violation.prefix)
+        assert flipped == [False, False, True, False, False]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_dirty_repair_matches_full_rescan_repair_under_churn(self, seed):
         scenario = churn_scenario(n=96, length=700, seed=seed, churn_rate=0.03)
@@ -329,8 +360,8 @@ class TestNetworkDelta:
 
 
 def _dsg_past_its_first_scan():
-    """64 keys, default ``a = 4``, one join: the tracker has left its
-    all-dirty state, so only marked lists are rescanned from here on."""
+    """64 keys, default ``a = 4``, one join: the tracker started clean over
+    the balanced build, so only marked lists are rescanned from here on."""
     dsg = DynamicSkipGraph(keys=range(1, 65), config=DSGConfig(seed=1))
     dsg.add_node(100)
     assert check_a_balance(dsg.graph, 4)
@@ -374,6 +405,26 @@ def test_direct_remove_node_is_seen_by_the_next_repair():
     assert check_a_balance(dsg.graph, 4)
 
 
+def test_request_only_traffic_keeps_the_marks_within_the_budget():
+    """Marks that no repair consumes no longer pile up: on 512 keys, one
+    join then 3 000 requests left 4 000 dirty lists and 366 561 anchors
+    behind.  Past ``len(graph) * graph.height()`` the tracker drops them
+    and goes all-dirty, and the next consumption is the full rescan."""
+    keys = list(range(1, 129))
+    dsg = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=1, track_working_set=False))
+    dsg.add_node(10_000)
+    tracker = dsg.graph.tracker
+    budget = len(dsg.graph) * dsg.graph.height()
+    flipped = False
+    for u, v in temporal_locality(keys, 200, seed=2):
+        dsg.request(u, v, keep_result=False)
+        assert sum(len(anchors) for anchors in tracker._dirty.values() if anchors) <= budget
+        flipped |= tracker._all_dirty
+    assert flipped
+    expected = a_balance_violations(dsg.graph, dsg.config.a)
+    assert tracker.violations(dsg.graph, dsg.config.a) == expected
+
+
 class TestStructureOwnsItsMarks:
     """The recorder side of the same contract: any recorder over the DSG's
     graph is tracked, and a failed repair is retried from the marks."""
@@ -382,7 +433,7 @@ class TestStructureOwnsItsMarks:
         """The docstring contract of ``restore_a_balance`` lets callers chain
         their own churn plan through a recorder they built themselves."""
         dsg = DynamicSkipGraph(keys=range(1, 65), config=DSGConfig(seed=1, a=2))
-        dsg.add_node(100)  # consume the initial all-dirty state
+        dsg.add_node(100)
         assert check_a_balance(dsg.graph, 2)
         own = OpRecorder(dsg.graph)
         victim = dsg.graph.real_keys[10]

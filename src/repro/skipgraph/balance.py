@@ -301,7 +301,7 @@ class BalanceTracker:
             self._dirty.clear()
             return a_balance_violations(graph, a)
         dirty, self._dirty = self._dirty, {}
-        sizes = graph._prefix_counts  # list sizes, bar the base list's
+        sizes = graph._prefix_counts  # list size per prefix; the base list is len(graph)
         entries = []
         for (level, prefix), anchors in dirty.items():
             if (sizes.get(prefix, 0) if level else len(graph)) <= a:

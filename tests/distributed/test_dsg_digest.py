@@ -13,7 +13,16 @@ the engine's traffic counters, the pipeline's ``conflict_stalls`` and
 * **churn** — a request / join / leave mix, at windows 1 and 16;
 * **faults** — a dark crash settled by the next event, crash and recovery
   events inside the schedule and a ``mid_request_fault`` crash landing
-  between a request's route and its dissemination, at windows 1 and 4.
+  between a request's route and its dissemination, at windows 1 and 4;
+* **dummies** — requests only, then the churn mix, at ``a = 2``: a
+  transformation destroys and inserts dummies in batches of more than one
+  key, and the a-balance repair after churn lands batches that do not
+  ascend.
+
+At window 16 the churn, faults and dummies schedules are pinned a second
+time with every planned entry's conflict set hashed as well (sorted
+``reads`` and ``writes``): the write sets are what admission reads, and
+they are derived from each plan's touched keys.
 
 A change to the driver or to the round engine under it must reproduce the
 pins bit for bit.  Everything hashed is ``repr`` of ints, strings and
@@ -50,6 +59,15 @@ PINNED = {
     ("faults", 4): "5d9dd51bf82c2230874103fb5a9f96ad130b5dc82d24b47be2ebacd16134244f",
 }
 
+#: Final digest per (schedule, window) with every planned conflict set hashed,
+#: recorded while the write sets came from replaying each plan on a shadow
+#: copy of the pre-plan graph.
+PINNED_CONFLICTS = {
+    ("churn", 16): "2f8193e1b2aba2ca27ac783d0924474e50edce9e3d8d3c9d89ea7b24347276da",
+    ("dummies", 16): "24510e276ce4b0810cdbe4b38cf570ea16ccdbc7133e377c3daa50ac2b28a927",
+    ("faults", 16): "c35c04df9eb9ebea02b24ab8cd6f944590194f2d5621c7d27ad74d6749c9528b",
+}
+
 #: Report fields hashed besides the outcomes and the admission trace.
 COUNTERS = ("requests", "joins", "leaves", "crashes", "recoveries", "total_cost",
             "planner_total_cost", "rounds", "messages", "total_bits", "max_message_bits",
@@ -57,8 +75,19 @@ COUNTERS = ("requests", "joins", "leaves", "crashes", "recoveries", "total_cost"
             "reanchored_plans", "admitted", "conflict_stalls", "max_in_flight")
 
 
-def _driver(keys, seed, window):
-    return DistributedDSG(keys, config=DSGConfig(seed=seed), seed=seed, strict=True, window=window)
+def _driver(keys, seed, window, a=4):
+    driver = DistributedDSG(keys, config=DSGConfig(seed=seed, a=a), seed=seed, strict=True, window=window)
+    # Every entry the driver plans, in planning order, for the conflict records.
+    driver.planned = []
+    plan_event = driver._plan_event
+
+    def record_plan(event):
+        entry = plan_event(event)
+        driver.planned.append(entry)
+        return entry
+
+    driver._plan_event = record_plan
+    return driver
 
 
 def _churn(window):
@@ -97,7 +126,16 @@ def _faults(window):
         yield driver, driver.run_scenario(scenario)
 
 
-SCHEDULES = {"churn": _churn, "faults": _faults}
+def _dummies(window):
+    # Requests only, then the churn mix, whose a-balance repair lands
+    # batches that do not ascend.
+    for seed, base, length, churn_rate in ((3, "temporal", 80, 0.0), (8, "hot-pairs", 80, 0.1)):
+        scenario = churn_scenario(n=64, length=length, seed=seed, churn_rate=churn_rate, base=base)
+        driver = _driver(scenario.initial_keys, seed, window, a=2)
+        yield driver, driver.run_scenario(scenario)
+
+
+SCHEDULES = {"churn": _churn, "faults": _faults, "dummies": _dummies}
 
 
 def _records(driver, report):
@@ -114,11 +152,22 @@ def _records(driver, report):
         yield ("row", node, tuple((neighbour, tuple(sorted(row[neighbour]))) for neighbour in sorted(row)))
 
 
-def digest(name: str, window: int) -> str:
+def _conflict_records(driver):
+    for entry in driver.planned:
+        conflict = entry.conflict
+        yield ("conflict", entry.index, entry.kind,
+               tuple(sorted(conflict.reads)), tuple(sorted(conflict.writes)))
+    driver.planned.clear()
+
+
+def digest(name: str, window: int, conflicts: bool = False) -> str:
     hasher = hashlib.sha256()
     for driver, report in SCHEDULES[name](window):
         for record in _records(driver, report):
             hasher.update(repr(record).encode())
+        if conflicts:
+            for record in _conflict_records(driver):
+                hasher.update(repr(record).encode())
     return hasher.hexdigest()
 
 
@@ -127,6 +176,14 @@ def test_driver_output_matches_the_pinned_digest(name, window):
     assert digest(name, window) == PINNED[name, window]
 
 
+@pytest.mark.parametrize("name, window", sorted(PINNED_CONFLICTS))
+def test_driver_output_and_conflict_sets_match_the_pinned_digest(name, window):
+    assert digest(name, window, conflicts=True) == PINNED_CONFLICTS[name, window]
+
+
 if __name__ == "__main__":  # re-record: python tests/distributed/test_dsg_digest.py
     for name, window in sorted(PINNED):
         print(f'    ("{name}", {window}): "{digest(name, window)}",')
+    print()
+    for name, window in (("churn", 16), ("dummies", 16), ("faults", 16)):
+        print(f'    ("{name}", {window}): "{digest(name, window, conflicts=True)}",')

@@ -194,7 +194,7 @@ def routing_under_churn(n, churn_length, route_pairs, seed):
     started = time.perf_counter()
     install_routing(simulator, graph, requests)
     replay = replay_scenario(
-        simulator, scenario, process_factory=lambda key: make_router(graph, key), graph=graph
+        simulator, scenario, process_factory=lambda key: make_router(simulator.network, key), graph=graph
     )
     simulator.run()
     wall = time.perf_counter() - started

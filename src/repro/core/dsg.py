@@ -428,9 +428,13 @@ class DynamicSkipGraph:
         """Serve every request of ``requests`` in order (results kept)."""
         return [self.request(u, v) for u, v in requests]
 
+    touched: Optional[set] = None  #: where plans' recorders collect touched keys
+
     def _recorder(self) -> OpRecorder:
         """The recorder one plan of this instance is emitted through."""
-        return OpRecorder(self.graph)
+        recorder = OpRecorder(self.graph)
+        recorder.touched = self.touched
+        return recorder
 
     # ------------------------------------------------------------ node churn
     def add_node(self, key: Key, payload=None) -> None:

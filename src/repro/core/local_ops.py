@@ -68,7 +68,6 @@ __all__ = [
     "OpRecorder",
     "PromoteOp",
     "apply_op",
-    "apply_op_touched",
     "apply_ops",
     "apply_ops_touched",
     "op_anchor",
@@ -198,19 +197,15 @@ def op_levels(graph: SkipGraph, op: LocalOp) -> Tuple[Optional[Bits], Optional[B
 def apply_ops_touched(graph: SkipGraph, ops: Sequence[LocalOp]) -> set:
     """Replay a plan onto ``graph`` and return the keys whose links it rewires.
 
-    The write-set extractor the pipelined distributed driver feeds its
-    conflict detector with.  Each op contributes its *bounded neighbourhood*
-    — the same set :func:`repro.distributed.routing_protocol.patch_network`
-    reports as affected when it rewires a live network for the op (both
-    walk :func:`op_levels`; property-tested equal): the op's own key plus
-    every list neighbour closed over at the levels it leaves (read before
-    the op) or spliced against at the levels it enters (read after it).
-    Because those flanks only exist once the node is in place, the plan is
-    applied as part of the extraction; drivers that need the touched region
-    *before* executing a plan on the real structure replay it against a
-    shadow copy of the pre-plan graph (the conflict detector does exactly
-    that).  One accumulator serves the whole plan: level-0 transformations
-    run to ``n * height`` ops.
+    The spec of a plan's write set, what the pipelined distributed
+    driver's conflict detector reads.  Each op contributes its *bounded
+    neighbourhood* — the set :func:`repro.distributed.routing_protocol.
+    patch_network` reports as affected for it (both walk :func:`op_levels`;
+    property-tested equal): its own key plus every list neighbour closed
+    over at the levels it leaves (read before the op) or spliced against at
+    the levels it enters (read after it).  The driver does not replay: its
+    planner's :class:`OpRecorder` collects the same set as it applies the
+    plan (``tests/distributed/test_touched_keys.py``).
     """
     touched: set = set()
     neighbors = graph.neighbors
@@ -225,11 +220,6 @@ def apply_ops_touched(graph: SkipGraph, ops: Sequence[LocalOp]) -> set:
             touched.update(neighbors(key, level))
     touched.discard(None)  # a list end has no neighbour on that side
     return touched
-
-
-def apply_op_touched(graph: SkipGraph, op: LocalOp) -> set:
-    """Apply one op and return the keys whose links it rewires (see :func:`apply_ops_touched`)."""
-    return apply_ops_touched(graph, (op,))
 
 
 # ----------------------------------------------------------------- recorder
@@ -258,18 +248,53 @@ class OpRecorder:
     accumulates the wall clock spent inside those bulk splices (the
     "apply" phase of :attr:`DynamicSkipGraph.phase_seconds
     <repro.core.dsg.DynamicSkipGraph.phase_seconds>`).
+
+    With :attr:`touched` set, it collects there, as it applies, what
+    :func:`apply_ops_touched` returns for :attr:`ops` on a pre-plan copy: a
+    run's union is its keys' neighbours where it ends up (or, leaving, was).
     """
 
-    __slots__ = ("graph", "ops", "apply_seconds")
+    __slots__ = ("graph", "ops", "apply_seconds", "touched")
 
     def __init__(self, graph: SkipGraph, ops: Optional[List[LocalOp]] = None) -> None:
         self.graph = graph
         self.ops: List[LocalOp] = ops if ops is not None else []
         self.apply_seconds = 0.0
+        self.touched: Optional[set] = None
 
     def _record(self, op: LocalOp) -> None:
-        apply_op(self.graph, op)
+        if self.touched is None:
+            apply_op(self.graph, op)
+        else:  # flanks where the op leaves, before the write; where it enters, after
+            old, new, left, entered = op_levels(self.graph, op)
+            self._touch_flanks(old, left, (op.key,))
+            apply_op(self.graph, op)
+            self._touch_flanks(new, entered, (op.key,))
         self.ops.append(op)
+
+    def _touch_flanks(self, bits: Bits, levels: range, keys: Sequence[Key]) -> None:
+        """Touch ``keys`` and their list neighbours at ``levels`` of ``bits``."""
+        touched = self.touched
+        touched.update(keys)
+        graph = self.graph
+        for level in levels:
+            prefix = bits[:level]
+            if level and graph.prefix_count(prefix) <= len(keys):
+                continue
+            members = graph.list_at(level, prefix)
+            for key in keys:
+                index = bisect_left(members, key)
+                if index:
+                    touched.add(members[index - 1])
+                if index + 1 < len(members):
+                    touched.add(members[index + 1])
+
+    def _touch_each(self, keys: Sequence[Key], start: int) -> None:
+        """Touch each key and its list neighbours at its levels from ``start`` up."""
+        membership = self.graph.membership
+        for key in keys:
+            bits = membership(key).bits
+            self._touch_flanks(bits, range(start, len(bits) + 1), (key,))
 
     def promote(self, key: Key, level: int, bit: int) -> None:
         self._record(PromoteOp(key, level, bit))
@@ -287,23 +312,36 @@ class OpRecorder:
         without the dispatch.
         """
         graph = self.graph
+        touched = self.touched
         if len(keys) > 1:
             began = perf_counter()
             graph.promote_run(keys, level, bit)
             self.apply_seconds += perf_counter() - began
             self.ops.extend(map(_new_op, repeat(PromoteOp), zip(keys, repeat(level), repeat(bit))))
+            if touched is not None:
+                self._touch_flanks(graph.membership(keys[0]).bits, range(level, level + 1), keys)
             return
         for key in keys:
-            graph.set_membership(key, graph.membership(key).with_bit(level, bit))
-            self.ops.append(_new_op(PromoteOp, (key, level, bit)))
+            if touched is None:
+                graph.set_membership(key, graph.membership(key).with_bit(level, bit))
+                self.ops.append(_new_op(PromoteOp, (key, level, bit)))
+            else:
+                self._record(PromoteOp(key, level, bit))
 
     def demote_run(self, keys: Sequence[Key], length: int) -> None:
         """Truncate every key of ``keys`` (one subtree's members) to ``length``."""
-        membership = self.graph.membership
+        graph = self.graph
+        membership = graph.membership
         eligible = [key for key in keys if len(membership(key)) > length]
         if len(eligible) > 1:
+            if self.touched is not None:
+                self.touched.update(eligible)
+                shared = membership(eligible[0]).bits[:length]
+                # Unless the run is the whole subtree (it flanks itself):
+                if graph.prefix_count(shared + (0,)) + graph.prefix_count(shared + (1,)) > len(eligible):
+                    self._touch_each(eligible, length + 1)
             began = perf_counter()
-            self.graph.demote_run(eligible, length)
+            graph.demote_run(eligible, length)
             self.apply_seconds += perf_counter() - began
             self.ops.extend(map(_new_op, repeat(DemoteOp), zip(eligible, repeat(length))))
             return
@@ -313,6 +351,8 @@ class OpRecorder:
     def remove_run(self, keys: Sequence[Key]) -> None:
         """Destroy every dummy in ``keys`` (ascending) in one bulk removal."""
         if len(keys) > 1:
+            if self.touched is not None:
+                self._touch_each(keys, 0)
             began = perf_counter()
             self.graph.remove_run(keys)
             self.apply_seconds += perf_counter() - began
@@ -337,6 +377,8 @@ class OpRecorder:
             self.graph.insert_run(nodes)
             self.apply_seconds += perf_counter() - began
             self.ops.extend(ops)
+            if self.touched is not None:
+                self._touch_each([op.key for op in ops], 0)
             return
         for key, bits in entries:
             self._record(DummyInsertOp(key, tuple(bits)))
@@ -352,6 +394,8 @@ class OpRecorder:
             SkipGraphNode(key=key, membership=MembershipVector(bits), payload=payload)
         )
         self.ops.append(NodeJoinOp(key, bits))
+        if self.touched is not None:
+            self._touch_each((key,), 0)
 
     def leave(self, key: Key) -> None:
         self._record(NodeLeaveOp(key))

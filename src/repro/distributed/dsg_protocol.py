@@ -29,8 +29,8 @@ request through the same four steps:
 4. **Rewire** — once the last op has landed, each executed op drives
    per-level link rewiring of the live network through
    :func:`~repro.distributed.bridge.apply_local_op` (the same bridge churn
-   replay uses), and the routing tables of the op's bounded neighbourhood
-   are refreshed.
+   replay uses), and every peer in the op's bounded neighbourhood reads a
+   fresh routing table off its own rewired links.
 
 Churn (:class:`~repro.workloads.scenarios.JoinEvent` /
 :class:`~repro.workloads.scenarios.LeaveEvent`) follows the PR-3 bridge
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import AbstractSet, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.costs import CostLedger, RequestCost
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
@@ -64,7 +64,8 @@ from repro.core.local_ops import (
     NodeJoinOp,
     NodeLeaveOp,
     PromoteOp,
-    apply_ops_touched,
+    # Unused here: the name the spine's tracer rebinds, kept importable.
+    apply_ops_touched,  # noqa: F401
     op_anchor,
     op_from_payload,
     op_to_payload,
@@ -134,11 +135,12 @@ class DSGProcess(GreedyForwarder):
         self,
         key: Key,
         graph: SkipGraph,
+        row: Mapping[Key, AbstractSet[str]],
         route_done: Dict[int, int],
         ops_done: Dict[int, int],
     ) -> None:
         super().__init__(key)
-        self.table = NeighborTable(graph, key)
+        self.table = NeighborTable(row, key)
         self.bits: Tuple[int, ...] = graph.membership(key).bits
         self.is_dummy = graph.node(key).is_dummy
         #: Set when the node (a dummy) received its self-destruction notice.
@@ -303,11 +305,11 @@ class DistributedDSG:
     ``tests/reference/sequential_driver_reference.py``: same topology,
     per-request cost and total cost, and at ``window=1`` the same rounds.
 
-    The write sets are extracted by replaying each plan on a *shadow* copy
-    of the planner's pre-plan graph (:func:`~repro.core.local_ops.
-    apply_ops_touched`), which trails the planner by exactly one plan.  A
+    The write sets are the keys the planner's recorder touched while it
+    applied each plan (:attr:`DynamicSkipGraph.touched
+    <repro.core.dsg.DynamicSkipGraph.touched>`), so no plan is replayed.  A
     conflict set is only ever read against other in-flight entries, so at
-    ``window=1`` no shadow is kept and no write set is extracted.
+    ``window=1`` nothing is collected.
     """
 
     def __init__(
@@ -334,8 +336,6 @@ class DistributedDSG:
         for key in self.topology.keys:
             self._install(key)
         self.sim.run()  # start the idle population: wake() needs a started engine
-        self._shadow: Optional[SkipGraph] = None
-        self._sync_shadow()
         self._next_index = 0
         self._max_rounds = max_rounds
         self.admission_trace: List[AdmissionRecord] = []
@@ -425,7 +425,6 @@ class DistributedDSG:
             self._apply_ops(ops)
             total += len(ops)
         self.dark_keys.clear()
-        self._sync_shadow()
         return total
 
     def recover(self, key: Key) -> None:
@@ -442,7 +441,6 @@ class DistributedDSG:
         self.planner.add_node(key)
         self._apply_ops(self.planner.last_churn_ops)
         self.recoveries += 1
-        self._sync_shadow()
 
     # ----------------------------------------------------------------- report
     def report(self) -> DistributedDSGReport:
@@ -553,19 +551,20 @@ class DistributedDSG:
         """Run the planner for one event and extract its conflict set."""
         index = self._next_index
         self._next_index += 1
-        shadow = self._shadow
+        planner = self.planner
+        # Only a window deeper than one reads conflict sets: collect for it.
+        touched = planner.touched = set() if self.window.depth > 1 else None
         if isinstance(event, RequestEvent):
             source, destination = event.source, event.destination
-            if shadow is not None:
+            if touched is not None:
                 # The l_alpha region the transformation will restructure,
                 # read from the pre-plan graph (alpha is what _adjust computes).
-                graph = self.planner.graph
+                graph = planner.graph
                 region = tuple(graph.list_of(source, graph.common_level(source, destination)))
-            plan = self.planner.request(source, destination, keep_result=False)
+            plan = planner.request(source, destination, keep_result=False)
             ops = list(plan.ops or [])
             conflict = ConflictSet()
-            if shadow is not None:
-                touched = apply_ops_touched(shadow, ops)
+            if touched is not None:
                 conflict = ConflictSet(
                     reads=frozenset(plan.routing.path),
                     writes=frozenset(touched) | frozenset(region) if ops else frozenset(),
@@ -586,17 +585,17 @@ class DistributedDSG:
                 # leave planner and topology out of sync when add_process
                 # refuses the crashed key.
                 raise SimulationError(f"key {event.key!r} crashed and cannot re-join")
-            self.planner.add_node(event.key)
+            planner.add_node(event.key)
             kind = "join"
         elif isinstance(event, LeaveEvent):
-            self.planner.remove_node(event.key)
+            planner.remove_node(event.key)
             kind = "leave"
         else:
             raise TypeError(f"unknown scenario event {event!r}")
-        ops = list(self.planner.last_churn_ops)
+        ops = list(planner.last_churn_ops)
         conflict = ConflictSet()
-        if shadow is not None:
-            conflict = ConflictSet(writes=frozenset(apply_ops_touched(shadow, ops)) | {event.key})
+        if touched is not None:
+            conflict = ConflictSet(writes=frozenset(touched) | {event.key})
         return PipelineEntry(index=index, kind=kind, rid=index, conflict=conflict, ops=ops)
 
     def _activate(self, entry: PipelineEntry) -> None:
@@ -728,14 +727,10 @@ class DistributedDSG:
 
     # -------------------------------------------------------------- internals
     def _install(self, key: Key) -> None:
-        process = DSGProcess(key, self.topology, self._route_done, self._ops_done)
+        row = self.sim.network.rows[key]
+        process = DSGProcess(key, self.topology, row, self._route_done, self._ops_done)
         self.processes[key] = process
         self.sim.add_process(process)
-
-    def _sync_shadow(self) -> None:
-        """Re-copy the conflict detector's shadow after out-of-band planner work."""
-        if self.window.depth > 1:
-            self._shadow = self.planner.graph.copy()
 
     def _repair_dark_structural(self) -> None:
         """Repair dark keys *without* the planner: close links, refresh tables.
@@ -766,13 +761,13 @@ class DistributedDSG:
         """
         self._planner_cost_base += self.planner.total_cost()
         self.planner = DynamicSkipGraph(graph=self.topology.copy(), config=self.planner.config)
-        self._sync_shadow()
 
     def _refresh_tables(self, keys) -> None:
+        rows = self.sim.network.rows
         for key in keys:
             process = self.processes.get(key)
             if process is not None and self.topology.has_node(key):
-                process.table = NeighborTable(self.topology, key)
+                process.table = NeighborTable(rows[key], key)
 
     def _apply_ops(self, ops: List[LocalOp]) -> None:
         """Rewire topology, network, tables and the process population."""

@@ -24,9 +24,9 @@ sequence of **waves**, each of which is the full crash-stop lifecycle:
    <repro.distributed.bridge.repair_crashes>` excises the crashed keys
    from the graph and closes every level list up over them under
    redundancy ``k`` (restoring ``network == skip_graph_network(graph, k)``
-   exactly), and the surviving routers whose neighbourhood changed get
-   fresh :class:`~repro.distributed.routing_protocol.NeighborTable`
-   snapshots.
+   exactly), and each surviving router whose neighbourhood changed gets a
+   fresh :class:`~repro.distributed.routing_protocol.NeighborTable`, read
+   off its own repaired link row.
 4. **integrity sweep** — :func:`verify_skip_graph_integrity
    <repro.skipgraph.integrity.verify_skip_graph_integrity>` audits the
    repaired structure *and* the live network against it; the arena's
@@ -311,7 +311,7 @@ def run_failure_arena(
     network = skip_graph_network(graph, k=k)
     sim = Simulator(network, SimulatorConfig(seed=seed, strict=True, max_rounds=MAX_ROUNDS))
     ledger = RouteLedger()
-    routers = install_routing(sim, graph, k=k, ledger=ledger)
+    routers = install_routing(sim, graph, ledger=ledger)
     sim.run()  # start the (idle) population so waves begin from quiescence
     # Recovered identities draw fresh membership bits from a dedicated
     # arena-owned stream, so same-seed arenas rejoin bit-for-bit alike.
@@ -327,11 +327,12 @@ def run_failure_arena(
     def refresh_tables(affected, forget: Sequence[Key] = ()) -> int:
         """Fresh tables for the live routers among ``affected``; how many."""
         refreshed = 0
+        rows = sim.network.rows
         for key in affected:
             router = routers.get(key)
             if router is None or key in sim.crashed:
                 continue
-            router.table = NeighborTable(graph, key, k=k)
+            router.table = NeighborTable(rows[key], key)
             router.dark.difference_update(forget)
             refreshed += 1
         return refreshed
@@ -359,7 +360,7 @@ def run_failure_arena(
             old = routers.pop(key, None)
             if old is not None:
                 retired_route_arounds += old.route_arounds
-            router = make_router(graph, key, k=k, ledger=ledger)
+            router = make_router(sim.network, key, ledger=ledger)
             routers[key] = router
             sim.add_process(router)
             tables_refreshed += refresh_tables(affected)

@@ -10,8 +10,9 @@ any observable result* but the round count:
 * :class:`ConflictSet` — the touched region of one planned event.  The
   *read set* is the request's planned route path (the keys its ``route``
   message crosses in ``S_t``); the *write set* is the union of the plan's
-  op-touched neighbourhoods (:func:`repro.core.local_ops.apply_ops_touched`,
-  replayed on a shadow copy of the pre-plan graph) and the ``l_alpha``
+  op-touched neighbourhoods (the set
+  :func:`repro.core.local_ops.apply_ops_touched` specifies, collected by
+  the planner's recorder while it applies the plan) and the ``l_alpha``
   subtree the transformation restructures (the ``list_of(u, alpha)``
   members).  Two events conflict when either one's writes intersect the
   other's reads or writes; read/read overlap is always safe — routes may

@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import AbstractSet, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.local_ops import LocalOp, NodeJoinOp, NodeLeaveOp, apply_op, op_levels
 from repro.simulation import Message, Network, NodeProcess, RoundContext, Simulator, SimulatorConfig
@@ -91,7 +91,7 @@ class RoutingProtocolResult:
 
 
 class NeighborTable:
-    """Per-node neighbour table extracted from a skip graph snapshot.
+    """Per-node neighbour table read off the node's own link row.
 
     Shared by the plain router and the DSG protocol
     (:mod:`repro.distributed.dsg_protocol`): both forward greedily with
@@ -99,29 +99,29 @@ class NeighborTable:
     place — the distributed == centralized routing-distance guarantee
     depends on it.
 
-    With ``k > 1`` the table is *k-redundant* (the bami exemplar's
-    ``extend_skip_graph_neighbourhood``): it keeps the ``k`` nearest list
-    members per side per level, nearest first, so a route can step around
-    a crashed primary neighbour (``dark`` argument of :meth:`next_hop`)
-    instead of stranding.  Local state stays ``O(k log n)`` words.  With
-    the default ``k = 1`` the table and :meth:`next_hop` behave exactly as
-    before redundancy existed.
+    ``row`` is the node's ``network.rows`` entry (neighbour -> ``level<d>``
+    labels): in an overlay equal to :func:`skip_graph_network` at redundancy
+    ``k``, its ``k`` nearest list members per side per level, kept nearest
+    first.  So the table is *k-redundant* (the bami exemplar's
+    ``extend_skip_graph_neighbourhood``): a route can step around a crashed
+    primary neighbour (``dark`` of :meth:`next_hop`) instead of stranding.
     """
 
-    def __init__(self, graph: SkipGraph, key: Key, k: int = 1) -> None:
-        if k < 1:
-            raise ValueError(f"redundancy k must be >= 1, got {k}")
+    def __init__(self, row: Mapping[Key, AbstractSet[str]], key: Key) -> None:
         self.key = key
-        self.k = k
         #: level -> (nearest-first left candidates, nearest-first right candidates)
         self.candidates: Dict[int, Tuple[List[Key], List[Key]]] = {}
-        top = graph.singleton_level(key)
-        bits = graph.membership(key).bits
-        for level in range(0, top + 1):
-            # The singleton level may lie one past the vector: no list there.
-            in_list = level <= len(bits)
-            self.candidates[level] = _nearest(graph, key, level, bits, k) if in_list else ([], [])
-        self.top_level = top
+        for neighbor, labels in row.items():
+            for label in labels:
+                level = int(label[5:])  # "level<d>"
+                sides = self.candidates.get(level)
+                if sides is None:
+                    sides = self.candidates[level] = ([], [])
+                sides[neighbor > key].append(neighbor)
+        for lefts, rights in self.candidates.values():
+            lefts.sort(reverse=True)
+            rights.sort()
+        self.top_level = max(self.candidates) + 1 if self.candidates else 0
         # A table is replaced, never mutated: its audited size is fixed here.
         self._words = sum(len(lefts) + len(rights) for lefts, rights in self.candidates.values())
 
@@ -575,7 +575,6 @@ def install_routing(
     simulator: Simulator,
     graph: SkipGraph,
     requests: Mapping[Key, Sequence[Union[Key, Tuple[Key, int]]]] | None = None,
-    k: int = 1,
     ledger: Optional[RouteLedger] = None,
 ) -> Dict[Key, _RouterProcess]:
     """Register a router process per skip graph node on ``simulator``.
@@ -584,28 +583,27 @@ def install_routing(
     per round, in order); entries may be ``(destination, rid)`` pairs when
     a shared ``ledger`` tracks terminal outcomes.  The simulator's network
     must already contain the skip-graph links (:func:`skip_graph_network`,
-    built with the same ``k``); on a reused engine, retire the previous
-    generation first (``simulator.retire_all()``).
+    at the redundancy the tables should have); on a reused engine, retire
+    the previous generation first (``simulator.retire_all()``).
     """
     requests = requests or {}
     unknown = [key for key in requests if key not in graph]
     if unknown:
         raise ValueError(f"requests from keys not in the graph: {unknown[:5]!r}")
     processes = {
-        key: make_router(graph, key, requests.get(key, ()), k=k, ledger=ledger) for key in graph.keys
+        key: make_router(simulator.network, key, requests.get(key, ()), ledger=ledger) for key in graph.keys
     }
     simulator.add_processes(processes.values())
     return processes
 
 
 def make_router(
-    graph: SkipGraph,
+    network: Network,
     key: Key,
     requests: Sequence[Union[Key, Tuple[Key, int]]] = (),
-    k: int = 1,
     ledger: Optional[RouteLedger] = None,
 ) -> _RouterProcess:
-    """A router process for ``key`` with a fresh table snapshot of ``graph``.
+    """A router process for ``key`` with a table read off its links in ``network``.
 
     The one place a router is built: :func:`install_routing` builds every
     router of a generation with it, and churn arenas hand it to
@@ -613,7 +611,7 @@ def make_router(
     factory so joining nodes can route as soon as their initialization
     round has run.
     """
-    return _RouterProcess(key, NeighborTable(graph, key, k=k), requests, ledger=ledger)
+    return _RouterProcess(key, NeighborTable(network.rows[key], key), requests, ledger=ledger)
 
 
 def trace_route(processes: Mapping[Key, _RouterProcess], source: Key, destination: Key) -> List[Key]:

@@ -56,24 +56,28 @@ def payload_size_bits(payload: Any, word_bits: int = WORD_BITS) -> int:
     are charged ``word_bits`` per attribute-free repr character as a safe
     upper bound; protocols should stick to plain data.
     """
+    if isinstance(payload, dict):
+        total = word_bits
+        for key, value in payload.items():
+            total += 8 * len(key) if type(key) is str else payload_size_bits(key, word_bits)
+            kind = type(value)
+            if kind is int or kind is float or value is None:
+                total += word_bits
+            elif kind is str:
+                total += 8 * len(value)
+            else:
+                total += payload_size_bits(value, word_bits)
+        return total
     if payload is None:
         return word_bits
     if isinstance(payload, bool):
         return 1
-    if isinstance(payload, int):
-        return word_bits
-    if isinstance(payload, float):
+    if isinstance(payload, (int, float)):
         return word_bits
     if isinstance(payload, str):
         return 8 * len(payload)
     if isinstance(payload, (list, tuple, set, frozenset)):
         return word_bits + sum(payload_size_bits(item, word_bits) for item in payload)
-    if isinstance(payload, dict):
-        total = word_bits
-        for key, value in payload.items():
-            total += payload_size_bits(key, word_bits)
-            total += payload_size_bits(value, word_bits)
-        return total
     # Fallback: charge by repr length, which over-counts and therefore never
     # hides a CONGEST violation.
     return 8 * len(repr(payload))

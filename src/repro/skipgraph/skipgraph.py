@@ -23,9 +23,9 @@ Scaling machinery (the request hot path relies on all four):
 * **Position maps** — every cached list lazily grows a ``key -> index`` map
   so :meth:`neighbors` is O(1) amortized instead of an O(list) scan per
   routing hop.
-* **Targeted invalidation** — node insertion/removal and membership rewrites
-  only evict the cache entries whose prefix the affected vector matches;
-  untouched subtrees stay warm across requests.
+* **Targeted patching** — node insertion/removal and membership rewrites
+  patch (or, for a bulk run, evict) only the cache entries whose prefix the
+  affected vector matches; untouched subtrees stay warm across requests.
 * **Incremental height** — a per-level count of multi-member prefixes is
   maintained on every mutation, making :meth:`height` O(height) instead of
   an O(n log n) rescan (the DSG front end queries the height after every
@@ -283,11 +283,11 @@ class SkipGraph:
         return self._nodes[key].membership
 
     def set_membership(self, key: Key, membership: MembershipVector | Iterable[int] | str) -> None:
-        """Replace the membership vector of ``key`` and invalidate caches.
+        """Replace the membership vector of ``key`` and patch caches.
 
-        Only the cache entries that could contain the node (levels >= 1 whose
-        prefix matches either the old or the new vector) need invalidation,
-        plus nothing at level 0 since the base list is key-order only.
+        The cached lists the node leaves or enters (levels >= 1 past the
+        prefix the old and new vectors share) are patched in place, as in
+        :meth:`add_node`; the base list is key-order only.
         """
         node = self._nodes[key]
         old = node.membership
@@ -302,14 +302,13 @@ class SkipGraph:
             # The transformation's one-bit append: the node enters one list
             # (the one ``new_bits`` names) and leaves none.
             self._count(new_bits, len(new_bits), 1, dummy)
-            self._evict((len(new_bits), new_bits))
+            self._insert_keys(new_bits, [key], len(new_bits))
             return
         keep = common_prefix_length(old, new)
         self._count(old_bits, keep + 1, -1, -dummy)
         self._count(new_bits, keep + 1, 1, dummy)
-        for bits in (old_bits, new_bits):
-            for level in range(keep + 1, len(bits) + 1):
-                self._evict((level, bits[:level]))
+        self._delete_keys(old_bits, [key], keep + 1)
+        self._insert_keys(new_bits, [key], keep + 1)
 
     # ------------------------------------------------ derived-index writers
     def _count(self, bits: Prefix, start: int, carriers: int, dummies: int = 0) -> None:
@@ -600,6 +599,10 @@ class SkipGraph:
             self._insert_keys(prefix, added, level)
 
     # ------------------------------------------------------ real-prefix index
+    def prefix_count(self, prefix: Prefix) -> int:
+        """How many nodes (dummies too) carry the non-empty ``prefix`` — O(1)."""
+        return self._prefix_counts.get(prefix, 0)
+
     def real_prefix_count(self, prefix: Prefix) -> int:
         """How many *real* (non-dummy) nodes carry ``prefix`` — O(1).
 

@@ -204,7 +204,7 @@ class TestEngineRecovery:
         from repro.distributed import install_routing
 
         sim = Simulator(network)
-        install_routing(sim, graph, k=k)
+        install_routing(sim, graph)
         sim.run()
         return sim, graph
 
@@ -212,7 +212,7 @@ class TestEngineRecovery:
         from repro.distributed import make_router
 
         sim, graph = self._arena()
-        stale_router = make_router(graph, 8, k=2)  # built pre-crash
+        stale_router = make_router(sim.network, 8)  # built pre-crash
         sim.crash(8)
         repair_crash_links(sim.network, graph, 8, k=2)
         with pytest.raises(SimulationError):
@@ -220,7 +220,7 @@ class TestEngineRecovery:
         sim.recover(8)
         bits = draw_membership_bits(graph, 8, make_rng(5))
         rejoin_crash_links(sim.network, graph, 8, tuple(bits), k=2)
-        sim.add_process(make_router(graph, 8, k=2))  # accepted again
+        sim.add_process(make_router(sim.network, 8))  # accepted again
         assert 8 not in sim.crashed
         # A recovered node may crash again.
         sim.crash(8)

@@ -35,7 +35,7 @@ from repro.core.local_ops import (
     op_to_payload,
 )
 from repro.distributed import DSGProcess, install_routing, skip_graph_network
-from repro.distributed.routing_protocol import GreedyForwarder, NeighborTable, RouteLedger, make_router
+from repro.distributed.routing_protocol import GreedyForwarder, RouteLedger, make_router
 from repro.simulation import Simulator, SimulatorConfig
 from repro.simulation.rng import make_rng
 from repro.skipgraph import build_skip_graph
@@ -100,7 +100,7 @@ def test_both_wire_formats_share_one_forwarding_core(k, seed):
     # --- the plain router ----------------------------------------------------
     router_sim, router_sends = _recording_simulator(graph, k, seed)
     ledger = RouteLedger()
-    routers = install_routing(router_sim, graph, k=k, ledger=ledger)
+    routers = install_routing(router_sim, graph, ledger=ledger)
     router_sim.run()
     base = router_sim.round
 
@@ -117,9 +117,8 @@ def test_both_wire_formats_share_one_forwarding_core(k, seed):
     # --- the DSG peer ----------------------------------------------------------
     dsg_sim, dsg_sends = _recording_simulator(graph, k, seed)
     route_done, ops_done = {}, {}
-    peers = {key: DSGProcess(key, graph, route_done, ops_done) for key in graph.keys}
-    for key, peer in peers.items():  # the peer on the router's k-redundant table
-        peer.table = NeighborTable(graph, key, k=k)
+    rows = dsg_sim.network.rows  # k-redundant links: k-redundant tables
+    peers = {key: DSGProcess(key, graph, rows[key], route_done, ops_done) for key in graph.keys}
     dsg_sim.add_processes(peers.values())
     dsg_sim.run()
     assert dsg_sim.round == base
@@ -171,14 +170,14 @@ def test_message_sizes_match_the_parent_commit():
     a request plan ships, each sent over one real hop."""
     graph = build_skip_graph(range(1, N + 1), make_rng(1))
     sim, sends = _recording_simulator(graph, 1, 1)
-    router = make_router(graph, 1, requests=[N])
-    sim.add_processes([router] + [make_router(graph, key) for key in graph.keys if key != 1])
+    router = make_router(sim.network, 1, requests=[N])
+    sim.add_processes([router] + [make_router(sim.network, key) for key in graph.keys if key != 1])
     sim.run()
     assert {m.size_bits for *_, m in sends} == {ROUTER_ROUTE_BITS[False]}
 
     sim, sends = _recording_simulator(graph, 1, 1)
     route_done, ops_done = {}, {}
-    peers = {key: DSGProcess(key, graph, route_done, ops_done) for key in graph.keys}
+    peers = {key: DSGProcess(key, graph, sim.network.rows[key], route_done, ops_done) for key in graph.keys}
     sim.add_processes(peers.values())
     ops = [PromoteOp(N, 1, 1), DemoteOp(N, 0), DummyInsertOp(N, (1, 0)), DummyRemoveOp(N)]
     payloads = [(N, {"to": N, "rid": 7, **op_to_payload(op)}) for op in ops]

@@ -12,7 +12,7 @@ request and in total.  The suite also proves the two lemmas the scheduler
 rests on:
 
 * **soundness** — the write sets fed to the conflict detector
-  (:func:`repro.core.local_ops.apply_op_touched`) equal the affected
+  (:func:`repro.core.local_ops.apply_ops_touched`, op by op) equal the affected
   neighbourhoods :func:`~repro.distributed.routing_protocol.patch_network`
   rewires for the same ops, and detector-disjoint plans commute under
   :func:`~repro.core.local_ops.apply_ops` (Hypothesis, random plans);
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
-from repro.core.local_ops import apply_op_touched, apply_ops, apply_ops_touched
+from repro.core.local_ops import apply_ops, apply_ops_touched
 from repro.distributed import (
     ConflictSet,
     DistributedDSG,
@@ -178,7 +178,7 @@ class TestTargetSetExtraction:
             plan = planner.request(u, v, keep_result=False)
             for op in plan.ops or []:
                 expected = patch_network(network, mirror, op)
-                assert apply_op_touched(shadow, op) == expected
+                assert apply_ops_touched(shadow, (op,)) == expected
                 checked += 1
         assert checked > 100  # the workload genuinely exercised the extractor
 

@@ -258,7 +258,7 @@ class TestChurnSafeRestarts:
 
         def join(s):
             apply_join(s, graph, 200, make_rng(3))
-            s.add_process(make_router(graph, 200, requests=[1]))
+            s.add_process(make_router(s.network, 200, requests=[1]))
 
         sim.schedule(2, join)
         sim.run()

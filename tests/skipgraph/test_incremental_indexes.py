@@ -193,6 +193,42 @@ class TestBalanceTracker:
             for violation in reported:
                 tracker.mark_list(violation.level, violation.prefix)
 
+    def test_general_rewrites_patch_long_cached_lists_with_pending_buffers(self, monkeypatch):
+        """A rewrite at an existing level moves its key out of the cached lists
+        it leaves and into the ones it enters, in place.  With ``_PENDING_MIN``
+        forced small, those lists take insertions through a pending buffer;
+        the derived state must equal a from-scratch recount after every wave,
+        and some rewrite must have landed in such a list with a buffer open."""
+        import repro.skipgraph.skipgraph as skipgraph_module
+
+        monkeypatch.setattr(skipgraph_module, "_PENDING_MIN", 6)
+        landed = []
+        set_membership = skipgraph_module.SkipGraph.set_membership
+
+        def watched(graph, key, membership):
+            old, new = graph.membership(key).bits, tuple(membership.bits)
+            # A promote at an existing level: same length, another bit.
+            if len(new) == len(old) and new != old and graph._pending_inserts:
+                keep = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y), min(len(old), len(new)))
+                lists = [(level, bits[:level]) for bits in (old, new) for level in range(keep + 1, len(bits) + 1)]
+                if any(len(graph._list_cache.get(entry, ())) >= 6 for entry in lists):
+                    landed.append(key)
+            set_membership(graph, key, membership)
+
+        monkeypatch.setattr(skipgraph_module.SkipGraph, "set_membership", watched)
+        rng = make_rng(5)
+        graph = build_skip_graph(range(1, 120), rng=make_rng(6))
+        recorder = OpRecorder(graph)
+        next_key = 1000
+        for _ in range(30):
+            for key in rng.sample(graph.keys, 8):  # warm the lists a rewrite may touch
+                bits = graph.membership(key).bits
+                for level in range(1, len(bits) + 1):
+                    graph.list_at(level, bits[:level])
+            next_key = _random_kernel_ops(graph, recorder, rng, count=10, next_key=next_key)
+            assert derived_state(graph) == derived_state_from_scratch(graph)
+        assert landed
+
     def test_unconsumed_tracker_falls_back_to_full_rescan(self):
         graph = build_skip_graph(range(1, 30), rng=make_rng(4))
         tracker = BalanceTracker()

@@ -109,21 +109,25 @@ class NeighborTable:
 
     def __init__(self, row: Mapping[Key, AbstractSet[str]], key: Key) -> None:
         self.key = key
+        by_label: Dict[str, Tuple[List[Key], List[Key]]] = {}
+        for neighbor, labels in row.items():
+            right = neighbor > key
+            for label in labels:
+                sides = by_label.get(label)
+                if sides is None:
+                    sides = by_label[label] = ([], [])
+                sides[right].append(neighbor)
         #: level -> (nearest-first left candidates, nearest-first right candidates)
         self.candidates: Dict[int, Tuple[List[Key], List[Key]]] = {}
-        for neighbor, labels in row.items():
-            for label in labels:
-                level = int(label[5:])  # "level<d>"
-                sides = self.candidates.get(level)
-                if sides is None:
-                    sides = self.candidates[level] = ([], [])
-                sides[neighbor > key].append(neighbor)
-        for lefts, rights in self.candidates.values():
+        words = 0
+        for label, (lefts, rights) in by_label.items():
             lefts.sort(reverse=True)
             rights.sort()
+            self.candidates[int(label[5:])] = (lefts, rights)  # "level<d>"
+            words += len(lefts) + len(rights)
         self.top_level = max(self.candidates) + 1 if self.candidates else 0
         # A table is replaced, never mutated: its audited size is fixed here.
-        self._words = sum(len(lefts) + len(rights) for lefts, rights in self.candidates.values())
+        self._words = words
 
     def size_words(self) -> int:
         """Table size in words (for the per-node memory audit)."""

@@ -209,8 +209,9 @@ class TestBalanceTracker:
             old, new = graph.membership(key).bits, tuple(membership.bits)
             # A promote at an existing level: same length, another bit.
             if len(new) == len(old) and new != old and graph._pending_inserts:
-                keep = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y), min(len(old), len(new)))
-                lists = [(level, bits[:level]) for bits in (old, new) for level in range(keep + 1, len(bits) + 1)]
+                keep = next(i for i, (x, y) in enumerate(zip(old, new)) if x != y)
+                lists = [(level, bits[:level]) for bits in (old, new)
+                         for level in range(keep + 1, len(bits) + 1)]
                 if any(len(graph._list_cache.get(entry, ())) >= 6 for entry in lists):
                     landed.append(key)
             set_membership(graph, key, membership)

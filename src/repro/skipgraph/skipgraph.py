@@ -24,8 +24,8 @@ Scaling machinery (the request hot path relies on all four):
   so :meth:`neighbors` is O(1) amortized instead of an O(list) scan per
   routing hop.
 * **Targeted patching** — node insertion/removal and membership rewrites
-  patch (or, for a bulk run, evict) only the cache entries whose prefix the
-  affected vector matches; untouched subtrees stay warm across requests.
+  patch (a bulk promote or demote: evict) only the cache entries whose prefix
+  the affected vector matches; untouched subtrees stay warm across requests.
 * **Incremental height** — a per-level count of multi-member prefixes is
   maintained on every mutation, making :meth:`height` O(height) instead of
   an O(n log n) rescan (the DSG front end queries the height after every

@@ -61,6 +61,11 @@ conserved by construction — ``delivered + failed + retried-then-delivered
 == injected`` holds per wave, and message drops appear only in waves that
 crash mid-flight.
 
+Waves are :class:`~repro.workloads.scenarios.Wave` segments, cut by the
+same rule the schedule generator draws by (:meth:`Wave.admits
+<repro.workloads.scenarios.Wave.admits>`), and :func:`run_failure_arena`
+is one loop over them: rejoin, crash, inject, run, repair, retry, sweep.
+
 ``benchmarks/bench_e16_failures.py`` runs this arena at 4096 nodes and
 publishes the delivered/failed/repair-cost accounting as one ``failure``
 artifact row per failure shape.
@@ -69,7 +74,8 @@ artifact row per failure shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.distributed.bridge import apply_crash, apply_recovery, repair_crashes
 from repro.distributed.routing_protocol import (
@@ -85,12 +91,7 @@ from repro.skipgraph.build import build_balanced_skip_graph
 from repro.skipgraph.integrity import verify_skip_graph_integrity
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
-from repro.workloads.scenarios import (
-    CrashEvent,
-    RecoveryEvent,
-    RequestEvent,
-    Scenario,
-)
+from repro.workloads.scenarios import RequestEvent, Scenario, Wave
 
 __all__ = [
     "FailureArenaReport",
@@ -217,71 +218,24 @@ class FailureArenaReport:
         return all(not wave.integrity_violations for wave in self.waves)
 
 
-@dataclass
-class Wave:
-    """One segmented wave of a failure schedule.
-
-    ``recoveries`` rejoin first, then ``crashes`` land at the quiescent
-    boundary, then ``requests`` are injected; ``mid_wave`` entries
-    ``(offset, key)`` crash ``key`` after the first ``offset`` requests
-    have been injected — while they may still be in flight.
-    """
-
-    recoveries: List[Key] = field(default_factory=list)
-    crashes: List[Key] = field(default_factory=list)
-    requests: List[Tuple[Key, Key]] = field(default_factory=list)
-    mid_wave: List[Tuple[int, Key]] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not (self.recoveries or self.crashes or self.requests or self.mid_wave)
-
-    @property
-    def crash_keys(self) -> List[Key]:
-        """Every victim the wave's repair must excise (boundary + mid)."""
-        return self.crashes + [key for _, key in self.mid_wave]
-
-
 def segment_waves(scenario: Scenario) -> List[Wave]:
     """Split a failure schedule into :class:`Wave` segments.
 
-    A wave is a maximal run of :class:`~repro.workloads.scenarios.RecoveryEvent`,
-    then :class:`~repro.workloads.scenarios.CrashEvent`, then
-    :class:`~repro.workloads.scenarios.RequestEvent` (any part may be
-    empty: a schedule that opens with traffic yields a crash-free baseline
-    wave, a trailing burst a request-free one).  A crash flagged
-    ``mid_wave`` that arrives after the wave's requests started does *not*
-    close the wave — it is recorded as an in-flight ``(offset, key)``
-    entry; one without preceding requests degrades to a boundary crash.  A
-    recovery always closes a non-empty wave (the arena repairs every open
-    hole before a key rejoins).  Join/leave events are rejected — graceful
-    churn belongs to the other arenas.
+    A new wave starts wherever :meth:`Wave.admits
+    <repro.workloads.scenarios.Wave.admits>` says one does, the rule
+    :func:`~repro.workloads.scenarios.failure_scenario` also draws by.
+    A wave is a run of recoveries, then crashes, then requests, any part
+    of which may be empty: a schedule that opens with traffic yields a
+    crash-free baseline wave, a trailing burst a request-free one.  A
+    crash flagged ``mid_wave`` that arrives after the wave's requests
+    started is an in-flight ``(offset, key)`` entry.  Join/leave events
+    raise ``ValueError``.
     """
     waves: List[Wave] = []
-    current = Wave()
     for event in scenario.events:
-        if isinstance(event, RecoveryEvent):
-            if current.crashes or current.requests or current.mid_wave:
-                waves.append(current)
-                current = Wave()
-            current.recoveries.append(event.key)
-        elif isinstance(event, CrashEvent):
-            if event.mid_wave and current.requests:
-                current.mid_wave.append((len(current.requests), event.key))
-            else:
-                if current.requests:
-                    waves.append(current)
-                    current = Wave()
-                current.crashes.append(event.key)
-        elif isinstance(event, RequestEvent):
-            current.requests.append((event.source, event.destination))
-        else:
-            raise ValueError(
-                f"failure arena schedules contain only crashes, recoveries and requests, "
-                f"got {event!r}"
-            )
-    if not current.empty:
-        waves.append(current)
+        if not waves or not waves[-1].admits(event):
+            waves.append(Wave())
+        waves[-1].add(event)
     return waves
 
 
@@ -298,14 +252,22 @@ def run_failure_arena(
     ``graph`` defaults to the balanced start topology over the scenario's
     initial keys.  The engine runs in strict mode: the arena proves its
     claims by *raising* on a congestion violation or an illegal send, not
-    by counting them after the fact.
+    by counting them after the fact.  A crash, recovery or request naming
+    a key outside ``scenario.initial_keys`` raises ``ValueError`` before
+    any engine is built.
 
-    A request lost in flight to a mid-wave crash (rid with no terminal
-    outcome after quiescence) is re-injected after the repair wave — up to
-    :data:`MAX_RETRIES` passes, :data:`RETRY_BACKOFF` rounds before each —
-    and counted ``retried_delivered`` on success; only requests whose
-    destination is genuinely gone end up ``failed``.
+    Each wave goes through rejoin, crash, inject, run, repair, retry and
+    sweep.  A request lost in flight to a mid-wave crash (rid with no
+    terminal outcome after quiescence) is re-injected after the repair
+    wave — up to :data:`MAX_RETRIES` passes, :data:`RETRY_BACKOFF` rounds
+    before each — and counted ``retried_delivered`` on success; only
+    requests whose destination is genuinely gone end up ``failed``.
     """
+    known = set(scenario.initial_keys)
+    for event in scenario.events:
+        keys = (event.source, event.destination) if isinstance(event, RequestEvent) else (event.key,)
+        if not known.issuperset(keys):
+            raise ValueError(f"{event!r} names a key outside the scenario's initial keys")
     if graph is None:
         graph = build_balanced_skip_graph(scenario.initial_keys)
     network = skip_graph_network(graph, k=k)
@@ -317,138 +279,63 @@ def run_failure_arena(
     # arena-owned stream, so same-seed arenas rejoin bit-for-bit alike.
     recovery_rng = make_rng(seed)
     next_rid = 0
-    retired_route_arounds = 0
-
-    def route_around_total() -> int:
-        # Crashed routers stay in the dict with frozen counters; routers a
-        # recovery replaced moved their count into the retired accumulator.
-        return retired_route_arounds + sum(router.route_arounds for router in routers.values())
-
-    def refresh_tables(affected, forget: Sequence[Key] = ()) -> int:
-        """Fresh tables for the live routers among ``affected``; how many."""
-        refreshed = 0
-        rows = sim.network.rows
-        for key in affected:
-            router = routers.get(key)
-            if router is None or key in sim.crashed:
-                continue
-            router.table = NeighborTable(rows[key], key)
-            router.dark.difference_update(forget)
-            refreshed += 1
-        return refreshed
-
-    def schedule_injection(round_index: int, entries: Sequence[Tuple[Key, Key, int]]) -> None:
-        def inject(s: Simulator) -> None:
-            for source, destination, rid in entries:
-                router = routers[source]
-                router.requests.append((destination, rid))
-                router.done = False
-
-        sim.schedule(round_index, inject)
-
     waves: List[FailureWaveReport] = []
     for index, wave in enumerate(segment_waves(scenario)):
-        base_route_arounds = route_around_total()
         base_drops = sim.metrics.dropped_messages
         base_round = sim.round
 
-        rejoin_links = 0
-        tables_refreshed = 0
+        rejoin_links = tables_refreshed = 0
         for key in wave.recoveries:
             affected, added = apply_recovery(sim, graph, key, recovery_rng, k=k)
             rejoin_links += added
-            old = routers.pop(key, None)
-            if old is not None:
-                retired_route_arounds += old.route_arounds
-            router = make_router(sim.network, key, ledger=ledger)
-            routers[key] = router
-            sim.add_process(router)
-            tables_refreshed += refresh_tables(affected)
+            routers[key] = make_router(sim.network, key, ledger=ledger)
+            sim.add_process(routers[key])
+            tables_refreshed += _refresh_tables(sim, routers, affected)
             # The identity that crashed is gone for good; the fresh one is
             # live everywhere, not just where links changed.
-            for peer in routers.values():
-                peer.dark.discard(key)
+            for router in routers.values():
+                router.dark.discard(key)
+        # Counted after the rejoins: a replaced router takes its old count
+        # with it.  Crashed routers stay in the dict with frozen counters.
+        base_route_arounds = sum(router.route_arounds for router in routers.values())
 
         for key in wave.crashes:
             apply_crash(sim, graph, key)
 
-        # Cursor-based injection: each flushed batch (and each mid-wave
-        # crash) occupies one scheduling round, so a mid crash fires while
-        # the earlier batches' messages are still in flight.
-        mid_by_offset: Dict[int, List[Key]] = {}
-        for offset, key in wave.mid_wave:
-            mid_by_offset.setdefault(offset, []).append(key)
-        cursor = sim.round
-        injected: Dict[int, Tuple[Key, Key]] = {}
-        batch: List[Tuple[Key, Key, int]] = []
-
-        def flush_batch() -> None:
-            nonlocal cursor
-            if not batch:
-                return
-            schedule_injection(cursor, list(batch))
-            batch.clear()
-            cursor += 1
-
-        def schedule_mid_crash(key: Key) -> None:
-            nonlocal cursor
-            flush_batch()
-
-            def crash_callback(s: Simulator, key=key) -> None:
-                apply_crash(s, graph, key)
-
-            sim.schedule(cursor, crash_callback)
-            cursor += 1
-
-        for position, (source, destination) in enumerate(wave.requests):
-            for key in mid_by_offset.pop(position, ()):
-                schedule_mid_crash(key)
-            rid = next_rid
-            next_rid += 1
-            injected[rid] = (source, destination)
-            batch.append((source, destination, rid))
-            if len(batch) >= STAGGER:
-                flush_batch()
-        for offset in sorted(mid_by_offset):
-            for key in mid_by_offset[offset]:
-                schedule_mid_crash(key)
-        flush_batch()
-        if injected or wave.mid_wave:
+        injected = range(next_rid, next_rid + len(wave.requests))
+        next_rid = injected.stop
+        for offset, action in enumerate(_injections(wave, injected.start)):
+            sim.schedule(sim.round + offset, partial(_inject, routers, graph, action))
+        if wave.requests or wave.mid_wave:
             sim.run()
-
-        injected_rids = set(injected)
-        first_pass_delivered = len(injected_rids & ledger.delivered)
+        first_pass_delivered = len(ledger.delivered.intersection(injected))
 
         repair_links = 0
         crash_keys = wave.crash_keys
         if crash_keys:
             affected, repair_links = repair_crashes(sim, graph, crash_keys, k=k)
-            tables_refreshed += refresh_tables(affected, forget=crash_keys)
+            tables_refreshed += _refresh_tables(sim, routers, affected, forget=crash_keys)
 
         # Bounded retry with backoff: rids with no terminal outcome were
         # lost in flight to a mid-wave crash; re-inject them over the
         # repaired overlay.  Whatever survives every pass is failed.
         retried = 0
-        lost = ledger.unresolved(injected_rids)
-        first_pass_lost = set(lost)
+        first_pass_lost = lost = ledger.unresolved(set(injected))
         for _ in range(MAX_RETRIES):
-            if not lost:
-                break
-            resend: List[Tuple[Key, Key, int]] = []
+            resend = []
             for rid in sorted(lost):
-                source, destination = injected[rid]
+                source, destination = wave.requests[rid - injected.start]
                 if source in sim.crashed:
                     ledger.failed.add(rid)
-                    continue
-                resend.append((source, destination, rid))
+                else:
+                    resend.append((source, destination, rid))
             if not resend:
                 break
             retried += len(resend)
-            schedule_injection(sim.round + RETRY_BACKOFF, resend)
+            sim.schedule(sim.round + RETRY_BACKOFF, partial(_inject, routers, graph, resend))
             sim.run()
-            lost = ledger.unresolved(injected_rids)
+            lost = ledger.unresolved(set(injected))
         ledger.failed.update(lost)
-        retried_delivered = len(first_pass_lost & ledger.delivered)
 
         violations = verify_skip_graph_integrity(graph, sim.network, redundancy=k)
         waves.append(
@@ -457,8 +344,8 @@ def run_failure_arena(
                 crashes=len(crash_keys),
                 requests=len(injected),
                 delivered=first_pass_delivered,
-                failed=len(injected_rids & ledger.failed),
-                route_arounds=route_around_total() - base_route_arounds,
+                failed=len(ledger.failed.intersection(injected)),
+                route_arounds=sum(router.route_arounds for router in routers.values()) - base_route_arounds,
                 dropped_messages=sim.metrics.dropped_messages - base_drops,
                 repair_links=repair_links,
                 tables_refreshed=tables_refreshed,
@@ -467,7 +354,7 @@ def run_failure_arena(
                 mid_wave_crashes=len(wave.mid_wave),
                 rejoin_links=rejoin_links,
                 retried=retried,
-                retried_delivered=retried_delivered,
+                retried_delivered=len(first_pass_lost & ledger.delivered),
                 integrity_violations=violations,
             )
         )
@@ -485,3 +372,46 @@ def run_failure_arena(
         congestion_violations=metrics.congestion_violations,
         dropped_messages=metrics.dropped_messages,
     )
+
+
+def _injections(wave: Wave, first_rid: int) -> List[Union[Key, List[Tuple[Key, Key, int]]]]:
+    """The wave's injections, one per round in order: request batches of at
+    most :data:`STAGGER` ``(source, destination, rid)`` entries, and the
+    key of each mid-wave crash, which fires after the batches before it
+    and so while their messages are still in flight."""
+    actions: List[Union[Key, List[Tuple[Key, Key, int]]]] = []
+    crashes = list(wave.mid_wave)
+    for position, (source, destination) in enumerate(wave.requests):
+        while crashes and crashes[0][0] <= position:
+            actions.append(crashes.pop(0)[1])
+        if not actions or not isinstance(actions[-1], list) or len(actions[-1]) == STAGGER:
+            actions.append([])
+        actions[-1].append((source, destination, first_rid + position))
+    actions.extend(key for _, key in crashes)
+    return actions
+
+
+def _inject(routers: dict, graph: SkipGraph, action, sim: Simulator) -> None:
+    """``sim.schedule`` callback for one injection: queue a batch of
+    ``(source, destination, rid)`` requests, or crash a mid-wave victim."""
+    if not isinstance(action, list):
+        apply_crash(sim, graph, action)
+        return
+    for source, destination, rid in action:
+        router = routers[source]
+        router.requests.append((destination, rid))
+        router.done = False
+
+
+def _refresh_tables(sim: Simulator, routers: dict, affected, forget: Sequence[Key] = ()) -> int:
+    """Fresh tables for the live routers among ``affected``; how many."""
+    refreshed = 0
+    rows = sim.network.rows
+    for key in affected:
+        router = routers.get(key)
+        if router is None or key in sim.crashed:
+            continue
+        router.table = NeighborTable(rows[key], key)
+        router.dark.difference_update(forget)
+        refreshed += 1
+    return refreshed

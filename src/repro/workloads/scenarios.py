@@ -45,7 +45,8 @@ deep transformations, periodic flash crowds around hotspots, and steady
 background churn.
 
 This module is the schedule side only — event types, :class:`Scenario`,
-:func:`run_scenario` and three generators — and imports nothing from the
+:func:`run_scenario`, three generators and :class:`Wave`, the one rule
+for where a failure schedule's waves start — and imports nothing from the
 message-passing layers.  The same schedules replay against a live CONGEST
 simulator through :func:`repro.distributed.bridge.replay_scenario`.
 """
@@ -71,6 +72,7 @@ __all__ = [
     "RequestEvent",
     "Scenario",
     "ScenarioReport",
+    "Wave",
     "churn_scenario",
     "failure_scenario",
     "run_scenario",
@@ -126,6 +128,72 @@ class RecoveryEvent:
 
 
 Event = Union[RequestEvent, JoinEvent, LeaveEvent, CrashEvent, RecoveryEvent]
+
+#: Slots between a crash and its victim's recovery in :func:`failure_scenario`
+#: (drawn uniformly, both ends included).
+RECOVERY_DELAY = (8, 64)
+
+
+@dataclass
+class Wave:
+    """One wave of a failure schedule: what one repair wave closes up.
+
+    ``recoveries`` rejoin first, then ``crashes`` land at the quiescent
+    boundary, then ``requests`` are injected; ``mid_wave`` entries
+    ``(offset, key)`` crash ``key`` after the first ``offset`` requests
+    have been injected — while they may still be in flight.
+
+    :meth:`admits` is the one rule for where a wave starts.
+    :func:`failure_scenario` follows it while it draws (its adjacency guard
+    and its mid-wave victims read the open wave) and
+    :func:`repro.distributed.failover.segment_waves` splits a finished
+    schedule by it.
+    """
+
+    recoveries: List[Key] = field(default_factory=list)
+    crashes: List[Key] = field(default_factory=list)
+    requests: List[Request] = field(default_factory=list)
+    mid_wave: List[Tuple[int, Key]] = field(default_factory=list)
+
+    @property
+    def crash_keys(self) -> List[Key]:
+        """Every victim the wave's repair must excise (boundary + mid)."""
+        return self.crashes + [key for _, key in self.mid_wave]
+
+    def admits(self, event: Event) -> bool:
+        """Whether ``event`` belongs to this wave; ``False`` means it opens the next.
+
+        A recovery opens a wave unless this one holds only recoveries (the
+        arena repairs every open hole before a key rejoins).  A crash opens
+        one once this wave's requests have started, unless it is flagged
+        ``mid_wave``: then it lands among them.
+        """
+        if isinstance(event, CrashEvent):
+            return event.mid_wave or not self.requests
+        if isinstance(event, RecoveryEvent):
+            return not (self.crashes or self.requests or self.mid_wave)
+        return True
+
+    def add(self, event: Event) -> None:
+        """Record ``event``, which :meth:`admits` accepted.
+
+        A crash flagged ``mid_wave`` before any request degrades to a
+        boundary crash.  Join and leave events raise ``ValueError``:
+        graceful churn belongs to the other arenas.
+        """
+        if isinstance(event, RequestEvent):
+            self.requests.append((event.source, event.destination))
+        elif isinstance(event, CrashEvent):
+            if event.mid_wave and self.requests:
+                self.mid_wave.append((len(self.requests), event.key))
+            else:
+                self.crashes.append(event.key)
+        elif isinstance(event, RecoveryEvent):
+            self.recoveries.append(event.key)
+        else:
+            raise ValueError(
+                f"failure arena schedules contain only crashes, recoveries and requests, got {event!r}"
+            )
 
 
 @dataclass
@@ -582,7 +650,6 @@ def failure_scenario(
     n: int = 256,
     length: int = 2000,
     seed: Optional[int] = None,
-    rng=None,
     mode: str = "independent",
     crash_rate: float = 0.01,
     rack_count: int = 16,
@@ -591,16 +658,16 @@ def failure_scenario(
     stale_fraction: float = 0.05,
     adjacent_crash_limit: Optional[int] = None,
     recovery_fraction: float = 0.0,
-    recovery_delay: Tuple[int, int] = (8, 64),
     mid_wave_fraction: float = 0.0,
     name: Optional[str] = None,
 ) -> Scenario:
     """Traffic interleaved with crash-stop failures (no joins, no goodbyes).
 
-    The schedule has ``length`` slots over keys ``1..n``.  Failures never
-    take the population below ``n // 2`` (half the overlay survives, the
-    regime the route-around machinery is built for), and arrive in one of
-    three shapes:
+    The schedule has ``length`` slots over keys ``1..n`` and is drawn from
+    one stream, :func:`~repro.simulation.rng.make_rng` of ``seed``.
+    Failures never take the population below ``n // 2`` (half the overlay
+    survives, the regime the route-around machinery is built for), and
+    arrive in one of three shapes:
 
     * ``"independent"`` — each slot is a :class:`CrashEvent` of a uniform
       alive peer with probability ``crash_rate`` (fail-stop background
@@ -613,10 +680,11 @@ def failure_scenario(
     * ``"flash"`` — a single burst of ``flash_size`` simultaneous crashes
       at the schedule's midpoint (a flash disconnect).
 
-    Every other slot is a :class:`RequestEvent` whose source is always
-    alive; with probability ``stale_fraction`` (once anyone has crashed)
-    the destination is a *crashed* peer — a request issued by a client
-    holding a stale reference.  Those are the schedule's intended
+    A burst member that is already down (a mid-wave crash took it) is
+    skipped.  Every other slot is a :class:`RequestEvent` whose source is
+    always alive; with probability ``stale_fraction`` (once anyone has
+    crashed) the destination is a *crashed* peer — a request issued by a
+    client holding a stale reference.  Those are the schedule's intended
     failures: the message-passing arena counts them as ``failed_requests``
     while every surviving-key request must still be delivered.  Because
     stale destinations are no longer in a centralized structure after the
@@ -629,169 +697,79 @@ def failure_scenario(
     ``k - 1`` *consecutive* (in key order) failures — a wider hole has no
     surviving list member within stepping distance, and routes to keys
     beyond it legitimately strand.  When set, a victim whose crash would
-    produce a run longer than the limit within the current unrepaired
-    burst is skipped (it survives); ``None`` leaves failures unguarded.
-    The arena benchmark passes ``k - 1`` so its every-survivor-delivered
-    gate holds by the redundancy guarantee, not by luck.
+    produce a run longer than the limit within the current :class:`Wave`
+    is skipped (it survives); ``None`` leaves failures unguarded.  The
+    arena benchmark passes ``k - 1`` so its every-survivor-delivered gate
+    holds by the redundancy guarantee, not by luck.
 
     ``recovery_fraction`` gives every victim an independent chance to come
-    back: a :class:`RecoveryEvent` is scheduled ``rng.randint(*recovery_delay)``
-    slots after the crash (dropped if that falls past the schedule's end) —
-    the key rejoins as a fresh identity and re-enters the alive pool, the
-    stale-destination pool forgets it.  Once any key has recovered, request
-    slots steer their destination to a recovered key with the same
-    ``stale_fraction`` probability (mirroring the stale steering), so the
-    schedule provably routes *to* rejoined identities even when they are a
-    vanishing fraction of a large arena — those requests must be delivered,
-    which is exactly the recovered-keys-serve gate.  ``mid_wave_fraction`` makes request
-    slots fire a crash *mid-wave* with that probability (victim drawn from
-    alive peers that are not an endpoint of the current wave's requests, so
+    back: a :class:`RecoveryEvent` is scheduled a uniform
+    :data:`RECOVERY_DELAY` slots after the crash (dropped if that falls
+    past the schedule's end) — the key rejoins as a fresh identity and
+    re-enters the alive pool, the stale-destination pool forgets it.  Once
+    any key has recovered, request slots steer their destination to a
+    recovered key with the same ``stale_fraction`` probability (mirroring
+    the stale steering), so the schedule provably routes *to* rejoined
+    identities even when they are a vanishing fraction of a large arena —
+    those requests must be delivered, which is exactly the
+    recovered-keys-serve gate.  ``mid_wave_fraction`` makes request slots
+    fire a crash *mid-wave* with that probability (victim drawn from alive
+    peers that are not an endpoint of the current wave's requests, so
     survivor-delivery accounting stays statically checkable); the event
     carries ``mid_wave=True`` so the arena injects it between in-flight
-    requests instead of at the quiescent boundary.  Both default to ``0.0``,
-    which leaves the classic shapes' rng stream byte-identical — the extra
-    coins are only drawn when the feature is on.
+    requests instead of at the quiescent boundary.  Both default to
+    ``0.0``, which leaves the classic shapes' stream byte-identical — the
+    extra coins are only drawn when the feature is on.
 
-    Pass ``rng`` (any :mod:`random`-compatible generator) to draw from an
-    existing deterministic stream; otherwise one is built from ``seed``
-    via :func:`~repro.simulation.rng.make_rng`.  Given the same stream the
-    schedule — recovery timing and mid-wave offsets included — and
-    therefore every delivered/failed count downstream is identical.
+    The four rates must lie in ``[0, 1]`` and ``adjacent_crash_limit``, when
+    set, be at least 1 (a limit of 0 forbids every crash).
     """
     if mode not in ("independent", "racks", "flash"):
         raise KeyError(f"unknown failure mode {mode!r}")
     if n < 4:
         raise ValueError("failure scenario expects at least 4 peers")
-    if rng is None:
-        rng = make_rng(seed)
-    alive = list(range(1, n + 1))
-    crashed: List[Key] = []
+    rates = dict(crash_rate=crash_rate, stale_fraction=stale_fraction,
+                 recovery_fraction=recovery_fraction, mid_wave_fraction=mid_wave_fraction)
+    for label, rate in rates.items():
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{label} must lie in [0, 1], got {rate!r}")
+    if adjacent_crash_limit is not None and adjacent_crash_limit < 1:
+        raise ValueError(f"adjacent_crash_limit must be at least 1 or None, got {adjacent_crash_limit!r}")
+    rng = make_rng(seed)
+    schedule = _FailureSchedule(n, length, rng, adjacent_crash_limit, recovery_fraction)
+    alive = schedule.alive
     floor = max(2, n // 2)
-
-    # Correlated modes pre-place their bursts; crashes beyond the survivor
-    # floor are dropped (never reordered), keeping the schedule valid.
-    burst_slots: Dict[int, List[Key]] = {}
     if mode == "racks":
-        shuffled = list(alive)
-        rng.shuffle(shuffled)
-        racks = [shuffled[index::rack_count] for index in range(rack_count)]
-        doomed = rng.sample(range(rack_count), min(rack_failures, rack_count))
-        for index, rack in enumerate(doomed):
-            slot = int((index + 0.5) * length / (len(doomed) + 0.5))
-            burst_slots[slot] = list(racks[rack])
+        bursts = _rack_bursts(rng, alive, length, rack_count, rack_failures)
     elif mode == "flash":
-        burst_slots[length // 2] = rng.sample(alive, min(flash_size, n - floor))
+        bursts = {length // 2: rng.sample(alive, min(flash_size, n - floor))}
+    else:
+        bursts = {}
 
-    # Guard state: a burst is the run of unrepaired crashes — everything
-    # since the last wave boundary (exactly what one repair wave later
-    # closes up; with mid-wave crashes on, the burst spans the wave's
-    # requests too, since mid victims share the boundary victims' repair).
-    # ``snapshot`` is the alive order at burst start, ``recent`` the
-    # victims taken so far.  ``requests_in_wave`` / ``wave_endpoints``
-    # track the current wave's traffic so a mid-wave victim never is (or
-    # becomes) an endpoint of a request already in flight.
-    snapshot: List[Key] = []
-    positions: Dict[Key, int] = {}
-    recent: set = set()
-    in_burst = False
-    requests_in_wave = 0
-    wave_endpoints: set = set()
-    pending_recoveries: Dict[int, List[Key]] = {}
-    recovered: List[Key] = []
-
-    def take_victim(key: Key, slot: int, mid: bool = False) -> bool:
-        nonlocal in_burst, requests_in_wave
-        if not in_burst or (not mid and requests_in_wave):
-            # Wave boundary: the previous burst's holes are repaired before
-            # this crash lands, so the adjacency guard starts fresh.
-            snapshot[:] = alive
-            positions.clear()
-            positions.update((member, index) for index, member in enumerate(snapshot))
-            recent.clear()
-            in_burst = True
-        if not mid:
-            requests_in_wave = 0
-            wave_endpoints.clear()
-        if adjacent_crash_limit is not None:
-            run = 1
-            index = positions[key] - 1
-            while index >= 0 and snapshot[index] in recent:
-                run += 1
-                index -= 1
-            index = positions[key] + 1
-            while index < len(snapshot) and snapshot[index] in recent:
-                run += 1
-                index += 1
-            if run > adjacent_crash_limit:
-                return False
-        recent.add(key)
-        alive.remove(key)
-        crashed.append(key)
-        if key in recovered:
-            recovered.remove(key)
-        events.append(CrashEvent(key, mid_wave=mid))
-        if recovery_fraction > 0.0 and rng.random() < recovery_fraction:
-            due = slot + rng.randint(recovery_delay[0], recovery_delay[1])
-            if due < length:
-                pending_recoveries.setdefault(due, []).append(key)
-        return True
-
-    events: List[Event] = []
     for slot in range(length):
-        due = pending_recoveries.pop(slot, None)
-        if due:
-            for key in due:
-                events.append(RecoveryEvent(key))
-                insort(alive, key)
-                crashed.remove(key)
-                recovered.append(key)
-            # A recovery is a wave boundary: the arena repairs every open
-            # hole before the key rejoins, so the burst and wave reset.
-            in_burst = False
-            requests_in_wave = 0
-            wave_endpoints.clear()
-        burst = burst_slots.get(slot)
-        if burst is not None:
-            for key in burst:
+        schedule.recover_due(slot)
+        victims = bursts.get(slot)
+        if victims is None and mode == "independent" and len(alive) > floor and rng.random() < crash_rate:
+            victims = [rng.choice(alive)]
+        if victims is not None:
+            for key in victims:
                 if len(alive) <= floor:
                     break
-                take_victim(key, slot)
+                if key not in schedule.crashed:
+                    schedule.crash(key, slot)
             continue
-        if mode == "independent" and len(alive) > floor and rng.random() < crash_rate:
-            take_victim(rng.choice(alive), slot)
-            continue
-        if (
-            mid_wave_fraction > 0.0
-            and requests_in_wave
-            and len(alive) > floor
-            and rng.random() < mid_wave_fraction
-        ):
-            candidates = [key for key in alive if key not in wave_endpoints]
-            if candidates and take_victim(rng.choice(candidates), slot, mid=True):
+        requests = schedule.wave.requests
+        if mid_wave_fraction > 0.0 and requests and len(alive) > floor and rng.random() < mid_wave_fraction:
+            endpoints = {key for request in requests for key in request}
+            candidates = [key for key in alive if key not in endpoints]
+            if candidates and schedule.crash(rng.choice(candidates), slot, mid=True):
                 continue
-        source = rng.choice(alive)
-        destination: Optional[Key] = None
-        if crashed and rng.random() < stale_fraction:
-            destination = rng.choice(crashed)
-        elif recovered and rng.random() < stale_fraction:
-            # Steer toward a rejoined identity (coin drawn only once a
-            # recovery happened, so recovery-free streams are untouched).
-            pool = [key for key in recovered if key != source]
-            if pool:
-                destination = rng.choice(pool)
-        if destination is None:
-            destination = rng.choice(alive)
-            while destination == source:
-                destination = rng.choice(alive)
-        events.append(RequestEvent(source, destination))
-        requests_in_wave += 1
-        wave_endpoints.add(source)
-        wave_endpoints.add(destination)
+        schedule.request(stale_fraction)
 
     return Scenario(
         name=name or f"failures-{mode}",
         initial_keys=list(range(1, n + 1)),
-        events=events,
+        events=schedule.events,
         params={
             "n": n,
             "length": length,
@@ -804,7 +782,93 @@ def failure_scenario(
             "stale_fraction": stale_fraction,
             "adjacent_crash_limit": adjacent_crash_limit,
             "recovery_fraction": recovery_fraction,
-            "recovery_delay": recovery_delay,
             "mid_wave_fraction": mid_wave_fraction,
         },
     )
+
+
+def _rack_bursts(rng, keys: List[Key], length: int, rack_count: int,
+                 rack_failures: int) -> Dict[int, List[Key]]:
+    """``racks`` shape: the doomed racks' members by the slot their burst lands in."""
+    shuffled = list(keys)
+    rng.shuffle(shuffled)
+    racks = [shuffled[index::rack_count] for index in range(rack_count)]
+    doomed = rng.sample(range(rack_count), min(rack_failures, rack_count))
+    return {
+        int((index + 0.5) * length / (len(doomed) + 0.5)): list(racks[rack])
+        for index, rack in enumerate(doomed)
+    }
+
+
+class _FailureSchedule:
+    """What :func:`failure_scenario` has emitted so far and what its next
+    draws read: who is alive, crashed or back, and the open :class:`Wave`."""
+
+    def __init__(self, n: int, length: int, rng, adjacent_crash_limit: Optional[int],
+                 recovery_fraction: float) -> None:
+        self.length, self.rng = length, rng
+        self.limit, self.recovery_fraction = adjacent_crash_limit, recovery_fraction
+        self.alive: List[Key] = list(range(1, n + 1))
+        self.crashed: List[Key] = []
+        self.recovered: List[Key] = []
+        self.due: Dict[int, List[Key]] = {}
+        self.events: List[Event] = []
+        self.wave = Wave()
+
+    def emit(self, event: Event) -> None:
+        if not self.wave.admits(event):
+            self.wave = Wave()
+        self.wave.add(event)
+        self.events.append(event)
+
+    def crash(self, key: Key, slot: int, mid: bool = False) -> bool:
+        """Crash ``key`` unless the adjacency guard spares it; whether it crashed."""
+        event = CrashEvent(key, mid_wave=mid)
+        if self.limit is not None:
+            # Walk outward in key order over the keys that are down: this
+            # wave's victims extend the run, earlier waves' were repaired
+            # away before it began, and the first alive key ends the walk.
+            holes = set(self.wave.crash_keys) if self.wave.admits(event) else set()
+            down, run = set(self.crashed), 1
+            for step in (-1, 1):
+                other = key + step
+                while other in down:
+                    run += other in holes
+                    other += step
+            if run > self.limit:
+                return False
+        self.alive.remove(key)
+        self.crashed.append(key)
+        if key in self.recovered:
+            self.recovered.remove(key)
+        self.emit(event)
+        if self.recovery_fraction > 0.0 and self.rng.random() < self.recovery_fraction:
+            due = slot + self.rng.randint(*RECOVERY_DELAY)
+            if due < self.length:
+                self.due.setdefault(due, []).append(key)
+        return True
+
+    def recover_due(self, slot: int) -> None:
+        for key in self.due.pop(slot, ()):
+            self.emit(RecoveryEvent(key))
+            insort(self.alive, key)
+            self.crashed.remove(key)
+            self.recovered.append(key)
+
+    def request(self, stale_fraction: float) -> None:
+        rng = self.rng
+        source = rng.choice(self.alive)
+        destination: Optional[Key] = None
+        if self.crashed and rng.random() < stale_fraction:
+            destination = rng.choice(self.crashed)
+        elif self.recovered and rng.random() < stale_fraction:
+            # Steer toward a rejoined identity (coin drawn only once a
+            # recovery happened, so recovery-free streams are untouched).
+            pool = [key for key in self.recovered if key != source]
+            if pool:
+                destination = rng.choice(pool)
+        if destination is None:
+            destination = rng.choice(self.alive)
+            while destination == source:
+                destination = rng.choice(self.alive)
+        self.emit(RequestEvent(source, destination))

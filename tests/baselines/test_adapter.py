@@ -124,7 +124,7 @@ class TestChurnCapableAdapters:
         # the already-crashed key).
         scenario = failure_scenario(
             n=32, length=300, seed=7, crash_rate=0.03, stale_fraction=0.0,
-            recovery_fraction=0.7, recovery_delay=(4, 24),
+            recovery_fraction=0.7,
         )
         assert scenario.crash_count > 0 and scenario.recovery_count > 0
         requests = scenario_requests(scenario)

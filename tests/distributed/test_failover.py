@@ -21,12 +21,19 @@ Covers the distributed half of the failure model:
 * mid-wave crashes drop in-flight messages into the conservation ledger
   and bounded retries re-deliver the casualties
   (``delivered + failed + retried_delivered == injected``);
+* ``failure_scenario`` keeps its adjacency guard and spares in-flight
+  endpoints in every wave ``segment_waves`` yields, skips a burst member
+  a mid-wave crash already took, and rejects rates outside ``[0, 1]``;
+* an event naming a key outside the initial keys raises before any
+  engine is built;
 * same-seed arena runs are bit-for-bit deterministic in their
   delivered/failed/route-around accounting (the flaky-seed hardening
   satellite), for the recovery and mid-wave shapes too.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import (
     Wave,
@@ -344,22 +351,105 @@ class TestMidWaveArena:
                 assert wave.mid_wave_crashes > 0 and wave.dropped_messages > 0
 
 
-class TestDeterminism:
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            {},
-            dict(recovery_fraction=0.7),
-            dict(mid_wave_fraction=0.05),
-        ],
-        ids=["classic", "recovery", "midwave"],
-    )
-    def test_seed_and_explicit_rng_agree(self, extra):
-        by_seed = failure_scenario(n=64, length=200, seed=7, mode="independent", **extra)
-        by_rng = failure_scenario(n=64, length=200, rng=make_rng(7), mode="independent", **extra)
-        assert by_seed.events == by_rng.events
-        assert by_seed.initial_keys == by_rng.initial_keys
+def _replay(scenario):
+    """Play the schedule over the alive set, asserting every event is valid
+    where it stands: crashes and sources alive, recoveries crashed."""
+    alive, crashed = set(scenario.initial_keys), set()
+    for event in scenario.events:
+        if isinstance(event, CrashEvent):
+            assert event.key in alive, event
+            alive.remove(event.key)
+            crashed.add(event.key)
+        elif isinstance(event, RecoveryEvent):
+            assert event.key in crashed, event
+            crashed.remove(event.key)
+            alive.add(event.key)
+        else:
+            assert event.source in alive and event.source != event.destination, event
+    return alive
 
+
+class TestFailureScenario:
+    @pytest.mark.parametrize("limit", [1, None], ids=["limit1", "unguarded"])
+    @pytest.mark.parametrize("mode", ["racks", "flash"])
+    def test_a_burst_skips_members_a_mid_wave_crash_already_took(self, mode, limit):
+        """A pre-placed burst member that a mid-wave crash took earlier is
+        skipped (it used to raise ``KeyError`` under a limit and
+        ``ValueError`` without one)."""
+        for seed in range(8):
+            _replay(failure_scenario(
+                n=48, length=200, seed=seed, mode=mode, rack_count=4, flash_size=8,
+                mid_wave_fraction=0.1, recovery_fraction=0.3, adjacent_crash_limit=limit,
+            ))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(["independent", "racks", "flash"]),
+        seed=st.integers(0, 2**16),
+        limit=st.integers(1, 3),
+        n=st.integers(16, 96),
+    )
+    def test_every_wave_keeps_the_adjacency_guard_and_spares_in_flight_endpoints(
+        self, mode, seed, limit, n
+    ):
+        """The guard the e16 gate relies on, wave by wave as the arena
+        segments the schedule: no run of crashed keys longer than the
+        limit in the wave's alive order, and no mid-wave victim that is an
+        endpoint of a request injected before it in its wave."""
+        scenario = failure_scenario(
+            n=n, length=300, seed=seed, mode=mode, crash_rate=0.05, rack_count=4, flash_size=8,
+            recovery_fraction=0.6, mid_wave_fraction=0.05, adjacent_crash_limit=limit,
+        )
+        alive = set(scenario.initial_keys)
+        for wave in segment_waves(scenario):
+            alive.update(wave.recoveries)
+            holes = set(wave.crash_keys)
+            assert holes <= alive
+            run = longest = 0
+            for key in sorted(alive):
+                run = run + 1 if key in holes else 0
+                longest = max(longest, run)
+            assert longest <= limit
+            for offset, key in wave.mid_wave:
+                assert key not in {end for request in wave.requests[:offset] for end in request}
+            alive -= holes
+
+    @pytest.mark.parametrize(
+        "rate", ["crash_rate", "stale_fraction", "recovery_fraction", "mid_wave_fraction"]
+    )
+    @pytest.mark.parametrize("value", [-0.5, 1.5])
+    def test_rates_outside_the_unit_interval_are_rejected(self, rate, value):
+        with pytest.raises(ValueError, match=rate):
+            failure_scenario(n=16, length=20, seed=1, **{rate: value})
+
+    def test_an_adjacency_limit_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="adjacent_crash_limit"):
+            failure_scenario(n=16, length=20, seed=1, adjacent_crash_limit=0)
+
+
+class TestArenaBoundary:
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [CrashEvent(99), RequestEvent(1, 2)],
+            [RequestEvent(1, 2), CrashEvent(3), RequestEvent(99, 2)],
+            [CrashEvent(3), RequestEvent(1, 99)],
+            [CrashEvent(3), RequestEvent(1, 2), RecoveryEvent(99)],
+        ],
+        ids=["crash", "request-from", "request-to", "recovery"],
+    )
+    def test_an_unknown_key_raises_before_any_engine_is_built(self, events, monkeypatch):
+        import repro.distributed.failover as failover
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(failover, "Simulator", no_engine)
+        with pytest.raises(ValueError, match="99"):
+            run_failure_arena(_hand_scenario(events), k=2, seed=11)
+
+
+class TestDeterminism:
     def test_new_knobs_off_leave_classic_streams_untouched(self):
         """``recovery_fraction=0.0`` / ``mid_wave_fraction=0.0`` draw no
         extra coins: pre-PR-10 schedules are reproduced bit for bit."""

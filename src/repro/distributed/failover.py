@@ -293,8 +293,8 @@ def run_failure_arena(
             tables_refreshed += _refresh_tables(sim, routers, affected)
             # The identity that crashed is gone for good; the fresh one is
             # live everywhere, not just where links changed.
-            for router in routers.values():
-                router.dark.discard(key)
+            for peer in routers.values():
+                peer.dark.discard(key)
         # Counted after the rejoins: a replaced router takes its old count
         # with it.  Crashed routers stay in the dict with frozen counters.
         base_route_arounds = sum(router.route_arounds for router in routers.values())
@@ -322,13 +322,13 @@ def run_failure_arena(
         retried = 0
         first_pass_lost = lost = ledger.unresolved(set(injected))
         for _ in range(MAX_RETRIES):
-            resend = []
+            resend: List[Tuple[Key, Key, int]] = []
             for rid in sorted(lost):
                 source, destination = wave.requests[rid - injected.start]
                 if source in sim.crashed:
                     ledger.failed.add(rid)
-                else:
-                    resend.append((source, destination, rid))
+                    continue
+                resend.append((source, destination, rid))
             if not resend:
                 break
             retried += len(resend)

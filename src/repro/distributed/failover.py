@@ -91,7 +91,7 @@ from repro.skipgraph.build import build_balanced_skip_graph
 from repro.skipgraph.integrity import verify_skip_graph_integrity
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
-from repro.workloads.scenarios import RequestEvent, Scenario, Wave
+from repro.workloads.scenarios import Scenario, Wave, replay_population
 
 __all__ = [
     "FailureArenaReport",
@@ -252,9 +252,12 @@ def run_failure_arena(
     ``graph`` defaults to the balanced start topology over the scenario's
     initial keys.  The engine runs in strict mode: the arena proves its
     claims by *raising* on a congestion violation or an illegal send, not
-    by counting them after the fact.  A crash, recovery or request naming
-    a key outside ``scenario.initial_keys`` raises ``ValueError`` before
-    any engine is built.
+    by counting them after the fact.  A schedule that does not fit its
+    population (:func:`~repro.workloads.scenarios.replay_population` with
+    stale destinations: a crash of a key that is down, a recovery of one
+    that is up, a request from a down source, any key outside
+    ``scenario.initial_keys``) raises ``ValueError`` naming the event's
+    index before any engine is built.
 
     Each wave goes through rejoin, crash, inject, run, repair, retry and
     sweep.  A request lost in flight to a mid-wave crash (rid with no
@@ -263,11 +266,7 @@ def run_failure_arena(
     before each — and counted ``retried_delivered`` on success; only
     requests whose destination is genuinely gone end up ``failed``.
     """
-    known = set(scenario.initial_keys)
-    for event in scenario.events:
-        keys = (event.source, event.destination) if isinstance(event, RequestEvent) else (event.key,)
-        if not known.issuperset(keys):
-            raise ValueError(f"{event!r} names a key outside the scenario's initial keys")
+    replay_population(scenario, stale_destinations=True)
     if graph is None:
         graph = build_balanced_skip_graph(scenario.initial_keys)
     network = skip_graph_network(graph, k=k)

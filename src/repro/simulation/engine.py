@@ -80,17 +80,18 @@ which is how the churn arenas rerun protocols across membership changes.
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Union
 
 from repro.simulation.errors import CongestionError, LinkError, MessageSizeError, SimulationError
 from repro.simulation.message import Message
 from repro.simulation.metrics import MetricsCollector, RoundStats
 from repro.simulation.network import Network
 from repro.simulation.node_process import NodeProcess, RoundContext
-from repro.simulation.rng import make_rng, spawn_rng
+from repro.simulation.rng import make_rng, spawn_seed
 
 __all__ = ["Simulator", "SimulatorConfig"]
 
@@ -115,7 +116,9 @@ class SimulatorConfig:
         Optional cap on message size; ``None`` disables the check (sizes are
         still recorded so experiments can audit them afterwards).
     seed:
-        Seed for the per-node RNGs.
+        Seed for the per-node RNGs.  Each process's child seed is drawn
+        from one root stream when it is registered; its generator is built
+        from that seed when ``ctx.rng`` is first read.
     """
 
     max_rounds: int = 100_000
@@ -133,7 +136,9 @@ class Simulator:
         self.metrics = MetricsCollector()
         self._processes: Dict[Hashable, NodeProcess] = {}
         self._retired: Dict[Hashable, NodeProcess] = {}
-        self._rngs: Dict[Hashable, "random.Random"] = {}
+        # Per live process: its child seed until ctx.rng is first read,
+        # then the generator built from it.
+        self._rngs: Dict[Hashable, Union[str, random.Random]] = {}
         self._pending: List[Message] = []  # sent this round, delivered next round
         self._deferred: Deque[Message] = deque()  # congestion overflow (lenient mode)
         self._scheduled: Dict[int, List[Callable[["Simulator"], None]]] = defaultdict(list)
@@ -171,7 +176,7 @@ class Simulator:
             raise SimulationError(f"node {node!r} already has a process")
         self._retired.pop(node, None)
         self._processes[node] = process
-        self._rngs[node] = spawn_rng(self._root_rng, label=repr(node))
+        self._rngs[node] = spawn_seed(self._root_rng, label=repr(node))
         if not process.done:
             self._not_done[node] = None
         self._pending_start.append(node)
@@ -399,11 +404,18 @@ class Simulator:
             node_id=node,
             round_index=self._round,
             neighbors=self.network.rows.get(node, ()),
-            rng=self._rngs[node],
+            rng_fn=self._rng,
             send_fn=outbox_sink.append,
             report_failure_fn=self.metrics.record_failure,
             stats=stats,
         )
+
+    def _rng(self, node: Hashable) -> random.Random:
+        """``node``'s generator, built from its registration seed on first read."""
+        rng = self._rngs[node]
+        if isinstance(rng, str):
+            rng = self._rngs[node] = random.Random(rng)
+        return rng
 
     def _after_invoke(self, node: Hashable, process: NodeProcess) -> None:
         if process.done:

@@ -7,17 +7,24 @@ the labels of each link (e.g. the skip graph levels it belongs to) purely
 for introspection and metrics.
 
 Storage is one table ``node -> {neighbour -> label set}``.  A link's label
-set is a single object held by both endpoints' rows, so the table is
-symmetric by construction, a link lookup is two dict probes, and no
-per-link key object is ever built.  :attr:`Network.rows` exposes the table
-read-only to readers of many rows (the integrity sweep, the engine's
-per-round neighbour lookup) without a defensive copy per link.
+set is an immutable ``frozenset`` held by both endpoints' rows, so the
+table is symmetric by construction, a link lookup is two dict probes, and
+no per-link key object is ever built.  Label sets are interned: every link
+with the same labels holds the same object, so a skip graph overlay, whose
+links nearly all carry one ``level<d>`` label, stores a few hundred label
+sets rather than one per link.  :meth:`Network.add_link` and
+:meth:`Network.remove_link` replace a link's set in both rows instead of
+mutating it; :meth:`Network.copy` shares the sets (and the intern table)
+with its source, and :meth:`Network.labels` returns the shared set itself.
+:attr:`Network.rows` exposes the table read-only to readers of many rows
+(the integrity sweep, the engine's per-round neighbour lookup) without a
+defensive copy per link.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import AbstractSet, Dict, Hashable, Iterator, Mapping, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterator, Mapping, Set, Tuple
 
 from repro.simulation.errors import LinkError
 
@@ -25,13 +32,18 @@ __all__ = ["Network"]
 
 NodeId = Hashable
 Edge = Tuple[NodeId, NodeId]
+Labels = FrozenSet[Hashable]
+
+_NO_LABELS: Labels = frozenset()
 
 
 class Network:
     """Undirected dynamic topology with labelled links."""
 
     def __init__(self) -> None:
-        self._rows: Dict[NodeId, Dict[NodeId, Set[Hashable]]] = {}
+        self._rows: Dict[NodeId, Dict[NodeId, Labels]] = {}
+        # One object per distinct labelling, shared with every copy.
+        self._interned: Dict[Labels, Labels] = {}
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, node: NodeId) -> None:
@@ -64,8 +76,9 @@ class Network:
     def rows(self) -> Mapping[NodeId, Mapping[NodeId, AbstractSet[Hashable]]]:
         """Live read-only view of the link table ``node -> {neighbour -> labels}``.
 
-        For auditors that read many rows: nothing is copied, so the rows and
-        label sets reached through the view must not be mutated.
+        For auditors that read many rows: nothing is copied, so the rows
+        reached through the view must not be mutated (the label sets are
+        immutable and shared between links).
         """
         return MappingProxyType(self._rows)
 
@@ -88,12 +101,13 @@ class Network:
             row_u = rows[u] = {}
         labels = row_u.get(v)
         if labels is not None:
-            labels.add(label)
+            if label not in labels:
+                row_u[v] = rows[v][u] = self._intern(labels | {label})
             return
         row_v = rows.get(v)
         if row_v is None:
             row_v = rows[v] = {}
-        row_u[v] = row_v[u] = {label}
+        row_u[v] = row_v[u] = self._intern(frozenset((label,)))
 
     def remove_link(self, u: NodeId, v: NodeId, label: Hashable = None) -> None:
         """Remove the link (or one label of it) between ``u`` and ``v``.
@@ -114,11 +128,15 @@ class Network:
                 raise LinkError(
                     f"link between {u!r} and {v!r} does not carry label {label!r}"
                 )
-            labels.discard(label)
-            if labels:
+            if len(labels) > 1:
+                row_u[v] = self._rows[v][u] = self._intern(labels - {label})
                 return
         del row_u[v]
         del self._rows[v][u]
+
+    def _intern(self, labels: Labels) -> Labels:
+        """The one shared object equal to ``labels``."""
+        return self._interned.setdefault(labels, labels)
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
         row = self._rows.get(u)
@@ -133,9 +151,10 @@ class Network:
     def degree(self, node: NodeId) -> int:
         return len(self._rows.get(node, ()))
 
-    def labels(self, u: NodeId, v: NodeId) -> Set[Hashable]:
+    def labels(self, u: NodeId, v: NodeId) -> Labels:
+        """The link's label set, shared and immutable (empty without a link)."""
         row = self._rows.get(u)
-        return set(row.get(v, ())) if row is not None else set()
+        return row.get(v, _NO_LABELS) if row is not None else _NO_LABELS
 
     def edges(self) -> Iterator[Edge]:
         """Every link once, as ``(u, v)`` from the endpoint whose row comes first."""
@@ -150,9 +169,8 @@ class Network:
         return sum(map(len, self._rows.values())) // 2
 
     def copy(self) -> "Network":
+        """An independent table over the same (immutable, shared) label sets."""
         clone = Network()
-        rows = clone._rows
-        rows.update((node, {}) for node in self._rows)
-        for u, v in self.edges():
-            rows[u][v] = rows[v][u] = set(self._rows[u][v])
+        clone._rows = {node: dict(row) for node, row in self._rows.items()}
+        clone._interned = self._interned
         return clone

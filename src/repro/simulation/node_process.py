@@ -9,7 +9,7 @@ the previous round and calls :meth:`NodeProcess.on_round` with a
   next round (subject to the CONGEST per-link constraint),
 * ``ctx.round`` --- the current round index,
 * ``ctx.neighbors()`` --- the node's current neighbours in the network,
-* ``ctx.rng`` --- a node-local deterministic RNG,
+* ``ctx.rng`` --- a node-local deterministic RNG (built on first read),
 * ``ctx.report_failure()`` --- declare one protocol-level request failed
   (counted as ``failed_requests``, distinct from per-message drops; used by
   the crash-stop failure arena when a route runs out of live hops).
@@ -58,7 +58,7 @@ class RoundContext:
         node_id: Hashable,
         round_index: int,
         neighbors: Collection[Hashable],
-        rng: random.Random,
+        rng_fn: Callable[[Hashable], random.Random],
         send_fn: Callable[[Message], None],
         report_failure_fn: Optional[Callable[[Any, int], None]] = None,
         stats: Any = None,
@@ -66,7 +66,7 @@ class RoundContext:
         self._node_id = node_id
         self._round_index = round_index
         self._neighbors = neighbors
-        self._rng = rng
+        self._rng_fn = rng_fn
         self._send_fn = send_fn
         self._report_failure_fn = report_failure_fn
         self._stats = stats  # the executing round's record, for report_failure_fn
@@ -81,7 +81,11 @@ class RoundContext:
 
     @property
     def rng(self) -> random.Random:
-        return self._rng
+        """The node's deterministic RNG.  The engine draws its seed when the
+        process is registered and builds the generator on the first read, so
+        a process that never reads it costs no generator, and one that does
+        draws the same stream whenever it first reads."""
+        return self._rng_fn(self._node_id)
 
     def neighbors(self) -> Set[Hashable]:
         """Current neighbours of this node in the underlying network (a fresh

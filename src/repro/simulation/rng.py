@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-__all__ = ["make_rng", "spawn_rng"]
+__all__ = ["make_rng", "spawn_rng", "spawn_seed"]
 
 #: Default seed used across the test-suite and the experiment harness when a
 #: caller does not provide one.  Chosen arbitrarily; fixed for determinism.
@@ -37,5 +37,15 @@ def spawn_rng(parent: random.Random, label: str | int = 0) -> random.Random:
     that two children with different labels are decorrelated, and the parent
     stream advances by exactly one draw regardless of label.
     """
-    base = parent.getrandbits(64)
-    return random.Random(f"{base}:{label!r}")
+    return random.Random(spawn_seed(parent, label))
+
+
+def spawn_seed(parent: random.Random, label: str | int = 0) -> str:
+    """The seed :func:`spawn_rng` gives its child, drawn now.
+
+    For a caller that builds the child only if it is ever read: it takes
+    the parent's one draw at the same point of the stream, and
+    ``random.Random(spawn_seed(parent, label))`` is bit-identical to
+    ``spawn_rng(parent, label)``.
+    """
+    return f"{parent.getrandbits(64)}:{label!r}"

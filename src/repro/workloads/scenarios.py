@@ -56,7 +56,7 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.baselines.adapter import DSGAdapter, ServingAlgorithm
 from repro.core.costs import CostLedger
@@ -75,6 +75,7 @@ __all__ = [
     "Wave",
     "churn_scenario",
     "failure_scenario",
+    "replay_population",
     "run_scenario",
     "scale_scenario",
     "scenario_requests",
@@ -267,6 +268,49 @@ class ScenarioReport:
 
 
 # --------------------------------------------------------------------- runner
+def replay_population(scenario: Scenario, stale_destinations: bool = False) -> Set[Key]:
+    """Replay ``scenario``'s membership from its initial keys; the final alive set.
+
+    The boundary check both runners make before anything is built or
+    served.  A key is *alive*, *down* (crashed, not yet recovered) or not a
+    member.  Raises ``ValueError`` naming the index of the first event that
+    does not fit where it stands: a request whose source is not alive, or
+    whose destination is not alive (with ``stale_destinations``, as the
+    failure arena serves them, a down destination is a stale request and
+    fits); a join of a key that is alive or down; a leave or crash of a key
+    that is not alive; a recovery of a key that is not down.
+    """
+    alive = set(scenario.initial_keys)
+    down: Set[Key] = set()
+    for index, event in enumerate(scenario.events):
+        if isinstance(event, RequestEvent):
+            source, destination = event.source, event.destination
+            if source in alive and (destination in alive or (stale_destinations and destination in down)):
+                continue
+            key = destination if source in alive else source
+        elif isinstance(event, JoinEvent):
+            key = event.key
+            if key not in alive and key not in down:
+                alive.add(key)
+                continue
+        elif isinstance(event, RecoveryEvent):
+            key = event.key
+            if key in down:
+                down.remove(key)
+                alive.add(key)
+                continue
+        else:  # a leave or a crash
+            key = event.key
+            if key in alive:
+                alive.remove(key)
+                if isinstance(event, CrashEvent):
+                    down.add(key)
+                continue
+        state = "alive" if key in alive else "down" if key in down else "not a member"
+        raise ValueError(f"event {index} ({event!r}) does not fit the population: key {key!r} is {state}")
+    return alive
+
+
 def run_scenario(
     scenario: Scenario,
     config: Optional[DSGConfig] = None,
@@ -286,7 +330,10 @@ def run_scenario(
     into a run scoped to this scenario; joins and leaves call the
     membership operations (Section IV-G for the skip-graph structures).
     ``keep_costs=True`` retains the per-request costs in ``report.costs``.
+    A schedule :func:`replay_population` rejects raises its ``ValueError``
+    before anything is built or served.
     """
+    replay_population(scenario)
     if algorithm is None:
         algorithm = DSGAdapter(keys=scenario.initial_keys, config=config)
     elif config is not None:

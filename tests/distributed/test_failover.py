@@ -24,8 +24,9 @@ Covers the distributed half of the failure model:
 * ``failure_scenario`` keeps its adjacency guard and spares in-flight
   endpoints in every wave ``segment_waves`` yields, skips a burst member
   a mid-wave crash already took, and rejects rates outside ``[0, 1]``;
-* an event naming a key outside the initial keys raises before any
-  engine is built;
+* an event naming a key outside the initial keys, a crash of a key that
+  is down, a recovery of one that is up and a request from a down source
+  raise before any engine is built;
 * same-seed arena runs are bit-for-bit deterministic in their
   delivered/failed/route-around accounting (the flaky-seed hardening
   satellite), for the recovery and mid-wave shapes too.
@@ -447,6 +448,33 @@ class TestArenaBoundary:
         monkeypatch.setattr(failover, "Simulator", no_engine)
         with pytest.raises(ValueError, match="99"):
             run_failure_arena(_hand_scenario(events), k=2, seed=11)
+
+    @pytest.mark.parametrize(
+        "events, index, state",
+        [
+            ([CrashEvent(3), RequestEvent(1, 2), CrashEvent(3)], 2, "down"),
+            ([RequestEvent(1, 2), RecoveryEvent(5)], 1, "alive"),
+            ([CrashEvent(3), RecoveryEvent(3), RecoveryEvent(3)], 2, "alive"),
+            ([CrashEvent(3), RequestEvent(3, 2)], 1, "down"),
+        ],
+        ids=["crash-of-a-down-key", "recovery-of-a-live-key", "second-recovery",
+             "request-from-a-down-source"],
+    )
+    def test_a_schedule_that_does_not_fit_its_population_raises_before_any_engine_is_built(
+        self, events, index, state, monkeypatch
+    ):
+        import repro.distributed.failover as failover
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(failover, "Simulator", no_engine)
+        with pytest.raises(ValueError, match=f"event {index} .* is {state}"):
+            run_failure_arena(_hand_scenario(events), k=2, seed=11)
+
+    def test_a_request_to_a_down_key_is_a_stale_request(self):
+        report = run_failure_arena(_hand_scenario([CrashEvent(3), RequestEvent(1, 3)]), k=2, seed=11)
+        assert (report.requests, report.failed) == (1, 1)
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Unit and integration tests for the synchronous CONGEST engine."""
 
+import random
 from typing import List
 
 import pytest
@@ -16,6 +17,7 @@ from repro.simulation import (
     SimulatorConfig,
 )
 from repro.simulation.errors import SimulationError
+from repro.simulation.rng import make_rng, spawn_rng
 
 pytestmark = pytest.mark.engine
 
@@ -765,3 +767,60 @@ class TestWake:
         sim.wake(0)
         sim.run()
         assert (sim.round, len(sim.metrics.per_round)) == before
+
+
+class LateSampler(NodeProcess):
+    """Stays active until round ``read_round``, then draws three values
+    from ``ctx.rng`` (``read_round=None``: never reads it)."""
+
+    def __init__(self, node_id, read_round=None):
+        super().__init__(node_id)
+        self.read_round = read_round
+        self.done = read_round is None
+
+    def on_round(self, ctx, inbox):
+        if ctx.round == self.read_round:
+            self.result = [ctx.rng.random() for _ in range(3)]
+            self.done = True
+
+
+def eager_streams(seed, nodes):
+    """What one ``spawn_rng`` per registration, in order, would draw."""
+    root = make_rng(seed)
+    return {node: [rng.random() for _ in range(3)]
+            for node, rng in ((node, spawn_rng(root, label=repr(node))) for node in nodes)}
+
+
+class TestNodeRngs:
+    """A node's RNG is seeded at registration and built on its first read."""
+
+    def test_a_first_read_in_round_3_draws_the_eager_stream(self):
+        sim = Simulator(line_network(5), SimulatorConfig(seed=9))
+        sim.add_processes(LateSampler(node, read_round=3 if node % 2 else 1) for node in range(5))
+        sim.run()
+        assert sim.results() == eager_streams(9, range(5))
+        assert sim.round == 4
+
+    def test_never_read_processes_build_no_generator(self):
+        sim = Simulator(line_network(5), SimulatorConfig(seed=9))
+        sim.add_processes(LateSampler(node, read_round=2 if node == 3 else None) for node in range(5))
+        sim.run()
+        built = [node for node, rng in sim._rngs.items() if isinstance(rng, random.Random)]
+        assert built == [3]
+
+    def test_retiring_or_crashing_unread_processes_shifts_no_later_stream(self):
+        sim = Simulator(line_network(6), SimulatorConfig(seed=4))
+        sim.add_processes(LateSampler(node) for node in range(4))
+        sim.run()
+        sim.retire(1)
+        sim.crash(2)
+        # 1 re-joins fresh; 4 and 5 join for the first time.  Each draws the next child
+        # seed in registration order, as eager generators would have.
+        for node in (4, 1, 5):
+            sim.add_process(LateSampler(node, read_round=sim.round + 2))
+        sim.run()
+        expected = eager_streams(4, [0, 1, 2, 3, 4, 1, 5])
+        results = sim.results()
+        assert {node: results[node] for node in (4, 1, 5)} == {
+            4: expected[4], 1: expected[1], 5: expected[5],
+        }

@@ -108,6 +108,62 @@ class TestLinks:
         assert clone.labels(2, 3) == {"level0"}
 
 
+class TestSharedLabelSets:
+    def test_labels_are_one_frozenset_per_link(self):
+        net = Network()
+        net.add_link(1, 2, label="level0")
+        net.add_link(1, 2, label="level1")
+        labels = net.labels(1, 2)
+        assert type(labels) is frozenset
+        assert labels is net.labels(2, 1) is net.rows[1][2] is net.rows[2][1]
+
+    def test_equal_labellings_share_one_object(self):
+        net = Network()
+        net.add_link(1, 2, label="level0")
+        net.add_link(3, 4, label="level0")
+        net.add_link(5, 6, label="level1")
+        net.add_link(5, 6, label="level0")
+        net.add_link(7, 8, label="level0")
+        net.add_link(7, 8, label="level1")
+        assert net.labels(1, 2) is net.labels(3, 4)
+        assert net.labels(5, 6) is net.labels(7, 8)
+        net.remove_link(5, 6, label="level1")
+        assert net.labels(5, 6) is net.labels(1, 2)
+
+    def test_labels_without_a_link_is_empty(self, triangle):
+        assert triangle.labels(1, 99) == frozenset()
+        assert triangle.labels(99, 1) == frozenset()
+
+    def test_copy_shares_label_sets(self, triangle):
+        clone = triangle.copy()
+        for u, v in triangle.edges():
+            assert clone.rows[u][v] is triangle.rows[u][v]
+        clone.add_link(1, 4, label="level0")
+        assert clone.labels(1, 4) is triangle.labels(1, 2)
+
+    @pytest.mark.parametrize("side", ["source", "clone"])
+    def test_copy_stays_independent_of_later_writes(self, triangle, side):
+        clone = triangle.copy()
+        written, kept = (triangle, clone) if side == "source" else (clone, triangle)
+        written.add_link(1, 2, label="level1")
+        written.remove_link(2, 3, label="level0")
+        written.add_link(3, 4, label="level2")
+        written.remove_node(1)
+        assert kept.labels(1, 2) == {"level0"} and kept.labels(1, 3) == {"level1"}
+        assert kept.labels(2, 3) == {"level0"}
+        assert not kept.has_node(4) and kept.edge_count() == 3
+
+    def test_a_skip_graph_overlay_holds_a_few_hundred_label_sets(self):
+        from repro.distributed.routing_protocol import skip_graph_network
+        from repro.simulation.rng import make_rng
+        from repro.skipgraph.build import build_skip_graph
+
+        network = skip_graph_network(build_skip_graph(range(4096), make_rng(3)))
+        label_sets = [labels for row in network.rows.values() for labels in row.values()]
+        assert len(label_sets) == 2 * network.edge_count() > 40_000
+        assert len({id(labels) for labels in label_sets}) == len(set(label_sets)) <= 300
+
+
 # --------------------------------------------------------------------------
 # Model-based test: the row table against a naive set of (link, label) triples.
 
@@ -121,7 +177,7 @@ _operation = st.one_of(
     st.tuples(st.just("add_link"), _node, _node, _label),
     st.tuples(st.just("remove_link"), _node, _node, _label),
     st.tuples(st.just("remove_node"), _node),
-    st.tuples(st.just("copy")),
+    st.tuples(st.just("copy"), st.sampled_from(["source", "clone"])),
 )
 
 
@@ -134,6 +190,11 @@ class _NaiveNetwork:
 
     def labels(self, u, v):
         return {label for link, label in self.triples if link == frozenset((u, v))}
+
+    def copy(self):
+        clone = _NaiveNetwork()
+        clone.nodes, clone.triples = set(self.nodes), set(self.triples)
+        return clone
 
     def add_link(self, u, v, label):
         if u == v:
@@ -174,18 +235,28 @@ def _assert_agrees(network, model):
             assert network.has_link(u, v) == network.has_link(v, u) == (frozenset((u, v)) in links)
             assert network.labels(u, v) == network.labels(v, u) == model.labels(u, v)
             if network.has_link(u, v):
-                assert network.rows[u][v] is network.rows[v][u]  # one shared label set
+                labels = network.rows[u][v]
+                assert type(labels) is frozenset and labels is network.rows[v][u]
+    # Interned: equal labellings are one object.
+    label_sets = [labels for row in network.rows.values() for labels in row.values()]
+    assert len({id(labels) for labels in label_sets}) == len(set(label_sets))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_operation, max_size=40))
 def test_network_matches_naive_model(operations):
     network, model = Network(), _NaiveNetwork()
+    # Networks set aside at a copy, each with the model of its state then:
+    # later writes to the one that goes on must never reach them.
+    frozen = []
     for name, *args in operations:
         if name == "copy":
-            original, network = network, network.copy()
-            for u, v in network.edges():
-                assert network.rows[u][v] is not original.rows[u][v]
+            clone = network.copy()
+            if args == ["clone"]:
+                frozen.append((network, model.copy()))
+                network = clone
+            else:
+                frozen.append((clone, model.copy()))
         elif name == "add_node":
             network.add_node(*args)
             model.nodes.add(*args)
@@ -199,3 +270,5 @@ def test_network_matches_naive_model(operations):
             else:
                 getattr(network, name)(*args)
         _assert_agrees(network, model)
+        for kept, snapshot in frozen:
+            _assert_agrees(kept, snapshot)

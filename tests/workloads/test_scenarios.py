@@ -13,25 +13,19 @@ from repro.workloads import (
     RequestEvent,
     Scenario,
     churn_scenario,
+    failure_scenario,
     run_scenario,
     scale_scenario,
 )
+from repro.workloads.scenarios import replay_population
 
 
 def replay_validity(scenario):
-    """Every request references peers alive at that point of the schedule."""
-    alive = set(scenario.initial_keys)
-    for event in scenario.events:
-        if isinstance(event, RequestEvent):
-            assert event.source in alive and event.destination in alive
-            assert event.source != event.destination
-        elif isinstance(event, JoinEvent):
-            assert event.key not in alive
-            alive.add(event.key)
-        else:
-            assert event.key in alive
-            alive.remove(event.key)
-    return alive
+    """Every request references two distinct peers alive at that point of
+    the schedule, and every join and leave fits; returns the final alive set."""
+    assert all(event.source != event.destination for event in scenario.events
+               if isinstance(event, RequestEvent))
+    return replay_population(scenario)
 
 
 class TestChurnScenario:
@@ -129,6 +123,51 @@ class TestScaleScenario:
         assert report.costs.requests == scenario.request_count
         assert report.requests_per_second > 0
         assert report.final_nodes == report.initial_nodes + report.joins - report.leaves
+
+
+class TestRunScenarioBoundary:
+    """``run_scenario`` rejects a schedule that does not fit its population
+    before it builds or serves anything."""
+
+    def test_a_stale_destination_raises_before_any_request_is_served(self):
+        scenario = failure_scenario(n=32, length=300, seed=7, crash_rate=0.03)
+        down, stale = set(), None
+        for index, event in enumerate(scenario.events):
+            if isinstance(event, CrashEvent):
+                down.add(event.key)
+            elif isinstance(event, RecoveryEvent):
+                down.discard(event.key)
+            elif event.destination in down:
+                stale = index
+                break
+        # Requests come before it, so a late check would serve some first.
+        assert stale is not None and any(isinstance(e, RequestEvent) for e in scenario.events[:stale])
+        adapter = DSGAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=7))
+        with pytest.raises(ValueError, match=f"event {stale} .* is down"):
+            run_scenario(scenario, algorithm=adapter)
+        assert adapter.requests_served == 0
+
+    @pytest.mark.parametrize(
+        "events, state",
+        [
+            ([RequestEvent(1, 2), RequestEvent(99, 2)], "not a member"),
+            ([RequestEvent(1, 2), RequestEvent(1, 99)], "not a member"),
+            ([LeaveEvent(5), RequestEvent(5, 2)], "not a member"),
+            ([RequestEvent(1, 2), JoinEvent(5)], "alive"),
+            ([RequestEvent(1, 2), LeaveEvent(99)], "not a member"),
+            ([CrashEvent(5), CrashEvent(5)], "down"),
+            ([CrashEvent(5), JoinEvent(5)], "down"),
+            ([RequestEvent(1, 2), RecoveryEvent(5)], "alive"),
+        ],
+        ids=["unknown-source", "unknown-destination", "departed-source", "join-of-a-member",
+             "leave-of-a-stranger", "crash-of-a-down-key", "join-of-a-down-key", "recovery-of-a-live-key"],
+    )
+    def test_a_misfit_event_raises_naming_its_index(self, events, state):
+        scenario = Scenario(name="misfit", initial_keys=list(range(1, 17)), events=events)
+        adapter = DSGAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=1))
+        with pytest.raises(ValueError, match=f"event 1 .* is {state}"):
+            run_scenario(scenario, algorithm=adapter)
+        assert adapter.requests_served == 0 and adapter.population() == 16
 
 
 @pytest.mark.engine

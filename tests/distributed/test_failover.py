@@ -59,6 +59,7 @@ from repro.workloads import (
     Scenario,
     failure_scenario,
 )
+from repro.workloads.scenarios import replay_population
 
 pytestmark = pytest.mark.failure
 
@@ -353,21 +354,11 @@ class TestMidWaveArena:
 
 
 def _replay(scenario):
-    """Play the schedule over the alive set, asserting every event is valid
-    where it stands: crashes and sources alive, recoveries crashed."""
-    alive, crashed = set(scenario.initial_keys), set()
-    for event in scenario.events:
-        if isinstance(event, CrashEvent):
-            assert event.key in alive, event
-            alive.remove(event.key)
-            crashed.add(event.key)
-        elif isinstance(event, RecoveryEvent):
-            assert event.key in crashed, event
-            crashed.remove(event.key)
-            alive.add(event.key)
-        else:
-            assert event.source in alive and event.source != event.destination, event
-    return alive
+    """Every event is valid where it stands (crashes and sources alive,
+    recoveries crashed) and no request is a self-loop."""
+    assert all(event.source != event.destination for event in scenario.events
+               if isinstance(event, RequestEvent))
+    return replay_population(scenario, stale_destinations=True)
 
 
 class TestFailureScenario:

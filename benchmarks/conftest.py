@@ -193,7 +193,7 @@ def routing_under_churn(n, churn_length, route_pairs, seed):
 
     started = time.perf_counter()
     install_routing(simulator, graph, requests)
-    replay = replay_scenario(
+    replay_scenario(
         simulator, scenario, process_factory=lambda key: make_router(simulator.network, key), graph=graph
     )
     simulator.run()
@@ -201,7 +201,7 @@ def routing_under_churn(n, churn_length, route_pairs, seed):
     completed = sum(process.completed for process in simulator.processes.values())
     row = protocol_row(
         "routing", n, congest_budget_bits(n), simulator.metrics.summary(),
-        joins=replay.joins, leaves=replay.leaves, wall_seconds=wall,
+        joins=scenario.join_count, leaves=scenario.leave_count, wall_seconds=wall,
     )
     return row, completed, simulator, graph
 

@@ -71,7 +71,6 @@ from repro.distributed.routing_protocol import (
     trace_route,
 )
 from repro.distributed.bridge import (
-    ScenarioReplay,
     apply_crash,
     apply_join,
     apply_local_op,
@@ -106,7 +105,6 @@ from repro.distributed.amf_protocol import AMFProtocolResult, install_amf, run_a
 __all__ = [
     "AMFProtocolResult",
     "BroadcastResult",
-    "ScenarioReplay",
     "apply_crash",
     "apply_join",
     "apply_local_op",

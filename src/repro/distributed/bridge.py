@@ -15,7 +15,6 @@ object at call time, so a tracer that rebinds them there sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.local_ops import DummyRemoveOp, LocalOp, NodeJoinOp, NodeLeaveOp
@@ -25,16 +24,9 @@ from repro.simulation.rng import make_rng
 from repro.skipgraph.build import draw_membership_bits
 from repro.skipgraph.node import Key
 from repro.skipgraph.skipgraph import SkipGraph
-from repro.workloads.scenarios import (
-    CrashEvent,
-    JoinEvent,
-    RecoveryEvent,
-    RequestEvent,
-    Scenario,
-)
+from repro.workloads.scenarios import JoinEvent, RequestEvent, Scenario, replay_population
 
 __all__ = [
-    "ScenarioReplay",
     "apply_crash",
     "apply_join",
     "apply_local_op",
@@ -150,20 +142,12 @@ def repair_crashes(
     return affected, links_added
 
 
-@dataclass
-class ScenarioReplay:
-    """How many membership events :func:`replay_scenario` scheduled."""
-
-    joins: int
-    leaves: int
-
-
 def replay_scenario(
     sim: Simulator,
     scenario: Scenario,
     process_factory: Optional[Callable[[Key], Optional[NodeProcess]]] = None,
     graph: Optional[SkipGraph] = None,
-) -> ScenarioReplay:
+) -> None:
     """Schedule ``scenario``'s join/leave events as churn callbacks on a live simulator.
 
     This is the bridge between the workload layer and the message-passing
@@ -182,35 +166,29 @@ def replay_scenario(
       :func:`apply_local_op`: the departed node's left/right list
       neighbours become adjacent at every level it occupied (links close up
       over it, Section IV-G) and its process is retired.
-    * ``RequestEvent`` — skipped (no round consumed); the caller hands
-      requests to its own processes.
+    * ``RequestEvent`` — skipped unchecked (no round consumed); the caller
+      hands requests to its own processes.
 
-    A ``CrashEvent`` or ``RecoveryEvent`` raises :class:`ValueError` before
-    anything is scheduled: crash-stop schedules run wave by wave through
-    :func:`~repro.distributed.failover.run_failure_arena`.  ``graph`` must
-    be the skip-graph topology mirror the simulator's network was built
-    from (:func:`~repro.distributed.routing_protocol.skip_graph_network`);
-    it is required when the scenario contains churn.  The run does not
-    quiesce before the last scheduled event, so a protocol running on the
-    simulator experiences the whole churn schedule.
+    A schedule the replay's row of :data:`~repro.workloads.scenarios.PLAYS`
+    rejects — a crash or recovery (crash-stop schedules run wave by wave
+    through :func:`~repro.distributed.failover.run_failure_arena`), a join
+    of a member, a leave of a non-member — raises ``ValueError`` naming the
+    event's index before anything is scheduled.  ``graph`` must be the
+    skip-graph topology mirror the simulator's network was built from
+    (:func:`~repro.distributed.routing_protocol.skip_graph_network`); it is
+    required when the scenario contains churn.  The run does not quiesce
+    before the last scheduled event, so a protocol running on the simulator
+    experiences the whole churn schedule.
     """
+    replay_population(scenario, "replay_scenario")
     churn = [event for event in scenario.events if not isinstance(event, RequestEvent)]
-    for event in churn:
-        if isinstance(event, (CrashEvent, RecoveryEvent)):
-            raise ValueError(
-                f"replay_scenario schedules joins and leaves only; crash/recovery "
-                f"schedules run through run_failure_arena, got {event!r}"
-            )
     if churn and graph is None:
         raise ValueError("replaying a scenario with churn requires the skip graph mirror")
     rng = make_rng(scenario.params.get("seed"))
     first = sim.round
-    joins = leaves = 0
 
     for offset, event in enumerate(churn):
         if isinstance(event, JoinEvent):
-            joins += 1
-
             def callback(s: Simulator, key=event.key) -> None:
                 apply_join(s, graph, key, rng)
                 process = process_factory(key) if process_factory is not None else None
@@ -218,10 +196,7 @@ def replay_scenario(
                     s.add_process(process)
 
         else:
-            leaves += 1
-
             def callback(s: Simulator, key=event.key) -> None:
                 apply_local_op(s, graph, NodeLeaveOp(key))
 
         sim.schedule(first + offset, callback)
-    return ScenarioReplay(joins=joins, leaves=leaves)

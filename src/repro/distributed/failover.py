@@ -252,12 +252,12 @@ def run_failure_arena(
     ``graph`` defaults to the balanced start topology over the scenario's
     initial keys.  The engine runs in strict mode: the arena proves its
     claims by *raising* on a congestion violation or an illegal send, not
-    by counting them after the fact.  A schedule that does not fit its
-    population (:func:`~repro.workloads.scenarios.replay_population` with
-    stale destinations: a crash of a key that is down, a recovery of one
-    that is up, a request from a down source, any key outside
-    ``scenario.initial_keys``) raises ``ValueError`` naming the event's
-    index before any engine is built.
+    by counting them after the fact.  A schedule the arena's row of
+    :data:`~repro.workloads.scenarios.PLAYS` rejects (a join or leave, a
+    self-loop, a crash of a key that is down, a recovery of one that is up,
+    a request from a down source, any key outside ``scenario.initial_keys``)
+    raises ``ValueError`` naming the event's index before any engine is
+    built; a request to a down key is a stale request.
 
     Each wave goes through rejoin, crash, inject, run, repair, retry and
     sweep.  A request lost in flight to a mid-wave crash (rid with no
@@ -266,7 +266,7 @@ def run_failure_arena(
     before each — and counted ``retried_delivered`` on success; only
     requests whose destination is genuinely gone end up ``failed``.
     """
-    replay_population(scenario, stale_destinations=True)
+    replay_population(scenario, "run_failure_arena")
     if graph is None:
         graph = build_balanced_skip_graph(scenario.initial_keys)
     network = skip_graph_network(graph, k=k)

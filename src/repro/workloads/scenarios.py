@@ -45,9 +45,10 @@ deep transformations, periodic flash crowds around hotspots, and steady
 background churn.
 
 This module is the schedule side only — event types, :class:`Scenario`,
-:func:`run_scenario`, three generators and :class:`Wave`, the one rule
-for where a failure schedule's waves start — and imports nothing from the
-message-passing layers.  The same schedules replay against a live CONGEST
+:data:`PLAYS` (which runner plays which events), :func:`run_scenario`,
+three generators and :class:`Wave`, the one rule for where a failure
+schedule's waves start — and imports nothing from the message-passing
+layers.  The same schedules replay against a live CONGEST
 simulator through :func:`repro.distributed.bridge.replay_scenario`.
 """
 
@@ -68,6 +69,7 @@ __all__ = [
     "CrashEvent",
     "JoinEvent",
     "LeaveEvent",
+    "PLAYS",
     "RecoveryEvent",
     "RequestEvent",
     "Scenario",
@@ -268,24 +270,46 @@ class ScenarioReport:
 
 
 # --------------------------------------------------------------------- runner
-def replay_population(scenario: Scenario, stale_destinations: bool = False) -> Set[Key]:
-    """Replay ``scenario``'s membership from its initial keys; the final alive set.
+#: The events each runner plays: the kinds, and the states a request's
+#: destination may be in.  A runner that does not play requests skips them
+#: unchecked; a down destination is the failure arena's stale request.
+PLAYS: Dict[str, Tuple[Tuple[type, ...], Tuple[str, ...]]] = {
+    "run_scenario": ((RequestEvent, JoinEvent, LeaveEvent, CrashEvent, RecoveryEvent), ("alive",)),
+    "run_failure_arena": ((RequestEvent, CrashEvent, RecoveryEvent), ("alive", "down")),
+    "replay_scenario": ((JoinEvent, LeaveEvent), ()),
+}
 
-    The boundary check both runners make before anything is built or
-    served.  A key is *alive*, *down* (crashed, not yet recovered) or not a
-    member.  Raises ``ValueError`` naming the index of the first event that
-    does not fit where it stands: a request whose source is not alive, or
-    whose destination is not alive (with ``stale_destinations``, as the
-    failure arena serves them, a down destination is a stale request and
-    fits); a join of a key that is alive or down; a leave or crash of a key
+
+def replay_population(scenario: Scenario, runner: str) -> Set[Key]:
+    """Check ``scenario`` against ``runner``'s row of :data:`PLAYS`; the final alive set.
+
+    The one boundary pass each runner makes before it builds, schedules or
+    serves anything.  A key is *alive*, *down* (crashed, not yet recovered)
+    or not a member.  Raises ``ValueError`` naming the index of the first
+    event that does not fit where it stands: a kind the runner does not
+    play (the message names the runners that do); a self-loop; a request
+    from a key that is not alive, or to one in a state the row does not
+    admit; a join of a key that is alive or down; a leave or crash of a key
     that is not alive; a recovery of a key that is not down.
     """
+    kinds, destinations = PLAYS[runner]
     alive = set(scenario.initial_keys)
     down: Set[Key] = set()
+
+    def state(key: Key) -> str:
+        return "alive" if key in alive else "down" if key in down else "not a member"
+
     for index, event in enumerate(scenario.events):
+        if not isinstance(event, kinds):
+            if isinstance(event, RequestEvent):
+                continue
+            players = " or ".join(name for name, (played, _) in PLAYS.items() if isinstance(event, played))
+            raise ValueError(f"event {index} ({event!r}): {runner} does not play it; {players} does")
         if isinstance(event, RequestEvent):
             source, destination = event.source, event.destination
-            if source in alive and (destination in alive or (stale_destinations and destination in down)):
+            if source == destination:
+                raise ValueError(f"event {index} ({event!r}) is a self-loop")
+            if source in alive and state(destination) in destinations:
                 continue
             key = destination if source in alive else source
         elif isinstance(event, JoinEvent):
@@ -306,8 +330,9 @@ def replay_population(scenario: Scenario, stale_destinations: bool = False) -> S
                 if isinstance(event, CrashEvent):
                     down.add(key)
                 continue
-        state = "alive" if key in alive else "down" if key in down else "not a member"
-        raise ValueError(f"event {index} ({event!r}) does not fit the population: key {key!r} is {state}")
+        raise ValueError(
+            f"event {index} ({event!r}) does not fit the population: key {key!r} is {state(key)}"
+        )
     return alive
 
 
@@ -333,7 +358,7 @@ def run_scenario(
     A schedule :func:`replay_population` rejects raises its ``ValueError``
     before anything is built or served.
     """
-    replay_population(scenario)
+    replay_population(scenario, "run_scenario")
     if algorithm is None:
         algorithm = DSGAdapter(keys=scenario.initial_keys, config=config)
     elif config is not None:
@@ -343,30 +368,20 @@ def run_scenario(
     # delta is exactly this scenario's contribution — keeping every report
     # field scoped to the scenario even when the adapter is reused.
     base_ws = algorithm.working_set_bound()
-    joins = leaves = crashes = recoveries = 0
     max_height = algorithm.height()
     started = time.perf_counter()
     for event in scenario.events:
         if isinstance(event, RequestEvent):
             run.record(algorithm.request(event.source, event.destination))
             continue
-        if isinstance(event, JoinEvent):
+        # A centralized structure has no dark window: a crash degenerates to
+        # an immediate repair, i.e. a leave minus the goodbye (which only the
+        # message-passing layer can observe), and a recovery — rejoin as a
+        # fresh identity — is exactly a join with new bits.
+        if isinstance(event, (JoinEvent, RecoveryEvent)):
             algorithm.join(event.key)
-            joins += 1
-        elif isinstance(event, CrashEvent):
-            # A centralized structure has no dark window: the crash
-            # degenerates to an immediate repair, i.e. a leave minus the
-            # goodbye (which only the message-passing layer can observe).
-            algorithm.leave(event.key)
-            crashes += 1
-        elif isinstance(event, RecoveryEvent):
-            # Rejoin as a fresh identity: the crash already removed the key
-            # (above), so recovery is exactly a join with new bits.
-            algorithm.join(event.key)
-            recoveries += 1
         else:
             algorithm.leave(event.key)
-            leaves += 1
         max_height = max(max_height, algorithm.height())
     elapsed = time.perf_counter() - started
 
@@ -376,15 +391,15 @@ def run_scenario(
         costs=run,
         initial_nodes=len(scenario.initial_keys),
         final_nodes=algorithm.population(),
-        joins=joins,
-        leaves=leaves,
+        joins=scenario.join_count,
+        leaves=scenario.leave_count,
         working_set_bound=algorithm.working_set_bound() - base_ws,
         final_height=final_height,
         max_height=max(max_height, final_height),
         dummy_count=algorithm.dummy_count(),
         elapsed_seconds=elapsed,
-        crashes=crashes,
-        recoveries=recoveries,
+        crashes=scenario.crash_count,
+        recoveries=scenario.recovery_count,
     )
 
 

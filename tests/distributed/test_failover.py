@@ -25,8 +25,8 @@ Covers the distributed half of the failure model:
   endpoints in every wave ``segment_waves`` yields, skips a burst member
   a mid-wave crash already took, and rejects rates outside ``[0, 1]``;
 * an event naming a key outside the initial keys, a crash of a key that
-  is down, a recovery of one that is up and a request from a down source
-  raise before any engine is built;
+  is down, a recovery of one that is up, a request from a down source, a
+  self-loop, a join and a leave raise before any engine is built;
 * same-seed arena runs are bit-for-bit deterministic in their
   delivered/failed/route-around accounting (the flaky-seed hardening
   satellite), for the recovery and mid-wave shapes too.
@@ -54,6 +54,7 @@ from repro.skipgraph.build import draw_membership_bits
 from repro.workloads import (
     CrashEvent,
     JoinEvent,
+    LeaveEvent,
     RecoveryEvent,
     RequestEvent,
     Scenario,
@@ -353,14 +354,6 @@ class TestMidWaveArena:
                 assert wave.mid_wave_crashes > 0 and wave.dropped_messages > 0
 
 
-def _replay(scenario):
-    """Every event is valid where it stands (crashes and sources alive,
-    recoveries crashed) and no request is a self-loop."""
-    assert all(event.source != event.destination for event in scenario.events
-               if isinstance(event, RequestEvent))
-    return replay_population(scenario, stale_destinations=True)
-
-
 class TestFailureScenario:
     @pytest.mark.parametrize("limit", [1, None], ids=["limit1", "unguarded"])
     @pytest.mark.parametrize("mode", ["racks", "flash"])
@@ -369,10 +362,10 @@ class TestFailureScenario:
         skipped (it used to raise ``KeyError`` under a limit and
         ``ValueError`` without one)."""
         for seed in range(8):
-            _replay(failure_scenario(
+            replay_population(failure_scenario(
                 n=48, length=200, seed=seed, mode=mode, rack_count=4, flash_size=8,
                 mid_wave_fraction=0.1, recovery_fraction=0.3, adjacent_crash_limit=limit,
-            ))
+            ), "run_failure_arena")
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -447,9 +440,10 @@ class TestArenaBoundary:
             ([RequestEvent(1, 2), RecoveryEvent(5)], 1, "alive"),
             ([CrashEvent(3), RecoveryEvent(3), RecoveryEvent(3)], 2, "alive"),
             ([CrashEvent(3), RequestEvent(3, 2)], 1, "down"),
+            ([RequestEvent(4, 4)], 0, "a self-loop"),
         ],
         ids=["crash-of-a-down-key", "recovery-of-a-live-key", "second-recovery",
-             "request-from-a-down-source"],
+             "request-from-a-down-source", "self-loop"],
     )
     def test_a_schedule_that_does_not_fit_its_population_raises_before_any_engine_is_built(
         self, events, index, state, monkeypatch
@@ -462,6 +456,23 @@ class TestArenaBoundary:
         monkeypatch.setattr(failover, "Simulator", no_engine)
         with pytest.raises(ValueError, match=f"event {index} .* is {state}"):
             run_failure_arena(_hand_scenario(events), k=2, seed=11)
+
+    @pytest.mark.parametrize("churn", [JoinEvent(99), LeaveEvent(5)], ids=["join", "leave"])
+    def test_graceful_churn_raises_before_any_engine_is_built(self, churn, monkeypatch):
+        """Joins and leaves are rejected at the boundary, not by ``Wave.add``
+        after the engine is up."""
+        import repro.distributed.failover as failover
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return Simulator(*args, **kwargs)
+
+        monkeypatch.setattr(failover, "Simulator", counted)
+        with pytest.raises(ValueError, match="event 1 .*run_failure_arena does not play"):
+            run_failure_arena(_hand_scenario([RequestEvent(1, 2), churn]), k=2, seed=11)
+        assert built == []
 
     def test_a_request_to_a_down_key_is_a_stale_request(self):
         report = run_failure_arena(_hand_scenario([CrashEvent(3), RequestEvent(1, 3)]), k=2, seed=11)

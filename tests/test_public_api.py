@@ -50,7 +50,7 @@ class TestDistributedExports:
         "AMFProtocolResult", "AdmissionRecord", "BroadcastResult", "ConflictSet", "DSGProcess",
         "DistributedDSG", "DistributedDSGReport", "DistributedRequestOutcome",
         "FailureArenaReport", "FailureWaveReport", "NeighborTable", "PipelineWindow",
-        "PipelinedDSG", "RouteLedger", "RoutingProtocolResult", "ScenarioReplay",
+        "PipelinedDSG", "RouteLedger", "RoutingProtocolResult",
         "SumProtocolResult", "Wave", "apply_crash", "apply_join", "apply_local_op",
         "apply_network_delta", "apply_recovery", "install_amf", "install_broadcast",
         "install_routing", "install_sum", "make_router", "networks_equal", "patch_network",
@@ -252,11 +252,14 @@ class TestRetiredSurface:
     def test_drivers_keep_only_the_options_callers_set(self):
         import repro.distributed as distributed
         from repro.distributed import bridge, dsg_protocol, failover
+        from repro.workloads.scenarios import replay_population
 
         assert list(inspect.signature(bridge.replay_scenario).parameters) == [
             "sim", "scenario", "process_factory", "graph",
         ]  # fmt: skip
-        assert [f.name for f in dataclasses.fields(bridge.ScenarioReplay)] == ["joins", "leaves"]
+        # The replay's counts are the scenario's own (``Scenario.join_count``).
+        assert not hasattr(bridge, "ScenarioReplay")
+        assert list(inspect.signature(replay_population).parameters) == ["scenario", "runner"]
         assert list(inspect.signature(failover.run_failure_arena).parameters) == [
             "scenario", "k", "seed", "graph",
         ]  # fmt: skip

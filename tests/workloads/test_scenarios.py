@@ -17,15 +17,7 @@ from repro.workloads import (
     run_scenario,
     scale_scenario,
 )
-from repro.workloads.scenarios import replay_population
-
-
-def replay_validity(scenario):
-    """Every request references two distinct peers alive at that point of
-    the schedule, and every join and leave fits; returns the final alive set."""
-    assert all(event.source != event.destination for event in scenario.events
-               if isinstance(event, RequestEvent))
-    return replay_population(scenario)
+from repro.workloads.scenarios import PLAYS, replay_population
 
 
 class TestChurnScenario:
@@ -35,7 +27,7 @@ class TestChurnScenario:
         second = churn_scenario(n=48, length=400, seed=7, base=base, churn_rate=0.05)
         assert first.events == second.events
         assert len(first.events) == 400
-        replay_validity(first)
+        replay_population(first, "run_scenario")
         assert first.join_count > 0
 
     def test_unknown_base_rejected(self):
@@ -95,7 +87,7 @@ class TestScaleScenario:
             flash_count=2, crowd_size=6, churn_rate=0.01,
         )
         assert len(scenario.events) == 1200
-        alive = replay_validity(scenario)
+        alive = replay_population(scenario, "run_scenario")
         assert scenario.request_count + scenario.join_count + scenario.leave_count == 1200
         assert len(alive) == 512 + scenario.join_count - scenario.leave_count
 
@@ -158,9 +150,11 @@ class TestRunScenarioBoundary:
             ([CrashEvent(5), CrashEvent(5)], "down"),
             ([CrashEvent(5), JoinEvent(5)], "down"),
             ([RequestEvent(1, 2), RecoveryEvent(5)], "alive"),
+            ([RequestEvent(1, 2), RequestEvent(3, 3)], "a self-loop"),
         ],
         ids=["unknown-source", "unknown-destination", "departed-source", "join-of-a-member",
-             "leave-of-a-stranger", "crash-of-a-down-key", "join-of-a-down-key", "recovery-of-a-live-key"],
+             "leave-of-a-stranger", "crash-of-a-down-key", "join-of-a-down-key", "recovery-of-a-live-key",
+             "self-loop"],
     )
     def test_a_misfit_event_raises_naming_its_index(self, events, state):
         scenario = Scenario(name="misfit", initial_keys=list(range(1, 17)), events=events)
@@ -174,7 +168,8 @@ class TestRunScenarioBoundary:
 class TestReplayScenario:
     """The bridge from join/leave schedules to the CONGEST simulator."""
 
-    def _arena(self, n=32, seed=5):
+    @staticmethod
+    def _arena(n=32, seed=5):
         from repro.distributed import skip_graph_network
         from repro.simulation import Simulator, SimulatorConfig
         from repro.skipgraph import build_balanced_skip_graph
@@ -192,8 +187,8 @@ class TestReplayScenario:
 
         graph, simulator = self._arena()
         scenario = churn_scenario(n=32, length=40, seed=11, churn_rate=0.5)
-        replay = replay_scenario(simulator, scenario, graph=graph)
-        assert replay.joins > 0 and replay.leaves > 0
+        replay_scenario(simulator, scenario, graph=graph)
+        assert scenario.join_count > 0 and scenario.leave_count > 0
         simulator.run()
         # The incrementally rewired network equals one rebuilt from scratch
         # off the mirrored skip graph (links and per-level labels).
@@ -204,7 +199,7 @@ class TestReplayScenario:
         }
         for u, v in rebuilt.edges():
             assert simulator.network.labels(u, v) == rebuilt.labels(u, v)
-        expected = 32 + replay.joins - replay.leaves
+        expected = 32 + scenario.join_count - scenario.leave_count
         assert len(simulator.network) == expected
 
     def test_joiner_process_factory_receives_on_start(self):
@@ -250,14 +245,15 @@ class TestReplayScenario:
         assert not simulator.network.has_node(5)
 
     def test_requests_are_skipped_and_churn_needs_a_graph(self):
+        """Requests are the caller's and go unchecked: one naming a key that
+        never joined (e11's join-free broadcast wave keeps those) replays."""
         graph, simulator = self._arena()
         scenario = Scenario(
             name="requests", initial_keys=list(range(1, 33)),
-            events=[RequestEvent(1, 2), JoinEvent(40), RequestEvent(3, 4), LeaveEvent(5)],
+            events=[RequestEvent(1, 2), JoinEvent(40), RequestEvent(3, 99), LeaveEvent(5)],
             params={"seed": 3},
         )
-        replay = replay_scenario(simulator, scenario, graph=graph)
-        assert (replay.joins, replay.leaves) == (1, 1)
+        replay_scenario(simulator, scenario, graph=graph)
         simulator.run()
         # One round per membership event; requests consume none.
         assert simulator.round == 2
@@ -286,13 +282,89 @@ class TestReplayScenario:
         assert 40 not in graph and not simulator.network.has_node(40)
         assert 5 not in simulator.crashed and simulator.network.has_node(5)
 
+    def test_a_misfit_membership_event_raises_before_anything_is_scheduled(self):
+        """The leave of a stranger is rejected up front, so the join ahead of
+        it does not land either."""
+        graph, simulator = self._arena()
+        scenario = Scenario(
+            name="misfit", initial_keys=list(range(1, 33)),
+            events=[JoinEvent(40), LeaveEvent(99)], params={"seed": 3},
+        )
+        with pytest.raises(ValueError, match="event 1 .* is not a member"):
+            replay_scenario(simulator, scenario, graph=graph)
+        simulator.run()
+        assert simulator.round == 0
+        assert 40 not in graph and not simulator.network.has_node(40)
+
     def test_second_wave_joins_do_not_collide_with_first_wave(self):
         first = churn_scenario(n=32, length=60, seed=1, churn_rate=0.5)
-        alive = replay_validity(first)
+        alive = replay_population(first, "run_scenario")
         second = churn_scenario(length=60, seed=2, churn_rate=0.5,
                                 initial_keys=sorted(alive))
         assert set(second.initial_keys) == alive
         first_joins = {e.key for e in first.events if isinstance(e, JoinEvent)}
         second_joins = {e.key for e in second.events if isinstance(e, JoinEvent)}
         assert not (first_joins & second_joins)
-        replay_validity(second)
+        replay_population(second, "run_scenario")
+
+
+#: One event of each kind that fits keys 1..16 where it stands.
+SAMPLES = {
+    RequestEvent: RequestEvent(1, 2),
+    JoinEvent: JoinEvent(40),
+    LeaveEvent: LeaveEvent(5),
+    CrashEvent: CrashEvent(5),
+    RecoveryEvent: RecoveryEvent(5),
+}
+
+UNPLAYED = [
+    pytest.param(runner, kind, id=f"{runner}-{kind.__name__}")
+    for runner, (kinds, _) in PLAYS.items()
+    for kind in SAMPLES
+    if kind is not RequestEvent and kind not in kinds
+]
+
+
+class TestPlaysTable:
+    """Each runner rejects, before it builds, schedules or serves anything, a
+    kind its row of ``PLAYS`` does not play, and names the runners that do."""
+
+    def test_every_kind_has_a_player(self):
+        assert set().union(*(kinds for kinds, _ in PLAYS.values())) == set(SAMPLES)
+
+    @pytest.mark.parametrize("runner, kind", UNPLAYED)
+    def test_an_unplayed_kind_raises_at_the_boundary(self, runner, kind, monkeypatch):
+        kinds, _ = PLAYS[runner]
+        scenario = Scenario(
+            name="unplayed", initial_keys=list(range(1, 17)),
+            events=[SAMPLES[kinds[0]], SAMPLES[kind]], params={"seed": 3},
+        )
+        error = getattr(self, runner)(scenario, monkeypatch)
+        assert f"event 1 ({SAMPLES[kind]!r}): {runner} does not play" in str(error)
+        players = [name for name, (played, _) in PLAYS.items() if kind in played]
+        assert players and all(name in str(error) for name in players)
+
+    def run_scenario(self, scenario, monkeypatch):
+        adapter = DSGAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=1))
+        with pytest.raises(ValueError) as raised:
+            run_scenario(scenario, algorithm=adapter)
+        assert adapter.requests_served == 0 and adapter.population() == 16
+        return raised.value
+
+    def run_failure_arena(self, scenario, monkeypatch):
+        import repro.distributed.failover as failover
+
+        built = []
+        monkeypatch.setattr(failover, "Simulator", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ValueError) as raised:
+            failover.run_failure_arena(scenario, k=2, seed=1)
+        assert built == []
+        return raised.value
+
+    def replay_scenario(self, scenario, monkeypatch):
+        graph, simulator = TestReplayScenario._arena(n=16)
+        with pytest.raises(ValueError) as raised:
+            replay_scenario(simulator, scenario, graph=graph)
+        simulator.run()
+        assert simulator.round == 0 and len(simulator.network) == len(graph) == 16
+        return raised.value

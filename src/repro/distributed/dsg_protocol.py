@@ -39,7 +39,8 @@ structurally in arrival order — joins install fresh processes via the
 ``install_*`` pattern, leaves retire them.
 
 The keystone guarantee, proven by ``tests/distributed/test_dsg_protocol.py``
-and asserted at 4096 nodes by ``benchmarks/bench_e14_distributed_dsg.py``:
+and asserted at 4096 nodes by ``benchmarks/bench_e17_pipeline.py`` (every
+window, and its ``churn`` row at window 1):
 on the same request sequence (with or without churn) the distributed
 protocol reaches the **same topology** as the centralized
 ``DynamicSkipGraph`` (op replay is exact) and charges the **same total
@@ -100,6 +101,7 @@ from repro.workloads.scenarios import (
     RecoveryEvent,
     RequestEvent,
     Scenario,
+    replay_population,
 )
 
 __all__ = [
@@ -373,7 +375,25 @@ class DistributedDSG:
         self._serve([LeaveEvent(key)])
 
     def run_scenario(self, scenario: Scenario) -> DistributedDSGReport:
-        """Serve a whole scenario with up to ``window`` events in flight."""
+        """Serve a whole scenario with up to ``window`` events in flight.
+
+        The schedule continues this driver's population, not
+        ``scenario.initial_keys``: a schedule
+        :func:`~repro.workloads.scenarios.replay_population` rejects against
+        it (live peers alive, crashed keys down) raises its ``ValueError``
+        before anything is planned, admitted or served.  The pass reads
+        only the keys the schedule names, so only theirs are looked up:
+        O(events) per call, not O(n).
+        """
+        graph, crashed = self.planner.graph, self.sim.crashed
+        named = set()
+        for event in scenario.events:
+            if isinstance(event, RequestEvent):
+                named.update((event.source, event.destination))
+            else:
+                named.add(event.key)
+        alive = {key for key in named if key in graph and not graph.node(key).is_dummy} - crashed
+        replay_population(scenario, "DistributedDSG.run_scenario", alive=alive, down=crashed)
         self._serve(scenario.events)
         return self.report()
 

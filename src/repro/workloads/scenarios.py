@@ -57,7 +57,7 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.baselines.adapter import DSGAdapter, ServingAlgorithm
 from repro.core.costs import CostLedger
@@ -275,26 +275,37 @@ class ScenarioReport:
 #: unchecked; a down destination is the failure arena's stale request.
 PLAYS: Dict[str, Tuple[Tuple[type, ...], Tuple[str, ...]]] = {
     "run_scenario": ((RequestEvent, JoinEvent, LeaveEvent, CrashEvent, RecoveryEvent), ("alive",)),
+    "DistributedDSG.run_scenario": (
+        (RequestEvent, JoinEvent, LeaveEvent, CrashEvent, RecoveryEvent), ("alive",)
+    ),
     "run_failure_arena": ((RequestEvent, CrashEvent, RecoveryEvent), ("alive", "down")),
     "replay_scenario": ((JoinEvent, LeaveEvent), ()),
 }
 
 
-def replay_population(scenario: Scenario, runner: str) -> Set[Key]:
+def replay_population(
+    scenario: Scenario,
+    runner: str,
+    alive: Optional[Iterable[Key]] = None,
+    down: Iterable[Key] = (),
+) -> Set[Key]:
     """Check ``scenario`` against ``runner``'s row of :data:`PLAYS`; the final alive set.
 
     The one boundary pass each runner makes before it builds, schedules or
     serves anything.  A key is *alive*, *down* (crashed, not yet recovered)
-    or not a member.  Raises ``ValueError`` naming the index of the first
-    event that does not fit where it stands: a kind the runner does not
-    play (the message names the runners that do); a self-loop; a request
-    from a key that is not alive, or to one in a state the row does not
-    admit; a join of a key that is alive or down; a leave or crash of a key
-    that is not alive; a recovery of a key that is not down.
+    or not a member; the population starts as ``alive`` (by default
+    ``scenario.initial_keys``) and ``down`` — a runner that serves the
+    schedule on a live system passes that system's own.  Raises
+    ``ValueError`` naming the index of the first event that does not fit
+    where it stands: a kind the runner does not play (the message names the
+    runners that do); a self-loop; a request from a key that is not alive,
+    or to one in a state the row does not admit; a join of a key that is
+    alive or down; a leave or crash of a key that is not alive; a recovery
+    of a key that is not down.
     """
     kinds, destinations = PLAYS[runner]
-    alive = set(scenario.initial_keys)
-    down: Set[Key] = set()
+    alive = set(scenario.initial_keys if alive is None else alive)
+    down = set(down)
 
     def state(key: Key) -> str:
         return "alive" if key in alive else "down" if key in down else "not a member"

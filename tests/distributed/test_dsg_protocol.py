@@ -28,7 +28,7 @@ from repro.simulation.message import congest_budget_bits
 from repro.skipgraph import verify_skip_graph_integrity
 from repro.workloads import (
     CrashEvent,
-    LeaveEvent,
+    JoinEvent,
     RecoveryEvent,
     RequestEvent,
     Scenario,
@@ -207,27 +207,53 @@ def make_driver(request):
 
 
 class TestRejectedEvent:
-    """The planner mutates as it plans and the loop plans ahead of the
-    window, so a rejected event must not strand the plans made before it:
-    they are served, then the rejection propagates."""
+    """``run_scenario`` checks the schedule against the driver's own
+    population (its ``PLAYS`` row) before it plans anything; a misfit the
+    check cannot see — one a ``mid_request_fault`` hook makes mid-run —
+    is still deferred until the plans made before it have been served."""
 
     @pytest.mark.parametrize(
-        "bad, error",
-        [(RequestEvent(7, 7), ValueError), (LeaveEvent(999), KeyError)],
-        ids=["equal-endpoints", "absent-leaver"],
+        "misfit",
+        [RequestEvent(3, 3), JoinEvent(5), RecoveryEvent(5)],
+        ids=["self-loop", "join-of-a-live-key", "recovery-of-a-live-key"],
     )
-    def test_events_planned_before_a_rejected_one_are_still_served(self, make_driver, bad, error):
-        driver = make_driver(seed=1, n=64)
+    def test_a_misfit_schedule_is_rejected_before_anything_is_served(self, misfit):
+        driver = DistributedDSG(keys=range(1, 17), seed=1)
+        start = driver.sim.round
+        with pytest.raises(ValueError, match=r"^event 1 "):
+            driver.run_scenario(Scenario("misfit", [], [RequestEvent(1, 2), misfit]))
+        assert driver.costs.requests == 0
+        assert driver.sim.round == start
+        assert not driver.outcomes
+
+    def test_the_population_checked_is_the_drivers_own(self):
+        driver = DistributedDSG(keys=range(1, 17), seed=1)
+        driver.join(100)
+        driver.crash(7)
+        with pytest.raises(ValueError, match=r"^event 0 .* key 7 is down"):
+            driver.run_scenario(Scenario("stale", [], [RequestEvent(1, 7)]))
+        schedule = [RequestEvent(100, 3), RecoveryEvent(7), RequestEvent(7, 2)]
+        report = driver.run_scenario(Scenario("continued", [], schedule))
+        assert report.requests == 2 and report.recoveries == 1
+        _assert_consistent(driver)
+
+    @pytest.mark.parametrize("window", [2, 4])
+    def test_a_hook_crash_of_a_later_endpoint_defers_the_rejection(self, window):
+        """The fault hook crashes 33 while (5, 60) is in flight; (9, 20) is
+        planned next, then the planner rejects (11, 33).  (9, 20) is served
+        before the rejection propagates; (11, 33) and (12, 50) are not."""
+        driver = DistributedDSG(
+            range(1, 65), config=DSGConfig(seed=1), seed=1, strict=True, window=window
+        )
         driver.request(3, 42)
-        schedule = [RequestEvent(5, 60), bad, RequestEvent(9, 33)]
-        with pytest.raises(error):
-            driver.run_scenario(Scenario("bad", [], schedule))
-        # (5, 60) was served; the rejected event and (9, 33) were not.
-        assert [(o.source, o.destination) for o in driver.outcomes] == [(3, 42), (5, 60)]
-        assert len(driver.outcomes) == driver.planner.costs.requests
+        driver.mid_request_fault = lambda: driver.crash_dark(33)
+        schedule = [RequestEvent(5, 60), RequestEvent(9, 20), RequestEvent(11, 33), RequestEvent(12, 50)]
+        with pytest.raises(KeyError):
+            driver.run_scenario(Scenario("hook", [], schedule))
+        assert [(o.source, o.destination) for o in driver.outcomes] == [(3, 42), (5, 60), (9, 20)]
         _assert_consistent(driver)
         assert driver.report().matches_planner
-        outcome = driver.request(5, 60)
+        outcome = driver.request(9, 20)
         assert outcome.measured_distance == outcome.planned_distance == 0
         _assert_consistent(driver)
 

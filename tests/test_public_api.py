@@ -259,7 +259,9 @@ class TestRetiredSurface:
         ]  # fmt: skip
         # The replay's counts are the scenario's own (``Scenario.join_count``).
         assert not hasattr(bridge, "ScenarioReplay")
-        assert list(inspect.signature(replay_population).parameters) == ["scenario", "runner"]
+        assert list(inspect.signature(replay_population).parameters) == [
+            "scenario", "runner", "alive", "down",
+        ]  # fmt: skip
         assert list(inspect.signature(failover.run_failure_arena).parameters) == [
             "scenario", "k", "seed", "graph",
         ]  # fmt: skip

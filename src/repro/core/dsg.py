@@ -146,21 +146,16 @@ class DynamicSkipGraph:
         if self.config.a < 2:
             raise ValueError("the balance parameter a must be at least 2")
         self._rng = make_rng(self.config.seed)
-        if graph is not None:
-            self.graph = graph
-        elif keys is not None:
-            keys = list(keys)
-            self._check_keys(keys)
-            self.graph = build_balanced_skip_graph(keys)
-        else:
+        if graph is None and keys is None:
             raise ValueError("provide either keys or a pre-built skip graph")
-        self._check_keys(self.graph.real_keys)
+        keys = list(keys) if graph is None else graph.real_keys
+        self._check_keys(keys)  # once: the keys given, or the graph's real keys
+        self.graph = build_balanced_skip_graph(keys) if graph is None else graph
 
         self.states: Dict[Key, DSGNodeState] = {}
-        singleton_levels = self.graph.singleton_levels()
         for key in self.graph.real_keys:
             state = DSGNodeState(key=key)
-            state.group_base = initial_group_base(singleton_levels[key])
+            state.group_base = initial_group_base(self.graph.singleton_level(key))
             self.states[key] = state
 
         self._time = 0

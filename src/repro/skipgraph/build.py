@@ -8,21 +8,24 @@ Three builders are provided:
     Produces height ``O(log n)`` with high probability.
 ``build_balanced_skip_graph``
     A deterministic, perfectly balanced construction: the list at each level
-    is split into halves by rank, so bit ``i`` of a node is bit ``i`` of its
-    rank written in binary (most significant bit first).  Gives height
-    exactly ``ceil(log2 n) + 1`` and satisfies the a-balance property for
-    every ``a >= 1`` except at odd-size boundaries (where ``a >= 2``
-    suffices).  DSG runs in the experiments start from this topology.
+    is split into halves by rank parity, so bit ``i`` of a node is bit ``i``
+    of its rank written in binary (least significant bit first).  Gives
+    height exactly ``ceil(log2 n) + 1`` and satisfies the a-balance property
+    for every ``a >= 1``.  DSG runs in the experiments start from this
+    topology.
 ``build_skip_graph_from_membership``
     Explicit membership vectors (used to reconstruct the paper's worked
     examples, Figures 1 and 4).
+
+The first two share one split walk and fill the graph through
+``SkipGraph._load`` in one pass, each list registered once; only the
+explicit builder replays ``add_node`` per node.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.simulation.rng import make_rng
 from repro.skipgraph.membership import MembershipVector
@@ -44,26 +47,14 @@ def build_skip_graph(keys: Iterable[Key], rng: Optional[random.Random] = None) -
     each of them draws one more bit, until every node's vector is unique.
     """
     rng = rng or make_rng()
-    keys = sorted(set(keys))
-    vectors: Dict[Key, List[int]] = {key: [] for key in keys}
 
-    def groups() -> List[List[Key]]:
-        by_prefix: Dict[tuple, List[Key]] = {}
-        for key in keys:
-            by_prefix.setdefault(tuple(vectors[key]), []).append(key)
-        return [members for members in by_prefix.values() if len(members) > 1]
+    def split(members: List[Key]) -> Tuple[List[Key], List[Key]]:
+        parts: Tuple[List[Key], List[Key]] = ([], [])
+        for key in members:
+            parts[rng.randint(0, 1)].append(key)
+        return parts
 
-    pending = groups()
-    while pending:
-        for members in pending:
-            for key in members:
-                vectors[key].append(rng.randint(0, 1))
-        pending = groups()
-
-    graph = SkipGraph()
-    for key in keys:
-        graph.add_node(SkipGraphNode(key=key, membership=MembershipVector(vectors[key])))
-    return graph
+    return _build_by_splitting(keys, split)
 
 
 def build_balanced_skip_graph(keys: Iterable[Key]) -> SkipGraph:
@@ -76,25 +67,30 @@ def build_balanced_skip_graph(keys: Iterable[Key]) -> SkipGraph:
     a-balance property holds for every ``a >= 1`` (no two consecutive nodes
     of a list ever share the next-level sublist).
     """
+    return _build_by_splitting(keys, lambda members: (members[0::2], members[1::2]))
+
+
+def _build_by_splitting(keys: Iterable[Key], split) -> SkipGraph:
+    """Split every list of two or more keys with ``split`` into its 0- and
+    1-sublist, level by level and in first-key order (the random builder's
+    draw order), until each key is alone: a singleton's prefix is its
+    node's vector, and each of the ``2n - 1`` lists is registered once."""
     keys = sorted(set(keys))
-    vectors: Dict[Key, List[int]] = {key: [] for key in keys}
-
-    def split(members: Sequence[Key]) -> None:
-        if len(members) <= 1:
-            return
-        evens = list(members[0::2])
-        odds = list(members[1::2])
-        for key in evens:
-            vectors[key].append(0)
-        for key in odds:
-            vectors[key].append(1)
-        split(evens)
-        split(odds)
-
-    split(keys)
+    nodes: Dict[Key, SkipGraphNode] = {}
+    lists = []
+    level = [((), keys)] if keys else []
+    while level:
+        following = []
+        for prefix, members in level:
+            if prefix:
+                lists.append((prefix, len(members), 0))
+            if len(members) == 1:
+                nodes[members[0]] = SkipGraphNode(key=members[0], membership=MembershipVector._from_trusted(prefix))
+            else:
+                following += [(prefix + (bit,), part) for bit, part in enumerate(split(members)) if part]
+        level = sorted(following, key=lambda entry: entry[1][0])
     graph = SkipGraph()
-    for key in keys:
-        graph.add_node(SkipGraphNode(key=key, membership=MembershipVector(vectors[key])))
+    graph._load([nodes[key] for key in keys], lists)
     return graph
 
 
@@ -126,14 +122,4 @@ def draw_membership_bits(graph: SkipGraph, key: Key, rng: random.Random) -> List
 
 def build_skip_graph_from_membership(membership: Mapping[Key, Sequence[int] | str]) -> SkipGraph:
     """Build a skip graph from explicit ``key -> membership vector`` data."""
-    graph = SkipGraph()
-    for key in sorted(membership):
-        graph.add_node(SkipGraphNode(key=key, membership=MembershipVector(membership[key])))
-    return graph
-
-
-def expected_height(n: int) -> int:
-    """Convenience: ``ceil(log2 n) + 1`` (height of the balanced construction)."""
-    if n <= 1:
-        return 1
-    return math.ceil(math.log2(n)) + 1
+    return SkipGraph(SkipGraphNode(key=key, membership=membership[key]) for key in sorted(membership))

@@ -40,9 +40,11 @@ Scaling machinery (the request hot path relies on all four):
 
 Each derived index has one writer, shared by the seven mutators
 (``add_node``, ``remove_node``, ``set_membership`` and the four ``*_run``
-bulk entry points): ``_count`` writes the prefix, multi-prefix and
-dummy-prefix counts; ``_insert_keys`` / ``_delete_keys`` patch the base list
-and the cached lists, and own the lazy-buffer rule (``_PENDING_MIN``);
+bulk entry points) and by ``_load``, which fills an empty graph in one pass
+for the builders and :meth:`copy`: ``_count`` writes the prefix,
+multi-prefix and dummy-prefix counts (``_load`` calls it once per list, with
+``start = len(prefix)``); ``_insert_keys`` / ``_delete_keys`` patch the base
+list and the cached lists, and own the lazy-buffer rule (``_PENDING_MIN``);
 ``_evict`` drops a cached list together with its position map and pending
 buffer.  A mutator checks its whole input before its first write and
 raises on bad input, so a failed call leaves the graph as it was.
@@ -416,6 +418,19 @@ class SkipGraph:
             for level in range(1, len(bits) + 1):
                 by_list.setdefault((level, bits[:level]), []).extend(carriers)
         return by_list
+
+    def _load(self, nodes: List[SkipGraphNode], lists: Iterable[Tuple[Prefix, int, int]]) -> None:
+        """Fill this empty graph in one pass: the two builders and :meth:`copy`.
+
+        Trusted input: ``nodes`` ascend by key, and ``lists`` names every
+        list above the base list once, as ``(prefix, carriers, dummy
+        carriers)``; each prefix is counted once, not once per node and level.
+        """
+        self._nodes = {node.key: node for node in nodes}
+        self._dummy_count = sum(node.is_dummy for node in nodes)
+        for prefix, carriers, dummies in lists:
+            self._count(prefix, len(prefix), carriers, dummies)
+        self._insert_keys((), list(self._nodes))
 
     # ------------------------------------------------------------ bulk kernel
     def promote_run(self, keys, level: int, bit: int) -> None:
@@ -796,10 +811,6 @@ class SkipGraph:
                 break
         return deepest_shared + 1
 
-    def singleton_levels(self) -> Dict[Key, int]:
-        """Singleton level of every node (bulk convenience, O(n * height))."""
-        return {key: self.singleton_level(key) for key in self._base_list()}
-
     def common_level(self, u: Key, v: Key) -> int:
         """Highest level at which ``u`` and ``v`` share a linked list (``alpha``)."""
         return common_prefix_length(self._nodes[u].membership, self._nodes[v].membership)
@@ -860,17 +871,13 @@ class SkipGraph:
 
     # ------------------------------------------------------------------ misc
     def copy(self) -> "SkipGraph":
+        """A copy with fresh nodes sharing the immutable vectors, and no tracker."""
+        dummies = self._dummy_prefix_counts
         clone = SkipGraph()
-        for key in self._base_list():
-            node = self._nodes[key]
-            clone.add_node(
-                SkipGraphNode(
-                    key=node.key,
-                    membership=MembershipVector(node.membership.bits),
-                    payload=node.payload,
-                    is_dummy=node.is_dummy,
-                )
-            )
+        clone._load(
+            [SkipGraphNode(node.key, node.membership, node.payload, node.is_dummy) for node in self.nodes()],
+            [(prefix, carriers, dummies.get(prefix, 0)) for prefix, carriers in self._prefix_counts.items()],
+        )
         return clone
 
     def membership_table(self) -> Dict[Key, str]:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 from repro.skipgraph.balance import a_balance_violations
-from repro.skipgraph.build import build_skip_graph
+from repro.skipgraph.build import build_balanced_skip_graph, build_skip_graph
 
 N = 32
 KEYS = range(1, N + 1)
@@ -48,6 +48,12 @@ class TestConstruction:
             DynamicSkipGraph(keys=[0, 1, 2])
         with pytest.raises(ValueError):
             DynamicSkipGraph(keys=["a", "b"])
+
+    @pytest.mark.parametrize("keys", [[0, 1, 2], [-3, 1, 2], [True, 2, 3], [2.5, 3, 4], ["a", "b"]])
+    def test_a_bad_key_raises_the_same_error_on_either_path(self, keys):
+        for path in ({"keys": keys}, {"graph": build_balanced_skip_graph(keys)}):
+            with pytest.raises(ValueError, match=r"positive integers \(priority rule P3\); got"):
+                DynamicSkipGraph(**path)
 
     def test_requires_keys_or_graph(self):
         with pytest.raises(ValueError):

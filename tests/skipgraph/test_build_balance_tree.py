@@ -13,9 +13,15 @@ from repro.skipgraph import (
     tree_view,
 )
 from repro.skipgraph.balance import longest_run
-from repro.skipgraph.build import expected_height
 from repro.skipgraph.tree_view import render_tree
 from repro.simulation.rng import make_rng
+
+
+def expected_height(n: int) -> int:
+    """``ceil(log2 n) + 1``: the height of the balanced construction."""
+    if n <= 1:
+        return 1
+    return math.ceil(math.log2(n)) + 1
 
 
 class TestBuilders:

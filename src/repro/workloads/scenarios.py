@@ -55,7 +55,7 @@ simulator through :func:`repro.distributed.bridge.replay_scenario`.
 from __future__ import annotations
 
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -493,9 +493,9 @@ def churn_scenario(
     churn_rate:
         Per-slot probability of a churn event.
     initial_keys:
-        Explicit starting population (default: keys ``1..n``; ``n`` is
-        ignored when given).  Lets a second churn wave start from the
-        population a first wave left behind.
+        Explicit starting population, taken in ascending order (default:
+        keys ``1..n``; ``n`` is ignored when given).  Lets a second churn
+        wave start from the population a first wave left behind.
     next_key:
         First key issued to joining peers (default: one above the current
         population's maximum).  When chaining waves, pass the previous
@@ -504,7 +504,7 @@ def churn_scenario(
         default across waves may re-issue such a key.
     """
     rng = make_rng(seed)
-    alive = list(initial_keys) if initial_keys is not None else list(range(1, n + 1))
+    alive = sorted(initial_keys) if initial_keys is not None else list(range(1, n + 1))
     n = len(alive)
     if n < max(2 * pairs, working_set_size, 2) + 1:
         raise ValueError("population too small for the requested sampler")
@@ -526,9 +526,9 @@ def churn_scenario(
     def draw_request() -> Request:
         if base == "temporal":
             if rng.random() < drift_probability:
-                outsiders = [key for key in alive if key not in active]
-                if outsiders:
-                    active[rng.randrange(len(active))] = rng.choice(outsiders)
+                index = _choice_outside(rng, alive, active)
+                if index is not None:
+                    active[rng.randrange(len(active))] = alive[index]
             u, v = rng.sample(active, 2)
             return (u, v)
         if base == "hot-pairs" and rng.random() < hot_fraction:
@@ -545,15 +545,12 @@ def churn_scenario(
         if rng.random() < churn_rate:
             if join_next:
                 events.append(JoinEvent(next_key))
-                alive.append(next_key)
+                insort(alive, next_key)
                 next_key += 1
             else:
-                protected = set(active)
-                candidates = [key for key in alive if key not in protected]
-                if candidates:
-                    victim = rng.choice(candidates)
-                    alive.remove(victim)
-                    events.append(LeaveEvent(victim))
+                index = _choice_outside(rng, alive, active)
+                if index is not None:
+                    events.append(LeaveEvent(alive.pop(index)))
             join_next = not join_next
         else:
             u, v = draw_request()
@@ -571,6 +568,21 @@ def churn_scenario(
             "churn_rate": churn_rate,
         },
     )
+
+
+def _choice_outside(rng, alive: List[Key], excluded: Sequence[Key]) -> Optional[int]:
+    """Index in ascending ``alive`` of ``rng.choice`` over its keys outside
+    ``excluded`` (alive keys), drawn without building that list; ``None``
+    and no draw when every key is excluded."""
+    skipped = sorted(bisect_left(alive, key) for key in excluded)
+    if len(skipped) >= len(alive):
+        return None
+    index = rng.randrange(len(alive) - len(skipped))
+    for position in skipped:
+        if position > index:
+            break
+        index += 1
+    return index
 
 
 def scale_scenario(
@@ -684,10 +696,9 @@ def scale_scenario(
                 alive.append(next_key)
                 next_key += 1
             else:
-                victim = rng.choice(alive)
-                if victim not in protected:
-                    alive.remove(victim)
-                    events.append(LeaveEvent(victim))
+                index = rng.randrange(len(alive))  # rng.choice(alive), by index
+                if alive[index] not in protected:
+                    events.append(LeaveEvent(alive.pop(index)))
             join_next = not join_next
             continue
         flash = next(

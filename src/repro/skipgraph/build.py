@@ -73,8 +73,8 @@ def build_balanced_skip_graph(keys: Iterable[Key]) -> SkipGraph:
 def _build_by_splitting(keys: Iterable[Key], split) -> SkipGraph:
     """Split every list of two or more keys with ``split`` into its 0- and
     1-sublist, level by level and in first-key order (the random builder's
-    draw order), until each key is alone: a singleton's prefix is its
-    node's vector, and each of the ``2n - 1`` lists is registered once."""
+    draw order), until each key is alone: a singleton's prefix is its node's
+    vector, and each list above the base list is registered once."""
     keys = sorted(set(keys))
     nodes: Dict[Key, SkipGraphNode] = {}
     lists = []
@@ -85,7 +85,7 @@ def _build_by_splitting(keys: Iterable[Key], split) -> SkipGraph:
             if prefix:
                 lists.append((prefix, len(members), 0))
             if len(members) == 1:
-                nodes[members[0]] = SkipGraphNode(key=members[0], membership=MembershipVector._from_trusted(prefix))
+                nodes[members[0]] = SkipGraphNode(members[0], MembershipVector._from_trusted(prefix))
             else:
                 following += [(prefix + (bit,), part) for bit, part in enumerate(split(members)) if part]
         level = sorted(following, key=lambda entry: entry[1][0])

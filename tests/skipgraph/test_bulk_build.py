@@ -87,9 +87,10 @@ MUTATIONS = {
     "promote_run": lambda g: g.promote_run([_real(g, 5)], len(g.membership(_real(g, 5))) + 1, 1),
     "demote_run": lambda g: g.demote_run([_real(g, 6)], 1),
     "remove_node": lambda g: g.remove_node(_real(g, 7)),
-    "insert_run": lambda g: g.insert_run(
-        [SkipGraphNode(key=0.5, membership=(0, 1), is_dummy=True), SkipGraphNode(key=200, membership=(1, 0, 1))]
-    ),
+    "insert_run": lambda g: g.insert_run([
+        SkipGraphNode(key=0.5, membership=(0, 1), is_dummy=True),
+        SkipGraphNode(key=200, membership=(1, 0, 1)),
+    ]),
 }
 
 

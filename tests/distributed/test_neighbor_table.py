@@ -1,13 +1,22 @@
-"""A routing table read off the node's link row equals the graph-read spec.
+"""A routing table read off the node's link row equals its two specs.
 
 :class:`~repro.distributed.routing_protocol.NeighborTable` is built from
 the node's own entry of ``network.rows``.  The overlay's one link writer
 keeps ``network == skip_graph_network(graph, k)``, so the ``level<d>``
 links of a node are its ``k`` nearest list members per side, and the
 row-built table must equal the table the old constructor read from the
-global skip graph (kept as the spec in
-``tests/reference/neighbor_table_reference.py``).  This holds the two
-equal for every live key:
+global skip graph.  Both specs live in
+``tests/reference/neighbor_table_reference.py``:
+
+* ``GraphNeighborTable``: the same candidates at every level
+  (``same_table``, which reads a table through ``next_hop`` alone);
+* ``ReferenceNeighborTable``, the dict-of-lists layout the table had
+  before it became two tuples: the same ``top_level``, ``size_words()``
+  and ``next_hop(d, level, dark)`` for every destination, every level up
+  to ``top_level + 1`` and four dark sets (none, the nearest left, the
+  nearest right, a seeded random subset of the row).
+
+Both are checked over the same seeded overlays, for every live key:
 
 * after every op of seeded request / join / leave plans at ``a = 2`` —
   promotes, demotes, dummy insertions and removals, joins and leaves — at
@@ -15,13 +24,14 @@ equal for every live key:
   each op, every key after each event;
 * after a crash is repaired and after the key recovers as a fresh identity.
 
-Run with the protocols lane (``-m protocols``).
+``size_words()`` is also held to the row it was read from (one word per
+(neighbour, label) entry, ROADMAP item 22).  Run with the protocols lane (``-m protocols``).
 """
 
 from __future__ import annotations
 
 import pytest
-from reference.neighbor_table_reference import GraphNeighborTable, same_table
+from reference.neighbor_table_reference import GraphNeighborTable, ReferenceNeighborTable, same_table
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 from repro.distributed.routing_protocol import (
@@ -36,23 +46,24 @@ from repro.skipgraph.build import draw_membership_bits
 
 pytestmark = pytest.mark.protocols
 
-
-def _assert_tables_agree(network, graph, k, when, keys=None):
-    rows = network.rows
-    for key in graph.keys if keys is None else keys:
-        assert same_table(NeighborTable(rows[key], key), GraphNeighborTable(graph, key, k)), (when, key)
+#: Seeded events (requests, joins, leaves) each overlay plays before its crashes.
+EVENTS = 40
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_row_tables_equal_graph_tables_after_every_op_kind(k):
+def _seeded_overlay(k):
+    """Yield ``(when, network, topology, keys)`` after every op, event, repair and recovery.
+
+    ``keys`` are the live keys whose tables the step may have changed: the
+    op's affected keys after an op, every key after an event.
+    """
     rng = make_rng(k)
     planner = DynamicSkipGraph(keys=range(1, 33), config=DSGConfig(a=2, seed=k))
     topology = planner.graph.copy()
     network = skip_graph_network(topology, k)
-    _assert_tables_agree(network, topology, k, "start")
+    yield "start", network, topology, topology.keys
     kinds = set()
     next_key = 100
-    for event in range(40):
+    for event in range(EVENTS):
         peers = sorted(planner.states)
         draw = rng.random()
         if draw < 0.15:
@@ -67,9 +78,8 @@ def test_row_tables_equal_graph_tables_after_every_op_kind(k):
         for op in ops:
             affected, _ = _rewire(network, topology, op, k)  # the op's key included
             kinds.add(type(op).__name__)
-            live = [key for key in affected if key in topology]
-            _assert_tables_agree(network, topology, k, (event, op), live)
-        _assert_tables_agree(network, topology, k, event)
+            yield (event, op), network, topology, [key for key in affected if key in topology]
+        yield event, network, topology, topology.keys
     assert kinds == {"PromoteOp", "DemoteOp", "DummyInsertOp", "DummyRemoveOp", "NodeJoinOp", "NodeLeaveOp"}
     assert topology.dummy_node_count
 
@@ -79,11 +89,70 @@ def test_row_tables_equal_graph_tables_after_every_op_kind(k):
         network.remove_node(victim)
     for victim in victims:
         repair_crash_links(network, topology, victim, k)
-    _assert_tables_agree(network, topology, k, "repaired")
+    yield "repaired", network, topology, topology.keys
     for victim in victims:
         bits = draw_membership_bits(topology, victim, rng)
         rejoin_crash_links(network, topology, victim, tuple(bits), k)
-        _assert_tables_agree(network, topology, k, ("recovered", victim))
+        yield ("recovered", victim), network, topology, topology.keys
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_row_tables_equal_graph_tables_after_every_op_kind(k):
+    for when, network, topology, keys in _seeded_overlay(k):
+        rows = network.rows
+        for key in keys:
+            assert same_table(NeighborTable(rows[key], key), GraphNeighborTable(topology, key, k)), (when, key)
+
+
+def _dark_sets(reference, row, rng):
+    """No dark set, the nearest left, the nearest right and a seeded random half of the row."""
+    lefts, rights = reference.candidates.get(0, ([], []))
+    return [None, set(lefts[:1]), set(rights[:1]), {neighbor for neighbor in row if rng.random() < 0.5}]
+
+
+def _differential_steps(k):
+    """The overlay's steps the differential test reads in full.
+
+    The start, the first op of each kind, the last event (dummies
+    present), the repair and each recovery: every op kind and every
+    failure step, without reading each of the ~5 000 ops' tables.
+    """
+    kinds = set()
+    for when, network, topology, keys in _seeded_overlay(k):
+        if isinstance(when, tuple) and not isinstance(when[0], str):
+            kind = type(when[1])
+            if kind in kinds:
+                continue
+            kinds.add(kind)
+        elif isinstance(when, int) and when != EVENTS - 1:
+            continue
+        yield when, network, topology, keys
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tables_route_exactly_as_the_dict_of_lists_reference(k):
+    rng = make_rng(100 + k)
+    for when, network, topology, keys in _differential_steps(k):
+        rows = network.rows
+        destinations = sorted(rows)
+        for key in keys:
+            table, reference = NeighborTable(rows[key], key), ReferenceNeighborTable(rows[key], key)
+            assert (table.top_level, table.size_words()) == (reference.top_level, reference.size_words()), (when, key)
+            for dark in _dark_sets(reference, rows[key], rng):
+                for level in range(reference.top_level + 2):
+                    for destination in destinations:
+                        expected = reference.next_hop(destination, level, dark)
+                        assert table.next_hop(destination, level, dark) == expected, (when, key, level, dark)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_size_words_counts_the_row_entries(k):
+    """The audited size is the row's (neighbour, label) entries, not a self-report."""
+    for when, network, _topology, keys in _seeded_overlay(k):
+        rows = network.rows
+        for key in keys:
+            entries = sum(len(labels) for labels in rows[key].values())
+            assert NeighborTable(rows[key], key).size_words() == entries, (when, key)
 
 
 def test_a_lone_node_has_an_empty_table():

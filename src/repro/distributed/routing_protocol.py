@@ -105,33 +105,49 @@ class NeighborTable:
     first.  So the table is *k-redundant* (the bami exemplar's
     ``extend_skip_graph_neighbourhood``): a route can step around a crashed
     primary neighbour (``dark`` of :meth:`next_hop`) instead of stranding.
+
+    Layout: one tuple of candidate keys and one tuple of slice offsets, no
+    per-level containers.  Level ``d``'s lefts (nearest first) are
+    ``keys[offsets[2d]:offsets[2d + 1]]`` and its rights (nearest first)
+    ``keys[offsets[2d + 1]:offsets[2d + 2]]``; a level without links has
+    two empty slices.  A table is replaced, never mutated, and the tuples
+    enforce it.
     """
+
+    __slots__ = ("key", "top_level", "_keys", "_offsets")
 
     def __init__(self, row: Mapping[Key, AbstractSet[str]], key: Key) -> None:
         self.key = key
-        by_label: Dict[str, Tuple[List[Key], List[Key]]] = {}
+        by_label: Dict[str, List[Key]] = {}
         for neighbor, labels in row.items():
-            right = neighbor > key
             for label in labels:
-                sides = by_label.get(label)
-                if sides is None:
-                    sides = by_label[label] = ([], [])
-                sides[right].append(neighbor)
-        #: level -> (nearest-first left candidates, nearest-first right candidates)
-        self.candidates: Dict[int, Tuple[List[Key], List[Key]]] = {}
-        words = 0
-        for label, (lefts, rights) in by_label.items():
-            lefts.sort(reverse=True)
-            rights.sort()
-            self.candidates[int(label[5:])] = (lefts, rights)  # "level<d>"
-            words += len(lefts) + len(rights)
-        self.top_level = max(self.candidates) + 1 if self.candidates else 0
-        # A table is replaced, never mutated: its audited size is fixed here.
-        self._words = words
+                members = by_label.get(label)
+                if members is None:
+                    by_label[label] = [neighbor]
+                else:
+                    members.append(neighbor)
+        by_level = {int(label[5:]): members for label, members in by_label.items()}  # "level<d>"
+        #: Levels ``0 .. top_level - 1`` may hold candidates; ``top_level`` is the node's singleton level.
+        self.top_level = top = max(by_level) + 1 if by_level else 0
+        keys: List[Key] = []
+        offsets = [0]
+        for level in range(top):
+            members = by_level.get(level)
+            if members:
+                members.sort()
+                split = bisect_left(members, key)
+                keys.extend(reversed(members[:split]))
+                offsets.append(len(keys))
+                keys.extend(members[split:])
+            else:
+                offsets.append(len(keys))
+            offsets.append(len(keys))
+        self._keys: Tuple[Key, ...] = tuple(keys)
+        self._offsets: Tuple[int, ...] = tuple(offsets)
 
     def size_words(self) -> int:
         """Table size in words (for the per-node memory audit)."""
-        return self._words
+        return len(self._keys)
 
     def next_hop(
         self,
@@ -149,11 +165,13 @@ class NeighborTable:
         beyond the destination overshoots, every level runs out, and the
         caller reports a failed request.
         """
+        keys, offsets = self._keys, self._offsets
         ascending = destination > self.key
-        current_level = min(level, self.top_level)
+        # ``top_level`` itself holds no candidates: start one below it.
+        current_level = min(level, self.top_level - 1)
         while current_level >= 0:
-            lefts, rights = self.candidates.get(current_level, ([], []))
-            for candidate in rights if ascending else lefts:
+            start = 2 * current_level + ascending
+            for candidate in keys[offsets[start] : offsets[start + 1]]:
                 overshoots = candidate > destination if ascending else candidate < destination
                 if overshoots:
                     break

@@ -25,10 +25,15 @@ Both are checked over the same seeded overlays, for every live key:
 * after a crash is repaired and after the key recovers as a fresh identity.
 
 ``size_words()`` is also held to the row it was read from (one word per
-(neighbour, label) entry, ROADMAP item 22).  Run with the protocols lane (``-m protocols``).
+(neighbour, label) entry, ROADMAP item 22), and the bytes a built table
+keeps to a guard: at most 1.5 KB for a balanced 1 024-node overlay at
+k = 1, where one pair of lists per level kept 2.7 KB.  Run with the
+protocols lane (``-m protocols``).
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 from reference.neighbor_table_reference import GraphNeighborTable, ReferenceNeighborTable, same_table
@@ -42,7 +47,7 @@ from repro.distributed.routing_protocol import (
     skip_graph_network,
 )
 from repro.simulation.rng import make_rng
-from repro.skipgraph.build import draw_membership_bits
+from repro.skipgraph.build import build_balanced_skip_graph, draw_membership_bits
 
 pytestmark = pytest.mark.protocols
 
@@ -153,6 +158,20 @@ def test_size_words_counts_the_row_entries(k):
         for key in keys:
             entries = sum(len(labels) for labels in rows[key].values())
             assert NeighborTable(rows[key], key).size_words() == entries, (when, key)
+
+
+def test_a_balanced_k1_table_keeps_at_most_one_and_a_half_kilobytes():
+    network = skip_graph_network(build_balanced_skip_graph(range(1, 1025)), 1)
+    rows = network.rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = [NeighborTable(row, key) for key, row in rows.items()]
+        per_table = (tracemalloc.get_traced_memory()[0] - before) / len(tables)
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 1024
+    assert per_table <= 1536, f"{per_table:.0f} B per table"
 
 
 def test_a_lone_node_has_an_empty_table():

@@ -152,11 +152,19 @@ class DynamicSkipGraph:
         self._check_keys(keys)  # once: the keys given, or the graph's real keys
         self.graph = build_balanced_skip_graph(keys) if graph is None else graph
 
+        # Each real key's group-base starts at its singleton level, read in
+        # one pass over the prefix counts: one past the deepest prefix of its
+        # vector that two or more nodes carry (``SkipGraph.singleton_level``).
+        nodes, counts = self.graph._nodes, self.graph._prefix_counts
+        lone = len(nodes) <= 1
         self.states: Dict[Key, DSGNodeState] = {}
         for key in self.graph.real_keys:
-            state = DSGNodeState(key=key)
-            state.group_base = initial_group_base(self.graph.singleton_level(key))
-            self.states[key] = state
+            bits = nodes[key].membership.bits
+            shared = len(bits)
+            while shared and counts.get(bits[:shared], 0) < 2:
+                shared -= 1
+            singleton = 0 if lone else shared + 1
+            self.states[key] = DSGNodeState(key=key, group_base=initial_group_base(singleton))
 
         self._time = 0
         self.history = CommunicationHistory(total_nodes=self.graph.real_count)

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
+from repro.core.groups import initial_group_base
 from repro.skipgraph.balance import a_balance_violations
 from repro.skipgraph.build import build_balanced_skip_graph, build_skip_graph
 
@@ -68,6 +69,25 @@ class TestConstruction:
         assert state.timestamp(0) == 0
         assert state.group_id(0) == state.uid
         assert state.group_base == dsg.graph.singleton_level(1)
+
+    @pytest.mark.parametrize("kind", ["balanced", "random", "copied-with-dummies", "lone"])
+    def test_every_group_base_starts_at_the_singleton_level(self, kind):
+        if kind == "balanced":
+            graph = build_balanced_skip_graph(KEYS)
+        elif kind == "random":
+            graph = build_skip_graph(KEYS, rng=random.Random(5))
+        elif kind == "lone":
+            graph = build_balanced_skip_graph([7])
+        else:
+            served = DynamicSkipGraph(keys=KEYS, config=DSGConfig(a=2, seed=3))
+            rng = random.Random(3)
+            while not served.graph.dummy_node_count:
+                served.request(*rng.sample(KEYS, 2))
+            graph = served.graph.copy()
+            assert graph.dummy_node_count
+        instance = DynamicSkipGraph(graph=graph)
+        for key in graph.real_keys:
+            assert instance.state(key).group_base == initial_group_base(graph.singleton_level(key)), key
 
 
 class TestRequestBasics:

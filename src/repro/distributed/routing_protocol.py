@@ -132,15 +132,12 @@ class NeighborTable:
         keys: List[Key] = []
         offsets = [0]
         for level in range(top):
-            members = by_level.get(level)
-            if members:
-                members.sort()
-                split = bisect_left(members, key)
-                keys.extend(reversed(members[:split]))
-                offsets.append(len(keys))
-                keys.extend(members[split:])
-            else:
-                offsets.append(len(keys))
+            members = by_level.get(level, [])
+            members.sort()
+            split = bisect_left(members, key)
+            keys.extend(reversed(members[:split]))
+            offsets.append(len(keys))
+            keys.extend(members[split:])
             offsets.append(len(keys))
         self._keys: Tuple[Key, ...] = tuple(keys)
         self._offsets: Tuple[int, ...] = tuple(offsets)

@@ -118,26 +118,36 @@ class NeighborTable:
 
     def __init__(self, row: Mapping[Key, AbstractSet[str]], key: Key) -> None:
         self.key = key
-        by_label: Dict[str, List[Key]] = {}
+        by_label: Dict[str, Tuple[List[Key], List[Key]]] = {}
         for neighbor, labels in row.items():
+            right = neighbor > key
             for label in labels:
-                members = by_label.get(label)
-                if members is None:
-                    by_label[label] = [neighbor]
+                sides = by_label.get(label)
+                if sides is None:
+                    by_label[label] = ([], [neighbor]) if right else ([neighbor], [])
                 else:
-                    members.append(neighbor)
-        by_level = {int(label[5:]): members for label, members in by_label.items()}  # "level<d>"
+                    sides[right].append(neighbor)
+        # One (lefts, rights) pair per level up to the highest labelled one;
+        # a level with no link (a crash's hole before its repair) stays empty.
+        levels: List[Tuple[Sequence[Key], Sequence[Key]]] = [((), ())] * len(by_label)
+        for label, sides in by_label.items():
+            level = int(label[5:])  # "level<d>"
+            while level >= len(levels):
+                levels.append(((), ()))
+            levels[level] = sides
         #: Levels ``0 .. top_level - 1`` may hold candidates; ``top_level`` is the node's singleton level.
-        self.top_level = top = max(by_level) + 1 if by_level else 0
+        self.top_level = len(levels)
         keys: List[Key] = []
         offsets = [0]
-        for level in range(top):
-            members = by_level.get(level, [])
-            members.sort()
-            split = bisect_left(members, key)
-            keys.extend(reversed(members[:split]))
+        for lefts, rights in levels:
+            # Most sides hold one key at k = 1, and an empty level's are tuples.
+            if len(lefts) > 1:
+                lefts.sort(reverse=True)
+            if len(rights) > 1:
+                rights.sort()
+            keys += lefts
             offsets.append(len(keys))
-            keys.extend(members[split:])
+            keys += rights
             offsets.append(len(keys))
         self._keys: Tuple[Key, ...] = tuple(keys)
         self._offsets: Tuple[int, ...] = tuple(offsets)

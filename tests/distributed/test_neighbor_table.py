@@ -174,6 +174,17 @@ def test_a_balanced_k1_table_keeps_at_most_one_and_a_half_kilobytes():
     assert per_table <= 1536, f"{per_table:.0f} B per table"
 
 
+def test_a_level_whose_links_all_crashed_routes_as_the_reference():
+    # Key 10's level-1 flanks crashed before the repair: levels 0 and 2 keep links, level 1 none.
+    row = {5: frozenset({"level0"}), 20: frozenset({"level0", "level2"}), 2: frozenset({"level2"})}
+    table, reference = NeighborTable(row, 10), ReferenceNeighborTable(row, 10)
+    assert (table.top_level, table.size_words()) == (reference.top_level, reference.size_words()) == (3, 4)
+    for dark in (None, {5}, {20}, {2, 20}):
+        for level in range(5):
+            for destination in range(25):
+                assert table.next_hop(destination, level, dark) == reference.next_hop(destination, level, dark)
+
+
 def test_a_lone_node_has_an_empty_table():
     planner = DynamicSkipGraph(keys=[7])
     network = skip_graph_network(planner.graph)

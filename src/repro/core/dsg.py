@@ -164,7 +164,9 @@ class DynamicSkipGraph:
             while shared and counts.get(bits[:shared], 0) < 2:
                 shared -= 1
             singleton = 0 if lone else shared + 1
-            self.states[key] = DSGNodeState(key=key, group_base=initial_group_base(singleton))
+            state = DSGNodeState(key=key)
+            state.group_base = initial_group_base(singleton)
+            self.states[key] = state
 
         self._time = 0
         self.history = CommunicationHistory(total_nodes=self.graph.real_count)

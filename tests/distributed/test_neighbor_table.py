@@ -24,11 +24,11 @@ Both are checked over the same seeded overlays, for every live key:
   each op, every key after each event;
 * after a crash is repaired and after the key recovers as a fresh identity.
 
-``size_words()`` is also held to the row it was read from (one word per
-(neighbour, label) entry, ROADMAP item 22), and the bytes a built table
-keeps to a guard: at most 1.5 KB for a balanced 1 024-node overlay at
-k = 1, where one pair of lists per level kept 2.7 KB.  Run with the
-protocols lane (``-m protocols``).
+The graph-table walk also holds ``size_words()`` to the row it was read
+from (one word per (neighbour, label) entry, ROADMAP item 22), and a
+guard holds the bytes a built table keeps to at most 1.5 KB on a
+balanced 1 024-node overlay at k = 1, where one pair of lists per level
+kept 2.7 KB.  Run with the protocols lane (``-m protocols``).
 """
 
 from __future__ import annotations
@@ -106,7 +106,10 @@ def test_row_tables_equal_graph_tables_after_every_op_kind(k):
     for when, network, topology, keys in _seeded_overlay(k):
         rows = network.rows
         for key in keys:
-            assert same_table(NeighborTable(rows[key], key), GraphNeighborTable(topology, key, k)), (when, key)
+            table = NeighborTable(rows[key], key)
+            assert same_table(table, GraphNeighborTable(topology, key, k)), (when, key)
+            # The audited size is the row's (neighbour, label) entries, not a self-report.
+            assert table.size_words() == sum(len(labels) for labels in rows[key].values()), (when, key)
 
 
 def _dark_sets(reference, row, rng):
@@ -148,16 +151,6 @@ def test_tables_route_exactly_as_the_dict_of_lists_reference(k):
                     for destination in destinations:
                         expected = reference.next_hop(destination, level, dark)
                         assert table.next_hop(destination, level, dark) == expected, (when, key, level, dark)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_size_words_counts_the_row_entries(k):
-    """The audited size is the row's (neighbour, label) entries, not a self-report."""
-    for when, network, _topology, keys in _seeded_overlay(k):
-        rows = network.rows
-        for key in keys:
-            entries = sum(len(labels) for labels in rows[key].values())
-            assert NeighborTable(rows[key], key).size_words() == entries, (when, key)
 
 
 def test_a_balanced_k1_table_keeps_at_most_one_and_a_half_kilobytes():

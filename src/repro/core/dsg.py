@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -391,6 +392,20 @@ class DynamicSkipGraph:
             maintain_a_balance=self.config.maintain_a_balance,
             recorder=recorder,
         )
+
+        # A dummy that outlived an earlier request (its vector stops at
+        # ``alpha``, so the notification spared it) can still sit between the
+        # pair in their common list.  It destroys itself on the pair step's
+        # link message, in the transformation's last round (DEVIATIONS row 4).
+        level = graph.common_level(u, v)
+        if not graph.are_adjacent(u, v, level):
+            common = graph.list_of(u, level)
+            between = common[bisect_right(common, min(u, v)) : bisect_left(common, max(u, v))]
+            real = [key for key in between if not graph.node(key).is_dummy]
+            if real:
+                raise RuntimeError(f"real keys {real!r} sit between the served pair ({u!r}, {v!r})")
+            recorder.remove_run(between)
+            result.dummies_removed += len(between)
 
         update_group_bases_after_transformation(
             states=self.states,

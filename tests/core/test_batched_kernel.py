@@ -317,6 +317,7 @@ def serve_in_lockstep(a, n, seed, words):
                 want.routing_cost,
                 want.transformation_rounds,
             )
+            assert shipping.are_adjacent(u, v), (u, v)
             ops = got.ops
             assert ops == want.ops
             # No repair runs inside a request, so the marks only accumulate:

@@ -16,6 +16,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dsg import DSGConfig, DynamicSkipGraph
 from repro.core.groups import initial_group_base
@@ -366,14 +368,23 @@ class TestMemoryAudit:
         assert all(count <= 3 * (height + 1) + 2 for count in words.values())
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a surviving level-alpha dummy keyed between the pair")
-def test_served_pair_is_directly_linked_seven_key_case():
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 20),
+    seed=st.integers(0, 2**16),
+    pairs=st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), min_size=1, max_size=30),
+)
+@example(n=7, seed=0, pairs=[(2, 6), (2, 3), (2, 4), (2, 5), (1, 7)])
+def test_served_pair_is_directly_linked(n, seed, pairs):
     """Section III's model: a served pair is directly linked afterwards.
 
-    The fifth request finds a dummy left by the fourth keyed between 1 and
-    7 in their only common list.  Strict: the fix must delete the marker.
+    The explicit example is the seven-key case: its fifth request finds a
+    dummy left by the fourth keyed between 1 and 7 in their only common
+    list, and the dummy destroys itself (DEVIATIONS row 4).
     """
-    instance = DynamicSkipGraph(keys=range(1, 8), config=DSGConfig(seed=0))
-    for u, v in [(2, 6), (2, 3), (2, 4), (2, 5), (1, 7)]:
-        instance.request(u, v)
-        assert instance.are_adjacent(u, v), (u, v)
+    instance = DynamicSkipGraph(keys=range(1, n + 1), config=DSGConfig(seed=seed))
+    for u, v in pairs:
+        u, v = (u - 1) % n + 1, (v - 1) % n + 1
+        if u != v:
+            instance.request(u, v)
+            assert instance.are_adjacent(u, v), (u, v)

@@ -66,6 +66,7 @@ class TestDistributedMatchesCentralized:
         reference = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=seed))
         for u, v in scenario_requests(scenario):
             reference.request(u, v, keep_result=False)
+            assert reference.are_adjacent(u, v), (u, v)
         assert reference.graph.membership_table() == driver.topology.membership_table()
         assert reference.total_cost() == report.total_cost
 

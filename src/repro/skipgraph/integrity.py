@@ -18,9 +18,21 @@ through ``_list_cache``, so a corrupted cache entry, an unsorted base
 list, or a membership vector rewritten behind the index's back each
 produce a distinct violation instead of silently steering routes astray.
 Nothing is incremental — every call recomputes every expectation — but it
-derives once: the node table is walked in ascending key order (its own
-sort, never the base list check 1 audits), so every level list comes out
-sorted, and that one derivation feeds checks 2, 3 and 5 alike.
+derives once.  One partition walk splits the node table, in ascending key
+order (its own sort, never the base list check 1 audits), by each node's
+next bit, level by level.  So every level list comes out sorted, in
+``(level, prefix)`` order, and feeds checks 2, 3 and 5 as the walk reaches
+it.  Only two levels' lists are held at a time, besides check 5's link
+columns when a network is given.
+
+The sweep reads the structure and keeps nothing it did not find.  It
+builds no position map: it audits each map already in ``_pos_cache`` and
+leaves the absent ones absent, since an absent map cannot be stale and
+:meth:`SkipGraph.neighbors` builds one from the members the sweep has just
+matched.  What it does leave: the lazy insertion buffers merged (as any
+read would), a cached list for every multi-node list check 2 reads
+(derived from its cached parent, as ``neighbors`` would), and the position
+maps that ``neighbors`` builds while a damaged list is walked node by node.
 
 Checks performed (each yields human-readable violation strings):
 
@@ -34,13 +46,17 @@ Checks performed (each yields human-readable violation strings):
    reproduces it with symmetric left/right pointers (doubly-linked
    consistency).  The walk is decided once per list first, on the two
    structures ``neighbors`` reads: the cached members
-   (``_members_internal``) and their position map (``_positions``).  If
-   the members are the derived list and each member's position is its
-   index, every ``neighbors`` answer is right, so the list is clean; any
-   other outcome, an exception included, walks that list node by node;
+   (``_members_internal``) and their position map, if ``_pos_cache`` holds
+   one.  If the members are the derived list and each member's position
+   (when a map exists) is its index, every ``neighbors`` answer is right,
+   so the list is clean; any other outcome, an exception included, walks
+   that list node by node;
 3. **membership-prefix consistency** — every cached list contains exactly
    the keys whose vectors carry its prefix, and the incremental prefix
-   counts (total, dummy, multi-per-level) match a from-scratch recount;
+   counts (total, dummy, multi-per-level) match a from-scratch recount.
+   Each cached list and each count is compared as the walk reaches its
+   prefix; the walk then checks that no indexed or cached prefix went
+   unvisited;
 4. **vector uniqueness** — no two real nodes share a full membership
    vector (delegates to :meth:`SkipGraph.validate`);
 5. **network symmetry** (when a network is given) — the network's node
@@ -71,10 +87,10 @@ hit.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import contains
-from typing import TYPE_CHECKING, AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
+from operator import contains, itemgetter
+from typing import TYPE_CHECKING, AbstractSet, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.skipgraph.node import Key
+from repro.skipgraph.node import Key, SkipGraphNode
 from repro.skipgraph.skipgraph import SkipGraph
 
 if TYPE_CHECKING:  # the distributed layer sits above this one
@@ -87,6 +103,69 @@ Prefix = Tuple[int, ...]
 
 class IntegrityError(ValueError):
     """Raised by :func:`assert_skip_graph_integrity` when violations exist."""
+
+
+def _partition(nodes: Mapping[Key, SkipGraphNode]) -> Iterator[Tuple[int, Prefix, List[Key], int]]:
+    """Every level list, derived from raw bits, as ``(level, prefix, members, dummies)``.
+
+    The node table, in ascending key order, is split by each node's next
+    bit, level by level; a node leaves the walk below its vector's last
+    level.  Each list comes out in key order, with its count of dummy
+    members, and the lists come out in ``(level, prefix)`` order: a level's
+    lists in the order of their parents, each parent's 0-list first.
+    Singletons are lists too.
+    """
+    dummy_keys = {key for key, node in nodes.items() if node.is_dummy}
+    in_dummies = dummy_keys.__contains__
+    ordered = sorted(nodes)
+    groups = [((), ordered, [nodes[key].membership.bits for key in ordered], len(dummy_keys))]
+    level = 0
+    while groups:
+        depth, level = level, level + 1
+        children = []
+        for prefix, keys, vectors, dummies in groups:
+            if len(keys) == 1:  # half the lists of a balanced graph: no split to make
+                bits = vectors[0]
+                if len(bits) > depth:
+                    child_prefix = prefix + (bits[depth],)
+                    yield level, child_prefix, keys, dummies
+                    children.append((child_prefix, keys, vectors, dummies))
+                continue
+            zeros: List[Key] = []
+            ones: List[Key] = []
+            zero_vectors: List[Tuple[int, ...]] = []
+            one_vectors: List[Tuple[int, ...]] = []
+            for key, bits in zip(keys, vectors):
+                if len(bits) > depth:
+                    if bits[depth]:
+                        ones.append(key)
+                        one_vectors.append(bits)
+                    else:
+                        zeros.append(key)
+                        zero_vectors.append(bits)
+            for bit, members, member_vectors in ((0, zeros, zero_vectors), (1, ones, one_vectors)):
+                if members:
+                    child_prefix = prefix + (bit,)
+                    child_dummies = dummies and sum(map(in_dummies, members))
+                    yield level, child_prefix, members, child_dummies
+                    children.append((child_prefix, members, member_vectors, child_dummies))
+        groups = children
+
+
+def _settled(graph: SkipGraph, level: int, prefix: Prefix, ordered: List[Key]) -> bool:
+    """Whether every ``neighbors`` answer in the list ``ordered`` is right.
+
+    They are when the cached members are ``ordered`` and the list's position
+    map, if ``_pos_cache`` holds one, maps each member to its index.  No map
+    is built: without one, ``neighbors`` builds it from those same members.
+    """
+    try:
+        if graph._members_internal(level, prefix) != ordered:
+            return False
+        positions = graph._pos_cache.get((level, prefix))
+        return positions is None or list(map(positions.get, ordered)) == list(range(len(ordered)))
+    except Exception:  # the caller walks the list and reports it node by node
+        return False
 
 
 def _rows_match(
@@ -114,8 +193,11 @@ def _rows_match(
             return False
         if not all(map(contains, map(dict.get, map(row_of, vs), us, absent), label)):
             return False
-    sizes = list(map(len, chain.from_iterable(map(dict.values, rows.values()))))
-    return 0 not in sizes and sum(sizes) == expected_triples
+
+    def label_sets():  # streamed twice: no empty set, then the count
+        return chain.from_iterable(map(dict.values, rows.values()))
+
+    return all(label_sets()) and sum(map(len, label_sets())) == expected_triples
 
 
 def verify_skip_graph_integrity(
@@ -167,79 +249,92 @@ def verify_skip_graph_integrity(
         report(f"base list / node set mismatch (missing={sorted(missing)!r}, extra={sorted(extra)!r})")
     base_clean = not violations
 
-    # The one derivation, from raw bits only: every level list (singletons
-    # included) keyed by its prefix — the level is the prefix's length —
-    # plus the dummy recount for 3b.
-    lists: Dict[Prefix, List[Key]] = {}
-    dummy_prefix_counts: Dict[Prefix, int] = {}
-    dummy_count = 0
-    for key in sorted(nodes):
-        node = nodes[key]
-        bits = node.membership.bits
-        dummy_count += node.is_dummy
-        for level in range(1, len(bits) + 1):
-            prefix = bits[:level]
-            lists.setdefault(prefix, []).append(key)
-            if node.is_dummy:
-                dummy_prefix_counts[prefix] = dummy_prefix_counts.get(prefix, 0) + 1
-    multi_lists = sorted(
-        (len(prefix), prefix, members) for prefix, members in lists.items() if len(members) >= 2
-    )
-
-    # 2. Level lists: the cache-backed neighbour walk agrees with the derivation.
-    # A list whose cached members and position map are exactly the derived
-    # list and its indexes would pass the walk; only the others are walked.
-    # A split skips it: cached lists derive from the base list through the
-    # node map, and would fail on the keys only one of them holds.
-    for level, prefix, ordered in [] if split else multi_lists:
-        try:
-            members = graph._members_internal(level, prefix)
-            positions = graph._positions(level, prefix, members)
-            if members == ordered and list(map(positions.get, ordered)) == list(range(len(ordered))):
-                continue
-        except Exception:  # the walk below reports it node by node
-            pass
-        last = len(ordered) - 1
-        for index, key in enumerate(ordered):
-            try:
-                left, right = graph.neighbors(key, level)
-            except Exception as exc:  # corrupted cache/position map
-                if not report(f"neighbors({key!r}, {level}) raised {exc!r}"):
-                    return violations
-                continue
-            want_left = ordered[index - 1] if index > 0 else None
-            want_right = ordered[index + 1] if index < last else None
-            if (left, right) != (want_left, want_right):
-                if not report(
-                    f"level {level} list {prefix!r}: node {key!r} has neighbours "
-                    f"({left!r}, {right!r}), expected ({want_left!r}, {want_right!r})"
-                ):
-                    return violations
-
-    # 3a. Cached lists: membership-prefix consistency against the derivation.
     # Merge lazy insertion buffers first: a pending key is structurally
     # present (node table, prefix counts) but not yet in its cached list.
     graph._flush_pending()
+    list_cache = graph._list_cache
+    prefix_counts, dummy_prefix_counts = graph._prefix_counts, graph._dummy_prefix_counts
+    counts_agree = dummies_agree = True
+    prefixes = dummy_prefixes = cached_lists = 0
+    multi: Dict[int, int] = {}
+    stale: List[Tuple[Tuple[int, Prefix], List[Key], List[Key]]] = []
+    # For check 5, every list within distance ``redundancy``, gathered per
+    # level as the two endpoint columns of its links: ``us[i]`` and
+    # ``vs[i]`` are linked.
+    pairs: Dict[int, Tuple[List[Key], List[Key]]] = {}
 
-    def derived(level: int, prefix: Prefix) -> List[Key]:
-        return lists.get(prefix, []) if len(prefix) == level else []
+    def gather_links(level: int, ordered: List[Key]) -> None:
+        us, vs = pairs.setdefault(level, ([], []))
+        for distance in range(1, redundancy + 1):
+            us += ordered[:-distance]
+            vs += ordered[distance:]
 
-    stale = [(entry, cached) for entry, cached in graph._list_cache.items() if cached != derived(*entry)]
-    for (level, prefix), cached in sorted(stale):
+    if network is not None:
+        gather_links(0, base)
+    for level, prefix, ordered, dummies in _partition(nodes):
+        # 2. Level lists: the cache-backed neighbour walk agrees with the
+        # derivation.  A list whose cached members are exactly the derived
+        # list, and whose position map (if one is cached) holds their
+        # indexes, would pass the walk; only the others are walked.  A split
+        # skips it: cached lists derive from the base list through the node
+        # map, and would fail on the keys only one of them holds.
+        if len(ordered) >= 2:
+            multi[level] = multi.get(level, 0) + 1
+            if network is not None:
+                gather_links(level, ordered)
+            if not split and not _settled(graph, level, prefix, ordered):
+                last = len(ordered) - 1
+                for index, key in enumerate(ordered):
+                    try:
+                        left, right = graph.neighbors(key, level)
+                    except Exception as exc:  # corrupted cache/position map
+                        if not report(f"neighbors({key!r}, {level}) raised {exc!r}"):
+                            return violations
+                        continue
+                    want_left = ordered[index - 1] if index > 0 else None
+                    want_right = ordered[index + 1] if index < last else None
+                    if (left, right) != (want_left, want_right):
+                        if not report(
+                            f"level {level} list {prefix!r}: node {key!r} has neighbours "
+                            f"({left!r}, {right!r}), expected ({want_left!r}, {want_right!r})"
+                        ):
+                            return violations
+        # 3a/3b, as the walk reaches the prefix: its cached list, its count
+        # and its dummy count against the derivation.
+        cached = list_cache.get((level, prefix))
+        if cached is not None:
+            cached_lists += bool(cached)
+            if cached != ordered:
+                stale.append(((level, prefix), cached, ordered))
+        prefixes += 1
+        counts_agree &= prefix_counts.get(prefix) == len(ordered)
+        if dummies:
+            dummy_prefixes += 1
+            dummies_agree &= dummy_prefix_counts.get(prefix) == dummies
+    # No cached list the walk did not reach may hold a key.
+    if cached_lists != sum(map(bool, list_cache.values())):
+        carried = {
+            (level, bits[:level])
+            for bits in (node.membership.bits for node in nodes.values())
+            for level in range(1, len(bits) + 1)
+        }
+        stale += [
+            (entry, cached, []) for entry, cached in list_cache.items() if cached and entry not in carried
+        ]
+    for (level, prefix), cached, expected in sorted(stale, key=itemgetter(0)):
         if not report(
             f"cached list (level={level}, prefix={prefix!r}) is {list(cached)!r}, "
-            f"expected {derived(level, prefix)!r}"
+            f"expected {expected!r}"
         ):
             return violations
 
-    # 3b. Incremental indexes: a prefix's count is its derived list's length.
-    multi: Dict[int, int] = {}
-    for level, _prefix, _members in multi_lists:
-        multi[level] = multi.get(level, 0) + 1
-    if graph._prefix_counts != {prefix: len(members) for prefix, members in lists.items()}:
+    # 3b. Incremental indexes: every prefix the walk reached agreed, and no
+    # indexed prefix went unvisited.
+    if not counts_agree or prefixes != len(prefix_counts):
         report("prefix-count index does not match a from-scratch recount")
-    if graph._dummy_prefix_counts != dummy_prefix_counts:
+    if not dummies_agree or dummy_prefixes != len(dummy_prefix_counts):
         report("dummy-prefix index does not match a from-scratch recount")
+    dummy_count = sum(node.is_dummy for node in nodes.values())
     if graph._dummy_count != dummy_count:
         report(f"dummy count is {graph._dummy_count}, recount says {dummy_count}")
     if graph._multi_prefixes_per_level != multi:
@@ -263,14 +358,6 @@ def verify_skip_graph_integrity(
             f"network node set mismatch (graph-only={sorted(nodes.keys() - rows.keys())!r}, "
             f"network-only={sorted(rows.keys() - nodes.keys())!r})"
         )
-    # Every list within distance ``redundancy``, gathered per level as the
-    # two endpoint columns of its links: ``us[i]`` and ``vs[i]`` are linked.
-    pairs: Dict[int, Tuple[List[Key], List[Key]]] = {}
-    for level, _prefix, ordered in [(0, (), base), *multi_lists]:
-        us, vs = pairs.setdefault(level, ([], []))
-        for distance in range(1, redundancy + 1):
-            us += ordered[:-distance]
-            vs += ordered[distance:]
     if nodes_agree and base_clean and _rows_match(rows, pairs):
         return violations
     # Something differs: build the expected links in the network's storage

@@ -21,7 +21,9 @@ contract needs pinning from both sides:
 The sweep's report is additionally held, string for string, to the
 pre-rewrite verifier in ``test_integrity_differential.py``; the arguments
 are range-checked; and at the arena's shape a clean sweep is pinned to
-call ``SkipGraph.neighbors`` not at all.
+call ``SkipGraph.neighbors`` not at all.  A clean sweep builds no position
+map (it leaves ``_pos_cache`` as it found it), and one sweep of a
+16 384-key graph is held to a tracemalloc bound.
 """
 
 import pytest
@@ -194,7 +196,8 @@ class TestSeededCorruptionIsCaught:
 
     def test_stale_position_map(self):
         graph = build_balanced_skip_graph(range(1, 33))
-        assert verify_skip_graph_integrity(graph) == []  # fills the position maps
+        assert verify_skip_graph_integrity(graph) == []
+        graph.neighbors(1, 1)  # builds the position map of 1's level-1 list
         # The cached list is intact; only its key -> index map went stale.
         positions = graph._pos_cache[(1, (0,))]
         positions[1], positions[3] = positions[3], positions[1]
@@ -217,6 +220,36 @@ class TestSeededCorruptionIsCaught:
         violations = verify_skip_graph_integrity(graph, network, max_violations=5)
         assert len(violations) == 6  # 5 violations + the cap notice
         assert "capped" in violations[-1]
+
+
+class TestTheSweepKeepsNothing:
+    """A sweep reads the structure and builds no position map: the maps it
+    leaves are the ones it found, and one sweep of a large graph stays
+    small in memory."""
+
+    @pytest.mark.parametrize("kind", ["balanced", "adjusted"])
+    def test_a_clean_sweep_leaves_the_position_maps_it_found(self, kind):
+        graph = build_balanced_skip_graph(range(1, 257)) if kind == "balanced" else _adjusted_graph()
+        assert kind == "balanced" or graph._dummy_count > 0
+        for key in graph.keys[::5]:  # maps that routing would have built
+            graph.neighbors(key, 2)
+        found = dict(graph._pos_cache)
+        assert found
+        assert verify_skip_graph_integrity(graph, skip_graph_network(graph)) == []
+        assert graph._pos_cache.keys() == found.keys()
+        assert all(graph._pos_cache[entry] is positions for entry, positions in found.items())
+
+    def test_one_sweep_of_a_16384_key_graph_traces_at_most_20_mb(self):
+        import tracemalloc
+
+        graph = build_balanced_skip_graph(range(1, 16385))
+        tracemalloc.start()
+        try:
+            assert verify_skip_graph_integrity(graph) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6, f"one sweep traced {peak / 1e6:.1f} MB"
 
 
 class TestNodeMapBaseListSplit:
@@ -367,7 +400,8 @@ class TestCrashRepairRejoin:
 
 class TestSweepMechanism:
     """At the arena's shape (2 048 nodes, k = 3) a clean sweep settles each
-    level list from its cached members and position map, without one
+    level list from its cached members and position map (if one is
+    cached), without one
     :meth:`SkipGraph.neighbors` call; a damaged list is walked node by node
     and no other list is."""
 

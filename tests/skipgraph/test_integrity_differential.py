@@ -4,7 +4,8 @@
 before the sweep was rewritten (level lists derived per check, every list
 walked through ``neighbors``, links keyed by ``frozenset``, the network
 read link by link).  The production sweep derives once, decides each
-level list clean from its cached members and position map, and decides
+level list clean from its cached members and position map (if one is
+cached), and decides
 the network clean by counting its label triples, descending to per-node
 walks and per-link diffing only where that decision fails — so the
 property worth pinning is that it *reports exactly what the slow one

@@ -13,7 +13,8 @@ history.  For every communication request ``(u, v)`` it:
    ``alpha`` and, if needed, runs the ``G_lower`` alignment of Appendix C;
 4. transforms the subtree of ``l_alpha`` level by level
    (:func:`repro.core.transformation.transform`), which leaves ``u`` and
-   ``v`` in a linked list of size two;
+   ``v`` in a linked list of size two (a dummy that survived between them
+   destroys itself, ``docs/DEVIATIONS.md`` row 4);
 5. updates group-bases and applies timestamp rules T1-T6;
 6. charges the costs: ``routing distance + transformation rounds + 1``
    (Equation 1 of the paper), recorded in the instance's
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -399,8 +399,8 @@ class DynamicSkipGraph:
         # link message, in the transformation's last round (DEVIATIONS row 4).
         level = graph.common_level(u, v)
         if not graph.are_adjacent(u, v, level):
-            common = graph.list_of(u, level)
-            between = common[bisect_right(common, min(u, v)) : bisect_left(common, max(u, v))]
+            low, high = sorted((u, v))
+            between = [key for key in graph.list_of(u, level) if low < key < high]
             real = [key for key in between if not graph.node(key).is_dummy]
             if real:
                 raise RuntimeError(f"real keys {real!r} sit between the served pair ({u!r}, {v!r})")

@@ -6,7 +6,7 @@ paper-style rows) and asserts the experiment's checks: the row's critical
 checks by name, then every check.  Under ``BENCH_QUICK=1`` a row runs the
 CLI's quick shape instead of its full-size parameters
 (:func:`conftest.experiment_params`).  The experiments with an arena of
-their own (E6, E9, E11, E13-E17) keep their own ``bench_eNN_*.py`` module.
+their own (E6, E9, E11, E15-E17) keep their own ``bench_eNN_*.py`` module.
 """
 
 import pytest

@@ -1,8 +1,8 @@
 """Small statistics helpers used across the experiments.
 
 Dependency-free implementations of the three summaries the experiment
-harness needs: percentiles with linear interpolation (tail costs of
-self-adjusting runs warm-up analysis, E9/E13), five-number ``describe``
+harness needs: percentiles with linear interpolation (E8's 95th percentile
+of the working-set ratio), five-number ``describe``
 summaries (tables throughout), and the least-squares slope of ``y`` against
 ``log2 x`` — the empirical check behind every ``O(log n)`` claim the paper
 makes (heights, Lemmas 4-5; AMF rounds, Theorem 3; routing distances).

@@ -1,10 +1,8 @@
-"""Experiment harness: one module per reproduced figure/claim (E1-E13).
+"""Experiment harness: one module per reproduced figure/claim (E1-E12).
 
 The paper has no empirical tables; the experiments regenerate its worked
 figures and empirically validate each lemma/theorem (see docs/EXPERIMENTS.md
-for the index and the recorded outcomes); E13 additionally validates
-the reproduction's own scale machinery (routing fast path, incremental
-working-set counters, churn).  Every experiment returns
+for the index and the recorded outcomes).  Every experiment returns
 an :class:`ExperimentResult` holding one or more
 :class:`repro.analysis.Table` objects plus a dictionary of named boolean
 *checks* (the claims the experiment verifies).  The CLI

@@ -69,14 +69,6 @@ QUICK_PARAMS = {
     "E10": {"n": 32, "length": 80, "a_values": (2, 4)},
     "E11": {"sizes": (32, 64)},
     "E12": {"sizes": (64, 256), "n": 32, "length": 80},
-    "E13": {
-        "n": 128,
-        "length": 400,
-        "zipf_n": 48,
-        "zipf_length": 150,
-        "consistency_n": 48,
-        "consistency_length": 120,
-    },
 }
 
 

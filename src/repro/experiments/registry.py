@@ -1,4 +1,4 @@
-"""Registry of all experiments (the docs/EXPERIMENTS.md index, E1-E13)."""
+"""Registry of all experiments (the docs/EXPERIMENTS.md index, E1-E12)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.experiments import (
     e10_dummy_abalance,
     e11_congest,
     e12_sum_groups,
-    e13_scale,
 )
 from repro.experiments.base import ExperimentResult, ExperimentSpec
 
@@ -36,7 +35,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
     "E10": ExperimentSpec("E10", "Dummy nodes and a-balance", "Section IV-F", e10_dummy_abalance.run),
     "E11": ExperimentSpec("E11", "CONGEST conformance and memory", "Section III (model)", e11_congest.run),
     "E12": ExperimentSpec("E12", "Distributed sum and group bookkeeping", "Appendices C-D", e12_sum_groups.run),
-    "E13": ExperimentSpec("E13", "Scale and churn: hot path at large n", "Section VI (model), IV-G", e13_scale.run),
 }
 
 

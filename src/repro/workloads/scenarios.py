@@ -38,11 +38,11 @@ E9 and ``benchmarks/bench_e09_comparison.py`` make churn-capable
 comparisons at scale.
 
 :func:`churn_scenario` builds general traffic-plus-churn schedules;
-:func:`scale_scenario` builds the 10k-node/100k-request shape used by the
-E13 experiment and ``benchmarks/bench_e13_scale.py``: heavy-hitter pairs
-placed with key-space locality, a trickle of far "cross" pairs that force
-deep transformations, periodic flash crowds around hotspots, and steady
-background churn.
+:func:`scale_scenario` builds the scale shape of the 100k-node arena
+``benchmarks/bench_e15_100k.py`` and the spine's ``central-aligned``
+workload: heavy-hitter pairs placed with key-space locality, a trickle of
+far "cross" pairs that force deep transformations, periodic flash crowds
+around hotspots, and steady background churn.
 
 This module is the schedule side only — event types, :class:`Scenario`,
 :data:`PLAYS` (which runner plays which events), :func:`run_scenario`,
@@ -242,10 +242,7 @@ class ScenarioReport:
     scenario's* requests (a delta of the algorithm's running sum, so reports
     stay scoped when an adapter serves several scenarios) and
     ``dummy_count`` the structure's current auxiliary nodes; both are 0 for
-    algorithms that do not track them (only DSG does).  ``max_height`` is
-    display-only: the structure's height sampled at the start, after every
-    churn event and at the end — not per request (the height lemma is
-    checked per request from ``RequestResult.height_after``).
+    algorithms that do not track them (only DSG does).
     """
 
     scenario: str
@@ -256,7 +253,6 @@ class ScenarioReport:
     leaves: int
     working_set_bound: float
     final_height: int
-    max_height: int
     dummy_count: int
     elapsed_seconds: float
     crashes: int = 0
@@ -379,7 +375,6 @@ def run_scenario(
     # delta is exactly this scenario's contribution — keeping every report
     # field scoped to the scenario even when the adapter is reused.
     base_ws = algorithm.working_set_bound()
-    max_height = algorithm.height()
     started = time.perf_counter()
     for event in scenario.events:
         if isinstance(event, RequestEvent):
@@ -393,10 +388,8 @@ def run_scenario(
             algorithm.join(event.key)
         else:
             algorithm.leave(event.key)
-        max_height = max(max_height, algorithm.height())
     elapsed = time.perf_counter() - started
 
-    final_height = algorithm.height()
     return ScenarioReport(
         scenario=scenario.name,
         costs=run,
@@ -405,8 +398,7 @@ def run_scenario(
         joins=scenario.join_count,
         leaves=scenario.leave_count,
         working_set_bound=algorithm.working_set_bound() - base_ws,
-        final_height=final_height,
-        max_height=max(max_height, final_height),
+        final_height=algorithm.height(),
         dummy_count=algorithm.dummy_count(),
         elapsed_seconds=elapsed,
         crashes=scenario.crash_count,

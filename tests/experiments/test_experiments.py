@@ -14,8 +14,11 @@ from repro.experiments.cli import QUICK_PARAMS, build_parser, main
 
 class TestRegistry:
     def test_all_experiments_registered(self):
-        assert sorted(EXPERIMENTS) == sorted(f"E{i}" for i in range(1, 14))
-        assert len(EXPERIMENTS) == 13
+        assert sorted(EXPERIMENTS) == sorted(f"E{i}" for i in range(1, 13))
+        assert len(EXPERIMENTS) == 12
+
+    def test_every_quick_shape_names_an_experiment(self):
+        assert set(QUICK_PARAMS) <= set(EXPERIMENTS)
 
     def test_get_experiment_case_insensitive(self):
         assert get_experiment("e5").experiment_id == "E5"

@@ -14,18 +14,24 @@ modules (``bench_e17_pipeline.py``); each must be a file under
 name ROADMAP items (``ROADMAP item 6b``, ``ROADMAP items 8 and 10``); each
 must still be one of ROADMAP.md's open items, and a lettered part
 (``6b``) must be one that item still names (``(b)``).  A retired item's
-number is never reused, so a reference to it is stale.
+number is never reused, so a reference to it is stale.  So too with
+experiments: each ``E<n>`` they name must be a registered experiment id or
+the number of a ``benchmarks/bench_e<nn>_*.py`` (E15-E17 are bench-only).
 """
 
 import re
 from pathlib import Path
+
+from repro.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[A-Z][A-Z0-9_-]*\.md)\b")
 BENCH = re.compile(r"\b(bench_\w+\.py)\b")
 ITEMS = re.compile(r"ROADMAP\s+items?\s+(\d+[a-z]?(?:(?:,\s*|\s+and\s+|\s+or\s+)\d+[a-z]?)*)")
 ITEM_NUMBER = re.compile(r"(\d+)([a-z]?)")
-#: Where benchmark modules and ROADMAP items are named: the documents, the verify notes and ``src/``.
+EXPERIMENT = re.compile(r"\b[Ee](\d+)\b")
+BENCHED = re.compile(r"bench_e(\d+)_\w+\.py")
+#: Where benchmark modules, experiments and ROADMAP items are named: the documents, the verify notes and ``src/``.
 NAMING = (
     [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")), ROOT / ".claude/skills/verify/SKILL.md"]
     + sorted((ROOT / "src").rglob("*.py"))
@@ -118,4 +124,29 @@ def test_a_retired_roadmap_item_is_reported(tmp_path):
     note.write_text("see ROADMAP item 8 and (ROADMAP\nitems 6b and 14), not ROADMAP item 6z\n")
     assert _stale_items([note], (ROOT / "ROADMAP.md").read_text()) == (
         f"ROADMAP items named but not open:\n{note}:1: ROADMAP item 14\n{note}:2: ROADMAP item 6z"
+    )
+
+
+def _stale_experiments(paths):
+    benched = (BENCHED.fullmatch(path.name) for path in (ROOT / "benchmarks").iterdir())
+    live = {int(name[1:]) for name in EXPERIMENTS} | {int(match.group(1)) for match in benched if match}
+    stale = [
+        f"{path}:{number}: E{experiment}"
+        for path in paths
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for experiment in EXPERIMENT.findall(line)
+        if int(experiment) not in live
+    ]
+    return "experiments named but neither registered nor benched:\n" + "\n".join(stale) if stale else ""
+
+
+def test_every_experiment_named_in_the_docs_and_under_src_exists():
+    assert not _stale_experiments(NAMING)
+
+
+def test_a_retired_experiment_number_is_reported(tmp_path):
+    note = tmp_path / "note.md"
+    note.write_text("run E1 --quick or e5, and the E15-E17 arenas\nnot `run E13` nor E99\n")
+    assert _stale_experiments([note]) == (
+        f"experiments named but neither registered nor benched:\n{note}:2: E13\n{note}:2: E99"
     )

@@ -32,7 +32,7 @@ class TestPublicAPI:
         assert "hot-pairs" in repro.WORKLOADS
 
     def test_experiment_registry_exposed(self):
-        assert set(repro.EXPERIMENTS) == {f"E{i}" for i in range(1, 14)}
+        assert set(repro.EXPERIMENTS) == {f"E{i}" for i in range(1, 13)}
 
     def test_quickstart_docstring_flow(self):
         dsg = repro.DynamicSkipGraph(keys=range(1, 17), config=repro.DSGConfig(seed=1))

@@ -1,7 +1,7 @@
 """The churn and scale schedule generators' event lists, pinned as SHA-256 digests.
 
 :func:`repro.workloads.churn_scenario` and :func:`repro.workloads.scale_scenario`
-draw every schedule the central benches, the E9 / E13 experiments and the
+draw every schedule the central benches, the E9 experiment and the
 measurement spine serve, and have no second implementation to agree with;
 these pins are what holds a rewrite of either generator to the one it
 replaces.  A pin hashes ``repr`` of the initial keys and of every event, for
@@ -10,10 +10,10 @@ every parameter set a caller uses:
 * the spine's ``central-aligned`` and ``central-churn`` workloads at the
   default seed: the quick shapes at all three epochs of the default run,
   the full shapes at epoch 0;
-* ``bench_e09_comparison.py``, ``bench_e13_scale.py`` and
-  ``bench_e15_100k.py`` at full size and under ``BENCH_QUICK``;
-* the E9 and E13 experiments at their defaults, the CLI's ``--quick``
-  shape and (E9) the bench's;
+* ``bench_e09_comparison.py`` and ``bench_e15_100k.py`` at full size and
+  under ``BENCH_QUICK``;
+* the E9 experiment at its defaults, the CLI's ``--quick`` shape and the
+  bench's;
 * ``benchmarks/conftest.py::shielded_churn`` as e11's and e15's arenas call
   it: the first wave over keys ``1..n`` and (e11) the broadcast wave over
   the population the first one leaves.
@@ -54,16 +54,6 @@ def _spine(shapes, **fixed):
     full, quick = shapes
     return [dict(shape, seed=seed, cross_pair_count=0, **fixed)
             for size, shape in (("full", full), ("quick", quick)) for seed in SPINE_EPOCH_SEEDS[size]]
-
-
-def _e13_experiment(n, length, seed=17):
-    """The two generator calls of ``repro.experiments.e13_scale.run``."""
-    return [
-        (scale_scenario, dict(n=n, length=length, seed=seed + 1, hot_pair_count=max(8, n // 64),
-                              cross_pair_count=2, flash_count=2, crowd_size=8, churn_rate=0.001)),
-        (churn_scenario, dict(n=max(64, n // 8), length=max(400, length // 8), seed=seed + 3,
-                              base="temporal", churn_rate=0.02)),
-    ]
 
 
 def _shielded_waves(n, churn_length, route_pairs, seed, broadcast):
@@ -108,12 +98,6 @@ EVENT_SETS = {
         dict(n=256, length=2_000, seed=42, hot_pair_count=16, cross_pair_count=2, flash_count=1,
              crowd_size=8, churn_rate=0.004),
     ),
-    "bench-e13": _scale(
-        dict(n=10_000, length=101_000, seed=42, hot_pair_count=64, cross_pair_count=2, flash_count=2,
-             crowd_size=12, churn_rate=0.0003),
-        dict(n=512, length=3_000, seed=42, hot_pair_count=64, cross_pair_count=2, flash_count=2,
-             crowd_size=12, churn_rate=0.004),
-    ),
     "bench-e15-scale": _scale(
         dict(n=100_000, length=101_000, seed=42, hot_pair_count=64, cross_pair_count=2,
              flash_count=2, crowd_size=12, churn_rate=0.0005),
@@ -134,7 +118,6 @@ EVENT_SETS = {
         dict(n=n, length=length, seed=5, base="temporal", churn_rate=0.02)
         for n, length in ((64, 250), (48, 180), (32, 100))
     )),
-    "experiment-e13": _e13_experiment(1024, 4000) + _e13_experiment(128, 400),
     "shielded-churn": (
         _shielded_waves(4096, 400, 16, 42, broadcast=True)
         + _shielded_waves(256, 60, 4, 42, broadcast=True)
@@ -143,10 +126,8 @@ EVENT_SETS = {
 
 PINNED = {
     "bench-e09": "9886c5936753d892339ab7efc0edc28f6ca8199efe9308ad665792df50a3b1eb",
-    "bench-e13": "67ad5465f9cdfa4befd46892150f508c435345ce41e5bd0271a3d27cb2e044cc",
     "bench-e15-churn": "9525f640824aee119cbf37c1b0c93b2016bf8c4bc213c71f2e6cb7d50ff39033",
     "bench-e15-scale": "b213e50ec8c6695a7a32cb48e59ee7fae80153b5a101d6ee26ddecf092e39a32",
-    "experiment-e13": "fc9d534a65d4a822b6abdb4163dd1d2621275825171312a463193d0e18f006ab",
     "experiment-e9": "0ec6f6371dca56705994d0fa51bce10abb406f13377da8f9df68e1f64d074a8d",
     "shielded-churn": "22b36b24224ac61e1f677386df2424f2c6d42d66611ee0e866ab7f4539956496",
     "spine-central-aligned": "9e3f8f33117849c4a485aea750c3fe04f2afaa4a85d2dafe0a93f1e170916c98",

@@ -12,8 +12,11 @@ search paths of length at most ``a * log n``.
 Two detection paths are provided:
 
 * :func:`a_balance_violations` — the full O(total bits) rescan, one pass per
-  level over the keys that still carry a bit at that level (the executable
-  specification, also used by :func:`check_a_balance` and the E10 audit);
+  level over the keys that still carry a bit at that level, each list named
+  by an integer prefix code (a leading 1, then the bits) grown one bit per
+  level and grouped by one stable sort, so no prefix tuple is sliced per
+  node (also used by :func:`check_a_balance` and the E10 audit; held to the
+  tuple-prefix oracle in ``tests/reference/balance_reference.py``);
 * :class:`BalanceTracker` — the incremental tracker on the churn path: a
   :class:`~repro.skipgraph.skipgraph.SkipGraph` it is attached to
   (``graph.tracker``) reports every structural change from its own seven
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.skipgraph.skipgraph import SkipGraph
@@ -107,52 +111,60 @@ def _record_run(
         )
 
 
-def _close_run(found: dict, level: int, prefix: Prefix, state: list, a: int) -> None:
-    """Record ``state``'s run into the per-prefix ``found`` map."""
-    _record_run(found.setdefault(prefix, []), level, prefix, state[0], state[1], a)
+def _run_violation(
+    entries: List[list], level: int, first: int, start: int, end: int, bit: int
+) -> Tuple[object, BalanceViolation]:
+    """``entries[start:end]``'s run as a violation, under its list's first key."""
+    _, first_key, first_bits = entries[first]
+    run_keys = tuple([key for _, key, _ in entries[start:end]])
+    return first_key, BalanceViolation(level, first_bits[:level], bit, run_keys)
 
 
 def a_balance_violations(graph: SkipGraph, a: int) -> List[BalanceViolation]:
     """Return every a-balance violation in ``graph`` (full rescan).
 
     A violation is reported once per maximal offending run, in list order
-    (lists by first appearance of their prefix in key order, runs left to
-    right), level by level.  The per-level pass only walks the keys whose
-    membership vectors still reach the level — the survivor list shrinks as
-    the levels climb, so the whole scan costs O(total membership bits)
-    rather than O(n * height) — and the run-closing helper is hoisted to
-    module level instead of being rebound per level.
+    (lists by first member key, runs left to right), level by level.  Each
+    level walks only the nodes whose membership vectors still reach it, so
+    the whole scan costs O(total membership bits) rather than O(n * height).
+    A node's list is named by an integer prefix code (a leading 1, then the
+    bits), grown by one bit per level, so no prefix tuple is sliced per node
+    and level: one stable sort by code per level puts each list's members
+    together, still in key order.  A list's violations are recorded under
+    its first key and the level's lists sorted by it; the prefix tuple is
+    sliced once per violation.
     """
     if a < 1:
         raise ValueError("a must be a positive integer")
     violations: List[BalanceViolation] = []
-    survivors = [(node.key, node.membership.bits) for node in graph]
-    max_level = graph.max_list_level()
-    for level in range(max_level + 1):
+    code_of = itemgetter(0)
+    # [prefix code, key, bits] per node in a list at ``level``, grouped by
+    # list; each level grows the code in place, so one entry per node lives.
+    entries = [[1, node.key, node.membership.bits] for node in graph]
+    for level in range(graph.max_list_level() + 1):
         if level:
-            survivors = [entry for entry in survivors if len(entry[1]) >= level]
-        # prefix -> [run_bit, run_keys]; the run resets on bit changes.
-        runs: dict = {}
-        order: List[Prefix] = []
-        found: dict = {}
-        for key, bits in survivors:
-            prefix = bits[:level]
+            entries = [entry for entry in entries if len(entry[2]) >= level]
+            for entry in entries:
+                entry[0] = 2 * entry[0] + entry[2][level - 1]
+            entries.sort(key=code_of)
+        found: List[Tuple[object, BalanceViolation]] = []  # (list's first key, violation)
+        list_code = run_bit = None
+        first = start = 0
+        for index, (code, _, bits) in enumerate(entries):
             bit = bits[level] if len(bits) > level else None
-            state = runs.get(prefix)
-            if state is None:
-                runs[prefix] = [bit, [key]]
-                order.append(prefix)
+            if code == list_code and bit is not None and bit == run_bit:
                 continue
-            if bit is not None and bit == state[0]:
-                state[1].append(key)
-            else:
-                _close_run(found, level, prefix, state, a)
-                state[0] = bit
-                state[1] = [key]
-        for prefix in order:
-            _close_run(found, level, prefix, runs[prefix], a)
-        for prefix in order:
-            violations.extend(found.get(prefix, ()))
+            if run_bit is not None and index - start > a:
+                found.append(_run_violation(entries, level, first, start, index, run_bit))
+            if code != list_code:
+                list_code = code
+                first = index
+            run_bit = bit
+            start = index
+        if run_bit is not None and len(entries) - start > a:
+            found.append(_run_violation(entries, level, first, start, len(entries), run_bit))
+        found.sort(key=code_of)
+        violations.extend(violation for _, violation in found)
     return violations
 
 

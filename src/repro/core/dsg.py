@@ -49,7 +49,7 @@ from repro.core.groups import (
     merge_groups_at_alpha,
     update_group_bases_after_transformation,
 )
-from repro.core.local_ops import LocalOp, OpRecorder
+from repro.core.local_ops import OpRecorder, Plan
 from repro.core.priorities import compute_priorities
 from repro.core.state import DSGNodeState
 from repro.core.timestamps import TimestampContext, apply_timestamp_rules
@@ -115,8 +115,9 @@ class RequestResult:
     #: ``l_alpha`` followed by the transformation's ops), in application
     #: order.  Replaying it on a copy of the pre-request graph reproduces
     #: the post-request topology (see :mod:`repro.core.local_ops`); the
-    #: distributed protocol executes exactly this sequence as messages.
-    ops: Optional[List["LocalOp"]] = None
+    #: distributed protocol executes exactly this sequence as messages.  A
+    #: read-only :class:`~repro.core.local_ops.Plan`: one record per bulk run.
+    ops: Optional[Plan] = None
 
     @property
     def routing_cost(self) -> int:
@@ -172,7 +173,7 @@ class DynamicSkipGraph:
         self._time = 0
         self.history = CommunicationHistory(total_nodes=self.graph.real_count)
         #: Local-op plan of the most recent :meth:`add_node` / :meth:`remove_node`.
-        self.last_churn_ops: List[LocalOp] = []
+        self.last_churn_ops = Plan()
         self.results: List[RequestResult] = []
         #: Equation-1 totals of every request served, kept or not.
         self.costs = CostLedger("dsg", keep_costs=False)

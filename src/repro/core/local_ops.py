@@ -50,9 +50,11 @@ creates it; every other op is executed by the node it names).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence as SequenceABC
 from itertools import repeat
+from operator import eq
 from time import perf_counter
-from typing import Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.skipgraph.membership import MembershipVector, common_prefix_length
 from repro.skipgraph.node import SkipGraphNode
@@ -66,6 +68,7 @@ __all__ = [
     "NodeJoinOp",
     "NodeLeaveOp",
     "OpRecorder",
+    "Plan",
     "PromoteOp",
     "apply_op",
     "apply_ops",
@@ -222,13 +225,84 @@ def apply_ops_touched(graph: SkipGraph, ops: Sequence[LocalOp]) -> set:
     return touched
 
 
-# ----------------------------------------------------------------- recorder
+# --------------------------------------------------------------------- plan
 #: ``_new_op(PromoteOp, (key, level, bit))`` is ``PromoteOp(key, level, bit)``
-#: without the named tuple's Python-level ``__new__``: the bulk paths below
-#: emit one op per key of a run, a few hundred thousand per second.
+#: without the named tuple's Python-level ``__new__``: a plan expands one op
+#: per key of a run, a few hundred thousand per second.
 _new_op = tuple.__new__
 
 
+class Plan(SequenceABC):
+    """A recorded local-op plan: a read-only sequence, one record per bulk run.
+
+    A bulk run (the sublist one split promotes, the subtree a rebuild
+    demotes, the dummies a notification destroys) is held once, as a plain
+    ``(op kind, keys, args)`` tuple whose ``keys`` is a tuple of its own;
+    every other op is held as itself.  Reading expands a run into
+    ``kind(key, *args)`` per key, so iteration yields exactly the op
+    sequence a per-key recorder would have appended, in order; ``len``,
+    indexing and ``==`` against a list of ops (or another plan) read that
+    sequence too.  A plan therefore costs O(runs) words rather than
+    O(members x levels) — what a deep rebuild's transient memory is made
+    of — and a reader that only needs ``len`` expands nothing.  Only the
+    :class:`OpRecorder` writing it appends.
+    """
+
+    __slots__ = ("_records", "_len")
+
+    def __init__(self) -> None:
+        self._records: List[Union[LocalOp, tuple]] = []
+        self._len = 0
+
+    def _add(self, op: LocalOp) -> None:
+        self._records.append(op)
+        self._len += 1
+
+    def _add_run(self, kind: type, keys: Tuple[Key, ...], *args: int) -> None:
+        self._records.append((kind, keys, args))
+        self._len += len(keys)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[LocalOp]:
+        for record in self._records:
+            if type(record) is tuple:  # a run; an op's type is its named tuple
+                kind, keys, args = record
+                yield from map(_new_op, repeat(kind), zip(keys, *map(repeat, args)))
+            else:
+                yield record
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("plan index out of range")
+        for record in self._records:
+            if type(record) is tuple:
+                kind, keys, args = record
+                if index < len(keys):
+                    return _new_op(kind, (keys[index], *args))
+                index -= len(keys)
+            elif index:
+                index -= 1
+            else:
+                return record
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Plan, list)):
+            return self._len == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Plan({list(self)!r})"
+
+
+# ----------------------------------------------------------------- recorder
 class OpRecorder:
     """Applies local ops to a graph eagerly while recording the sequence.
 
@@ -236,15 +310,18 @@ class OpRecorder:
     split reads the lists the previous split produced), so the centralized
     path cannot plan first and apply later; instead every write goes through
     this recorder, which both mutates the graph and appends the op to
-    :attr:`ops` — making "the plan" a byproduct of the existing computation
-    at O(1) extra work per mutation, with cost accounting untouched.
+    :attr:`ops` (a :class:`Plan`; ``ops=`` continues a given one) — making
+    "the plan" a byproduct of the existing computation at O(1) extra work
+    per mutation, with cost accounting untouched.
 
-    The ``*_run`` bulk methods record exactly the per-key op sequence the
-    singular methods would, so the plan (and therefore the cost accounting
-    and the wire traffic) is byte-identical either way; the *application*
-    goes through the skip graph's bulk entry points — one list splice per
-    run instead of one cache invalidation per op — which raise, graph
-    untouched, when a run breaks their precondition.  :attr:`apply_seconds`
+    The ``promote_run`` / ``demote_run`` / ``remove_run`` bulk methods
+    record a run once, as one :class:`Plan` record that reads back as
+    exactly the per-key op sequence the singular methods would append, so
+    the plan (and therefore the cost accounting and the wire traffic) is
+    byte-identical either way; the *application* goes through the skip
+    graph's bulk entry points — one list splice per run instead of one
+    cache invalidation per op — which raise, graph untouched, when a run
+    breaks their precondition.  :attr:`apply_seconds`
     accumulates the wall clock spent inside those bulk splices (the
     "apply" phase of :attr:`DynamicSkipGraph.phase_seconds
     <repro.core.dsg.DynamicSkipGraph.phase_seconds>`).
@@ -256,9 +333,9 @@ class OpRecorder:
 
     __slots__ = ("graph", "ops", "apply_seconds", "touched")
 
-    def __init__(self, graph: SkipGraph, ops: Optional[List[LocalOp]] = None) -> None:
+    def __init__(self, graph: SkipGraph, ops: Optional[Plan] = None) -> None:
         self.graph = graph
-        self.ops: List[LocalOp] = ops if ops is not None else []
+        self.ops: Plan = ops if ops is not None else Plan()
         self.apply_seconds = 0.0
         self.touched: Optional[set] = None
 
@@ -270,7 +347,7 @@ class OpRecorder:
             self._touch_flanks(old, left, (op.key,))
             apply_op(self.graph, op)
             self._touch_flanks(new, entered, (op.key,))
-        self.ops.append(op)
+        self.ops._add(op)
 
     def _touch_flanks(self, bits: Bits, levels: range, keys: Sequence[Key]) -> None:
         """Touch ``keys`` and their list neighbours at ``levels`` of ``bits``."""
@@ -306,7 +383,8 @@ class OpRecorder:
     def promote_run(self, keys: Sequence[Key], level: int, bit: int) -> None:
         """Promote every key of ``keys`` (one split sublist) to ``level``.
 
-        A singleton is one
+        The plan holds the run as one record over ``tuple(keys)`` (the same
+        object when the caller passes a tuple).  A singleton is one
         :meth:`SkipGraph.set_membership <repro.skipgraph.skipgraph.SkipGraph.set_membership>`
         — exactly what :func:`apply_op` does for a :class:`PromoteOp`,
         without the dispatch.
@@ -314,17 +392,18 @@ class OpRecorder:
         graph = self.graph
         touched = self.touched
         if len(keys) > 1:
+            keys = tuple(keys)
             began = perf_counter()
             graph.promote_run(keys, level, bit)
             self.apply_seconds += perf_counter() - began
-            self.ops.extend(map(_new_op, repeat(PromoteOp), zip(keys, repeat(level), repeat(bit))))
+            self.ops._add_run(PromoteOp, keys, level, bit)
             if touched is not None:
                 self._touch_flanks(graph.membership(keys[0]).bits, range(level, level + 1), keys)
             return
         for key in keys:
             if touched is None:
                 graph.set_membership(key, graph.membership(key).with_bit(level, bit))
-                self.ops.append(_new_op(PromoteOp, (key, level, bit)))
+                self.ops._add(_new_op(PromoteOp, (key, level, bit)))
             else:
                 self._record(PromoteOp(key, level, bit))
 
@@ -332,7 +411,7 @@ class OpRecorder:
         """Truncate every key of ``keys`` (one subtree's members) to ``length``."""
         graph = self.graph
         membership = graph.membership
-        eligible = [key for key in keys if len(membership(key)) > length]
+        eligible = tuple([key for key in keys if len(membership(key)) > length])
         if len(eligible) > 1:
             if self.touched is not None:
                 self.touched.update(eligible)
@@ -343,7 +422,7 @@ class OpRecorder:
             began = perf_counter()
             graph.demote_run(eligible, length)
             self.apply_seconds += perf_counter() - began
-            self.ops.extend(map(_new_op, repeat(DemoteOp), zip(eligible, repeat(length))))
+            self.ops._add_run(DemoteOp, eligible, length)
             return
         for key in eligible:
             self._record(DemoteOp(key, length))
@@ -351,12 +430,13 @@ class OpRecorder:
     def remove_run(self, keys: Sequence[Key]) -> None:
         """Destroy every dummy in ``keys`` (ascending) in one bulk removal."""
         if len(keys) > 1:
+            keys = tuple(keys)
             if self.touched is not None:
                 self._touch_each(keys, 0)
             began = perf_counter()
             self.graph.remove_run(keys)
             self.apply_seconds += perf_counter() - began
-            self.ops.extend(DummyRemoveOp(key) for key in keys)
+            self.ops._add_run(DummyRemoveOp, keys)
             return
         for key in keys:
             self._record(DummyRemoveOp(key))
@@ -376,7 +456,8 @@ class OpRecorder:
             began = perf_counter()
             self.graph.insert_run(nodes)
             self.apply_seconds += perf_counter() - began
-            self.ops.extend(ops)
+            for op in ops:
+                self.ops._add(op)
             if self.touched is not None:
                 self._touch_each([op.key for op in ops], 0)
             return
@@ -393,7 +474,7 @@ class OpRecorder:
         self.graph.add_node(
             SkipGraphNode(key=key, membership=MembershipVector(bits), payload=payload)
         )
-        self.ops.append(NodeJoinOp(key, bits))
+        self.ops._add(NodeJoinOp(key, bits))
         if self.touched is not None:
             self._touch_each((key,), 0)
 

@@ -53,10 +53,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
-from typing import Dict, Hashable, List, MutableMapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, MutableMapping, Optional, Sequence, Set, Tuple
 
 from repro.core.amf import AMFResult, approximate_median, exact_median
 from repro.core.groups import assign_group_ids_after_split, find_straddled_group
@@ -66,7 +68,7 @@ from repro.core.state import DSGNodeState
 from repro.skipgraph.skipgraph import SkipGraph
 from repro.skiplist.distributed_sum import distributed_sum
 
-__all__ = ["TransformationOutcome", "transform"]
+__all__ = ["ReceivedMedians", "TransformationOutcome", "transform"]
 
 Key = Hashable
 
@@ -74,6 +76,49 @@ Key = Hashable
 CHAIN_CHECK_ROUNDS = 2
 #: Rounds charged for placing one dummy node (identifier pick + linking).
 DUMMY_PLACEMENT_ROUNDS = 2
+
+
+class ReceivedMedians(Mapping):
+    """``medians[x][d]``: the median member ``x`` received while its level-``d`` list split.
+
+    A read-only ``Mapping[key, Mapping[level, median]]`` over the
+    transformation's members.  A split records its median once, under the
+    split list's prefix — the members' shared membership vector, one tuple
+    per run, so nothing is sliced — rather than once per member and level.
+    A member's entry is read through its vector in the graph as the
+    transformation left it: for each level ``d`` from ``alpha`` up, the
+    median recorded under its first ``d`` bits, if any (the pair step
+    records none).  Read it before the graph next changes.
+    """
+
+    __slots__ = ("_graph", "_members", "_alpha", "by_prefix")
+
+    def __init__(self, graph: SkipGraph, members: List[Key], alpha: int) -> None:
+        self._graph = graph
+        self._members = members  # sorted
+        self._alpha = alpha
+        #: Split list prefix -> the median its split used.
+        self.by_prefix: Dict[Tuple[int, ...], float] = {}
+
+    def __getitem__(self, key: Key) -> Dict[int, float]:
+        members = self._members
+        index = bisect_left(members, key)
+        if index == len(members) or members[index] != key:
+            raise KeyError(key)
+        bits = self._graph.membership(key).bits
+        by_prefix = self.by_prefix
+        medians: Dict[int, float] = {}
+        for level in range(self._alpha, len(bits)):
+            median = by_prefix.get(bits[:level])
+            if median is not None:
+                medians[level] = median
+        return medians
+
+    def __iter__(self) -> Iterator[Key]:
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
 
 
 @dataclass
@@ -88,7 +133,7 @@ class TransformationOutcome:
     rounds: int                      # critical-path rounds (parallel branches)
     total_work_rounds: int           # sum of the rounds of every split
     amf_calls: int
-    received_medians: Dict[Key, Dict[int, float]]
+    received_medians: ReceivedMedians
     split_levels: Dict[Key, List[int]]
     alpha: int
     d_prime: int
@@ -129,7 +174,7 @@ def transform(
         rounds=0,
         total_work_rounds=0,
         amf_calls=0,
-        received_medians={key: {} for key in members},
+        received_medians=ReceivedMedians(graph, members, alpha),
         split_levels={},
         alpha=alpha,
         d_prime=alpha,
@@ -174,7 +219,7 @@ class _Transformation:
     recorder: OpRecorder
 
     def split(
-        self, members: List[Key], level: int, member_states: List[DSGNodeState], contains_pair: bool
+        self, members: Sequence[Key], level: int, member_states: List[DSGNodeState], contains_pair: bool
     ) -> int:
         """Split ``members`` (a linked list at ``level - 1``, in key order) and recurse.
 
@@ -244,10 +289,8 @@ class _Transformation:
                 median_pair = amf_result.median
                 step_rounds = amf_result.rounds
                 outcome.amf_calls += 1
-            median = median_pair[0]
-            received_medians = outcome.received_medians
-            for key in members:
-                received_medians[key][parent] = median
+            # Every member carries the list's ``parent``-bit vector still.
+            outcome.received_medians.by_prefix[self.graph.membership(members[0]).bits] = median_pair[0]
 
             to_one, extra_rounds = self._assign(
                 members, member_states, order, parent_groups, median_pair, level, amf_result
@@ -257,10 +300,11 @@ class _Transformation:
         # ------------------------------------------------------------ apply bits
         # Each sublist is one commuting run (distinct keys, same level, same
         # bit), in key order because ``members`` is: the recorder splices
-        # the new level list in one pass.
+        # the new level list in one pass, and its plan holds the run as this
+        # very tuple, which the child split then reads as its members.
         to_zero = list(map(not_, to_one))
-        zero_list = list(compress(members, to_zero))
-        one_list = list(compress(members, to_one))
+        zero_list = tuple(compress(members, to_zero))
+        one_list = tuple(compress(members, to_one))
         recorder = self.recorder
         recorder.promote_run(zero_list, level, 0)
         recorder.promote_run(one_list, level, 1)

@@ -28,7 +28,10 @@ Every structural mutation of the repository flows through this vocabulary:
   planning maths reads the graph mid-plan, so application must be eager) and
   keeps the emitted sequence as the plan (plus the wall clock its bulk
   splices took — the only other thing a recorder holds; the a-balance dirty
-  marks are emitted by the graph's own mutators, not by this module);
+  marks are emitted by the graph's own mutators, not by this module); a
+  plan is a read-only :class:`Plan` that stores each bulk run as one
+  record and expands it into per-key ops only when read, so a deep rebuild
+  holds one record per list split, not one op per member and level;
 * :func:`apply_ops` **replays** a recorded plan onto another graph — the
   applier the property tests use to prove a plan is self-contained
   (replaying ``result.ops`` on a copy of ``S_t`` reproduces ``S_{t+1}``)

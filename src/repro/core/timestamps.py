@@ -11,7 +11,10 @@ the transformation did, bundled in :class:`TimestampContext`:
 
 * the membership vectors before (``S_t``) and after (``S_{t+1}``) the
   transformation,
-* the approximate median received by each node at each level,
+* the approximate median received by each node at each level (the
+  transformation records one per split list and hands over a read-only
+  view, :class:`~repro.core.transformation.ReceivedMedians`; a plain dict
+  of dicts works as well),
 * which (old) groups were split, and at which levels, for each node,
 * which nodes initialized or received ``G_lower`` (Appendix C),
 * the snapshot of all timestamps before the request (several rules refer to
@@ -57,7 +60,7 @@ class TimestampContext:
     #: Membership vectors after the transformation (``S_{t+1}``).
     new_membership: Mapping[Key, MembershipVector]
     #: ``received_medians[x][d]`` = approximate median received by ``x``
-    #: while its level-``d`` list was being split.
+    #: while its level-``d`` list was being split (read once per member).
     received_medians: Mapping[Key, Mapping[int, float]]
     #: Old group-ids at level ``alpha`` (before the merge), for rule T3.
     old_group_u: Key = None

@@ -39,6 +39,12 @@ pre-request graph reproduces the post-request graph, which is how the
 distributed protocol (:mod:`repro.distributed.dsg_protocol`) executes the
 same transformation as O(log n)-bit messages.
 
+A request's transient records grow with the lists it splits, not with
+members times levels: each sublist a split promotes is one tuple, which
+the plan keeps as the run's one record and the child split reads as its
+members, and each split records its median once, under the split list's
+shared vector (:class:`ReceivedMedians`, the view rule T2 reads).
+
 One request's invariants (graph, priorities, the pair and ``u``'s
 identifier, ``t``, ``a``, the RNG, the outcome and the recorder) are bound
 once on a :class:`_Transformation`; its :meth:`~_Transformation.split`
@@ -126,7 +132,7 @@ class TransformationOutcome:
     """Aggregate result of one transformation.
 
     The emitted local-operation plan is not carried here: it is the
-    ``ops`` list of the :class:`~repro.core.local_ops.OpRecorder` the
+    ``ops`` plan of the :class:`~repro.core.local_ops.OpRecorder` the
     caller passed into :func:`transform`.
     """
 

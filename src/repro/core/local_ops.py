@@ -240,21 +240,26 @@ class Plan(SequenceABC):
 
     A bulk run (the sublist one split promotes, the subtree a rebuild
     demotes, the dummies a notification destroys) is held once, as a plain
-    ``(op kind, keys, args)`` tuple whose ``keys`` is a tuple of its own;
-    every other op is held as itself.  Reading expands a run into
-    ``kind(key, *args)`` per key, so iteration yields exactly the op
-    sequence a per-key recorder would have appended, in order; ``len``,
-    indexing and ``==`` against a list of ops (or another plan) read that
-    sequence too.  A plan therefore costs O(runs) words rather than
-    O(members x levels) — what a deep rebuild's transient memory is made
-    of — and a reader that only needs ``len`` expands nothing.  Only the
-    :class:`OpRecorder` writing it appends.
+    ``(op kind, start, stop, args)`` tuple over the plan's own key list,
+    which holds every run's keys back to back (copied in, so a caller's
+    list is never aliased; one list rather than a tuple per run, whose
+    small sizes CPython's per-size tuple free lists would keep resident
+    after the plan is gone); every other op is held as itself.  Reading
+    expands a run into ``kind(key, *args)`` per key, so iteration yields
+    exactly the op sequence a per-key recorder would have appended, in
+    order; ``len``, indexing and ``==`` against a list of ops (or another
+    plan) read that sequence too.  A plan therefore costs one word per key
+    and run plus one record per run, not one op tuple per member and level
+    — what a deep rebuild's transient memory was made of — and a reader
+    that only needs ``len`` expands nothing.  Only the :class:`OpRecorder`
+    writing it appends.
     """
 
-    __slots__ = ("_records", "_len")
+    __slots__ = ("_records", "_keys", "_len")
 
     def __init__(self) -> None:
         self._records: List[Union[LocalOp, tuple]] = []
+        self._keys: List[Key] = []
         self._len = 0
 
     def _add(self, op: LocalOp) -> None:
@@ -262,16 +267,20 @@ class Plan(SequenceABC):
         self._len += 1
 
     def _add_run(self, kind: type, keys: Tuple[Key, ...], *args: int) -> None:
-        self._records.append((kind, keys, args))
+        start = len(self._keys)
+        self._keys.extend(keys)
+        self._records.append((kind, start, len(self._keys), args))
         self._len += len(keys)
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[LocalOp]:
+        all_keys = self._keys
         for record in self._records:
             if type(record) is tuple:  # a run; an op's type is its named tuple
-                kind, keys, args = record
+                kind, start, stop, args = record
+                keys = all_keys[start:stop]
                 yield from map(_new_op, repeat(kind), zip(keys, *map(repeat, args)))
             else:
                 yield record
@@ -285,10 +294,10 @@ class Plan(SequenceABC):
             raise IndexError("plan index out of range")
         for record in self._records:
             if type(record) is tuple:
-                kind, keys, args = record
-                if index < len(keys):
-                    return _new_op(kind, (keys[index], *args))
-                index -= len(keys)
+                kind, start, stop, args = record
+                if index < stop - start:
+                    return _new_op(kind, (self._keys[start + index], *args))
+                index -= stop - start
             elif index:
                 index -= 1
             else:
@@ -386,8 +395,7 @@ class OpRecorder:
     def promote_run(self, keys: Sequence[Key], level: int, bit: int) -> None:
         """Promote every key of ``keys`` (one split sublist) to ``level``.
 
-        The plan holds the run as one record over ``tuple(keys)`` (the same
-        object when the caller passes a tuple).  A singleton is one
+        The plan holds the run as one record.  A singleton is one
         :meth:`SkipGraph.set_membership <repro.skipgraph.skipgraph.SkipGraph.set_membership>`
         — exactly what :func:`apply_op` does for a :class:`PromoteOp`,
         without the dispatch.
@@ -395,7 +403,6 @@ class OpRecorder:
         graph = self.graph
         touched = self.touched
         if len(keys) > 1:
-            keys = tuple(keys)
             began = perf_counter()
             graph.promote_run(keys, level, bit)
             self.apply_seconds += perf_counter() - began
@@ -414,7 +421,7 @@ class OpRecorder:
         """Truncate every key of ``keys`` (one subtree's members) to ``length``."""
         graph = self.graph
         membership = graph.membership
-        eligible = tuple([key for key in keys if len(membership(key)) > length])
+        eligible = [key for key in keys if len(membership(key)) > length]
         if len(eligible) > 1:
             if self.touched is not None:
                 self.touched.update(eligible)
@@ -433,7 +440,6 @@ class OpRecorder:
     def remove_run(self, keys: Sequence[Key]) -> None:
         """Destroy every dummy in ``keys`` (ascending) in one bulk removal."""
         if len(keys) > 1:
-            keys = tuple(keys)
             if self.touched is not None:
                 self._touch_each(keys, 0)
             began = perf_counter()

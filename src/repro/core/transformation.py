@@ -40,10 +40,9 @@ distributed protocol (:mod:`repro.distributed.dsg_protocol`) executes the
 same transformation as O(log n)-bit messages.
 
 A request's transient records grow with the lists it splits, not with
-members times levels: each sublist a split promotes is one tuple, which
-the plan keeps as the run's one record and the child split reads as its
-members, and each split records its median once, under the split list's
-shared vector (:class:`ReceivedMedians`, the view rule T2 reads).
+members times levels: the plan keeps each sublist a split promotes as one
+run record, and each split records its median once, under the split
+list's shared vector (:class:`ReceivedMedians`, the view rule T2 reads).
 
 One request's invariants (graph, priorities, the pair and ``u``'s
 identifier, ``t``, ``a``, the RNG, the outcome and the recorder) are bound
@@ -225,7 +224,7 @@ class _Transformation:
     recorder: OpRecorder
 
     def split(
-        self, members: Sequence[Key], level: int, member_states: List[DSGNodeState], contains_pair: bool
+        self, members: List[Key], level: int, member_states: List[DSGNodeState], contains_pair: bool
     ) -> int:
         """Split ``members`` (a linked list at ``level - 1``, in key order) and recurse.
 
@@ -306,11 +305,10 @@ class _Transformation:
         # ------------------------------------------------------------ apply bits
         # Each sublist is one commuting run (distinct keys, same level, same
         # bit), in key order because ``members`` is: the recorder splices
-        # the new level list in one pass, and its plan holds the run as this
-        # very tuple, which the child split then reads as its members.
+        # the new level list in one pass and records it as one run.
         to_zero = list(map(not_, to_one))
-        zero_list = tuple(compress(members, to_zero))
-        one_list = tuple(compress(members, to_one))
+        zero_list = list(compress(members, to_zero))
+        one_list = list(compress(members, to_one))
         recorder = self.recorder
         recorder.promote_run(zero_list, level, 0)
         recorder.promote_run(one_list, level, 1)

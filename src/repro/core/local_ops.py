@@ -238,20 +238,15 @@ _new_op = tuple.__new__
 class Plan(SequenceABC):
     """A recorded local-op plan: a read-only sequence, one record per bulk run.
 
-    A bulk run (the sublist one split promotes, the subtree a rebuild
-    demotes, the dummies a notification destroys) is held once, as a plain
-    ``(op kind, start, stop, args)`` tuple over the plan's own key list,
-    which holds every run's keys back to back (copied in, so a caller's
-    list is never aliased; one list rather than a tuple per run, whose
-    small sizes CPython's per-size tuple free lists would keep resident
-    after the plan is gone); every other op is held as itself.  Reading
-    expands a run into ``kind(key, *args)`` per key, so iteration yields
-    exactly the op sequence a per-key recorder would have appended, in
-    order; ``len``, indexing and ``==`` against a list of ops (or another
-    plan) read that sequence too.  A plan therefore costs one word per key
-    and run plus one record per run, not one op tuple per member and level
-    — what a deep rebuild's transient memory was made of — and a reader
-    that only needs ``len`` expands nothing.  Only the :class:`OpRecorder`
+    A bulk run (a split sublist's promotes, a rebuilt subtree's demotes, a
+    notification's dummy removals) is one ``(op kind, start, stop, args)``
+    record over the plan's own key list, which holds every run's keys back
+    to back (one list, not a tuple per run: CPython keeps freed small
+    tuples on per-size free lists); every other op is held as itself.
+    Reading expands a run into ``kind(key, *args)`` per key, so iteration,
+    ``len``, indexing and ``==`` against a list of ops give exactly the
+    sequence a per-key recorder would have appended, and a reader that
+    needs only ``len`` expands nothing.  Only the :class:`OpRecorder`
     writing it appends.
     """
 
@@ -266,7 +261,7 @@ class Plan(SequenceABC):
         self._records.append(op)
         self._len += 1
 
-    def _add_run(self, kind: type, keys: Tuple[Key, ...], *args: int) -> None:
+    def _add_run(self, kind: type, keys: Sequence[Key], *args: int) -> None:
         start = len(self._keys)
         self._keys.extend(keys)
         self._records.append((kind, start, len(self._keys), args))

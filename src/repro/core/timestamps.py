@@ -60,7 +60,7 @@ class TimestampContext:
     #: Membership vectors after the transformation (``S_{t+1}``).
     new_membership: Mapping[Key, MembershipVector]
     #: ``received_medians[x][d]`` = approximate median received by ``x``
-    #: while its level-``d`` list was being split (read once per member).
+    #: while its level-``d`` list was being split.
     received_medians: Mapping[Key, Mapping[int, float]]
     #: Old group-ids at level ``alpha`` (before the merge), for rule T3.
     old_group_u: Key = None

@@ -137,7 +137,7 @@ def a_balance_violations(graph: SkipGraph, a: int) -> List[BalanceViolation]:
     if a < 1:
         raise ValueError("a must be a positive integer")
     violations: List[BalanceViolation] = []
-    code_of = itemgetter(0)
+    first_item = itemgetter(0)
     # [prefix code, key, bits] per node in a list at ``level``, grouped by
     # list; each level grows the code in place, so one entry per node lives.
     entries = [[1, node.key, node.membership.bits] for node in graph]
@@ -146,7 +146,7 @@ def a_balance_violations(graph: SkipGraph, a: int) -> List[BalanceViolation]:
             entries = [entry for entry in entries if len(entry[2]) >= level]
             for entry in entries:
                 entry[0] = 2 * entry[0] + entry[2][level - 1]
-            entries.sort(key=code_of)
+            entries.sort(key=first_item)
         found: List[Tuple[object, BalanceViolation]] = []  # (list's first key, violation)
         list_code = run_bit = None
         first = start = 0
@@ -163,7 +163,7 @@ def a_balance_violations(graph: SkipGraph, a: int) -> List[BalanceViolation]:
             start = index
         if run_bit is not None and len(entries) - start > a:
             found.append(_run_violation(entries, level, first, start, len(entries), run_bit))
-        found.sort(key=code_of)
+        found.sort(key=first_item)
         violations.extend(violation for _, violation in found)
     return violations
 

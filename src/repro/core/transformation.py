@@ -41,8 +41,9 @@ same transformation as O(log n)-bit messages.
 
 A request's transient records grow with the lists it splits, not with
 members times levels: the plan keeps each sublist a split promotes as one
-run record, and each split records its median once, under the split
-list's shared vector (:class:`ReceivedMedians`, the view rule T2 reads).
+run record, and each split records its median once, under an integer
+code of the split list's prefix (:class:`ReceivedMedians`, the view rule
+T2 reads).
 
 One request's invariants (graph, priorities, the pair and ``u``'s
 identifier, ``t``, ``a``, the RNG, the outcome and the recorder) are bound
@@ -87,23 +88,24 @@ class ReceivedMedians(Mapping):
     """``medians[x][d]``: the median member ``x`` received while its level-``d`` list split.
 
     A read-only ``Mapping[key, Mapping[level, median]]`` over the
-    transformation's members.  A split records its median once, under the
-    split list's prefix — the members' shared membership vector, one tuple
-    per run, so nothing is sliced — rather than once per member and level.
-    A member's entry is read through its vector in the graph as the
-    transformation left it: for each level ``d`` from ``alpha`` up, the
-    median recorded under its first ``d`` bits, if any (the pair step
-    records none).  Read it before the graph next changes.
+    transformation's members.  A split records its median once, under its
+    list's code — a leading 1, then the bits its members carry below
+    ``alpha`` (they all share the first ``alpha``) — rather than once per
+    member and level.  A member's entry is read through its vector in the
+    graph as the transformation left it: for each level ``d`` from
+    ``alpha`` up, the median recorded under the code of its first ``d``
+    bits, grown one bit per level, if any (the pair step records none).
+    Read it before the graph next changes.
     """
 
-    __slots__ = ("_graph", "_members", "_alpha", "by_prefix")
+    __slots__ = ("_graph", "_members", "_alpha", "by_code")
 
     def __init__(self, graph: SkipGraph, members: List[Key], alpha: int) -> None:
         self._graph = graph
         self._members = members  # sorted
         self._alpha = alpha
-        #: Split list prefix -> the median its split used.
-        self.by_prefix: Dict[Tuple[int, ...], float] = {}
+        #: Split list code -> the median its split used.
+        self.by_code: Dict[int, float] = {}
 
     def __getitem__(self, key: Key) -> Dict[int, float]:
         members = self._members
@@ -111,12 +113,14 @@ class ReceivedMedians(Mapping):
         if index == len(members) or members[index] != key:
             raise KeyError(key)
         bits = self._graph.membership(key).bits
-        by_prefix = self.by_prefix
+        by_code = self.by_code
         medians: Dict[int, float] = {}
+        code = 1
         for level in range(self._alpha, len(bits)):
-            median = by_prefix.get(bits[:level])
+            median = by_code.get(code)
             if median is not None:
                 medians[level] = median
+            code = 2 * code + bits[level]
         return medians
 
     def __iter__(self) -> Iterator[Key]:
@@ -201,7 +205,9 @@ def transform(
     )
     if len(members) > 1:
         member_states = [states[key] for key in members]
-        outcome.rounds = transformation.split(members, alpha + 1, member_states, u in members and v in members)
+        outcome.rounds = transformation.split(
+            members, alpha + 1, member_states, u in members and v in members, 1
+        )
     return outcome
 
 
@@ -224,12 +230,18 @@ class _Transformation:
     recorder: OpRecorder
 
     def split(
-        self, members: List[Key], level: int, member_states: List[DSGNodeState], contains_pair: bool
+        self,
+        members: List[Key],
+        level: int,
+        member_states: List[DSGNodeState],
+        contains_pair: bool,
+        code: int,
     ) -> int:
         """Split ``members`` (a linked list at ``level - 1``, in key order) and recurse.
 
         ``member_states`` is aligned with ``members``; ``contains_pair`` says
-        whether both ``u`` and ``v`` are in the list.  Every member's state is
+        whether both ``u`` and ``v`` are in the list; ``code`` names the list
+        (:class:`ReceivedMedians`).  Every member's state is
         read once, into lists aligned with ``members`` — rule P4 runs in the
         same pass — and the assignment is one ``to_one`` flag per member that
         the group-id reassignment, the chain check and the split-level marks
@@ -294,8 +306,7 @@ class _Transformation:
                 median_pair = amf_result.median
                 step_rounds = amf_result.rounds
                 outcome.amf_calls += 1
-            # Every member carries the list's ``parent``-bit vector still.
-            outcome.received_medians.by_prefix[self.graph.membership(members[0]).bits] = median_pair[0]
+            outcome.received_medians.by_code[code] = median_pair[0]
 
             to_one, extra_rounds = self._assign(
                 members, member_states, order, parent_groups, median_pair, level, amf_result
@@ -366,7 +377,8 @@ class _Transformation:
         for child, side, selected in ((zero_list, False, to_zero), (one_list, True, to_one)):
             if len(child) > 1:
                 rounds = self.split(
-                    child, level + 1, list(compress(member_states, selected)), side == pair_side
+                    child, level + 1, list(compress(member_states, selected)), side == pair_side,
+                    2 * code + side,
                 )
                 if rounds > child_rounds:
                     child_rounds = rounds

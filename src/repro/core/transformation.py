@@ -93,8 +93,9 @@ class ReceivedMedians(Mapping):
     ``alpha`` (they all share the first ``alpha``) — rather than once per
     member and level.  A member's entry is read through its vector in the
     graph as the transformation left it: for each level ``d`` from
-    ``alpha`` up, the median recorded under the code of its first ``d``
-    bits, grown one bit per level, if any (the pair step records none).
+    ``alpha`` up, the median recorded under the code of its bits from
+    ``alpha`` to ``d - 1``, grown one bit per level, if any (the pair step
+    records none).
     Read it before the graph next changes.
     """
 

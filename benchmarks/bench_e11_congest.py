@@ -108,12 +108,11 @@ def test_e11_congest_arena(run_once):
         started = time.perf_counter()
         broadcast_processes = install_broadcast(simulator, members, initiator)
         replay_scenario(simulator, broadcast_scenario, graph=graph)
-        checkpoint = simulator.round
-        simulator.run()
-        window = simulator.metrics.window(checkpoint)
+        simulator.reset_metrics()
+        traffic = simulator.run()
         coverage = sum(1 for process in broadcast_processes.values() if process.received)
         protocols.append(protocol_row(
-            "broadcast", len(members), budget, window,
+            "broadcast", len(members), budget, traffic,
             joins=broadcast_scenario.join_count, leaves=broadcast_scenario.leave_count,
             wall_seconds=time.perf_counter() - started,
         ))

@@ -122,8 +122,9 @@ def protocol_row(name, n, budget_bits, traffic, joins=0, leaves=0, wall_seconds=
     """A ``protocol`` row: one CONGEST run's traffic against its bit budget.
 
     ``traffic`` carries the :data:`TRAFFIC` counters under their one set of
-    names: a run's ``MetricsCollector`` (``result.metrics``), a report, or
-    a counter dict (``MetricsCollector.summary()`` / ``.window()``);
+    names: a run's ``MetricsCollector`` (``result.metrics``, or the one a
+    reused engine's ``run()`` returns after ``reset_metrics()``), a report,
+    or a counter dict (``MetricsCollector.summary()``);
     ``joins`` / ``leaves`` count the churn replayed under it.
     """
     counters = traffic if isinstance(traffic, dict) else vars(traffic)

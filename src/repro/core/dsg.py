@@ -82,7 +82,8 @@ class DSGConfig:
         Insert dummy nodes to preserve the a-balance property (Section IV-F).
     track_working_set:
         Maintain the communication history and per-request working set
-        numbers (costs O(window) per request; disable for large speed runs).
+        numbers (a first contact costs O(1), a repeated pair O(working set
+        edges); disable for large speed runs).
     """
 
     a: int = 4

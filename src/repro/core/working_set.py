@@ -129,22 +129,22 @@ def working_set_bound(history: Sequence[Request], total_nodes: int, base: float 
 
 @dataclass
 class CommunicationHistory:
-    """Incrementally maintained request log with working-set queries.
+    """Incrementally maintained communication history with working-set queries.
 
-    Per request, :meth:`record` appends to the log, refreshes the recency
-    graph (each endpoint's partner map is re-inserted so iteration order is
-    last-occurrence order) and answers the working set number with a
-    traversal over window-fresh edges only.  First-time pairs are O(1) (the
-    definition returns ``n`` outright); repeated pairs pay O(working set
-    edges), never O(window) — the traversal stops at the first edge whose
-    last occurrence predates the window.
+    It keeps no per-request log: per request, :meth:`record` advances the
+    request count, refreshes the recency graph (each endpoint's partner map
+    is re-inserted so iteration order is last-occurrence order) and answers
+    the working set number with a traversal over window-fresh edges only.
+    First-time pairs are O(1) (the definition returns ``n`` outright);
+    repeated pairs pay O(working set edges), never O(window) — the traversal
+    stops at the first edge whose last occurrence predates the window.
 
     A running sum of ``log T_i`` makes :meth:`working_set_bound` O(1)
     instead of a full-history recomputation.
     """
 
     total_nodes: int
-    requests: List[Request] = field(default_factory=list)
+    _count: int = 0
     _last_seen: Dict[frozenset, int] = field(default_factory=dict)
     # node -> {partner -> time of their last shared request}, insertion
     # (= iteration) order kept ascending in that time by re-insertion.
@@ -152,14 +152,14 @@ class CommunicationHistory:
     _log_sum: float = 0.0
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return self._count
 
     def record(self, u: Node, v: Node) -> int:
-        """Append the request ``(u, v)`` and return its working set number."""
+        """Record the request ``(u, v)`` and return its working set number."""
         pair = frozenset((u, v))
         previous = self._last_seen.get(pair)
-        index = len(self.requests)
-        self.requests.append((u, v))
+        index = self._count
+        self._count += 1
         self._last_seen[pair] = index
         self._refresh_edge(u, v, index)
         if u != v:
@@ -191,7 +191,8 @@ class CommunicationHistory:
         returned at the time — so first-contact terms use the population
         size as of that request, which is what makes the bound well-defined
         when ``total_nodes`` changes under churn.  For a fixed population
-        this equals ``working_set_bound(self.requests, self.total_nodes)``.
+        this equals the module-level :func:`working_set_bound` of the
+        requests recorded, at ``self.total_nodes``.
         """
         return self._log_sum / math.log(base)
 

@@ -38,9 +38,10 @@ returns the protocol's outcome (a path, the members reached, a total, a
 median) with the run's ``metrics``: the engine's
 :class:`~repro.simulation.MetricsCollector`, whose counters (``rounds``,
 ``messages``, ``total_bits``, ...) carry the same names in its
-``summary()`` and ``window()`` dicts.  The matching ``install_*`` function
-registers a new process generation on an *existing* engine instead
-(retire the previous one first), which is how the churn arena
+``summary()`` dict.  The matching ``install_*`` function registers a new
+process generation on an *existing* engine instead (retire the previous
+one first, and call ``Simulator.reset_metrics()`` so the rerun gets its
+own counters), which is how the churn arena
 (``benchmarks/bench_e11_congest.py``) restarts protocols across membership
 changes replayed by :func:`repro.distributed.bridge.replay_scenario` — and
 how the lifecycle property tests show a post-churn rerun on a reused

@@ -41,7 +41,7 @@ from repro.simulation.errors import (
     SimulationError,
 )
 from repro.simulation.message import Message, payload_size_bits
-from repro.simulation.metrics import MetricsCollector, RoundStats
+from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import Network
 from repro.simulation.node_process import NodeProcess, RoundContext
 from repro.simulation.engine import Simulator, SimulatorConfig
@@ -56,7 +56,6 @@ __all__ = [
     "Network",
     "NodeProcess",
     "RoundContext",
-    "RoundStats",
     "SimulationError",
     "Simulator",
     "SimulatorConfig",

@@ -76,6 +76,9 @@ round budget raises ``SimulationError``.  :meth:`Simulator.run` may be
 called again after quiescence — installing fresh processes (after retiring
 the previous ones) replays another protocol on the same engine and network,
 which is how the churn arenas rerun protocols across membership changes.
+:meth:`Simulator.reset_metrics` before the replay gives it counters of its
+own; the engine keeps run totals only, so its state does not grow with the
+number of rounds executed.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Un
 
 from repro.simulation.errors import CongestionError, LinkError, MessageSizeError, SimulationError
 from repro.simulation.message import Message
-from repro.simulation.metrics import MetricsCollector, RoundStats
+from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import Network
 from repro.simulation.node_process import NodeProcess, RoundContext
 from repro.simulation.rng import make_rng, spawn_seed
@@ -152,9 +155,6 @@ class Simulator:
         self._pending_start: List[Hashable] = []
         # Crash-stop failures: nodes killed by crash() can never re-enter.
         self._crashed: set = set()
-        # Stats of the upcoming round, pre-created when a start phase needs
-        # to attribute drops before the round executes (step() reuses it).
-        self._current_stats: Optional[RoundStats] = None
 
     # ----------------------------------------------------------------- setup
     def add_process(self, process: NodeProcess) -> None:
@@ -314,6 +314,16 @@ class Simulator:
     def round(self) -> int:
         return self._round
 
+    def reset_metrics(self) -> MetricsCollector:
+        """Install a fresh :class:`MetricsCollector` and return the old one.
+
+        A replay on a reused engine calls this before :meth:`run` to count
+        only its own rounds and traffic (``rounds`` equals :attr:`round` on
+        an engine never reset).
+        """
+        previous, self.metrics = self.metrics, MetricsCollector()
+        return previous
+
     # ------------------------------------------------------------------- run
     def run(self, max_rounds: Optional[int] = None) -> MetricsCollector:
         """Run until quiescence (all processes done, no messages in flight).
@@ -352,12 +362,9 @@ class Simulator:
             pending = self._scheduled.pop(self._round, [])
         if ran_callbacks:
             self._sync_after_callbacks()
-        if self._current_stats is not None:
-            stats, self._current_stats = self._current_stats, None
-        else:
-            stats = self.metrics.start_round(self._round)
+        self.metrics.record_round()
 
-        deliveries, self._deferred = self._plan_deliveries(stats)
+        deliveries, self._deferred = self._plan_deliveries()
         self._pending = []
 
         outbox_sink: List[Message] = []
@@ -370,7 +377,7 @@ class Simulator:
         started_now = ()
         if self._pending_start:
             starters, self._pending_start = self._pending_start, []
-            started_now = self._start(starters, outbox_sink, stats)
+            started_now = self._start(starters, outbox_sink)
 
         for node in self._active_nodes(deliveries):
             if node in started_now:
@@ -381,10 +388,10 @@ class Simulator:
             inbox = deliveries.get(node)
             if process.done and not inbox:
                 continue
-            process.on_round(self._context(node, outbox_sink, stats), inbox or [])
+            process.on_round(self._context(node, outbox_sink), inbox or [])
             self._after_invoke(node, process)
 
-        self._pending.extend(self._validate_outbox(outbox_sink, stats))
+        self._pending.extend(self._validate_outbox(outbox_sink))
         # A process handler may have scheduled an event for the round that
         # just ran (its callbacks were already drained); carry it over to the
         # next round instead of stranding it, which would block quiescence.
@@ -394,12 +401,7 @@ class Simulator:
             self._scheduled[self._round] = leftovers + self._scheduled.get(self._round, [])
 
     # -------------------------------------------------------------- internals
-    def _context(
-        self,
-        node: Hashable,
-        outbox_sink: List[Message],
-        stats: Optional[RoundStats] = None,
-    ) -> RoundContext:
+    def _context(self, node: Hashable, outbox_sink: List[Message]) -> RoundContext:
         return RoundContext(
             node_id=node,
             round_index=self._round,
@@ -407,7 +409,6 @@ class Simulator:
             rng_fn=self._rng,
             send_fn=outbox_sink.append,
             report_failure_fn=self.metrics.record_failure,
-            stats=stats,
         )
 
     def _rng(self, node: Hashable) -> random.Random:
@@ -454,19 +455,15 @@ class Simulator:
         for node in orphans:
             self.retire(node)
 
-    def _start(self, nodes: List[Hashable], outbox: List[Message], stats: Optional[RoundStats]) -> set:
-        """Run ``on_start`` for every still-registered process among ``nodes``.
-
-        ``stats`` is the executing round's record for a start inside a round
-        (a churn joiner's initialization round) and ``None`` for a start
-        between rounds.  Returns the nodes started.
-        """
+    def _start(self, nodes: List[Hashable], outbox: List[Message]) -> set:
+        """Run ``on_start`` for every still-registered process among ``nodes``;
+        returns the nodes started."""
         started = set()
         for node in nodes:
             process = self._processes.get(node)
             if process is None:  # retired before it ever started
                 continue
-            process.on_start(self._context(node, outbox, stats))
+            process.on_start(self._context(node, outbox))
             started.add(node)
             self._after_invoke(node, process)
         return started
@@ -475,10 +472,10 @@ class Simulator:
         outbox: List[Message] = []
         self._started = True
         starters, self._pending_start = self._pending_start, []
-        self._start(starters, outbox, None)
-        self._pending.extend(self._validate_outbox(outbox, None))
+        self._start(starters, outbox)
+        self._pending.extend(self._validate_outbox(outbox))
 
-    def _validate_outbox(self, outbox: List[Message], stats: Optional[RoundStats]) -> List[Message]:
+    def _validate_outbox(self, outbox: List[Message]) -> List[Message]:
         """Send-time validation: message size and link existence.
 
         Links are checked here — when the message is sent — as the model
@@ -500,19 +497,12 @@ class Simulator:
                         f"message {message.kind!r}: no link "
                         f"{message.sender!r} -> {message.receiver!r}"
                     )
-                if stats is None:
-                    # Start-phase drop: attribute it to the upcoming round so
-                    # MetricsCollector.window() still sees it (the stats
-                    # object is reused by the next step()).
-                    if self._current_stats is None:
-                        self._current_stats = self.metrics.start_round(self._round)
-                    stats = self._current_stats
-                self.metrics.record_drop(stats)
+                self.metrics.record_drop()
                 continue
             accepted.append(message)
         return accepted
 
-    def _plan_deliveries(self, stats: RoundStats) -> "tuple[Dict[Hashable, List[Message]], Deque[Message]]":
+    def _plan_deliveries(self) -> "tuple[Dict[Hashable, List[Message]], Deque[Message]]":
         """Decide which queued messages are delivered this round.
 
         Enforces the CONGEST constraint per directed link, draining the
@@ -538,7 +528,7 @@ class Simulator:
                 or receiver not in self._processes
                 or receiver in starting
             ):
-                self.metrics.record_drop(stats)
+                self.metrics.record_drop()
                 continue
             key = (sender, receiver)
             if key in used_links:
@@ -547,12 +537,12 @@ class Simulator:
                         f"more than one message on link {sender!r} -> {receiver!r} "
                         f"in round {self._round}"
                     )
-                self.metrics.record_congestion(stats)
+                self.metrics.record_congestion()
                 deferred.append(message)
                 continue
             used_links.add(key)
             deliveries.setdefault(receiver, []).append(message)
-            self.metrics.record_message(stats, message.size_bits)
+            self.metrics.record_message(message.size_bits)
         return deliveries, deferred
 
     def _in_flight(self) -> int:

@@ -60,8 +60,7 @@ class RoundContext:
         neighbors: Collection[Hashable],
         rng_fn: Callable[[Hashable], random.Random],
         send_fn: Callable[[Message], None],
-        report_failure_fn: Optional[Callable[[Any, int], None]] = None,
-        stats: Any = None,
+        report_failure_fn: Optional[Callable[[int], None]] = None,
     ) -> None:
         self._node_id = node_id
         self._round_index = round_index
@@ -69,7 +68,6 @@ class RoundContext:
         self._rng_fn = rng_fn
         self._send_fn = send_fn
         self._report_failure_fn = report_failure_fn
-        self._stats = stats  # the executing round's record, for report_failure_fn
 
     @property
     def node_id(self) -> Hashable:
@@ -99,7 +97,7 @@ class RoundContext:
     def report_failure(self, count: int = 1) -> None:
         """Declare ``count`` protocol-level requests failed this round."""
         if self._report_failure_fn is not None:
-            self._report_failure_fn(self._stats, count)
+            self._report_failure_fn(count)
 
 
 class NodeProcess:

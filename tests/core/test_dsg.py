@@ -118,7 +118,7 @@ class TestRequestBasics:
             return (
                 instance.time,
                 instance.costs.requests,
-                len(instance.history.requests),
+                len(instance.history),
                 instance.working_set_bound(),
                 instance.graph.membership_table(),
             )

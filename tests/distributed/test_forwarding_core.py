@@ -60,8 +60,8 @@ def _recording_simulator(graph, k, seed):
     sends = []
     validate = sim._validate_outbox
 
-    def record(outbox, stats):
-        accepted = validate(outbox, stats)
+    def record(outbox):
+        accepted = validate(outbox)
         sends.extend((sim.round, m.sender, m.receiver, m) for m in accepted)
         return accepted
 

@@ -9,7 +9,8 @@ messages, total bits, largest message, congestion violations, drops).  The
 AMF sweep includes inputs with many tied values.  A second schedule
 installs one generation of every protocol on a shared engine, retires it
 and reruns the next generation on the reused engine (after churn, for
-routing), hashing every process's outcome and the rerun's counter window.
+routing), hashing every process's outcome and the rerun's own counters
+(``Simulator.reset_metrics`` installs a fresh collector before it).
 
 A refactor of the protocols (or of the structural code they call) must
 reproduce the pins bit for bit.  Everything hashed is ``repr`` of ints,
@@ -57,13 +58,10 @@ TRAFFIC = ("rounds", "messages", "total_bits", "max_message_bits",
            "congestion_violations", "dropped_messages")
 
 
-def _traffic(result) -> tuple:
-    return tuple(getattr(result.metrics, name) for name in TRAFFIC)
-
-
-def _window(sim: Simulator, checkpoint: int) -> tuple:
-    counters = sim.metrics.window(checkpoint)
-    return tuple(counters[name] for name in TRAFFIC)
+def _traffic(source) -> tuple:
+    """The counters of ``source.metrics``: a ``run_*`` result's, or a reused
+    simulator's since its ``reset_metrics()``."""
+    return tuple(getattr(source.metrics, name) for name in TRAFFIC)
 
 
 def _amf_values(n: int, seed: int, tied: bool) -> dict:
@@ -115,12 +113,12 @@ def _reused_engine():
     rng = make_rng(4)
     apply_local_op(sim, graph, NodeLeaveOp(22))
     apply_join(sim, graph, 100, rng)
-    checkpoint = sim.round
+    sim.reset_metrics()
     routers = install_routing(sim, graph, {2: [39, 100], 100: [5]})
     sim.run()
     paths = tuple(tuple(trace_route(routers, s, d)) for s, d in ((2, 39), (2, 100), (100, 5)))
     results = tuple((key, process.result) for key, process in routers.items())
-    yield ("routing", paths, results, _window(sim, checkpoint))
+    yield ("routing", paths, results, _traffic(sim))
 
     members = list(range(1, 31))
     network = Network()
@@ -132,11 +130,11 @@ def _reused_engine():
     install_broadcast(sim, members, 12)
     sim.run()
     sim.retire_all()
-    checkpoint = sim.round
+    sim.reset_metrics()
     processes = install_broadcast(sim, members, 30)
     sim.run()
     reached = tuple(key for key, process in processes.items() if process.received)
-    yield ("broadcast", reached, _window(sim, checkpoint))
+    yield ("broadcast", reached, _traffic(sim))
 
     for n, a in ((64, 2), (90, 4)):
         items = list(range(1, n + 1))
@@ -145,22 +143,22 @@ def _reused_engine():
         install_sum(sim, skiplist, {item: 1.0 for item in items})
         sim.run()
         sim.retire_all()
-        checkpoint = sim.round
+        sim.reset_metrics()
         processes = install_sum(sim, skiplist, {item: float(item) for item in items})
         sim.run()
         totals = tuple((key, process.total) for key, process in processes.items())
-        yield ("sum", n, a, totals, _window(sim, checkpoint))
+        yield ("sum", n, a, totals, _traffic(sim))
 
         for tied in (False, True):
             sim = Simulator(segment_network(skiplist), SimulatorConfig(seed=n))
             install_amf(sim, skiplist, _amf_values(n, seed=n, tied=not tied), a=a)
             sim.run()
             sim.retire_all()
-            checkpoint = sim.round
+            sim.reset_metrics()
             processes = install_amf(sim, skiplist, _amf_values(n, seed=n + 1, tied=tied), a=a)
             sim.run()
             medians = tuple((key, process.median) for key, process in processes.items())
-            yield ("amf", n, a, tied, medians, _window(sim, checkpoint))
+            yield ("amf", n, a, tied, medians, _traffic(sim))
 
 
 SCHEDULES = {"one-shot": _one_shot, "reused-engine": _reused_engine}

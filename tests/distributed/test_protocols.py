@@ -151,10 +151,6 @@ class TestSumProtocol:
         assert metrics.rounds <= 6 * skiplist.height + 10
 
 
-def _window_of(sim, checkpoint):
-    return sim.metrics.window(checkpoint)
-
-
 class TestChurnSafeRestarts:
     """Lifecycle correctness under engine reuse (the PR's acceptance property):
     running a protocol, churning the topology, and rerunning on the *same*
@@ -172,29 +168,26 @@ class TestChurnSafeRestarts:
         graph = build_balanced_skip_graph(self.KEYS)
         sim = Simulator(skip_graph_network(graph), SimulatorConfig(seed=5))
         install_routing(sim, graph, {1: [32]})
-        sim.run()
-        pre_churn = _window_of(sim, 0)
+        pre_churn = sim.run().summary()
         assert pre_churn["congestion_violations"] == 0 and pre_churn["rounds"] > 0
 
         sim.retire_all()
         self._churn(sim, graph, make_rng(13))
 
         # Post-churn rerun on the reused engine...
-        checkpoint = sim.round
         reused_processes = install_routing(sim, graph, {2: [31]})
-        sim.run()
-        reused_window = _window_of(sim, checkpoint)
+        sim.reset_metrics()
+        reused_counters = sim.run().summary()
         reused_path = trace_route(reused_processes, 2, 31)
 
         # ...must equal a fresh simulator built on the post-churn topology.
         fresh_sim = Simulator(skip_graph_network(graph), SimulatorConfig(seed=5))
         fresh_processes = install_routing(fresh_sim, graph, {2: [31]})
-        fresh_sim.run()
-        fresh_window = _window_of(fresh_sim, 0)
+        fresh_counters = fresh_sim.run().summary()
         fresh_path = trace_route(fresh_processes, 2, 31)
 
         assert reused_path == fresh_path
-        assert reused_window == fresh_window
+        assert reused_counters == fresh_counters
         assert reused_processes[31].result == fresh_processes[31].result == "reached"
 
     def test_rewired_network_matches_rebuilt_network(self):
@@ -216,14 +209,12 @@ class TestChurnSafeRestarts:
 
         sim = Simulator(segment_network(skiplist), SimulatorConfig(seed=6))
         install_sum(sim, skiplist, values)
-        sim.run()
-        first = _window_of(sim, 0)
+        first = sim.run().summary()
 
         sim.retire_all()
-        checkpoint = sim.round
         processes = install_sum(sim, skiplist, values)
-        sim.run()
-        second = _window_of(sim, checkpoint)
+        sim.reset_metrics()
+        second = sim.run().summary()
 
         assert second == first
         assert processes[skiplist.root].total == sum(values.values())
@@ -235,15 +226,13 @@ class TestChurnSafeRestarts:
 
         sim = Simulator(segment_network(skiplist), SimulatorConfig(seed=8))
         first_gen = install_amf(sim, skiplist, values, a=4)
-        sim.run()
-        first = _window_of(sim, 0)
+        first = sim.run().summary()
         first_median = first_gen[skiplist.root].median
 
         sim.retire_all()
-        checkpoint = sim.round
         second_gen = install_amf(sim, skiplist, values, a=4)
-        sim.run()
-        second = _window_of(sim, checkpoint)
+        sim.reset_metrics()
+        second = sim.run().summary()
 
         assert second == first
         assert second_gen[skiplist.root].median == first_median

@@ -1,6 +1,7 @@
 """Unit and integration tests for the synchronous CONGEST engine."""
 
 import random
+import tracemalloc
 from typing import List
 
 import pytest
@@ -106,6 +107,42 @@ class TestTokenPassing:
         assert summary["congestion_violations"] == 0
 
 
+class PingPong(NodeProcess):
+    """Returns the ball to the other node of a two-node line until it has
+    crossed the link ``hits`` times; node 0 serves."""
+
+    def __init__(self, node_id, hits):
+        super().__init__(node_id)
+        self.hits = hits
+        self.done = True
+
+    def on_start(self, ctx: RoundContext) -> None:
+        if self.node_id == 0:
+            ctx.send(1, "ball", payload=1)
+
+    def on_round(self, ctx: RoundContext, inbox: List[Message]) -> None:
+        for msg in inbox:
+            if msg.payload < self.hits:
+                ctx.send(1 - self.node_id, "ball", payload=msg.payload + 1)
+
+
+class TestBoundedState:
+    def test_a_long_run_retains_no_per_round_state(self):
+        """The engine keeps run totals, not a per-round log: a 20 000-round
+        ping-pong leaves at most 64 KB allocated once it has quiesced."""
+        sim = Simulator(line_network(2), SimulatorConfig(max_rounds=30_000))
+        sim.add_processes(PingPong(node, 20_000) for node in range(2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            metrics = sim.run()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert metrics.rounds == metrics.messages == sim.round == 20_000
+        assert retained <= 64 * 1024, retained
+
+
 class TestCongestEnforcement:
     def test_strict_mode_raises_on_double_send(self):
         net = Network()
@@ -169,9 +206,11 @@ class TestCongestEnforcement:
         assert metrics.dropped_messages == 1
         assert metrics.congestion_violations == 0
         assert sink.received == []
-        # Start-phase drops are attributed to the upcoming round, so
-        # per-generation windows on reused engines still see them.
-        assert metrics.window(0)["dropped_messages"] == 1
+        # A rerun's start-phase drop lands in the counters of that rerun.
+        sim.retire_all()
+        sim.add_processes([Bad(0), Sink(1)])
+        sim.reset_metrics()
+        assert sim.run().dropped_messages == 1
 
     def test_message_size_cap(self):
         net = Network()
@@ -554,7 +593,8 @@ class TestChurnLifecycle:
 
     def test_rerun_on_reused_engine_matches_fresh_run(self):
         """Installing a fresh protocol generation on a quiesced engine
-        reproduces a fresh simulator's behaviour (metrics window)."""
+        reproduces a fresh simulator's behaviour (its own counters, from
+        ``reset_metrics``)."""
         n = 5
 
         def install(sim):
@@ -564,13 +604,11 @@ class TestChurnLifecycle:
 
         sim = Simulator(line_network(n), SimulatorConfig(seed=3))
         install(sim)
-        sim.run()
-        first = sim.metrics.window(0)
-        checkpoint = sim.round
+        first = sim.run().summary()
         sim.retire_all()
         install(sim)
-        sim.run()
-        second = sim.metrics.window(checkpoint)
+        assert sim.reset_metrics().summary() == first
+        second = sim.run().summary()
         assert second == first
         assert sim.process(n - 1).result == 0
 
@@ -718,10 +756,18 @@ class TestWake:
 
     def test_wake_matches_a_same_round_callback(self):
         """The same work handed by ``wake`` or by a ``schedule(sim.round, ...)``
-        callback gives the same rounds, traffic and results."""
+        callback gives the same rounds, traffic and results, round for round."""
 
         def run(handoff):
             sim, processes = self._streamers()
+            counters = []  # the collector's summary after every round
+            step = sim.step
+
+            def logged_step():
+                step()
+                counters.append(sim.metrics.summary())
+
+            sim.step = logged_step
             sim.run()
 
             def give(node, items):
@@ -739,10 +785,10 @@ class TestWake:
             sim.run()
             give(1, ["g"])  # on a quiesced engine
             sim.run()
-            return sim.metrics.per_round, sim.results()
+            return counters, sim.results()
 
-        per_round, results = run("wake")
-        assert (per_round, results) == run("schedule")
+        counters, results = run("wake")
+        assert (counters, results) == run("schedule")
         assert sorted(item for _, item in results[5]) == list("abcdefg")
 
     def test_wake_before_the_first_start_raises(self):
@@ -763,10 +809,10 @@ class TestWake:
     def test_waking_a_done_process_leaves_the_run_quiescent(self):
         sim, _ = self._streamers()
         sim.run()
-        before = (sim.round, len(sim.metrics.per_round))
+        before = (sim.round, sim.metrics.rounds)
         sim.wake(0)
         sim.run()
-        assert (sim.round, len(sim.metrics.per_round)) == before
+        assert (sim.round, sim.metrics.rounds) == before
 
 
 class LateSampler(NodeProcess):

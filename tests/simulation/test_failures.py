@@ -16,8 +16,8 @@ graceful :meth:`~repro.simulation.Simulator.retire`:
   :meth:`RoundContext.report_failure` land in ``failed_requests``,
   separate from ``dropped_messages``;
 * a fresh protocol generation installed on a quiesced engine *after*
-  crashes reproduces a fresh simulator's behaviour round for round
-  (metrics window), so failure experiments can reuse arenas.
+  crashes reproduces a fresh simulator's counters (the rerun's own, from
+  ``Simulator.reset_metrics``), so failure experiments can reuse arenas.
 """
 
 from typing import List
@@ -194,19 +194,23 @@ class TestFailedRequestAccounting:
         assert metrics.dropped_messages == 0
         assert metrics.summary()["failed_requests"] == 3
 
-    def test_failures_appear_in_metrics_windows(self):
+    def test_failures_land_in_the_counters_of_their_run(self):
         sim = Simulator(line_network(2), SimulatorConfig(seed=1))
         sim.add_process(FailingProcess(0))
         sim.add_process(FailingProcess(1))
         sim.run()
-        assert sim.metrics.window(0)["failed_requests"] == 2
+        sim.retire_all()
+        sim.add_process(FailingProcess(0, failures=3))
+        first = sim.reset_metrics()
+        second = sim.run()
+        assert (first.failed_requests, second.failed_requests) == (2, 3)
 
 
 class TestRerunAfterCrashes:
     def test_rerun_on_crashed_engine_matches_fresh_run(self):
         """After crashes (and their repairs, here: none needed on a line
         with edge nodes crashed), a fresh generation on the reused engine
-        reproduces a fresh simulator's metrics window round for round."""
+        reproduces a fresh simulator's counters."""
         n = 6
 
         def install(sim, n, offset=0):
@@ -221,13 +225,12 @@ class TestRerunAfterCrashes:
         sim.run()
         sim.retire_all()
         sim.crash(0)
-        checkpoint = sim.round
+        sim.reset_metrics()
         # Survivors re-run: same token protocol starting at node 1.
         sim.add_process(TokenForwarder(1, n, start=True))
         for i in range(2, n):
             sim.add_process(TokenForwarder(i, n))
-        sim.run()
-        second = sim.metrics.window(checkpoint)
+        second = sim.run().summary()
 
         # Fresh engine over the surviving topology.
         fresh_net = line_network(n)
@@ -237,5 +240,5 @@ class TestRerunAfterCrashes:
         for i in range(2, n):
             fresh.add_process(TokenForwarder(i, n))
         fresh_metrics = fresh.run()
-        assert second == fresh_metrics.window(0)
+        assert second == fresh_metrics.summary()
         assert sim.process(n - 1).result == fresh.process(n - 1).result == 1

@@ -176,7 +176,7 @@ class DSGAdapter(ServingAlgorithm):
         self.dsg = dsg
 
     def _request(self, source: Key, destination: Key) -> RequestCost:
-        result = self.dsg.request(source, destination, keep_result=False)
+        result = self.dsg.request(source, destination)
         return RequestCost(
             source=source,
             destination=destination,

@@ -25,8 +25,8 @@ cost model is per request and nothing in Algorithm 1 amortizes across
 requests — so every runner above it (adapter, scenario runner, distributed
 planner) times and counts the same loop.  The class also implements node
 addition/removal (Section IV-G) and the bookkeeping needed by the
-experiments: per-request results, working-set statistics,
-height tracking and memory auditing.
+experiments: running cost and plan-size counters (no per-request log),
+working-set statistics, height tracking and memory auditing.
 
 The front end threads no kernel state: the a-balance dirty marks belong to
 the graph (it attaches a :class:`~repro.skipgraph.balance.BalanceTracker`
@@ -175,8 +175,7 @@ class DynamicSkipGraph:
         self.history = CommunicationHistory(total_nodes=self.graph.real_count)
         #: Local-op plan of the most recent :meth:`add_node` / :meth:`remove_node`.
         self.last_churn_ops = Plan()
-        self.results: List[RequestResult] = []
-        #: Equation-1 totals of every request served, kept or not.
+        #: Equation-1 totals of every request served.
         self.costs = CostLedger("dsg", keep_costs=False)
         # The graph marks its own dirty lists once a tracker is attached;
         # without a-balance maintenance nothing would ever consume the marks
@@ -243,18 +242,14 @@ class DynamicSkipGraph:
         return {key: state.memory_words(height) for key, state in self.states.items()}
 
     # --------------------------------------------------------------- requests
-    def request(self, source: Key, destination: Key, keep_result: bool = True) -> RequestResult:
+    def request(self, source: Key, destination: Key) -> RequestResult:
         """Serve one communication request (route, then self-adjust).
 
         This is the only way a request is served; endpoints are validated
         here, before any state changes (a-balance dummies are in the graph
-        but are not peers, so membership means having DSG state).
-
-        ``keep_result=False`` serves identically but does not append the
-        :class:`RequestResult` to :attr:`results` — the streaming mode the
-        adapter layer (:mod:`repro.baselines.adapter`) uses so unbounded
-        request streams only grow the O(1) running counters of
-        :attr:`costs`.
+        but are not peers, so membership means having DSG state).  The
+        :class:`RequestResult` is returned, not kept: the instance records
+        only the O(1) running counters of :attr:`costs`.
         """
         if source == destination:
             raise ValueError("source and destination must differ")
@@ -289,8 +284,6 @@ class DynamicSkipGraph:
         self.costs.record(
             RequestCost(source, destination, routing.distance, result.transformation_rounds)
         )
-        if keep_result:
-            self.results.append(result)
         return result
 
     def _adjust(self, result: RequestResult, u: Key, v: Key, t: int) -> float:
@@ -447,7 +440,7 @@ class DynamicSkipGraph:
         return recorder.apply_seconds
 
     def run_sequence(self, requests: Sequence[Tuple[Key, Key]]) -> List[RequestResult]:
-        """Serve every request of ``requests`` in order (results kept)."""
+        """Serve every request of ``requests`` in order; returns their results."""
         return [self.request(u, v) for u, v in requests]
 
     touched: Optional[set] = None  #: where plans' recorders collect touched keys
@@ -459,7 +452,7 @@ class DynamicSkipGraph:
         return recorder
 
     # ------------------------------------------------------------ node churn
-    def add_node(self, key: Key, payload=None) -> None:
+    def add_node(self, key: Key) -> None:
         """Add a peer with a random membership vector (Section IV-G).
 
         The structural effect (the join itself plus any a-balance dummies it
@@ -476,7 +469,7 @@ class DynamicSkipGraph:
             raise ValueError(f"key {key!r} already present")
         recorder = self._recorder()
         bits = draw_membership_bits(self.graph, key, self._rng)
-        recorder.join(key, bits, payload=payload)
+        recorder.join(key, bits)
         state = DSGNodeState(key=key)
         state.group_base = initial_group_base(self.graph.singleton_level(key))
         self.states[key] = state
@@ -581,15 +574,15 @@ class DynamicSkipGraph:
     def plan_size_histogram(self) -> Dict[int, int]:
         """Distribution of request-plan sizes: ``len(ops) -> request count``.
 
-        Maintained as an O(1)-per-request running histogram (it covers
-        ``keep_result=False`` requests), so the artifact pipeline can report
-        per-workload plan-size percentiles — the empirical face of the
-        paper's locality claim (most requests emit tiny plans).
+        Maintained as an O(1)-per-request running histogram, so the artifact
+        pipeline can report per-workload plan-size percentiles — the
+        empirical face of the paper's locality claim (most requests emit
+        tiny plans).
         """
         return dict(self._plan_size_hist)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DynamicSkipGraph(n={self.n}, height={self.height()}, "
-            f"requests={len(self.results)}, a={self.config.a})"
+            f"requests={self.costs.requests}, a={self.config.a})"
         )

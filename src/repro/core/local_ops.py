@@ -471,16 +471,8 @@ class OpRecorder:
     def remove_dummy(self, key: Key) -> None:
         self._record(DummyRemoveOp(key))
 
-    def join(self, key: Key, bits: Bits, payload=None) -> None:
-        # The only op applied by hand: ``payload`` rides on the node object
-        # but not on the (wire-format) op, so apply_op cannot attach it.
-        bits = tuple(bits)
-        self.graph.add_node(
-            SkipGraphNode(key=key, membership=MembershipVector(bits), payload=payload)
-        )
-        self.ops._add(NodeJoinOp(key, bits))
-        if self.touched is not None:
-            self._touch_each((key,), 0)
+    def join(self, key: Key, bits: Bits) -> None:
+        self._record(NodeJoinOp(key, tuple(bits)))
 
     def leave(self, key: Key) -> None:
         self._record(NodeLeaveOp(key))

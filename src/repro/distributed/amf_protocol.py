@@ -101,7 +101,7 @@ class _AMFProcess(NodeProcess):
         if self.sample:
             entries = _sample(entries, self.sample_size)
         if self.parent is None:
-            self.median = self.result = _pick_median(sorted(entries))[0]
+            self.median = _pick_median(sorted(entries))[0]
         else:
             self.outbox = entries
 
@@ -143,7 +143,6 @@ class _AMFProcess(NodeProcess):
                 self.pending.discard(message.sender)
             elif message.kind == "median":
                 self.median = message.payload
-                self.result = self.median
                 heard_median = True
         had_median = self.median is not None and not heard_median
         self._start_streaming_if_ready()

@@ -58,7 +58,6 @@ class _BroadcastProcess(NodeProcess):
         for neighbor in (self.left, self.right):
             if neighbor is not None:
                 ctx.send(neighbor, "notify", {"from": self.node_id})
-        self.result = "notified"
         self.done = True
 
     def on_round(self, ctx: RoundContext, inbox: List[Message]) -> None:
@@ -66,7 +65,6 @@ class _BroadcastProcess(NodeProcess):
             if message.kind != "notify" or self.received:
                 continue
             self.received = True
-            self.result = "notified"
             sender = message.sender
             forward = self.right if sender == self.left else self.left
             if forward is not None:

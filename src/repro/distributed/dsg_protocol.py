@@ -581,7 +581,7 @@ class DistributedDSG:
                 # read from the pre-plan graph (alpha is what _adjust computes).
                 graph = planner.graph
                 region = tuple(graph.list_of(source, graph.common_level(source, destination)))
-            plan = planner.request(source, destination, keep_result=False)
+            plan = planner.request(source, destination)
             ops = list(plan.ops or [])
             conflict = ConflictSet()
             if touched is not None:

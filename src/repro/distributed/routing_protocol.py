@@ -369,7 +369,6 @@ class _RouterProcess(GreedyForwarder):
 
     def _deliver(self, rid: Optional[int]) -> None:
         self.completed += 1
-        self.result = "reached"
         if rid is not None and self.ledger is not None:
             self.ledger.delivered.add(rid)
 

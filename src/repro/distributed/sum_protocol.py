@@ -98,7 +98,6 @@ class _SumProcess(NodeProcess):
             return
         if self.parent is None:
             self.total = self.accumulated
-            self.result = self.total
             for child in self.children:
                 ctx.send(child, "total", self.total)
             self.sent_up = True
@@ -116,7 +115,6 @@ class _SumProcess(NodeProcess):
                 self.pending.discard(message.sender)
             elif message.kind == "total":
                 self.total = message.payload
-                self.result = self.total
                 for child in self.children:
                     ctx.send(child, "total", self.total)
         self._maybe_send_up(ctx)

@@ -37,7 +37,6 @@ Public classes
 from repro.simulation.errors import (
     CongestionError,
     LinkError,
-    MessageSizeError,
     SimulationError,
 )
 from repro.simulation.message import Message, payload_size_bits
@@ -51,7 +50,6 @@ __all__ = [
     "CongestionError",
     "LinkError",
     "Message",
-    "MessageSizeError",
     "MetricsCollector",
     "Network",
     "NodeProcess",

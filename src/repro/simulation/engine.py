@@ -45,11 +45,12 @@ Process lifecycle (churn):
   the next executed round, its initialization round, with sends delivered
   the round after.
 * **retire** — :meth:`Simulator.retire` removes a process from the live
-  set (its ``result`` stays readable through :meth:`results`).  Removing a
-  node from the network retires its process automatically at the next
-  round boundary, so runs quiesce under departures instead of waiting
-  forever on a process that can no longer act.  Graceful retirement —
-  explicit or auto — fires :meth:`NodeProcess.on_retire` once.
+  set and hands it back to the caller; the engine keeps nothing of it.
+  Removing a node from the network retires its process automatically at
+  the next round boundary, so runs quiesce under departures instead of
+  waiting forever on a process that can no longer act.  Graceful
+  retirement — explicit or auto — fires :meth:`NodeProcess.on_retire`
+  once.
 * **crash** — :meth:`Simulator.crash` is the crash-stop failure op: the
   node's links go dark immediately, in-flight messages to it become
   counted drops, its process is removed *without* the ``on_retire``
@@ -77,8 +78,8 @@ called again after quiescence — installing fresh processes (after retiring
 the previous ones) replays another protocol on the same engine and network,
 which is how the churn arenas rerun protocols across membership changes.
 :meth:`Simulator.reset_metrics` before the replay gives it counters of its
-own; the engine keeps run totals only, so its state does not grow with the
-number of rounds executed.
+own; the engine keeps run totals and live processes only, so its state
+grows neither with the rounds executed nor with the processes that left.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Union
 
-from repro.simulation.errors import CongestionError, LinkError, MessageSizeError, SimulationError
+from repro.simulation.errors import CongestionError, LinkError, SimulationError
 from repro.simulation.message import Message
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import Network
@@ -115,9 +116,6 @@ class SimulatorConfig:
         a send over a missing link is dropped and counted as a drop.  Links
         removed *after* a legal send drop the in-flight message in both
         modes (recorded, never raised).
-    max_message_bits:
-        Optional cap on message size; ``None`` disables the check (sizes are
-        still recorded so experiments can audit them afterwards).
     seed:
         Seed for the per-node RNGs.  Each process's child seed is drawn
         from one root stream when it is registered; its generator is built
@@ -126,7 +124,6 @@ class SimulatorConfig:
 
     max_rounds: int = 100_000
     strict: bool = True
-    max_message_bits: Optional[int] = None
     seed: Optional[int] = None
 
 
@@ -138,7 +135,6 @@ class Simulator:
         self.config = config or SimulatorConfig()
         self.metrics = MetricsCollector()
         self._processes: Dict[Hashable, NodeProcess] = {}
-        self._retired: Dict[Hashable, NodeProcess] = {}
         # Per live process: its child seed until ctx.rng is first read,
         # then the generator built from it.
         self._rngs: Dict[Hashable, Union[str, random.Random]] = {}
@@ -174,7 +170,6 @@ class Simulator:
             raise LinkError(f"node {node!r} is not part of the network")
         if node in self._processes:
             raise SimulationError(f"node {node!r} already has a process")
-        self._retired.pop(node, None)
         self._processes[node] = process
         self._rngs[node] = spawn_seed(self._root_rng, label=repr(node))
         if not process.done:
@@ -191,8 +186,8 @@ class Simulator:
         The departed process no longer counts towards quiescence and is no
         longer invoked; messages still in flight towards its node are
         dropped (and recorded) when their links disappear or when delivery
-        finds no process.  Its ``result`` remains visible in
-        :meth:`results`.  The node may re-join later with a fresh process.
+        finds no process.  The process is returned and the engine keeps no
+        reference to it.  The node may re-join later with a fresh process.
 
         This is the *graceful* departure path: the departing process gets
         its :meth:`~NodeProcess.on_retire` goodbye.  Crash-stop failures go
@@ -213,7 +208,6 @@ class Simulator:
             # Retired before its initialization round: a later re-join must
             # not inherit the stale queue entry (it would start twice).
             self._pending_start = [queued for queued in self._pending_start if queued != node]
-        self._retired[node] = process
         return process
 
     def crash(self, node: Hashable) -> Optional[NodeProcess]:
@@ -225,9 +219,10 @@ class Simulator:
         links are removed with the node; messages in flight towards it are
         dropped and counted (``dropped_messages``) at the next delivery
         plan, exactly like churn-induced losses — a crash is never a
-        :class:`LinkError`.  The process's ``result`` stays readable, and
-        :meth:`add_process` rejects the node until :meth:`recover` lifts
-        the ban.
+        :class:`LinkError`.  The process (``None`` if the node had none) is
+        returned and not kept; the engine keeps only the node's key in the
+        crashed set, and :meth:`add_process` rejects the node until
+        :meth:`recover` lifts the ban.
         """
         if node in self._crashed:
             raise SimulationError(f"node {node!r} already crashed")
@@ -247,10 +242,9 @@ class Simulator:
         again.  Nothing of the pre-crash identity survives: the node is not
         re-added to the network (the caller rewires it through its normal
         join path, e.g. a ``NodeJoinOp`` with freshly drawn membership
-        bits), its old process result stays in :meth:`results` only until a
-        new process is registered, and a recovered node may later crash
-        again.  Recovering a node that is not crashed raises — a recovery
-        without a preceding crash is a driver bug, not a no-op.
+        bits), no process of it was kept, and a recovered node may later
+        crash again.  Recovering a node that is not crashed raises — a
+        recovery without a preceding crash is a driver bug, not a no-op.
         """
         if node not in self._crashed:
             raise SimulationError(f"node {node!r} is not crashed; nothing to recover")
@@ -299,11 +293,6 @@ class Simulator:
     @property
     def processes(self) -> Dict[Hashable, NodeProcess]:
         return dict(self._processes)
-
-    @property
-    def retired(self) -> Dict[Hashable, NodeProcess]:
-        """Processes retired by churn (or explicitly), keyed by node."""
-        return dict(self._retired)
 
     @property
     def crashed(self) -> "frozenset":
@@ -476,7 +465,7 @@ class Simulator:
         self._pending.extend(self._validate_outbox(outbox))
 
     def _validate_outbox(self, outbox: List[Message]) -> List[Message]:
-        """Send-time validation: message size and link existence.
+        """Send-time validation: link existence.
 
         Links are checked here — when the message is sent — as the model
         prescribes; a message that passes and loses its link before
@@ -485,12 +474,6 @@ class Simulator:
         """
         accepted: List[Message] = []
         for message in outbox:
-            if self.config.max_message_bits is not None and message.size_bits > self.config.max_message_bits:
-                raise MessageSizeError(
-                    f"message {message.kind!r} from {message.sender!r} to "
-                    f"{message.receiver!r} has {message.size_bits} bits "
-                    f"(limit {self.config.max_message_bits})"
-                )
             if not self.network.has_link(message.sender, message.receiver):
                 if self.config.strict:
                     raise LinkError(
@@ -554,10 +537,3 @@ class Simulator:
         if self._scheduled or self._pending_start:
             return False
         return not self._not_done
-
-    # ------------------------------------------------------------------ query
-    def results(self) -> Dict[Hashable, object]:
-        """Per-node ``result`` attributes after the run (retired included)."""
-        results = {node: process.result for node, process in self._retired.items()}
-        results.update((node, process.result) for node, process in self._processes.items())
-        return results

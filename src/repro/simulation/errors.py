@@ -12,7 +12,3 @@ class LinkError(SimulationError):
 class CongestionError(SimulationError):
     """The CONGEST constraint (one message per link per direction per round)
     was violated while the simulator runs in strict mode."""
-
-
-class MessageSizeError(SimulationError):
-    """A message exceeded the configured maximum size in bits."""

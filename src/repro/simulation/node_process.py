@@ -28,11 +28,16 @@ e.g. an outbox they stream one entry per round from; a driver handing
 them such work between rounds calls ``Simulator.wake(node)``.  Keeping
 waiters passive is what lets the engine's active-set hot path skip them.
 
+A process keeps its protocol's outcome in attributes of its own (the
+broadcast's ``received``, the sum's ``total``, the AMF's ``median``, the
+router's ``completed``); the engine holds live processes only, so a
+caller that wants a departed process's state keeps the object itself.
+
 Lifecycle under churn: a process registered after the run started (a join
 injected by ``Simulator.schedule``) receives :meth:`NodeProcess.on_start`
 at the beginning of its first round; a process retired by churn (its node
 left the network, or ``Simulator.retire`` was called) is never invoked
-again but keeps its ``result`` readable.
+again, and the engine drops it.
 
 Graceful retirement fires :meth:`NodeProcess.on_retire` exactly once so a
 protocol can hand off state; a *crash* (``Simulator.crash``) never does —
@@ -110,8 +115,6 @@ class NodeProcess:
         self.node_id = node_id
         #: Set to ``True`` when the process has terminated locally.
         self.done: bool = False
-        #: Optional protocol-level output collected by the caller at the end.
-        self.result: Any = None
 
     def on_start(self, ctx: RoundContext) -> None:
         """Called once before round 0 messages are exchanged."""

@@ -1,8 +1,8 @@
 """Skip graph nodes.
 
 A :class:`SkipGraphNode` is a peer with a totally ordered ``key`` (the paper
-calls keys *identifiers*), a membership vector, and an optional application
-payload.  Dummy nodes (Section IV-F of the paper) are marked with
+calls keys *identifiers*) and a membership vector, nothing more: the
+algorithms read no application data, so a node carries none.  Dummy nodes (Section IV-F of the paper) are marked with
 ``is_dummy=True``: they carry no data, participate in routing only, and are
 destroyed when they receive a transformation notification.
 """
@@ -30,9 +30,6 @@ class SkipGraphNode:
         linked list.
     membership:
         The node's membership vector (see :mod:`repro.skipgraph.membership`).
-    payload:
-        Arbitrary application data carried by the node (unused by the
-        algorithms, present for the examples).
     is_dummy:
         ``True`` for the logical dummy nodes DSG inserts to preserve the
         a-balance property (paper, Section IV-F).
@@ -40,7 +37,6 @@ class SkipGraphNode:
 
     key: Key
     membership: MembershipVector = field(default_factory=MembershipVector)
-    payload: Any = None
     is_dummy: bool = False
 
     def __post_init__(self) -> None:

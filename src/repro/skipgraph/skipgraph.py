@@ -875,7 +875,7 @@ class SkipGraph:
         dummies = self._dummy_prefix_counts
         clone = SkipGraph()
         clone._load(
-            [SkipGraphNode(node.key, node.membership, node.payload, node.is_dummy) for node in self.nodes()],
+            [SkipGraphNode(node.key, node.membership, node.is_dummy) for node in self.nodes()],
             [(prefix, carriers, dummies.get(prefix, 0)) for prefix, carriers in self._prefix_counts.items()],
         )
         return clone

@@ -78,11 +78,16 @@ class TestCostLedger:
         assert streaming.routing_tail() == 0.0
 
 
-class _MixedKeepAdapter(DSGAdapter):
-    """Serves every other request with ``keep_result=True``."""
+class _CollectingAdapter(DSGAdapter):
+    """Keeps the :class:`RequestResult` every served request returns."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.results = []
 
     def _request(self, source, destination):
-        result = self.dsg.request(source, destination, keep_result=self.dsg.time % 2 == 1)
+        result = self.dsg.request(source, destination)
+        self.results.append(result)
         return RequestCost(source, destination, result.routing_cost, result.transformation_rounds)
 
 
@@ -90,13 +95,14 @@ class TestOneInvariantAcrossTheLedgers:
     def test_scenario_adapter_and_dsg_ledgers_agree(self):
         scenario = churn_scenario(n=32, length=160, seed=9, base="temporal", churn_rate=0.05)
         assert scenario.join_count > 0 and scenario.leave_count > 0
-        adapter = _MixedKeepAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=4))
+        adapter = _CollectingAdapter(keys=scenario.initial_keys, config=DSGConfig(seed=4))
         report = run_scenario(scenario, algorithm=adapter, keep_costs=True)
         dsg = adapter.dsg
-        assert 0 < len(dsg.results) < report.costs.requests == scenario.request_count
+        assert len(adapter.results) == report.costs.requests == scenario.request_count
         totals = {
             report.costs.total_cost,
             sum(cost.total for cost in report.costs.costs),
+            sum(result.cost for result in adapter.results),
             adapter.total_cost,
             dsg.total_cost(),
             dsg.costs.total_cost,
@@ -107,9 +113,8 @@ class TestOneInvariantAcrossTheLedgers:
     def test_streamed_request_is_counted(self):
         dsg = DynamicSkipGraph(keys=range(1, 33), config=DSGConfig(seed=1))
         first = dsg.request(1, 17)
-        streamed = dsg.request(2, 30, keep_result=False)
+        streamed = dsg.request(2, 30)
         third = dsg.request(5, 9)
-        assert len(dsg.results) == 2
         assert dsg.costs.requests == 3
         assert dsg.costs.total_cost == dsg.total_cost() == first.cost + streamed.cost + third.cost
         assert dsg.costs.total_routing == (

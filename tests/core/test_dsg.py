@@ -12,8 +12,10 @@ These exercise the paper's structural guarantees end-to-end:
 * node addition/removal works (Section IV-G).
 """
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -128,24 +130,6 @@ class TestRequestBasics:
             instance.request(*pair)
         assert observed() == before
 
-    def test_keep_result_false_preserves_aggregates(self):
-        rng = random.Random(12)
-        requests = [tuple(rng.sample(list(KEYS), 2)) for _ in range(40)]
-        kept = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=33))
-        kept.run_sequence(requests)
-        streamed = DynamicSkipGraph(keys=KEYS, config=DSGConfig(seed=33))
-        for u, v in requests[:25]:
-            streamed.request(u, v, keep_result=False)
-        assert streamed.results == []
-        for u, v in requests[25:]:
-            streamed.request(u, v)
-        assert len(streamed.results) == 15
-        assert streamed.costs.requests == len(requests)
-        assert streamed.total_cost() == kept.total_cost()
-        assert streamed.costs == kept.costs
-        assert streamed.working_set_bound() == pytest.approx(kept.working_set_bound())
-        assert streamed.graph.membership_table() == kept.graph.membership_table()
-
     def test_request_returns_cost_breakdown(self, dsg):
         result = dsg.request(3, 29)
         assert result.cost == result.routing_cost + result.transformation_rounds + 1
@@ -179,11 +163,20 @@ class TestRequestBasics:
             assert dsg.are_adjacent(u, v)
 
     def test_results_are_recorded(self, dsg):
-        dsg.request(1, 2)
-        dsg.request(3, 4)
-        assert len(dsg.results) == 2
-        assert dsg.total_cost() == sum(r.cost for r in dsg.results)
+        results = [dsg.request(1, 2), dsg.request(3, 4)]
+        assert dsg.costs.requests == 2
+        assert dsg.total_cost() == sum(r.cost for r in results)
         assert dsg.costs.average_cost == pytest.approx(dsg.total_cost() / 2)
+
+    def test_a_served_result_is_not_kept(self, dsg):
+        """The instance keeps running counters, not a per-request log: once
+        the caller drops a served result, nothing holds it."""
+        result = dsg.request(1, 2)
+        assert result.ops
+        kept = weakref.ref(result)
+        del result
+        gc.collect()
+        assert kept() is None
 
     def test_run_sequence(self, dsg):
         results = dsg.run_sequence([(1, 2), (2, 3), (1, 2)])

@@ -140,7 +140,7 @@ class TestPlannerPlans:
         dsg = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=seed))
         shadow = dsg.graph.copy()
         for u, v in generate_workload("temporal", keys, 60, seed=seed, working_set_size=6):
-            result = dsg.request(u, v, keep_result=False)
+            result = dsg.request(u, v)
             apply_ops(shadow, result.ops)
             assert shadow.membership_table() == dsg.graph.membership_table()
 
@@ -178,8 +178,8 @@ class TestPlannerPlans:
         control = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=13))
         shadow = observed.graph.copy()
         for u, v in generate_workload("zipf", keys, 50, seed=8, exponent=1.2):
-            first = observed.request(u, v, keep_result=False)
-            second = control.request(u, v, keep_result=False)
+            first = observed.request(u, v)
+            second = control.request(u, v)
             apply_ops(shadow, first.ops)
             assert first.cost == second.cost
             assert first.transformation_rounds == second.transformation_rounds
@@ -227,7 +227,7 @@ class TestTransformationEdgeCases:
             for u in keys:
                 for v in keys:
                     if u < v:
-                        result = dsg.request(u, v, keep_result=False)
+                        result = dsg.request(u, v)
                         apply_ops(shadow, result.ops)
         assert shadow.membership_table() == dsg.graph.membership_table()
         assert dsg.height() <= dsg.config.a * 6  # a * log2(n) slack
@@ -252,8 +252,8 @@ class TestTransformationEdgeCases:
         keys = list(range(1, 25))
         dsg = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=9))
         shadow = dsg.graph.copy()
-        dsg.request(3, 10)  # 10 enters 3's working set
-        apply_ops(shadow, dsg.results[-1].ops)
+        first = dsg.request(3, 10)  # 10 enters 3's working set
+        apply_ops(shadow, first.ops)
         dsg.remove_node(10)
         apply_ops(shadow, dsg.last_churn_ops)
         assert not dsg.graph.has_node(10)

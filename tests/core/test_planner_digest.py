@@ -168,7 +168,7 @@ def _event_record(dsg: DynamicSkipGraph, event) -> tuple:
     if kind == "leave":
         dsg.remove_node(event[1])
         return (kind, event[1], _ops(dsg.last_churn_ops))
-    result = dsg.request(event[1], event[2], keep_result=False)
+    result = dsg.request(event[1], event[2])
     return (
         kind,
         result.time,

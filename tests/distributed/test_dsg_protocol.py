@@ -65,7 +65,7 @@ class TestDistributedMatchesCentralized:
         # the identical topology and total cost (the planner is not special).
         reference = DynamicSkipGraph(keys=keys, config=DSGConfig(seed=seed))
         for u, v in scenario_requests(scenario):
-            reference.request(u, v, keep_result=False)
+            reference.request(u, v)
             assert reference.are_adjacent(u, v), (u, v)
         assert reference.graph.membership_table() == driver.topology.membership_table()
         assert reference.total_cost() == report.total_cost
@@ -152,6 +152,15 @@ class TestDriverLifecycle:
         driver = DistributedDSG(
             scenario.initial_keys, config=DSGConfig(seed=23), seed=5, strict=True
         )
+        # The engine keeps no departed process, so collect them as they retire.
+        retired = []
+        retire = driver.sim.retire
+
+        def collecting_retire(node):
+            retired.append(retire(node))
+            return retired[-1]
+
+        driver.sim.retire = collecting_retire
         driver.run_scenario(scenario)
         # The process population tracks the executed topology exactly
         # (real nodes and surviving dummies alike).
@@ -159,10 +168,8 @@ class TestDriverLifecycle:
         assert set(driver.topology.dummy_keys()) == set(driver.planner.graph.dummy_keys())
         # Only dummies receive self-destruction notices, and any dummy a
         # *request plan* destroyed had flagged itself before retirement.
-        destroyed = [
-            process for process in driver.sim.retired.values()
-            if getattr(process, "destroyed", False)
-        ]
+        destroyed = [process for process in retired if getattr(process, "destroyed", False)]
+        assert retired and destroyed
         assert all(process.is_dummy for process in destroyed)
 
     def test_join_installs_a_routable_process(self):
@@ -176,7 +183,7 @@ class TestDriverLifecycle:
         driver = DistributedDSG(range(1, 17), config=DSGConfig(seed=6), seed=1, strict=True)
         driver.leave(9)
         assert 9 not in driver.processes
-        assert 9 in driver.sim.retired
+        assert 9 not in driver.sim.processes
         assert not driver.sim.network.has_node(9)
 
     def test_network_starts_as_rebuilt(self):

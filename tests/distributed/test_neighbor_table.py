@@ -79,7 +79,7 @@ def _seeded_overlay(k):
             planner.remove_node(rng.choice(peers))
             ops = planner.last_churn_ops
         else:
-            ops = planner.request(*rng.sample(peers, 2), keep_result=False).ops
+            ops = planner.request(*rng.sample(peers, 2)).ops
         for op in ops:
             affected, _ = _rewire(network, topology, op, k)  # the op's key included
             kinds.add(type(op).__name__)

@@ -175,7 +175,7 @@ class TestTargetSetExtraction:
         checked = 0
         for _ in range(25):
             u, v = rng.sample(keys, 2)
-            plan = planner.request(u, v, keep_result=False)
+            plan = planner.request(u, v)
             for op in plan.ops or []:
                 expected = patch_network(network, mirror, op)
                 assert apply_ops_touched(shadow, (op,)) == expected
@@ -188,7 +188,7 @@ class TestTargetSetExtraction:
         shadow = planner.graph.copy()
         mirror = planner.graph.copy()
         network = skip_graph_network(mirror)
-        plan = planner.request(3, 20, keep_result=False)
+        plan = planner.request(3, 20)
         ops = list(plan.ops or [])
         assert ops
         touched = apply_ops_touched(shadow, ops)
@@ -212,7 +212,7 @@ def test_detector_disjoint_plans_commute(seed):
         u, v = rng.sample(keys, 2)
         pre = planner.graph.copy()
         shadow = planner.graph.copy()
-        plan = planner.request(u, v, keep_result=False)
+        plan = planner.request(u, v)
         ops = list(plan.ops or [])
         writes = frozenset(apply_ops_touched(shadow, ops)) if ops else frozenset()
         conflict = ConflictSet(reads=frozenset(plan.routing.path), writes=writes)
@@ -245,7 +245,7 @@ def test_commutativity_lemma_is_not_vacuous():
     previous = None
     for event in scenario.events:
         shadow = planner.graph.copy()
-        plan = planner.request(event.source, event.destination, keep_result=False)
+        plan = planner.request(event.source, event.destination)
         ops = list(plan.ops or [])
         writes = frozenset(apply_ops_touched(shadow, ops)) if ops else frozenset()
         conflict = ConflictSet(reads=frozenset(plan.routing.path), writes=writes)

@@ -117,7 +117,9 @@ def _reused_engine():
     routers = install_routing(sim, graph, {2: [39, 100], 100: [5]})
     sim.run()
     paths = tuple(tuple(trace_route(routers, s, d)) for s, d in ((2, 39), (2, 100), (100, 5)))
-    results = tuple((key, process.result) for key, process in routers.items())
+    results = tuple(
+        (key, "reached" if process.completed else None) for key, process in routers.items()
+    )
     yield ("routing", paths, results, _traffic(sim))
 
     members = list(range(1, 31))

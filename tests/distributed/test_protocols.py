@@ -75,7 +75,7 @@ class TestRoutingProtocol:
             assert trace_route(processes, source, destination) == route(
                 graph, source, destination
             ).path
-            assert processes[destination].result == "reached"
+            assert processes[destination].completed == 1
 
 
     def test_request_from_an_unknown_source_rejected_before_any_router(self):
@@ -188,7 +188,7 @@ class TestChurnSafeRestarts:
 
         assert reused_path == fresh_path
         assert reused_counters == fresh_counters
-        assert reused_processes[31].result == fresh_processes[31].result == "reached"
+        assert reused_processes[31].completed == fresh_processes[31].completed == 1
 
     def test_rewired_network_matches_rebuilt_network(self):
         graph = build_balanced_skip_graph(self.KEYS)
@@ -251,7 +251,7 @@ class TestChurnSafeRestarts:
 
         sim.schedule(2, join)
         sim.run()
-        assert sim.process(1).result == "reached"
+        assert sim.process(1).completed == 1
         assert sim.metrics.congestion_violations == 0
 
 

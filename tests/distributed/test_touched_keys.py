@@ -85,7 +85,7 @@ def test_each_plan_collects_what_op_by_op_replay_touches(a, seed, bulk_calls):
         else:
 
             def serve(pair=rng.sample(peers, 2)):
-                return planner.request(*pair, keep_result=False).ops
+                return planner.request(*pair).ops
         collected, expected = _collected(planner, serve)
         assert collected == expected, f"event {event}"
     assert all(bulk_calls[name] for name in BULK), bulk_calls

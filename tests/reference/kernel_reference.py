@@ -92,6 +92,6 @@ class ReferenceDynamicSkipGraph(DynamicSkipGraph):
     def _recorder(self) -> OpByOpRecorder:
         return OpByOpRecorder(self.graph)
 
-    def add_node(self, key: Key, payload=None) -> None:
+    def add_node(self, key: Key) -> None:
         with mock.patch.object(dsg_module, "draw_membership_bits", draw_membership_bits_reference):
-            super().add_node(key, payload=payload)
+            super().add_node(key)

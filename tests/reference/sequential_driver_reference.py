@@ -72,7 +72,7 @@ class SequentialReferenceDSG(DistributedDSG):
                 raise TypeError(f"unknown scenario event {event!r}")
 
     def _request(self, source, destination) -> None:
-        plan = self.planner.request(source, destination, keep_result=False)
+        plan = self.planner.request(source, destination)
         first_round = self.sim.round
         rid = self._next_rid
         self._next_rid += 1

@@ -10,7 +10,6 @@ from repro.simulation import (
     CongestionError,
     LinkError,
     Message,
-    MessageSizeError,
     Network,
     NodeProcess,
     RoundContext,
@@ -37,6 +36,7 @@ class TokenForwarder(NodeProcess):
         super().__init__(node_id)
         self.n = n
         self.start = start
+        self.token = None
         if not start:
             self.done = True  # passive until a token arrives
 
@@ -50,7 +50,7 @@ class TokenForwarder(NodeProcess):
             if msg.kind != "token":
                 continue
             if self.node_id == self.n - 1:
-                self.result = msg.payload
+                self.token = msg.payload
                 self.done = True
             else:
                 ctx.send(self.node_id + 1, "token", payload=msg.payload)
@@ -89,7 +89,7 @@ class TestTokenPassing:
         for i in range(1, n):
             sim.add_process(TokenForwarder(i, n))
         metrics = sim.run()
-        assert sim.process(n - 1).result == 0
+        assert sim.process(n - 1).token == 0
         # one hop per round: the token crosses n-1 links in n-1 rounds
         assert metrics.rounds == n - 1
         assert metrics.messages == n - 1
@@ -140,6 +140,46 @@ class TestBoundedState:
         finally:
             tracemalloc.stop()
         assert metrics.rounds == metrics.messages == sim.round == 20_000
+        assert retained <= 64 * 1024, retained
+
+    def test_departed_processes_leave_nothing_behind(self):
+        """The engine holds live processes only: 20 000 join/retire cycles,
+        each a fresh node, leave at most 64 KB allocated behind."""
+        network = Network()
+        sim = Simulator(network, SimulatorConfig(seed=5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for node in range(20_000):
+                network.add_node(node)
+                sim.add_process(Idle(node))
+                sim.step()
+                sim.retire(node)
+                network.remove_node(node)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sim.round == 20_000 and not sim.processes
+        assert retained <= 64 * 1024, retained
+
+    def test_crashed_and_recovered_processes_leave_nothing_behind(self):
+        """A crash keeps only the node's re-entry ban, and recovery lifts it:
+        20 000 crash/recover cycles leave at most 64 KB allocated behind."""
+        network = Network()
+        sim = Simulator(network, SimulatorConfig(seed=5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for node in range(20_000):
+                network.add_node(node)
+                sim.add_process(Idle(node))
+                sim.step()
+                sim.crash(node)
+                sim.recover(node)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sim.round == 20_000 and not sim.processes and not sim.crashed
         assert retained <= 64 * 1024, retained
 
 
@@ -212,24 +252,6 @@ class TestCongestEnforcement:
         sim.reset_metrics()
         assert sim.run().dropped_messages == 1
 
-    def test_message_size_cap(self):
-        net = Network()
-        net.add_link(0, 1)
-
-        class BigSender(NodeProcess):
-            def on_start(self, ctx):
-                ctx.send(1, "big", payload=list(range(100)))
-                self.done = True
-
-            def on_round(self, ctx, inbox):
-                self.done = True
-
-        sim = Simulator(net, SimulatorConfig(max_message_bits=64))
-        sim.add_process(BigSender(0))
-        sim.add_process(Sink(1))
-        with pytest.raises(MessageSizeError):
-            sim.run()
-
 
 class TestEngineLifecycle:
     def test_duplicate_process_rejected(self):
@@ -279,17 +301,6 @@ class TestEngineLifecycle:
         sim.add_process(Reporter(1))
         sim.step()
         assert sim.metrics.max_memory_words == 7
-
-    def test_results_collects_process_results(self):
-        n = 4
-        net = line_network(n)
-        sim = Simulator(net)
-        sim.add_process(TokenForwarder(0, n, start=True))
-        for i in range(1, n):
-            sim.add_process(TokenForwarder(i, n))
-        sim.run()
-        results = sim.results()
-        assert results[n - 1] == 0
 
     def test_deterministic_rng_per_node(self):
         net = line_network(3)
@@ -388,6 +399,11 @@ class TestChurnLifecycle:
         class Waiter(NodeProcess):
             """Never done: would block quiescence forever if not retired."""
 
+            said_goodbye = False
+
+            def on_retire(self):
+                self.said_goodbye = True
+
             def on_round(self, ctx, inbox):
                 pass
 
@@ -396,28 +412,24 @@ class TestChurnLifecycle:
         sim = Simulator(net, SimulatorConfig(max_rounds=50))
         sim.add_process(Idle("a"))
         waiter = Waiter("b")
-        waiter.result = "partial"
         sim.add_process(waiter)
         sim.schedule(2, lambda s: s.network.remove_node("b"))
         sim.run()  # must terminate: the orphaned process is retired
         assert "b" not in sim.processes
-        assert "b" in sim.retired
-        assert sim.results()["b"] == "partial"
+        assert waiter.said_goodbye
 
-    def test_explicit_retire_keeps_result_and_allows_rejoin(self):
+    def test_explicit_retire_allows_rejoin(self):
         net = Network()
         net.add_node("a")
         sim = Simulator(net, SimulatorConfig(max_rounds=10))
         first = Idle("a")
-        first.result = "gen-1"
         sim.add_process(first)
         sim.run()
-        sim.retire("a")
+        assert sim.retire("a") is first
         second = Idle("a")
-        second.result = "gen-2"
         sim.add_process(second)
         sim.run()
-        assert sim.results()["a"] == "gen-2"
+        assert sim.process("a") is second
         with pytest.raises(SimulationError):
             sim.retire("missing")
 
@@ -610,7 +622,7 @@ class TestChurnLifecycle:
         assert sim.reset_metrics().summary() == first
         second = sim.run().summary()
         assert second == first
-        assert sim.process(n - 1).result == 0
+        assert sim.process(n - 1).token == 0
 
     def test_run_budget_is_per_call_on_reused_engine(self):
         n = 4
@@ -726,7 +738,7 @@ class Streamer(NodeProcess):
         super().__init__(node_id)
         self.n = n
         self.queue: List[str] = []
-        self.result = []
+        self.arrivals = []
         self.done = True
 
     def give(self, items):
@@ -737,7 +749,7 @@ class Streamer(NodeProcess):
     def on_round(self, ctx, inbox):
         for message in inbox:
             if self.node_id == self.n - 1:
-                self.result.append((ctx.round, message.payload))
+                self.arrivals.append((ctx.round, message.payload))
             else:
                 self.queue.append(message.payload)
         if self.queue:
@@ -756,7 +768,7 @@ class TestWake:
 
     def test_wake_matches_a_same_round_callback(self):
         """The same work handed by ``wake`` or by a ``schedule(sim.round, ...)``
-        callback gives the same rounds, traffic and results, round for round."""
+        callback gives the same rounds, traffic and arrivals, round for round."""
 
         def run(handoff):
             sim, processes = self._streamers()
@@ -785,11 +797,11 @@ class TestWake:
             sim.run()
             give(1, ["g"])  # on a quiesced engine
             sim.run()
-            return counters, sim.results()
+            return counters, [process.arrivals for process in processes]
 
-        counters, results = run("wake")
-        assert (counters, results) == run("schedule")
-        assert sorted(item for _, item in results[5]) == list("abcdefg")
+        counters, arrivals = run("wake")
+        assert (counters, arrivals) == run("schedule")
+        assert sorted(item for _, item in arrivals[5]) == list("abcdefg")
 
     def test_wake_before_the_first_start_raises(self):
         sim, processes = self._streamers()
@@ -822,11 +834,12 @@ class LateSampler(NodeProcess):
     def __init__(self, node_id, read_round=None):
         super().__init__(node_id)
         self.read_round = read_round
+        self.draws = None
         self.done = read_round is None
 
     def on_round(self, ctx, inbox):
         if ctx.round == self.read_round:
-            self.result = [ctx.rng.random() for _ in range(3)]
+            self.draws = [ctx.rng.random() for _ in range(3)]
             self.done = True
 
 
@@ -842,9 +855,10 @@ class TestNodeRngs:
 
     def test_a_first_read_in_round_3_draws_the_eager_stream(self):
         sim = Simulator(line_network(5), SimulatorConfig(seed=9))
-        sim.add_processes(LateSampler(node, read_round=3 if node % 2 else 1) for node in range(5))
+        processes = [LateSampler(node, read_round=3 if node % 2 else 1) for node in range(5)]
+        sim.add_processes(processes)
         sim.run()
-        assert sim.results() == eager_streams(9, range(5))
+        assert {process.node_id: process.draws for process in processes} == eager_streams(9, range(5))
         assert sim.round == 4
 
     def test_never_read_processes_build_no_generator(self):
@@ -862,11 +876,10 @@ class TestNodeRngs:
         sim.crash(2)
         # 1 re-joins fresh; 4 and 5 join for the first time.  Each draws the next child
         # seed in registration order, as eager generators would have.
-        for node in (4, 1, 5):
-            sim.add_process(LateSampler(node, read_round=sim.round + 2))
+        joiners = {node: LateSampler(node, read_round=sim.round + 2) for node in (4, 1, 5)}
+        sim.add_processes(joiners.values())
         sim.run()
         expected = eager_streams(4, [0, 1, 2, 3, 4, 1, 5])
-        results = sim.results()
-        assert {node: results[node] for node in (4, 1, 5)} == {
+        assert {node: process.draws for node, process in joiners.items()} == {
             4: expected[4], 1: expected[1], 5: expected[5],
         }

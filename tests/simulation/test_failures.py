@@ -51,6 +51,7 @@ class TokenForwarder(NodeProcess):
         super().__init__(node_id)
         self.n = n
         self.start = start
+        self.token = None
         self.goodbyes = 0
         if not start:
             self.done = True
@@ -65,7 +66,7 @@ class TokenForwarder(NodeProcess):
             if msg.kind != "token":
                 continue
             if self.node_id == self.n - 1:
-                self.result = msg.payload
+                self.token = msg.payload
                 self.done = True
             else:
                 ctx.send(self.node_id + 1, "token", payload=msg.payload)
@@ -89,7 +90,7 @@ class TestCrashSemantics:
         sim.schedule(1, lambda s: s.crash(2))
         metrics = sim.run()
         assert metrics.dropped_messages == 1
-        assert sim.process(n - 1).result is None  # token never arrived
+        assert procs[n - 1].token is None  # token never arrived
         assert procs[2].goodbyes == 0  # crash-stop: no goodbye
 
     def test_crashed_node_cannot_reenter(self):
@@ -113,16 +114,6 @@ class TestCrashSemantics:
         assert sim.crash(1) is None  # no process existed; still a crash
         assert not net.has_node(1)
         assert 1 in sim.crashed
-
-    def test_crash_result_stays_readable(self):
-        n = 3
-        sim = Simulator(line_network(n), SimulatorConfig(seed=1))
-        sim.add_processes(TokenForwarder(i, n, start=(i == 0)) for i in range(n))
-        sim.run()
-        assert sim.process(n - 1).result == 0
-        process = sim.crash(n - 1)
-        assert process.result == 0
-        assert sim.results()[n - 1] == 0
 
 
 class TestGoodbyeOrdering:
@@ -241,4 +232,4 @@ class TestRerunAfterCrashes:
             fresh.add_process(TokenForwarder(i, n))
         fresh_metrics = fresh.run()
         assert second == fresh_metrics.summary()
-        assert sim.process(n - 1).result == fresh.process(n - 1).result == 1
+        assert sim.process(n - 1).token == fresh.process(n - 1).token == 1

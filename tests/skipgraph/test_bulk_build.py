@@ -28,12 +28,12 @@ SIZES = list(range(71)) + [1000, 4097, 16385]
 
 def _indexes(graph):
     """Every derived index but the list caches (a caching decision), plus
-    each node's vector, dummy flag and payload."""
+    each node's vector and dummy flag."""
     state = derived_state(graph)
     for cache in ("lists", "positions", "buffers_without_a_list"):
         del state[cache]
     state["nodes"] = {
-        key: (node.membership.bits, node.is_dummy, node.payload)
+        key: (node.membership.bits, node.is_dummy)
         for key, node in graph._nodes.items()
     }
     return state

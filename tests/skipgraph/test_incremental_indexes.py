@@ -454,7 +454,7 @@ def test_request_only_traffic_keeps_the_marks_within_the_budget():
     budget = len(dsg.graph) * dsg.graph.height()
     flipped = False
     for u, v in temporal_locality(keys, 200, seed=2):
-        dsg.request(u, v, keep_result=False)
+        dsg.request(u, v)
         assert sum(len(anchors) for anchors in tracker._dirty.values() if anchors) <= budget
         flipped |= tracker._all_dirty
     assert flipped

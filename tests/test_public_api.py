@@ -238,16 +238,36 @@ class TestRetiredSurface:
         for gone in ("algorithm", "protocol", "failure", "pipeline", "working_set_bound"):
             assert not hasattr(artifact, gone), gone
 
-    def test_one_start_path_and_four_engine_options(self):
+    def test_one_start_path_and_three_engine_options(self):
         from repro.simulation import RoundContext, Simulator, SimulatorConfig
 
         assert [f.name for f in dataclasses.fields(SimulatorConfig)] == [
-            "max_rounds", "strict", "max_message_bits", "seed",
+            "max_rounds", "strict", "seed",
         ]  # fmt: skip
         for gone in ("_start_processes", "_start_pending_processes"):
             assert not hasattr(Simulator, gone), gone
         assert not hasattr(RoundContext, "report_memory")
         assert "report_memory_fn" not in inspect.signature(RoundContext).parameters
+
+    def test_no_request_log_retired_processes_payload_or_size_cap(self):
+        import repro.simulation as simulation
+        from repro.core.local_ops import OpRecorder
+        from repro.simulation import NodeProcess, Simulator
+        from repro.skipgraph.node import SkipGraphNode
+
+        for gone in ("results", "retired"):
+            assert not hasattr(Simulator, gone), gone
+        assert not hasattr(NodeProcess(1), "result")
+        assert "MessageSizeError" not in simulation.__all__
+        assert not hasattr(simulation, "MessageSizeError")
+        assert "payload" not in [f.name for f in dataclasses.fields(SkipGraphNode)]
+        dsg = repro.DynamicSkipGraph(range(1, 9))
+        assert not hasattr(dsg, "results")
+        assert list(inspect.signature(repro.DynamicSkipGraph.request).parameters) == [
+            "self", "source", "destination",
+        ]  # fmt: skip
+        assert list(inspect.signature(repro.DynamicSkipGraph.add_node).parameters) == ["self", "key"]
+        assert list(inspect.signature(OpRecorder.join).parameters) == ["self", "key", "bits"]
 
     def test_drivers_keep_only_the_options_callers_set(self):
         import repro.distributed as distributed

@@ -240,7 +240,6 @@ class TestReplayScenario:
         replay_scenario(simulator, scenario, graph=graph)
         simulator.run()
         assert 5 not in simulator.processes
-        assert 5 in simulator.retired
         assert not simulator.network.has_node(5)
 
     def test_requests_are_skipped_and_churn_needs_a_graph(self):
